@@ -20,9 +20,9 @@ the superseded directories stay on disk until explicitly pruned.
 Migration productionizes ``examples/schema_evolution.py``'s serial
 sketch: documents are replayed through the existing tree-edit mapping
 layer (:func:`repro.mapping.conform.conform_document`) **in parallel**
-via :class:`repro.runtime.parallel.ParallelMapper` -- the corpus
-engine's transport pattern with a parsed DTD as the per-worker state --
-and every migrated document is re-validated against the new DTD before
+on a :class:`repro.runtime.pool.WorkerPool` -- the corpus engine's
+pool with a parsed DTD as the per-worker state -- and every migrated
+document is re-validated against the new DTD before
 the new version is published.
 """
 
@@ -48,7 +48,7 @@ from repro.mapping.persistence import (
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
 from repro.mapping.validate import validate_document
-from repro.runtime.parallel import ParallelMapper
+from repro.runtime.pool import WorkerPool
 from repro.schema.dtd import DTD
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,25 +124,23 @@ def migrate_documents(
     the serial :func:`~repro.mapping.migrate.migrate_repository` path
     reports for the same input.
     """
-    mapper = ParallelMapper(
-        _migrate_one,
-        state_factory=_migration_state,
-        state_args=(new_dtd.render(), new_dtd.root_name, measure_distance),
-        max_workers=max_workers,
-        chunk_size=chunk_size,
-    )
     report = MigrationReport()
     migrated_xml: list[str] = []
-    for result in mapper.map(xml_documents):
-        report.documents += 1
-        migrated_xml.append(result["xml"])
-        if result["conforming"]:
-            report.already_conforming += 1
-            continue
-        report.migrated += 1
-        report.total_operations += result["operations"]
-        if result["distance"] is not None:
-            report.edit_distances.append(result["distance"])
+    with WorkerPool(
+        _migration_state,
+        (new_dtd.render(), new_dtd.root_name, measure_distance),
+        workers=max_workers,
+    ) as pool:
+        for result in pool.map(_migrate_one, xml_documents, chunk_size=chunk_size):
+            report.documents += 1
+            migrated_xml.append(result["xml"])
+            if result["conforming"]:
+                report.already_conforming += 1
+                continue
+            report.migrated += 1
+            report.total_operations += result["operations"]
+            if result["distance"] is not None:
+                report.edit_distances.append(result["distance"])
     return migrated_xml, report
 
 

@@ -6,9 +6,12 @@
 * :mod:`repro.runtime.stats` -- :class:`EngineStats` / per-chunk
   instrumentation (rule timings, docs/sec, queue depth, failure
   counts).
-* :mod:`repro.runtime.parallel` -- :class:`ParallelMapper`, the generic
-  chunked process-pool mapper (in-order results, bounded pending window,
-  per-worker initializer state) reused by repository migration.
+* :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one process
+  pool every parallel path uses (the engine, repository migration, the
+  conversion service): per-worker state built once by the initializer
+  (adopted copy-on-write from the parent under fork), inline execution
+  at one worker, an ordered bounded-window ``map``, and
+  ``rebuild``/``pids``/``shutdown`` for crash recovery and drain.
 * :mod:`repro.runtime.faults` -- the fault-tolerance layer:
   :class:`ErrorPolicy` (fail-fast / skip / quarantine),
   :class:`DocumentFailure` records, and worker-crash recovery
@@ -30,7 +33,6 @@ from repro.runtime.engine import (
     EngineConfig,
     EngineRun,
 )
-from repro.runtime.parallel import ParallelMapper
 from repro.runtime.faults import (
     DocumentFailure,
     ErrorPolicy,
@@ -53,7 +55,6 @@ __all__ = [
     "CorpusResult",
     "DiscoveryResult",
     "EngineRun",
-    "ParallelMapper",
     "PathAccumulator",
     "DocumentFailure",
     "ErrorPolicy",

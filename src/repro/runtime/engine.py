@@ -3,10 +3,10 @@
 The paper's pipeline is embarrassingly parallel per document (Section 2
 conversion) and its schema discovery (Section 3) only consumes
 corpus-level path statistics -- so :class:`CorpusEngine` splits a corpus
-into chunks, converts the chunks in a ``ProcessPoolExecutor`` whose
-workers each build the :class:`~repro.convert.pipeline.DocumentConverter`
-(and its compiled synonym matcher) exactly once, and merges results back
-**in document order**::
+into chunks, converts the chunks on a
+:class:`~repro.runtime.pool.WorkerPool` whose workers each hold one
+:class:`~repro.convert.pipeline.DocumentConverter` (and its compiled
+synonym matcher), and merges results back **in document order**::
 
     sources ──chunk──▶ worker pool (DocumentConverter per process)
                           │  per chunk: XML strings + PathAccumulator
@@ -31,10 +31,12 @@ to separate chunking effects from multiprocessing effects.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +58,7 @@ from repro.runtime.faults import (
     worker_crash_failure,
     write_quarantine,
 )
+from repro.runtime.pool import WorkerPool, chunked, resolve_workers
 from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.paths import extract_paths
@@ -106,9 +109,7 @@ class EngineConfig:
     max_pool_rebuilds: int = 16
 
     def resolved_workers(self) -> int:
-        if self.max_workers is None:
-            return os.cpu_count() or 1
-        return max(1, self.max_workers)
+        return resolve_workers(self.max_workers)
 
     def resolved_pending(self, workers: int) -> int:
         if self.max_pending is None:
@@ -258,55 +259,30 @@ class EngineRun:
 
 # -- worker-side code ---------------------------------------------------------
 
-# One converter per worker process, built by the pool initializer so the
-# knowledge base is unpickled and the synonym matcher compiled once, not
-# once per chunk.  The obs flags travel with it: when tracing/provenance
-# is requested, each chunk builds its own tracer/log and ships the
-# serialized output home in the payload.
-_WORKER_CONVERTER: DocumentConverter | None = None
-_WORKER_TRACE: bool = False
-_WORKER_PROVENANCE: bool = False
-_WORKER_POLICY: ErrorPolicy = ErrorPolicy.fail_fast()
-_WORKER_COLLECT_XML: bool = True
-_WORKER_SINK: XmlSink | None = None
 
-# The parent's converter at pool-spawn time.  Under the fork start
-# method the initializer receives the *same objects* the parent passed
-# (nothing is pickled), so when the identity check below holds, each
-# worker inherits the parent's already-built converter -- compiled
-# synonym matcher included -- via copy-on-write instead of rebuilding
-# it per process.  Under spawn the initargs arrive as copies, the check
-# fails, and each worker builds its own, exactly as before.
-_PREFORK_CONVERTER: DocumentConverter | None = None
+@dataclass
+class _ChunkWorker:
+    """The per-worker state slot: one converter per process, built once
+    so the knowledge base is unpickled and the synonym matcher compiled
+    once, not once per chunk, plus the run's transport and obs options.
+    When tracing/provenance is requested, each chunk builds its own
+    tracer/log and ships the serialized output home in the payload."""
+
+    converter: DocumentConverter
+    trace: bool = False
+    provenance: bool = False
+    policy: ErrorPolicy = ErrorPolicy.fail_fast()
+    collect_xml: bool = True
+    sink: XmlSink | None = None
 
 
-def _init_worker(
+def _build_worker(
     kb: KnowledgeBase,
     config: ConversionConfig,
     bayes: MultinomialNaiveBayes | None,
-    trace: bool = False,
-    provenance: bool = False,
-    policy: ErrorPolicy | None = None,
-    collect_xml: bool = True,
-    sink: XmlSink | None = None,
-) -> None:
-    global _WORKER_CONVERTER, _WORKER_TRACE, _WORKER_PROVENANCE, _WORKER_POLICY
-    global _WORKER_COLLECT_XML, _WORKER_SINK
-    prebuilt = _PREFORK_CONVERTER
-    if (
-        prebuilt is not None
-        and prebuilt.kb is kb
-        and prebuilt.config is config
-        and prebuilt.bayes is bayes
-    ):
-        _WORKER_CONVERTER = prebuilt
-    else:
-        _WORKER_CONVERTER = DocumentConverter(kb, config, bayes)
-    _WORKER_TRACE = trace
-    _WORKER_PROVENANCE = provenance
-    _WORKER_POLICY = policy if policy is not None else ErrorPolicy.fail_fast()
-    _WORKER_COLLECT_XML = collect_xml
-    _WORKER_SINK = sink
+    *options,
+) -> _ChunkWorker:
+    return _ChunkWorker(DocumentConverter(kb, config, bayes), *options)
 
 
 def _run_chunk(
@@ -428,31 +404,38 @@ def _run_chunk(
 
 
 def _convert_chunk(
-    payload: tuple[int, int, list[str], list[str] | None]
+    worker: _ChunkWorker,
+    index: int,
+    base: int,
+    sources: list[str],
+    names: list[str] | None,
 ) -> ChunkPayload:
-    """Pool task: convert a chunk with the per-process converter."""
-    index, base, sources, names = payload
-    assert _WORKER_CONVERTER is not None, "worker initializer did not run"
-    kill_marker = _WORKER_CONVERTER.config.chaos_kill_marker
-    if kill_marker and any(kill_marker in source for source in sources):
+    """Pool task: convert a chunk with the per-worker converter."""
+    kill_marker = worker.converter.config.chaos_kill_marker
+    if (
+        kill_marker
+        and multiprocessing.parent_process() is not None
+        and any(kill_marker in source for source in sources)
+    ):
         # Chaos hook: die the way an OOM-killed or segfaulted worker
         # does -- no exception, no cleanup, just a vanished process.
+        # Only ever in a pool worker: an inline pool runs in the caller.
         os._exit(1)
-    tracer: Tracer | NullTracer = Tracer(id_prefix="w") if _WORKER_TRACE else NULL_TRACER
-    provenance = ProvenanceLog() if _WORKER_PROVENANCE else None
+    tracer: Tracer | NullTracer = Tracer(id_prefix="w") if worker.trace else NULL_TRACER
+    provenance = ProvenanceLog() if worker.provenance else None
     chunk = _run_chunk(
-        _WORKER_CONVERTER,
+        worker.converter,
         index,
         base,
         sources,
         tracer,
         provenance,
-        _WORKER_POLICY,
-        _WORKER_COLLECT_XML,
-        _WORKER_SINK,
+        worker.policy,
+        worker.collect_xml,
+        worker.sink,
         names,
     )
-    if _WORKER_TRACE:
+    if worker.trace:
         chunk.spans = tracer.export()
     if provenance is not None:
         chunk.events = provenance.events
@@ -460,8 +443,8 @@ def _convert_chunk(
 
 
 @dataclass
-class _ChunkTask:
-    """A submitted chunk, kept resubmittable for crash recovery."""
+class ChunkTask:
+    """One chunk of a corpus, kept resubmittable for crash recovery."""
 
     index: int
     base: int
@@ -470,22 +453,11 @@ class _ChunkTask:
     # did not name them; the sink then falls back to global positions).
     names: list[str] | None = None
 
-    def args(self) -> tuple[int, int, list[str], list[str] | None]:
-        return (self.index, self.base, self.sources, self.names)
-
-
-def _chunked(sources: Iterable[str], sizer: ChunkSizer) -> Iterator[list[str]]:
-    """Split ``sources`` into chunks, re-reading the sizer's current
-    size at every chunk boundary (adaptive sizing adjusts it while the
-    stream drains)."""
-    chunk: list[str] = []
-    for source in sources:
-        chunk.append(source)
-        if len(chunk) >= sizer.size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+    def submit(self, pool: WorkerPool) -> "Future[ChunkPayload]":
+        """Convert this chunk on a pool from :meth:`CorpusEngine.worker_pool`."""
+        return pool.submit(
+            _convert_chunk, self.index, self.base, self.sources, self.names
+        )
 
 
 # -- the engine ---------------------------------------------------------------
@@ -512,6 +484,7 @@ class CorpusEngine:
         self.engine_config = engine_config or EngineConfig()
         self.bayes = bayes
         self._inline_converter: DocumentConverter | None = None
+        self._recovery = threading.Lock()
 
     # -- conversion ----------------------------------------------------------
 
@@ -565,7 +538,7 @@ class CorpusEngine:
         sizer = ChunkSizer.from_config(self.engine_config)
         started = time.perf_counter()
         workers = stats.workers
-        chunks = enumerate(_chunked(sources, sizer))
+        chunks = enumerate(chunked(sources, lambda: sizer.size))
         doc_cursor = 0
 
         def chunk_names(base: int, count: int) -> list[str] | None:
@@ -614,9 +587,15 @@ class CorpusEngine:
 
         max_pending = self.engine_config.resolved_pending(workers)
         budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
-        obs = (tracer.enabled, provenance is not None, collect_xml, sink)
-        pool = self._spawn_pool(workers, policy, *obs)
-        pending: deque[tuple[_ChunkTask, Future[ChunkPayload]]] = deque()
+        pool = self.worker_pool(
+            workers=workers,
+            trace=tracer.enabled,
+            provenance=provenance is not None,
+            policy=policy,
+            collect_xml=collect_xml,
+            sink=sink,
+        )
+        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
         pending_docs = 0
         interrupted = False
 
@@ -630,14 +609,20 @@ class CorpusEngine:
                 return pending_docs >= max_pending * sizer.size
             return len(pending) >= max_pending
 
+        def merge_oldest() -> ChunkPayload:
+            nonlocal pending_docs
+            payload = self._next_payload(pending, pool, policy, budget, stats)
+            pending_docs -= payload.stats.documents + payload.stats.documents_failed
+            return merge(payload)
+
         try:
             for index, chunk in chunks:
-                task = _ChunkTask(
+                task = ChunkTask(
                     index, doc_cursor, chunk,
                     chunk_names(doc_cursor, len(chunk)),
                 )
                 doc_cursor += len(chunk)
-                pending.append((task, pool.submit(_convert_chunk, task.args())))
+                pending.append((task, self._submit(pool, task, budget, stats)))
                 pending_docs += len(chunk)
                 stats.max_queue_depth = max(
                     stats.max_queue_depth, len(pending)
@@ -645,21 +630,9 @@ class CorpusEngine:
                 # Backpressure: consume the oldest chunk (preserving
                 # document order) before submitting past the window.
                 while pending and window_full():
-                    payload, pool = self._next_payload(
-                        pending, pool, workers, policy, budget, stats, obs
-                    )
-                    pending_docs -= (
-                        payload.stats.documents + payload.stats.documents_failed
-                    )
-                    yield merge(payload)
+                    yield merge_oldest()
             while pending:
-                payload, pool = self._next_payload(
-                    pending, pool, workers, policy, budget, stats, obs
-                )
-                pending_docs -= (
-                    payload.stats.documents + payload.stats.documents_failed
-                )
-                yield merge(payload)
+                yield merge_oldest()
         except BaseException:
             # Any exceptional exit -- the consumer closing the stream
             # (GeneratorExit), Ctrl-C (KeyboardInterrupt), a progress
@@ -822,102 +795,94 @@ class CorpusEngine:
                 )
         return EngineRun(corpus=corpus, discovery=discovery)
 
-    # -- worker-crash recovery ----------------------------------------------
+    # -- worker pool + crash recovery ---------------------------------------
 
-    def _spawn_pool(
+    def worker_pool(
         self,
-        workers: int,
-        policy: ErrorPolicy,
-        trace: bool,
-        provenance_on: bool,
+        *,
+        workers: int | None = None,
+        trace: bool = False,
+        provenance: bool = False,
+        policy: ErrorPolicy | None = None,
         collect_xml: bool = True,
         sink: XmlSink | None = None,
-    ) -> ProcessPoolExecutor:
-        # Build (or reuse) the converter parent-side before forking so
-        # workers can inherit it copy-on-write -- _init_worker checks
-        # that its initargs are these same objects before reusing it.
-        global _PREFORK_CONVERTER
-        _PREFORK_CONVERTER = self._converter()
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(
-                self.kb,
-                self.config,
-                self.bayes,
-                trace,
-                provenance_on,
-                policy,
-                collect_xml,
-                sink,
-            ),
+    ) -> WorkerPool:
+        """A pool whose workers each hold this engine's converter.
+
+        The converter is built (or reused) parent-side, so forked
+        workers adopt it copy-on-write.  ``policy`` defaults to the
+        engine's error policy; the other options select what a chunk
+        ships home (see :meth:`stream`).
+        """
+        if policy is None:
+            policy = self.engine_config.resolved_policy()
+        if workers is None:
+            workers = self.engine_config.resolved_workers()
+        options = (trace, provenance, policy, collect_xml, sink)
+        return WorkerPool(
+            _build_worker,
+            (self.kb, self.config, self.bayes, *options),
+            workers=workers,
+            state=_ChunkWorker(self._converter(), *options),
         )
 
-    def _rebuild_pool(
+    def _submit(
         self,
-        pool: ProcessPoolExecutor,
-        workers: int,
-        policy: ErrorPolicy,
+        pool: WorkerPool,
+        task: ChunkTask,
         budget: RecoveryBudget,
         stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> ProcessPoolExecutor:
-        """Replace a broken pool (bounded by the recovery budget)."""
-        budget.spend()
-        stats.record_pool_rebuild()
-        pool.shutdown(wait=False, cancel_futures=True)
-        return self._spawn_pool(workers, policy, *obs)
+    ) -> Future[ChunkPayload]:
+        """Submit a chunk, first replacing the pool if a crash broke it
+        (bounded by the recovery budget)."""
+        try:
+            return task.submit(pool)
+        except BrokenProcessPool:
+            budget.spend()
+            stats.record_pool_rebuild()
+            pool.rebuild()
+            return task.submit(pool)
 
     def _next_payload(
         self,
-        pending: deque[tuple[_ChunkTask, Future[ChunkPayload]]],
-        pool: ProcessPoolExecutor,
-        workers: int,
+        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]],
+        pool: WorkerPool,
         policy: ErrorPolicy,
         budget: RecoveryBudget,
         stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> tuple[ChunkPayload, ProcessPoolExecutor]:
+    ) -> ChunkPayload:
         """The oldest pending chunk's payload, recovering worker crashes.
 
         A dead worker surfaces as ``BrokenProcessPool`` on whichever
         future is awaited -- not necessarily the chunk that killed it.
         Under fail-fast the error propagates (historical behavior);
-        otherwise the pool is rebuilt, the awaited chunk is re-run with
-        bisection (isolating any killer documents it contains as
-        :class:`DocumentFailure` records while salvaging its siblings),
+        otherwise the awaited chunk goes through :meth:`recover_chunk`
         and every other in-flight chunk is resubmitted in order, so the
         in-order merge semantics survive the crash.
         """
         task, future = pending.popleft()
         try:
-            return future.result(), pool
+            return future.result()
         except BrokenProcessPool:
             if policy.is_fail_fast:
                 raise
-            pool = self._rebuild_pool(pool, workers, policy, budget, stats, obs)
-            payload, pool = self._salvage_chunk(
-                pool, task, workers, policy, budget, stats, obs
-            )
+            payload = self.recover_chunk(pool, task, stats, budget)
             # Every other in-flight future died with the pool; resubmit
             # the chunks in their original order on the rebuilt pool.
             for position, (other, _dead) in enumerate(pending):
-                pending[position] = (
-                    other, pool.submit(_convert_chunk, other.args())
-                )
-            return payload, pool
+                pending[position] = (other, self._submit(pool, other, budget, stats))
+            return payload
 
-    def _salvage_chunk(
+    def recover_chunk(
         self,
-        pool: ProcessPoolExecutor,
-        task: _ChunkTask,
-        workers: int,
-        policy: ErrorPolicy,
-        budget: RecoveryBudget,
+        pool: WorkerPool,
+        task: ChunkTask,
         stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> tuple[ChunkPayload, ProcessPoolExecutor]:
-        """Re-run one chunk, bisecting around worker-killing documents.
+        budget: RecoveryBudget | None = None,
+    ) -> ChunkPayload:
+        """Re-run a chunk whose pool broke, bisecting around worker-killing
+        documents.  The one crash-recovery entry point: :meth:`stream`
+        and the conversion service both call it.
 
         The chunk's sources are processed as a worklist of contiguous
         segments: a segment that converts cleanly is kept whole; one
@@ -928,44 +893,51 @@ class CorpusEngine:
         never notices the detour.  Sink writes are idempotent full-file
         replacements, so a re-run segment's survivors simply overwrite
         the files any pre-crash attempt already produced.
+
+        Recoveries on one engine run one at a time, so a bisection
+        never shares the pool with another chunk's re-run segments.
+        Pool rebuilds are recorded on ``stats`` and bounded by
+        ``budget`` (a fresh ``max_pool_rebuilds`` budget by default).
         """
+        if budget is None:
+            budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
+        worker: _ChunkWorker = pool.state  # type: ignore[assignment]
         segments: deque[tuple[int, list[str]]] = deque(
             [(task.base, task.sources)]
         )
         pieces: list[tuple[int, ChunkPayload | DocumentFailure]] = []
-        while segments:
-            base, sources = segments.popleft()
-            names = (
-                None
-                if task.names is None
-                else task.names[base - task.base : base - task.base + len(sources)]
-            )
-            future = pool.submit(
-                _convert_chunk, (task.index, base, sources, names)
-            )
-            try:
-                pieces.append((base, future.result()))
-            except BrokenProcessPool:
-                pool = self._rebuild_pool(
-                    pool, workers, policy, budget, stats, obs
+        with self._recovery:
+            while segments:
+                base, sources = segments.popleft()
+                offset = base - task.base
+                names = (
+                    None
+                    if task.names is None
+                    else task.names[offset : offset + len(sources)]
                 )
-                if len(sources) == 1:
+                segment = ChunkTask(task.index, base, sources, names)
+                try:
                     pieces.append(
-                        (
-                            base,
-                            worker_crash_failure(
-                                f"doc{base:04d}",
-                                base,
-                                source=sources[0]
-                                if policy.captures_source
-                                else None,
-                            ),
-                        )
+                        (base, self._submit(pool, segment, budget, stats).result())
                     )
-                else:
-                    for segment in reversed(split_segment(base, sources)):
-                        segments.appendleft(segment)
-        return self._stitch_chunk(task.index, pieces, obs[1]), pool
+                except BrokenProcessPool:
+                    if len(sources) == 1:
+                        pieces.append(
+                            (
+                                base,
+                                worker_crash_failure(
+                                    f"doc{base:04d}",
+                                    base,
+                                    source=sources[0]
+                                    if worker.policy.captures_source
+                                    else None,
+                                ),
+                            )
+                        )
+                    else:
+                        for part in reversed(split_segment(base, sources)):
+                            segments.appendleft(part)
+        return self._stitch_chunk(task.index, pieces, worker.provenance)
 
     @staticmethod
     def _stitch_chunk(

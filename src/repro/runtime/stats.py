@@ -200,7 +200,8 @@ class ChunkStats:
     # per-instance field-name strings), with the slowest-document dicts
     # -- whose keys repeat across every row -- packed as one key tuple
     # plus value rows.  The digests already carry their own compact
-    # tuple state.  Old dict-state pickles still restore.
+    # tuple state.  ChunkStats only travels between processes of one
+    # version and is never persisted, so there is no older form to read.
 
     _WIRE_VERSION = 1
 
@@ -237,11 +238,6 @@ class ChunkStats:
         )
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, dict):
-            # A pre-wire-form pickle (plain dataclass dict state).
-            self.__dict__.update(state)
-            self.__dict__.setdefault("doc_seconds", 0.0)
-            return
         if state[0] != ChunkStats._WIRE_VERSION:
             raise ValueError(f"unknown ChunkStats wire version: {state[0]!r}")
         (

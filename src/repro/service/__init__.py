@@ -5,10 +5,6 @@ The package splits along the request/result/artifact contract model:
 
 * :mod:`repro.service.contracts` -- the wire schemas (requests in,
   outcomes out) with parse-time validation.
-* :mod:`repro.service.workers` -- the warm engine pool: one
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers hold a
-  built converter (compiled automaton + tidy tables) for the daemon's
-  whole lifetime, fed chunk-at-a-time by the batcher.
 * :mod:`repro.service.batcher` -- micro-batching with bounded
   backpressure: concurrent clients' documents coalesce into engine
   chunks; a full queue makes callers wait, never drops.
@@ -18,7 +14,10 @@ The package splits along the request/result/artifact contract model:
   :class:`~repro.mapping.versioned.VersionedRepository` publishing.
 * :mod:`repro.service.server` -- the asyncio HTTP server itself
   (``/convert``, ``/convert/batch``, ``/schemas/<topic>``, ``/metrics``,
-  ``/healthz``) with graceful SIGTERM/SIGINT drain.
+  ``/healthz``) with graceful SIGTERM/SIGINT drain.  Each topic's
+  corpus engine keeps one warm :class:`~repro.runtime.pool.WorkerPool`
+  (workers hold a built converter for the daemon's whole lifetime),
+  fed chunk-at-a-time by the batcher.
 * :mod:`repro.service.loadtest` -- the concurrent-client load harness
   writing latency/throughput quantiles to ``BENCH_service.json``.
 """

@@ -1,4 +1,4 @@
-"""The asyncio HTTP server over the warm engine pool.
+"""The asyncio HTTP server over the corpus engine's warm worker pool.
 
 Hand-rolled HTTP/1.1 on :func:`asyncio.start_server` (stdlib-only, like
 everything else in the reproduction): request line + headers +
@@ -16,12 +16,19 @@ Shutdown is a graceful drain: stop accepting connections, let every
 in-flight and queued request finish (the batcher flushes its lanes),
 then shut the pool down with ``wait=True`` so no worker process is
 orphaned.  ``run()`` wires SIGTERM/SIGINT to exactly that.
+
+Each micro-batch is one engine chunk on the topic's
+:class:`~repro.runtime.pool.WorkerPool`, converted under the engine's
+``skip`` policy.  A worker crash goes through
+:meth:`CorpusEngine.recover_chunk`, the same bisection the offline
+engine uses, so a worker-killing document fails alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import signal
 import time
@@ -34,7 +41,11 @@ from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import QuantileDigest
-from repro.runtime.stats import EngineStats
+from repro.runtime.engine import ChunkPayload, ChunkTask, CorpusEngine, EngineConfig
+from repro.runtime.faults import DocumentFailure
+from repro.runtime.pool import PoolClosed, WorkerPool
+from repro.runtime.stats import ChunkStats, EngineStats
+from repro.schema.accumulator import PathAccumulator
 from repro.service.batcher import (
     Lane,
     MicroBatcher,
@@ -48,7 +59,6 @@ from repro.service.contracts import (
     DocumentOutcome,
 )
 from repro.service.state import TopicState, UnknownSchemaVersion
-from repro.service.workers import PoolClosed, WarmEnginePool
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADERS = 100
@@ -127,15 +137,21 @@ class ConversionService:
         self.stats = EngineStats(
             workers=workers, chunk_size=0, registry=self.registry
         )
-        # One warm pool per topic: the converter (and its compiled
-        # automaton) is knowledge-base-specific, so topics cannot share
-        # worker processes.  The typical deployment serves one topic.
-        self.pools = {
-            name: WarmEnginePool(
-                topic_kb, conversion, max_workers=workers, stats=self.stats
+        # One engine and warm pool per topic: the converter (and its
+        # compiled automaton) is knowledge-base-specific, so topics
+        # cannot share worker processes.  The typical deployment serves
+        # one topic.  Pools are built by start().
+        self.engines = {
+            name: CorpusEngine(
+                topic_kb,
+                conversion,
+                engine_config=EngineConfig(
+                    max_workers=workers, error_policy="skip"
+                ),
             )
             for name, topic_kb in topics.items()
         }
+        self.pools: dict[str, WorkerPool] = {}
         self.topics = {
             name: TopicState(
                 name, topic_kb, self.state_dir / name,
@@ -158,6 +174,7 @@ class ConversionService:
         # Service-wide document numbering (the engine's docNNNN ids);
         # only touched from the event loop, so a plain counter is safe.
         self._doc_cursor = 0
+        self._chunk_indices = itertools.count()
         self._active_requests = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -183,8 +200,9 @@ class ConversionService:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         """Warm the pools and start accepting; returns the bound address."""
-        for pool in self.pools.values():
-            pool.start()
+        self.pools = {
+            name: engine.worker_pool() for name, engine in self.engines.items()
+        }
         self._server = await asyncio.start_server(
             self._serve_connection, host, port
         )
@@ -267,19 +285,19 @@ class ConversionService:
         self.registry.histogram(
             BATCH_DOCUMENTS, buckets=_BATCH_BUCKETS
         ).observe(len(batch))
-        sources = [pending.request.source for pending in batch]
-        base = self._doc_cursor
+        task = ChunkTask(
+            next(self._chunk_indices),
+            self._doc_cursor,
+            [pending.request.source for pending in batch],
+        )
         self._doc_cursor += len(batch)
-        pool = self.pools[topic]
         try:
-            payload = await self._convert_with_retry(pool, sources, base)
+            payload = await self._convert(topic, task)
         except Exception as exc:
-            for offset, pending in enumerate(batch):
-                pending.future.set_result(
-                    self._engine_failure(pending, base + offset, exc)
-                )
-            return
-        outcomes = self._split_payload(payload, base, batch)
+            payload = _engine_failure(task, exc)
+            fold = False  # nothing converted, nothing to fold
+        self._record(payload)
+        outcomes = self._split_payload(payload, task.base, batch)
         if fold:
             state = self.topics[topic]
             survivors = list(payload.xml)
@@ -295,16 +313,35 @@ class ConversionService:
             if not pending.future.done():
                 pending.future.set_result(outcome)
 
-    async def _convert_with_retry(
-        self, pool: WarmEnginePool, sources: list[str], base: int
-    ):
+    async def _convert(self, topic: str, task: ChunkTask) -> ChunkPayload:
+        """One micro-batch on the topic's warm pool.  A broken pool goes
+        to the engine's crash recovery on a thread (it blocks while it
+        bisects), so a worker-killing document fails alone."""
+        engine, pool = self.engines[topic], self.pools[topic]
+        loop = asyncio.get_running_loop()
         try:
-            return await pool.convert_chunk(sources, base)
+            if pool.workers == 1:
+                # Inline pool: convert on a thread, keeping the loop live.
+                return await loop.run_in_executor(
+                    None, lambda: task.submit(pool).result()
+                )
+            return await asyncio.wrap_future(task.submit(pool))
         except BrokenProcessPool:
-            # One worker died mid-chunk (OOM kill, segfault): rebuild the
-            # warm pool once and retry; a second break is a real failure.
-            pool.rebuild()
-            return await pool.convert_chunk(sources, base)
+            return await loop.run_in_executor(
+                None, engine.recover_chunk, pool, task, self.stats
+            )
+
+    def _record(self, payload: ChunkPayload) -> None:
+        """Absorb a chunk's counters, failures included, into the stats
+        behind ``/healthz`` and ``/metrics``."""
+        self.stats.absorb(payload.stats)
+        # The engine keeps every ChunkStats for post-run reporting; a
+        # daemon absorbing chunks forever must not.  The registry has
+        # already folded the counters in, so drop the per-chunk detail
+        # and cap the retained failure records.
+        self.stats.per_chunk.clear()
+        self.stats.failures.extend(payload.failures)
+        del self.stats.failures[:-100]
 
     def _split_payload(
         self, payload, base: int, batch: list[PendingDocument]
@@ -334,21 +371,6 @@ class ConversionService:
                     seconds=seconds, xml=next(xml_iter),
                 ))
         return outcomes
-
-    def _engine_failure(
-        self, pending: PendingDocument, index: int, exc: Exception
-    ) -> DocumentOutcome:
-        return DocumentOutcome(
-            ok=False,
-            doc_id=pending.request.doc_id or f"doc{index:04d}",
-            index=index,
-            seconds=time.monotonic() - pending.enqueued_at,
-            error={
-                "stage": "engine",
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-            },
-        )
 
     async def _apply_schema_versions(
         self,
@@ -552,9 +574,7 @@ class ConversionService:
 
     def _health_report(self) -> dict:
         worker_pids = sorted(
-            pid
-            for pool in self.pools.values()
-            for pid in pool.worker_pids()
+            pid for pool in self.pools.values() for pid in pool.pids()
         )
         return {
             "status": "draining" if self._draining else "ok",
@@ -581,6 +601,33 @@ class ConversionService:
             ],
             "topics": sorted(self.topics),
         }
+
+
+def _engine_failure(task: ChunkTask, exc: Exception) -> ChunkPayload:
+    """The payload of a micro-batch the engine could not run at all:
+    every document fails with ``stage="engine"``."""
+    count = len(task.sources)
+    failures = [
+        DocumentFailure(
+            doc_id=f"doc{task.base + offset:04d}",
+            index=task.base + offset,
+            stage="engine",
+            error_type=type(exc).__name__,
+            message=str(exc),
+        )
+        for offset in range(count)
+    ]
+    return ChunkPayload(
+        xml=[],
+        accumulator=PathAccumulator(),
+        stats=ChunkStats(
+            index=task.index,
+            documents=0,
+            documents_failed=count,
+            failures_by_stage={"engine": count},
+        ),
+        failures=failures,
+    )
 
 
 # -- wire helpers -------------------------------------------------------------

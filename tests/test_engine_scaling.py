@@ -168,15 +168,6 @@ class TestChunkStatsWire:
         assert isinstance(state, tuple)
         assert state[0] == ChunkStats._WIRE_VERSION
 
-    def test_dict_state_still_restores(self):
-        """Pickles from before the compact wire form (dataclass dict
-        state, no doc_seconds field) must still restore."""
-        stats = ChunkStats.__new__(ChunkStats)
-        stats.__setstate__({"index": 1, "documents": 5, "seconds": 0.5})
-        assert stats.index == 1
-        assert stats.documents == 5
-        assert stats.doc_seconds == 0.0
-
     def test_unknown_wire_version_rejected(self):
         stats = ChunkStats.__new__(ChunkStats)
         with pytest.raises(ValueError):

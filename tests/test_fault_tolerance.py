@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.convert.config import ConversionConfig
@@ -46,7 +47,7 @@ from repro.convert.pipeline import DocumentConverter
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.validate import load_schema, validate_record
-from repro.runtime.engine import CorpusEngine, EngineConfig
+from repro.runtime.engine import ChunkTask, CorpusEngine, EngineConfig
 from repro.runtime.faults import (
     PoolRebuildExhausted,
     RecoveryBudget,
@@ -453,6 +454,31 @@ class TestWorkerCrashRecovery:
         )
         assert sorted(f.index for f in result.failures) == sorted(killers)
         assert all(f.stage == "worker" for f in result.failures)
+
+    def test_concurrent_recoveries_blame_only_killers(
+        self, kb, converter, corpus_html
+    ):
+        """Two threads recovering chunks on one pool (as the service's
+        dispatches do) take turns: neither bisection sees the other's
+        killer break the pool, so only the killers are blamed."""
+        killers = {1, 5}
+        corpus = tainted(corpus_html[:6], killers, KILL)
+        engine = chaos_engine(kb, 2, kill_marker=KILL)
+        stats = engine.new_stats()
+        tasks = [ChunkTask(0, 0, corpus[:3]), ChunkTask(1, 3, corpus[3:])]
+        pool = engine.worker_pool()
+        try:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                payloads = list(threads.map(
+                    lambda task: engine.recover_chunk(pool, task, stats), tasks
+                ))
+        finally:
+            pool.shutdown()
+        assert [f.index for p in payloads for f in p.failures] == [1, 5]
+        assert all(f.stage == "worker" for p in payloads for f in p.failures)
+        assert [xml for p in payloads for xml in p.xml] == serial_xml(
+            converter, survivors_of(corpus_html[:6], killers)
+        )
 
     def test_fail_fast_surfaces_broken_pool(self, kb, killed):
         engine = chaos_engine(kb, 2, policy="fail_fast", kill_marker=KILL)

@@ -177,17 +177,17 @@ class TestStreamLifecycle:
         chunks: the pool shuts down with ``wait=False`` and queued
         futures cancelled, instead of silently converting the rest of
         the corpus on the consumer's time."""
-        import repro.runtime.engine as engine_module
+        import repro.runtime.pool as pool_module
 
         shutdown_calls = []
 
-        class RecordingPool(engine_module.ProcessPoolExecutor):
+        class RecordingPool(pool_module.ProcessPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 shutdown_calls.append((wait, cancel_futures))
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(
-            engine_module, "ProcessPoolExecutor", RecordingPool
+            pool_module, "ProcessPoolExecutor", RecordingPool
         )
         engine = make_engine(kb, 2, chunk_size=2)
         stream = engine.stream(corpus_html)
@@ -207,17 +207,17 @@ class TestStreamLifecycle:
         the fix, only ``GeneratorExit`` set the interrupted flag, so any
         other exceptional exit blocked on in-flight chunks in the
         generator's ``finally`` (``shutdown(wait=True)``)."""
-        import repro.runtime.engine as engine_module
+        import repro.runtime.pool as pool_module
 
         shutdown_calls = []
 
-        class RecordingPool(engine_module.ProcessPoolExecutor):
+        class RecordingPool(pool_module.ProcessPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 shutdown_calls.append((wait, cancel_futures))
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(
-            engine_module, "ProcessPoolExecutor", RecordingPool
+            pool_module, "ProcessPoolExecutor", RecordingPool
         )
         engine = make_engine(kb, 2, chunk_size=2)
         stream = engine.stream(corpus_html)
@@ -233,17 +233,17 @@ class TestStreamLifecycle:
         """An exception raised *inside* the generator body (here via the
         progress hook during merge) is an exceptional exit too, and must
         not fall through to a blocking pool shutdown."""
-        import repro.runtime.engine as engine_module
+        import repro.runtime.pool as pool_module
 
         shutdown_calls = []
 
-        class RecordingPool(engine_module.ProcessPoolExecutor):
+        class RecordingPool(pool_module.ProcessPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 shutdown_calls.append((wait, cancel_futures))
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(
-            engine_module, "ProcessPoolExecutor", RecordingPool
+            pool_module, "ProcessPoolExecutor", RecordingPool
         )
 
         def explode(stats):
@@ -257,17 +257,17 @@ class TestStreamLifecycle:
     def test_normal_exhaustion_waits_for_pool(
         self, kb, corpus_html, monkeypatch
     ):
-        import repro.runtime.engine as engine_module
+        import repro.runtime.pool as pool_module
 
         shutdown_calls = []
 
-        class RecordingPool(engine_module.ProcessPoolExecutor):
+        class RecordingPool(pool_module.ProcessPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 shutdown_calls.append((wait, cancel_futures))
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(
-            engine_module, "ProcessPoolExecutor", RecordingPool
+            pool_module, "ProcessPoolExecutor", RecordingPool
         )
         engine = make_engine(kb, 2, chunk_size=3)
         list(engine.stream(corpus_html))

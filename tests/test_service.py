@@ -355,6 +355,78 @@ class TestDocumentFailures:
             server.stop()
 
 
+    def test_worker_killer_fails_alone(self, kb, tmp_path, corpus_html):
+        """A document that kills its pool worker fails alone, as in the
+        offline engine under the skip policy; its siblings' XML is the
+        offline bytes and the daemon keeps serving."""
+        from repro.convert.config import ConversionConfig
+
+        conversion = ConversionConfig(chaos_kill_marker="CHAOS-KILL")
+        documents = [
+            corpus_html[0],
+            corpus_html[1] + "<!-- CHAOS-KILL -->",
+            corpus_html[2],
+        ]
+        offline = CorpusEngine(
+            kb, conversion,
+            engine_config=EngineConfig(max_workers=2, error_policy="skip"),
+        ).run(documents).corpus
+        assert [f.index for f in offline.failures] == [1]
+        server = ServerThread(
+            make_service(kb, tmp_path, workers=2, conversion=conversion)
+        )
+        host, port = server.start()
+        try:
+            status, payload = post_json(
+                host, port, "/convert/batch", {"documents": documents}
+            )
+            assert status == 200
+            results = payload["results"]
+            assert [result["ok"] for result in results] == [True, False, True]
+            assert results[1]["error"]["stage"] == "worker"
+            assert [results[0]["xml"], results[2]["xml"]] == offline.xml_documents
+            # The daemon keeps serving on the rebuilt pool.
+            status, payload = post_json(
+                host, port, "/convert", {"source": corpus_html[3]}
+            )
+            assert status == 200 and payload["ok"]
+            _, _, body = fetch(host, port, _get("/healthz"))
+            health = json.loads(body)
+            assert health["documents"] == 3
+            assert health["documents_failed"] == 1
+            assert len(health["worker_pids"]) >= 1
+        finally:
+            server.stop()
+
+    def test_dispatch_failure_is_counted(
+        self, kb, tmp_path, corpus_html, monkeypatch
+    ):
+        """Documents whose micro-batch never reached the engine still
+        count as failed in /healthz and /metrics."""
+        service = make_service(kb, tmp_path)
+        server = ServerThread(service)
+        host, port = server.start()
+        try:
+            def broken_submit(*args, **kwargs):
+                raise RuntimeError("pool unavailable")
+
+            monkeypatch.setattr(service.pools["resume"], "submit", broken_submit)
+            status, payload = post_json(
+                host, port, "/convert/batch", {"documents": corpus_html[:3]}
+            )
+            assert status == 200 and payload["failed"] == 3
+            assert {r["error"]["stage"] for r in payload["results"]} == {"engine"}
+            _, _, body = fetch(host, port, _get("/healthz"))
+            assert json.loads(body)["documents_failed"] == 3
+            _, _, body = fetch(host, port, _get("/metrics"))
+            assert (
+                'repro_engine_documents_failed_total{stage="engine"} 3'
+                in body.decode("utf-8")
+            )
+        finally:
+            server.stop()
+
+
 # -- concurrency + backpressure ------------------------------------------------
 
 
