@@ -169,11 +169,7 @@ class PathAccumulator:
         )
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, dict):
-            # Pickles from before the wire form carried __dict__ state.
-            self.__dict__.update(state)
-            return
-        version = state[0]
+        version = state[0] if isinstance(state, tuple) and state else None
         if version != _WIRE_VERSION:
             raise ValueError(
                 f"unsupported PathAccumulator wire version: {version!r}"
@@ -192,28 +188,38 @@ class PathAccumulator:
         # Interning restores the one-string-object-per-label property
         # extract_paths establishes, so merged accumulators in the parent
         # process don't hold per-chunk duplicate label strings.
-        labels = [intern(label) for label in raw_labels]
-        paths: dict[tuple[int, ...], LabelPath] = {}
+        label_at = list(map(intern, raw_labels)).__getitem__
 
-        def unpack(packed: tuple[int, ...]) -> LabelPath:
-            path = paths.get(packed)
-            if path is None:
-                path = paths[packed] = tuple(labels[i] for i in packed)
-            return path
+        def decode(packed_paths: list[tuple[int, ...]]) -> list[LabelPath]:
+            return [tuple(map(label_at, packed)) for packed in packed_paths]
+
+        # Accumulators built by add/update hold the same keys in the same
+        # order in all three dicts, so one decoded key list serves them
+        # all (and the dicts share their path tuples, as before pickling).
+        frequency_keys = decode(frequency_paths)
+        position_keys = (
+            frequency_keys
+            if position_paths == frequency_paths
+            else decode(position_paths)
+        )
+        multiplicity_keys = (
+            frequency_keys
+            if multiplicity_paths == frequency_paths
+            else decode(multiplicity_paths)
+        )
+        # Counters are filled through dict.update directly: for these
+        # small histograms Counter's own constructor costs more than the
+        # copy it makes.
+        doc_frequency = Counter.__new__(Counter)
+        dict.update(doc_frequency, zip(frequency_keys, frequency_counts))
+        histograms = [Counter.__new__(Counter) for _ in multiplicity_histograms]
+        for histogram, pairs in zip(histograms, multiplicity_histograms):
+            dict.update(histogram, pairs)
 
         self.document_count = document_count
-        self.doc_frequency = Counter(
-            dict(zip(map(unpack, frequency_paths), frequency_counts))
-        )
-        self.position_sum = dict(
-            zip(map(unpack, position_paths), position_values)
-        )
-        self.multiplicity_docs = {
-            unpack(packed): Counter(dict(histogram))
-            for packed, histogram in zip(
-                multiplicity_paths, multiplicity_histograms
-            )
-        }
+        self.doc_frequency = doc_frequency
+        self.position_sum = dict(zip(position_keys, position_values))
+        self.multiplicity_docs = dict(zip(multiplicity_keys, histograms))
 
     # -- mining statistics (Section 3.2) -------------------------------------
 

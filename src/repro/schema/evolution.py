@@ -16,7 +16,9 @@ and *incremental re-derivation*:
   load ignores and the next append truncates; a crash between snapshot
   commit and log truncation cannot double-count because the snapshot
   records the sequence watermark it already includes.  The log is
-  compacted into the snapshot once the deltas outweigh it.
+  compacted into the snapshot once the deltas outweigh it.  A
+  checkpoint remembers the log's extent from its own reads and writes,
+  so an append neither re-reads nor decodes the log.
 
 * :class:`EvolvingSchema` -- the online discovery driver: fold the
   accumulator of newly converted documents in (no corpus re-scan),
@@ -59,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SNAPSHOT_NAME = "snapshot.bin"
 DELTA_LOG_NAME = "deltas.log"
-CHECKPOINT_META_NAME = "checkpoint.json"
 STATE_NAME = "state.json"
 CURRENT_DTD_NAME = "current.dtd"
 DTD_DIR_NAME = "dtds"
@@ -219,6 +220,9 @@ class AccumulatorCheckpoint:
         self._live: PathAccumulator | None = None
         self._sequence = 0  # highest sequence on disk (snapshot or delta)
         self._snapshot_documents = 0
+        # (file size, valid bytes, frame count) of the delta log as this
+        # instance last read or wrote it; None until it has done either.
+        self._log_seen: tuple[int, int, int] | None = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -261,10 +265,7 @@ class AccumulatorCheckpoint:
         self._snapshot_documents = accumulator.document_count
         self._sequence = watermark
         if self.delta_log_path.exists():
-            frames, valid = _scan_frames(
-                self.delta_log_path.read_bytes(), where=str(self.delta_log_path)
-            )
-            for frame in frames:
+            for frame in self._scan_log():
                 # Frames at or below the watermark are already folded
                 # into the snapshot (a crash interrupted compaction
                 # between snapshot commit and log truncation).
@@ -291,10 +292,10 @@ class AccumulatorCheckpoint:
             sequence = self._sequence
         _atomic_replace(self.snapshot_path, _encode_frame(sequence, accumulator))
         _fsync_write(self.delta_log_path, b"")
+        self._log_seen = (0, 0, 0)
         self._live = accumulator
         self._sequence = sequence
         self._snapshot_documents = accumulator.document_count
-        self._write_meta()
 
     def append_delta(self, delta: PathAccumulator) -> int:
         """Durably append one delta; returns its sequence number.
@@ -305,11 +306,7 @@ class AccumulatorCheckpoint:
         """
         accumulated = self.load()  # establishes _sequence and truncation point
         self.directory.mkdir(parents=True, exist_ok=True)
-        valid_bytes = 0
-        if self.delta_log_path.exists():
-            _, valid_bytes = _scan_frames(
-                self.delta_log_path.read_bytes(), where=str(self.delta_log_path)
-            )
+        valid_bytes, frames = self._delta_log_extent()
         self._sequence += 1
         frame = _encode_frame(self._sequence, delta)
         with open(self.delta_log_path, "ab") as handle:
@@ -319,9 +316,10 @@ class AccumulatorCheckpoint:
             handle.write(frame)
             handle.flush()
             os.fsync(handle.fileno())
+        end = valid_bytes + len(frame)
+        self._log_seen = (end, end, frames + 1)
         if accumulated is not delta:
             accumulated.update(delta)
-        self._write_meta()
         return self._sequence
 
     def maybe_compact(self) -> bool:
@@ -346,14 +344,7 @@ class AccumulatorCheckpoint:
         snapshot_bytes = (
             self.snapshot_path.stat().st_size if self.snapshot_path.exists() else 0
         )
-        delta_frames = 0
-        delta_bytes = 0
-        if self.delta_log_path.exists():
-            frames, valid = _scan_frames(
-                self.delta_log_path.read_bytes(), where=str(self.delta_log_path)
-            )
-            delta_frames = sum(1 for f in frames if f.sequence > 0)
-            delta_bytes = valid
+        delta_bytes, delta_frames = self._delta_log_extent()
         return CheckpointInfo(
             sequence=self._sequence,
             document_count=accumulated.document_count,
@@ -363,19 +354,30 @@ class AccumulatorCheckpoint:
             delta_bytes=delta_bytes,
         )
 
-    def _write_meta(self) -> None:
-        """Informational sidecar (never load-bearing for recovery)."""
-        meta = {
-            "format": "repro-accumulator-checkpoint/1",
-            "sequence": self._sequence,
-            "documents": (
-                self._live.document_count if self._live is not None else 0
-            ),
-        }
-        _atomic_replace(
-            self.directory / CHECKPOINT_META_NAME,
-            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+    def _delta_log_extent(self) -> tuple[int, int]:
+        """``(valid bytes, frame count)`` of the delta log.
+
+        While the log's size is the one this instance last read or wrote,
+        that visit's figures stand, so a fold neither re-reads nor
+        decodes the log.  Any other size (a torn tail, another writer)
+        falls back to a full scan.
+        """
+        try:
+            size = self.delta_log_path.stat().st_size
+        except FileNotFoundError:
+            return 0, 0
+        if self._log_seen is None or self._log_seen[0] != size:
+            self._scan_log()
+        _, valid, frames = self._log_seen
+        return valid, frames
+
+    def _scan_log(self) -> list[_Frame]:
+        """Read and decode the whole delta log, remembering its extent."""
+        data = self.delta_log_path.read_bytes()
+        frames, valid = _scan_frames(data, where=str(self.delta_log_path))
+        deltas = sum(1 for frame in frames if frame.sequence > 0)
+        self._log_seen = (len(data), valid, deltas)
+        return frames
 
 
 # -- the online discovery driver ----------------------------------------------
@@ -551,7 +553,10 @@ class EvolvingSchema:
         the derived schema really changed: the frequent path set moved
         (``diff.is_identical`` is false) or the rendered DTD text
         differs (repetition/optionality flips must re-conform stored
-        documents even when the path set is stable).
+        documents even when the path set is stable).  The state file and
+        ``current.dtd`` are rewritten only on a bump (or when the state
+        file is missing), so a fold that changes nothing costs one
+        fsync'd delta append.
         """
         self.checkpoint.append_delta(delta)
         accumulated = self.checkpoint.load()
@@ -593,7 +598,8 @@ class EvolvingSchema:
                 outcome.bumped = True
             outcome.version = self.version
         outcome.compacted = self.checkpoint.maybe_compact()
-        self.save_state()
+        if outcome.bumped or not self.state_path.exists():
+            self.save_state()
         self._record_metrics(outcome)
         return outcome
 

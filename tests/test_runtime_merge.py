@@ -9,6 +9,10 @@ position sums are floats, so re-associated additions are compared with
 
 from __future__ import annotations
 
+import pickle
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +41,37 @@ def element_trees(draw, max_depth=3, max_children=3):
 
 document_paths = st.builds(extract_paths, element_trees())
 corpora = st.lists(document_paths, min_size=0, max_size=8)
+
+
+# Multi-character labels: one-character strings are shared singletons in
+# CPython, so only these show whether unpickling re-interns labels.
+label_names = st.sampled_from(["RESUME", "CONTACT", "EDUCATION", "DEGREE", "DATE"])
+label_paths = st.lists(label_names, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def hand_built_accumulators(draw):
+    """Accumulators whose three dicts need not share keys or key order --
+    shapes ``add``/``update`` never build, but the wire form must keep."""
+    paths = draw(st.lists(label_paths, unique=True, max_size=8))
+
+    def keys():
+        order = draw(st.permutations(paths))
+        return [path for path in order if draw(st.booleans())]
+
+    counts = st.integers(min_value=0, max_value=50)
+    return PathAccumulator(
+        document_count=draw(counts),
+        doc_frequency=Counter({path: draw(counts) for path in keys()}),
+        position_sum={
+            path: draw(st.floats(allow_nan=False, allow_infinity=False))
+            for path in keys()
+        },
+        multiplicity_docs={
+            path: Counter(draw(st.dictionaries(counts, counts, max_size=3)))
+            for path in keys()
+        },
+    )
 
 
 def assert_equivalent(a: PathAccumulator, b: PathAccumulator) -> None:
@@ -134,3 +169,74 @@ class TestStatisticsAgreement:
             if parent:
                 expected = average_child_positions(docs, parent, [label])[label]
                 assert acc.avg_position(path) == pytest.approx(expected)
+
+
+def assert_wire_round_trip(acc: PathAccumulator) -> None:
+    clone = pickle.loads(pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == acc
+    fields = ("doc_frequency", "position_sum", "multiplicity_docs")
+    for name in fields:
+        assert list(getattr(clone, name)) == list(getattr(acc, name))
+    assert type(clone.doc_frequency) is Counter
+    for histogram in clone.multiplicity_docs.values():
+        assert type(histogram) is Counter
+    for name in fields:
+        for path in getattr(clone, name):
+            for label in path:
+                assert label is sys.intern(label)
+
+
+class TestWireForm:
+    @given(corpora)
+    def test_round_trip_of_accumulated_corpora(self, docs):
+        assert_wire_round_trip(PathAccumulator.from_documents(docs))
+
+    @given(hand_built_accumulators())
+    def test_round_trip_of_hand_built_accumulators(self, acc):
+        assert_wire_round_trip(acc)
+
+    @pytest.mark.parametrize(
+        "acc",
+        [
+            pytest.param(
+                PathAccumulator(
+                    document_count=2,
+                    doc_frequency=Counter({("RESUME",): 2, ("RESUME", "DATE"): 1}),
+                    position_sum={("RESUME",): 0.0},
+                    multiplicity_docs={
+                        ("RESUME",): Counter({1: 2}),
+                        ("RESUME", "DATE"): Counter({1: 1}),
+                    },
+                ),
+                id="path-missing-from-position-sum",
+            ),
+            pytest.param(
+                PathAccumulator(
+                    document_count=1,
+                    doc_frequency=Counter({("RESUME",): 1, ("RESUME", "DATE"): 1}),
+                    position_sum={("RESUME", "DATE"): 1.0, ("RESUME",): 0.0},
+                    multiplicity_docs={
+                        ("RESUME", "DATE"): Counter({2: 1}),
+                        ("RESUME",): Counter({1: 1}),
+                    },
+                ),
+                id="dicts-in-different-orders",
+            ),
+        ],
+    )
+    def test_round_trip_of_differing_key_lists(self, acc):
+        assert_wire_round_trip(acc)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"document_count": 1, "doc_frequency": Counter()},
+            (99, 0, [], [], [], [], [], [], []),
+            (),
+            None,
+        ],
+        ids=["dict-state", "unknown-version", "empty-tuple", "none"],
+    )
+    def test_unsupported_state_raises(self, state):
+        with pytest.raises(ValueError, match="unsupported PathAccumulator"):
+            PathAccumulator().__setstate__(state)

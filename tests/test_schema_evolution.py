@@ -1,11 +1,14 @@
 """Tests for durable online schema evolution (checkpoint + driver)."""
 
+import os
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.dom.node import Element
+from repro.schema import evolution
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.dtd import derive_dtd
 from repro.schema.evolution import (
@@ -183,6 +186,155 @@ class TestGoldenWireFormat:
         checkpoint.append_delta(accumulate([tree(["CONTACT"])]))
         reloaded = AccumulatorCheckpoint(tmp_path / "ckpt").load()
         assert reloaded.document_count == 4
+
+
+class CountingModule:
+    """Stands in for a module, counting the calls of one of its functions."""
+
+    def __init__(self, module, name):
+        self._module = module
+        self._name = name
+        self.calls = 0
+
+    def __getattr__(self, attr):
+        value = getattr(self._module, attr)
+        if attr != self._name:
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return value(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture()
+def io_counts(monkeypatch):
+    """``(fsyncs, frame_decodes)`` counters over the evolution module."""
+    fsyncs = CountingModule(os, "fsync")
+    decodes = CountingModule(pickle, "loads")
+    monkeypatch.setattr(evolution, "os", fsyncs)
+    monkeypatch.setattr(evolution, "pickle", decodes)
+    return fsyncs, decodes
+
+
+def on_disk_frames(directory):
+    checkpoint = AccumulatorCheckpoint(directory)
+    snapshot = 1 if checkpoint.snapshot_path.exists() else 0
+    return snapshot + checkpoint.info().delta_frames
+
+
+class TestFoldIOBudget:
+    @pytest.fixture()
+    def corpus_trees(self, converted_corpus):
+        return [result.root for result in converted_corpus]
+
+    def test_non_bumping_fold_is_one_fsync_and_no_decode(
+        self, tmp_path, kb, corpus_trees, io_counts
+    ):
+        fsyncs, decodes = io_counts
+        evolving = EvolvingSchema(tmp_path / "state", kb, compaction_ratio=100.0)
+        evolving.fold(accumulate(corpus_trees))
+        fsyncs.calls = decodes.calls = 0
+        outcome = evolving.fold(accumulate(corpus_trees))
+        assert not outcome.bumped and not outcome.compacted
+        assert fsyncs.calls == 1
+        assert decodes.calls == 0
+
+    def test_fresh_instance_decodes_each_frame_once(
+        self, tmp_path, kb, corpus_trees, io_counts
+    ):
+        _, decodes = io_counts
+        state = tmp_path / "state"
+        evolving = EvolvingSchema(state, kb, compaction_ratio=100.0)
+        for part in (corpus_trees[:3], corpus_trees[3:6], corpus_trees[6:]):
+            evolving.fold(accumulate(part))
+        frames = on_disk_frames(state)
+        assert frames >= 3
+        decodes.calls = 0
+        EvolvingSchema(state, kb).fold(accumulate(corpus_trees[:2]))
+        assert decodes.calls == frames
+
+    def test_decodes_per_fold_do_not_grow_with_appends(
+        self, tmp_path, kb, corpus_trees, io_counts
+    ):
+        _, decodes = io_counts
+        state = tmp_path / "state"
+        EvolvingSchema(state, kb).fold(accumulate(corpus_trees))
+        frames = on_disk_frames(state)
+        evolving = EvolvingSchema(state, kb, compaction_ratio=100.0)
+        per_fold = []
+        for start in range(0, len(corpus_trees), 2):
+            decodes.calls = 0
+            evolving.fold(accumulate(corpus_trees[start : start + 2]))
+            per_fold.append(decodes.calls)
+        # The first fold loads the state; every later one decodes nothing
+        # however long the delta log has grown.
+        assert on_disk_frames(state) == frames + len(per_fold)
+        assert per_fold == [frames] + [0] * (len(per_fold) - 1)
+
+    def test_second_writer_loses_no_frame_and_torn_tail_is_truncated(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        trees = golden_trees()
+        first = AccumulatorCheckpoint(directory)
+        first.append_delta(accumulate(trees[:1]))
+        AccumulatorCheckpoint(directory).append_delta(accumulate(trees[1:2]))
+        first.append_delta(accumulate(trees[2:]))
+        assert first.info().delta_frames == 3
+        assert AccumulatorCheckpoint(directory).load() == accumulate(trees)
+        log = first.delta_log_path
+        log.write_bytes(log.read_bytes() + b"\x00" * 5)  # torn header fragment
+        first.append_delta(accumulate([tree(["CONTACT"])]))
+        info = first.info()
+        assert info.delta_frames == 4
+        assert info.delta_bytes == log.stat().st_size
+        reloaded = AccumulatorCheckpoint(directory).load()
+        assert reloaded == accumulate([*trees, tree(["CONTACT"])])
+
+
+class TestUnchangedState:
+    @pytest.fixture()
+    def corpus_trees(self, converted_corpus):
+        return [result.root for result in converted_corpus]
+
+    def test_non_bumping_fold_leaves_state_files_untouched(
+        self, tmp_path, kb, corpus_trees
+    ):
+        evolving = EvolvingSchema(tmp_path / "state", kb, sup_threshold=0.5)
+        evolving.fold(accumulate(corpus_trees))
+        files = (evolving.state_path, evolving.current_dtd_path)
+
+        def fingerprint():
+            return [
+                (path.read_bytes(), path.stat().st_mtime_ns, path.stat().st_ino)
+                for path in files
+            ]
+
+        before = fingerprint()
+        outcome = evolving.fold(accumulate(corpus_trees))
+        assert not outcome.bumped
+        assert fingerprint() == before
+        restored = EvolvingSchema(tmp_path / "state", kb)
+        assert restored.version == evolving.version == 1
+        assert restored.dtd_text == evolving.dtd_text
+        assert restored.sup_threshold == 0.5
+        assert restored.ratio_threshold == evolving.ratio_threshold
+        assert restored.optional_threshold == evolving.optional_threshold
+
+    def test_first_fold_into_bare_directory_writes_state(self, tmp_path, kb):
+        evolving = EvolvingSchema(tmp_path / "bare", kb, sup_threshold=0.5)
+        outcome = evolving.fold(PathAccumulator())
+        assert not outcome.bumped
+        assert evolving.state_path.exists()
+        assert EvolvingSchema(tmp_path / "bare", kb).sup_threshold == 0.5
+
+    def test_no_checkpoint_sidecar(self, tmp_path, kb, corpus_trees):
+        evolving = EvolvingSchema(tmp_path / "state", kb)
+        evolving.fold(accumulate(corpus_trees))
+        evolving.fold(accumulate(corpus_trees))
+        assert not (tmp_path / "state" / "checkpoint.json").exists()
 
 
 def derive_batch_dtd(kb, trees, *, sup=0.4):
