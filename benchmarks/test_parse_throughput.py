@@ -2,9 +2,10 @@
 
 Not a paper experiment -- the engineering number behind the parser fast
 path: MB/sec of ``_tokenize_fast`` (one master-regex match per markup
-construct) vs ``_tokenize_legacy`` (per-character stepping) over three
-HTML profiles, plus the end-to-end engine effect (docs/sec at 1/2/4
-workers with the fast parser on vs off) and the size of the
+construct) vs the legacy oracle ``tests.oracles.tokenizer.tokenize_legacy``
+(per-character stepping) over three HTML profiles, plus the end-to-end
+engine effect (docs/sec at 1/2/4 workers with the production parser vs
+the legacy tokenizer swapped in before the engine forks) and the size of the
 :class:`PathAccumulator` wire form that chunk results ship home in.
 Everything is written to ``BENCH_engine.json`` at the repo root so
 regressions show up in review diffs.
@@ -35,14 +36,16 @@ import time
 from pathlib import Path
 from random import Random
 
-from repro.convert.config import ConversionConfig
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.dom.treeops import clone, deep_equal
 from repro.evaluation.report import format_table
 from repro.htmlparse.parser import parse_html
 from repro.htmlparse.tidy import tidy
-from repro.htmlparse.tokenizer import _tokenize_fast, _tokenize_legacy
+from repro.htmlparse.tokenizer import _tokenize_fast
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from tests.oracles import swapped
+from tests.oracles.tidy import tidy_legacy
+from tests.oracles.tokenizer import tokenize_legacy
 
 SEED = 1966
 TOKENIZER_ROUNDS = 12
@@ -165,7 +168,7 @@ def _measure_tokenizer(docs: list[str]) -> tuple[float, float, int]:
     for _ in range(TOKENIZER_ROUNDS):
         started = time.perf_counter()
         for doc in docs:
-            for _token in _tokenize_legacy(doc):
+            for _token in tokenize_legacy(doc):
                 pass
         legacy_best = min(legacy_best, time.perf_counter() - started)
         started = time.perf_counter()
@@ -185,20 +188,31 @@ def _measure_tidy(docs: list[str]) -> tuple[float, float]:
         batch = [clone(tree) for tree in trees]
         started = time.perf_counter()
         for tree in batch:
-            tidy(tree, fast=False)
+            tidy_legacy(tree)
         legacy_best = min(legacy_best, time.perf_counter() - started)
         batch = [clone(tree) for tree in trees]
         started = time.perf_counter()
         for tree in batch:
-            tidy(tree, fast=True)
+            tidy(tree)
         fast_best = min(fast_best, time.perf_counter() - started)
     return legacy_best, fast_best
 
 
 def _engine_docs_per_sec(kb, html: list[str], *, fast: bool, workers: int):
+    """One engine run; ``fast=False`` swaps the legacy tokenizer in
+    before the engine builds its converter and forks its pool, and
+    checks the oracle tokenized every document."""
+    if fast:
+        return _engine_run(kb, html, workers)
+    with swapped("parser") as calls:
+        result = _engine_run(kb, html, workers)
+    assert calls["parser"] == len(html)
+    return result
+
+
+def _engine_run(kb, html: list[str], workers: int):
     engine = CorpusEngine(
         kb,
-        ConversionConfig(fast_parser=fast),
         engine_config=EngineConfig(max_workers=workers, chunk_size=E2E_CHUNK_SIZE),
     )
     result = engine.convert_corpus(html)
@@ -213,7 +227,7 @@ def test_parse_throughput(benchmark, kb, capsys):
     # (full token tuples, source spans included).
     for docs in profiles.values():
         for doc in docs[:5]:
-            assert _tokenize_fast(doc) == list(_tokenize_legacy(doc))
+            assert _tokenize_fast(doc) == list(tokenize_legacy(doc))
 
     tokenizer: dict[str, dict] = {}
     total_legacy = total_fast = 0.0
@@ -239,15 +253,15 @@ def test_parse_throughput(benchmark, kb, capsys):
         "speedup": round(aggregate_speedup, 2),
     }
 
-    # End-to-end: the same corpus through the engine with the fast parser
-    # on vs off, at each worker count.
+    # End-to-end: the same corpus through the engine with the production
+    # parser and with the legacy tokenizer swapped in, at each worker count.
     e2e_html = ResumeCorpusGenerator(seed=SEED).generate_html(E2E_CORPUS_SIZE)
 
     # Tidy stage: the single-snapshot cleanser vs the six-traversal
     # legacy path, equivalence re-checked at benchmark scale first.
     for doc in e2e_html[:5]:
         assert deep_equal(
-            tidy(parse_html(doc), fast=True), tidy(parse_html(doc), fast=False)
+            tidy(parse_html(doc)), tidy_legacy(parse_html(doc))
         )
     tidy_legacy_seconds, tidy_fast_seconds = _measure_tidy(e2e_html)
     tidy_speedup = tidy_legacy_seconds / tidy_fast_seconds
@@ -356,7 +370,7 @@ def test_parse_throughput(benchmark, kb, capsys):
         print()
         print(
             format_table(
-                ["workers", "parser off", "parser on", "ratio"],
+                ["workers", "legacy parser", "fast parser", "ratio"],
                 [
                     [
                         workers,

@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.evaluation.report import format_table
 from repro.service import ConversionService, ServiceConfig
-from repro.service.loadtest import ServerThread, run_load
+from tests.loadtest import ServerThread, run_load
 
 CLIENTS = 1000
 REQUESTS_PER_CLIENT = 1

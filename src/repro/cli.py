@@ -93,9 +93,6 @@ def _conversion_config(args: argparse.Namespace) -> "ConversionConfig":
     from repro.convert.config import ConversionConfig
 
     return ConversionConfig(
-        fast_tagger=not args.no_fast_tagger,
-        fast_parser=not getattr(args, "no_fast_parser", False),
-        fast_tidy=not getattr(args, "no_fast_tidy", False),
         chaos_fail_marker=getattr(args, "chaos_fail_marker", "") or None,
         chaos_kill_marker=getattr(args, "chaos_kill_marker", "") or None,
     )
@@ -932,24 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-rule timing registry (.prom/.txt for "
         "Prometheus text, anything else for JSON; repeatable)",
     )
-    conv.add_argument(
-        "--no-fast-tagger",
-        action="store_true",
-        help="disable the Aho-Corasick tagging fast path (differential "
-        "baseline; output is guaranteed identical either way)",
-    )
-    conv.add_argument(
-        "--no-fast-parser",
-        action="store_true",
-        help="disable the bulk-scanning HTML tokenizer (differential "
-        "baseline; the parse tree is guaranteed identical either way)",
-    )
-    conv.add_argument(
-        "--no-fast-tidy",
-        action="store_true",
-        help="disable the single-snapshot HTML cleanser (differential "
-        "baseline; the tidied tree is guaranteed identical either way)",
-    )
     conv.set_defaults(func=_cmd_html2xml)
 
     engine = sub.add_parser(
@@ -1030,24 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the run's metrics registry (.prom/.txt for Prometheus "
         "text, anything else for JSON; repeatable)",
-    )
-    engine.add_argument(
-        "--no-fast-tagger",
-        action="store_true",
-        help="disable the Aho-Corasick tagging fast path (differential "
-        "baseline; output is guaranteed identical either way)",
-    )
-    engine.add_argument(
-        "--no-fast-parser",
-        action="store_true",
-        help="disable the bulk-scanning HTML tokenizer (differential "
-        "baseline; the parse tree is guaranteed identical either way)",
-    )
-    engine.add_argument(
-        "--no-fast-tidy",
-        action="store_true",
-        help="disable the single-snapshot HTML cleanser (differential "
-        "baseline; the tidied tree is guaranteed identical either way)",
     )
     engine.add_argument(
         "--on-error",

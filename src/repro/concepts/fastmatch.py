@@ -38,10 +38,11 @@ same greedy non-overlap resolution -- for every input:
   (its per-position alternative preference differs from running each
   pattern separately), so it is used strictly as a prefilter.
 
-The differential tests (fast on vs. off, byte-identical XML and DTD
-over the golden corpus) and the hypothesis property test
-(``tests/test_properties_fastmatch.py``) enforce this contract the same
-way the serial-vs-parallel harness guards the engine.
+The differential tests (this matcher vs the naive one swapped in from
+``tests/oracles/``, byte-identical XML and DTD over the golden corpus)
+and the hypothesis property test (``tests/test_properties_fastmatch.py``)
+enforce this contract the same way the serial-vs-parallel harness
+guards the engine.
 """
 
 from __future__ import annotations

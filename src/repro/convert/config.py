@@ -6,6 +6,10 @@ Defaults reproduce the annotation of tags from Section 4:
 * group tags: headings, ``div``, ``p``, ``tr``, ``dt``, ``dd``, ``li``,
   ``title``, ``u``, ``strong``, ``b``, ``em``, ``i`` (weighted)
 * list tags: ``body``, ``table``, ``dl``, ``ul``, ``ol``, ``dir``, ``menu``
+
+Only the rules' behaviour is configurable.  Parsing, cleansing and
+synonym matching each have one implementation; the legacy forms they
+replaced are test oracles under ``tests/oracles/``, not options.
 """
 
 from __future__ import annotations
@@ -28,27 +32,6 @@ class ConversionConfig:
     """
 
     delimiters: tuple[str, ...] = DEFAULT_DELIMITERS
-    # Route instance identification through the Aho-Corasick fast path
-    # (repro.concepts.fastmatch): one automaton pass per token plus
-    # memoized token decisions, differentially guaranteed to emit the
-    # same matches as the naive per-pattern matcher.
-    fast_tagger: bool = True
-    # Route HTML parsing through the bulk-scanning tokenizer
-    # (repro.htmlparse.tokenizer fast path): one master-regex match per
-    # markup construct instead of per-character stepping, differentially
-    # guaranteed to emit the same token stream (spans included) as the
-    # legacy scanner.
-    fast_parser: bool = True
-    # Route HTML cleansing through the single-snapshot tidy
-    # (repro.htmlparse.tidy fast path): one materialized postorder feeds
-    # all six fix-up passes instead of six full traversals,
-    # differentially guaranteed to produce the same tree as the legacy
-    # pass-per-traversal cleanser.
-    fast_tidy: bool = True
-    # Entries in each token-decision LRU (synonym match lists and Bayes
-    # predictions are cached separately); 0 disables memoization while
-    # keeping the automaton.
-    tagger_cache_size: int = 4096
     group_tag_weights: dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_GROUP_TAG_WEIGHTS)
     )
@@ -87,8 +70,6 @@ class ConversionConfig:
             raise ValueError(f"unknown tagger: {self.tagger!r}")
         if not self.delimiters:
             raise ValueError("at least one delimiter is required")
-        if self.tagger_cache_size < 0:
-            raise ValueError("tagger_cache_size must be >= 0")
         for delimiter in self.delimiters:
             if len(delimiter) != 1:
                 raise ValueError(f"delimiters must be single characters: {delimiter!r}")

@@ -14,6 +14,12 @@ For each ``<TOKEN>`` produced by the tokenization rule:
   its text is passed to the parent's ``val`` ("child nodes detail
   information represented by parent nodes at a lower level of
   abstraction"; no text is ever lost).
+
+Synonym matching runs through the Aho-Corasick
+:class:`~repro.concepts.fastmatch.FastSynonymMatcher`.  The naive
+per-pattern :class:`~repro.concepts.matcher.SynonymMatcher` is its
+oracle: the differential tests swap it into the pipeline from
+``tests/oracles/`` and require byte-identical XML and DTDs.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from repro.concepts.fastmatch import CachedBayes, FastSynonymMatcher
 from repro.concepts.knowledge import KnowledgeBase
 from repro.concepts.matcher import InstanceMatch, SynonymMatcher
 
-# Either matcher implementation satisfies the rule's contract; the fast
-# variant is differentially guaranteed to produce the same match lists.
+# Either matcher implementation satisfies the rule's contract; the
+# automaton is differentially guaranteed to produce the naive matcher's
+# match lists, and the pipeline always passes the automaton.
 Matcher = SynonymMatcher | FastSynonymMatcher
 Classifier = MultinomialNaiveBayes | CachedBayes
 from repro.convert.config import ConversionConfig
@@ -80,9 +87,8 @@ def apply_instance_rule(
 ) -> InstanceRuleStats:
     """Resolve every ``<TOKEN>`` under ``root`` into concept elements.
 
-    ``matcher`` defaults to a fresh matcher over ``kb`` -- the
-    :class:`FastSynonymMatcher` automaton when ``config.fast_tagger`` is
-    on, the naive :class:`SynonymMatcher` otherwise.  With
+    ``matcher`` defaults to a fresh :class:`FastSynonymMatcher`
+    automaton over ``kb``.  With
     ``config.tagger`` in ``("bayes", "hybrid")`` a trained ``bayes``
     classifier must be supplied.  With a ``provenance`` log every token
     decision is recorded as a ``concept`` event keyed by ``doc_id`` and
@@ -92,10 +98,7 @@ def apply_instance_rule(
     if config.tagger in ("bayes", "hybrid") and (bayes is None or not bayes.is_trained()):
         raise ValueError(f"tagger {config.tagger!r} requires a trained Bayes classifier")
     if matcher is None:
-        if config.fast_tagger:
-            matcher = FastSynonymMatcher(kb, cache_size=config.tagger_cache_size)
-        else:
-            matcher = SynonymMatcher(kb)
+        matcher = FastSynonymMatcher(kb)
     stats = InstanceRuleStats()
     for node in list(iter_preorder(root)):
         if isinstance(node, Element) and node.tag == TOKEN_TAG and node.parent is not None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro.concepts.bayes import MultinomialNaiveBayes
 from repro.concepts.fastmatch import CachedBayes, FastSynonymMatcher
 from repro.concepts.knowledge import KnowledgeBase
-from repro.concepts.matcher import SynonymMatcher
 from repro.convert.config import ConversionConfig
 from repro.convert.consolidation_rule import apply_consolidation_rule
 from repro.convert.errors import (
@@ -83,43 +82,27 @@ class DocumentConverter:
     bayes: MultinomialNaiveBayes | None = None
 
     def __post_init__(self) -> None:
-        # The fast tagger is built once per converter -- i.e. once per
-        # engine worker process -- so the automaton construction and the
+        # The tagger is built once per converter -- i.e. once per engine
+        # worker process -- so the automaton construction and the
         # token-decision caches amortize over every document converted.
-        self._matcher: SynonymMatcher | FastSynonymMatcher
-        self._tagger_bayes: MultinomialNaiveBayes | CachedBayes | None
-        if self.config.fast_tagger:
-            self._matcher = FastSynonymMatcher(
-                self.kb, cache_size=self.config.tagger_cache_size
-            )
-            self._tagger_bayes = (
-                CachedBayes(self.bayes, cache_size=self.config.tagger_cache_size)
-                if self.bayes is not None
-                else None
-            )
-        else:
-            self._matcher = SynonymMatcher(self.kb)
-            self._tagger_bayes = self.bayes
+        self._matcher = FastSynonymMatcher(self.kb)
+        self._tagger_bayes = (
+            CachedBayes(self.bayes) if self.bayes is not None else None
+        )
         self._root_tag = self._pick_root_tag()
 
     def tagger_cache_counters(self) -> dict[str, dict[str, int]]:
         """Hit/miss/eviction counters per token-decision cache.
 
-        Empty when the fast tagger (or its memoization) is off.  The
-        engine snapshots this around each chunk and ships the delta home
-        in :class:`~repro.runtime.stats.ChunkStats`.
+        The engine snapshots this around each chunk and ships the delta
+        home in :class:`~repro.runtime.stats.ChunkStats`.
         """
         counters: dict[str, dict[str, int]] = {}
-        if (
-            isinstance(self._matcher, FastSynonymMatcher)
-            and self._matcher.cache is not None
-        ):
+        if self._matcher.cache is not None:
             counters["synonym"] = self._matcher.cache.counters()
-        if (
-            isinstance(self._tagger_bayes, CachedBayes)
-            and self._tagger_bayes.cache is not None
-        ):
-            counters["bayes"] = self._tagger_bayes.cache.counters()
+        bayes = self._tagger_bayes
+        if bayes is not None and bayes.cache is not None:
+            counters["bayes"] = bayes.cache.counters()
         return counters
 
     def _pick_root_tag(self) -> str:
@@ -174,7 +157,7 @@ class DocumentConverter:
                 started = time.perf_counter()
                 with tracer.span("convert.parse"):
                     if isinstance(html, str):
-                        document = parse_html(html, fast=self.config.fast_parser)
+                        document = parse_html(html)
                     else:
                         document = clone(html) if copy else html
                 timings["parse"] = time.perf_counter() - started
@@ -183,7 +166,7 @@ class DocumentConverter:
                     stage = "tidy"
                     started = time.perf_counter()
                     with tracer.span("convert.tidy"):
-                        tidy(document, fast=self.config.fast_tidy)
+                        tidy(document)
                     timings["tidy"] = time.perf_counter() - started
                 work_root = self._content_root(document)
 

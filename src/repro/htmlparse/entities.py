@@ -4,17 +4,14 @@ Supports the named entities that occur in real-world resume pages plus
 decimal/hexadecimal numeric references.  Unknown references are left
 verbatim, which is what browsers of the paper's era did.
 
-Two decoders share the same semantics:
-
-* :func:`decode_entities` (the production path) splits the text on
-  reference-shaped lexemes in one C-level pass and resolves each lexeme
-  through a flat table built at import and warmed as new lexemes are
-  seen, so repeated references (``&amp;`` in URLs, unknown ``&page=``
-  query fragments, ...) cost one dict probe instead of a regex-callback
-  invocation.
-* :func:`_decode_entities_slow` is the original ``re.sub``-with-callback
-  implementation, kept as the reference oracle; the unit suite asserts
-  both decoders agree, including on truncated references.
+:func:`decode_entities` splits the text on reference-shaped lexemes in
+one C-level pass and resolves each lexeme through a flat table built at
+import and warmed as new lexemes are seen, so repeated references
+(``&amp;`` in URLs, unknown ``&page=`` query fragments, ...) cost one
+dict probe instead of a regex-callback invocation.  Its oracle, the
+original ``re.sub``-with-callback decoder, lives in
+``tests/oracles/entities.py``; the unit and property suites assert both
+decoders agree, including on truncated references.
 
 Truncation semantics at end of input (no terminating ``;``): a numeric
 reference with at least one digit decodes (``&#65`` -> ``A``,
@@ -71,40 +68,11 @@ NAMED_ENTITIES: dict[str, str] = {
     "cent": "¢",
 }
 
-_ENTITY_RE = re.compile(
-    r"&(#[xX]?[0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*);?", re.ASCII
-)
-
-# Same pattern with the whole lexeme captured too, for the split-based
-# fast decoder: split() then yields [literal, lexeme, body, literal,
-# lexeme, body, ..., literal].
+# A reference lexeme, captured whole and with its body: split() then
+# yields [literal, lexeme, body, literal, lexeme, body, ..., literal].
 _ENTITY_SPLIT_RE = re.compile(
     r"(&(#[xX]?[0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*);?)", re.ASCII
 )
-
-
-def _decode_one(match: re.Match[str]) -> str:
-    body = match.group(1)
-    if body.startswith("#"):
-        try:
-            if body[1:2] in ("x", "X"):
-                code = int(body[2:], 16)
-            else:
-                code = int(body[1:], 10)
-        except ValueError:
-            return match.group(0)
-        if 0 < code <= 0x10FFFF:
-            try:
-                return chr(code)
-            except ValueError:
-                return match.group(0)
-        return match.group(0)
-    replacement = NAMED_ENTITIES.get(body)
-    if replacement is None:
-        replacement = NAMED_ENTITIES.get(body.lower())
-    if replacement is None:
-        return match.group(0)
-    return replacement
 
 
 def _decode_lexeme(lexeme: str, body: str) -> str:
@@ -171,10 +139,3 @@ def decode_entities(text: str) -> str:
         append(pieces[i + 2])
         i += 3
     return "".join(out)
-
-
-def _decode_entities_slow(text: str) -> str:
-    """The original sub-with-callback decoder, kept as the oracle."""
-    if "&" not in text:
-        return text
-    return _ENTITY_RE.sub(_decode_one, text)

@@ -114,32 +114,30 @@ class _TreeBuilder:
         return self.root
 
 
-def parse_html(source: str, *, fast: bool = True) -> Element:
+def parse_html(source: str) -> Element:
     """Parse an HTML document string into an element tree.
 
     Returns the ``html`` root element; body content hangs under its
     ``body`` child regardless of whether the source declared one.
-    ``fast=False`` routes through the legacy per-character tokenizer
-    (the differential oracle); the tree is identical either way.
     """
     builder = _TreeBuilder(fragment=False)
-    return _run(builder, source, fast=fast)
+    return _run(builder, source)
 
 
-def parse_fragment(source: str, *, fast: bool = True) -> Element:
+def parse_fragment(source: str) -> Element:
     """Parse an HTML fragment; returns a ``#fragment`` container element."""
     builder = _TreeBuilder(fragment=True)
-    return _run(builder, source, fast=fast)
+    return _run(builder, source)
 
 
-def _run(builder: _TreeBuilder, source: str, *, fast: bool = True) -> Element:
+def _run(builder: _TreeBuilder, source: str) -> Element:
     start_tag = builder.start_tag
     end_tag = builder.end_tag
     text = builder.text
     start_type = TokenType.START_TAG
     end_type = TokenType.END_TAG
     text_type = TokenType.TEXT
-    for token in tokenize(source, fast=fast):
+    for token in tokenize(source):
         token_type = token.type
         if token_type is start_type:
             start_tag(token.data, token.attrs, token.self_closing)

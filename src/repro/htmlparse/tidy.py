@@ -21,19 +21,17 @@ Fix-ups applied, in order:
 6. *Whitespace normalization* -- runs of whitespace in text nodes collapse
    to a single space (outside ``pre``).
 
-Two implementations share this contract.  :func:`_tidy_legacy` is the
-original one-pass-per-fix-up form: six full postorder traversals, each
-materialized with ``list(iter_postorder(root))``, plus a per-text-node
-``ancestors()`` scan for ``pre`` detection.  :func:`_tidy_fast` (the
-default) snapshots the tree **once** and drives every pass off that
-snapshot as plain list loops, with single-rebuild child-list surgery
-instead of per-node ``index_in_parent()``/``detach()`` rescans.  The two
-are proven tree-identical by the hypothesis property suite
-(tests/test_tidy_properties.py), the pinned fixtures in
-tests/golden/tidy_edge/, and the engine-level byte-identical
-differential (tests/test_fast_tidy_differential.py); the legacy form is
-kept verbatim as the differential oracle behind
-``ConversionConfig.fast_tidy``.
+The implementation snapshots the tree **once** and drives every pass
+off that snapshot as plain list loops, with single-rebuild child-list
+surgery instead of per-node ``index_in_parent()``/``detach()`` rescans.
+Its oracle is the original one-pass-per-fix-up cleanser (six full
+postorder traversals, each materialized with ``list(iter_postorder(root))``,
+plus a per-text-node ``ancestors()`` scan for ``pre`` detection), kept
+verbatim in ``tests/oracles/tidy.py``; "the legacy" passes below mean
+that oracle.  The two are proven tree-identical by the hypothesis
+property suite (tests/test_tidy_properties.py), the pinned fixtures in
+tests/golden/tidy_edge/, and the engine-level byte-identical tidy
+differential under tests/.
 
 Why one snapshot suffices -- and why the passes cannot fuse further:
 
@@ -59,27 +57,22 @@ from __future__ import annotations
 import re
 
 from repro.dom.node import Element, Node, Text
-from repro.dom.treeops import collect_postorder, iter_postorder
+from repro.dom.treeops import collect_postorder
 from repro.htmlparse.taginfo import (
     BLOCK_TAGS,
     HEADING_TAGS,
     INLINE_TAGS,
     LIST_CONTAINER_TAGS,
-    LIST_ITEM_TAGS,
-    is_block,
-    is_heading,
-    is_inline,
 )
 
 _WS_RE = re.compile(r"\s+")
 # Matches exactly the strings `_WS_RE.sub(" ", s).strip()` would change:
 # leading/trailing whitespace, a doubled run, or any whitespace that is
 # not a plain space.  No match means normalization is the identity, so
-# the fast path skips the sub+strip allocation for already-clean text.
+# normalization skips the sub+strip allocation for already-clean text.
 _WS_DIRTY_RE = re.compile(r"^\s|\s$|\s\s|[^\S ]")
 
-# Orphan-wrapping rule table (satellite fix: these used to be rebuilt as
-# fresh frozensets/lambdas per node visit inside _wrap_orphans).
+# Orphan-wrapping rule table.
 _LI_TAGS = frozenset({"li"})
 _DL_ITEMS = frozenset({"dt", "dd"})
 _TR_TAGS = frozenset({"tr"})
@@ -87,190 +80,8 @@ _TABLE_CELLS = frozenset({"td", "th"})
 _TABLE_SECTION_TAGS = frozenset({"table", "thead", "tbody", "tfoot"})
 
 
-def _is_li(el: Element) -> bool:
-    return el.tag in _LI_TAGS
-
-
-def _is_dl_item(el: Element) -> bool:
-    return el.tag in _DL_ITEMS
-
-
-def _is_tr(el: Element) -> bool:
-    return el.tag == "tr"
-
-
-def _is_table_cell(el: Element) -> bool:
-    return el.tag in _TABLE_CELLS
-
-
-def tidy(root: Element, *, fast: bool = True) -> Element:
-    """Cleanse a parsed HTML tree in place and return it.
-
-    ``fast`` selects the single-snapshot implementation (the default);
-    ``fast=False`` runs the six-traversal legacy oracle.  Both produce
-    identical trees.
-    """
-    if fast:
-        return _tidy_fast(root)
-    return _tidy_legacy(root)
-
-
-# ---------------------------------------------------------------------------
-# the legacy implementation (differential oracle)
-
-
-def _tidy_legacy(root: Element) -> Element:
-    """The original six-traversal cleanser, kept as the oracle."""
-    _repair_heading_nesting(root)
-    _repair_inline_block_nesting(root)
-    _wrap_orphans(root)
-    _drop_empty_inlines(root)
-    _collapse_redundant_inlines(root)
-    _normalize_whitespace(root)
-    return root
-
-
-# 1. heading nesting
-
-
-def _repair_heading_nesting(root: Element) -> None:
-    for node in list(iter_postorder(root)):
-        if not isinstance(node, Element) or not is_heading(node.tag):
-            continue
-        if node.parent is None:
-            continue
-        misplaced = [
-            child
-            for child in node.element_children()
-            if is_block(child.tag) or is_heading(child.tag)
-        ]
-        parent = node.parent
-        insert_at = node.index_in_parent() + 1
-        for child in misplaced:
-            child.detach()
-            parent.insert_child(insert_at, child)
-            insert_at += 1
-
-
-def _repair_inline_block_nesting(root: Element) -> None:
-    """Move block-level children out of inline elements.
-
-    An unclosed ``<font>`` or ``<b>`` swallows the block elements that
-    follow it; HTML Tidy hoists them back out, restoring the sibling
-    structure the grouping rule depends on.
-    """
-    for node in list(iter_postorder(root)):
-        if not isinstance(node, Element) or not is_inline(node.tag):
-            continue
-        if node.parent is None:
-            continue
-        misplaced = [
-            child
-            for child in node.element_children()
-            if is_block(child.tag) or is_heading(child.tag)
-        ]
-        parent = node.parent
-        insert_at = node.index_in_parent() + 1
-        for child in misplaced:
-            child.detach()
-            parent.insert_child(insert_at, child)
-            insert_at += 1
-
-
-# 2. orphan wrapping
-
-
-def _wrap_orphans(root: Element) -> None:
-    for node in list(iter_postorder(root)):
-        if not isinstance(node, Element):
-            continue
-        _wrap_runs(node, _is_li, "ul", forbidden_parents=LIST_CONTAINER_TAGS)
-        _wrap_runs(node, _is_dl_item, "dl", forbidden_parents=LIST_CONTAINER_TAGS)
-        _wrap_runs(node, _is_tr, "table", forbidden_parents=_TABLE_SECTION_TAGS)
-        _wrap_runs(node, _is_table_cell, "tr", forbidden_parents=_TR_TAGS)
-
-
-def _wrap_runs(parent, predicate, wrapper_tag: str, *, forbidden_parents: frozenset[str]) -> None:
-    """Wrap maximal runs of matching children under a new wrapper element."""
-    if parent.tag in forbidden_parents:
-        return
-    index = 0
-    while index < len(parent.children):
-        child = parent.children[index]
-        if isinstance(child, Element) and predicate(child):
-            run = [child]
-            scan = index + 1
-            while scan < len(parent.children):
-                nxt = parent.children[scan]
-                if isinstance(nxt, Element) and predicate(nxt):
-                    run.append(nxt)
-                    scan += 1
-                elif isinstance(nxt, Text) and not nxt.text.strip():
-                    scan += 1
-                else:
-                    break
-            wrapper = Element(wrapper_tag)
-            parent.insert_child(index, wrapper)
-            for item in run:
-                wrapper.append_child(item)
-        index += 1
-
-
-# 4. empty inline removal
-
-
-def _drop_empty_inlines(root: Element) -> None:
-    for node in list(iter_postorder(root)):
-        if (
-            isinstance(node, Element)
-            and node.parent is not None
-            and is_inline(node.tag)
-            and not node.children
-            and not node.get_val()
-        ):
-            node.detach()
-
-
-# 5. redundant inline collapse
-
-
-def _collapse_redundant_inlines(root: Element) -> None:
-    for node in list(iter_postorder(root)):
-        if not isinstance(node, Element) or node.parent is None:
-            continue
-        if not is_inline(node.tag):
-            continue
-        parent = node.parent
-        if isinstance(parent, Element) and parent.tag == node.tag and len(parent.children) == 1:
-            # parent is the same inline tag wrapping only this node:
-            # splice this node's children into the parent.
-            for child in list(node.children):
-                parent.append_child(child)
-            node.detach()
-
-
-# 6. whitespace
-
-
-def _normalize_whitespace(root: Element) -> None:
-    for node in iter_postorder(root):
-        if isinstance(node, Text) and not _inside_pre(node):
-            node.text = _WS_RE.sub(" ", node.text).strip()
-    # Remove text nodes that became empty.
-    for node in list(iter_postorder(root)):
-        if isinstance(node, Text) and not node.text and node.parent is not None:
-            node.detach()
-
-
-def _inside_pre(node: Node) -> bool:
-    return any(ancestor.tag == "pre" for ancestor in node.ancestors())
-
-
-# ---------------------------------------------------------------------------
-# the fast implementation: one snapshot, six list loops
-
-
-def _tidy_fast(root: Element) -> Element:
+def tidy(root: Element) -> Element:
+    """Cleanse a parsed HTML tree in place and return it."""
     # One materialized postorder serves every pass (see the module
     # docstring for why the stale snapshot order stays valid).
     headings: list[Element] = []
@@ -418,7 +229,7 @@ def _wrap_orphans_at(node: Element) -> None:
                 needs |= 8
     if not needs:
         return
-    # Rule order matches _wrap_orphans; each rule sees the child list
+    # Rule order matches the legacy _wrap_orphans; each rule sees the child list
     # the previous one left (a fresh ``tr`` wrapper from rule 4 is not
     # re-examined by rule 3, exactly like the legacy snapshot).
     tag = node.tag
@@ -433,7 +244,7 @@ def _wrap_orphans_at(node: Element) -> None:
 
 
 def _wrap_runs_fast(parent: Element, tags: frozenset[str], wrapper_tag: str) -> None:
-    """One-rebuild form of :func:`_wrap_runs`.
+    """One-rebuild form of the legacy ``_wrap_runs``.
 
     The legacy loop inserts the wrapper then ``append_child``s each run
     item -- every append rescans the parent's shrinking child list.

@@ -18,8 +18,9 @@ The package splits along the request/result/artifact contract model:
   corpus engine keeps one warm :class:`~repro.runtime.pool.WorkerPool`
   (workers hold a built converter for the daemon's whole lifetime),
   fed chunk-at-a-time by the batcher.
-* :mod:`repro.service.loadtest` -- the concurrent-client load harness
-  writing latency/throughput quantiles to ``BENCH_service.json``.
+
+The concurrent-client load harness that drives this server is test
+tooling, not part of the package: it lives in ``tests/loadtest.py``.
 """
 
 from repro.service.contracts import (

@@ -1,0 +1,100 @@
+"""Oracles for the conversion pipeline's fast paths, and a swap that
+routes the pipeline through them.
+
+Production code has one implementation per stage.  The legacy forms
+they replaced live here unchanged, as the oracles the differential
+suites compare against:
+
+* ``parser`` -- :func:`tests.oracles.tokenizer.tokenize_legacy`, the
+  per-character scanner behind ``parse_html``;
+* ``tidy`` -- :func:`tests.oracles.tidy.tidy_legacy`, the
+  six-traversal cleanser;
+* ``tagger`` -- :class:`tests.oracles.tagger.NaiveSynonymMatcher`, the
+  per-pattern synonym matcher;
+* :func:`tests.oracles.entities.decode_entities_slow`, the entity
+  decoder's oracle (unit level only; nothing swaps it in).
+
+:func:`swapped` installs any of the first three by monkeypatching the
+names production code calls through -- ``repro.htmlparse.parser.tokenize``,
+``repro.convert.pipeline.tidy`` and ``repro.convert.pipeline.FastSynonymMatcher``
+-- and restores them on exit.  ``src/`` has no hook for it.  A
+converter built under the swap keeps the naive matcher, and engine
+workers forked under it keep all three, so the swap must be in place
+before the engine builds its converter and forks its pool.
+
+The swap counts the calls it serves in shared memory, so calls made in
+forked workers reach the parent.  Every oracle fixture asserts those
+counts: a rename in ``pipeline.py`` or ``parser.py`` would otherwise
+leave the production path running and make each differential pass
+without comparing anything.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+from contextlib import contextmanager
+from typing import Iterator
+
+import repro.convert.pipeline as pipeline_module
+import repro.htmlparse.parser as parser_module
+from repro.concepts.knowledge import KnowledgeBase
+from tests.oracles.tagger import NaiveSynonymMatcher
+from tests.oracles.tidy import tidy_legacy
+from tests.oracles.tokenizer import tokenize_legacy
+
+ORACLES = ("parser", "tidy", "tagger")
+
+
+class OracleCalls:
+    """Calls served per swapped oracle: documents tokenized (``parser``),
+    trees cleansed (``tidy``) and naive matchers built (``tagger``)."""
+
+    def __init__(self) -> None:
+        self._values = {name: multiprocessing.Value("q", 0) for name in ORACLES}
+
+    def __getitem__(self, oracle: str) -> int:
+        return self._values[oracle].value
+
+    def bump(self, oracle: str) -> None:
+        value = self._values[oracle]
+        with value.get_lock():
+            value.value += 1
+
+
+@contextmanager
+def swapped(*oracles: str) -> Iterator[OracleCalls]:
+    """Route the conversion pipeline through the named oracles."""
+    unknown = sorted(set(oracles) - set(ORACLES))
+    if unknown or not oracles:
+        raise ValueError(f"choose oracles from {ORACLES}, got {oracles!r}")
+    calls = OracleCalls()
+
+    def tokenize(source: str):
+        calls.bump("parser")
+        return tokenize_legacy(source)
+
+    def tidy(root):
+        calls.bump("tidy")
+        return tidy_legacy(root)
+
+    class CountedNaiveMatcher(NaiveSynonymMatcher):
+        def __init__(self, kb: KnowledgeBase, *, cache_size: int = 0) -> None:
+            calls.bump("tagger")
+            super().__init__(kb, cache_size=cache_size)
+
+    targets = {
+        "parser": (parser_module, "tokenize", tokenize),
+        "tidy": (pipeline_module, "tidy", tidy),
+        "tagger": (pipeline_module, "FastSynonymMatcher", CountedNaiveMatcher),
+    }
+    saved = []
+    try:
+        for oracle in oracles:
+            module, name, replacement = targets[oracle]
+            # getattr first: a renamed target fails here, loudly.
+            saved.append((module, name, getattr(module, name)))
+            setattr(module, name, replacement)
+        yield calls
+    finally:
+        for module, name, original in reversed(saved):
+            setattr(module, name, original)

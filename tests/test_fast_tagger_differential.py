@@ -1,15 +1,17 @@
-"""Differential tests: fast tagger on vs. off must be byte-identical.
+"""Differential tests: the fast tagger against its oracle, byte for byte.
 
 Same guarantee discipline as the serial-vs-parallel and
 tracing-on-vs-off harnesses: over the golden corpus (every authorship
 style plus the handwritten edge cases) and a generated corpus, the
-Aho-Corasick fast path and the naive per-pattern matcher must produce
+Aho-Corasick matcher the pipeline runs and the naive per-pattern
+matcher swapped in from ``tests/oracles/`` must produce
 
 * byte-identical serialized XML, document for document, and
 * an identical rendered DTD from discovery over the accumulators,
 
 at worker counts 1 (inline chunked path), 2, and 4 (process pool with
-per-worker automaton construction).
+per-worker automaton construction).  Each oracle baseline runs serially
+under the swap and asserts the swap built its naive matchers.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.convert.config import ConversionConfig
 from repro.convert.pipeline import DocumentConverter
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.runtime.stats import TAGGER_CACHE_EVENTS
+from tests.oracles import swapped
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKER_COUNTS = [1, 2, 4]
@@ -34,17 +36,23 @@ def golden_html():
     return [path.read_text() for path in cases]
 
 
+def oracle_engine(kb, chunk_size: int) -> CorpusEngine:
+    return CorpusEngine(
+        kb, engine_config=EngineConfig(max_workers=1, chunk_size=chunk_size)
+    )
+
+
 @pytest.fixture(scope="module")
 def naive_baseline(kb, golden_html):
-    """XML + DTD via the naive matcher (fast path off), serial."""
-    converter = DocumentConverter(kb, ConversionConfig(fast_tagger=False))
-    engine = CorpusEngine(
-        kb,
-        ConversionConfig(fast_tagger=False),
-        engine_config=EngineConfig(max_workers=1, chunk_size=3),
-    )
-    xml = [converter.convert(html).to_xml() for html in golden_html]
-    corpus = engine.convert_corpus(golden_html)
+    """XML + DTD via the naive matcher (the tagger oracle), serial."""
+    with swapped("tagger") as calls:
+        converter = DocumentConverter(kb)
+        engine = oracle_engine(kb, 3)
+        xml = [converter.convert(html).to_xml() for html in golden_html]
+        corpus = engine.convert_corpus(golden_html)
+    # One naive matcher per converter: the serial one and the engine's.
+    assert calls["tagger"] == 2
+    assert corpus.stats.tagger_cache_events == {}
     assert corpus.xml_documents == xml
     dtd = engine.discover(corpus.accumulator).dtd.render()
     return xml, dtd
@@ -52,9 +60,7 @@ def naive_baseline(kb, golden_html):
 
 def fast_engine(kb, workers: int) -> CorpusEngine:
     return CorpusEngine(
-        kb,
-        ConversionConfig(fast_tagger=True),
-        engine_config=EngineConfig(max_workers=workers, chunk_size=3),
+        kb, engine_config=EngineConfig(max_workers=workers, chunk_size=3)
     )
 
 
@@ -69,7 +75,7 @@ class TestGoldenCorpusDifferential:
 
     def test_serial_converter_identical(self, kb, golden_html, naive_baseline):
         naive_xml, _ = naive_baseline
-        fast = DocumentConverter(kb, ConversionConfig(fast_tagger=True))
+        fast = DocumentConverter(kb)
         assert [fast.convert(html).to_xml() for html in golden_html] == naive_xml
 
 
@@ -77,12 +83,11 @@ class TestGeneratedCorpusDifferential:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_generated_corpus_identical(self, kb, small_corpus, workers):
         html = [doc.html for doc in small_corpus]
-        naive = CorpusEngine(
-            kb,
-            ConversionConfig(fast_tagger=False),
-            engine_config=EngineConfig(max_workers=1, chunk_size=4),
-        )
-        naive_corpus = naive.convert_corpus(html)
+        with swapped("tagger") as calls:
+            naive = oracle_engine(kb, 4)
+            naive_corpus = naive.convert_corpus(html)
+        assert calls["tagger"] == 1
+        assert naive_corpus.stats.tagger_cache_events == {}
         fast = fast_engine(kb, workers)
         fast_corpus = fast.convert_corpus(html)
         assert fast_corpus.xml_documents == naive_corpus.xml_documents
@@ -114,16 +119,3 @@ class TestCacheObservability:
         result = fast_engine(kb, 2).convert_corpus(html)
         events = result.stats.tagger_cache_events
         assert events.get("synonym", {}).get("misses", 0) > 0
-
-    def test_no_counters_when_fast_tagger_off(self, kb, small_corpus):
-        html = [doc.html for doc in small_corpus]
-        engine = CorpusEngine(
-            kb,
-            ConversionConfig(fast_tagger=False),
-            engine_config=EngineConfig(max_workers=1, chunk_size=4),
-        )
-        result = engine.convert_corpus(html)
-        assert result.stats.tagger_cache_events == {}
-        assert not any(
-            row[0] == "tagger cache" for row in result.stats.summary_rows()
-        )

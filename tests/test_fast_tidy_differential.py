@@ -1,13 +1,16 @@
-"""Differential tests: fast tidy on vs. off must be byte-identical.
+"""Differential tests: the fast tidy against its oracle, byte for byte.
 
 Same guarantee discipline as the fast-parser and fast-tagger harnesses:
 over the golden corpus and a generated corpus, the single-snapshot
-cleanser and the six-traversal legacy cleanser must produce
+cleanser the pipeline runs and the six-traversal legacy cleanser
+swapped in from ``tests/oracles/`` must produce
 
 * byte-identical serialized XML, document for document, and
 * an identical rendered DTD from discovery over the accumulators,
 
 at worker counts 1 (inline chunked path), 2, and 4 (process pool).
+Each oracle baseline runs serially under the swap and asserts the
+legacy cleanser served every document it converted.
 This file also proves the engine's new transport modes change nothing
 but the transport: worker-side XML sinks write exactly the bytes the
 collected payloads would have carried, ``collect_xml=False`` leaves the
@@ -24,9 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.convert.config import ConversionConfig
 from repro.convert.pipeline import DocumentConverter
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from tests.oracles import swapped
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKER_COUNTS = [1, 2, 4]
@@ -39,17 +42,21 @@ def golden_html():
     return [path.read_text() for path in cases]
 
 
+def oracle_engine(kb, chunk_size: int) -> CorpusEngine:
+    return CorpusEngine(
+        kb, engine_config=EngineConfig(max_workers=1, chunk_size=chunk_size)
+    )
+
+
 @pytest.fixture(scope="module")
 def legacy_baseline(kb, golden_html):
-    """XML + DTD via the legacy cleanser (fast tidy off), serial."""
-    converter = DocumentConverter(kb, ConversionConfig(fast_tidy=False))
-    engine = CorpusEngine(
-        kb,
-        ConversionConfig(fast_tidy=False),
-        engine_config=EngineConfig(max_workers=1, chunk_size=3),
-    )
-    xml = [converter.convert(html).to_xml() for html in golden_html]
-    corpus = engine.convert_corpus(golden_html)
+    """XML + DTD via the legacy cleanser (the tidy oracle), serial."""
+    with swapped("tidy") as calls:
+        converter = DocumentConverter(kb)
+        engine = oracle_engine(kb, 3)
+        xml = [converter.convert(html).to_xml() for html in golden_html]
+        corpus = engine.convert_corpus(golden_html)
+    assert calls["tidy"] == 2 * len(golden_html)
     assert corpus.xml_documents == xml
     dtd = engine.discover(corpus.accumulator).dtd.render()
     return xml, dtd
@@ -58,9 +65,7 @@ def legacy_baseline(kb, golden_html):
 def fast_engine(kb, workers: int, **engine_kwargs) -> CorpusEngine:
     engine_kwargs.setdefault("chunk_size", 3)
     return CorpusEngine(
-        kb,
-        ConversionConfig(fast_tidy=True),
-        engine_config=EngineConfig(max_workers=workers, **engine_kwargs),
+        kb, engine_config=EngineConfig(max_workers=workers, **engine_kwargs)
     )
 
 
@@ -75,7 +80,7 @@ class TestGoldenCorpusDifferential:
 
     def test_serial_converter_identical(self, kb, golden_html, legacy_baseline):
         legacy_xml, _ = legacy_baseline
-        fast = DocumentConverter(kb, ConversionConfig(fast_tidy=True))
+        fast = DocumentConverter(kb)
         assert [fast.convert(html).to_xml() for html in golden_html] == legacy_xml
 
 
@@ -83,12 +88,10 @@ class TestGeneratedCorpusDifferential:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_generated_corpus_identical(self, kb, small_corpus, workers):
         html = [doc.html for doc in small_corpus]
-        legacy = CorpusEngine(
-            kb,
-            ConversionConfig(fast_tidy=False),
-            engine_config=EngineConfig(max_workers=1, chunk_size=4),
-        )
-        legacy_corpus = legacy.convert_corpus(html)
+        with swapped("tidy") as calls:
+            legacy = oracle_engine(kb, 4)
+            legacy_corpus = legacy.convert_corpus(html)
+        assert calls["tidy"] == len(html)
         fast = fast_engine(kb, workers)
         fast_corpus = fast.convert_corpus(html)
         assert fast_corpus.xml_documents == legacy_corpus.xml_documents
@@ -100,16 +103,15 @@ class TestGeneratedCorpusDifferential:
 
 class TestAllFastPathsOff:
     def test_every_fast_path_off_identical(self, kb, golden_html, legacy_baseline):
-        """All three fast paths off at once is still byte-identical (no
-        hidden coupling among the parser, tagger, and tidy flags)."""
+        """All three oracles swapped in at once is still byte-identical
+        (no hidden coupling among the parser, tagger, and tidy paths)."""
         legacy_xml, _ = legacy_baseline
-        naive = DocumentConverter(
-            kb,
-            ConversionConfig(
-                fast_parser=False, fast_tagger=False, fast_tidy=False
-            ),
-        )
-        assert [naive.convert(html).to_xml() for html in golden_html] == legacy_xml
+        with swapped("parser", "tidy", "tagger") as calls:
+            naive = DocumentConverter(kb)
+            xml = [naive.convert(html).to_xml() for html in golden_html]
+        assert calls["parser"] == calls["tidy"] == len(golden_html)
+        assert calls["tagger"] == 1
+        assert xml == legacy_xml
 
 
 class TestXmlSinkMode:

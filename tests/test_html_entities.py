@@ -5,9 +5,9 @@ import pytest
 from repro.htmlparse.entities import (
     _CACHE_LIMIT,
     _DECODE_CACHE,
-    _decode_entities_slow,
     decode_entities,
 )
+from tests.oracles.entities import decode_entities_slow
 
 
 class TestNamedEntities:
@@ -107,7 +107,7 @@ class TestFastSlowAgreement:
 
     @pytest.mark.parametrize("text", SAMPLES)
     def test_agreement(self, text):
-        assert decode_entities(text) == _decode_entities_slow(text)
+        assert decode_entities(text) == decode_entities_slow(text)
 
 
 class TestDecodeCache:
@@ -128,4 +128,4 @@ class TestDecodeCache:
         # Second decode of the same lexeme comes from the cache and must
         # equal the oracle's answer.
         text = "&eacute;&eacute;"
-        assert decode_entities(text) == _decode_entities_slow(text) == "éé"
+        assert decode_entities(text) == decode_entities_slow(text) == "éé"

@@ -1,17 +1,19 @@
 """Tests for the HTML lexer."""
 
 from repro.htmlparse.tokenizer import Token, TokenType, tokenize
+from tests.oracles.tokenizer import tokenize_legacy
 
 
 def toks(source):
-    """Tokenize through the fast path, asserting the legacy path agrees.
+    """Tokenize through the lexer, asserting the legacy oracle agrees.
 
     Every example in this file is thereby a differential test: the
-    returned stream is the fast tokenizer's, checked token-for-token
-    (source spans included) against the per-character oracle.
+    returned stream is the production tokenizer's, checked
+    token-for-token (source spans included) against the per-character
+    oracle in ``tests/oracles/``.
     """
-    fast = list(tokenize(source, fast=True))
-    legacy = list(tokenize(source, fast=False))
+    fast = list(tokenize(source))
+    legacy = list(tokenize_legacy(source))
     assert fast == legacy
     assert [(t.start, t.end) for t in fast] == [
         (t.start, t.end) for t in legacy

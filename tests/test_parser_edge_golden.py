@@ -6,8 +6,9 @@ CDATA, stray angle brackets, exotic whitespace in attribute position,
 unquoted CGI URLs, truncated entities at EOF, duplicate attributes,
 raw-text close-tag casing, implied table end tags.  The expected files
 pin the *serialized parse tree* (no tidy, no conversion rules), so a
-behavior change in either tokenizer path -- fast or legacy -- fails here
-even if the two paths drift together.
+behavior change in either tokenizer -- the production lexer or the
+legacy oracle in ``tests/oracles/`` -- fails here even if the two drift
+together.
 
 When a future fuzz run finds a diverging document, the fix lands with
 the document added to this corpus.
@@ -21,6 +22,7 @@ import pytest
 
 from repro.dom.serialize import to_xml_document
 from repro.htmlparse.parser import parse_html
+from tests.oracles import swapped
 
 EDGE_DIR = Path(__file__).parent / "golden" / "parser_edge"
 
@@ -31,9 +33,17 @@ def test_corpus_present():
     assert len(CASES) >= 15, "parser_edge corpus went missing"
 
 
+def parse_legacy(html):
+    """``parse_html`` with the legacy tokenizer swapped in."""
+    with swapped("parser") as calls:
+        tree = parse_html(html)
+    assert calls["parser"] == 1
+    return tree
+
+
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
-def test_pinned_parse_output(name, fast):
+@pytest.mark.parametrize("parse", [parse_html, parse_legacy], ids=["fast", "legacy"])
+def test_pinned_parse_output(name, parse):
     html = (EDGE_DIR / f"{name}.html").read_text()
     expected = (EDGE_DIR / f"{name}.expected.xml").read_text()
-    assert to_xml_document(parse_html(html, fast=fast)) == expected
+    assert to_xml_document(parse(html)) == expected

@@ -2,8 +2,8 @@
 
 Hypothesis builds adversarial HTML-ish documents -- well-formed markup,
 truncated constructs, stray angle brackets, exotic whitespace, entity
-fragments -- and asserts the bulk-scanning fast path and the legacy
-per-character scanner are indistinguishable:
+fragments -- and asserts the bulk-scanning tokenizer and the legacy
+per-character scanner in ``tests/oracles/`` are indistinguishable:
 
 * identical token streams, source spans included,
 * identical parse trees after tree construction, and
@@ -21,9 +21,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dom.node import Element
-from repro.htmlparse.entities import _decode_entities_slow, decode_entities
+from repro.htmlparse.entities import decode_entities
 from repro.htmlparse.parser import parse_html
 from repro.htmlparse.tokenizer import tokenize
+from tests.oracles import swapped
+from tests.oracles.entities import decode_entities_slow
+from tests.oracles.tokenizer import tokenize_legacy
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -90,10 +93,10 @@ def markup_pieces(draw):
 documents = st.lists(markup_pieces(), min_size=0, max_size=12).map("".join)
 
 
-def token_tuples(source: str, *, fast: bool):
+def token_tuples(tokens):
     return [
         (t.type, t.data, t.attrs, t.self_closing, t.start, t.end)
-        for t in tokenize(source, fast=fast)
+        for t in tokens
     ]
 
 
@@ -115,14 +118,18 @@ class TestTokenizerEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(documents)
     def test_token_streams_identical(self, source):
-        assert token_tuples(source, fast=True) == token_tuples(source, fast=False)
+        assert token_tuples(tokenize(source)) == token_tuples(
+            tokenize_legacy(source)
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(documents)
     def test_parse_trees_identical(self, source):
-        assert tree_shape(parse_html(source, fast=True)) == tree_shape(
-            parse_html(source, fast=False)
-        )
+        fast_tree = tree_shape(parse_html(source))
+        with swapped("parser") as calls:
+            legacy_tree = tree_shape(parse_html(source))
+        assert calls["parser"] == 1
+        assert fast_tree == legacy_tree
 
 
 class TestSpanInvariants:
@@ -149,7 +156,7 @@ class TestSpanInvariants:
     @given(documents)
     def test_legacy_spans_tile_too(self, source):
         assume("<?" not in source)
-        tokens = list(tokenize(source, fast=False))
+        tokens = list(tokenize_legacy(source))
         cursor = 0
         for token in tokens:
             assert token.start == cursor
@@ -162,7 +169,7 @@ class TestEntityDecoderEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="abf012 &;#xX<>é", min_size=0, max_size=40))
     def test_flat_decoder_matches_oracle(self, text):
-        assert decode_entities(text) == _decode_entities_slow(text)
+        assert decode_entities(text) == decode_entities_slow(text)
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(alphabet="ab ", min_size=0, max_size=20))

@@ -36,14 +36,14 @@ from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.schema.evolution import EvolvingSchema
 from repro.service import ContractError, ConvertRequest, ServiceConfig
 from repro.service.contracts import MAX_BATCH_DOCUMENTS
-from repro.service.loadtest import (
+from repro.service.server import ConversionService
+from tests.loadtest import (
     ServerThread,
     _get,
     _post,
     request,
     run_load,
 )
-from repro.service.server import ConversionService
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Cleanser edge-case corpus with pinned output, under both tidy paths.
+"""Cleanser edge-case corpus with pinned output, under tidy and its oracle.
 
 Every case in tests/golden/tidy_edge/ stresses one fix-up pass or an
 interaction between passes -- heading/inline block hoists (including the
@@ -7,8 +7,9 @@ reproduce exactly), orphan list/table wrapping with whitespace gaps,
 empty-inline cascades, redundant-inline towers, ``pre`` whitespace
 preservation, ``val``-bearing empty inlines, and unclosed-tag soup.  The
 expected files pin the *serialized tidied tree* (parse + tidy, no
-conversion rules), so a behavior change in either implementation -- fast
-or legacy -- fails here even if the two drift together.
+conversion rules), so a behavior change in either implementation -- the
+production cleanser or the legacy oracle in ``tests/oracles/`` -- fails
+here even if the two drift together.
 
 When a future fuzz run finds a diverging document, the fix lands with
 the document added to this corpus.
@@ -23,6 +24,7 @@ import pytest
 from repro.dom.serialize import to_xml_document
 from repro.htmlparse.parser import parse_html
 from repro.htmlparse.tidy import tidy
+from tests.oracles.tidy import tidy_legacy
 
 EDGE_DIR = Path(__file__).parent / "golden" / "tidy_edge"
 
@@ -34,8 +36,8 @@ def test_corpus_present():
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
-def test_pinned_tidy_output(name, fast):
+@pytest.mark.parametrize("cleanse", [tidy, tidy_legacy], ids=["fast", "legacy"])
+def test_pinned_tidy_output(name, cleanse):
     html = (EDGE_DIR / f"{name}.html").read_text()
     expected = (EDGE_DIR / f"{name}.expected.xml").read_text()
-    assert to_xml_document(tidy(parse_html(html), fast=fast)) == expected
+    assert to_xml_document(cleanse(parse_html(html))) == expected

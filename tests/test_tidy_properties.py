@@ -3,10 +3,10 @@
 Hypothesis builds tidy-stressing malformed documents -- orphan list
 items and table cells, blocks swallowed by unclosed inlines and
 headings, empty and doubled inline towers, ``pre`` blocks, whitespace
-runs of every flavor -- and asserts that the single-snapshot fast path
-and the six-traversal legacy path produce *identical trees* (tags,
-attributes, text, and order) -- on raw input and again on each other's
-output.  (Tidy itself is not idempotent -- a wrapper created by orphan
+runs of every flavor -- and asserts that the single-snapshot cleanser
+and the six-traversal legacy oracle in ``tests/oracles/`` produce
+*identical trees* (tags, attributes, text, and order) -- on raw input
+and again on each other's output.  (Tidy itself is not idempotent -- a wrapper created by orphan
 wrapping can itself be wrapped on a second run, under *both*
 implementations -- so the property is agreement, not fixpointedness.)
 
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.dom.treeops import clone, deep_equal
 from repro.htmlparse.parser import parse_html
 from repro.htmlparse.tidy import tidy
+from tests.oracles.tidy import tidy_legacy
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -71,8 +72,8 @@ documents = st.lists(markup_pieces(), min_size=0, max_size=20).map("".join)
 @settings(max_examples=300, deadline=None)
 @given(documents)
 def test_fast_tidy_equals_legacy_tidy(source):
-    fast_tree = tidy(parse_html(source), fast=True)
-    legacy_tree = tidy(parse_html(source), fast=False)
+    fast_tree = tidy(parse_html(source))
+    legacy_tree = tidy_legacy(parse_html(source))
     assert deep_equal(fast_tree, legacy_tree)
 
 
@@ -83,7 +84,7 @@ def test_fast_and_legacy_agree_on_retidy(source):
     a legacy-tidied tree under both paths and they still match (tidy is
     not a fixed point -- orphan wrapping can wrap its own wrappers on a
     second run -- but the two implementations must drift identically)."""
-    once = tidy(parse_html(source), fast=False)
-    fast_twice = tidy(clone(once), fast=True)
-    legacy_twice = tidy(once, fast=False)
+    once = tidy_legacy(parse_html(source))
+    fast_twice = tidy(clone(once))
+    legacy_twice = tidy_legacy(once)
     assert deep_equal(fast_twice, legacy_twice)
