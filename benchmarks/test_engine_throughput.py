@@ -19,6 +19,7 @@ from pathlib import Path
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.evaluation.report import format_table
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from repro.runtime.stats import stage_quantile_rows
 
 CORPUS_SIZE = 200
 WORKERS = 4
@@ -78,7 +79,7 @@ def test_engine_throughput_serial_vs_parallel(benchmark, kb, converter, capsys):
         print(
             format_table(
                 ["stage", "count", "p50 ms", "p95 ms", "p99 ms"],
-                result.stats.stage_quantile_rows(),
+                stage_quantile_rows(result.stats.stage_summaries()),
                 title="engine per-stage latency quantiles (merged digests)",
             )
         )

@@ -99,14 +99,14 @@ def _conversion_config(args: argparse.Namespace) -> "ConversionConfig":
 
 
 def _cmd_html2xml(args: argparse.Namespace) -> int:
-    from repro.runtime.stats import RULE_SECONDS, rule_rows_from_registry
+    from repro.runtime.stats import STAGE_SECONDS, rule_rows_from_registry
 
     converter = DocumentConverter(
         build_resume_knowledge_base(), _conversion_config(args)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # Same per-rule timing registry the parallel engine reports, so the
+    # Same per-stage histograms the parallel engine reports, so the
     # serial path answers "where does the time go" with the same table.
     registry = MetricsRegistry()
     for name in args.files:
@@ -114,8 +114,8 @@ def _cmd_html2xml(args: argparse.Namespace) -> int:
         result = converter.convert(source.read_text(encoding="utf-8"))
         target = out / (source.stem + ".xml")
         target.write_text(result.to_xml(), encoding="utf-8")
-        for rule, seconds in result.rule_seconds.items():
-            registry.counter(RULE_SECONDS, rule=rule).inc(seconds)
+        for stage, seconds in result.rule_seconds.items():
+            registry.histogram(STAGE_SECONDS, stage=stage).observe(seconds)
         print(
             f"{source.name}: {result.concept_node_count} concept nodes, "
             f"{result.instance_stats.unidentified_ratio:.0%} unidentified"
@@ -211,13 +211,7 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         print()
         print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
                            title="Per-rule time (summed over workers)"))
-    quantile_rows = stats.stage_quantile_rows()
-    if quantile_rows:
-        print()
-        print(format_table(
-            ["stage", "count", "p50 ms", "p95 ms", "p99 ms"], quantile_rows,
-            title="Per-stage latency quantiles",
-        ))
+    _print_stage_quantiles(stats.stage_summaries())
     slowest = stats.slowest_rows()
     if slowest:
         print()
@@ -376,33 +370,28 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print()
         print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
                            title="Per-rule time (summed over workers)"))
+    _print_stage_quantiles(stats.stage_summaries())
     p50, p95 = stats.chunk_seconds_quantile(0.5), stats.chunk_seconds_quantile(0.95)
     if p95 > 0:
         print()
         print(format_table(
             ["p50 s", "p95 s"], [[f"{p50:.3f}", f"{p95:.3f}"]],
-            title="Chunk duration quantiles (histogram estimate)",
+            title="Chunk duration quantiles",
         ))
     return 0
 
 
-def _quantile_rows_from_record(record: dict) -> list[list[str]]:
-    from repro.runtime.stats import STAGE_ORDER
+def _print_stage_quantiles(summaries: dict) -> None:
+    """The per-stage latency table from ``{stage: digest summary}``."""
+    from repro.runtime.stats import stage_quantile_rows
 
-    stages = record.get("stage_quantiles") or {}
-    ordered = [stage for stage in STAGE_ORDER if stage in stages]
-    ordered += sorted(stage for stage in stages if stage not in STAGE_ORDER)
-    rows = []
-    for stage in ordered:
-        summary = stages[stage]
-        rows.append([
-            stage,
-            str(summary.get("count", "")),
-            f"{float(summary.get('p50', 0.0)) * 1e3:.2f}",
-            f"{float(summary.get('p95', 0.0)) * 1e3:.2f}",
-            f"{float(summary.get('p99', 0.0)) * 1e3:.2f}",
-        ])
-    return rows
+    rows = stage_quantile_rows(summaries)
+    if rows:
+        print()
+        print(format_table(
+            ["stage", "count", "p50 ms", "p95 ms", "p99 ms"], rows,
+            title="Per-stage latency quantiles",
+        ))
 
 
 def _render_run_record(record: dict) -> None:
@@ -432,13 +421,7 @@ def _render_run_record(record: dict) -> None:
             [[stage, str(count)] for stage, count in failures.items()],
             title="Failures by stage",
         ))
-    quantile_rows = _quantile_rows_from_record(record)
-    if quantile_rows:
-        print()
-        print(format_table(
-            ["stage", "count", "p50 ms", "p95 ms", "p99 ms"], quantile_rows,
-            title="Per-stage latency quantiles",
-        ))
+    _print_stage_quantiles(record.get("stage_quantiles") or {})
     slowest = record.get("slowest_documents") or []
     if slowest:
         print()

@@ -7,8 +7,9 @@ cost, thread through the conversion/discovery pipeline:
   context-manager API and cross-process re-parenting (worker chunks
   serialize spans; the engine grafts them under its own span tree).
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
-  gauges, and fixed-bucket histograms; the engine's ``EngineStats`` is a
-  view over one; exports JSON and Prometheus text exposition.
+  gauges, and histograms that each hold a :class:`QuantileDigest`; the
+  engine's ``EngineStats`` is a view over one; exports JSON and
+  Prometheus text exposition.
 * :mod:`repro.obs.provenance` -- per-document JSONL events: one record
   per rule application and per concept-instance decision (synonym match
   vs. Bayes posterior vs. unlabeled, with confidence), keyed by doc id
@@ -16,9 +17,11 @@ cost, thread through the conversion/discovery pipeline:
 
 The run-intelligence layer builds on them:
 
-* :mod:`repro.obs.quantiles` -- :class:`QuantileDigest`, a mergeable
-  (monoid) log-bucket latency digest shipped per chunk and merged
-  parent-side, yielding per-stage and per-document p50/p95/p99.
+* :mod:`repro.obs.quantiles` -- :class:`QuantileDigest`, the one
+  latency structure: a mergeable (monoid) digest over one fixed
+  log-bucket layout, shipped per chunk, merged parent-side into the
+  registry's ``repro_stage_seconds`` histograms, yielding per-stage and
+  per-document p50/p95/p99.
 * :mod:`repro.obs.runlog` -- the persistent append-only run ledger
   (:class:`RunLedger`) plus the regression detector shared by
   ``repro-web runs`` and the benchmark CI gate.
@@ -40,13 +43,7 @@ from repro.obs.chrometrace import (
     write_chrome_trace,
 )
 from repro.obs.export import load_metrics, write_metrics, write_trace_jsonl
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SECONDS_BUCKETS,
-)
+from repro.obs.metrics import Counter, Distribution, Gauge, MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.provenance import ProvenanceLog, node_label_path
 from repro.obs.quantiles import QuantileDigest, merge_digest_maps
@@ -64,10 +61,9 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, resolve_trac
 
 __all__ = [
     "Counter",
+    "Distribution",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "SECONDS_BUCKETS",
     "ProvenanceLog",
     "node_label_path",
     "ProgressReporter",

@@ -62,9 +62,12 @@ def write_metrics(registry: MetricsRegistry, path: str | Path) -> Path:
 def load_metrics(path: str | Path) -> MetricsRegistry:
     """Load a registry saved as JSON by :func:`write_metrics`.
 
-    Prometheus exposition output is one-way (it drops bucket layouts'
-    identity and metric kinds are text comments); re-rendering tables
-    needs the JSON snapshot.
+    Prometheus exposition output is one-way (a histogram keeps only its
+    cumulative bucket counts, not the digest's exact min/max, and metric
+    kinds are text comments); re-rendering tables needs the JSON
+    snapshot, whose histograms carry their full digests.  A snapshot
+    with a malformed digest or an old fixed-bucket histogram raises
+    ``ValueError``.
     """
     target = Path(path)
     if target.suffix in PROMETHEUS_SUFFIXES:

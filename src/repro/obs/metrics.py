@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters, gauges, and digest-backed histograms.
 
 The registry is the single numeric sink of the pipeline: the engine's
 :class:`~repro.runtime.stats.EngineStats` is a view over one, the serial
@@ -8,35 +8,35 @@ text exposition format -- read straight from it.
 
 Metrics are identified by ``(name, labels)``; names follow Prometheus
 conventions (``repro_engine_documents_total``), labels are a small
-``key=value`` set (``repro_rule_seconds_total{rule="instance"}``).
-Histograms use *cumulative upper-bound* buckets (``le`` semantics: an
-observation equal to a bound falls into that bound's bucket), so the
-exposition output is valid Prometheus histogram data.
+``key=value`` set (``repro_stage_seconds{stage="instance"}``).
+A histogram holds one :class:`~repro.obs.quantiles.QuantileDigest`, the
+package's only latency/size structure.  The exposition publishes it as
+a Prometheus histogram: a cumulative ``_bucket`` sample at *every* edge
+of the one digest layout (``le`` semantics: an observation equal to an
+edge counts at that edge) plus ``+Inf``, so every scrape carries the
+same ``le`` set and scrapers can diff cumulative counts.
 
 Everything is picklable and mergeable: worker processes can fill a
 registry and the parent folds it in with :meth:`MetricsRegistry.merge`
-(counters and histogram buckets add; gauges take the other side's value).
+(counters add, histogram digests merge; gauges take the other side's
+value).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
+
+from repro.obs.quantiles import EDGES, QuantileDigest
 
 LabelSet = tuple[tuple[str, str], ...]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-# Default bucket bounds for wall-clock seconds (sub-ms to tens of
-# seconds -- one document converts in milliseconds, a chunk in tens of
-# milliseconds, a corpus in seconds).
-SECONDS_BUCKETS: tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
+# The `le` label of every finite digest edge, rendered once.
+_LE_VALUES = tuple(repr(edge) for edge in EDGES)
 
 
 def _labelset(labels: Mapping[str, str]) -> LabelSet:
@@ -136,65 +136,17 @@ class Gauge(Metric):
             self.value = float(value)
 
 
-class Histogram(Metric):
-    """Fixed-bucket histogram with cumulative ``le`` export semantics.
-
-    ``bucket_counts[i]`` counts observations ``<= bounds[i]`` and
-    ``> bounds[i-1]`` (non-cumulative storage); the final implicit
-    ``+Inf`` bucket is ``bucket_counts[-1]``.  Rendering accumulates.
-    """
+class Distribution(Metric):
+    """A histogram: observations held in one :class:`QuantileDigest`."""
 
     kind = "histogram"
 
-    def __init__(
-        self, name: str, labels: LabelSet, bounds: Sequence[float]
-    ) -> None:
+    def __init__(self, name: str, labels: LabelSet) -> None:
         super().__init__(name, labels)
-        ordered = tuple(float(b) for b in bounds)
-        if not ordered or list(ordered) != sorted(set(ordered)):
-            raise ValueError("histogram bounds must be sorted and distinct")
-        self.bounds = ordered
-        self.bucket_counts = [0] * (len(ordered) + 1)
-        self.sum = 0.0
-        self.count = 0
+        self.digest = QuantileDigest()
 
     def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def cumulative_counts(self) -> list[int]:
-        """Counts per ``le`` bound, cumulative, ``+Inf`` last."""
-        out: list[int] = []
-        running = 0
-        for count in self.bucket_counts:
-            running += count
-            out.append(running)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile by linear interpolation within the
-        containing bucket (Prometheus ``histogram_quantile`` semantics:
-        the first bucket interpolates from 0; ranks landing in the
-        ``+Inf`` bucket return the largest finite bound).  Returns 0.0
-        for an empty histogram."""
-        if self.count == 0:
-            return 0.0
-        q = min(1.0, max(0.0, q))
-        rank = q * self.count
-        cumulative = 0
-        for index, count in enumerate(self.bucket_counts):
-            if count == 0:
-                continue
-            if rank <= cumulative + count:
-                if index >= len(self.bounds):
-                    return self.bounds[-1]
-                low = self.bounds[index - 1] if index > 0 else 0.0
-                high = self.bounds[index]
-                fraction = (rank - cumulative) / count
-                return low + (high - low) * min(1.0, max(0.0, fraction))
-            cumulative += count
-        return self.bounds[-1]
+        self.digest.observe(value)
 
 
 class MetricsRegistry:
@@ -247,18 +199,8 @@ class MetricsRegistry:
             )
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        buckets: Sequence[float] = SECONDS_BUCKETS,
-        **labels: str,
-    ) -> Histogram:
-        metric = self._get_or_create(Histogram, name, _labelset(labels), buckets)
-        assert isinstance(metric, Histogram)
-        if metric.bounds != tuple(float(b) for b in buckets):
-            raise ValueError(f"histogram {name!r} re-registered with new buckets")
-        return metric
+    def histogram(self, name: str, **labels: str) -> Distribution:
+        return self._get_or_create(Distribution, name, _labelset(labels))
 
     # -- reading -------------------------------------------------------------
 
@@ -274,7 +216,7 @@ class MetricsRegistry:
     def value(self, name: str, default: float = 0.0, **labels: str) -> float:
         """Scalar value of a counter/gauge, ``default`` when absent."""
         metric = self.get(name, **labels)
-        if metric is None or isinstance(metric, Histogram):
+        if metric is None or isinstance(metric, Distribution):
             return default
         return metric.value  # type: ignore[union-attr]
 
@@ -285,7 +227,7 @@ class MetricsRegistry:
     # -- merging -------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters and histogram buckets add;
+        """Fold another registry in: counters add, histogram digests merge;
         gauges aggregate per their ``merge_mode`` (``"last"`` -- the
         historical last-writer-wins default -- ``"max"``, ``"min"``, or
         ``"sum"``), so high-water marks merged from chunk workers keep
@@ -313,19 +255,9 @@ class MetricsRegistry:
                         held.set(metric.value)
                 else:  # sum
                     held.inc(metric.value)
-            elif isinstance(metric, Histogram):
-                held = self._get_or_create(
-                    Histogram, metric.name, metric.labels, metric.bounds
-                )
-                assert isinstance(held, Histogram)
-                if held.bounds != metric.bounds:
-                    raise ValueError(
-                        f"histogram {metric.name!r} bucket mismatch on merge"
-                    )
-                for i, count in enumerate(metric.bucket_counts):
-                    held.bucket_counts[i] += count
-                held.sum += metric.sum
-                held.count += metric.count
+            elif isinstance(metric, Distribution):
+                held = self._get_or_create(Distribution, metric.name, metric.labels)
+                held.digest.update(metric.digest)
 
     # -- export --------------------------------------------------------------
 
@@ -338,11 +270,8 @@ class MetricsRegistry:
                 "kind": metric.kind,
                 "labels": metric.label_dict(),
             }
-            if isinstance(metric, Histogram):
-                entry["buckets"] = list(metric.bounds)
-                entry["counts"] = list(metric.bucket_counts)
-                entry["sum"] = metric.sum
-                entry["count"] = metric.count
+            if isinstance(metric, Distribution):
+                entry["digest"] = metric.digest.to_json()
             else:
                 entry["value"] = metric.value  # type: ignore[union-attr]
                 if isinstance(metric, Gauge) and metric.merge_mode != "last":
@@ -355,7 +284,12 @@ class MetricsRegistry:
 
     @classmethod
     def from_json(cls, data: dict) -> "MetricsRegistry":
-        """Rebuild a registry saved by :meth:`to_json`."""
+        """Rebuild a registry saved by :meth:`to_json`.
+
+        Histograms saved in the retired fixed-bucket form
+        (``buckets``/``counts``) are a ``ValueError``: their buckets do
+        not map onto the digest layout, so they cannot be read back.
+        """
         registry = cls()
         for name, text in data.get("help", {}).items():
             registry.describe(name, text)
@@ -369,12 +303,15 @@ class MetricsRegistry:
                     entry["name"], merge=entry.get("merge"), **labels
                 ).set(entry["value"])
             elif kind == "histogram":
-                histogram = registry.histogram(
-                    entry["name"], buckets=entry["buckets"], **labels
+                if "digest" not in entry:
+                    raise ValueError(
+                        f"histogram {entry.get('name')!r} is in the old "
+                        "fixed-bucket form (buckets/counts); re-run the "
+                        "command to save a digest-backed metrics file"
+                    )
+                registry.histogram(entry["name"], **labels).digest = (
+                    QuantileDigest.from_json(entry["digest"])
                 )
-                histogram.bucket_counts = list(entry["counts"])
-                histogram.sum = float(entry["sum"])
-                histogram.count = int(entry["count"])
             else:
                 raise ValueError(f"unknown metric kind {kind!r}")
         return registry
@@ -395,20 +332,32 @@ class MetricsRegistry:
                         f"# HELP {metric.name} {_escape_help_text(help_text)}"
                     )
                 lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                cumulative = metric.cumulative_counts()
-                for bound, count in zip(metric.bounds, cumulative):
-                    labels = _render_labels(metric.labels, (("le", repr(bound)),))
-                    lines.append(f"{metric.name}_bucket{labels} {count}")
-                inf_labels = _render_labels(metric.labels, (("le", "+Inf"),))
-                lines.append(f"{metric.name}_bucket{inf_labels} {metric.count}")
-                plain = _render_labels(metric.labels)
-                lines.append(f"{metric.name}_sum{plain} {_num(metric.sum)}")
-                lines.append(f"{metric.name}_count{plain} {metric.count}")
+            if isinstance(metric, Distribution):
+                lines.extend(_histogram_lines(metric))
             else:
                 labels = _render_labels(metric.labels)
                 lines.append(f"{metric.name}{labels} {_num(metric.value)}")  # type: ignore[union-attr]
         return "\n".join(lines) + "\n"
+
+
+def _histogram_lines(metric: Distribution) -> list[str]:
+    """A digest as cumulative ``_bucket`` samples at every layout edge
+    plus ``+Inf``, then ``_sum`` and ``_count``."""
+    digest = metric.digest
+    counts = digest.counts
+    # Labels are rendered once; each sample appends its own `le`.
+    prefix = _render_labels(metric.labels)[:-1] + "," if metric.labels else "{"
+    bucket = f"{metric.name}_bucket{prefix}le="
+    lines = []
+    running = 0
+    for index, le in enumerate(_LE_VALUES):
+        running += counts.get(index, 0)
+        lines.append(f'{bucket}"{le}"}} {running}')
+    lines.append(f'{bucket}"+Inf"}} {digest.count}')
+    plain = _render_labels(metric.labels)
+    lines.append(f"{metric.name}_sum{plain} {_num(digest.total)}")
+    lines.append(f"{metric.name}_count{plain} {digest.count}")
+    return lines
 
 
 def _num(value: float) -> str:

@@ -1,9 +1,10 @@
-"""Mergeable streaming quantile digests over log-spaced fixed buckets.
+"""Mergeable streaming quantile digests over one fixed log-bucket layout.
 
 :class:`QuantileDigest` answers "what were p50/p95/p99 of this latency"
-without retaining observations: values land in a fixed, *global* layout
-of log-spaced buckets, so any two digests built by this module merge by
-adding sparse bucket counts.  Like
+without retaining observations: values land in the one *global* layout
+of log-spaced buckets (:data:`EDGES`), so any two digests merge by
+adding sparse bucket counts.  It is the only latency/size structure in
+the package: the metrics registry's histograms hold one each.  Like
 :class:`repro.schema.accumulator.PathAccumulator`, merging is a
 commutative monoid::
 
@@ -19,63 +20,60 @@ IEEE way.  That is what lets the engine ship one digest per chunk in
 merged digest's quantiles are *identical* to a serial run's digest over
 the same per-document values, regardless of chunking or worker count.
 
-**Resolution.**  With ``buckets_per_decade = 16`` adjacent bucket bounds
-differ by ``10 ** (1/16)`` (~15.5%); quantiles interpolate in log space
-inside one bucket and are clamped to the observed min/max.  The
-estimate always lands in the same bucket as the true order statistic,
-so it is within one bucket width (~16%) of it in the worst case --
-typically about half that, since interpolation centers mid-bucket.  The layout spans ``lo = 1e-6`` seconds to ``1e6`` seconds
-(12 decades, 192 buckets); values at or below ``lo`` (including zero --
-sub-resolution timer readings) fall into the first bucket, values beyond
-the top into the last, and both stay honest through the exact min/max.
+**Layout.**  :data:`EDGES` holds the 191 finite bucket edges
+``1e-6 * 10 ** (k / 16)`` for ``k = 1..191`` (about 1.15 us to 8.7e5).
+Bucket ``i`` holds ``(EDGES[i-1], EDGES[i]]``: a value equal to an edge
+lands in that edge's bucket, the Prometheus ``le`` convention, so the
+registry's exposition can publish the edges as ``le`` bounds.  Bucket 0
+also holds zero (sub-resolution timer readings) and anything smaller;
+bucket 191 holds everything above the top edge.  Both stay honest
+through the exact min/max.
+
+**Resolution.**  Adjacent edges differ by ``10 ** (1/16)`` (~15.5%);
+quantiles interpolate in log space inside one bucket and are clamped to
+the observed min/max.  The estimate always lands in the same bucket as
+the true order statistic, so it is within one bucket width (~16%) of it
+in the worst case -- typically about half that, since interpolation
+centers mid-bucket.
 """
 
 from __future__ import annotations
 
-from math import floor, log10
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
-# The one global bucket layout: every digest in the process (and every
-# digest crossing the process boundary) uses it, which is what makes
-# merge compatibility a non-event.  Kept as explicit constructor
-# defaults so tests can build coarser layouts and the merge-layout
-# guard stays honest.
-DEFAULT_LO = 1e-6
-DEFAULT_BUCKETS_PER_DECADE = 16
-DEFAULT_DECADES = 12
+# The one bucket layout: every digest in the process (and every digest
+# crossing the process boundary or loaded from a file) uses it, which is
+# what makes merge compatibility a non-event.  EDGES[i] is the inclusive
+# upper bound of bucket i; index len(EDGES) is the overflow bucket.
+EDGES: tuple[float, ...] = tuple(10.0 ** (k / 16 - 6) for k in range(1, 192))
+BUCKET_COUNT = len(EDGES) + 1
+_STEP = 10.0 ** (1.0 / 16)
 
 # Quantiles every report/ledger surface renders.
 REPORT_QUANTILES = (0.5, 0.95, 0.99)
 
 
+def bucket_index(value: float) -> int:
+    """The bucket a value falls into (``le`` semantics, clamped)."""
+    return bisect_left(EDGES, value)
+
+
+def bucket_bounds(index: int) -> tuple[float, float]:
+    """``(low, high]`` value bounds of one bucket (bucket 0's low bound
+    is 0; the overflow bucket's high bound is one step past the top
+    edge, since interpolation needs a finite one)."""
+    low = 0.0 if index == 0 else EDGES[index - 1]
+    high = EDGES[index] if index < len(EDGES) else EDGES[-1] * _STEP
+    return (low, high)
+
+
 class QuantileDigest:
-    """A sparse, mergeable, fixed-layout log-bucket latency digest."""
+    """A sparse, mergeable log-bucket latency digest."""
 
-    __slots__ = (
-        "lo",
-        "buckets_per_decade",
-        "decades",
-        "counts",
-        "count",
-        "total",
-        "min_value",
-        "max_value",
-    )
+    __slots__ = ("counts", "count", "total", "min_value", "max_value")
 
-    def __init__(
-        self,
-        *,
-        lo: float = DEFAULT_LO,
-        buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
-        decades: int = DEFAULT_DECADES,
-    ) -> None:
-        if lo <= 0:
-            raise ValueError("lo must be positive")
-        if buckets_per_decade < 1 or decades < 1:
-            raise ValueError("need at least one bucket per decade and one decade")
-        self.lo = float(lo)
-        self.buckets_per_decade = int(buckets_per_decade)
-        self.decades = int(decades)
+    def __init__(self) -> None:
         # Sparse: bucket index -> observation count.  Most stages hit a
         # handful of adjacent buckets, so the wire form stays tiny.
         self.counts: dict[int, int] = {}
@@ -83,33 +81,6 @@ class QuantileDigest:
         self.total = 0.0
         self.min_value = 0.0
         self.max_value = 0.0
-
-    # -- layout ---------------------------------------------------------------
-
-    @property
-    def bucket_count(self) -> int:
-        return self.buckets_per_decade * self.decades
-
-    def layout(self) -> tuple[float, int, int]:
-        return (self.lo, self.buckets_per_decade, self.decades)
-
-    def bucket_index(self, value: float) -> int:
-        """The (clamped) bucket a value falls into."""
-        if value <= self.lo:
-            return 0
-        index = int(floor(log10(value / self.lo) * self.buckets_per_decade))
-        if index < 0:
-            return 0
-        last = self.bucket_count - 1
-        return index if index < last else last
-
-    def bucket_bounds(self, index: int) -> tuple[float, float]:
-        """``(low, high]`` value bounds of one bucket (bucket 0's low
-        bound is 0: it also holds sub-``lo`` and zero observations)."""
-        step = 10.0 ** (1.0 / self.buckets_per_decade)
-        high = self.lo * step ** (index + 1)
-        low = 0.0 if index == 0 else self.lo * step**index
-        return (low, high)
 
     @property
     def relative_error(self) -> float:
@@ -121,7 +92,7 @@ class QuantileDigest:
         interpolation sits at one bucket edge while the true value sits
         at the other.  The typical error is about half this.
         """
-        return 10.0 ** (1.0 / self.buckets_per_decade) - 1.0
+        return _STEP - 1.0
 
     # -- observation ----------------------------------------------------------
 
@@ -129,7 +100,7 @@ class QuantileDigest:
         value = float(value)
         if value < 0.0:
             value = 0.0
-        index = self.bucket_index(value)
+        index = bucket_index(value)
         self.counts[index] = self.counts.get(index, 0) + 1
         if self.count == 0:
             self.min_value = value
@@ -150,10 +121,6 @@ class QuantileDigest:
 
     def update(self, other: "QuantileDigest") -> None:
         """In-place merge (the engine's parent-side hot path)."""
-        if other.layout() != self.layout():
-            raise ValueError(
-                f"digest layout mismatch: {self.layout()} vs {other.layout()}"
-            )
         if other.count == 0:
             return
         if self.count == 0:
@@ -176,11 +143,7 @@ class QuantileDigest:
         return merged
 
     def copy(self) -> "QuantileDigest":
-        clone = QuantileDigest(
-            lo=self.lo,
-            buckets_per_decade=self.buckets_per_decade,
-            decades=self.decades,
-        )
+        clone = QuantileDigest()
         clone.counts = dict(self.counts)
         clone.count = self.count
         clone.total = self.total
@@ -192,8 +155,7 @@ class QuantileDigest:
         if not isinstance(other, QuantileDigest):
             return NotImplemented
         return (
-            self.layout() == other.layout()
-            and self.counts == other.counts
+            self.counts == other.counts
             and self.count == other.count
             and self.total == other.total
             and self.min_value == other.min_value
@@ -226,7 +188,7 @@ class QuantileDigest:
         for index in sorted(self.counts):
             bucket = self.counts[index]
             if rank < cumulative + bucket:
-                low, high = self.bucket_bounds(index)
+                low, high = bucket_bounds(index)
                 fraction = (rank - cumulative + 0.5) / bucket
                 fraction = min(1.0, max(0.0, fraction))
                 if low <= 0.0:
@@ -258,16 +220,14 @@ class QuantileDigest:
 
     # -- serialization --------------------------------------------------------
     #
-    # One compact tuple serves both pickle (the ChunkStats wire format
-    # crossing the engine's process boundary) and JSON; sparse counts
-    # travel as parallel (indices, counts) lists.
+    # Pickle (the ChunkStats wire format crossing the engine's process
+    # boundary) and JSON carry the same six fields and no layout: there
+    # is only one.  Sparse counts travel as parallel (indices, counts)
+    # lists.
 
     def __getstate__(self) -> tuple:
         indices = sorted(self.counts)
         return (
-            self.lo,
-            self.buckets_per_decade,
-            self.decades,
             indices,
             [self.counts[index] for index in indices],
             self.count,
@@ -277,20 +237,7 @@ class QuantileDigest:
         )
 
     def __setstate__(self, state: tuple) -> None:
-        (
-            lo,
-            buckets_per_decade,
-            decades,
-            indices,
-            counts,
-            count,
-            total,
-            min_value,
-            max_value,
-        ) = state
-        self.lo = lo
-        self.buckets_per_decade = buckets_per_decade
-        self.decades = decades
+        indices, counts, count, total, min_value, max_value = state
         self.counts = dict(zip(indices, counts))
         self.count = count
         self.total = total
@@ -298,12 +245,10 @@ class QuantileDigest:
         self.max_value = max_value
 
     def to_json(self) -> dict:
+        indices = sorted(self.counts)
         return {
-            "lo": self.lo,
-            "buckets_per_decade": self.buckets_per_decade,
-            "decades": self.decades,
-            "indices": sorted(self.counts),
-            "counts": [self.counts[index] for index in sorted(self.counts)],
+            "indices": indices,
+            "counts": [self.counts[index] for index in indices],
             "count": self.count,
             "total": self.total,
             "min": self.min_value,
@@ -312,18 +257,37 @@ class QuantileDigest:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "QuantileDigest":
-        digest = cls(
-            lo=data.get("lo", DEFAULT_LO),
-            buckets_per_decade=data.get(
-                "buckets_per_decade", DEFAULT_BUCKETS_PER_DECADE
-            ),
-            decades=data.get("decades", DEFAULT_DECADES),
-        )
-        digest.counts = {
-            int(index): int(count)
-            for index, count in zip(data.get("indices", []), data.get("counts", []))
-        }
+        """Rebuild a digest saved by :meth:`to_json`.
+
+        The data may come from a file outside the program, so a digest
+        no :meth:`observe` sequence could produce is a ``ValueError``:
+        an index outside the layout, a repeated index, a negative
+        count, index/count lists of different lengths, or a ``count``
+        that is not the sum of the bucket counts.
+        """
+        indices = [int(index) for index in data.get("indices", [])]
+        counts = [int(count) for count in data.get("counts", [])]
+        if len(indices) != len(counts):
+            raise ValueError(
+                f"digest has {len(indices)} bucket indices but {len(counts)} counts"
+            )
+        for index in indices:
+            if not 0 <= index < BUCKET_COUNT:
+                raise ValueError(
+                    f"digest bucket index {index} outside [0, {BUCKET_COUNT - 1}]"
+                )
+        if len(set(indices)) != len(indices):
+            raise ValueError("digest repeats a bucket index")
+        if any(count < 0 for count in counts):
+            raise ValueError("digest has a negative bucket count")
+        digest = cls()
+        digest.counts = dict(zip(indices, counts))
         digest.count = int(data.get("count", 0))
+        if digest.count != sum(counts):
+            raise ValueError(
+                f"digest count {digest.count} is not the sum of its "
+                f"bucket counts ({sum(counts)})"
+            )
         digest.total = float(data.get("total", 0.0))
         digest.min_value = float(data.get("min", 0.0))
         digest.max_value = float(data.get("max", 0.0))

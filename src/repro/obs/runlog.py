@@ -118,11 +118,6 @@ def build_run_record(
 ) -> dict:
     """One ledger record for a finished engine run."""
     now = time.time() if timestamp is None else timestamp
-    stage_quantiles = {
-        stage: digest.summary()
-        for stage, digest in sorted(stats.stage_digests.items())
-        if digest.count
-    }
     record: dict = {
         "kind": "run",
         "version": RUNLOG_VERSION,
@@ -152,7 +147,7 @@ def build_run_record(
                 for cache, counters in sorted(stats.tagger_cache_events.items())
             },
         },
-        "stage_quantiles": stage_quantiles,
+        "stage_quantiles": stats.stage_summaries(),
         "slowest_documents": list(stats.slowest_docs[:SLOWEST_KEPT]),
     }
     if extra:

@@ -375,8 +375,6 @@ def _run_chunk(
             stats.nodes_eliminated += result.nodes_eliminated
             stats.input_nodes += result.input_nodes
             stats.concept_nodes += concept_nodes
-            for rule, seconds in result.rule_seconds.items():
-                stats.rule_seconds[rule] = stats.rule_seconds.get(rule, 0.0) + seconds
             # Run intelligence: per-stage + end-to-end latency into the
             # chunk's mergeable digests, plus slowest-document context.
             doc_elapsed = time.perf_counter() - doc_started

@@ -3,25 +3,30 @@
 :class:`ChunkStats` is the picklable wire record one worker reports for
 one chunk of documents.  :class:`EngineStats` is the corpus-level
 aggregate the engine, the ``convert-corpus`` CLI, and the Figure 5
-scaling harness all read -- since the observability PR it is a *view*
-over a :class:`repro.obs.metrics.MetricsRegistry`: every counter it
-absorbs lands in named metrics (``repro_engine_documents_total``,
-``repro_rule_seconds_total{rule=...}``, a chunk-seconds histogram, ...),
-so one engine run exports directly as JSON or Prometheus text and
-``repro-web stats`` can re-render a saved snapshot as these same tables.
+scaling harness all read.  It is a *view* over a
+:class:`repro.obs.metrics.MetricsRegistry`: every counter it absorbs
+lands in named metrics (``repro_engine_documents_total``, a
+chunk-seconds histogram, ...), so one engine run exports directly as
+JSON or Prometheus text and ``repro-web stats`` can re-render a saved
+snapshot as these same tables.
 
-Rule timings come from
-:attr:`repro.convert.pipeline.ConversionResult.rule_seconds`, summed
-across documents, so "where does the time go" is answerable per stage
-without a profiler.
+Stage time has one channel.  Each document's
+:attr:`repro.convert.pipeline.ConversionResult.rule_seconds` and its
+end-to-end latency are observed into the chunk's per-stage digests
+(:attr:`ChunkStats.stage_digests`); :meth:`EngineStats.absorb` merges
+those into the ``repro_stage_seconds{stage=...}`` histograms, and every
+surface -- the per-rule seconds (each digest's total), the quantile
+tables, the run ledger, ``/metrics`` and a saved snapshot -- reads them
+there.  "Where does the time go" is answerable per stage without a
+profiler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Distribution, MetricsRegistry
 from repro.obs.quantiles import QuantileDigest, merge_digest_maps
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +55,8 @@ WALL_SECONDS = "repro_engine_wall_seconds"
 MAX_QUEUE_DEPTH = "repro_engine_max_queue_depth"
 WORKERS = "repro_engine_workers"
 CHUNK_SIZE = "repro_engine_chunk_size"
-RULE_SECONDS = "repro_rule_seconds_total"
+# Per-stage latency histograms, labeled {stage="parse"|...|"document"}.
+STAGE_SECONDS = "repro_stage_seconds"
 CHUNK_SECONDS_HISTOGRAM = "repro_engine_chunk_seconds"
 # Token-decision cache traffic from the fast tagger, labeled
 # {cache="synonym"|"bayes", event="hits"|"misses"|"evictions"}.
@@ -61,8 +67,8 @@ TAGGER_CACHE_EVENTS = "repro_tagger_cache_events_total"
 # absurd docs/sec figures); the divisor is floored here instead.
 MIN_WALL_SECONDS = 1e-3
 
-# Digest key for per-document end-to-end latency (parse through path
-# extraction), alongside the per-stage keys from rule_seconds.
+# Stage label for per-document end-to-end latency (parse through path
+# extraction), alongside the pipeline stages from rule_seconds.
 DOCUMENT_STAGE = "document"
 
 # Stage order for quantile report tables: pipeline stages first, the
@@ -121,14 +127,14 @@ class ChunkStats:
     nodes_eliminated: int = 0
     input_nodes: int = 0
     concept_nodes: int = 0
-    rule_seconds: dict[str, float] = field(default_factory=dict)
     # Token-decision cache counter growth during this chunk, per cache
     # ({"synonym": {"hits": ..., "misses": ..., "evictions": ...}});
     # empty when the fast tagger or its memoization is off.
     tagger_cache: dict[str, dict[str, int]] = field(default_factory=dict)
     # Per-stage latency digests ({"parse": ..., "document": ...}): one
     # observation per surviving document per stage, in a mergeable
-    # QuantileDigest whose compact tuple state rides the pickle.
+    # QuantileDigest whose compact tuple state rides the pickle.  The
+    # chunk's only record of stage time: per-stage sums are the totals.
     stage_digests: dict[str, QuantileDigest] = field(default_factory=dict)
     # This chunk's top-K slowest documents, slowest first, each with its
     # label-path context ({"doc", "index", "seconds", "root",
@@ -152,8 +158,6 @@ class ChunkStats:
         self.nodes_eliminated += other.nodes_eliminated
         self.input_nodes += other.input_nodes
         self.concept_nodes += other.concept_nodes
-        for rule, seconds in other.rule_seconds.items():
-            self.rule_seconds[rule] = self.rule_seconds.get(rule, 0.0) + seconds
         for cache_name, counters in other.tagger_cache.items():
             held = self.tagger_cache.setdefault(cache_name, {})
             for event, value in counters.items():
@@ -166,17 +170,17 @@ class ChunkStats:
         doc_id: str,
         index: int,
         seconds: float,
-        rule_seconds: dict[str, float],
+        stage_seconds: Mapping[str, float],
         *,
         context: dict | None = None,
     ) -> None:
-        """Fold one surviving document's timings into the chunk digests
-        and its slowest-documents candidates."""
-        for stage, stage_seconds in rule_seconds.items():
+        """Fold one surviving document's stage and end-to-end timings
+        into the chunk digests and its slowest-documents candidates."""
+        for stage, elapsed in stage_seconds.items():
             digest = self.stage_digests.get(stage)
             if digest is None:
                 digest = self.stage_digests[stage] = QuantileDigest()
-            digest.observe(stage_seconds)
+            digest.observe(elapsed)
         digest = self.stage_digests.get(DOCUMENT_STAGE)
         if digest is None:
             digest = self.stage_digests[DOCUMENT_STAGE] = QuantileDigest()
@@ -203,7 +207,7 @@ class ChunkStats:
     # tuple state.  ChunkStats only travels between processes of one
     # version and is never persisted, so there is no older form to read.
 
-    _WIRE_VERSION = 1
+    _WIRE_VERSION = 2
 
     def __getstate__(self):
         slowest = self.slowest_docs
@@ -231,7 +235,6 @@ class ChunkStats:
                 self.input_nodes,
                 self.concept_nodes,
             ),
-            self.rule_seconds,
             self.tagger_cache,
             self.stage_digests,
             packed,
@@ -249,7 +252,6 @@ class ChunkStats:
             self.seconds,
             self.doc_seconds,
             counters,
-            self.rule_seconds,
             self.tagger_cache,
             self.stage_digests,
             packed,
@@ -268,20 +270,54 @@ class ChunkStats:
             self.slowest_docs = list(packed)
 
 
-def rule_rows_from_registry(registry: MetricsRegistry) -> list[list[str]]:
-    """(rule, seconds, share) rows from ``repro_rule_seconds_total``
-    counters, slowest stage first -- shared by the engine stats table,
-    the serial ``html2xml`` summary, and ``repro-web stats``."""
-    timings = {
-        metric.label_dict().get("rule", "?"): metric.value  # type: ignore[union-attr]
-        for metric in registry.find(RULE_SECONDS)
+def stage_digests_from_registry(
+    registry: MetricsRegistry,
+) -> dict[str, QuantileDigest]:
+    """``{stage: digest}`` of the ``repro_stage_seconds`` histograms."""
+    return {
+        metric.label_dict().get("stage", "?"): metric.digest
+        for metric in registry.find(STAGE_SECONDS)
+        if isinstance(metric, Distribution)
     }
+
+
+def stage_totals(registry: MetricsRegistry) -> dict[str, float]:
+    """Seconds per pipeline stage (each stage digest's total), without
+    the end-to-end ``document`` row."""
+    return {
+        stage: digest.total
+        for stage, digest in stage_digests_from_registry(registry).items()
+        if stage != DOCUMENT_STAGE
+    }
+
+
+def rule_rows_from_registry(registry: MetricsRegistry) -> list[list[str]]:
+    """(rule, seconds, share) rows from the ``repro_stage_seconds``
+    totals, slowest stage first -- shared by the engine stats table,
+    the serial ``html2xml`` summary, and ``repro-web stats``."""
+    timings = stage_totals(registry)
     total = sum(timings.values())
     rows = []
     for rule, seconds in sorted(timings.items(), key=lambda item: -item[1]):
         share = seconds / total if total else 0.0
         rows.append([rule, f"{seconds:.3f}", f"{share:.0%}"])
     return rows
+
+
+def stage_quantile_rows(summaries: Mapping[str, Mapping]) -> list[list[str]]:
+    """(stage, count, p50/p95/p99 ms) rows from ``{stage: summary}``
+    (:meth:`QuantileDigest.summary` dicts, live or from a run ledger),
+    pipeline order, end-to-end ``document`` row last."""
+    ordered = [stage for stage in STAGE_ORDER if stage in summaries]
+    ordered += sorted(set(summaries) - set(STAGE_ORDER))
+    return [
+        [stage, str(summaries[stage].get("count", ""))]
+        + [
+            f"{float(summaries[stage].get(q, 0.0)) * 1e3:.2f}"
+            for q in ("p50", "p95", "p99")
+        ]
+        for stage in ordered
+    ]
 
 
 class EngineStats:
@@ -310,9 +346,8 @@ class EngineStats:
         # (parent-side only; counters below persist through the registry,
         # this detail list does not).
         self.failures: list["DocumentFailure"] = []
-        # Run-intelligence state merged from chunk digests (parent-side;
+        # Slowest documents merged from the chunks' top Ks (parent-side;
         # persisted via the run ledger rather than the registry).
-        self.stage_digests: dict[str, QuantileDigest] = {}
         self.slowest_docs: list[dict] = []
         self.workers = workers
         self.chunk_size = chunk_size
@@ -418,10 +453,24 @@ class EngineStats:
 
     @property
     def rule_seconds(self) -> dict[str, float]:
-        """Per-stage seconds summed over workers, from the registry."""
+        """Per-stage seconds summed over workers: each pipeline stage's
+        digest total, from the registry."""
+        return stage_totals(self.registry)
+
+    @property
+    def stage_digests(self) -> dict[str, QuantileDigest]:
+        """Per-stage latency digests (``document`` included), from the
+        registry -- so a saved snapshot carries them too."""
+        return stage_digests_from_registry(self.registry)
+
+    def stage_summaries(self) -> dict[str, dict]:
+        """``{stage: digest summary}`` of every non-empty stage digest --
+        the run ledger's ``stage_quantiles`` and the quantile table's
+        input."""
         return {
-            metric.label_dict().get("rule", "?"): metric.value  # type: ignore[union-attr]
-            for metric in self.registry.find(RULE_SECONDS)
+            stage: digest.summary()
+            for stage, digest in self.stage_digests.items()
+            if digest.count
         }
 
     @property
@@ -500,15 +549,14 @@ class EngineStats:
         registry.counter(NODES_ELIMINATED).inc(chunk.nodes_eliminated)
         registry.counter(INPUT_NODES).inc(chunk.input_nodes)
         registry.counter(CONCEPT_NODES).inc(chunk.concept_nodes)
-        for rule, seconds in chunk.rule_seconds.items():
-            registry.counter(RULE_SECONDS, rule=rule).inc(seconds)
         for cache_name, counters in chunk.tagger_cache.items():
             for event, value in counters.items():
                 registry.counter(
                     TAGGER_CACHE_EVENTS, cache=cache_name, event=event
                 ).inc(value)
         registry.histogram(CHUNK_SECONDS_HISTOGRAM).observe(chunk.seconds)
-        merge_digest_maps(self.stage_digests, chunk.stage_digests)
+        for stage, digest in chunk.stage_digests.items():
+            registry.histogram(STAGE_SECONDS, stage=stage).digest.update(digest)
         self.slowest_docs = merge_slowest(self.slowest_docs, chunk.slowest_docs)
         self.per_chunk.append(chunk)
 
@@ -520,7 +568,6 @@ class EngineStats:
         stats.registry = registry
         stats.per_chunk = []
         stats.failures = []
-        stats.stage_digests = {}
         stats.slowest_docs = []
         return stats
 
@@ -588,28 +635,6 @@ class EngineStats:
         """(rule, seconds, share) rows, slowest stage first."""
         return rule_rows_from_registry(self.registry)
 
-    def stage_quantile_rows(self) -> list[list[str]]:
-        """(stage, count, p50/p95/p99 ms) rows from the merged digests,
-        pipeline order, end-to-end ``document`` row last."""
-        ordered = [s for s in STAGE_ORDER if s in self.stage_digests]
-        ordered += sorted(set(self.stage_digests) - set(STAGE_ORDER))
-        rows: list[list[str]] = []
-        for stage in ordered:
-            digest = self.stage_digests[stage]
-            if not digest.count:
-                continue
-            p50, p95, p99 = digest.quantiles()
-            rows.append(
-                [
-                    stage,
-                    str(digest.count),
-                    f"{p50 * 1e3:.2f}",
-                    f"{p95 * 1e3:.2f}",
-                    f"{p99 * 1e3:.2f}",
-                ]
-            )
-        return rows
-
     def slowest_rows(self) -> list[list[str]]:
         """(doc, seconds, label paths, input nodes) rows, slowest first."""
         return [
@@ -623,10 +648,9 @@ class EngineStats:
         ]
 
     def chunk_seconds_quantile(self, q: float) -> float:
-        """Approximate chunk-duration quantile from the registry
-        histogram -- available even for snapshots re-loaded by
-        ``repro-web stats``, where the digests are not persisted."""
+        """Chunk-duration quantile from the registry's chunk digest --
+        available for snapshots re-loaded by ``repro-web stats`` too."""
         metric = self.registry.get(CHUNK_SECONDS_HISTOGRAM)
-        if not isinstance(metric, Histogram):
+        if not isinstance(metric, Distribution):
             return 0.0
-        return metric.quantile(q)
+        return metric.digest.quantile(q)

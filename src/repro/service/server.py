@@ -78,8 +78,6 @@ BATCH_DOCUMENTS = "repro_service_batch_documents"
 QUEUE_WAIT_SECONDS = "repro_service_queue_wait_seconds"
 INFLIGHT = "repro_service_inflight_requests"
 
-_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
 
 class HttpError(Exception):
     """An HTTP-level failure with a status code."""
@@ -282,9 +280,7 @@ class ConversionService:
         wait_histogram = self.registry.histogram(QUEUE_WAIT_SECONDS)
         for pending in batch:
             wait_histogram.observe(now - pending.enqueued_at)
-        self.registry.histogram(
-            BATCH_DOCUMENTS, buckets=_BATCH_BUCKETS
-        ).observe(len(batch))
+        self.registry.histogram(BATCH_DOCUMENTS).observe(len(batch))
         task = ChunkTask(
             next(self._chunk_indices),
             self._doc_cursor,

@@ -145,20 +145,28 @@ class TestXmlSink:
 
 class TestChunkStatsWire:
     def test_pickle_round_trip(self):
+        """The v2 wire form: the stage digests are the chunk's only
+        record of stage time, so they and their totals must survive."""
         stats = chunk(index=3, documents=7, seconds=1.5, doc_seconds=1.2, failed=2)
         stats.failures_by_stage = {"parse": 2}
-        stats.rule_seconds = {"grouping": 0.4}
-        stats.observe_document("doc0", 0, 0.25, {"grouping": 0.2})
-        stats.observe_document("doc1", 1, 0.95, {"grouping": 0.2})
+        stats.observe_document("doc0", 0, 0.25, {"group": 0.2, "parse": 0.01})
+        stats.observe_document("doc1", 1, 0.95, {"group": 0.3, "parse": 0.02})
         stats.finalize_slowest()
+        state = stats.__getstate__()
+        assert state[0] == 2
         restored = pickle.loads(pickle.dumps(stats))
+        assert not hasattr(restored, "rule_seconds")
         assert restored.index == 3
         assert restored.documents == 7
         assert restored.documents_failed == 2
         assert restored.failures_by_stage == {"parse": 2}
         assert restored.seconds == 1.5
         assert restored.doc_seconds == 1.2
-        assert restored.rule_seconds == {"grouping": 0.4}
+        assert restored.stage_digests == stats.stage_digests
+        assert set(restored.stage_digests) == {"group", "parse", "document"}
+        assert restored.stage_digests["group"].total == 0.2 + 0.3
+        assert restored.stage_digests["document"].total == 0.25 + 0.95
+        assert restored.stage_digests["group"].count == 2
         assert restored.slowest_docs == stats.slowest_docs
 
     def test_wire_form_is_tuple_not_dict(self):

@@ -47,6 +47,16 @@ def make_engine(kb, workers, chunk_size=3):
     )
 
 
+def quantile_table(printed: str) -> list[str]:
+    """The lines of the "Per-stage latency quantiles" table, if any."""
+    lines = printed.splitlines()
+    if "Per-stage latency quantiles" not in lines:
+        return []
+    start = lines.index("Per-stage latency quantiles")
+    end = lines.index("", start) if "" in lines[start:] else len(lines)
+    return lines[start:end]
+
+
 @pytest.fixture(scope="module")
 def corpus_html(small_corpus):
     return [doc.html for doc in small_corpus]
@@ -165,12 +175,43 @@ class TestCliObservability:
         mjson = tmp_path / "metrics.json"
         main(["convert-corpus", "--generate", "4", "--chunk-size", "2",
               "--max-workers", "1", "--metrics-out", str(mjson)])
-        capsys.readouterr()
+        live = quantile_table(capsys.readouterr().out)
         assert main(["stats", str(mjson)]) == 0
         printed = capsys.readouterr().out
         assert "documents" in printed
         assert "4" in printed
         assert "instance" in printed  # per-rule table from the registry
+        # The saved snapshot carries the stage digests: the same table.
+        assert live and quantile_table(printed) == live
+        assert "Chunk duration quantiles\n" in printed
+        assert "histogram estimate" not in printed
+
+    @pytest.mark.parametrize("corruption", [
+        "index_outside_layout", "negative_count", "mismatched_lengths",
+        "count_not_sum", "old_fixed_buckets",
+    ])
+    def test_stats_rejects_malformed_snapshot(self, tmp_path, capsys, corruption):
+        mjson = tmp_path / "metrics.json"
+        main(["convert-corpus", "--generate", "2", "--max-workers", "1",
+              "--metrics-out", str(mjson)])
+        snapshot = json.loads(mjson.read_text())
+        entry = next(e for e in snapshot["metrics"] if e["kind"] == "histogram")
+        digest = entry["digest"]
+        if corruption == "index_outside_layout":
+            digest["indices"][0] = 192
+        elif corruption == "negative_count":
+            digest["counts"][0] = -1
+        elif corruption == "mismatched_lengths":
+            digest["counts"].append(1)
+        elif corruption == "count_not_sum":
+            digest["count"] += 1
+        else:
+            del entry["digest"]
+            entry.update(buckets=[0.1, 1.0], counts=[2, 0, 0], sum=0.1, count=2)
+        mjson.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert main(["stats", str(mjson)]) == 2
+        assert capsys.readouterr().err.strip()
 
     def test_stats_rejects_prometheus_input(self, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"
@@ -204,4 +245,6 @@ class TestCliObservability:
         assert validate_metrics_file(mjson) == []
         saved = json.loads(mjson.read_text())
         names = {entry["name"] for entry in saved["metrics"]}
-        assert names == {"repro_rule_seconds_total"}
+        assert names == {"repro_stage_seconds"}
+        stages = {entry["labels"]["stage"] for entry in saved["metrics"]}
+        assert {"parse", "instance", "root"} <= stages

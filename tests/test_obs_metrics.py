@@ -1,20 +1,32 @@
 """Metrics registry: counters/gauges/histograms, exports, merging.
 
-The histogram bucket-edge tests pin the Prometheus ``le`` convention
-(a value equal to a bound falls in that bound's bucket); the exposition
-tests check the text format against both the repo's own validator and
-hand-written expectations.
+The histogram bucket-edge tests pin the Prometheus ``le`` convention on
+the digest-backed histogram (a value equal to an edge counts at that
+edge); the exposition tests check the text format against both the
+repo's own validator and hand-written expectations.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.obs.export import load_metrics, write_metrics
-from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.quantiles import BUCKET_COUNT, EDGES, QuantileDigest
 from repro.obs.validate import validate_prometheus_text
+
+
+def bucket_samples(registry: MetricsRegistry, name: str) -> list[tuple[str, int]]:
+    """(le, cumulative count) pairs of one unlabeled histogram."""
+    pairs = []
+    for line in registry.render_prometheus().splitlines():
+        if line.startswith(f"{name}_bucket{{"):
+            labels, value = line.rsplit(" ", 1)
+            pairs.append((labels.split('le="')[1].rstrip('"}'), int(value)))
+    return pairs
 
 
 class TestCounter:
@@ -58,54 +70,68 @@ class TestGauge:
 
 
 class TestHistogramBucketEdges:
+    # 0.01 is a layout edge: 1e-6 * 10 ** (64 / 16).
+    EDGE = EDGES.index(0.01)
+
     def test_value_on_bound_falls_in_that_bucket(self):
         """Prometheus ``le`` is inclusive: observe(0.01) lands in the
         le="0.01" bucket, not the next one up."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.01, 0.1, 1.0))
+        histogram = registry.histogram("h")
         histogram.observe(0.01)
-        assert histogram.bucket_counts == [1, 0, 0, 0]
+        assert histogram.digest.counts == {self.EDGE: 1}
+        samples = dict(bucket_samples(registry, "h"))
+        assert samples["0.01"] == 1
+        assert samples[repr(EDGES[self.EDGE - 1])] == 0
 
     def test_value_just_above_bound_falls_in_next(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.01, 0.1, 1.0))
-        histogram.observe(0.010001)
-        assert histogram.bucket_counts == [0, 1, 0, 0]
+        histogram = registry.histogram("h")
+        histogram.observe(math.nextafter(0.01, 1.0))
+        assert histogram.digest.counts == {self.EDGE + 1: 1}
+        samples = dict(bucket_samples(registry, "h"))
+        assert samples["0.01"] == 0
+        assert samples[repr(EDGES[self.EDGE + 1])] == 1
 
     def test_value_above_top_bound_goes_to_inf(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.01, 0.1, 1.0))
-        histogram.observe(50.0)
-        assert histogram.bucket_counts == [0, 0, 0, 1]
+        histogram = registry.histogram("h")
+        histogram.observe(1e12)
+        assert histogram.digest.counts == {BUCKET_COUNT - 1: 1}
+        samples = bucket_samples(registry, "h")
+        assert samples[-2] == (repr(EDGES[-1]), 0)
+        assert samples[-1] == ("+Inf", 1)
 
     def test_cumulative_counts_are_monotone_and_end_at_total(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 2.0, 4.0))
+        histogram = registry.histogram("h")
         for value in (0.5, 1.0, 1.5, 3.0, 100.0):
             histogram.observe(value)
-        cumulative = histogram.cumulative_counts()
-        assert cumulative == [2, 3, 4, 5]
-        assert histogram.count == 5
-        assert histogram.sum == pytest.approx(106.0)
-
-    def test_unsorted_buckets_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 0.5))
+        cumulative = [count for _, count in bucket_samples(registry, "h")]
+        assert cumulative == sorted(cumulative)
+        assert dict(bucket_samples(registry, "h"))["1.0"] == 2
+        assert cumulative[-1] == 5
+        assert histogram.digest.count == 5
+        assert histogram.digest.total == pytest.approx(106.0)
 
     def test_default_seconds_buckets(self):
+        """Every histogram exposes every layout edge, observed or not,
+        so the ``le`` set is the same at every scrape."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        assert tuple(histogram.bounds) == SECONDS_BUCKETS
+        registry.histogram("h")
+        empty = [le for le, _ in bucket_samples(registry, "h")]
+        registry.histogram("h").observe(0.25)
+        assert [le for le, _ in bucket_samples(registry, "h")] == empty
+        assert empty == [repr(edge) for edge in EDGES] + ["+Inf"]
 
 
 class TestPrometheusExposition:
     def build(self):
         registry = MetricsRegistry()
         registry.counter("repro_docs_total").inc(50)
-        registry.counter("repro_rule_seconds_total", rule="parse").inc(0.25)
+        registry.counter("repro_worker_seconds_total", stage="parse").inc(0.25)
         registry.gauge("repro_workers").set(4)
-        histogram = registry.histogram("repro_chunk_seconds", buckets=(0.1, 1.0))
+        histogram = registry.histogram("repro_chunk_seconds")
         histogram.observe(0.05)
         histogram.observe(0.5)
         histogram.observe(5.0)
@@ -121,7 +147,7 @@ class TestPrometheusExposition:
         assert "# TYPE repro_workers gauge" in lines
         assert "# TYPE repro_chunk_seconds histogram" in lines
         assert "repro_docs_total 50" in lines
-        assert 'repro_rule_seconds_total{rule="parse"} 0.25' in lines
+        assert 'repro_worker_seconds_total{stage="parse"} 0.25' in lines
         assert "repro_workers 4" in lines
 
     def test_histogram_series_cumulative_with_inf(self):
@@ -204,10 +230,11 @@ class TestJsonRoundTrip:
         registry = TestPrometheusExposition().build()
         clone = MetricsRegistry.from_json(json.loads(registry.render_json()))
         assert clone.value("repro_docs_total") == 50
-        assert clone.value("repro_rule_seconds_total", rule="parse") == 0.25
+        assert clone.value("repro_worker_seconds_total", stage="parse") == 0.25
         assert clone.value("repro_workers") == 4
-        histogram = clone.histogram("repro_chunk_seconds", buckets=(0.1, 1.0))
-        assert histogram.bucket_counts == [1, 1, 1]
+        histogram = clone.histogram("repro_chunk_seconds")
+        assert histogram.digest == registry.histogram("repro_chunk_seconds").digest
+        assert histogram.digest.count == 3
         assert clone.render_prometheus() == registry.render_prometheus()
 
 
@@ -219,12 +246,15 @@ class TestMerge:
         right.counter("docs").inc(3)
         left.gauge("workers").set(1)
         right.gauge("workers").set(8)
-        left.histogram("h", buckets=(1.0,)).observe(0.5)
-        right.histogram("h", buckets=(1.0,)).observe(2.0)
+        left.histogram("h").observe(0.5)
+        right.histogram("h").observe(2.0)
         left.merge(right)
         assert left.value("docs") == 5
         assert left.value("workers") == 8
-        assert left.histogram("h", buckets=(1.0,)).bucket_counts == [1, 1]
+        expected = QuantileDigest()
+        expected.observe_many([0.5, 2.0])
+        assert left.histogram("h").digest == expected
+        assert right.histogram("h").digest.count == 1  # not aliased
 
 
 class TestGaugeMergeModes:
@@ -284,37 +314,32 @@ class TestGaugeMergeModes:
 
 class TestHistogramQuantile:
     def build(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.1, 1.0, 10.0))
-        return histogram
+        return MetricsRegistry().histogram("h").digest
 
     def test_empty_histogram_is_zero(self):
         assert self.build().quantile(0.5) == 0.0
 
     def test_interpolates_within_bucket(self):
-        histogram = self.build()
-        for _ in range(10):
-            histogram.observe(0.5)  # all in the (0.1, 1.0] bucket
-        # Rank midpoint interpolates linearly across the bucket.
-        assert 0.1 < histogram.quantile(0.5) <= 1.0
+        digest = self.build()
+        index = EDGES.index(1.0)
+        low, high = EDGES[index - 1], EDGES[index]
+        for step in range(10):
+            digest.observe(low + (high - low) * (step + 0.5) / 10)
+        assert digest.counts == {index: 10}
+        assert low < digest.quantile(0.5) <= high
 
     def test_first_bucket_interpolates_from_zero(self):
-        histogram = self.build()
-        histogram.observe(0.05)
-        assert 0.0 < histogram.quantile(0.5) <= 0.1
-
-    def test_inf_bucket_returns_largest_finite_bound(self):
-        histogram = self.build()
-        histogram.observe(1000.0)
-        assert histogram.quantile(0.99) == 10.0
+        digest = self.build()
+        digest.observe_many([0.0, 0.0, EDGES[0], EDGES[0]])
+        assert digest.counts == {0: 4}
+        assert digest.quantile(0.5) == pytest.approx(EDGES[0] / 2)
 
     def test_spread_observations(self):
-        histogram = self.build()
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        assert histogram.quantile(0.0) <= 0.1
-        assert 0.1 < histogram.quantile(0.5) <= 1.0
-        assert 1.0 < histogram.quantile(1.0) <= 10.0
+        digest = self.build()
+        digest.observe_many([0.05, 0.5, 0.5, 5.0])
+        assert digest.quantile(0.0) == 0.05
+        assert 0.1 < digest.quantile(0.5) <= 1.0
+        assert digest.quantile(1.0) == 5.0
 
 
 class TestLoadMetrics:
@@ -324,8 +349,8 @@ class TestLoadMetrics:
         registry.counter("rule_seconds_total", rule="parse").inc(0.5)
         registry.gauge("workers").set(4)
         registry.gauge("peak_queue", merge="max").set(7)
-        registry.histogram("chunk_seconds", buckets=(0.01, 0.1, 1.0)).observe(0.05)
-        registry.histogram("custom", buckets=(2.0, 4.0)).observe(3.0)
+        registry.histogram("chunk_seconds").observe(0.05)
+        registry.histogram("stage_seconds", stage="parse").observe(3.0)
         return registry
 
     def test_json_round_trip_via_files(self, tmp_path):
@@ -337,11 +362,30 @@ class TestLoadMetrics:
         assert clone.value("rule_seconds_total", rule="parse") == 0.5
         assert clone.value("workers") == 4
         assert clone.gauge("peak_queue").merge_mode == "max"
-        assert clone.histogram(
-            "chunk_seconds", buckets=(0.01, 0.1, 1.0)
-        ).bucket_counts == [0, 1, 0, 0]
-        assert clone.histogram("custom", buckets=(2.0, 4.0)).count == 1
+        assert clone.histogram("chunk_seconds").digest == (
+            registry.histogram("chunk_seconds").digest
+        )
+        assert clone.histogram("stage_seconds", stage="parse").digest.max_value == 3.0
         assert clone.render_prometheus() == registry.render_prometheus()
+
+    def test_old_fixed_bucket_form_rejected(self, tmp_path):
+        target = tmp_path / "old.json"
+        target.write_text(json.dumps({"metrics": [{
+            "name": "repro_engine_chunk_seconds", "kind": "histogram",
+            "labels": {}, "buckets": [0.1, 1.0], "counts": [1, 0, 0],
+            "sum": 0.05, "count": 1,
+        }]}))
+        with pytest.raises(ValueError, match="fixed-bucket"):
+            load_metrics(target)
+
+    def test_malformed_digest_rejected(self, tmp_path):
+        snapshot = self.build().to_json()
+        entry = next(e for e in snapshot["metrics"] if e["kind"] == "histogram")
+        entry["digest"]["count"] += 1
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(snapshot))
+        with pytest.raises(ValueError, match="sum"):
+            load_metrics(target)
 
     def test_prometheus_suffixes_rejected(self, tmp_path):
         registry = self.build()

@@ -1,4 +1,5 @@
-"""QuantileDigest: monoid laws (hypothesis), accuracy, serialization.
+"""QuantileDigest: monoid laws (hypothesis), accuracy, ``le`` edges,
+serialization and validation of loaded digests.
 
 Mirrors the :class:`PathAccumulator` suite in test_runtime_merge.py:
 the engine ships one digest per chunk and merges parent-side, so any
@@ -11,15 +12,19 @@ is compared with ``pytest.approx``.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import (
-    DEFAULT_BUCKETS_PER_DECADE,
+    BUCKET_COUNT,
+    EDGES,
     QuantileDigest,
+    bucket_index,
     merge_digest_maps,
 )
 
@@ -42,7 +47,6 @@ def from_values(values) -> QuantileDigest:
 
 def assert_equivalent(a: QuantileDigest, b: QuantileDigest) -> None:
     """Exact on everything quantile() reads, approx on the float sum."""
-    assert a.layout() == b.layout()
     assert a.counts == b.counts
     assert a.count == b.count
     assert a.min_value == b.min_value
@@ -80,12 +84,6 @@ class TestMonoidLaws:
         a.merge(b)
         assert a == a_before
         assert b == b_before
-
-    def test_layout_mismatch_rejected(self):
-        a = QuantileDigest()
-        b = QuantileDigest(buckets_per_decade=4)
-        with pytest.raises(ValueError):
-            a.update(b)
 
 
 class TestPartitionEquivalence:
@@ -164,14 +162,51 @@ class TestQuantileAccuracy:
     def test_overflow_clamps_to_last_bucket(self):
         digest = QuantileDigest()
         digest.observe(1e12)
-        assert digest.counts == {digest.bucket_count - 1: 1}
+        assert digest.counts == {BUCKET_COUNT - 1: 1}
         assert digest.quantile(1.0) == 1e12  # exact max survives
 
     def test_relative_error_matches_layout(self):
         digest = QuantileDigest()
-        expected = 10.0 ** (1.0 / DEFAULT_BUCKETS_PER_DECADE) - 1.0
-        assert digest.relative_error == pytest.approx(expected)
+        for low, high in zip(EDGES, EDGES[1:]):
+            assert high / low - 1.0 == pytest.approx(digest.relative_error)
         assert digest.relative_error < 0.16
+
+
+class TestLeEdges:
+    """The layout's edges are inclusive upper bounds, as Prometheus
+    ``le`` requires: the registry publishes them as ``le`` labels."""
+
+    def test_layout_shape(self):
+        assert len(EDGES) == 191
+        assert BUCKET_COUNT == 192
+        assert list(EDGES) == sorted(set(EDGES))
+        assert EDGES[0] == pytest.approx(1e-6 * 10 ** (1 / 16))
+        # Decade edges are exact, so their `le` labels read cleanly.
+        assert {1e-5, 1e-3, 0.01, 0.1, 1.0, 10.0} <= set(EDGES)
+
+    def test_every_edge_lands_in_its_own_bucket(self):
+        for index, edge in enumerate(EDGES):
+            digest = QuantileDigest()
+            digest.observe(edge)
+            assert digest.counts == {index: 1}, edge
+            assert bucket_index(math.nextafter(edge, math.inf)) == index + 1
+            assert bucket_index(math.nextafter(edge, 0.0)) == index
+
+    @given(st.lists(latencies, max_size=40))
+    @settings(max_examples=40)
+    def test_cumulative_le_count_is_observations_at_or_below_edge(self, values):
+        values = values + [EDGES[3], EDGES[100], EDGES[-1]]
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h")
+        for value in values:
+            histogram.observe(value)
+        lines = registry.render_prometheus().splitlines()
+        buckets = [line for line in lines if line.startswith("h_bucket")]
+        assert len(buckets) == len(EDGES) + 1
+        for edge, line in zip(EDGES, buckets):
+            assert line.startswith(f'h_bucket{{le="{edge!r}"}} ')
+            assert int(line.rsplit(" ", 1)[1]) == sum(v <= edge for v in values)
+        assert buckets[-1] == f'h_bucket{{le="+Inf"}} {len(values)}'
 
 
 class TestSerialization:
@@ -196,8 +231,53 @@ class TestSerialization:
         assert summary["max"] == 0.1
         assert 0.001 <= summary["p50"] <= 0.1
 
-    def test_invalid_layout_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileDigest(lo=0.0)
-        with pytest.raises(ValueError):
-            QuantileDigest(buckets_per_decade=0)
+    def test_wire_forms_carry_no_layout(self):
+        digest = from_values([0.001, 0.5])
+        assert set(digest.to_json()) == {
+            "indices", "counts", "count", "total", "min", "max"
+        }
+        assert len(digest.__getstate__()) == 6
+
+
+class TestLoadedDigestValidation:
+    """A digest read from a file is checked: ``from_json`` raises
+    ``ValueError`` for any state no observe sequence produces."""
+
+    def saved(self):
+        return from_values([0.001, 0.001, 0.5]).to_json()
+
+    def test_valid_digest_loads(self):
+        assert QuantileDigest.from_json(self.saved()) == from_values(
+            [0.001, 0.001, 0.5]
+        )
+
+    @pytest.mark.parametrize("index", [-1, BUCKET_COUNT, 10_000])
+    def test_index_outside_layout_rejected(self, index):
+        data = self.saved()
+        data["indices"][0] = index
+        with pytest.raises(ValueError, match="outside"):
+            QuantileDigest.from_json(data)
+
+    def test_repeated_index_rejected(self):
+        data = self.saved()
+        data["indices"][1] = data["indices"][0]
+        with pytest.raises(ValueError, match="repeats"):
+            QuantileDigest.from_json(data)
+
+    def test_negative_count_rejected(self):
+        data = self.saved()
+        data["counts"] = [3, -1]
+        with pytest.raises(ValueError, match="negative"):
+            QuantileDigest.from_json(data)
+
+    def test_mismatched_lengths_rejected(self):
+        data = self.saved()
+        data["counts"].append(1)
+        with pytest.raises(ValueError, match="indices"):
+            QuantileDigest.from_json(data)
+
+    def test_count_not_sum_of_counts_rejected(self):
+        data = self.saved()
+        data["count"] = 4
+        with pytest.raises(ValueError, match="sum"):
+            QuantileDigest.from_json(data)

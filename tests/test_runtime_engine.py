@@ -153,8 +153,27 @@ class TestEngineStats:
         snapshot = json.loads(result.stats.registry.render_json())
         restored = EngineStats.from_registry(MetricsRegistry.from_json(snapshot))
         assert restored.documents == result.stats.documents
-        assert restored.rule_seconds == pytest.approx(result.stats.rule_seconds)
+        assert restored.rule_seconds == result.stats.rule_seconds
         assert restored.summary_rows() == result.stats.summary_rows()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rule_seconds_are_stage_digest_totals(self, kb, corpus_html, workers):
+        """Stage time has one channel: the per-rule seconds are the
+        totals of the registry's stage histograms, exactly."""
+        from repro.runtime.stats import STAGE_SECONDS
+
+        stats = make_engine(kb, workers, chunk_size=4).convert_corpus(
+            corpus_html
+        ).stats
+        assert set(stats.rule_seconds) == {
+            "parse", "tidy", "tokenize", "instance", "group", "consolidate", "root"
+        }
+        for stage, seconds in stats.rule_seconds.items():
+            digest = stats.registry.histogram(STAGE_SECONDS, stage=stage).digest
+            assert seconds == digest.total
+            assert digest.count == len(corpus_html)
+        document = stats.registry.histogram(STAGE_SECONDS, stage="document")
+        assert document.digest.count == stats.documents
 
     def test_streaming_yields_chunks_in_order(self, kb, corpus_html):
         engine = make_engine(kb, 2, chunk_size=3)

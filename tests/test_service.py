@@ -21,6 +21,7 @@ specifically about the process pool, keeping the suite fast.
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import os
 import signal
@@ -67,6 +68,25 @@ def live(kb, tmp_path):
     host, port = server.start()
     yield server, host, port
     server.stop()
+
+
+@pytest.fixture(scope="module")
+def bench_serve():
+    """The benchmark's own ``/metrics`` reader (``perfbench/serve.py``),
+    imported as the benchmark runs it, with its directory on the path."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(root))
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_serve", root / "serve.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(root))
+    return module
 
 
 def fetch(host, port, raw):
@@ -464,6 +484,39 @@ class TestConcurrentLoad:
         text = body.decode("utf-8")
         assert "repro_service_batch_documents" in text
         assert validate_prometheus_text(text) == []
+
+    def test_benchmark_reader_diffs_two_scrapes(self, live, corpus_html, bench_serve):
+        """The benchmark diffs two ``/metrics`` scrapes with its own
+        parser: every histogram must expose the same ``le`` set at both,
+        and the series it reads must move."""
+        _, host, port = live
+
+        def scrape():
+            _, _, body = fetch(host, port, _get("/metrics"))
+            return bench_serve.parse_metrics(body.decode("utf-8"))
+
+        def le_keys(samples):
+            return {key for key in samples if "_bucket{" in key}
+
+        # Warm every series up first, so both scrapes carry all of them.
+        post_json(host, port, "/convert", {"source": corpus_html[0]})
+        before = scrape()
+        for source in corpus_html[1:4]:
+            status, _ = post_json(host, port, "/convert", {"source": source})
+            assert status == 200
+        status, _ = post_json(
+            host, port, "/convert/batch", {"documents": corpus_html[:3]}
+        )
+        assert status == 200
+        after = scrape()
+        assert le_keys(before) and le_keys(before) == le_keys(after)
+        diff = bench_serve.metrics_diff(before, after)
+        assert bench_serve.histogram_quantile(
+            diff, "repro_service_request_seconds", 0.5
+        ) > 0
+        for name in ("repro_service_queue_wait_seconds", "repro_service_batch_documents"):
+            assert diff[f"{name}_count"] > 0, name
+            assert diff[f"{name}_sum"] > 0, name
 
 
 # -- graceful drain ------------------------------------------------------------
