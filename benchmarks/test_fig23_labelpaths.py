@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from repro.dom.node import Element
 from repro.evaluation.report import format_table
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.dataguide import build_dataguide
-from repro.schema.frequent import PathStatistics
 from repro.schema.paths import extract_paths
 
 
@@ -71,7 +71,7 @@ def test_figure23_label_paths(benchmark, capsys):
     union = set()
     for doc in documents:
         union |= doc.paths
-    stats = PathStatistics.from_documents(documents)
+    stats = PathAccumulator.from_documents(documents)
 
     with capsys.disabled():
         print()

@@ -51,10 +51,20 @@ from repro.obs import (
     write_metrics,
     write_trace_jsonl,
 )
-from repro.schema.dtd import derive_dtd
-from repro.schema.frequent import mine_frequent_paths
-from repro.schema.majority import MajoritySchema
-from repro.schema.paths import extract_paths
+from repro.schema.accumulator import PathAccumulator
+from repro.schema.discovery import discover_schema
+
+
+# Printed in place of the DTD when no path clears the thresholds.
+NO_SCHEMA = "no schema derivable"
+
+
+def _fraction(text: str) -> float:
+    """argparse type of the discovery thresholds: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not within [0, 1]")
+    return value
 
 
 def _style_weights(styles: list[str] | None) -> dict[str, float] | None:
@@ -255,6 +265,9 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         print(run.discovery.schema.describe())
         print()
         print(run.discovery.dtd.render())
+    elif args.discover:
+        print()
+        print(NO_SCHEMA)
     return 0
 
 
@@ -271,28 +284,22 @@ def _load_xml_roots(files: list[str]) -> list:
     return roots
 
 
-def _discover_schema(roots, kb, sup: float, ratio: float):
-    documents = [extract_paths(root) for root in roots]
-    frequent = mine_frequent_paths(
-        documents,
-        sup_threshold=sup,
-        ratio_threshold=ratio,
-        constraints=kb.constraints,
-        candidate_labels=kb.concept_tags(),
-    )
-    return MajoritySchema.from_frequent_paths(frequent), documents
-
-
 def _cmd_discover(args: argparse.Namespace) -> int:
     kb = build_resume_knowledge_base()
     roots = _load_xml_roots(args.files)
     if not roots:
         print("no XML documents parsed", file=sys.stderr)
         return 1
-    schema, documents = _discover_schema(roots, kb, args.sup, args.ratio)
+    discovery = discover_schema(
+        PathAccumulator.from_trees(roots), kb,
+        sup_threshold=args.sup, ratio_threshold=args.ratio,
+    )
+    if discovery is None:
+        print(NO_SCHEMA, file=sys.stderr)
+        return 1
+    schema, dtd = discovery.schema, discovery.dtd
     print(schema.describe())
     print()
-    dtd = derive_dtd(schema, documents)
     if args.patterns:
         from repro.schema.patterns import (
             discover_all_group_patterns,
@@ -318,9 +325,15 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     if not roots:
         print("no XML documents parsed", file=sys.stderr)
         return 1
-    schema, documents = _discover_schema(roots, kb, args.sup, args.ratio)
-    dtd = derive_dtd(schema, documents, optional_threshold=args.optional)
-    repository = XMLRepository(dtd)
+    discovery = discover_schema(
+        PathAccumulator.from_trees(roots), kb,
+        sup_threshold=args.sup, ratio_threshold=args.ratio,
+        optional_threshold=args.optional,
+    )
+    if discovery is None:
+        print(NO_SCHEMA, file=sys.stderr)
+        return 1
+    repository = XMLRepository(discovery.dtd)
     for root in roots:
         repository.insert(root)
     target = save_repository(repository, args.out)
@@ -952,8 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also mine the majority schema and print the DTD",
     )
-    engine.add_argument("--sup", type=float, default=0.4)
-    engine.add_argument("--ratio", type=float, default=0.0)
+    engine.add_argument("--sup", type=_fraction, default=0.4)
+    engine.add_argument("--ratio", type=_fraction, default=0.0)
     engine.add_argument(
         "--trace-out",
         default="",
@@ -1042,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     disc = sub.add_parser("discover", help="discover majority schema + DTD")
     disc.add_argument("files", nargs="+")
-    disc.add_argument("--sup", type=float, default=0.4)
-    disc.add_argument("--ratio", type=float, default=0.0)
+    disc.add_argument("--sup", type=_fraction, default=0.4)
+    disc.add_argument("--ratio", type=_fraction, default=0.0)
     disc.add_argument(
         "--patterns",
         action="store_true",
@@ -1055,9 +1068,9 @@ def build_parser() -> argparse.ArgumentParser:
         "integrate", help="discover a DTD, conform documents, save a repository"
     )
     integ.add_argument("files", nargs="+")
-    integ.add_argument("--sup", type=float, default=0.4)
-    integ.add_argument("--ratio", type=float, default=0.0)
-    integ.add_argument("--optional", type=float, default=0.9)
+    integ.add_argument("--sup", type=_fraction, default=0.4)
+    integ.add_argument("--ratio", type=_fraction, default=0.0)
+    integ.add_argument("--optional", type=_fraction, default=0.9)
     integ.add_argument("--out", default="repository")
     integ.set_defaults(func=_cmd_integrate)
 
@@ -1158,9 +1171,9 @@ def build_parser() -> argparse.ArgumentParser:
         "init", help="create an evolution state directory"
     )
     einit.add_argument("state", help="state directory to create")
-    einit.add_argument("--sup", type=float, default=0.4)
-    einit.add_argument("--ratio", type=float, default=0.0)
-    einit.add_argument("--optional", type=float, default=None)
+    einit.add_argument("--sup", type=_fraction, default=0.4)
+    einit.add_argument("--ratio", type=_fraction, default=0.0)
+    einit.add_argument("--optional", type=_fraction, default=None)
     einit.add_argument(
         "--compaction-ratio",
         type=float,

@@ -92,7 +92,7 @@ def run_scaling_experiment(
     chunk_size: int = 16,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> ScalingReport:
-    """Time the full pipeline (convert + mine) at each corpus size.
+    """Time the full pipeline (convert + discover) at each corpus size.
 
     Documents are generated outside the timed region; the clock covers
     exactly what the paper timed (restructuring + schema discovery).
@@ -116,7 +116,7 @@ def run_scaling_experiment(
         with tracer.span("scaling.point", documents=size) as point_span:
             started = time.perf_counter()
             result = engine.convert_corpus(corpus, tracer=tracer)
-            engine.mine(
+            engine.discover(
                 result.accumulator, sup_threshold=sup_threshold, tracer=tracer
             )
             elapsed = time.perf_counter() - started

@@ -61,10 +61,8 @@ from repro.runtime.faults import (
 from repro.runtime.pool import WorkerPool, chunked, resolve_workers
 from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
+from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.paths import extract_paths
-from repro.schema.dtd import DTD, derive_dtd
-from repro.schema.frequent import FrequentPathSet, mine_frequent_paths
-from repro.schema.majority import MajoritySchema
 
 
 @dataclass
@@ -238,15 +236,6 @@ class CorpusResult:
     accumulator: PathAccumulator
     stats: EngineStats
     failures: list[DocumentFailure] = field(default_factory=list)
-
-
-@dataclass
-class DiscoveryResult:
-    """Outcome of schema discovery over accumulated statistics."""
-
-    frequent: FrequentPathSet
-    schema: MajoritySchema
-    dtd: DTD
 
 
 @dataclass
@@ -698,31 +687,6 @@ class CorpusEngine:
 
     # -- discovery -----------------------------------------------------------
 
-    def mine(
-        self,
-        accumulator: PathAccumulator,
-        *,
-        sup_threshold: float = 0.4,
-        ratio_threshold: float = 0.0,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> FrequentPathSet:
-        """Frequent-path mining over accumulated statistics, using the
-        topic's constraints and concept alphabet."""
-        tracer = resolve_tracer(tracer)
-        with tracer.span("discover.mine_frequent") as span:
-            frequent = mine_frequent_paths(
-                accumulator,
-                sup_threshold=sup_threshold,
-                ratio_threshold=ratio_threshold,
-                constraints=self.kb.constraints,
-                candidate_labels=self.kb.concept_tags(),
-            )
-            span.set(
-                frequent_paths=len(frequent.paths),
-                nodes_explored=frequent.nodes_explored,
-            )
-        return frequent
-
     def discover(
         self,
         accumulator: PathAccumulator,
@@ -731,25 +695,17 @@ class CorpusEngine:
         ratio_threshold: float = 0.0,
         optional_threshold: float | None = None,
         tracer: Tracer | NullTracer | None = None,
-    ) -> DiscoveryResult:
-        """Majority schema + DTD from accumulated statistics alone."""
-        tracer = resolve_tracer(tracer)
-        frequent = self.mine(
+    ) -> DiscoveryResult | None:
+        """Majority schema + DTD from accumulated statistics alone, with
+        this engine's knowledge base (see :func:`discover_schema`)."""
+        return discover_schema(
             accumulator,
+            self.kb,
             sup_threshold=sup_threshold,
             ratio_threshold=ratio_threshold,
-            tracer=tracer,
-        )
-        with tracer.span("discover.majority_schema") as span:
-            schema = MajoritySchema.from_frequent_paths(frequent)
-            span.set(elements=schema.element_count())
-        dtd = derive_dtd(
-            schema,
-            accumulator,
             optional_threshold=optional_threshold,
             tracer=tracer,
         )
-        return DiscoveryResult(frequent=frequent, schema=schema, dtd=dtd)
 
     def run(
         self,
@@ -779,11 +735,10 @@ class CorpusEngine:
                 names=names,
             )
             discovery = None
-            # Schema discovery needs surviving documents: an empty corpus
-            # -- or one where the error policy dropped *every* document --
-            # yields discovery=None rather than mining an empty
-            # accumulator into a degenerate schema.
-            if discover and corpus.stats.documents:
+            # An empty corpus -- or one where the error policy dropped
+            # *every* document, or whose paths all miss the thresholds --
+            # yields discovery=None: there is no schema to derive.
+            if discover:
                 discovery = self.discover(
                     corpus.accumulator,
                     sup_threshold=sup_threshold,

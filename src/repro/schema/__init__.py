@@ -10,6 +10,8 @@
 * :mod:`repro.schema.ordering` -- the DTD ordering rule.
 * :mod:`repro.schema.repetition` -- the repetitive-elements rule.
 * :mod:`repro.schema.dtd` -- the DTD model and its derivation/rendering.
+* :mod:`repro.schema.discovery` -- :func:`discover_schema`, the one
+  mine -> majority schema -> DTD sequence every discovery runs.
 * :mod:`repro.schema.dataguide` / :mod:`repro.schema.lowerbound` -- the
   upper/lower-bound baselines the paper positions itself against.
 * :mod:`repro.schema.unify` -- unification of similar schema components
@@ -29,9 +31,10 @@ from repro.schema.evolution import (
     FoldOutcome,
 )
 from repro.schema.dataguide import build_dataguide
+from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.dtd import DTD, DTDElement, derive_dtd
 from repro.schema.diff import diff_schemas, schema_stability
-from repro.schema.frequent import FrequentPathSet, PathStatistics, mine_frequent_paths
+from repro.schema.frequent import FrequentPathSet, mine_frequent_paths
 from repro.schema.homonyms import homonym_contexts, homonym_labels
 from repro.schema.index import PathIndex
 from repro.schema.lowerbound import build_lower_bound_schema
@@ -58,7 +61,6 @@ __all__ = [
     "CheckpointInfo",
     "EvolvingSchema",
     "FoldOutcome",
-    "PathStatistics",
     "FrequentPathSet",
     "mine_frequent_paths",
     "MajoritySchema",
@@ -66,6 +68,8 @@ __all__ = [
     "DTD",
     "DTDElement",
     "derive_dtd",
+    "DiscoveryResult",
+    "discover_schema",
     "build_dataguide",
     "build_lower_bound_schema",
     "unify_schema",

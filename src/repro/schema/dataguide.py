@@ -8,7 +8,8 @@ quantifies that by comparing schema sizes and repair costs.
 
 from __future__ import annotations
 
-from repro.schema.frequent import FrequentPathSet, PathStatistics
+from repro.schema.accumulator import PathAccumulator
+from repro.schema.frequent import FrequentPathSet
 from repro.schema.majority import MajoritySchema
 from repro.schema.paths import DocumentPaths, LabelPath
 
@@ -19,7 +20,7 @@ def build_dataguide(documents: list[DocumentPaths]) -> MajoritySchema:
     Construction is a single pass over the union of the documents' path
     sets -- no mining is needed because membership is the only criterion.
     """
-    statistics = PathStatistics.from_documents(documents)
+    statistics = PathAccumulator.from_documents(documents)
     paths: set[LabelPath] = set(statistics.doc_frequency)
     if not paths:
         raise ValueError("empty corpus")

@@ -31,7 +31,6 @@ from repro.schema.repetition import (
     DEFAULT_MULT_THRESHOLD,
     DEFAULT_REP_THRESHOLD,
     is_repetitive,
-    presence_fraction,
 )
 
 
@@ -198,27 +197,29 @@ def derive_dtd(
     mult_threshold: float = DEFAULT_MULT_THRESHOLD,
     optional_threshold: float | None = None,
     lowercase_names: bool = True,
-    index=None,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> DTD:
     """Derive a DTD from a majority schema (Section 3.3).
 
-    ``documents`` may be the materialized corpus path sets or a merged
-    :class:`~repro.schema.accumulator.PathAccumulator`; the ordering,
-    repetition, and presence statistics agree between the two sources.
+    ``documents`` is a :class:`~repro.schema.accumulator.PathAccumulator`,
+    or the materialized corpus path sets, accumulated once here; the
+    ordering, repetition and presence statistics are all read from it.
     ``optional_threshold`` enables the optional-element extension the
     paper mentions: a child present in fewer than that fraction of its
     parent's documents is marked ``?`` (``*`` when also repetitive).  The
     default ``None`` reproduces the paper exactly: "no element should be
     optional".  ``lowercase_names`` maps concept tags (upper-case in the
     XML documents) to the lower-case names the paper's DTD uses.
-    ``index`` (a :class:`repro.schema.index.PathIndex` over the same
-    corpus) accelerates the ordering rule as Section 3.3 suggests.
     ``tracer`` records the derivation as a ``discover.derive_dtd`` span
     with a nested ``discover.repetition_ordering`` span covering the
     per-node repetition/ordering rule work.
     """
     tracer = resolve_tracer(tracer)
+    statistics = (
+        documents
+        if isinstance(documents, PathAccumulator)
+        else PathAccumulator.from_documents(documents)
+    )
 
     def dtd_name(label: str) -> str:
         return label.lower() if lowercase_names else label
@@ -230,17 +231,14 @@ def derive_dtd(
             queue: list[SchemaNode] = [schema.root]
             while queue:
                 node = queue.pop(0)
-                labels = list(node.children)
-                if index is not None:
-                    order = ordered_labels(node.path, labels, index=index)
-                else:
-                    order = ordered_labels(node.path, labels, documents=documents)
                 particles: list[ContentParticle] = []
-                for label in order:
+                for label in ordered_labels(
+                    statistics, node.path, list(node.children)
+                ):
                     child_path = node.path + (label,)
                     multiplicity = Multiplicity.ONE
                     if is_repetitive(
-                        documents,
+                        statistics,
                         child_path,
                         rep_threshold=rep_threshold,
                         mult_threshold=mult_threshold,
@@ -248,7 +246,7 @@ def derive_dtd(
                         multiplicity = Multiplicity.PLUS
                     if (
                         optional_threshold is not None
-                        and presence_fraction(documents, child_path)
+                        and statistics.presence_fraction(child_path)
                         < optional_threshold
                     ):
                         multiplicity = multiplicity.combine(Multiplicity.OPTIONAL)

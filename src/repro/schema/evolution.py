@@ -48,9 +48,8 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.diff import SchemaDiff, diff_path_supports
-from repro.schema.dtd import DTD, derive_dtd
-from repro.schema.frequent import mine_frequent_paths
-from repro.schema.majority import MajoritySchema
+from repro.schema.discovery import discover_schema
+from repro.schema.dtd import DTD
 from repro.schema.paths import LabelPath
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -567,13 +566,20 @@ class EvolvingSchema:
             bumped=False,
             derived=False,
         )
-        derived = self._derive(accumulated)
-        if derived is not None:
-            schema, dtd = derived
+        discovery = discover_schema(
+            accumulated,
+            self.kb,
+            sup_threshold=self.sup_threshold,
+            ratio_threshold=self.ratio_threshold,
+            optional_threshold=self.optional_threshold,
+        )
+        if discovery is not None:
+            dtd = discovery.dtd
             outcome.derived = True
             outcome.dtd = dtd
             new_supports = {
-                path: schema.frequent.support(path) for path in schema.paths()
+                path: discovery.frequent.support(path)
+                for path in discovery.schema.paths()
             }
             diff = diff_path_supports(self._schema_supports, new_supports)
             outcome.diff = diff
@@ -602,28 +608,6 @@ class EvolvingSchema:
             self.save_state()
         self._record_metrics(outcome)
         return outcome
-
-    def _derive(
-        self, accumulated: PathAccumulator
-    ) -> tuple[MajoritySchema, DTD] | None:
-        """Mining + DTD derivation over the merged statistics; ``None``
-        while nothing clears the thresholds (e.g. an empty stream)."""
-        if accumulated.document_count == 0:
-            return None
-        frequent = mine_frequent_paths(
-            accumulated,
-            sup_threshold=self.sup_threshold,
-            ratio_threshold=self.ratio_threshold,
-            constraints=self.kb.constraints,
-            candidate_labels=self.kb.concept_tags(),
-        )
-        if not frequent.paths:
-            return None
-        schema = MajoritySchema.from_frequent_paths(frequent)
-        dtd = derive_dtd(
-            schema, accumulated, optional_threshold=self.optional_threshold
-        )
-        return schema, dtd
 
     def _record_metrics(self, outcome: FoldOutcome) -> None:
         if self.registry is None:

@@ -18,66 +18,20 @@ does not satisfy supThreshold, all its superpaths need not be
 considered"), and concept constraints prune candidate paths before any
 counting (Section 4.2).  The number of candidate nodes explored is
 reported for the search-space experiment.
+
+The statistics are a :class:`~repro.schema.accumulator.PathAccumulator`,
+the one corpus-statistics type of Section 3; a list of per-document path
+sets is accumulated once on entry, and the mined
+:class:`FrequentPathSet` keeps the accumulator for later support queries.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.concepts.constraints import ConstraintSet
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.paths import DocumentPaths, LabelPath
-
-
-@dataclass
-class PathStatistics:
-    """Corpus-level support statistics for label paths."""
-
-    document_count: int
-    doc_frequency: Counter[LabelPath] = field(default_factory=Counter)
-
-    @classmethod
-    def from_documents(cls, documents: list[DocumentPaths]) -> "PathStatistics":
-        """Count, for every label path, the documents realizing it."""
-        stats = cls(document_count=len(documents))
-        for doc in documents:
-            stats.doc_frequency.update(doc.paths)
-        return stats
-
-    @classmethod
-    def from_accumulator(cls, accumulator: PathAccumulator) -> "PathStatistics":
-        """View merged incremental statistics as mining statistics.
-
-        The frequency counter is shared, not copied -- accumulators are
-        treated as frozen once mining starts.
-        """
-        return cls(
-            document_count=accumulator.document_count,
-            doc_frequency=accumulator.doc_frequency,
-        )
-
-    def support(self, path: LabelPath) -> float:
-        """``freq(p, S) / |D|`` in ``[0, 1]``."""
-        if self.document_count == 0:
-            return 0.0
-        return self.doc_frequency[path] / self.document_count
-
-    def support_ratio(self, path: LabelPath) -> float:
-        """``support(p) / support(parent(p))``; 1.0 for the root path."""
-        if len(path) <= 1:
-            return 1.0
-        parent_support = self.support(path[:-1])
-        if parent_support == 0.0:
-            return 0.0
-        return self.support(path) / parent_support
-
-    def observed_labels(self) -> set[str]:
-        """All labels occurring anywhere in the corpus paths."""
-        labels: set[str] = set()
-        for path in self.doc_frequency:
-            labels.update(path)
-        return labels
 
 
 @dataclass
@@ -92,7 +46,7 @@ class FrequentPathSet:
     """
 
     paths: set[LabelPath]
-    statistics: PathStatistics
+    statistics: PathAccumulator
     sup_threshold: float
     ratio_threshold: float
     nodes_explored: int = 0
@@ -128,12 +82,10 @@ def mine_frequent_paths(
 ) -> FrequentPathSet:
     """Mine the frequent label paths of a corpus.
 
-    ``documents`` is either a list of per-document path sets or a
-    :class:`~repro.schema.accumulator.PathAccumulator` of merged
-    incremental statistics; both yield identical results because mining
-    only consumes document frequencies.  ``candidate_labels`` is the
-    alphabet used to extend prefixes; it defaults to the labels observed
-    in the corpus.  Constraint checking
+    ``documents`` is a :class:`~repro.schema.accumulator.PathAccumulator`,
+    or a list of per-document path sets that is accumulated once here.
+    ``candidate_labels`` is the alphabet used to extend prefixes; it
+    defaults to the labels observed in the corpus.  Constraint checking
     receives the path *without* its root label (the root concept is not a
     constrained depth level).  With ``extend_zero_support=True`` the miner
     mimics pure constraint-based enumeration: every constraint-admissible
@@ -143,9 +95,9 @@ def mine_frequent_paths(
     ``max_length``) to terminate.
     """
     statistics = (
-        PathStatistics.from_accumulator(documents)
+        documents
         if isinstance(documents, PathAccumulator)
-        else PathStatistics.from_documents(documents)
+        else PathAccumulator.from_documents(documents)
     )
     labels = (
         sorted(candidate_labels)
@@ -159,11 +111,8 @@ def mine_frequent_paths(
             "(constraints.max_depth or max_length)"
         )
 
-    # Roots: every label observed at the root of some document (the
-    # length-1 paths of the frequency table, however it was built).
-    root_labels = sorted(
-        {path[0] for path in statistics.doc_frequency if len(path) == 1}
-    )
+    # Roots: every label observed at the root of some document.
+    root_labels = statistics.root_labels()
     if not root_labels:
         root_labels = labels[:1]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.schema.frequent import PathStatistics
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.paths import DocumentPaths, LabelPath
 
 
@@ -48,7 +48,7 @@ def homonym_contexts(
     documents: list[DocumentPaths], label: str, *, min_support: float = 0.0
 ) -> list[HomonymContext]:
     """All contexts of ``label`` across the corpus, by falling support."""
-    statistics = PathStatistics.from_documents(documents)
+    statistics = PathAccumulator.from_documents(documents)
     contexts: dict[LabelPath, HomonymContext] = {}
     for path in statistics.doc_frequency:
         if path[-1] != label:
@@ -69,7 +69,7 @@ def homonym_labels(
 ) -> dict[str, int]:
     """Labels occurring under at least ``min_contexts`` distinct parents,
     with their context counts -- the corpus's homonyms."""
-    statistics = PathStatistics.from_documents(documents)
+    statistics = PathAccumulator.from_documents(documents)
     parents: dict[str, set[str]] = {}
     for path in statistics.doc_frequency:
         if len(path) >= 2:

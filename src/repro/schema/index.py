@@ -8,11 +8,13 @@ built while the set paths is computed for each XML document."
 
 :class:`PathIndex` is that structure: one traversal per document records,
 for every label path, pointers to the concrete element nodes realizing
-it together with their child positions.  It serves three consumers:
+it together with their child positions.
 
-* the ordering rule (average child positions without re-walking trees),
-* support computation (document frequency per path),
-* repository queries (direct node access by label path).
+It serves repository lookups only:
+:meth:`repro.mapping.repository.XMLRepository.path_index` and
+``query_path`` reach stored nodes directly by label path.  Schema discovery does not
+read it -- the ordering rule's average positions, like support and
+multiplicity, come from :class:`~repro.schema.accumulator.PathAccumulator`.
 """
 
 from __future__ import annotations
@@ -81,34 +83,6 @@ class PathIndex:
     def occurrence_count(self, path: LabelPath) -> int:
         """Total occurrences (node realizations) of ``path``."""
         return len(self.entries.get(path, ()))
-
-    def documents_containing(self, path: LabelPath) -> set[int]:
-        """Ids of the documents realizing ``path``."""
-        return {entry.doc_id for entry in self.entries.get(path, ())}
-
-    def document_frequency(self, path: LabelPath) -> int:
-        """Number of documents realizing ``path``."""
-        return len(self.documents_containing(path))
-
-    def support(self, path: LabelPath) -> float:
-        """Document frequency normalized by corpus size."""
-        if self.document_count == 0:
-            return 0.0
-        return self.document_frequency(path) / self.document_count
-
-    def avg_position(self, path: LabelPath) -> float:
-        """Mean of per-document average child positions of ``path``.
-
-        Matches the ordering rule's statistic: each document first
-        averages its own realizations, then documents average equally.
-        """
-        by_doc: dict[int, list[int]] = {}
-        for entry in self.entries.get(path, ()):
-            by_doc.setdefault(entry.doc_id, []).append(entry.position)
-        if not by_doc:
-            return float("inf")
-        per_doc = [sum(p) / len(p) for p in by_doc.values()]
-        return sum(per_doc) / len(per_doc)
 
     def paths_with_prefix(self, prefix: LabelPath) -> list[LabelPath]:
         """All indexed paths extending ``prefix`` (the prefix included

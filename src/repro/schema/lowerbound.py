@@ -8,14 +8,15 @@ quantifies the information it loses.
 
 from __future__ import annotations
 
-from repro.schema.frequent import FrequentPathSet, PathStatistics
+from repro.schema.accumulator import PathAccumulator
+from repro.schema.frequent import FrequentPathSet
 from repro.schema.majority import MajoritySchema
 from repro.schema.paths import DocumentPaths, LabelPath
 
 
 def build_lower_bound_schema(documents: list[DocumentPaths]) -> MajoritySchema:
     """The schema tree of label paths with support exactly 1."""
-    statistics = PathStatistics.from_documents(documents)
+    statistics = PathAccumulator.from_documents(documents)
     total = statistics.document_count
     paths: set[LabelPath] = {
         path

@@ -4,84 +4,26 @@
 average position an element qi occurs as child of p in the documents
 D^p_XML" -- i.e. only documents containing the prefix ``p`` vote, and
 they vote with the average child position recorded during path
-extraction (the "index structure" of the paper is exactly the
-``avg_position`` table of :class:`repro.schema.paths.DocumentPaths`).
+extraction.  :meth:`~repro.schema.accumulator.PathAccumulator.avg_position`
+holds exactly that average, summed as documents are accumulated, so
+ordering a node's children reads one number per child.
 """
 
 from __future__ import annotations
 
 from repro.schema.accumulator import PathAccumulator
-from repro.schema.majority import SchemaNode
-from repro.schema.paths import DocumentPaths, LabelPath
-
-PathSource = list[DocumentPaths] | PathAccumulator
-
-
-def average_child_positions(
-    documents: PathSource, parent_path: LabelPath, child_labels: list[str]
-) -> dict[str, float]:
-    """Average (over documents containing the child path) of the average
-    child position of each ``child_label`` under ``parent_path``.
-
-    Children never observed in any document (possible only for an empty
-    corpus) default to position ``inf`` so they sort last.
-    """
-    if isinstance(documents, PathAccumulator):
-        return {
-            label: documents.avg_position(parent_path + (label,))
-            for label in child_labels
-        }
-    sums: dict[str, float] = {label: 0.0 for label in child_labels}
-    counts: dict[str, int] = {label: 0 for label in child_labels}
-    for doc in documents:
-        for label in child_labels:
-            child_path = parent_path + (label,)
-            position = doc.avg_position.get(child_path)
-            if position is not None:
-                sums[label] += position
-                counts[label] += 1
-    return {
-        label: (sums[label] / counts[label]) if counts[label] else float("inf")
-        for label in child_labels
-    }
-
-
-def order_children(
-    documents: PathSource, node: SchemaNode
-) -> list[SchemaNode]:
-    """The children of a schema node in DTD content-model order.
-
-    Ties on average position break alphabetically for determinism.
-    """
-    labels = list(node.children)
-    positions = average_child_positions(documents, node.path, labels)
-    return [
-        node.children[label]
-        for label in sorted(labels, key=lambda lb: (positions[lb], lb))
-    ]
+from repro.schema.paths import LabelPath
 
 
 def ordered_labels(
-    parent_path: LabelPath,
-    labels: list[str],
-    *,
-    documents: PathSource | None = None,
-    index=None,
+    statistics: PathAccumulator, parent_path: LabelPath, labels: list[str]
 ) -> list[str]:
-    """Labels in content-model order, from either statistics source.
+    """``labels`` (children of ``parent_path``) in content-model order.
 
-    ``index`` (a :class:`repro.schema.index.PathIndex`) answers average
-    positions in O(occurrences of the child path) without re-touching
-    the documents -- the "efficient computation of an ordering" the
-    paper attributes to the index structure.  Exactly one of
-    ``documents``/``index`` must be provided.
+    Ties on average position break alphabetically for determinism; a
+    child never observed sorts last (its average is ``inf``).
     """
-    if (documents is None) == (index is None):
-        raise ValueError("provide exactly one of documents or index")
-    if index is not None:
-        positions = {
-            label: index.avg_position(parent_path + (label,)) for label in labels
-        }
-    else:
-        positions = average_child_positions(documents, parent_path, labels)
-    return sorted(labels, key=lambda lb: (positions[lb], lb))
+    return sorted(
+        labels,
+        key=lambda label: (statistics.avg_position(parent_path + (label,)), label),
+    )

@@ -13,50 +13,27 @@ where ``D^p_XML`` are the documents containing ``p``.  ``e`` is rendered
 "empirical studies prove the value 3 to be useful" for ``repThreshold``
 (also observed by XTRACT [17]).
 
-The same multiplicity bookkeeping supports *optional* elements when a
-deployment wants them: :func:`presence_fraction` reports how many
-documents containing the parent actually contain the child, and the DTD
-deriver can mark low-presence children ``e?``.
+Both fractions are read from a
+:class:`~repro.schema.accumulator.PathAccumulator`:
+:meth:`~repro.schema.accumulator.PathAccumulator.multiplicity_fraction`
+is ``mult(e)``, and
+:meth:`~repro.schema.accumulator.PathAccumulator.presence_fraction` --
+how many documents containing the parent contain the child -- lets the
+DTD deriver mark low-presence children ``e?`` when a deployment wants
+optional elements.
 """
 
 from __future__ import annotations
 
 from repro.schema.accumulator import PathAccumulator
-from repro.schema.paths import DocumentPaths, LabelPath
+from repro.schema.paths import LabelPath
 
 DEFAULT_REP_THRESHOLD = 3
 DEFAULT_MULT_THRESHOLD = 0.5
 
-# Every corpus-level question below answers from either a materialized
-# list of per-document path sets or merged incremental statistics.
-PathSource = list[DocumentPaths] | PathAccumulator
-
-
-def rep(document: DocumentPaths, path: LabelPath, rep_threshold: int) -> int:
-    """``rep(T_D, p)``: 1 when the document realizes ``path`` with at
-    least ``rep_threshold`` same-label siblings, else 0."""
-    return 1 if document.multiplicity.get(path, 0) >= rep_threshold else 0
-
-
-def multiplicity_fraction(
-    documents: PathSource,
-    path: LabelPath,
-    *,
-    rep_threshold: int = DEFAULT_REP_THRESHOLD,
-) -> float:
-    """``mult(e)``: the fraction of path-containing documents in which
-    the path's tail is repetitive."""
-    if isinstance(documents, PathAccumulator):
-        return documents.multiplicity_fraction(path, rep_threshold=rep_threshold)
-    containing = [doc for doc in documents if doc.contains(path)]
-    if not containing:
-        return 0.0
-    repetitive = sum(rep(doc, path, rep_threshold) for doc in containing)
-    return repetitive / len(containing)
-
 
 def is_repetitive(
-    documents: PathSource,
+    statistics: PathAccumulator,
     path: LabelPath,
     *,
     rep_threshold: int = DEFAULT_REP_THRESHOLD,
@@ -65,27 +42,6 @@ def is_repetitive(
     """Whether the tail element of ``path`` should be rendered ``e+``."""
     if rep_threshold <= 1:
         raise ValueError("repThreshold must be greater than 1 for e to be repetitive")
-    return multiplicity_fraction(
-        documents, path, rep_threshold=rep_threshold
+    return statistics.multiplicity_fraction(
+        path, rep_threshold=rep_threshold
     ) > mult_threshold
-
-
-def presence_fraction(
-    documents: PathSource, path: LabelPath
-) -> float:
-    """Fraction of documents containing the parent that contain ``path``.
-
-    1.0 means the child accompanies its parent in every document; values
-    below an application-chosen threshold justify an ``e?`` marker.
-    """
-    if isinstance(documents, PathAccumulator):
-        return documents.presence_fraction(path)
-    if len(path) <= 1:
-        containing_parent = documents
-    else:
-        parent = path[:-1]
-        containing_parent = [doc for doc in documents if doc.contains(parent)]
-    if not containing_parent:
-        return 0.0
-    containing = sum(1 for doc in containing_parent if doc.contains(path))
-    return containing / len(containing_parent)

@@ -30,6 +30,83 @@ class TestParser:
         assert not args.discover
 
 
+THRESHOLD_OPTIONS = [
+    (["convert-corpus", "--generate", "2"], "--sup"),
+    (["convert-corpus", "--generate", "2"], "--ratio"),
+    (["discover", "a.xml"], "--sup"),
+    (["discover", "a.xml"], "--ratio"),
+    (["integrate", "a.xml"], "--sup"),
+    (["integrate", "a.xml"], "--ratio"),
+    (["integrate", "a.xml"], "--optional"),
+    (["evolve", "init", "state"], "--sup"),
+    (["evolve", "init", "state"], "--ratio"),
+    (["evolve", "init", "state"], "--optional"),
+]
+
+
+class TestThresholdOptions:
+    @pytest.mark.parametrize("command,option", THRESHOLD_OPTIONS)
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_outside_unit_interval_rejected(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, f"{option}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: {value} is not within [0, 1]" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command,option", THRESHOLD_OPTIONS)
+    def test_unit_interval_bounds_accepted(self, command, option):
+        for value in ("0", "1"):
+            args = build_parser().parse_args([*command, option, value])
+            assert getattr(args, option[2:]) == float(value)
+
+
+def write_two_rooted_corpus(directory):
+    """Two XML documents with different roots: at ``--sup 0.6`` neither
+    root is frequent, so no path clears the thresholds."""
+    files = []
+    for name, root in (("a", "RESUME"), ("b", "CATALOG")):
+        path = directory / f"{name}.xml"
+        path.write_text(f"<{root}><NAME/></{root}>")
+        files.append(str(path))
+    return files
+
+
+class TestNoSchemaDerivable:
+    def test_discover_reports_and_fails(self, tmp_path, capsys):
+        files = write_two_rooted_corpus(tmp_path)
+        assert main(["discover", *files, "--sup", "0.6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "no schema derivable"
+        assert "<!ELEMENT" not in captured.out
+
+    def test_integrate_reports_and_fails(self, tmp_path, capsys):
+        files = write_two_rooted_corpus(tmp_path)
+        store = tmp_path / "store"
+        assert main(["integrate", *files, "--sup", "0.6",
+                     "--out", str(store)]) == 1
+        assert capsys.readouterr().err.strip() == "no schema derivable"
+        assert not store.exists()
+
+    def test_convert_corpus_prints_it_in_place_of_the_dtd(self, tmp_path, capsys):
+        """Every converted resume is rooted at RESUME, so some path always
+        clears a threshold within [0, 1]; what remains is a corpus whose
+        every document failed."""
+        corpus = tmp_path / "corpus"
+        main(["gen-corpus", "--count", "2", "--out", str(corpus)])
+        files = sorted(corpus.glob("*.html"))
+        for path in files:
+            path.write_text(path.read_text() + "<!-- POISON -->")
+        assert main(["convert-corpus", *map(str, files), "--discover",
+                     "--quiet", "--max-workers", "1", "--on-error", "skip",
+                     "--chaos-fail-marker", "POISON"]) == 0
+        out = capsys.readouterr().out
+        assert "Failed documents (2)" in out
+        assert out.rstrip().endswith("no schema derivable")
+        assert "<!ELEMENT" not in out
+
+
 class TestCommands:
     def test_gen_corpus_writes_files(self, tmp_path):
         out = tmp_path / "corpus"

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dom.node import Element
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.dataguide import build_dataguide
-from repro.schema.frequent import PathStatistics, mine_frequent_paths
+from repro.schema.frequent import mine_frequent_paths
 from repro.schema.majority import MajoritySchema
 from repro.schema.paths import extract_paths
 
@@ -37,7 +38,7 @@ class TestSupportProperties:
     @settings(max_examples=50)
     def test_support_in_unit_interval(self, corpus):
         documents = [extract_paths(t) for t in corpus]
-        stats = PathStatistics.from_documents(documents)
+        stats = PathAccumulator.from_documents(documents)
         for path in stats.doc_frequency:
             assert 0.0 < stats.support(path) <= 1.0
 
@@ -46,7 +47,7 @@ class TestSupportProperties:
     def test_support_antimonotone_in_path_length(self, corpus):
         """A path's support never exceeds its prefix's support."""
         documents = [extract_paths(t) for t in corpus]
-        stats = PathStatistics.from_documents(documents)
+        stats = PathAccumulator.from_documents(documents)
         for path in stats.doc_frequency:
             if len(path) > 1:
                 assert stats.support(path) <= stats.support(path[:-1])
@@ -55,7 +56,7 @@ class TestSupportProperties:
     @settings(max_examples=50)
     def test_support_ratio_in_unit_interval(self, corpus):
         documents = [extract_paths(t) for t in corpus]
-        stats = PathStatistics.from_documents(documents)
+        stats = PathAccumulator.from_documents(documents)
         for path in stats.doc_frequency:
             assert 0.0 <= stats.support_ratio(path) <= 1.0
 
@@ -63,7 +64,7 @@ class TestSupportProperties:
     @settings(max_examples=50)
     def test_root_support_is_one(self, corpus):
         documents = [extract_paths(t) for t in corpus]
-        stats = PathStatistics.from_documents(documents)
+        stats = PathAccumulator.from_documents(documents)
         assert stats.support(("ROOT",)) == 1.0
 
 

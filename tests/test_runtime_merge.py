@@ -21,6 +21,7 @@ from repro.dom.node import Element
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.frequent import mine_frequent_paths
 from repro.schema.paths import extract_paths
+from tests.oracles import schema_stats as oracle
 
 tag_names = st.sampled_from(["a", "b", "c", "d"])
 
@@ -149,26 +150,24 @@ class TestStatisticsAgreement:
     @given(corpora)
     @settings(max_examples=50)
     def test_support_and_positions_match_document_lists(self, docs):
-        """Accumulator queries equal the list-based implementations."""
-        from repro.schema.ordering import average_child_positions
-        from repro.schema.repetition import multiplicity_fraction, presence_fraction
-
+        """Accumulator queries equal the list-based oracles exactly."""
         acc = PathAccumulator.from_documents(docs)
         paths = {path for doc in docs for path in doc.paths}
         for path in paths:
-            assert acc.presence_fraction(path) == pytest.approx(
-                presence_fraction(docs, path)
+            assert acc.support(path) == oracle.support(docs, path)
+            assert acc.presence_fraction(path) == oracle.presence_fraction(
+                docs, path
             )
             for threshold in (2, 3):
                 assert acc.multiplicity_fraction(
                     path, rep_threshold=threshold
-                ) == pytest.approx(
-                    multiplicity_fraction(docs, path, rep_threshold=threshold)
+                ) == oracle.multiplicity_fraction(
+                    docs, path, rep_threshold=threshold
                 )
             parent, label = path[:-1], path[-1]
             if parent:
-                expected = average_child_positions(docs, parent, [label])[label]
-                assert acc.avg_position(path) == pytest.approx(expected)
+                expected = oracle.average_child_positions(docs, parent, [label])
+                assert acc.avg_position(path) == expected[label]
 
 
 def assert_wire_round_trip(acc: PathAccumulator) -> None:

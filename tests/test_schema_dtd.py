@@ -10,10 +10,10 @@ from repro.schema.dtd import (
     Multiplicity,
     derive_dtd,
 )
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.frequent import mine_frequent_paths
 from repro.schema.majority import MajoritySchema
-from repro.schema.paths import extract_paths
-from repro.schema.repetition import is_repetitive, multiplicity_fraction
+from repro.schema.repetition import is_repetitive
 
 
 def tree(spec):
@@ -25,12 +25,12 @@ def tree(spec):
 
 
 def corpus(*specs):
-    return [extract_paths(tree(s)) for s in specs]
+    return PathAccumulator.from_trees([tree(s) for s in specs])
 
 
-def schema_for(docs, sup=0.5):
+def schema_for(stats, sup=0.5):
     return MajoritySchema.from_frequent_paths(
-        mine_frequent_paths(docs, sup_threshold=sup)
+        mine_frequent_paths(stats, sup_threshold=sup)
     )
 
 
@@ -52,133 +52,133 @@ class TestMultiplicity:
 class TestRepetitionRule:
     def test_rep_threshold_semantics(self):
         # 3+ same-label siblings in most documents -> repetitive.
-        docs = corpus(
+        stats = corpus(
             ("r", [("e", [("d", []), ("d", []), ("d", [])])]),
             ("r", [("e", [("d", []), ("d", []), ("d", []), ("d", [])])]),
             ("r", [("e", [("d", [])])]),
         )
         path = ("r", "e", "d")
-        assert multiplicity_fraction(docs, path, rep_threshold=3) == pytest.approx(2 / 3)
-        assert is_repetitive(docs, path)
+        assert stats.multiplicity_fraction(path, rep_threshold=3) == 2 / 3
+        assert is_repetitive(stats, path)
 
     def test_below_mult_threshold_not_repetitive(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("e", [("d", []), ("d", []), ("d", [])])]),
             ("r", [("e", [("d", [])])]),
             ("r", [("e", [("d", [])])]),
         )
-        assert not is_repetitive(docs, ("r", "e", "d"))
+        assert not is_repetitive(stats, ("r", "e", "d"))
 
     def test_rep_threshold_must_exceed_one(self):
-        docs = corpus(("r", [("e", [])]))
+        stats = corpus(("r", [("e", [])]))
         with pytest.raises(ValueError):
-            is_repetitive(docs, ("r", "e"), rep_threshold=1)
+            is_repetitive(stats, ("r", "e"), rep_threshold=1)
 
     def test_only_containing_documents_vote(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("e", [("d", []), ("d", []), ("d", [])])]),
             ("r", [("x", [])]),  # does not contain the path at all
         )
-        assert multiplicity_fraction(docs, ("r", "e", "d"), rep_threshold=3) == 1.0
+        assert stats.multiplicity_fraction(("r", "e", "d"), rep_threshold=3) == 1.0
 
 
 class TestOrderingRule:
     def test_children_ordered_by_average_position(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("a", []), ("b", []), ("c", [])]),
             ("r", [("a", []), ("c", []), ("b", [])]),
             ("r", [("a", []), ("b", []), ("c", [])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs)
+        dtd = derive_dtd(schema_for(stats), stats)
         assert [p.name for p in dtd.element("r").particles] == ["a", "b", "c"]
 
     def test_majority_order_wins(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("b", []), ("a", [])]),
             ("r", [("b", []), ("a", [])]),
             ("r", [("a", []), ("b", [])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs)
+        dtd = derive_dtd(schema_for(stats), stats)
         assert [p.name for p in dtd.element("r").particles] == ["b", "a"]
 
 
 class TestDerivation:
     def test_repetitive_marked_plus(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("e", [("d", []), ("d", []), ("d", [])]), ("c", [])]),
             ("r", [("e", [("d", []), ("d", []), ("d", [])]), ("c", [])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs)
+        dtd = derive_dtd(schema_for(stats), stats)
         d_particle = dtd.element("e").particle_for("d")
         assert d_particle.multiplicity is Multiplicity.PLUS
         c_particle = dtd.element("r").particle_for("c")
         assert c_particle.multiplicity is Multiplicity.ONE
 
     def test_leaf_elements_are_pcdata(self):
-        docs = corpus(("r", [("c", [])]), ("r", [("c", [])]))
-        dtd = derive_dtd(schema_for(docs), docs)
+        stats = corpus(("r", [("c", [])]), ("r", [("c", [])]))
+        dtd = derive_dtd(schema_for(stats), stats)
         assert dtd.element("c").is_leaf()
         assert dtd.element("c").render() == "<!ELEMENT c (#PCDATA)>"
 
     def test_names_lowercased_by_default(self):
-        docs = corpus(("R", [("C", [])]), ("R", [("C", [])]))
-        dtd = derive_dtd(schema_for(docs), docs)
+        stats = corpus(("R", [("C", [])]), ("R", [("C", [])]))
+        dtd = derive_dtd(schema_for(stats), stats)
         assert "r" in dtd.elements and "c" in dtd.elements
 
     def test_lowercase_disabled(self):
-        docs = corpus(("R", [("C", [])]), ("R", [("C", [])]))
-        dtd = derive_dtd(schema_for(docs), docs, lowercase_names=False)
+        stats = corpus(("R", [("C", [])]), ("R", [("C", [])]))
+        dtd = derive_dtd(schema_for(stats), stats, lowercase_names=False)
         assert "R" in dtd.elements
 
     def test_optional_extension(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("a", []), ("b", [])]),
             ("r", [("a", []), ("b", [])]),
             ("r", [("a", [])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs, optional_threshold=0.9)
+        dtd = derive_dtd(schema_for(stats), stats, optional_threshold=0.9)
         assert dtd.element("r").particle_for("b").multiplicity is Multiplicity.OPTIONAL
         assert dtd.element("r").particle_for("a").multiplicity is Multiplicity.ONE
 
     def test_same_name_under_two_parents_unified(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("a", [("d", [("x", [])])]), ("b", [("d", [("y", [])])])]),
             ("r", [("a", [("d", [("x", [])])]), ("b", [("d", [("y", [])])])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs)
+        dtd = derive_dtd(schema_for(stats), stats)
         d_children = {p.name for p in dtd.element("d").particles}
         assert d_children == {"x", "y"}
 
 
 class TestRendering:
     def test_paper_style_rendering(self):
-        docs = corpus(
+        stats = corpus(
             ("resume", [("contact", []), ("education", [("degree", []), ("degree", []), ("degree", [])])]),
             ("resume", [("contact", []), ("education", [("degree", []), ("degree", []), ("degree", [])])]),
         )
-        dtd = derive_dtd(schema_for(docs), docs)
+        dtd = derive_dtd(schema_for(stats), stats)
         text = dtd.render()
         assert "<!ELEMENT resume ((#PCDATA), contact, education)>" in text
         assert "<!ELEMENT education ((#PCDATA), degree+)>" in text
         assert "<!ELEMENT degree (#PCDATA)>" in text
 
     def test_root_rendered_first(self):
-        docs = corpus(("r", [("z", []), ("a", [])]), ("r", [("z", []), ("a", [])]))
-        dtd = derive_dtd(schema_for(docs), docs)
+        stats = corpus(("r", [("z", []), ("a", [])]), ("r", [("z", []), ("a", [])]))
+        dtd = derive_dtd(schema_for(stats), stats)
         assert dtd.render().splitlines()[0].startswith("<!ELEMENT r ")
 
     def test_element_count(self):
-        docs = corpus(("r", [("a", []), ("b", [])]), ("r", [("a", []), ("b", [])]))
-        assert derive_dtd(schema_for(docs), docs).element_count() == 3
+        stats = corpus(("r", [("a", []), ("b", [])]), ("r", [("a", []), ("b", [])]))
+        assert derive_dtd(schema_for(stats), stats).element_count() == 3
 
 
 class TestParsing:
     def test_round_trip(self):
-        docs = corpus(
+        stats = corpus(
             ("r", [("e", [("d", []), ("d", []), ("d", [])]), ("c", [])]),
             ("r", [("e", [("d", []), ("d", []), ("d", [])]), ("c", [])]),
         )
-        original = derive_dtd(schema_for(docs), docs)
+        original = derive_dtd(schema_for(stats), stats)
         parsed = DTD.parse(original.render())
         assert parsed.root_name == "r"
         assert set(parsed.elements) == set(original.elements)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.concepts.constraints import ConstraintSet
 from repro.dom.node import Element
-from repro.schema.frequent import PathStatistics, mine_frequent_paths
+from repro.schema.accumulator import PathAccumulator
+from repro.schema.frequent import mine_frequent_paths
 from repro.schema.paths import extract_paths
 
 
@@ -45,7 +46,7 @@ def figure2_docs():
 
 class TestStatistics:
     def test_support_counts_documents(self, figure2_docs):
-        stats = PathStatistics.from_documents(figure2_docs)
+        stats = PathAccumulator.from_documents(figure2_docs)
         assert stats.support(("resume",)) == 1.0
         assert stats.support(("resume", "education")) == 1.0
         assert stats.support(("resume", "contact")) == pytest.approx(2 / 3)
@@ -53,11 +54,11 @@ class TestStatistics:
         assert stats.support(("resume", "education", "degree")) == pytest.approx(2 / 3)
 
     def test_absent_path_zero(self, figure2_docs):
-        stats = PathStatistics.from_documents(figure2_docs)
+        stats = PathAccumulator.from_documents(figure2_docs)
         assert stats.support(("resume", "skills")) == 0.0
 
     def test_support_ratio(self, figure2_docs):
-        stats = PathStatistics.from_documents(figure2_docs)
+        stats = PathAccumulator.from_documents(figure2_docs)
         assert stats.support_ratio(("resume",)) == 1.0
         # education -> degree: (2/3) / 1.0
         assert stats.support_ratio(("resume", "education", "degree")) == pytest.approx(2 / 3)
@@ -68,14 +69,14 @@ class TestStatistics:
 
     def test_support_bounds_property(self, figure2_docs):
         """support(p)=1 iff in all docs; support>0 iff in some doc."""
-        stats = PathStatistics.from_documents(figure2_docs)
+        stats = PathAccumulator.from_documents(figure2_docs)
         for path, count in stats.doc_frequency.items():
             assert 0 < stats.support(path) <= 1.0
             if stats.support(path) == 1.0:
                 assert all(doc.contains(path) for doc in figure2_docs)
 
     def test_empty_corpus(self):
-        stats = PathStatistics.from_documents([])
+        stats = PathAccumulator.from_documents([])
         assert stats.support(("x",)) == 0.0
 
 

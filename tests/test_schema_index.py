@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dom.node import Element
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.index import PathIndex
 
 
@@ -14,11 +15,17 @@ def tree(spec):
     return e
 
 
+def doc_a():
+    return tree(("r", [("edu", [("d", []), ("d", [])]), ("exp", [])]))
+
+
+def doc_b():
+    return tree(("r", [("exp", []), ("edu", [("d", [])])]))
+
+
 @pytest.fixture()
 def index():
-    doc_a = tree(("r", [("edu", [("d", []), ("d", [])]), ("exp", [])]))
-    doc_b = tree(("r", [("exp", []), ("edu", [("d", [])])]))
-    return PathIndex.from_documents([doc_a, doc_b])
+    return PathIndex.from_documents([doc_a(), doc_b()])
 
 
 class TestConstruction:
@@ -38,40 +45,38 @@ class TestConstruction:
     def test_incremental_add(self, index):
         index.add_document(2, tree(("r", [("edu", [])])))
         assert index.document_count == 3
-        assert index.document_frequency(("r", "edu")) == 3
+        assert index.occurrence_count(("r", "edu")) == 3
 
 
 class TestStatistics:
-    def test_document_frequency_and_support(self, index):
-        assert index.document_frequency(("r", "edu", "d")) == 2
-        assert index.support(("r", "edu", "d")) == 1.0
-        assert index.support(("r", "nope")) == 0.0
+    """The statistics of these trees come from :class:`PathAccumulator`;
+    the index only has to agree with it on which paths exist."""
 
-    def test_avg_position_matches_ordering_rule(self, index):
+    @pytest.fixture()
+    def acc(self):
+        return PathAccumulator.from_trees([doc_a(), doc_b()])
+
+    def test_document_frequency_and_support(self, acc):
+        assert acc.doc_frequency[("r", "edu", "d")] == 2
+        assert acc.support(("r", "edu", "d")) == 1.0
+        assert acc.support(("r", "nope")) == 0.0
+
+    def test_avg_position_matches_ordering_rule(self, acc):
         # doc A: edu at 0; doc B: edu at 1 -> mean 0.5
-        assert index.avg_position(("r", "edu")) == pytest.approx(0.5)
+        assert acc.avg_position(("r", "edu")) == 0.5
         # exp: positions 1 and 0 -> 0.5
-        assert index.avg_position(("r", "exp")) == pytest.approx(0.5)
+        assert acc.avg_position(("r", "exp")) == 0.5
 
-    def test_avg_position_per_document_first(self, index):
+    def test_avg_position_per_document_first(self, acc):
         # d in doc A at positions 0,1 (avg .5); doc B at 0 -> (0.5+0)/2
-        assert index.avg_position(("r", "edu", "d")) == pytest.approx(0.25)
+        assert acc.avg_position(("r", "edu", "d")) == 0.25
 
-    def test_avg_position_absent_is_inf(self, index):
-        assert index.avg_position(("r", "zzz")) == float("inf")
+    def test_avg_position_absent_is_inf(self, acc):
+        assert acc.avg_position(("r", "zzz")) == float("inf")
 
-    def test_agreement_with_extract_paths(self, index):
-        """The index and DocumentPaths agree on support for all paths."""
-        from repro.schema.frequent import PathStatistics
-        from repro.schema.paths import extract_paths
-
-        doc_a = tree(("r", [("edu", [("d", []), ("d", [])]), ("exp", [])]))
-        doc_b = tree(("r", [("exp", []), ("edu", [("d", [])])]))
-        stats = PathStatistics.from_documents(
-            [extract_paths(doc_a), extract_paths(doc_b)]
-        )
-        for path in stats.doc_frequency:
-            assert index.support(path) == stats.support(path)
+    def test_agreement_with_extract_paths(self, index, acc):
+        """The index holds exactly the label paths the statistics count."""
+        assert set(index.entries) == set(acc.doc_frequency)
 
 
 class TestNavigation:
