@@ -67,6 +67,14 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of worker and chunk counts: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 def _style_weights(styles: list[str] | None) -> dict[str, float] | None:
     """Turn repeated ``--style`` flags into generator style weights.
 
@@ -949,13 +957,13 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--out", default="", help="directory for converted XML")
     engine.add_argument(
         "--max-workers",
-        type=int,
+        type=_count,
         default=0,
         help="worker processes (0 = one per CPU, 1 = serial in-process)",
     )
     engine.add_argument(
         "--chunk-size",
-        type=int,
+        type=_count,
         default=0,
         help="documents per worker chunk (0 = adaptive: start small and "
         "grow until per-chunk overhead is amortized)",
@@ -1208,11 +1216,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict --generate to this rendering style (repeatable)",
     )
     efold.add_argument(
-        "--max-workers", type=int, default=0,
+        "--max-workers", type=_count, default=0,
         help="worker processes for conversion and migration "
         "(0 = one per CPU, 1 = serial in-process)",
     )
-    efold.add_argument("--chunk-size", type=int, default=16)
+    efold.add_argument("--chunk-size", type=_count, default=16)
     efold.add_argument(
         "--repository", default="", metavar="DIR",
         help="versioned repository to keep in step: on a version bump "
@@ -1240,10 +1248,10 @@ def build_parser() -> argparse.ArgumentParser:
     emigrate.add_argument("state")
     emigrate.add_argument("--repository", required=True, metavar="DIR")
     emigrate.add_argument(
-        "--max-workers", type=int, default=0,
+        "--max-workers", type=_count, default=0,
         help="migration worker processes (0 = one per CPU, 1 = serial)",
     )
-    emigrate.add_argument("--chunk-size", type=int, default=16)
+    emigrate.add_argument("--chunk-size", type=_count, default=16)
     emigrate.set_defaults(func=_cmd_evolve_migrate)
 
     erollback = evolve_sub.add_parser(
@@ -1270,7 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--state-dir", default="service-state", metavar="DIR",
                        help="per-topic schema/repository state root")
-    serve.add_argument("--max-workers", type=int, default=0,
+    serve.add_argument("--max-workers", type=_count, default=0,
                        help="engine worker processes per topic "
                             "(0 = min(4, CPUs); 1 = inline)")
     serve.add_argument("--max-batch", type=int, default=16,

@@ -24,9 +24,11 @@ bounded by the backpressure window regardless of corpus size, and the
 differential test harness can compare the engine byte-for-byte against
 the serial :meth:`DocumentConverter.convert_many` path.
 
-With ``max_workers=1`` the engine runs inline in the calling process
-(no pool, no pickling) -- the degenerate case the differential tests use
-to separate chunking effects from multiprocessing effects.
+Every worker count takes the same path: each chunk is one
+:func:`_convert_chunk` task on the pool.  With ``max_workers=1`` the
+pool runs that task inline in the calling process (no processes, no
+pickling) -- the degenerate case the differential tests use to separate
+chunking effects from multiprocessing effects.
 """
 
 from __future__ import annotations
@@ -69,20 +71,14 @@ from repro.schema.paths import extract_paths
 class EngineConfig:
     """Tuning knobs of the engine.
 
-    ``max_workers=None`` uses every CPU; ``1`` forces the inline serial
-    path.  ``chunk_size`` trades scheduling overhead against load
-    balance: an explicit integer pins every chunk to that size (the
-    historical behavior, and what the differential tests use), while
-    the default ``None`` enables *adaptive* sizing -- chunks start at
-    ``min_chunk_size`` and a :class:`ChunkSizer` grows them (up to
-    ``max_chunk_size``) until each chunk's measured duration amortizes
-    the per-chunk fixed overhead against ``target_chunk_seconds``.
-    ``max_pending`` bounds submitted-but-unmerged chunks (default
-    ``2 * workers``): the backpressure window that keeps the in-order
-    merge from buffering an unbounded reordering queue.  Under adaptive
-    sizing the window is counted in *documents* (``max_pending`` times
-    the current chunk size) so growing chunks do not multiply the
-    buffered volume.
+    ``max_workers=None`` uses every CPU; ``1`` runs the pool inline in
+    the calling process.  ``chunk_size`` trades scheduling overhead
+    against load balance: an explicit integer pins every chunk to that
+    size (what the differential tests use), while the default ``None``
+    starts chunks at ``min_chunk_size`` and lets the :class:`ChunkSizer`
+    grow them (up to ``max_chunk_size``) until each chunk's measured
+    duration amortizes the per-chunk fixed overhead against
+    ``target_chunk_seconds``.
     """
 
     max_workers: int | None = None
@@ -95,7 +91,6 @@ class EngineConfig:
     min_chunk_size: int = 8
     max_chunk_size: int = 128
     target_chunk_seconds: float = 0.05
-    max_pending: int | None = None
     # What to do with documents that fail to convert: "fail_fast" (the
     # historical raise-and-abort default), "skip", "quarantine" (an
     # ErrorPolicy instance carrying the directory), or a mode string.
@@ -109,18 +104,10 @@ class EngineConfig:
     def resolved_workers(self) -> int:
         return resolve_workers(self.max_workers)
 
-    def resolved_pending(self, workers: int) -> int:
-        if self.max_pending is None:
-            return max(2, 2 * workers)
-        return max(1, self.max_pending)
-
     def resolved_policy(self) -> ErrorPolicy:
         return ErrorPolicy.coerce(
             self.error_policy, quarantine_dir=self.quarantine_dir
         )
-
-    def adaptive_chunking(self) -> bool:
-        return self.chunk_size is None
 
     def resolved_chunk_size(self) -> int:
         """The first chunk's size (and every chunk's, when static)."""
@@ -130,7 +117,7 @@ class EngineConfig:
 
 
 class ChunkSizer:
-    """In-flight chunk-size controller.
+    """In-flight chunk-size controller: the engine's one sizing policy.
 
     Each merged chunk reports its wall time (``ChunkStats.seconds``) and
     its per-document time (``doc_seconds``); the difference is fixed
@@ -138,37 +125,26 @@ class ChunkSizer:
     finish faster than the target duration the controller grows the
     size toward ``target / per_doc_seconds`` (at most 4x per step, so
     one anomalously fast chunk cannot blow past the cap); if chunks
-    overshoot the target badly it backs off by halves.  A static
-    configuration never changes size -- the controller is then just the
-    place the constant lives.
+    overshoot the target badly it backs off by halves, never below the
+    initial size.  An explicit ``chunk_size`` gives a sizer whose cap
+    equals its initial size, so it never moves: growth is clamped to
+    the cap and backoff to the initial size.
     """
 
-    def __init__(
-        self,
-        initial: int,
-        cap: int,
-        target_seconds: float,
-        adaptive: bool,
-    ) -> None:
+    def __init__(self, initial: int, cap: int, target_seconds: float) -> None:
         self.size = max(1, initial)
         self.initial = self.size
         self.cap = max(self.size, cap)
         self.target_seconds = target_seconds
-        self.adaptive = adaptive
 
     @classmethod
     def from_config(cls, config: EngineConfig) -> "ChunkSizer":
-        return cls(
-            config.resolved_chunk_size(),
-            config.max_chunk_size,
-            config.target_chunk_seconds,
-            config.adaptive_chunking(),
-        )
+        initial = config.resolved_chunk_size()
+        cap = config.max_chunk_size if config.chunk_size is None else initial
+        return cls(initial, cap, config.target_chunk_seconds)
 
     def observe(self, stats: "ChunkStats") -> None:
         """Adjust the size from one merged chunk's measurements."""
-        if not self.adaptive:
-            return
         documents = stats.documents + stats.documents_failed
         if documents <= 0 or stats.seconds <= 0.0:
             return
@@ -209,10 +185,9 @@ class ChunkPayload:
     """Everything one worker returns for one chunk.
 
     ``spans``/``events`` carry the worker's serialized observability
-    output (``None`` when tracing/provenance is off, or when the chunk
-    ran inline and recorded straight into the caller's tracer).
-    ``failures`` are the documents a skip/quarantine policy dropped, in
-    document order; ``xml`` holds the survivors only.
+    output (``None`` when tracing/provenance is off).  ``failures`` are
+    the documents a skip/quarantine policy dropped, in document order;
+    ``xml`` holds the survivors only.
     """
 
     xml: list[str]
@@ -221,6 +196,25 @@ class ChunkPayload:
     spans: list[dict] | None = None
     events: list[dict] | None = None
     failures: list[DocumentFailure] = field(default_factory=list)
+
+    def drop(
+        self, failure: DocumentFailure, provenance: ProvenanceLog | None
+    ) -> None:
+        """Book one dropped document: the failure record, the chunk's
+        failure counters and, when provenance is on, an error event."""
+        self.failures.append(failure)
+        self.stats.documents_failed += 1
+        self.stats.failures_by_stage[failure.stage] = (
+            self.stats.failures_by_stage.get(failure.stage, 0) + 1
+        )
+        if provenance is not None:
+            provenance.error_event(
+                failure.doc_id,
+                failure.stage,
+                failure.error_type,
+                failure.message,
+                index=failure.index,
+            )
 
 
 @dataclass
@@ -274,25 +268,20 @@ def _build_worker(
     return _ChunkWorker(DocumentConverter(kb, config, bayes), *options)
 
 
-def _run_chunk(
-    converter: DocumentConverter,
+def _convert_chunk(
+    worker: _ChunkWorker,
     index: int,
     base: int,
     sources: list[str],
-    tracer: Tracer | NullTracer = NULL_TRACER,
-    provenance: ProvenanceLog | None = None,
-    policy: ErrorPolicy = ErrorPolicy.fail_fast(),
-    collect_xml: bool = True,
-    sink: XmlSink | None = None,
-    names: Sequence[str] | None = None,
+    names: list[str] | None,
 ) -> ChunkPayload:
-    """Convert one chunk: the shared worker/inline code path.
+    """Pool task: convert one chunk with the per-worker converter.
 
     ``base`` is the corpus-wide index of the chunk's first document, so
     provenance events and spans key documents by their global position
     regardless of which worker converted them.
 
-    Per-document isolation: under a non-fail-fast ``policy`` a document
+    Per-document isolation: under a non-fail-fast policy a document
     whose conversion raises becomes a :class:`DocumentFailure` in the
     payload (with the source attached when the policy quarantines) and
     its siblings convert exactly as they would alone.  Fail-fast lets
@@ -305,12 +294,28 @@ def _run_chunk(
     from inside the worker.  With neither, documents are not even
     serialized.
     """
+    converter = worker.converter
+    kill_marker = converter.config.chaos_kill_marker
+    if (
+        kill_marker
+        and multiprocessing.parent_process() is not None
+        and any(kill_marker in source for source in sources)
+    ):
+        # Chaos hook: die the way an OOM-killed or segfaulted worker
+        # does -- no exception, no cleanup, just a vanished process.
+        # Only ever in a pool worker: an inline pool runs in the caller.
+        os._exit(1)
     started = time.perf_counter()
-    stats = ChunkStats(index=index, documents=0)
-    xml: list[str] = []
-    failures: list[DocumentFailure] = []
-    accumulator = PathAccumulator()
-    need_xml = collect_xml or sink is not None
+    tracer: Tracer | NullTracer = Tracer(id_prefix="w") if worker.trace else NULL_TRACER
+    provenance = ProvenanceLog() if worker.provenance else None
+    sink = worker.sink
+    need_xml = worker.collect_xml or sink is not None
+    chunk = ChunkPayload(
+        xml=[],
+        accumulator=PathAccumulator(),
+        stats=ChunkStats(index=index, documents=0),
+    )
+    stats = chunk.stats
     # Token-decision caches persist across chunks inside one converter;
     # snapshotting around the chunk yields this chunk's traffic alone.
     cache_before = converter.tagger_cache_counters()
@@ -325,38 +330,26 @@ def _run_chunk(
                 doc_xml = result.to_xml() if need_xml else None
             except Exception as exc:
                 stats.doc_seconds += time.perf_counter() - doc_started
-                if policy.is_fail_fast:
+                if worker.policy.is_fail_fast:
                     raise
                 failure = failure_from_exception(
                     doc_id,
                     base + offset,
                     exc,
-                    source=source if policy.captures_source else None,
+                    source=source if worker.policy.captures_source else None,
                 )
-                failures.append(failure)
-                stats.documents_failed += 1
-                stats.failures_by_stage[failure.stage] = (
-                    stats.failures_by_stage.get(failure.stage, 0) + 1
-                )
-                if provenance is not None:
-                    provenance.error_event(
-                        doc_id,
-                        failure.stage,
-                        failure.error_type,
-                        failure.message,
-                        index=failure.index,
-                    )
+                chunk.drop(failure, provenance)
                 continue
             if doc_xml is not None:
                 if sink is not None:
                     sink.write(
                         names[offset] if names is not None else doc_id, doc_xml
                     )
-                if collect_xml:
-                    xml.append(doc_xml)
+                if worker.collect_xml:
+                    chunk.xml.append(doc_xml)
             with tracer.span("discover.extract_paths", doc=doc_id):
                 doc_paths = extract_paths(result.root)
-                accumulator.add(doc_paths)
+                chunk.accumulator.add(doc_paths)
             concept_nodes = result.concept_node_count
             stats.documents += 1
             stats.tokens_created += result.tokens_created
@@ -385,43 +378,6 @@ def _run_chunk(
         cache_before, converter.tagger_cache_counters()
     )
     stats.seconds = time.perf_counter() - started
-    return ChunkPayload(
-        xml=xml, accumulator=accumulator, stats=stats, failures=failures
-    )
-
-
-def _convert_chunk(
-    worker: _ChunkWorker,
-    index: int,
-    base: int,
-    sources: list[str],
-    names: list[str] | None,
-) -> ChunkPayload:
-    """Pool task: convert a chunk with the per-worker converter."""
-    kill_marker = worker.converter.config.chaos_kill_marker
-    if (
-        kill_marker
-        and multiprocessing.parent_process() is not None
-        and any(kill_marker in source for source in sources)
-    ):
-        # Chaos hook: die the way an OOM-killed or segfaulted worker
-        # does -- no exception, no cleanup, just a vanished process.
-        # Only ever in a pool worker: an inline pool runs in the caller.
-        os._exit(1)
-    tracer: Tracer | NullTracer = Tracer(id_prefix="w") if worker.trace else NULL_TRACER
-    provenance = ProvenanceLog() if worker.provenance else None
-    chunk = _run_chunk(
-        worker.converter,
-        index,
-        base,
-        sources,
-        tracer,
-        provenance,
-        worker.policy,
-        worker.collect_xml,
-        worker.sink,
-        names,
-    )
     if worker.trace:
         chunk.spans = tracer.export()
     if provenance is not None:
@@ -484,19 +440,22 @@ class CorpusEngine:
         provenance: ProvenanceLog | None = None,
         progress: Callable[[EngineStats], None] | None = None,
         collect_xml: bool = True,
-        xml_sink: XmlSink | str | None = None,
+        xml_sink: str | None = None,
         names: Sequence[str] | None = None,
     ) -> Iterator[ChunkPayload]:
         """Yield converted chunks **in document order**.
 
-        Results stream as soon as their chunk (and every earlier chunk)
-        finishes; at most ``max_pending`` chunks are in flight, so
-        memory stays bounded on arbitrarily large corpora.  Pass a
+        Every chunk is one :func:`_convert_chunk` task on a
+        :class:`WorkerPool` (inline at one worker).  Results stream as
+        soon as their chunk (and every earlier chunk) finishes; at most
+        ``max(2, 2 * workers)`` chunks' worth of documents, at the
+        current chunk size, are submitted but unmerged, so memory stays
+        bounded on arbitrarily large corpora.  Pass a
         :class:`EngineStats` to have counters, timings, and queue-depth
         instrumentation filled in as the stream drains.
 
-        With a recording ``tracer``/``provenance``, workers build their
-        own tracer per chunk and ship serialized spans/events back; the
+        With a recording ``tracer``/``provenance``, each chunk builds its
+        own tracer and log and ships serialized spans/events back; the
         merge loop re-parents the spans under this tracer's current span
         (namespaced by chunk index) and appends the events in document
         order -- the cross-process half of the span tree.
@@ -507,33 +466,38 @@ class CorpusEngine:
 
         Transport: ``collect_xml=False`` keeps survivors' XML out of
         the payloads (``payload.xml`` comes back empty) for callers that
-        only need accumulator + stats; ``xml_sink`` (an :class:`XmlSink`
-        or a directory path) writes each survivor to a file from inside
-        the worker, named by the aligned ``names`` sequence when given,
-        by global document position otherwise.
+        only need accumulator + stats; ``xml_sink`` (a directory path)
+        writes each survivor to a file from inside the worker, named by
+        the aligned ``names`` sequence when given, by global document
+        position otherwise.
         """
         stats = stats if stats is not None else self.new_stats()
         tracer = resolve_tracer(tracer)
         policy = self.engine_config.resolved_policy()
-        sink = (
-            XmlSink(str(xml_sink))
-            if xml_sink is not None and not isinstance(xml_sink, XmlSink)
-            else xml_sink
-        )
+        sink = XmlSink(xml_sink) if xml_sink is not None else None
         if sink is not None:
             sink.prepare()
         sizer = ChunkSizer.from_config(self.engine_config)
         started = time.perf_counter()
-        workers = stats.workers
-        chunks = enumerate(chunked(sources, lambda: sizer.size))
+        max_pending = max(2, 2 * stats.workers)
+        budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
+        pool = self.worker_pool(
+            workers=stats.workers,
+            trace=tracer.enabled,
+            provenance=provenance is not None,
+            policy=policy,
+            collect_xml=collect_xml,
+            sink=sink,
+        )
+        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
+        pending_docs = 0
         doc_cursor = 0
+        interrupted = False
 
-        def chunk_names(base: int, count: int) -> list[str] | None:
-            if names is None:
-                return None
-            return list(names[base : base + count])
-
-        def merge(payload: ChunkPayload) -> ChunkPayload:
+        def merge_oldest() -> ChunkPayload:
+            nonlocal pending_docs
+            payload = self._next_payload(pending, pool, policy, budget, stats)
+            pending_docs -= payload.stats.documents + payload.stats.documents_failed
             stats.absorb(payload.stats)
             sizer.observe(payload.stats)
             # Wall clock advances at every merge, so an abandoned stream
@@ -554,59 +518,12 @@ class CorpusEngine:
                 progress(stats)
             return payload
 
-        if workers == 1:
-            converter = self._converter()
-            try:
-                for index, chunk in chunks:
-                    stats.max_queue_depth = max(stats.max_queue_depth, 1)
-                    # Inline: record straight into the caller's tracer --
-                    # nothing to re-parent, payload.spans stays None.
-                    payload = _run_chunk(
-                        converter, index, doc_cursor, chunk, tracer,
-                        provenance, policy, collect_xml, sink,
-                        chunk_names(doc_cursor, len(chunk)),
-                    )
-                    doc_cursor += len(chunk)
-                    yield merge(payload)
-            finally:
-                stats.wall_seconds = time.perf_counter() - started
-            return
-
-        max_pending = self.engine_config.resolved_pending(workers)
-        budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
-        pool = self.worker_pool(
-            workers=workers,
-            trace=tracer.enabled,
-            provenance=provenance is not None,
-            policy=policy,
-            collect_xml=collect_xml,
-            sink=sink,
-        )
-        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
-        pending_docs = 0
-        interrupted = False
-
-        def window_full() -> bool:
-            # Static sizing keeps the historical chunk-count window;
-            # adaptive sizing counts *documents* (max_pending chunks of
-            # the current size) so the buffered volume stays bounded as
-            # chunks grow, and the many small warm-up chunks do not
-            # throttle the pool.
-            if sizer.adaptive:
-                return pending_docs >= max_pending * sizer.size
-            return len(pending) >= max_pending
-
-        def merge_oldest() -> ChunkPayload:
-            nonlocal pending_docs
-            payload = self._next_payload(pending, pool, policy, budget, stats)
-            pending_docs -= payload.stats.documents + payload.stats.documents_failed
-            return merge(payload)
-
         try:
-            for index, chunk in chunks:
+            for index, chunk in enumerate(chunked(sources, lambda: sizer.size)):
                 task = ChunkTask(
                     index, doc_cursor, chunk,
-                    chunk_names(doc_cursor, len(chunk)),
+                    None if names is None
+                    else list(names[doc_cursor : doc_cursor + len(chunk)]),
                 )
                 doc_cursor += len(chunk)
                 pending.append((task, self._submit(pool, task, budget, stats)))
@@ -615,8 +532,12 @@ class CorpusEngine:
                     stats.max_queue_depth, len(pending)
                 )
                 # Backpressure: consume the oldest chunk (preserving
-                # document order) before submitting past the window.
-                while pending and window_full():
+                # document order) before submitting past the window.  It
+                # counts documents -- max_pending chunks of the current
+                # size -- so the buffered volume stays bounded as chunks
+                # grow, and the many small warm-up chunks do not throttle
+                # the pool.  For full static chunks this is a chunk count.
+                while pending and pending_docs >= max_pending * sizer.size:
                     yield merge_oldest()
             while pending:
                 yield merge_oldest()
@@ -641,7 +562,7 @@ class CorpusEngine:
         provenance: ProvenanceLog | None = None,
         progress: Callable[[EngineStats], None] | None = None,
         collect_xml: bool = True,
-        xml_sink: XmlSink | str | None = None,
+        xml_sink: str | None = None,
         names: Sequence[str] | None = None,
     ) -> CorpusResult:
         """Convert a corpus, collecting XML, statistics, and counters.
@@ -719,7 +640,7 @@ class CorpusEngine:
         provenance: ProvenanceLog | None = None,
         progress: Callable[[EngineStats], None] | None = None,
         collect_xml: bool = True,
-        xml_sink: XmlSink | str | None = None,
+        xml_sink: str | None = None,
         names: Sequence[str] | None = None,
     ) -> EngineRun:
         """Convert a corpus and (optionally) discover its schema."""
@@ -899,33 +820,20 @@ class CorpusEngine:
         provenance_on: bool,
     ) -> ChunkPayload:
         """Reassemble bisection pieces into one in-order chunk payload."""
-        xml: list[str] = []
-        accumulator = PathAccumulator()
-        stats = ChunkStats(index=index, documents=0)
+        chunk = ChunkPayload(
+            xml=[],
+            accumulator=PathAccumulator(),
+            stats=ChunkStats(index=index, documents=0),
+        )
+        provenance = ProvenanceLog() if provenance_on else None
         spans: list[dict] = []
-        events: list[dict] = []
-        failures: list[DocumentFailure] = []
         for base, piece in sorted(pieces, key=lambda item: item[0]):
             if isinstance(piece, DocumentFailure):
-                stats.documents_failed += 1
-                stats.failures_by_stage[piece.stage] = (
-                    stats.failures_by_stage.get(piece.stage, 0) + 1
-                )
-                failures.append(piece)
-                if provenance_on:
-                    log = ProvenanceLog()
-                    log.error_event(
-                        piece.doc_id,
-                        piece.stage,
-                        piece.error_type,
-                        piece.message,
-                        index=piece.index,
-                    )
-                    events.extend(log.events)
+                chunk.drop(piece, provenance)
                 continue
-            xml.extend(piece.xml)
-            accumulator.update(piece.accumulator)
-            stats.fold(piece.stats)
+            chunk.xml.extend(piece.xml)
+            chunk.accumulator.update(piece.accumulator)
+            chunk.stats.fold(piece.stats)
             if piece.spans:
                 # Each piece came from a fresh worker tracer whose span
                 # ids restart at w1; namespace per segment so the chunk
@@ -936,17 +844,13 @@ class CorpusEngine:
                     if span.get("parent") is not None:
                         span["parent"] = f"b{base}.{span['parent']}"
                     spans.append(span)
-            if piece.events:
-                events.extend(piece.events)
-            failures.extend(piece.failures)
-        return ChunkPayload(
-            xml=xml,
-            accumulator=accumulator,
-            stats=stats,
-            spans=spans or None,
-            events=events or None,
-            failures=failures,
-        )
+            if piece.events and provenance is not None:
+                provenance.extend(piece.events)
+            chunk.failures.extend(piece.failures)
+        chunk.spans = spans or None
+        if provenance is not None:
+            chunk.events = provenance.events or None
+        return chunk
 
     # -- internals -----------------------------------------------------------
 
@@ -958,7 +862,8 @@ class CorpusEngine:
         )
 
     def _converter(self) -> DocumentConverter:
-        """The lazily built converter for the inline (1-worker) path."""
+        """The lazily built parent-side converter: the inline pool runs
+        on it, and forked workers adopt it copy-on-write."""
         if self._inline_converter is None:
             self._inline_converter = DocumentConverter(
                 self.kb, self.config, self.bayes

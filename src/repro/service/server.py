@@ -602,28 +602,23 @@ class ConversionService:
 def _engine_failure(task: ChunkTask, exc: Exception) -> ChunkPayload:
     """The payload of a micro-batch the engine could not run at all:
     every document fails with ``stage="engine"``."""
-    count = len(task.sources)
-    failures = [
-        DocumentFailure(
-            doc_id=f"doc{task.base + offset:04d}",
-            index=task.base + offset,
-            stage="engine",
-            error_type=type(exc).__name__,
-            message=str(exc),
-        )
-        for offset in range(count)
-    ]
-    return ChunkPayload(
+    payload = ChunkPayload(
         xml=[],
         accumulator=PathAccumulator(),
-        stats=ChunkStats(
-            index=task.index,
-            documents=0,
-            documents_failed=count,
-            failures_by_stage={"engine": count},
-        ),
-        failures=failures,
+        stats=ChunkStats(index=task.index, documents=0),
     )
+    for offset in range(len(task.sources)):
+        payload.drop(
+            DocumentFailure(
+                doc_id=f"doc{task.base + offset:04d}",
+                index=task.base + offset,
+                stage="engine",
+                error_type=type(exc).__name__,
+                message=str(exc),
+            ),
+            None,
+        )
+    return payload
 
 
 # -- wire helpers -------------------------------------------------------------

@@ -62,6 +62,35 @@ class TestThresholdOptions:
             assert getattr(args, option[2:]) == float(value)
 
 
+COUNT_OPTIONS = [
+    (["convert-corpus", "--generate", "2"], "--max-workers"),
+    (["convert-corpus", "--generate", "2"], "--chunk-size"),
+    (["evolve", "fold", "state"], "--max-workers"),
+    (["evolve", "fold", "state"], "--chunk-size"),
+    (["evolve", "migrate", "state", "--repository", "repo"], "--max-workers"),
+    (["evolve", "migrate", "state", "--repository", "repo"], "--chunk-size"),
+    (["serve"], "--max-workers"),
+]
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize("command,option", COUNT_OPTIONS)
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_negative_rejected(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, f"{option}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: {value} is negative" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command,option", COUNT_OPTIONS)
+    def test_zero_and_positive_accepted(self, command, option):
+        for value in ("0", "3"):
+            args = build_parser().parse_args([*command, option, value])
+            assert getattr(args, option[2:].replace("-", "_")) == int(value)
+
+
 def write_two_rooted_corpus(directory):
     """Two XML documents with different roots: at ``--sup 0.6`` neither
     root is frequent, so no path clears the thresholds."""

@@ -32,13 +32,13 @@ def chunk(index=0, documents=4, seconds=0.0, doc_seconds=0.0, failed=0):
 class TestEngineConfigChunking:
     def test_default_is_adaptive(self):
         config = EngineConfig()
-        assert config.adaptive_chunking()
-        assert config.resolved_chunk_size() == config.min_chunk_size
+        sizer = ChunkSizer.from_config(config)
+        assert sizer.size == config.min_chunk_size
+        assert sizer.cap == config.max_chunk_size
 
     def test_static_size_resolves_to_itself(self):
-        config = EngineConfig(chunk_size=16)
-        assert not config.adaptive_chunking()
-        assert config.resolved_chunk_size() == 16
+        sizer = ChunkSizer.from_config(EngineConfig(chunk_size=16))
+        assert sizer.size == sizer.cap == 16
 
 
 class TestChunkSizer:
@@ -46,6 +46,10 @@ class TestChunkSizer:
         sizer = ChunkSizer.from_config(EngineConfig(chunk_size=8))
         for index in range(5):
             sizer.observe(chunk(index, documents=8, seconds=0.001, doc_seconds=0.0008))
+        # Fast chunks grow an adaptive sizer and a slow one (20x the
+        # 50ms target) backs it off; a static one is pinned by
+        # cap == initial.
+        sizer.observe(chunk(5, documents=8, seconds=1.0, doc_seconds=0.9))
         assert sizer.size == 8
 
     def test_fast_chunks_grow_the_size(self):

@@ -156,6 +156,45 @@ class TestSpanCoverage:
         ) == []
 
 
+class TestTraceShapeIndependentOfWorkers:
+    """One chunk path at every worker count: an inline pool ships its
+    spans and events home exactly as a process pool does."""
+
+    @staticmethod
+    def traced(kb, corpus_html, workers):
+        tracer = Tracer()
+        provenance = ProvenanceLog()
+        make_engine(kb, workers, chunk_size=3).run(
+            corpus_html, tracer=tracer, provenance=provenance
+        )
+        return tracer, provenance
+
+    @staticmethod
+    def edges(tracer):
+        names = {span.span_id: span.name for span in tracer.spans}
+        return sorted(
+            (span.name, names.get(span.parent_id)) for span in tracer.spans
+        )
+
+    @staticmethod
+    def untimed(provenance):
+        return [
+            {key: value for key, value in event.items() if key != "seconds"}
+            for event in provenance.events
+        ]
+
+    def test_same_spans_and_events_at_one_and_two_workers(self, kb, corpus_html):
+        runs = {workers: self.traced(kb, corpus_html, workers) for workers in (1, 2)}
+        for tracer, _ in runs.values():
+            chunks = tracer.by_name("engine.chunk")
+            assert chunks
+            for span in chunks:
+                assert span.span_id.startswith(f"c{span.attrs['chunk']}.")
+        (one, one_log), (two, two_log) = runs[1], runs[2]
+        assert self.edges(one) == self.edges(two)
+        assert self.untimed(one_log) == self.untimed(two_log)
+
+
 class TestCliObservability:
     def test_convert_corpus_trace_and_metrics(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -125,6 +125,17 @@ class TestEngineStats:
         assert len(stats.per_chunk) == 3
         assert [chunk.index for chunk in stats.per_chunk] == [0, 1, 2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_queue_depth_bounded_by_window(self, kb, corpus_html, workers):
+        """Static chunks fill the window before the oldest is merged, at
+        every worker count, so the depth is exactly the window or the
+        whole corpus, whichever is smaller."""
+        stats = make_engine(kb, workers, chunk_size=4).convert_corpus(
+            corpus_html
+        ).stats
+        window = max(2, 2 * workers)
+        assert stats.max_queue_depth == min(stats.chunks, window)
+
     def test_summary_rows_include_input_nodes(self, kb, corpus_html):
         result = make_engine(kb, 1).convert_corpus(corpus_html)
         rows = dict(result.stats.summary_rows())
