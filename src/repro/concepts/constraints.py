@@ -163,3 +163,33 @@ class ConstraintSet:
             if not self.allows_depth(label, depth):
                 return False
         return all(c.satisfied_by_path(labels) for c in self.parents)
+
+    def extensions(self, path: Sequence[str], labels: Iterable[str]) -> list[str]:
+        """The ``labels``, in their order, whose one-label extension of
+        ``path`` is allowed: ``[l for l in labels if allows_path((*path, l))]``.
+
+        ``path`` itself must be allowed, so only what the appended label
+        can break is checked: the depth cap, repetition, the label's own
+        depth constraints at ``len(path) + 1`` and, for a label not yet
+        on the path, the parent constraints.  A label already on the
+        path leaves every parent verdict as it was, since
+        ``satisfied_by_path`` reads first occurrences only.  This is the
+        miner's per-prefix check; ``allows_path`` stays the reference
+        predicate.
+        """
+        depth = len(path) + 1
+        if self.max_depth is not None and depth > self.max_depth:
+            return []
+        on_path = set(path)
+        allowed = []
+        for label in labels:
+            if label in on_path:
+                if self.no_repeat_on_path:
+                    continue
+            elif self.parents and not all(
+                c.satisfied_by_path((*path, label)) for c in self.parents
+            ):
+                continue
+            if self.allows_depth(label, depth):
+                allowed.append(label)
+        return allowed

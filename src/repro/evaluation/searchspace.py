@@ -51,8 +51,9 @@ def count_constrained_paths(
     """Number of constraint-admissible label paths (the root included).
 
     Depth-first enumeration over concept tags; each admissible path is
-    one node of the search-space tree.  With the paper's constraints and
-    the 24-concept resume KB this is exactly 1,871.
+    one node of the search-space tree, admitted by the same incremental
+    check the miner runs.  With the paper's constraints and the
+    24-concept resume KB this is exactly 1,871.
     """
     constraints = constraints if constraints is not None else paper_constraints(kb)
     tags = sorted(kb.concept_tags())
@@ -60,11 +61,9 @@ def count_constrained_paths(
 
     def extend(path: tuple[str, ...]) -> None:
         nonlocal count
-        for tag in tags:
-            candidate = path + (tag,)
-            if constraints.allows_path(candidate):
-                count += 1
-                extend(candidate)
+        for tag in constraints.extensions(path, tags):
+            count += 1
+            extend(path + (tag,))
 
     extend(())
     return count

@@ -37,6 +37,15 @@ from repro.schema.paths import DocumentPaths, LabelPath, extract_paths
 _WIRE_VERSION = 1
 
 
+def _counter(pairs) -> Counter:
+    """A ``Counter`` filled through ``dict.update`` directly: for small
+    histograms Counter's own constructor costs more than the copy it
+    makes."""
+    counter = Counter.__new__(Counter)
+    dict.update(counter, pairs)
+    return counter
+
+
 @dataclass
 class PathAccumulator:
     """Mergeable corpus-level statistics over root-emanating label paths.
@@ -90,17 +99,26 @@ class PathAccumulator:
     # -- merging -------------------------------------------------------------
 
     def update(self, other: "PathAccumulator") -> None:
-        """In-place merge of another accumulator (the engine's hot path)."""
+        """In-place merge of another accumulator (the engine's hot path).
+
+        Plain get-and-add loops: ``Counter.update`` costs more per call
+        than these small histograms cost to add.  New keys are appended
+        in ``other``'s order."""
         self.document_count += other.document_count
-        self.doc_frequency.update(other.doc_frequency)
+        frequency = self.doc_frequency
+        for path, count in other.doc_frequency.items():
+            frequency[path] = frequency.get(path, 0) + count
+        positions = self.position_sum
         for path, value in other.position_sum.items():
-            self.position_sum[path] = self.position_sum.get(path, 0.0) + value
+            positions[path] = positions.get(path, 0.0) + value
+        multiplicities = self.multiplicity_docs
         for path, histogram in other.multiplicity_docs.items():
-            held = self.multiplicity_docs.get(path)
+            held = multiplicities.get(path)
             if held is None:
-                self.multiplicity_docs[path] = Counter(histogram)
+                multiplicities[path] = _counter(histogram)
             else:
-                held.update(histogram)
+                for value, count in histogram.items():
+                    held[value] = held.get(value, 0) + count
 
     def merge(self, other: "PathAccumulator") -> "PathAccumulator":
         """Pure merge: a new accumulator, neither operand mutated."""
@@ -130,10 +148,12 @@ class PathAccumulator:
     # parallel lists (keys, values) -- cheaper on the wire than per-entry
     # pair tuples or pickled Counter objects.  Dict insertion order is
     # preserved exactly (the encoder walks each dict in order and the
-    # decoder rebuilds in the same order) and the three dicts are encoded
-    # independently, so a path present in one but absent from another
-    # round-trips as exactly that -- missing stays missing, 0.0 stays
-    # 0.0.
+    # decoder rebuilds in the same order) and each dict has its own key
+    # list, so a path present in one but absent from another round-trips
+    # as exactly that -- missing stays missing, 0.0 stays 0.0.  When the
+    # dicts hold the same keys in the same order (as add and update
+    # leave them) the three slots hold one list object, which pickle
+    # writes once.
 
     def __getstate__(self) -> tuple:
         label_index: dict[str, int] = {}
@@ -153,15 +173,24 @@ class PathAccumulator:
                 packed = packed_paths[path] = tuple(indices)
             return packed
 
+        frequency_paths = list(self.doc_frequency)
+        packed_frequency_paths = [pack(path) for path in frequency_paths]
+
+        def pack_keys(mapping: dict) -> list[tuple[int, ...]]:
+            paths = list(mapping)
+            if paths == frequency_paths:
+                return packed_frequency_paths
+            return [pack(path) for path in paths]
+
         return (
             _WIRE_VERSION,
             self.document_count,
             labels,
-            [pack(path) for path in self.doc_frequency],
+            packed_frequency_paths,
             list(self.doc_frequency.values()),
-            [pack(path) for path in self.position_sum],
+            pack_keys(self.position_sum),
             list(self.position_sum.values()),
-            [pack(path) for path in self.multiplicity_docs],
+            pack_keys(self.multiplicity_docs),
             [
                 tuple(histogram.items())
                 for histogram in self.multiplicity_docs.values()
@@ -207,14 +236,8 @@ class PathAccumulator:
             if multiplicity_paths == frequency_paths
             else decode(multiplicity_paths)
         )
-        # Counters are filled through dict.update directly: for these
-        # small histograms Counter's own constructor costs more than the
-        # copy it makes.
-        doc_frequency = Counter.__new__(Counter)
-        dict.update(doc_frequency, zip(frequency_keys, frequency_counts))
-        histograms = [Counter.__new__(Counter) for _ in multiplicity_histograms]
-        for histogram, pairs in zip(histograms, multiplicity_histograms):
-            dict.update(histogram, pairs)
+        doc_frequency = _counter(zip(frequency_keys, frequency_counts))
+        histograms = list(map(_counter, multiplicity_histograms))
 
         self.document_count = document_count
         self.doc_frequency = doc_frequency
@@ -227,7 +250,7 @@ class PathAccumulator:
         """``freq(p, S) / |D|`` in ``[0, 1]``."""
         if self.document_count == 0:
             return 0.0
-        return self.doc_frequency[path] / self.document_count
+        return self.doc_frequency.get(path, 0) / self.document_count
 
     def support_ratio(self, path: LabelPath) -> float:
         """``support(p) / support(parent(p))``; 1.0 for the root path."""

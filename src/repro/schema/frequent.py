@@ -132,15 +132,15 @@ def mine_frequent_paths(
         if (support >= sup_threshold and support > 0) or extend_zero_support:
             frontier.append(path)
 
+    # Every frontier path passed the constraint check, so each prefix
+    # needs only the incremental check of its one-label extensions.
     while frontier:
         next_frontier: list[LabelPath] = []
         for prefix in frontier:
             if max_length is not None and len(prefix) >= max_length:
                 continue
-            for label in labels:
+            for label in constraints.extensions(prefix[1:], labels):
                 candidate = prefix + (label,)
-                if not constraints.allows_path(candidate[1:]):
-                    continue
                 explored += 1
                 support = statistics.support(candidate)
                 if support > 0:

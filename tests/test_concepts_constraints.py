@@ -1,6 +1,10 @@
 """Tests for concept constraints."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concepts.constraints import (
     ConstraintSet,
@@ -119,3 +123,92 @@ class TestConstraintSet:
         cs = ConstraintSet()
         cs.add_sibling("A", "B")
         assert not cs.is_empty()
+
+
+CONCEPTS = ("A", "B", "C", "D")
+concepts = st.sampled_from(CONCEPTS)
+parent_specs = st.tuples(concepts, concepts, st.booleans())
+depth_specs = st.tuples(
+    concepts, st.sampled_from(["=", "<", ">"]), st.integers(0, 4), st.booleans()
+)
+
+
+@st.composite
+def constraint_sets(draw):
+    """Random constraint sets; some constraints are passed to the
+    constructor and the rest added afterwards, so both ways of filling
+    the per-concept depth index are exercised."""
+    parents = draw(st.lists(parent_specs, max_size=4))
+    depths = draw(st.lists(depth_specs, max_size=4))
+    parents_at = draw(st.integers(0, len(parents)))
+    depths_at = draw(st.integers(0, len(depths)))
+    cs = ConstraintSet(
+        parents=[ParentConstraint(*spec) for spec in parents[:parents_at]],
+        depths=[DepthConstraint(*spec) for spec in depths[:depths_at]],
+        no_repeat_on_path=draw(st.booleans()),
+        max_depth=draw(st.none() | st.integers(0, 4)),
+    )
+    for parent, child, negated in parents[parents_at:]:
+        cs.add_parent(parent, child, negated=negated)
+    for concept, op, bound, negated in depths[depths_at:]:
+        cs.add_depth(concept, op, bound, negated=negated)
+    return cs
+
+
+def all_paths(max_length: int = 3):
+    for length in range(max_length + 1):
+        yield from product(CONCEPTS, repeat=length)
+
+
+class TestExtensions:
+    @given(
+        constraint_sets(),
+        st.lists(st.sampled_from(CONCEPTS + ("E",)), max_size=6),
+    )
+    @settings(max_examples=150)
+    def test_matches_allows_path_on_every_allowed_path(self, cs, labels):
+        for path in all_paths():
+            if not cs.allows_path(path):
+                continue
+            assert cs.extensions(path, labels) == [
+                label for label in labels if cs.allows_path((*path, label))
+            ]
+
+    def test_keeps_label_order_and_duplicates(self):
+        cs = ConstraintSet(no_repeat_on_path=True)
+        assert cs.extensions(("B",), ["C", "B", "A", "C"]) == ["C", "A", "C"]
+
+    def test_self_parent(self):
+        cs = ConstraintSet()
+        cs.add_parent("A", "A")
+        assert cs.extensions((), ["A", "B"]) == ["B"]
+        cs = ConstraintSet([ParentConstraint("A", "A", negated=True)])
+        assert cs.extensions(("A",), ["A", "B"]) == ["A", "B"]
+
+    def test_parent_constraint_from_either_side(self):
+        cs = ConstraintSet()
+        cs.add_parent("EDUCATION", "GPA")
+        assert cs.extensions(("GPA",), ["EDUCATION", "DATE"]) == ["DATE"]
+        assert cs.extensions(("EDUCATION",), ["GPA"]) == ["GPA"]
+        cs = ConstraintSet([ParentConstraint("EDUCATION", "GPA", negated=True)])
+        assert cs.extensions(("EDUCATION",), ["GPA", "DATE"]) == ["DATE"]
+        assert cs.extensions(("GPA",), ["EDUCATION"]) == ["EDUCATION"]
+
+    def test_repeated_label_keeps_first_occurrence_verdicts(self):
+        # parent(B, A) holds on (B, A) and still holds after a second B.
+        cs = ConstraintSet([ParentConstraint("B", "A")])
+        cs.add_depth("B", "<", 4)
+        assert cs.extensions(("B", "A"), ["B"]) == ["B"]
+        assert cs.extensions(("B", "A", "C"), ["B"]) == []
+
+    def test_constraints_added_after_a_query(self):
+        cs = ConstraintSet()
+        assert cs.extensions(("A",), ["B", "C"]) == ["B", "C"]
+        cs.add_depth("B", "=", 1)
+        cs.add_parent("C", "A")
+        assert cs.extensions(("A",), ["B", "C"]) == []
+
+    def test_depth_cap(self):
+        cs = ConstraintSet(max_depth=2)
+        assert cs.extensions(("A",), ["B"]) == ["B"]
+        assert cs.extensions(("A", "B"), ["C"]) == []

@@ -15,6 +15,10 @@ truth: 50 resumes generated in-test from seed 1966.
   two folds.
 * Fig. 3 -- the label paths of trees A, B and C, each with its support
   as an exact fraction.
+* Sec. 4.2 -- the miner's accounting under the paper's constraints:
+  candidates explored, candidates with non-zero support and frequent
+  paths, both when only frequent prefixes are extended and in the
+  ``extend_zero_support`` enumeration of the whole admissible space.
 
 To re-bless the goldens after an *intentional* change of the paper's
 figures::
@@ -37,6 +41,7 @@ from repro.convert.pipeline import DocumentConverter
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.dom.node import Element
 from repro.evaluation.accuracy import evaluate_accuracy
+from repro.evaluation.searchspace import paper_constraints
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.dtd import derive_dtd
@@ -174,6 +179,27 @@ def test_section44_dtd_from_two_folds(tmp_path, kb, converter, corpus):
 
 def test_figure3_paths_with_exact_support():
     assert figure3_lines() == PATHS_GOLDEN.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "extend_zero_support, explored, counted",
+    [(False, 189, 43), (True, 1_871, 68)],
+    ids=["frequent-prefixes", "zero-support-enumeration"],
+)
+def test_section42_miner_accounting(
+    kb, converter, corpus, extend_zero_support, explored, counted
+):
+    documents = [extract_paths(converter.convert(doc.html).root) for doc in corpus]
+    mined = mine_frequent_paths(
+        documents,
+        sup_threshold=SUP_THRESHOLD,
+        constraints=paper_constraints(kb),
+        candidate_labels=kb.concept_tags(),
+        extend_zero_support=extend_zero_support,
+    )
+    assert mined.nodes_explored == explored
+    assert mined.nodes_counted == counted
+    assert len(mined.paths) == 24
 
 
 def _bless() -> None:  # pragma: no cover - maintenance entry point

@@ -146,6 +146,46 @@ class TestPartitionEquivalence:
         assert from_acc.nodes_counted == from_list.nodes_counted
 
 
+def assert_same_key_order(a: PathAccumulator, b: PathAccumulator) -> None:
+    for name in ("doc_frequency", "position_sum", "multiplicity_docs"):
+        assert list(getattr(a, name)) == list(getattr(b, name))
+
+
+class TestUpdate:
+    @given(corpora, corpora)
+    def test_document_by_document_update_equals_single_pass(self, left, right):
+        """Merging one-document accumulators repeats ``add`` exactly:
+        the same float additions in the same order, the same key order,
+        and ``Counter`` histograms."""
+        merged = PathAccumulator.from_documents(left)
+        for doc in right:
+            merged.update(PathAccumulator.from_documents([doc]))
+        whole = PathAccumulator.from_documents(left + right)
+        assert merged == whole
+        assert_same_key_order(merged, whole)
+        assert type(merged.doc_frequency) is Counter
+        for histogram in merged.multiplicity_docs.values():
+            assert type(histogram) is Counter
+
+    @given(corpora, corpora)
+    def test_update_keeps_single_pass_key_order(self, left, right):
+        merged = PathAccumulator.from_documents(left)
+        merged.update(PathAccumulator.from_documents(right))
+        whole = PathAccumulator.from_documents(left + right)
+        assert_equivalent(merged, whole)
+        assert_same_key_order(merged, whole)
+
+    def test_update_copies_new_histograms(self):
+        other = PathAccumulator.from_documents(
+            [extract_paths(Element("RESUME"))]
+        )
+        merged = PathAccumulator()
+        merged.update(other)
+        merged.update(other)
+        assert other.multiplicity_docs[("RESUME",)] == Counter({1: 1})
+        assert merged.multiplicity_docs[("RESUME",)] == Counter({1: 2})
+
+
 class TestStatisticsAgreement:
     @given(corpora)
     @settings(max_examples=50)
@@ -225,6 +265,36 @@ class TestWireForm:
     )
     def test_round_trip_of_differing_key_lists(self, acc):
         assert_wire_round_trip(acc)
+
+    @given(corpora)
+    def test_shared_key_list_decodes_like_separate_lists(self, docs):
+        """Accumulators built by ``add`` write one key list in all three
+        slots; the older form with three equal lists still decodes to
+        the same accumulator."""
+        acc = PathAccumulator.from_documents(docs)
+        shared = acc.__getstate__()
+        assert shared[3] is shared[5] is shared[7]
+        separate = list(shared)
+        separate[5], separate[7] = list(shared[3]), list(shared[3])
+        decoded = []
+        for state in (shared, tuple(separate)):
+            clone = PathAccumulator()
+            clone.__setstate__(state)
+            decoded.append(clone)
+        assert decoded[0] == decoded[1] == acc
+        assert_same_key_order(decoded[0], decoded[1])
+        assert_same_key_order(decoded[0], acc)
+
+    def test_shared_key_list_is_pickled_once(self):
+        root = Element("RESUME")
+        education = Element("EDUCATION")
+        for tag in ("DEGREE", "DATE"):
+            education.append_child(Element(tag))
+        root.append_child(education)
+        acc = PathAccumulator.from_documents([extract_paths(root)])
+        state = acc.__getstate__()
+        separate = (*state[:5], list(state[3]), state[6], list(state[3]), state[8])
+        assert len(pickle.dumps(state)) < len(pickle.dumps(separate))
 
     @pytest.mark.parametrize(
         "state",

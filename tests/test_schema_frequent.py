@@ -152,6 +152,22 @@ class TestMining:
         # root + 4 labels at level 2 (no constraint other than length)
         assert result.nodes_explored == 1 + 4
 
+    def test_constraints_checked_incrementally(self, figure2_docs, monkeypatch):
+        """The miner asks ``ConstraintSet.extensions`` once per prefix and
+        never the whole-path predicate."""
+
+        def whole_path_check(self, labels):
+            raise AssertionError("the miner called allows_path")
+
+        monkeypatch.setattr(ConstraintSet, "allows_path", whole_path_check)
+        result = mine_frequent_paths(
+            figure2_docs,
+            sup_threshold=0.5,
+            constraints=ConstraintSet(no_repeat_on_path=True, max_depth=3),
+            extend_zero_support=True,
+        )
+        assert result.nodes_explored > result.nodes_counted > 0
+
     def test_leaves(self, figure2_docs):
         result = mine_frequent_paths(figure2_docs, sup_threshold=0.6)
         leaves = set(result.leaves())
