@@ -2,19 +2,17 @@
 
 Not a paper experiment -- the engineering number behind the ROADMAP's
 "as fast as the hardware allows": docs/sec of the serial
-``convert_many`` path vs a 4-worker :class:`CorpusEngine` on a 200+
-document corpus, with the differential guarantee (identical XML bytes)
-re-checked on the way.  The speedup assertion only applies on multi-core
+``convert_many`` path vs a :class:`CorpusEngine` with up to 4 workers
+(never more than the CPU count) on a 200+ document corpus, with the
+differential guarantee (identical XML bytes) re-checked on the way.  The speedup assertion only applies on multi-core
 hardware; on a single core the engine's value is bounded memory, not
 speed, so only equivalence is asserted there.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.evaluation.report import format_table
@@ -22,14 +20,15 @@ from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.runtime.stats import stage_quantile_rows
 
 CORPUS_SIZE = 200
-WORKERS = 4
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+# Never more workers than CPUs: an oversubscribed pool measures the
+# scheduler, not the engine.
+WORKERS = min(4, os.cpu_count() or 1)
 
-# Scaling gate: on multi-core hardware, 4 workers must move at least as
-# many docs/sec as 1 worker (ratio >= 1.0) -- anything less means the
-# pool is buying coordination overhead, not throughput.  On a single
-# core the pool cannot win by construction, so the gate only demands
-# the overhead stays bounded.
+# Scaling gate: on multi-core hardware, WORKERS workers must move at
+# least as many docs/sec as 1 worker (ratio >= 1.0) -- anything less
+# means the pool is buying coordination overhead, not throughput.  On a
+# single core WORKERS is 1 and the pool cannot win by construction, so
+# the gate only demands the run-to-run spread stays bounded.
 MIN_SCALE_RATIO_MULTI_CORE = 1.0
 MIN_SCALE_RATIO_SINGLE_CORE = 0.8
 
@@ -102,13 +101,7 @@ def test_engine_throughput_serial_vs_parallel(benchmark, kb, converter, capsys):
 
 def test_engine_scaling_efficiency(benchmark, kb, capsys):
     """Scaling regression gate: docs/sec must not *fall* as workers are
-    added, with adaptive chunk sizing on (the engine's default).
-
-    Writes a ``scaling`` section into BENCH_engine.json -- keys carry
-    the ``_per_sec``/``ratio`` suffixes :func:`bench_regressions`
-    flags, so a future change that quietly un-scales the engine shows
-    up in the run ledger's regression report, not just in this gate.
-    """
+    added, with adaptive chunk sizing on (the engine's default)."""
     html = ResumeCorpusGenerator(seed=1966).generate_html(CORPUS_SIZE)
 
     def run(workers: int):
@@ -126,32 +119,6 @@ def test_engine_scaling_efficiency(benchmark, kb, capsys):
         if single.stats.docs_per_second
         else 0.0
     )
-    scaling = {
-        "corpus_documents": CORPUS_SIZE,
-        "adaptive_chunking": True,
-        "workers": {
-            str(workers): {
-                "docs_per_sec": round(stats.docs_per_second, 1),
-                "docs_per_sec_per_worker": round(
-                    stats.docs_per_second_per_worker, 1
-                ),
-                "chunk_overhead_fraction": round(
-                    stats.chunk_overhead_fraction, 3
-                ),
-            }
-            for workers, stats in ((1, single.stats), (WORKERS, multi.stats))
-        },
-        f"scale_ratio_{WORKERS}_over_1": round(ratio, 3),
-    }
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record["scaling"] = scaling
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-
     with capsys.disabled():
         print()
         print(

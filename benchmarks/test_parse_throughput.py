@@ -4,11 +4,11 @@ Not a paper experiment -- the engineering number behind the parser fast
 path: MB/sec of ``_tokenize_fast`` (one master-regex match per markup
 construct) vs the legacy oracle ``tests.oracles.tokenizer.tokenize_legacy``
 (per-character stepping) over three HTML profiles, plus the end-to-end
-engine effect (docs/sec at 1/2/4 workers with the production parser vs
-the legacy tokenizer swapped in before the engine forks) and the size of the
-:class:`PathAccumulator` wire form that chunk results ship home in.
-Everything is written to ``BENCH_engine.json`` at the repo root so
-regressions show up in review diffs.
+engine effect (docs/sec at 1, 2 and 4 workers, capped at the CPU count,
+with the production parser vs the legacy tokenizer swapped in before the
+engine forks) and the size of the :class:`PathAccumulator` wire form
+that chunk results ship home in.  The numbers are printed, not written
+anywhere; the gates below are the record.
 
 The three profiles stress different tokenizer lanes:
 
@@ -30,10 +30,9 @@ scanner, so the gates catch a lost fast path (a real regression lands at
 
 from __future__ import annotations
 
-import json
+import os
 import pickle
 import time
-from pathlib import Path
 from random import Random
 
 from repro.corpus.generator import ResumeCorpusGenerator
@@ -52,33 +51,21 @@ TOKENIZER_ROUNDS = 12
 TIDY_ROUNDS = 5
 E2E_CORPUS_SIZE = 120
 E2E_CHUNK_SIZE = 8
-WORKER_COUNTS = [1, 2, 4]
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+# Never more workers than CPUs: an oversubscribed pool measures the
+# scheduler, not the engine.
+WORKER_COUNTS = [n for n in (1, 2, 4) if n <= (os.cpu_count() or 1)]
 
 # Gates (tolerance band under the measured headline numbers).
 MIN_DIRECTORY_SPEEDUP = 4.0
 MIN_AGGREGATE_SPEEDUP = 2.0
-MIN_E2E_RATIO_AT_4_WORKERS = 0.9
+MIN_E2E_RATIO_AT_MOST_WORKERS = 0.9
 # The single-snapshot cleanser measured 5.3x over the six-traversal
 # legacy path on this corpus; a lost fast path lands at 1x.
 MIN_TIDY_SPEEDUP = 3.0
 # PR 6 baseline: the tidy stage cost 0.3539s summed over 4 workers on
-# this corpus.  The fast path must keep it at least 3x under that.
+# this corpus (a sum over documents, so it does not depend on the worker
+# count).  The fast path must keep it at least 3x under that.
 MAX_TIDY_STAGE_SECONDS = 0.3539 / 3.0
-
-
-def _write_bench(record: dict) -> None:
-    """Write ``record`` to BENCH_engine.json, preserving sections other
-    benchmark files own (the engine scaling gate read-modify-writes its
-    own section into the same file)."""
-    if BENCH_PATH.exists():
-        try:
-            previous = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            previous = {}
-        for key, value in previous.items():
-            record.setdefault(key, value)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 # -- corpus profiles ----------------------------------------------------------
@@ -238,16 +225,12 @@ def test_parse_throughput(benchmark, kb, capsys):
         total_fast += fast_seconds
         total_chars += chars
         tokenizer[name] = {
-            "documents": len(docs),
-            "chars": chars,
             "legacy_mb_per_sec": round(chars / legacy_seconds / 1e6, 2),
             "fast_mb_per_sec": round(chars / fast_seconds / 1e6, 2),
             "speedup": round(legacy_seconds / fast_seconds, 2),
         }
     aggregate_speedup = total_legacy / total_fast
     tokenizer["aggregate"] = {
-        "documents": sum(len(docs) for docs in profiles.values()),
-        "chars": total_chars,
         "legacy_mb_per_sec": round(total_chars / total_legacy / 1e6, 2),
         "fast_mb_per_sec": round(total_chars / total_fast / 1e6, 2),
         "speedup": round(aggregate_speedup, 2),
@@ -295,10 +278,7 @@ def test_parse_throughput(benchmark, kb, capsys):
         }
 
     assert last_fast_result is not None
-    stage_seconds = {
-        stage: round(seconds, 4)
-        for stage, seconds in sorted(last_fast_result.stats.rule_seconds.items())
-    }
+    tidy_stage = last_fast_result.stats.rule_seconds.get("tidy", 0.0)
 
     # Accumulator wire form: the compact pickle chunk results cross the
     # process boundary in, vs the pre-wire-form __dict__ pickle.
@@ -309,8 +289,8 @@ def test_parse_throughput(benchmark, kb, capsys):
     )
 
     # ChunkStats wire form: same treatment, measured on a real chunk
-    # from the 4-worker run (digests, rule timings, slowest docs and
-    # all) -- wire tuple vs pre-PR dataclass dict state.
+    # from the run with the most workers (digests, rule timings, slowest
+    # docs and all) -- wire tuple vs pre-PR dataclass dict state.
     sample_chunk = max(
         last_fast_result.stats.per_chunk, key=lambda c: c.documents
     )
@@ -320,34 +300,6 @@ def test_parse_throughput(benchmark, kb, capsys):
     chunk_dict_bytes = len(
         pickle.dumps(dict(sample_chunk.__dict__), protocol=pickle.HIGHEST_PROTOCOL)
     )
-
-    record = {
-        "tokenizer": tokenizer,
-        "tidy": {
-            "documents": E2E_CORPUS_SIZE,
-            "legacy_seconds": round(tidy_legacy_seconds, 4),
-            "fast_seconds": round(tidy_fast_seconds, 4),
-            "speedup": round(tidy_speedup, 2),
-            "stage_seconds_at_4_workers": stage_seconds.get("tidy", 0.0),
-        },
-        "engine": {
-            "corpus_documents": E2E_CORPUS_SIZE,
-            "chunk_size": E2E_CHUNK_SIZE,
-            "workers": engine_rows,
-        },
-        "stage_seconds_at_4_workers": stage_seconds,
-        "accumulator_wire": {
-            "wire_bytes": wire_bytes,
-            "dict_state_bytes": dict_bytes,
-            "savings": round(1.0 - wire_bytes / dict_bytes, 3),
-        },
-        "chunkstats_wire": {
-            "wire_bytes": chunk_wire_bytes,
-            "dict_state_bytes": chunk_dict_bytes,
-            "savings": round(1.0 - chunk_wire_bytes / chunk_dict_bytes, 3),
-        },
-    }
-    _write_bench(record)
 
     with capsys.disabled():
         print()
@@ -391,10 +343,9 @@ def test_parse_throughput(benchmark, kb, capsys):
         )
         print(
             f"  accumulator wire: {wire_bytes} bytes "
-            f"({record['accumulator_wire']['savings']:.0%} under dict state); "
+            f"({1.0 - wire_bytes / dict_bytes:.0%} under dict state); "
             f"chunkstats wire: {chunk_wire_bytes} bytes "
-            f"({record['chunkstats_wire']['savings']:.0%} under dict state) "
-            f"-> {BENCH_PATH.name}"
+            f"({1.0 - chunk_wire_bytes / chunk_dict_bytes:.0%} under dict state)"
         )
 
     directory_speedup = tokenizer["directory"]["speedup"]
@@ -406,10 +357,10 @@ def test_parse_throughput(benchmark, kb, capsys):
         f"aggregate tokenizer speedup below the "
         f"{MIN_AGGREGATE_SPEEDUP}x bar: {aggregate_speedup:.2f}x"
     )
-    four = engine_rows[str(WORKER_COUNTS[-1])]
-    assert four["ratio"] >= MIN_E2E_RATIO_AT_4_WORKERS, (
+    most = engine_rows[str(WORKER_COUNTS[-1])]
+    assert most["ratio"] >= MIN_E2E_RATIO_AT_MOST_WORKERS, (
         f"fast parser made the {WORKER_COUNTS[-1]}-worker engine slower: "
-        f"{four['fast_docs_per_sec']} vs {four['legacy_docs_per_sec']} docs/sec"
+        f"{most['fast_docs_per_sec']} vs {most['legacy_docs_per_sec']} docs/sec"
     )
     assert wire_bytes < dict_bytes, (
         f"accumulator wire form larger than dict state: "
@@ -419,7 +370,6 @@ def test_parse_throughput(benchmark, kb, capsys):
         f"tidy fast path below the {MIN_TIDY_SPEEDUP}x bar: "
         f"{tidy_speedup:.2f}x"
     )
-    tidy_stage = stage_seconds.get("tidy", 0.0)
     assert tidy_stage <= MAX_TIDY_STAGE_SECONDS, (
         f"engine tidy stage regressed past the PR 6 baseline band: "
         f"{tidy_stage:.4f}s > {MAX_TIDY_STAGE_SECONDS:.4f}s"

@@ -4,19 +4,12 @@ Not a paper experiment -- the engineering numbers that justify leaving
 the quantile digests on by default: observing a latency must cost
 microseconds (it runs eight times per document, once per stage plus the
 end-to-end row), and a parent-side merge must be cheap enough to run
-once per chunk.  The regression detector is exercised against the
-committed benchmark baselines the CI gate uses.
+once per chunk.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.obs.quantiles import QuantileDigest
-from repro.obs.runlog import bench_regressions
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def synthetic_latencies(count: int) -> list[float]:
@@ -57,22 +50,3 @@ def test_digest_chunk_merge_throughput(benchmark):
     serial.observe_many(values)
     assert merged.counts == serial.counts
     assert merged.quantile(0.5) == serial.quantile(0.5)
-
-
-def test_regression_detector_on_committed_baselines(benchmark):
-    """The CI gate's self-compare: committed BENCH files vs themselves
-    must be regression-free, and the walk must be cheap."""
-    documents = [
-        json.loads((REPO_ROOT / name).read_text())
-        for name in ("BENCH_engine.json", "BENCH_tagging.json")
-        if (REPO_ROOT / name).exists()
-    ]
-    assert documents, "committed BENCH baselines missing"
-
-    def run():
-        return [
-            bench_regressions(document, document) for document in documents
-        ]
-
-    results = benchmark(run)
-    assert all(regressions == [] for regressions in results)

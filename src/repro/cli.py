@@ -46,6 +46,7 @@ from repro.obs import (
     Tracer,
     build_run_record,
     config_fingerprint,
+    detect_history_regressions,
     load_metrics,
     write_chrome_trace,
     write_metrics,
@@ -72,6 +73,22 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """argparse type of the regression threshold: a finite number > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
+    return value
+
+
+def _limit(text: str) -> int:
+    """argparse type of row limits: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is less than 1")
     return value
 
 
@@ -473,36 +490,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.obs import bench_regressions, detect_history_regressions
-
-    # Benchmark mode: diff two benchmark JSON documents.
-    if args.bench_current or args.bench_baseline:
-        if not (args.bench_current and args.bench_baseline):
-            print("runs needs both --bench-current and --bench-baseline",
-                  file=sys.stderr)
-            return 2
-        current = _json.loads(Path(args.bench_current).read_text(encoding="utf-8"))
-        baseline = _json.loads(Path(args.bench_baseline).read_text(encoding="utf-8"))
-        regressions = bench_regressions(
-            current, baseline, threshold=args.threshold
-        )
-        for regression in regressions:
-            print(f"REGRESSION: {regression.message}", file=sys.stderr)
-        if regressions:
-            print(f"{len(regressions)} benchmark regression(s) beyond "
-                  f"{args.threshold:.0%}", file=sys.stderr)
-            return 1 if args.check else 0
-        print(f"no benchmark regressions beyond {args.threshold:.0%} "
-              f"({args.bench_current} vs {args.bench_baseline})")
-        return 0
-
-    # Ledger mode: list runs, then diff the latest against its history.
-    if not args.ledger:
-        print("runs needs a ledger path (or --bench-current/--bench-baseline)",
-              file=sys.stderr)
-        return 2
     ledger = RunLedger(args.ledger)
     records = ledger.records()
     if not records:
@@ -1134,15 +1121,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     runs = sub.add_parser(
-        "runs",
-        help="list the run ledger and flag regressions (or diff benchmark JSONs)",
+        "runs", help="list the run ledger and flag regressions",
     )
+    runs.add_argument("ledger", help="run-ledger JSONL written by --runlog")
     runs.add_argument(
-        "ledger", nargs="?", default="",
-        help="run-ledger JSONL written by --runlog",
-    )
-    runs.add_argument(
-        "--threshold", type=float, default=0.2,
+        "--threshold", type=_threshold, default=0.2,
         help="relative change that counts as a regression (default 0.2)",
     )
     runs.add_argument(
@@ -1150,16 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when a regression is flagged (CI gate)",
     )
     runs.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=_limit, default=20,
         help="show at most this many most-recent ledger rows",
-    )
-    runs.add_argument(
-        "--bench-current", default="", metavar="PATH",
-        help="benchmark JSON to check (with --bench-baseline; skips the ledger)",
-    )
-    runs.add_argument(
-        "--bench-baseline", default="", metavar="PATH",
-        help="committed benchmark baseline JSON (e.g. BENCH_engine.json)",
     )
     runs.set_defaults(func=_cmd_runs)
 

@@ -53,10 +53,6 @@ class ConversionResult:
     # Wall seconds per pipeline stage ("parse", "tidy", "tokenize",
     # "instance", "group", "consolidate", "root") -- feeds EngineStats.
     rule_seconds: dict[str, float] = field(default_factory=dict)
-    # End-to-end wall seconds for the whole conversion; unlike
-    # ``sum(rule_seconds.values())`` it includes inter-stage overhead,
-    # so the engine's per-document latency digest uses it directly.
-    total_seconds: float = 0.0
 
     @property
     def concept_node_count(self) -> int:
@@ -141,7 +137,6 @@ class DocumentConverter:
         """
         tracer = resolve_tracer(tracer)
         timings: dict[str, float] = {}
-        convert_started = time.perf_counter()
         # Any stage failure is re-raised as PipelineStageError naming the
         # stage underway -- what a non-fail-fast corpus run records as
         # the failure's pipeline stage.
@@ -247,7 +242,6 @@ class DocumentConverter:
             nodes_eliminated=eliminated,
             input_nodes=input_nodes,
             rule_seconds=timings,
-            total_seconds=time.perf_counter() - convert_started,
         )
 
     def convert_many(

@@ -23,8 +23,8 @@ The run-intelligence layer builds on them:
   registry's ``repro_stage_seconds`` histograms, yielding per-stage and
   per-document p50/p95/p99.
 * :mod:`repro.obs.runlog` -- the persistent append-only run ledger
-  (:class:`RunLedger`) plus the regression detector shared by
-  ``repro-web runs`` and the benchmark CI gate.
+  (:class:`RunLedger`) plus the regression detector behind
+  ``repro-web runs``.
 * :mod:`repro.obs.progress` -- :class:`ProgressReporter`, rate-limited
   live progress/ETA on stderr, auto-disabled off-TTY.
 * :mod:`repro.obs.chrometrace` -- span-tree export to Chrome
@@ -50,7 +50,6 @@ from repro.obs.quantiles import QuantileDigest, merge_digest_maps
 from repro.obs.runlog import (
     Regression,
     RunLedger,
-    bench_regressions,
     build_evolution_record,
     build_run_record,
     compare_records,
@@ -71,7 +70,6 @@ __all__ = [
     "merge_digest_maps",
     "Regression",
     "RunLedger",
-    "bench_regressions",
     "build_evolution_record",
     "build_run_record",
     "compare_records",

@@ -1,4 +1,4 @@
-"""The persistent run ledger and the benchmark regression detector.
+"""The persistent run ledger and its regression detector.
 
 Every engine run can append one self-describing JSON record (``kind:
 "run"``) to an append-only JSONL **ledger**: run id, config fingerprint,
@@ -9,18 +9,16 @@ slowest documents with their label-path context.  ``repro-web report``
 renders a record; ``repro-web runs`` lists the ledger and diffs the
 latest run against its history.
 
-The **regression detector** is one comparator used three ways:
+The **regression detector** is one comparator used two ways:
 
 * latest ledger record vs. the median of earlier same-configuration
   records (``repro-web runs --check``),
-* a fresh benchmark result vs. the committed ``BENCH_engine.json`` /
-  ``BENCH_tagging.json`` baselines (the ``obs-report-smoke`` CI job),
-* any two records a caller hands it.
+* any two records a caller hands it (:func:`compare_records`).
 
-Throughput-like metrics (``docs_per_second``, ``*_per_sec``,
-``speedup``, ``ratio``) regress by *dropping*; latency quantiles
-(stage/document p95) regress by *rising*.  Either direction is flagged
-when the relative change crosses the threshold (default 20%).
+Throughput (``docs_per_second``) regresses by *dropping*; latency
+quantiles (stage/document p95) regress by *rising*.  Either direction
+is flagged when the relative change crosses the threshold (default
+20%).
 
 Ledger records validate against the checked-in ``runlog_schema.json``
 (same dependency-free schema dialect as ``trace_schema.json``), so a
@@ -44,11 +42,6 @@ RUNLOG_VERSION = 1
 
 # How many slowest documents a run record retains.
 SLOWEST_KEPT = 10
-
-# Metric-name fragments the benchmark walker treats as throughput
-# (higher is better); everything else it ignores unless quantile-shaped.
-_THROUGHPUT_MARKERS = ("per_sec", "per_second", "speedup", "ratio")
-
 
 # -- run records --------------------------------------------------------------
 
@@ -369,45 +362,3 @@ def detect_history_regressions(
     if baseline is None:
         return None, []
     return baseline, compare_records(latest, baseline, threshold=threshold)
-
-
-def bench_regressions(
-    current: Mapping,
-    baseline: Mapping,
-    *,
-    threshold: float = 0.2,
-    prefix: str = "",
-) -> list[Regression]:
-    """Throughput regressions between two benchmark JSON documents.
-
-    Walks both trees in parallel; numeric leaves whose key names a
-    throughput (``*_per_sec``, ``speedup``, ``ratio``, ...) are flagged
-    when the current value drops more than ``threshold`` below the
-    baseline.  Keys present in only one tree are ignored, so the
-    detector survives benchmark files growing new sections.
-    """
-    regressions: list[Regression] = []
-    for key in sorted(set(current) & set(baseline)):
-        path = f"{prefix}.{key}" if prefix else str(key)
-        cur, base = current[key], baseline[key]
-        if isinstance(cur, Mapping) and isinstance(base, Mapping):
-            regressions.extend(
-                bench_regressions(
-                    cur, base, threshold=threshold, prefix=path
-                )
-            )
-            continue
-        if not isinstance(cur, (int, float)) or not isinstance(base, (int, float)):
-            continue
-        if isinstance(cur, bool) or isinstance(base, bool):
-            continue
-        if not any(marker in str(key) for marker in _THROUGHPUT_MARKERS):
-            continue
-        if base <= 0:
-            continue
-        change = _relative_change(float(base), float(cur))
-        if change <= -threshold:
-            regressions.append(
-                Regression(path, float(base), float(cur), change, "drop")
-            )
-    return regressions

@@ -17,7 +17,7 @@ protocol check on the hand-rolled server.
 Run standalone against a live server, from the repository root::
 
     PYTHONPATH=src python -m tests.loadtest \\
-        --clients 200 --requests 5 --out BENCH_service.json
+        --clients 200 --requests 5 --out load.json
 """
 
 from __future__ import annotations

@@ -61,6 +61,24 @@ class TestThresholdOptions:
             args = build_parser().parse_args([*command, option, value])
             assert getattr(args, option[2:]) == float(value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "0"])
+    def test_regression_threshold_must_be_finite_and_positive(
+        self, capsys, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs", "runs.jsonl", "--check", f"--threshold={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument --threshold: {value} is not a finite number > 0" in (
+            capsys.readouterr().err
+        )
+
+    def test_regression_threshold_accepted(self):
+        for value in ("0.35", "2"):
+            args = build_parser().parse_args(
+                ["runs", "runs.jsonl", "--threshold", value]
+            )
+            assert args.threshold == float(value)
+
 
 COUNT_OPTIONS = [
     (["convert-corpus", "--generate", "2"], "--max-workers"),
@@ -89,6 +107,19 @@ class TestCountOptions:
         for value in ("0", "3"):
             args = build_parser().parse_args([*command, option, value])
             assert getattr(args, option[2:].replace("-", "_")) == int(value)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_row_limit_below_one_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs", "runs.jsonl", f"--limit={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument --limit: {value} is less than 1" in (
+            capsys.readouterr().err
+        )
+
+    def test_row_limit_accepted(self):
+        args = build_parser().parse_args(["runs", "runs.jsonl", "--limit", "1"])
+        assert args.limit == 1
 
 
 def write_two_rooted_corpus(directory):
@@ -299,21 +330,23 @@ class TestCommands:
         # Without --check regressions are reported but don't fail.
         assert main(["runs", str(ledger)]) == 0
 
-    def test_runs_bench_mode(self, tmp_path, capsys):
-        baseline = {"engine": {"docs_per_sec": 100.0}}
-        current = {"engine": {"docs_per_sec": 70.0}}
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(baseline))
-        cur_path.write_text(json.dumps(current))
-        assert main(["runs", "--bench-current", str(base_path),
-                     "--bench-baseline", str(base_path), "--check"]) == 0
-        assert main(["runs", "--bench-current", str(cur_path),
-                     "--bench-baseline", str(base_path), "--check"]) == 1
-        assert "dropped 30%" in capsys.readouterr().err
+    def test_runs_without_ledger_or_bench_fails(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs"])
+        assert exit_info.value.code == 2
+        assert "required: ledger" in capsys.readouterr().err
 
-    def test_runs_without_ledger_or_bench_fails(self):
-        assert main(["runs"]) == 2
+    def test_runs_limit_shows_most_recent_rows(self, tmp_path, capsys):
+        ledger = tmp_path / "runs.jsonl"
+        ledger.write_text("".join(
+            json.dumps({"run_id": run_id, "docs_per_second": 100.0}) + "\n"
+            for run_id in ("run-first", "run-second", "run-latest")
+        ))
+        assert main(["runs", str(ledger), "--limit", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Run ledger (3 records" in out
+        assert "run-latest" in out
+        assert "run-first" not in out and "run-second" not in out
 
     def test_crawl_reports_metrics(self, capsys, tmp_path):
         out_dir = tmp_path / "crawled"

@@ -9,7 +9,6 @@ import pytest
 from repro.obs.runlog import (
     RunLedger,
     baseline_of_history,
-    bench_regressions,
     build_run_record,
     compare_records,
     config_fingerprint,
@@ -190,43 +189,3 @@ class TestHistoryDetection:
         assert regressions == []
         assert detect_history_regressions([]) == (None, [])
 
-
-class TestBenchRegressions:
-    BASE = {
-        "engine": {
-            "workers": {"1": {"fast_docs_per_sec": 300.0, "wall": 2.0}},
-            "speedup": 1.2,
-        },
-        "note": "text is ignored",
-    }
-
-    def test_self_compare_passes(self):
-        assert bench_regressions(self.BASE, self.BASE) == []
-
-    def test_nested_throughput_drop_flagged(self):
-        current = json.loads(json.dumps(self.BASE))
-        current["engine"]["workers"]["1"]["fast_docs_per_sec"] = 200.0
-        regressions = bench_regressions(current, self.BASE, threshold=0.2)
-        assert [r.metric for r in regressions] == [
-            "engine.workers.1.fast_docs_per_sec"
-        ]
-
-    def test_non_throughput_keys_ignored(self):
-        current = json.loads(json.dumps(self.BASE))
-        current["engine"]["workers"]["1"]["wall"] = 100.0  # not throughput
-        assert bench_regressions(current, self.BASE) == []
-
-    def test_new_sections_ignored(self):
-        current = json.loads(json.dumps(self.BASE))
-        current["brand_new"] = {"things_per_sec": 1.0}
-        assert bench_regressions(current, self.BASE) == []
-
-    def test_committed_bench_files_self_compare(self):
-        from pathlib import Path
-
-        for name in ("BENCH_engine.json", "BENCH_tagging.json"):
-            path = Path(__file__).resolve().parent.parent / name
-            if not path.exists():
-                continue
-            document = json.loads(path.read_text())
-            assert bench_regressions(document, document) == []
