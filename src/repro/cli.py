@@ -39,6 +39,7 @@ from repro.evaluation.accuracy import evaluate_accuracy
 from repro.evaluation.report import format_histogram, format_table
 from repro.htmlparse.parser import parse_fragment
 from repro.obs import (
+    NULL_TRACER,
     MetricsRegistry,
     ProgressReporter,
     ProvenanceLog,
@@ -147,8 +148,10 @@ def _cmd_html2xml(args: argparse.Namespace) -> int:
     for name in args.files:
         source = Path(name)
         result = converter.convert(source.read_text(encoding="utf-8"))
+        with NULL_TRACER.stage("to_xml", result.rule_seconds):
+            xml = result.to_xml()
         target = out / (source.stem + ".xml")
-        target.write_text(result.to_xml(), encoding="utf-8")
+        target.write_text(xml, encoding="utf-8")
         for stage, seconds in result.rule_seconds.items():
             registry.histogram(STAGE_SECONDS, stage=stage).observe(seconds)
         print(

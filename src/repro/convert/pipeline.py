@@ -8,7 +8,6 @@ topic's root concept element.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.concepts.bayes import MultinomialNaiveBayes
@@ -50,8 +49,9 @@ class ConversionResult:
     groups_created: int = 0
     nodes_eliminated: int = 0
     input_nodes: int = 0
-    # Wall seconds per pipeline stage ("parse", "tidy", "tokenize",
-    # "instance", "group", "consolidate", "root") -- feeds EngineStats.
+    # Wall seconds per stage from the stage clock ("parse", "tidy",
+    # "tokenize", "instance", "group", "consolidate", "root"; the engine
+    # adds "to_xml" and "extract_paths") -- feeds EngineStats.
     rule_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -130,87 +130,67 @@ class DocumentConverter:
         need the guard.
 
         ``doc_id``/``tracer``/``provenance`` are the observability hooks:
-        each pipeline stage gets a span, and with a provenance log each
+        each stage's ``rule_seconds`` entry is also its span's duration
+        (one stage clock reading), and with a provenance log each
         rule application plus every concept-instance decision is recorded
         as an event.  All three default to off and leave the hot path
         untouched.
         """
         tracer = resolve_tracer(tracer)
         timings: dict[str, float] = {}
-        # Any stage failure is re-raised as PipelineStageError naming the
-        # stage underway -- what a non-fail-fast corpus run records as
-        # the failure's pipeline stage.
-        stage = "inject"
         try:
             marker = self.config.chaos_fail_marker
             if marker and isinstance(html, str) and marker in html:
                 raise InjectedFaultError(
                     f"chaos fault marker {marker!r} present in source"
                 )
-            with tracer.span("convert.document", doc=doc_id) as doc_span:
-                stage = "parse"
-                started = time.perf_counter()
-                with tracer.span("convert.parse"):
-                    if isinstance(html, str):
-                        document = parse_html(html)
-                    else:
-                        document = clone(html) if copy else html
-                timings["parse"] = time.perf_counter() - started
-                input_nodes = tree_size(document)
-                if self.config.apply_tidy:
-                    stage = "tidy"
-                    started = time.perf_counter()
-                    with tracer.span("convert.tidy"):
-                        tidy(document)
-                    timings["tidy"] = time.perf_counter() - started
-                work_root = self._content_root(document)
+            with tracer.stage("parse", timings):
+                if isinstance(html, str):
+                    document = parse_html(html)
+                else:
+                    document = clone(html) if copy else html
+            input_nodes = tree_size(document)
+            if self.config.apply_tidy:
+                with tracer.stage("tidy", timings):
+                    tidy(document)
+            work_root = self._content_root(document)
 
-                stage = "tokenize"
-                started = time.perf_counter()
-                with tracer.span("convert.tokenize") as span:
-                    tokens = apply_tokenization_rule(work_root, self.config)
-                    span.set(tokens=tokens)
-                timings["tokenize"] = time.perf_counter() - started
-                stage = "instance"
-                started = time.perf_counter()
-                with tracer.span("convert.instance") as span:
-                    stats = apply_instance_rule(
-                        work_root,
-                        self.kb,
-                        self.config,
-                        matcher=self._matcher,
-                        bayes=self._tagger_bayes,
-                        doc_id=doc_id,
-                        provenance=provenance,
-                    )
-                    span.set(
-                        identified=stats.identified,
-                        unidentified=stats.unidentified,
-                    )
-                timings["instance"] = time.perf_counter() - started
-                stage = "group"
-                started = time.perf_counter()
-                with tracer.span("convert.group") as span:
-                    groups = apply_grouping_rule(work_root, self.config)
-                    span.set(groups=groups)
-                timings["group"] = time.perf_counter() - started
-                stage = "consolidate"
-                started = time.perf_counter()
-                with tracer.span("convert.consolidate") as span:
-                    eliminated = apply_consolidation_rule(
-                        work_root, self.kb, self.config
-                    )
-                    span.set(eliminated=eliminated)
-                timings["consolidate"] = time.perf_counter() - started
-                stage = "root"
-                started = time.perf_counter()
+            with tracer.stage("tokenize", timings) as span:
+                tokens = apply_tokenization_rule(work_root, self.config)
+                span.set(tokens=tokens)
+            with tracer.stage("instance", timings) as span:
+                stats = apply_instance_rule(
+                    work_root,
+                    self.kb,
+                    self.config,
+                    matcher=self._matcher,
+                    bayes=self._tagger_bayes,
+                    doc_id=doc_id,
+                    provenance=provenance,
+                )
+                span.set(
+                    identified=stats.identified,
+                    unidentified=stats.unidentified,
+                )
+            with tracer.stage("group", timings) as span:
+                groups = apply_grouping_rule(work_root, self.config)
+                span.set(groups=groups)
+            with tracer.stage("consolidate", timings) as span:
+                eliminated = apply_consolidation_rule(
+                    work_root, self.kb, self.config
+                )
+                span.set(eliminated=eliminated)
+            with tracer.stage("root", timings):
                 root = self._rootify(work_root)
-                timings["root"] = time.perf_counter() - started
-                doc_span.set(input_nodes=input_nodes)
         except PipelineStageError:
             raise
         except Exception as exc:
-            raise PipelineStageError(stage, doc_id) from exc
+            # The clock records a stage even when it raises, so the last
+            # one in ``timings`` is the stage underway (or just finished,
+            # for the glue between stages): the failure's recorded stage.
+            raise PipelineStageError(
+                next(reversed(timings), "inject"), doc_id
+            ) from exc
 
         if provenance is not None:
             provenance.rule_event(

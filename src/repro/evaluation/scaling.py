@@ -16,7 +16,6 @@ companion to the paper's single-core curve.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.concepts.knowledge import KnowledgeBase
@@ -113,23 +112,19 @@ def run_scaling_experiment(
     report = ScalingReport()
     for size in sizes:
         corpus = generator.generate_html(size)
-        with tracer.span("scaling.point", documents=size) as point_span:
-            started = time.perf_counter()
+        elapsed: dict[str, float] = {}
+        with tracer.stage("scaling.point", elapsed, documents=size) as point_span:
             result = engine.convert_corpus(corpus, tracer=tracer)
             engine.discover(
                 result.accumulator, sup_threshold=sup_threshold, tracer=tracer
             )
-            elapsed = time.perf_counter() - started
-            point_span.set(
-                seconds=round(elapsed, 6),
-                concept_nodes=result.stats.concept_nodes,
-            )
+            point_span.set(concept_nodes=result.stats.concept_nodes)
         report.points.append(
             ScalingPoint(
                 documents=size,
                 nodes=result.stats.input_nodes,
                 concept_nodes=result.stats.concept_nodes,
-                seconds=elapsed,
+                seconds=elapsed["scaling.point"],
                 engine_stats=result.stats,
             )
         )

@@ -10,10 +10,12 @@ spans through a context-manager API::
         tokens = apply_tokenization_rule(...)
         span.set(tokens=tokens)
 
-The default everywhere is :data:`NULL_TRACER`, whose :meth:`span` is a
-reusable no-op context manager -- no span objects, no clock reads, no
-allocation -- so the instrumented hot path costs one method call per
-stage when tracing is off.
+**One stage clock.**  :meth:`Tracer.stage` times a stage into the
+caller's seconds dict and builds its span (named by :data:`STAGE_SPANS`)
+from the same two clock readings; :meth:`Tracer.span` is the same
+:class:`StageClock` without the dict.  The default everywhere is
+:data:`NULL_TRACER`: its ``stage`` still times, and its ``span`` is a
+reusable no-op -- no span objects, no clock reads, no allocation.
 
 **Crossing the process boundary.**  Worker processes cannot share a
 tracer, so each chunk worker builds its own, serializes its spans with
@@ -29,7 +31,23 @@ process-local: durations (``seconds``) are always meaningful, absolute
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Iterator, Mapping
+
+# Stage label -> span name for every timed stage of one document, in
+# pipeline order; the end-to-end "document" stage encloses the others.
+STAGE_SPANS: dict[str, str] = {
+    "parse": "convert.parse",
+    "tidy": "convert.tidy",
+    "tokenize": "convert.tokenize",
+    "instance": "convert.instance",
+    "group": "convert.group",
+    "consolidate": "convert.consolidate",
+    "root": "convert.root",
+    "to_xml": "convert.to_xml",
+    "extract_paths": "discover.extract_paths",
+    "document": "convert.document",
+}
 
 
 class Span:
@@ -90,24 +108,41 @@ class Span:
         return f"Span({self.name!r}, id={self.span_id!r}, {self.seconds:.6f}s)"
 
 
-class _SpanContext:
-    """Context manager that times one span and registers it on exit."""
+class StageClock:
+    """The one clock primitive: ``perf_counter`` is read once on entry
+    and once on exit.  ``end - start`` is stored in ``seconds[label]``
+    (also when the region raises) and, with a recording tracer, the
+    span is registered with those same two readings."""
 
-    __slots__ = ("_tracer", "_span")
+    __slots__ = ("_seconds", "_label", "_tracer", "_span", "_start")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    def __init__(
+        self,
+        seconds: dict[str, float] | None,
+        label: str,
+        tracer: "Tracer | None" = None,
+        span: Span | None = None,
+    ) -> None:
+        self._seconds = seconds
+        self._label = label
         self._tracer = tracer
         self._span = span
 
-    def __enter__(self) -> Span:
-        self._span.start = time.perf_counter()
-        self._tracer._stack.append(self._span.span_id)
-        return self._span
+    def __enter__(self) -> "Span | _NullSpan":
+        if self._tracer is not None:
+            self._tracer._stack.append(self._span.span_id)  # type: ignore[union-attr]
+        self._start = time.perf_counter()
+        return self._span or _NULL_SPAN
 
     def __exit__(self, *exc_info: object) -> None:
-        self._span.end = time.perf_counter()
-        self._tracer._stack.pop()
-        self._tracer.spans.append(self._span)
+        end = time.perf_counter()
+        if self._seconds is not None:
+            self._seconds[self._label] = end - self._start
+        tracer, span = self._tracer, self._span
+        if tracer is not None and span is not None:
+            span.start, span.end = self._start, end
+            tracer._stack.pop()
+            tracer.spans.append(span)
 
 
 class Tracer:
@@ -121,17 +156,25 @@ class Tracer:
         self._id_prefix = id_prefix
         self._next_id = 0
 
-    def span(self, name: str, **attrs: object) -> _SpanContext:
+    def span(self, name: str, **attrs: object) -> StageClock:
         """A context manager for one timed span, nested under the
         currently open span (if any)."""
-        self._next_id += 1
-        span = Span(
-            name,
-            f"{self._id_prefix}{self._next_id}",
-            parent_id=self.current_span_id,
-            attrs=dict(attrs) if attrs else {},
+        return StageClock(None, name, self, self._open(name, attrs))
+
+    def stage(
+        self, label: str, seconds: dict[str, float], **attrs: object
+    ) -> StageClock:
+        """Time ``label`` into ``seconds[label]`` and record its span,
+        named by :data:`STAGE_SPANS` (a label outside the table, such as
+        a chunk or a sweep point, names its span itself)."""
+        return StageClock(
+            seconds, label, self, self._open(STAGE_SPANS.get(label, label), attrs)
         )
-        return _SpanContext(self, span)
+
+    def _open(self, name: str, attrs: dict) -> Span:
+        self._next_id += 1
+        span_id = f"{self._id_prefix}{self._next_id}"
+        return Span(name, span_id, parent_id=self.current_span_id, attrs=attrs)
 
     @property
     def current_span_id(self) -> str | None:
@@ -193,43 +236,28 @@ class _NullSpan:
 
     __slots__ = ()
 
-    name = ""
-    span_id = ""
-    parent_id = None
-    start = 0.0
-    end = 0.0
-    seconds = 0.0
-
     def set(self, **attrs: object) -> None:
-        pass
-
-    @property
-    def attrs(self) -> dict:
-        return {}
-
-
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> None:
         pass
 
 
 class NullTracer:
     """No-op tracer: the default on every instrumented code path.
 
-    ``span`` returns a shared, stateless context manager -- no clock
-    reads, no allocations -- so leaving instrumentation in place costs
-    one attribute lookup and one call per stage.
+    ``stage`` times into the caller's seconds dict and records no span.
+    ``span`` (a region that is not a stage) returns a shared, stateless
+    context manager -- no clock reads, no allocations.
     """
 
     enabled = False
 
-    def span(self, name: str, **attrs: object) -> _NullSpanContext:
+    def span(self, name: str, **attrs: object) -> nullcontext[_NullSpan]:
         return _NULL_CONTEXT
+
+    def stage(
+        self, label: str, seconds: dict[str, float], **attrs: object
+    ) -> StageClock:
+        """Time ``label`` into ``seconds[label]``; no span."""
+        return StageClock(seconds, label)
 
     @property
     def current_span_id(self) -> None:
@@ -243,7 +271,7 @@ class NullTracer:
 
 
 _NULL_SPAN = _NullSpan()
-_NULL_CONTEXT = _NullSpanContext()
+_NULL_CONTEXT = nullcontext(_NULL_SPAN)
 NULL_TRACER = NullTracer()
 
 

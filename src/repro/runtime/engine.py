@@ -61,10 +61,19 @@ from repro.runtime.faults import (
     write_quarantine,
 )
 from repro.runtime.pool import WorkerPool, chunked, resolve_workers
-from repro.runtime.stats import ChunkStats, EngineStats
+from repro.runtime.stats import DOCUMENT_STAGE, ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.paths import extract_paths
+
+
+# Adaptive chunk sizing: first chunk size, growth ceiling, and the
+# per-chunk duration to aim for.  50ms per chunk keeps progress and the
+# backpressure window responsive while making the ~1ms fixed cost of
+# scheduling + payload transport <2% overhead.
+MIN_CHUNK_SIZE = 8
+MAX_CHUNK_SIZE = 128
+TARGET_CHUNK_SECONDS = 0.05
 
 
 @dataclass
@@ -75,22 +84,14 @@ class EngineConfig:
     the calling process.  ``chunk_size`` trades scheduling overhead
     against load balance: an explicit integer pins every chunk to that
     size (what the differential tests use), while the default ``None``
-    starts chunks at ``min_chunk_size`` and lets the :class:`ChunkSizer`
-    grow them (up to ``max_chunk_size``) until each chunk's measured
-    duration amortizes the per-chunk fixed overhead against
-    ``target_chunk_seconds``.
+    starts chunks at :data:`MIN_CHUNK_SIZE` and lets the
+    :class:`ChunkSizer` grow them (up to :data:`MAX_CHUNK_SIZE`) until
+    each chunk's measured duration amortizes the per-chunk fixed
+    overhead against :data:`TARGET_CHUNK_SECONDS`.
     """
 
     max_workers: int | None = None
     chunk_size: int | None = None
-    # Adaptive-sizing bounds (ignored when chunk_size is an explicit
-    # integer): first/smallest chunk size, growth ceiling, and the
-    # per-chunk duration to aim for.  50ms per chunk keeps progress
-    # reporting and the backpressure window responsive while making the
-    # ~1ms fixed cost of scheduling + payload transport <2% overhead.
-    min_chunk_size: int = 8
-    max_chunk_size: int = 128
-    target_chunk_seconds: float = 0.05
     # What to do with documents that fail to convert: "fail_fast" (the
     # historical raise-and-abort default), "skip", "quarantine" (an
     # ErrorPolicy instance carrying the directory), or a mode string.
@@ -111,9 +112,7 @@ class EngineConfig:
 
     def resolved_chunk_size(self) -> int:
         """The first chunk's size (and every chunk's, when static)."""
-        if self.chunk_size is None:
-            return max(1, self.min_chunk_size)
-        return max(1, self.chunk_size)
+        return MIN_CHUNK_SIZE if self.chunk_size is None else max(1, self.chunk_size)
 
 
 class ChunkSizer:
@@ -140,8 +139,8 @@ class ChunkSizer:
     @classmethod
     def from_config(cls, config: EngineConfig) -> "ChunkSizer":
         initial = config.resolved_chunk_size()
-        cap = config.max_chunk_size if config.chunk_size is None else initial
-        return cls(initial, cap, config.target_chunk_seconds)
+        cap = MAX_CHUNK_SIZE if config.chunk_size is None else initial
+        return cls(initial, cap, TARGET_CHUNK_SECONDS)
 
     def observe(self, stats: "ChunkStats") -> None:
         """Adjust the size from one merged chunk's measurements."""
@@ -305,7 +304,6 @@ def _convert_chunk(
         # does -- no exception, no cleanup, just a vanished process.
         # Only ever in a pool worker: an inline pool runs in the caller.
         os._exit(1)
-    started = time.perf_counter()
     tracer: Tracer | NullTracer = Tracer(id_prefix="w") if worker.trace else NULL_TRACER
     provenance = ProvenanceLog() if worker.provenance else None
     sink = worker.sink
@@ -316,55 +314,62 @@ def _convert_chunk(
         stats=ChunkStats(index=index, documents=0),
     )
     stats = chunk.stats
-    # Token-decision caches persist across chunks inside one converter;
-    # snapshotting around the chunk yields this chunk's traffic alone.
-    cache_before = converter.tagger_cache_counters()
-    with tracer.span("engine.chunk", chunk=index, documents=len(sources)):
+    clock: dict[str, float] = {}
+    with tracer.stage("engine.chunk", clock, chunk=index, documents=len(sources)):
+        # Tagger caches persist across chunks inside one converter;
+        # snapshotting around the chunk yields this chunk's traffic alone.
+        cache_before = converter.tagger_cache_counters()
         for offset, source in enumerate(sources):
             doc_id = f"doc{base + offset:04d}"
-            doc_started = time.perf_counter()
-            try:
-                result = converter.convert(
-                    source, doc_id=doc_id, tracer=tracer, provenance=provenance
-                )
-                doc_xml = result.to_xml() if need_xml else None
-            except Exception as exc:
-                stats.doc_seconds += time.perf_counter() - doc_started
-                if worker.policy.is_fail_fast:
-                    raise
-                failure = failure_from_exception(
-                    doc_id,
-                    base + offset,
-                    exc,
-                    source=source if worker.policy.captures_source else None,
-                )
+            failure = None
+            with tracer.stage(DOCUMENT_STAGE, clock, doc=doc_id) as doc_span:
+                try:
+                    result = converter.convert(
+                        source, doc_id=doc_id, tracer=tracer, provenance=provenance
+                    )
+                    # Every document has a to_xml stage (and span), empty
+                    # when the run ships no XML.
+                    with tracer.stage("to_xml", result.rule_seconds):
+                        doc_xml = result.to_xml() if need_xml else None
+                except Exception as exc:
+                    if worker.policy.is_fail_fast:
+                        raise
+                    failure = failure_from_exception(
+                        doc_id,
+                        base + offset,
+                        exc,
+                        source=source if worker.policy.captures_source else None,
+                    )
+                else:
+                    doc_span.set(input_nodes=result.input_nodes)
+                    if doc_xml is not None:
+                        if sink is not None:
+                            sink.write(
+                                names[offset] if names is not None else doc_id,
+                                doc_xml,
+                            )
+                        if worker.collect_xml:
+                            chunk.xml.append(doc_xml)
+                    with tracer.stage("extract_paths", result.rule_seconds, doc=doc_id):
+                        doc_paths = extract_paths(result.root)
+                        chunk.accumulator.add(doc_paths)
+                    concept_nodes = result.concept_node_count
+                    stats.documents += 1
+                    stats.tokens_created += result.tokens_created
+                    stats.groups_created += result.groups_created
+                    stats.nodes_eliminated += result.nodes_eliminated
+                    stats.input_nodes += result.input_nodes
+                    stats.concept_nodes += concept_nodes
+            stats.doc_seconds += clock[DOCUMENT_STAGE]
+            if failure is not None:
                 chunk.drop(failure, provenance)
                 continue
-            if doc_xml is not None:
-                if sink is not None:
-                    sink.write(
-                        names[offset] if names is not None else doc_id, doc_xml
-                    )
-                if worker.collect_xml:
-                    chunk.xml.append(doc_xml)
-            with tracer.span("discover.extract_paths", doc=doc_id):
-                doc_paths = extract_paths(result.root)
-                chunk.accumulator.add(doc_paths)
-            concept_nodes = result.concept_node_count
-            stats.documents += 1
-            stats.tokens_created += result.tokens_created
-            stats.groups_created += result.groups_created
-            stats.nodes_eliminated += result.nodes_eliminated
-            stats.input_nodes += result.input_nodes
-            stats.concept_nodes += concept_nodes
             # Run intelligence: per-stage + end-to-end latency into the
             # chunk's mergeable digests, plus slowest-document context.
-            doc_elapsed = time.perf_counter() - doc_started
-            stats.doc_seconds += doc_elapsed
             stats.observe_document(
                 doc_id,
                 base + offset,
-                doc_elapsed,
+                clock[DOCUMENT_STAGE],
                 result.rule_seconds,
                 context={
                     "root": result.root.tag,
@@ -373,11 +378,11 @@ def _convert_chunk(
                     "concept_nodes": concept_nodes,
                 },
             )
-    stats.finalize_slowest()
-    stats.tagger_cache = cache_counter_delta(
-        cache_before, converter.tagger_cache_counters()
-    )
-    stats.seconds = time.perf_counter() - started
+        stats.finalize_slowest()
+        stats.tagger_cache = cache_counter_delta(
+            cache_before, converter.tagger_cache_counters()
+        )
+    stats.seconds = clock["engine.chunk"]
     if worker.trace:
         chunk.spans = tracer.export()
     if provenance is not None:

@@ -10,15 +10,14 @@ chunk-seconds histogram, ...), so one engine run exports directly as
 JSON or Prometheus text and ``repro-web stats`` can re-render a saved
 snapshot as these same tables.
 
-Stage time has one channel.  Each document's
-:attr:`repro.convert.pipeline.ConversionResult.rule_seconds` and its
-end-to-end latency are observed into the chunk's per-stage digests
-(:attr:`ChunkStats.stage_digests`); :meth:`EngineStats.absorb` merges
-those into the ``repro_stage_seconds{stage=...}`` histograms, and every
-surface -- the per-rule seconds (each digest's total), the quantile
-tables, the run ledger, ``/metrics`` and a saved snapshot -- reads them
-there.  "Where does the time go" is answerable per stage without a
-profiler.
+Stage time has one clock and one channel.  Each stage of a document
+(:data:`repro.obs.tracer.STAGE_SPANS`) is read once by the stage clock,
+and that reading -- its span's too, when tracing -- is observed into
+the chunk's per-stage digests (:attr:`ChunkStats.stage_digests`);
+:meth:`EngineStats.absorb` merges those into the
+``repro_stage_seconds{stage=...}`` histograms, and every surface -- the
+per-rule seconds (each digest's total), the quantile tables, the run
+ledger, ``/metrics`` and a saved snapshot -- reads them there.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.obs.metrics import Distribution, MetricsRegistry
 from repro.obs.quantiles import QuantileDigest, merge_digest_maps
+from repro.obs.tracer import STAGE_SPANS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.convert.errors import DocumentFailure
@@ -68,21 +68,12 @@ TAGGER_CACHE_EVENTS = "repro_tagger_cache_events_total"
 MIN_WALL_SECONDS = 1e-3
 
 # Stage label for per-document end-to-end latency (parse through path
-# extraction), alongside the pipeline stages from rule_seconds.
+# extraction), alongside the stages from rule_seconds.
 DOCUMENT_STAGE = "document"
 
-# Stage order for quantile report tables: pipeline stages first, the
-# end-to-end document row last.
-STAGE_ORDER = (
-    "parse",
-    "tidy",
-    "tokenize",
-    "instance",
-    "group",
-    "consolidate",
-    "root",
-    DOCUMENT_STAGE,
-)
+# Stage order for quantile report tables: the stage table's order, so
+# the end-to-end document row comes last.
+STAGE_ORDER = tuple(STAGE_SPANS)
 
 # How many slowest-document records each chunk ships home (the parent
 # keeps the global top K of the per-chunk top Ks).
@@ -176,15 +167,12 @@ class ChunkStats:
     ) -> None:
         """Fold one surviving document's stage and end-to-end timings
         into the chunk digests and its slowest-documents candidates."""
-        for stage, elapsed in stage_seconds.items():
-            digest = self.stage_digests.get(stage)
+        digests = self.stage_digests
+        for stage, elapsed in (*stage_seconds.items(), (DOCUMENT_STAGE, seconds)):
+            digest = digests.get(stage)
             if digest is None:
-                digest = self.stage_digests[stage] = QuantileDigest()
+                digest = digests[stage] = QuantileDigest()
             digest.observe(elapsed)
-        digest = self.stage_digests.get(DOCUMENT_STAGE)
-        if digest is None:
-            digest = self.stage_digests[DOCUMENT_STAGE] = QuantileDigest()
-        digest.observe(seconds)
         entry = {"doc": doc_id, "index": index, "seconds": round(seconds, 6)}
         if context:
             entry.update(context)

@@ -15,7 +15,16 @@ import pickle
 
 import pytest
 
-from repro.runtime.engine import ChunkSizer, CorpusEngine, EngineConfig, XmlSink
+import repro.runtime.engine as engine_module
+from repro.runtime.engine import (
+    MAX_CHUNK_SIZE,
+    MIN_CHUNK_SIZE,
+    TARGET_CHUNK_SECONDS,
+    ChunkSizer,
+    CorpusEngine,
+    EngineConfig,
+    XmlSink,
+)
 from repro.runtime.stats import ChunkStats, EngineStats
 
 
@@ -31,10 +40,10 @@ def chunk(index=0, documents=4, seconds=0.0, doc_seconds=0.0, failed=0):
 
 class TestEngineConfigChunking:
     def test_default_is_adaptive(self):
-        config = EngineConfig()
-        sizer = ChunkSizer.from_config(config)
-        assert sizer.size == config.min_chunk_size
-        assert sizer.cap == config.max_chunk_size
+        sizer = ChunkSizer.from_config(EngineConfig())
+        assert sizer.size == MIN_CHUNK_SIZE
+        assert sizer.cap == MAX_CHUNK_SIZE
+        assert sizer.target_seconds == TARGET_CHUNK_SECONDS
 
     def test_static_size_resolves_to_itself(self):
         sizer = ChunkSizer.from_config(EngineConfig(chunk_size=16))
@@ -53,38 +62,25 @@ class TestChunkSizer:
         assert sizer.size == 8
 
     def test_fast_chunks_grow_the_size(self):
-        sizer = ChunkSizer.from_config(
-            EngineConfig(chunk_size=None, min_chunk_size=4, target_chunk_seconds=0.05)
-        )
+        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
         sizer.observe(chunk(documents=4, seconds=0.004, doc_seconds=0.001))
         assert sizer.size > 4
 
     def test_growth_bounded_at_4x_per_step(self):
-        sizer = ChunkSizer.from_config(
-            EngineConfig(chunk_size=None, min_chunk_size=4, target_chunk_seconds=1.0)
-        )
+        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 1.0)
         # Per-doc time is tiny, so the desired size is enormous -- but a
         # single observation may only quadruple the size.
         sizer.observe(chunk(documents=4, seconds=0.0001, doc_seconds=0.00008))
         assert sizer.size == 16
 
     def test_growth_capped_at_max_chunk_size(self):
-        sizer = ChunkSizer.from_config(
-            EngineConfig(
-                chunk_size=None,
-                min_chunk_size=4,
-                max_chunk_size=10,
-                target_chunk_seconds=1.0,
-            )
-        )
+        sizer = ChunkSizer(4, 10, 1.0)
         for index in range(5):
             sizer.observe(chunk(index, documents=sizer.size, seconds=0.0001))
         assert sizer.size == 10
 
     def test_slow_chunks_back_off_toward_initial(self):
-        sizer = ChunkSizer.from_config(
-            EngineConfig(chunk_size=None, min_chunk_size=4, target_chunk_seconds=0.05)
-        )
+        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
         sizer.observe(chunk(0, documents=4, seconds=0.004))  # grow first
         grown = sizer.size
         sizer.observe(chunk(1, documents=grown, seconds=1.0))  # 20x over target
@@ -92,15 +88,13 @@ class TestChunkSizer:
         assert sizer.size >= sizer.initial
 
     def test_never_shrinks_below_initial(self):
-        sizer = ChunkSizer.from_config(
-            EngineConfig(chunk_size=None, min_chunk_size=4, target_chunk_seconds=0.05)
-        )
+        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
         for index in range(5):
             sizer.observe(chunk(index, documents=4, seconds=10.0))
         assert sizer.size == 4
 
     def test_empty_or_instant_chunks_are_ignored(self):
-        sizer = ChunkSizer.from_config(EngineConfig(chunk_size=None, min_chunk_size=4))
+        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, TARGET_CHUNK_SECONDS)
         sizer.observe(chunk(documents=0, failed=0, seconds=0.0))
         sizer.observe(chunk(documents=4, seconds=0.0))
         assert sizer.size == 4
@@ -230,18 +224,15 @@ class TestScalingMetrics:
 
 
 class TestAdaptiveStream:
-    def test_chunk_sizes_grow_across_a_run(self, kb):
+    def test_chunk_sizes_grow_across_a_run(self, kb, monkeypatch):
         """On a corpus of fast documents the observed chunk sizes must
         actually grow (the controller is live, not decorative)."""
+        monkeypatch.setattr(engine_module, "MIN_CHUNK_SIZE", 2)
+        monkeypatch.setattr(engine_module, "MAX_CHUNK_SIZE", 32)
         html = ["<html><body><p>doc</p></body></html>"] * 60
         engine = CorpusEngine(
             kb,
-            engine_config=EngineConfig(
-                max_workers=1,
-                chunk_size=None,
-                min_chunk_size=2,
-                max_chunk_size=32,
-            ),
+            engine_config=EngineConfig(max_workers=1, chunk_size=None),
         )
         result = engine.convert_corpus(html)
         ordered = sorted(result.stats.per_chunk, key=lambda c: c.index)

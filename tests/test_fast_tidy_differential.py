@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.convert.pipeline import DocumentConverter
+import repro.runtime.engine as engine_module
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from tests.oracles import swapped
 
@@ -161,15 +162,17 @@ class TestXmlSinkMode:
 
 class TestAdaptiveChunking:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_adaptive_equals_static(self, kb, golden_html, workers):
+    def test_adaptive_equals_static(self, kb, golden_html, workers, monkeypatch):
         """chunk_size=None (adaptive) converts the same corpus to the
         same bytes and statistics as a pinned static size."""
         static = fast_engine(kb, workers, chunk_size=3).convert_corpus(
             golden_html
         )
-        adaptive = fast_engine(
-            kb, workers, chunk_size=None, min_chunk_size=2, max_chunk_size=16
-        ).convert_corpus(golden_html)
+        monkeypatch.setattr(engine_module, "MIN_CHUNK_SIZE", 2)
+        monkeypatch.setattr(engine_module, "MAX_CHUNK_SIZE", 16)
+        adaptive = fast_engine(kb, workers, chunk_size=None).convert_corpus(
+            golden_html
+        )
         assert adaptive.xml_documents == static.xml_documents
         assert adaptive.stats.documents == static.stats.documents
         assert adaptive.accumulator.doc_frequency == static.accumulator.doc_frequency

@@ -92,7 +92,8 @@ class TestDigestMergeEqualsSerial:
         run, _ = run_engine(kb, html, 4, intelligence=True)
         digests = run.corpus.stats.stage_digests
         for stage in ("parse", "tidy", "tokenize", "instance", "group",
-                      "consolidate", "root", "document"):
+                      "consolidate", "root", "to_xml", "extract_paths",
+                      "document"):
             assert digests[stage].count == len(html), stage
         assert set(digests) <= set(STAGE_ORDER)
 

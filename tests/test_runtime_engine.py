@@ -177,7 +177,8 @@ class TestEngineStats:
             corpus_html
         ).stats
         assert set(stats.rule_seconds) == {
-            "parse", "tidy", "tokenize", "instance", "group", "consolidate", "root"
+            "parse", "tidy", "tokenize", "instance", "group", "consolidate",
+            "root", "to_xml", "extract_paths",
         }
         for stage, seconds in stats.rule_seconds.items():
             digest = stats.registry.histogram(STAGE_SECONDS, stage=stage).digest
