@@ -270,24 +270,6 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
             )
         )
         print(f"appended run {record['run_id']} to {args.runlog}")
-    if args.checkpoint_dir:
-        from repro.schema.evolution import AccumulatorCheckpoint
-
-        checkpoint = AccumulatorCheckpoint(args.checkpoint_dir)
-        sequence = checkpoint.append_delta(result.accumulator)
-        compacted = checkpoint.maybe_compact()
-        info = checkpoint.info()
-        print(
-            f"checkpointed delta #{sequence} to {args.checkpoint_dir}/ "
-            f"({info.document_count} documents accumulated"
-            + (", log compacted)" if compacted else ")")
-        )
-    if args.fold_into:
-        from repro.schema.evolution import EvolvingSchema
-
-        evolving = EvolvingSchema(args.fold_into, kb)
-        outcome = evolving.fold(result.accumulator)
-        print(f"fold into {args.fold_into}: {outcome.summary()}")
     if run.discovery is not None:
         print()
         print(run.discovery.schema.describe())
@@ -666,16 +648,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _migration_rows(report) -> list[list[str]]:
-    return [
-        ["documents", str(report.documents)],
-        ["already conforming", str(report.already_conforming)],
-        ["migrated", str(report.migrated)],
-        ["repair operations", str(report.total_operations)],
-        ["avg edit distance", f"{report.avg_edit_distance:.2f}"],
-    ]
-
-
 def _cmd_evolve_init(args: argparse.Namespace) -> int:
     from repro.schema.evolution import EvolvingSchema
 
@@ -731,38 +703,18 @@ def _cmd_evolve_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evolve_publish(
-    vrepo,
-    evolving,
-    new_xml: list[str],
-    *,
-    max_workers: int | None,
-    chunk_size: int,
-) -> tuple[int, dict | None]:
-    """Bring a versioned repository up to the evolving schema.
-
-    Thin CLI wrapper over :func:`repro.service.state.sync_repository`
-    (the conversion service's fold lane runs the same publish step):
-    delegates the migrate-if-stale + insert + publish work and prints
-    the migration table when existing documents needed migrating.
-    """
-    from repro.service.state import sync_repository
-
-    version, migration = sync_repository(
-        vrepo, evolving, new_xml,
-        max_workers=max_workers, chunk_size=chunk_size,
-    )
-    if migration is not None:
-        rows = [
-            ["documents", str(migration["documents"])],
-            ["already conforming", str(migration["already_conforming"])],
-            ["migrated", str(migration["migrated"])],
-            ["repair operations", str(migration["total_operations"])],
-            ["avg edit distance", f"{migration['avg_edit_distance']:.2f}"],
-        ]
-        print(format_table(["migration", "value"], rows,
+def _print_sync(
+    repository: str, version: int, report, schema_version: int
+) -> None:
+    """Report one ``VersionedRepository.sync``: the migration table when
+    documents were migrated, then the published version."""
+    if report is not None:
+        print(format_table(["migration", "value"], report.rows(),
                            title="Parallel repository migration"))
-    return version, migration
+    print(
+        f"published repository version v{version:04d} "
+        f"(schema version {schema_version}) in {repository}/"
+    )
 
 
 def _cmd_evolve_fold(args: argparse.Namespace) -> int:
@@ -804,20 +756,20 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
     repository_version = None
     migration = None
     if args.repository:
-        if evolving.dtd is None:
+        dtd = evolving.dtd
+        if dtd is None:
             print("no schema derivable yet; repository left untouched",
                   file=sys.stderr)
         else:
-            vrepo = VersionedRepository(args.repository)
-            repository_version, migration = _evolve_publish(
-                vrepo, evolving, result.xml_documents,
+            repository_version, migration = VersionedRepository(
+                args.repository
+            ).sync(
+                dtd, result.xml_documents, schema_version=evolving.version,
                 max_workers=args.max_workers or None,
                 chunk_size=args.chunk_size,
             )
-            print(
-                f"published repository version v{repository_version:04d} "
-                f"(schema version {evolving.version}) in {args.repository}/"
-            )
+            _print_sync(args.repository, repository_version, migration,
+                        evolving.version)
     for target_name in args.metrics_out or []:
         write_metrics(result.stats.registry, target_name)
         print(f"wrote metrics to {target_name}")
@@ -829,7 +781,7 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
             build_evolution_record(
                 outcome,
                 topic="resume",
-                migration=migration,
+                migration=None if migration is None else migration.to_json(),
                 repository_version=repository_version,
             )
         )
@@ -838,39 +790,30 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve_migrate(args: argparse.Namespace) -> int:
-    from repro.mapping.persistence import DTD_NAME
     from repro.mapping.versioned import VersionedRepository
     from repro.schema.evolution import EvolvingSchema
 
     evolving = EvolvingSchema(args.state, build_resume_knowledge_base())
-    if evolving.dtd is None:
+    dtd = evolving.dtd
+    if dtd is None:
         print(f"{args.state}: no schema derived yet", file=sys.stderr)
         return 1
     vrepo = VersionedRepository(args.repository)
     if not vrepo.exists():
         print(f"{args.repository}: no versioned repository", file=sys.stderr)
         return 1
-    stored_dtd = (
-        vrepo.version_dir(vrepo.current_version()) / DTD_NAME
-    ).read_text(encoding="utf-8")
-    if stored_dtd == evolving.dtd_text:
+    if vrepo.dtd_text() == dtd.render():
         print(
             f"{args.repository}: already at schema version "
             f"{evolving.version}; nothing to migrate"
         )
         return 0
-    version, report = vrepo.migrate(
-        evolving.dtd,
-        schema_version=evolving.version,
+    version, report = vrepo.sync(
+        dtd, [], schema_version=evolving.version,
         max_workers=args.max_workers or None,
         chunk_size=args.chunk_size,
     )
-    print(format_table(["migration", "value"], _migration_rows(report),
-                       title="Parallel repository migration"))
-    print(
-        f"published repository version v{version:04d} "
-        f"(schema version {evolving.version}) in {args.repository}/"
-    )
+    _print_sync(args.repository, version, report, evolving.version)
     return 0
 
 
@@ -1033,21 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TEXT",
         help="fault injection: a worker that receives a document "
         "containing TEXT hard-exits, simulating an OOM/segfault kill",
-    )
-    engine.add_argument(
-        "--checkpoint-dir",
-        default="",
-        metavar="DIR",
-        help="durably append this run's path statistics to an "
-        "accumulator checkpoint (snapshot + delta log; crash-safe, "
-        "compacted automatically) for sharded merge-later discovery",
-    )
-    engine.add_argument(
-        "--fold-into",
-        default="",
-        metavar="STATE",
-        help="fold this run's path statistics into an 'evolve init' "
-        "state directory and re-derive the schema online",
     )
     engine.set_defaults(func=_cmd_convert_corpus)
 

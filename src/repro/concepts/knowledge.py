@@ -57,10 +57,6 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return len(self._concepts)
 
-    def concept_names(self) -> list[str]:
-        """All concept names, in registration order."""
-        return [c.name for c in self._concepts.values()]
-
     def concept_tags(self) -> set[str]:
         """The XML element names contributed by this knowledge base."""
         return {c.tag for c in self._concepts.values()}

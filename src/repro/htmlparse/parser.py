@@ -47,9 +47,6 @@ class _TreeBuilder:
     def _current(self) -> Element:
         return self.stack[-1]
 
-    def _open_tags(self) -> list[str]:
-        return [el.tag for el in self.stack]
-
     def _close_implied(self, tag: str) -> None:
         closers = tags_closed_by(tag)
         if not closers:

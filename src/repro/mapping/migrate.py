@@ -39,6 +39,26 @@ class MigrationReport:
             return 0.0
         return sum(self.edit_distances) / len(self.edit_distances)
 
+    def to_json(self) -> dict:
+        """The summary a run-ledger record and a service fold carry."""
+        return {
+            "documents": self.documents,
+            "already_conforming": self.already_conforming,
+            "migrated": self.migrated,
+            "total_operations": self.total_operations,
+            "avg_edit_distance": self.avg_edit_distance,
+        }
+
+    def rows(self) -> list[list[str]]:
+        """Report-table rows for the CLI's migration table."""
+        return [
+            ["documents", str(self.documents)],
+            ["already conforming", str(self.already_conforming)],
+            ["migrated", str(self.migrated)],
+            ["repair operations", str(self.total_operations)],
+            ["avg edit distance", f"{self.avg_edit_distance:.2f}"],
+        ]
+
 
 def migrate_repository(
     repository: XMLRepository,

@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.dom.node import Element
 from repro.dom.serialize import to_xml_document
 from repro.dom.treeops import iter_elements
+from repro.durable import fsync_dir, fsync_write
 from repro.htmlparse.parser import parse_fragment
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.schema.dtd import DTD
@@ -73,15 +74,16 @@ def write_repository_dir(
     The lower-level half of :func:`save_repository`, shared with the
     versioned layout (:mod:`repro.mapping.versioned`) whose parallel
     migration transports documents as XML text and should not re-build
-    trees just to serialize them again.
+    trees just to serialize them again.  Every file, and the directory
+    entry naming them, is flushed to stable storage before this returns.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    (target / DTD_NAME).write_text(dtd.render(), encoding=ENCODING)
+    fsync_write(target / DTD_NAME, dtd.render().encode(ENCODING))
     names = []
     for index, xml in enumerate(xml_documents):
         name = f"doc{index:05d}.xml"
-        (target / name).write_text(xml, encoding=ENCODING)
+        fsync_write(target / name, xml.encode(ENCODING))
         names.append(name)
     manifest = {
         "format": "repro-xml-repository/1",
@@ -97,9 +99,10 @@ def write_repository_dir(
     }
     if schema_version is not None:
         manifest["schema_version"] = schema_version
-    (target / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2), encoding=ENCODING
+    fsync_write(
+        target / MANIFEST_NAME, json.dumps(manifest, indent=2).encode(ENCODING)
     )
+    fsync_dir(target)
     return target
 
 

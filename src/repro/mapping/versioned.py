@@ -12,12 +12,17 @@ atomically updated ``CURRENT`` pointer::
         v0001/  v0002/  v0003/   -- each a full save_repository() dir
 
 Every publish allocates the next version number and writes a complete
-directory (staged under a temp name, renamed into place), so a reader
-following ``CURRENT`` never observes a half-written store and
+directory (each file fsync'd, staged under a temp name, renamed into
+place) before ``CURRENT`` is committed through
+:func:`repro.durable.atomic_replace`, so a reader following ``CURRENT``
+never observes a half-written store, not even after a crash, and
 ``rollback`` is just repointing ``CURRENT`` at the previous version --
 the superseded directories stay on disk until explicitly pruned.
 
-Migration productionizes ``examples/schema_evolution.py``'s serial
+:meth:`VersionedRepository.sync` is the one way a repository follows the
+evolving schema: ``repro-web evolve fold --repository``, ``repro-web
+evolve migrate`` and the conversion service's fold lane all call it.
+Its migration productionizes ``examples/schema_evolution.py``'s serial
 sketch: documents are replayed through the existing tree-edit mapping
 layer (:func:`repro.mapping.conform.conform_document`) **in parallel**
 on a :class:`repro.runtime.pool.WorkerPool` -- the corpus engine's
@@ -30,19 +35,19 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.dom.serialize import to_xml_document
 from repro.dom.treeops import clone
+from repro.durable import atomic_replace, fsync_dir
 from repro.mapping.conform import conform_document
 from repro.mapping.migrate import MigrationReport
 from repro.mapping.persistence import (
+    DTD_NAME,
     ENCODING,
+    MANIFEST_NAME,
     load_repository,
     load_xml_document,
-    save_repository,
     write_repository_dir,
 )
 from repro.mapping.repository import RepositoryStats, XMLRepository
@@ -51,17 +56,8 @@ from repro.mapping.validate import validate_document
 from repro.runtime.pool import WorkerPool
 from repro.schema.dtd import DTD
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
-
 VERSIONS_DIR = "versions"
 CURRENT_NAME = "CURRENT"
-
-# -- metric names (registered only when a registry is supplied) ---------------
-
-MIGRATION_DOCUMENTS = "repro_migration_documents_total"
-MIGRATION_OPERATIONS = "repro_migration_repair_operations_total"
-MIGRATION_SECONDS = "repro_migration_seconds_total"
 
 
 # -- parallel migration (worker side) -----------------------------------------
@@ -186,15 +182,19 @@ class VersionedRepository:
         pointer = json.loads(self.current_path.read_text(encoding=ENCODING))
         return pointer["version"]
 
-    # -- reading -------------------------------------------------------------
-
-    def load(self, version: int | None = None) -> XMLRepository:
-        """Load a version (default: the one CURRENT points at)."""
+    def _directory(self, version: int | None) -> Path:
+        """A version's directory (default: the one CURRENT points at)."""
         if version is None:
             version = self.current_version()
             if version is None:
                 raise ValueError(f"{self.root}: no CURRENT version published")
-        directory = self.version_dir(version)
+        return self.version_dir(version)
+
+    # -- reading -------------------------------------------------------------
+
+    def load(self, version: int | None = None) -> XMLRepository:
+        """Load a version (default: the one CURRENT points at)."""
+        directory = self._directory(version)
         if not directory.exists():
             raise ValueError(f"{self.root}: version {version} does not exist")
         return load_repository(directory)
@@ -205,52 +205,30 @@ class VersionedRepository:
         Reads the files directly (no tree rebuild) -- the transport form
         parallel migration wants.
         """
-        if version is None:
-            version = self.current_version()
-            if version is None:
-                raise ValueError(f"{self.root}: no CURRENT version published")
-        directory = self.version_dir(version)
+        directory = self._directory(version)
         manifest = json.loads(
-            (directory / "manifest.json").read_text(encoding=ENCODING)
+            (directory / MANIFEST_NAME).read_text(encoding=ENCODING)
         )
         return [
             (directory / name).read_text(encoding=ENCODING)
             for name in manifest["documents"]
         ]
 
+    def dtd_text(self) -> str:
+        """The DTD text stored with the CURRENT version."""
+        return (self._directory(None) / DTD_NAME).read_text(encoding=ENCODING)
+
     # -- writing -------------------------------------------------------------
 
     def _set_current(self, version: int) -> None:
-        """Atomically repoint CURRENT (write-temp + rename)."""
+        """Durably repoint CURRENT (write-temp + fsync + rename)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        temp = self.current_path.with_name(CURRENT_NAME + ".tmp")
-        temp.write_text(
-            json.dumps({"version": version}) + "\n", encoding=ENCODING
+        atomic_replace(
+            self.current_path,
+            (json.dumps({"version": version}) + "\n").encode(ENCODING),
         )
-        os.replace(temp, self.current_path)
 
     def publish(
-        self,
-        repository: XMLRepository,
-        *,
-        schema_version: int | None = None,
-    ) -> int:
-        """Write a new version directory and repoint CURRENT to it.
-
-        The directory is staged under a temporary name and renamed into
-        place, so a concurrent reader either sees the complete new
-        version or none at all.
-        """
-        version = (self.versions()[-1] + 1) if self.versions() else 1
-        final = self.version_dir(version)
-        staging = self.versions_dir / f".staging-v{version:04d}"
-        self.versions_dir.mkdir(parents=True, exist_ok=True)
-        save_repository(repository, staging, schema_version=schema_version)
-        os.replace(staging, final)
-        self._set_current(version)
-        return version
-
-    def publish_xml(
         self,
         dtd: DTD,
         xml_documents: list[str],
@@ -258,17 +236,74 @@ class VersionedRepository:
         *,
         schema_version: int | None = None,
     ) -> int:
-        """Publish from already-serialized documents (migration output)."""
+        """Write serialized documents as a new version; repoint CURRENT.
+
+        The directory is staged under a temporary name, flushed and
+        renamed into place before CURRENT moves, so a concurrent reader
+        -- or one after a crash -- sees the complete new version or
+        none at all.
+        """
         version = (self.versions()[-1] + 1) if self.versions() else 1
-        final = self.version_dir(version)
         staging = self.versions_dir / f".staging-v{version:04d}"
         self.versions_dir.mkdir(parents=True, exist_ok=True)
         write_repository_dir(
             staging, dtd, xml_documents, stats, schema_version=schema_version
         )
-        os.replace(staging, final)
+        os.replace(staging, self.version_dir(version))
+        fsync_dir(self.versions_dir)
         self._set_current(version)
         return version
+
+    def sync(
+        self,
+        dtd: DTD,
+        new_xml: list[str],
+        *,
+        schema_version: int | None = None,
+        max_workers: int | None = 1,
+        chunk_size: int = 16,
+    ) -> tuple[int, MigrationReport | None]:
+        """Bring the repository up to ``dtd`` and publish ``new_xml`` in it.
+
+        When the CURRENT version's stored DTD is not ``dtd``, its
+        documents are migrated in parallel (:func:`migrate_documents`);
+        the documents of ``new_xml`` are conformed on insertion; the
+        combined store is published as the next version, the previous
+        one staying on disk for rollback.  Returns the published version
+        and the migration report (``None`` when nothing was migrated).
+        """
+        existing_xml: list[str] = []
+        report = None
+        if self.exists():
+            existing_xml = self.document_xml()
+            if self.dtd_text() != dtd.render():
+                existing_xml, report = migrate_documents(
+                    existing_xml, dtd,
+                    max_workers=max_workers, chunk_size=chunk_size,
+                )
+        existing = report if report is not None else MigrationReport(
+            documents=len(existing_xml), already_conforming=len(existing_xml)
+        )
+        inserter = XMLRepository(dtd)
+        for xml in new_xml:
+            inserter.insert(load_xml_document(xml))
+        inserted = inserter.stats
+        combined = existing_xml + inserter.export()
+        stats = RepositoryStats(
+            documents=len(combined),
+            conforming_on_arrival=(
+                existing.already_conforming + inserted.conforming_on_arrival
+            ),
+            repaired=existing.migrated + inserted.repaired,
+            rejected=inserted.rejected,
+            total_repair_operations=(
+                existing.total_operations + inserted.total_repair_operations
+            ),
+        )
+        version = self.publish(
+            dtd, combined, stats, schema_version=schema_version
+        )
+        return version, report
 
     def rollback(self) -> int:
         """Repoint CURRENT at the previous version; returns it.
@@ -293,49 +328,3 @@ class VersionedRepository:
         if version not in self.versions():
             raise ValueError(f"{self.root}: version {version} does not exist")
         self._set_current(version)
-
-    # -- migration -----------------------------------------------------------
-
-    def migrate(
-        self,
-        new_dtd: DTD,
-        *,
-        schema_version: int | None = None,
-        max_workers: int | None = 1,
-        chunk_size: int = 32,
-        measure_distance: bool = True,
-        registry: "MetricsRegistry | None" = None,
-    ) -> tuple[int, MigrationReport]:
-        """Migrate the CURRENT version onto ``new_dtd`` as a new version.
-
-        Every document is replayed through the tree-edit mapping layer
-        in parallel and re-validated against ``new_dtd``; the migrated
-        store is published as the next version (the old one remains for
-        rollback).  Returns ``(new_version, report)``.
-        """
-        started = time.perf_counter()
-        source_xml = self.document_xml()
-        migrated_xml, report = migrate_documents(
-            source_xml,
-            new_dtd,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            measure_distance=measure_distance,
-        )
-        stats = RepositoryStats(
-            documents=len(migrated_xml),
-            conforming_on_arrival=report.already_conforming,
-            repaired=report.migrated,
-            rejected=0,
-            total_repair_operations=report.total_operations,
-        )
-        version = self.publish_xml(
-            new_dtd, migrated_xml, stats, schema_version=schema_version
-        )
-        if registry is not None:
-            registry.counter(MIGRATION_DOCUMENTS).inc(report.documents)
-            registry.counter(MIGRATION_OPERATIONS).inc(report.total_operations)
-            registry.counter(MIGRATION_SECONDS).inc(
-                time.perf_counter() - started
-            )
-        return version, report

@@ -24,8 +24,6 @@ site holds ``None`` and skips event construction entirely.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable
 
 from repro.dom.node import Element, Node
@@ -118,16 +116,6 @@ class ProvenanceLog:
 
     def by_kind(self, kind: str) -> list[dict]:
         return [event for event in self.events if event.get("kind") == kind]
-
-    def write_jsonl(self, path: str | Path) -> int:
-        """Write one JSON object per line; returns the record count.
-        Parent directories are created for nested output paths."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(self.events)
 
 
 def node_label_path(node: Node) -> str:

@@ -29,10 +29,12 @@ and *incremental re-derivation*:
   multiplicity flip is a real change even when the path set is stable,
   because stored documents must re-conform).
 
-Both halves are deliberately independent: a checkpoint directory can be
-used on its own (``convert-corpus --checkpoint-dir``) for sharded
-merge-later workflows, and :class:`EvolvingSchema` embeds one inside
-its state directory.
+:class:`EvolvingSchema` embeds a checkpoint inside its state directory,
+which ``repro-web evolve fold`` advances; every file it commits goes
+through :func:`repro.durable.atomic_replace`.  The state directory's
+layout stays inside this module: callers list the published versions
+from :attr:`EvolvingSchema.history` and find a version's DTD through
+:meth:`EvolvingSchema.version_dtd_path`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from repro.durable import atomic_replace, fsync_write
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.diff import SchemaDiff, diff_path_supports
 from repro.schema.discovery import discover_schema
@@ -147,37 +150,6 @@ def _scan_frames(data: bytes, *, where: str) -> tuple[list[_Frame], int]:
         frames.append(_Frame(sequence, accumulator, payload_end))
         offset = payload_end
     return frames, offset
-
-
-def _fsync_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` and flush it to stable storage."""
-    with open(path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry (rename durability); best-effort on
-    filesystems that reject directory fsync."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
-
-
-def _atomic_replace(target: Path, data: bytes) -> None:
-    """Commit ``data`` at ``target`` via write-temp + fsync + rename."""
-    temp = target.with_name(target.name + ".tmp")
-    _fsync_write(temp, data)
-    os.replace(temp, target)
-    _fsync_dir(target.parent)
 
 
 @dataclass
@@ -289,8 +261,8 @@ class AccumulatorCheckpoint:
         self.directory.mkdir(parents=True, exist_ok=True)
         if sequence is None:
             sequence = self._sequence
-        _atomic_replace(self.snapshot_path, _encode_frame(sequence, accumulator))
-        _fsync_write(self.delta_log_path, b"")
+        atomic_replace(self.snapshot_path, _encode_frame(sequence, accumulator))
+        fsync_write(self.delta_log_path, b"")
         self._log_seen = (0, 0, 0)
         self._live = accumulator
         self._sequence = sequence
@@ -508,12 +480,12 @@ class EvolvingSchema:
             "history": self._history,
         }
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_replace(
+        atomic_replace(
             self.state_path,
             (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
         if self._dtd_text:
-            _atomic_replace(
+            atomic_replace(
                 self.current_dtd_path, (self._dtd_text + "\n").encode("utf-8")
             )
 
@@ -600,7 +572,7 @@ class EvolvingSchema:
                 )
                 version_path = self.version_dtd_path(self.version)
                 version_path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_replace(version_path, (dtd_text + "\n").encode("utf-8"))
+                atomic_replace(version_path, (dtd_text + "\n").encode("utf-8"))
                 outcome.bumped = True
             outcome.version = self.version
         outcome.compacted = self.checkpoint.maybe_compact()

@@ -11,7 +11,9 @@ same state an offline ``repro-web evolve fold`` advances -- the
 accumulator is a monoid, so folding per micro-batch converges to the
 same schema as one offline fold over the same documents), and archived
 ``dtds/vNNNN.dtd`` files back the "convert against schema v3" request
-mode.  :func:`sync_repository` is the publish step shared with the CLI.
+mode.  A fold with a repository configured publishes through
+:meth:`~repro.mapping.versioned.VersionedRepository.sync`, the same
+step ``repro-web evolve fold --repository`` runs.
 """
 
 from __future__ import annotations
@@ -32,79 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class UnknownSchemaVersion(KeyError):
     """A request targeted a schema version the topic never published."""
-
-
-def sync_repository(
-    vrepo: "VersionedRepository",
-    evolving: EvolvingSchema,
-    new_xml: list[str],
-    *,
-    max_workers: int | None = None,
-    chunk_size: int = 16,
-) -> tuple[int, dict | None]:
-    """Bring a versioned repository up to the evolving schema.
-
-    Migrates the repository's existing documents when their stored DTD
-    is behind the schema's current one (in parallel, through the
-    tree-edit mapping layer), conforms and appends ``new_xml``, and
-    publishes the combined store as the next version.  Returns the
-    published version and a migration summary (``None`` when nothing
-    needed migrating).  Shared by ``repro-web evolve fold --repository``
-    and the service's fold lane.
-    """
-    from repro.dom.serialize import to_xml_document
-    from repro.mapping.persistence import DTD_NAME, load_xml_document
-    from repro.mapping.repository import RepositoryStats, XMLRepository
-    from repro.mapping.versioned import migrate_documents
-
-    dtd = evolving.dtd
-    assert dtd is not None, "cannot publish before a schema is derivable"
-    existing_xml: list[str] = []
-    migration = None
-    existing_conforming = 0
-    existing_repaired = 0
-    existing_operations = 0
-    if vrepo.exists():
-        existing_xml = vrepo.document_xml()
-        stored_dtd = (
-            vrepo.version_dir(vrepo.current_version()) / DTD_NAME
-        ).read_text(encoding="utf-8")
-        if stored_dtd != evolving.dtd_text:
-            existing_xml, report = migrate_documents(
-                existing_xml, dtd,
-                max_workers=max_workers, chunk_size=chunk_size,
-            )
-            migration = {
-                "documents": report.documents,
-                "already_conforming": report.already_conforming,
-                "migrated": report.migrated,
-                "total_operations": report.total_operations,
-                "avg_edit_distance": report.avg_edit_distance,
-            }
-            existing_conforming = report.already_conforming
-            existing_repaired = report.migrated
-            existing_operations = report.total_operations
-        else:
-            existing_conforming = len(existing_xml)
-    inserter = XMLRepository(dtd)
-    for xml in new_xml:
-        inserter.insert(load_xml_document(xml))
-    combined = existing_xml + [to_xml_document(doc) for doc in inserter.documents]
-    stats = RepositoryStats(
-        documents=len(combined),
-        conforming_on_arrival=(
-            existing_conforming + inserter.stats.conforming_on_arrival
-        ),
-        repaired=existing_repaired + inserter.stats.repaired,
-        rejected=inserter.stats.rejected,
-        total_repair_operations=(
-            existing_operations + inserter.stats.total_repair_operations
-        ),
-    )
-    version = vrepo.publish_xml(
-        dtd, combined, stats, schema_version=evolving.version
-    )
-    return version, migration
 
 
 class TopicState:
@@ -163,14 +92,15 @@ class TopicState:
                 "schema_version": outcome.version,
                 "bumped": outcome.bumped,
             }
-            if self.repository is not None and self.evolving.dtd is not None:
-                version, migration = sync_repository(
-                    self.repository, self.evolving, new_xml,
+            dtd = self.evolving.dtd
+            if self.repository is not None and dtd is not None:
+                version, migration = self.repository.sync(
+                    dtd, new_xml, schema_version=self.evolving.version,
                     max_workers=self.max_workers, chunk_size=self.chunk_size,
                 )
                 summary["repository_version"] = version
                 if migration is not None:
-                    summary["migration"] = migration
+                    summary["migration"] = migration.to_json()
             return summary
 
     # -- schema-version targeting --------------------------------------------
@@ -209,19 +139,14 @@ class TopicState:
     def describe(self) -> dict:
         """The ``GET /schemas/<topic>`` payload."""
         evolving = self.evolving
-        versions = []
-        dtd_dir = self.directory / "evolution" / "dtds"
-        if dtd_dir.is_dir():
-            versions = sorted(
-                int(p.stem[1:]) for p in dtd_dir.glob("v*.dtd")
-            )
+        history = evolving.history
         out: dict = {
             "topic": self.topic,
             "schema_version": evolving.version,
             "documents": evolving.total_documents(),
             "dtd": evolving.dtd_text or None,
-            "versions": versions,
-            "history": evolving.history,
+            "versions": [entry["version"] for entry in history],
+            "history": history,
         }
         if self.repository is not None:
             out["repository_version"] = (

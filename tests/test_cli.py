@@ -454,20 +454,6 @@ class TestEvolve:
         ) == 0
         assert "nothing to migrate" in capsys.readouterr().out
 
-    def test_convert_corpus_checkpoint_and_fold_into(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        state = tmp_path / "state"
-        assert main(
-            ["convert-corpus", "--generate", "4", "--max-workers", "1",
-             "--quiet", "--checkpoint-dir", str(ckpt),
-             "--fold-into", str(state)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "checkpointed delta #1" in out
-        assert "version bumped to 1" in out
-        assert (ckpt / "snapshot.bin").exists()
-        assert (state / "state.json").exists()
-
     def test_gen_corpus_single_style(self, tmp_path):
         out = tmp_path / "corpus"
         assert main(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import durable
 from repro.dom.node import Element
 from repro.schema import evolution
 from repro.schema.accumulator import PathAccumulator
@@ -210,10 +211,12 @@ class CountingModule:
 
 @pytest.fixture()
 def io_counts(monkeypatch):
-    """``(fsyncs, frame_decodes)`` counters over the evolution module."""
+    """``(fsyncs, frame_decodes)`` counters over the evolution module and
+    the durable commits it makes."""
     fsyncs = CountingModule(os, "fsync")
     decodes = CountingModule(pickle, "loads")
     monkeypatch.setattr(evolution, "os", fsyncs)
+    monkeypatch.setattr(durable, "os", fsyncs)
     monkeypatch.setattr(evolution, "pickle", decodes)
     return fsyncs, decodes
 

@@ -278,6 +278,47 @@ class TestOfflineEquivalence:
         ).read_text(encoding="utf-8")
         assert service_dtd.rstrip("\n") == evolving.dtd_text.rstrip("\n")
 
+    def test_fold_publishes_every_survivor(
+        self, kb, tmp_path, corpus_html, monkeypatch
+    ):
+        """With ``publish`` on, every fold syncs the topic's versioned
+        repository: CURRENT holds every surviving document, stored
+        against the topic's current DTD."""
+        service = make_service(kb, tmp_path, publish=True)
+        state = service.topics["resume"]
+        summaries = []
+        fold = state.fold
+
+        def recording_fold(accumulator, new_xml):
+            summaries.append(fold(accumulator, new_xml))
+            return summaries[-1]
+
+        monkeypatch.setattr(state, "fold", recording_fold)
+        server = ServerThread(service)
+        host, port = server.start()
+        converted = 0
+        try:
+            for lo, hi in ((0, 4), (4, len(corpus_html))):
+                status, payload = post_json(
+                    host, port, "/convert/batch",
+                    {"documents": corpus_html[lo:hi], "fold": True},
+                )
+                assert status == 200
+                converted += payload["converted"]
+            status, _, body = fetch(host, port, _get("/schemas/resume"))
+            described = json.loads(body)
+        finally:
+            server.stop()
+
+        assert summaries
+        assert [summary["repository_version"] for summary in summaries] == (
+            list(range(1, len(summaries) + 1))
+        )
+        repository = state.repository
+        assert described["repository_version"] == repository.current_version()
+        assert len(repository.load()) == converted  # load re-validates
+        assert repository.dtd_text() == state.evolving.dtd_text
+
     def test_schema_version_targeting(self, kb, tmp_path, corpus_html):
         server = ServerThread(make_service(kb, tmp_path))
         host, port = server.start()
