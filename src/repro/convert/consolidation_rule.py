@@ -14,6 +14,13 @@ related objects describes the concept of this group":
 
 Accumulated ``val`` text on an eliminated node is never dropped: it moves
 to the node's replacement (first concept child) or to its parent.
+
+The rule is one bottom-up pass over the parents: each parent's child
+list is rebuilt once, after the lists below it are final, with every
+non-concept child replaced by what the three cases above leave in its
+place.  Children are eliminated left to right and parents after their
+descendants, so every element receives its ``val`` appends in the
+postorder the node-at-a-time rule made them in.
 """
 
 from __future__ import annotations
@@ -42,14 +49,48 @@ def apply_consolidation_rule(
     """
     config = config or ConversionConfig()
     concept_tags = {concept.tag for concept in kb}
+    # Every parent comes before its children here, so the reversed walk
+    # rebuilds a list only once the lists below it are final.
+    parents: list[Element] = []
+    stack = [root]
+    while stack:
+        parent = stack.pop()
+        parents.append(parent)
+        stack.extend(
+            child
+            for child in parent.children
+            if isinstance(child, Element) and child.children
+        )
     eliminated = 0
-    for node in list(iter_postorder(root)):
-        if node is root or not isinstance(node, Element) or node.parent is None:
+    for parent in reversed(parents):
+        eliminated += _consolidate_children(parent, concept_tags, config)
+    return eliminated
+
+
+def _consolidate_children(
+    parent: Element,
+    concept_tags: set[str],
+    config: ConversionConfig,
+) -> int:
+    """Eliminate ``parent``'s non-concept element children, left to
+    right, rebuilding its child list once.  Returns how many went."""
+    children = parent.children
+    rebuilt: list[Node] | None = None
+    eliminated = 0
+    for index, node in enumerate(children):
+        if not isinstance(node, Element) or node.tag in concept_tags:
+            if rebuilt is not None:
+                rebuilt.append(node)
             continue
-        if node.tag in concept_tags:
-            continue
-        _eliminate(node, concept_tags, config)
+        if rebuilt is None:
+            rebuilt = children[:index]
+        replacement = _eliminate(node, parent, concept_tags, config)
+        for kept in replacement:
+            kept.parent = parent
+        rebuilt.extend(replacement)
         eliminated += 1
+    if rebuilt is not None:
+        parent.children = rebuilt
     return eliminated
 
 
@@ -57,33 +98,36 @@ def _children_push_up(node: Element, config: ConversionConfig) -> bool:
     """Whether ``node``'s children stay siblings when ``node`` goes away."""
     if node.tag.lower() in config.list_tags:
         return True
-    element_children = node.element_children()
-    if len(element_children) >= 2 and len(element_children) == len(node.children):
-        first_tag = element_children[0].tag
-        return all(child.tag == first_tag for child in element_children)
-    return False
+    # At least two children, all of them elements with one tag.
+    children = node.children
+    if len(children) < 2 or not isinstance(children[0], Element):
+        return False
+    first_tag = children[0].tag
+    return all(
+        isinstance(child, Element) and child.tag == first_tag for child in children
+    )
 
 
 def _eliminate(
     node: Element,
+    parent: Element,
     concept_tags: set[str],
     config: ConversionConfig,
-) -> None:
-    parent = node.parent
-    assert parent is not None
-
-    if not node.children:
+) -> list[Node]:
+    """Detach ``node`` and return what takes its place in ``parent``."""
+    node.parent = None
+    children = node.children
+    if not children:
         # Childless markup carries no structure; its text (if any) must
         # survive on the parent.
         parent.append_val(node.get_val())
-        node.detach()
-        return
+        return []
 
-    children = list(node.children)
-    if _children_push_up(node, config):
+    push_up = _children_push_up(node, config)
+    node.children = []
+    if push_up:
         parent.append_val(node.get_val())
-        node.replace_with(*children)
-        return
+        return children
 
     first_concept = next(
         (child for child in children if is_concept_node(child, concept_tags)),
@@ -92,17 +136,18 @@ def _eliminate(
     if first_concept is None:
         # No concept child to take over: preserve the siblings.
         parent.append_val(node.get_val())
-        node.replace_with(*children)
-        return
+        return children
 
     # The first concept child replaces the node; its former siblings
     # become its children (Figure 1).
     assert isinstance(first_concept, Element)
     first_concept.append_val(node.get_val())
-    rest = [child for child in children if child is not first_concept]
-    node.replace_with(first_concept)
-    for sibling in rest:
-        first_concept.append_child(sibling)
+    adopted = first_concept.children
+    for sibling in children:
+        if sibling is not first_concept:
+            sibling.parent = first_concept
+            adopted.append(sibling)
+    return [first_concept]
 
 
 def residual_markup_tags(root: Element, kb: KnowledgeBase) -> set[str]:

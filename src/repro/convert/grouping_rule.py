@@ -11,6 +11,11 @@ siblings of nodes marked with h1 has a higher priority than grouping
 right siblings of nodes marked with p at the same level"); because each
 group sinks below its leader, lower-priority tags are handled when the
 rule reaches the next level down -- the rule operates top-down.
+
+Each element's child list is rebuilt once: the leaders and the siblings
+left of the first leader stay, and each run of members moves into its
+new ``GROUP`` by assignment, not through ``append_child`` (whose detach
+rescans the old list once per member).
 """
 
 from __future__ import annotations
@@ -32,61 +37,78 @@ def apply_grouping_rule(root: Element, config: ConversionConfig | None = None) -
     config = config or ConversionConfig()
     created = 0
     queue: list[Element] = [root]
-    while queue:
-        element = queue.pop(0)
-        created += _group_children(element, config)
-        queue.extend(element.element_children())
+    # Breadth-first: the loop reads the queue by position while the
+    # body appends to it, so each element is visited once, in FIFO order.
+    for element in queue:
+        # A group needs a leader and at least one member after it.
+        if len(element.children) > 1:
+            created += _group_children(element, config)
+        queue.extend(
+            [child for child in element.children if isinstance(child, Element)]
+        )
     return created
 
 
-def _leader_tag(element: Element, config: ConversionConfig) -> str | None:
+def _leader_tag(children: list[Node], config: ConversionConfig) -> str | None:
     """The highest-weight group tag occurring >= 2 times among children.
 
     A single occurrence gives no evidence of sectioning, so it never
     drives grouping -- this keeps e.g. a lone ``<p>`` from swallowing the
     rest of the document.
     """
+    weights = config.group_tag_weights
     counts: dict[str, int] = {}
-    for child in element.element_children():
-        if child.tag in config.group_tag_weights:
+    for child in children:
+        if isinstance(child, Element) and child.tag in weights:
             counts[child.tag] = counts.get(child.tag, 0) + 1
     candidates = [
         tag for tag, count in counts.items() if count >= config.min_group_leaders
     ]
     if not candidates:
         return None
-    return max(candidates, key=lambda tag: config.group_tag_weights[tag])
+    return max(candidates, key=lambda tag: weights[tag])
 
 
 def _group_children(element: Element, config: ConversionConfig) -> int:
-    tag = _leader_tag(element, config)
+    """Sink the siblings after each leader (up to the next leader) into a
+    ``GROUP`` under that leader, rebuilding ``element``'s list once."""
+    children = element.children
+    tag = _leader_tag(children, config)
     if tag is None:
         return 0
     created = 0
-    children = list(element.children)
-    leaders = [
-        child for child in children if isinstance(child, Element) and child.tag == tag
-    ]
-    # Partition the siblings after each leader (up to the next leader).
-    leader_ids = {id(leader) for leader in leaders}
-    current_leader: Element | None = None
-    buckets: dict[int, list[Node]] = {id(leader): [] for leader in leaders}
+    kept: list[Node] = []
+    leader: Element | None = None
+    members: list[Node] = []
     for child in children:
-        if id(child) in leader_ids:
-            current_leader = child  # type: ignore[assignment]
-        elif current_leader is not None:
-            buckets[id(current_leader)].append(child)
-        # Siblings left of the first leader stay where they are.
-    for leader in leaders:
-        members = buckets[id(leader)]
-        if not members:
-            continue
-        group = Element(GROUP_TAG)
-        for member in members:
-            group.append_child(member)
-        leader.append_child(group)
+        if isinstance(child, Element) and child.tag == tag:
+            if members:
+                _sink(leader, members)  # type: ignore[arg-type]
+                created += 1
+                members = []
+            leader = child
+            kept.append(child)
+        elif leader is None:
+            # Siblings left of the first leader stay where they are.
+            kept.append(child)
+        else:
+            members.append(child)
+    if members:
+        _sink(leader, members)  # type: ignore[arg-type]
         created += 1
+    element.children = kept
     return created
+
+
+def _sink(leader: Element, members: list[Node]) -> None:
+    """Make a new ``GROUP`` holding ``members`` the last child of
+    ``leader``; the members leave their old list with the rebuild."""
+    group = Element(GROUP_TAG)
+    group.children = members
+    for member in members:
+        member.parent = group
+    group.parent = leader
+    leader.children.append(group)
 
 
 def is_group(node: Node) -> bool:

@@ -15,6 +15,15 @@ For each ``<TOKEN>`` produced by the tokenization rule:
   information represented by parent nodes at a lower level of
   abstraction"; no text is ever lost).
 
+The rule is one preorder walk.  Tokens are resolved in document order,
+so the provenance events and each parent's ``val`` appends come in the
+order the node-at-a-time rule made them; the resolver returns a token's
+replacement elements instead of splicing them in, and every parent that
+lost a token gets its child list rebuilt once, after the walk.  A
+token's label path counts, for its own index, the elements its already
+resolved left siblings became -- the path the sequential rule read off
+the half-rewritten tree.
+
 Synonym matching runs through the Aho-Corasick
 :class:`~repro.concepts.fastmatch.FastSynonymMatcher`.  The naive
 per-pattern :class:`~repro.concepts.matcher.SynonymMatcher` is its
@@ -38,8 +47,7 @@ Matcher = SynonymMatcher | FastSynonymMatcher
 Classifier = MultinomialNaiveBayes | CachedBayes
 from repro.convert.config import ConversionConfig
 from repro.convert.tokenize_rule import TOKEN_TAG, token_text
-from repro.dom.node import Element
-from repro.dom.treeops import iter_preorder
+from repro.dom.node import Element, Node, Text
 from repro.obs.provenance import ProvenanceLog, node_label_path
 
 # Bayes margin is +inf when only one class is trained; clamp so the
@@ -92,7 +100,8 @@ def apply_instance_rule(
     ``config.tagger`` in ``("bayes", "hybrid")`` a trained ``bayes``
     classifier must be supplied.  With a ``provenance`` log every token
     decision is recorded as a ``concept`` event keyed by ``doc_id`` and
-    the token's label path *before* the rewrite.
+    the token's label path as the tree stands when it is resolved (its
+    left siblings already rewritten, itself not yet).
     """
     config = config or ConversionConfig()
     if config.tagger in ("bayes", "hybrid") and (bayes is None or not bayes.is_trained()):
@@ -100,9 +109,77 @@ def apply_instance_rule(
     if matcher is None:
         matcher = FastSynonymMatcher(kb)
     stats = InstanceRuleStats()
-    for node in list(iter_preorder(root)):
-        if isinstance(node, Element) and node.tag == TOKEN_TAG and node.parent is not None:
-            _resolve_token(node, kb, config, matcher, bayes, stats, doc_id, provenance)
+    # Tokens are resolved in document order, the order of the provenance
+    # events and of each parent's ``val`` appends; their replacements are
+    # spliced into each parent's child list once, after the walk.
+    replacements: dict[int, list[Element]] = {}
+    spliced: dict[int, Element] = {}
+    labelled = provenance is not None
+    # With provenance: per parent, [its label path, element children so
+    # far in its rewritten list] -- a token's index counts the elements
+    # its already-resolved left siblings became.
+    frames: dict[int, list] = {}
+    stack: list[Node]
+    if root.tag == TOKEN_TAG and root.parent is not None:
+        stack = [root]
+        if labelled:
+            parent = root.parent
+            frames[id(parent)] = [
+                node_label_path(parent),
+                parent.element_children().index(root),
+            ]
+    else:
+        stack = list(reversed(root.children))
+        if labelled:
+            frames[id(root)] = [node_label_path(root), 0]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Element):
+            continue
+        parent = node.parent
+        assert parent is not None
+        children = node.children
+        if labelled:
+            frame = frames[id(parent)]
+            path, index = frame
+        if node.tag == TOKEN_TAG:
+            elements = _resolve_token(
+                node,
+                parent,
+                f"{path}/{TOKEN_TAG}[{index}]" if labelled else "",
+                kb,
+                config,
+                matcher,
+                bayes,
+                stats,
+                doc_id,
+                provenance,
+            )
+            replacements[id(node)] = elements
+            spliced[id(parent)] = parent
+            node.parent = None
+            if labelled:
+                frame[1] = index + len(elements)
+                # Tokens nested in this one are resolved as in the
+                # detached token's own tree.
+                frames[id(node)] = [TOKEN_TAG, 0]
+            if len(children) == 1 and isinstance(children[0], Text):
+                continue
+        elif labelled:
+            frame[1] = index + 1
+            frames[id(node)] = [f"{path}/{node.tag}[{index}]", 0]
+        stack.extend(reversed(children))
+    for parent in spliced.values():
+        rebuilt: list[Node] = []
+        for child in parent.children:
+            elements = replacements.get(id(child))
+            if elements is None:
+                rebuilt.append(child)
+                continue
+            for element in elements:
+                element.parent = parent
+            rebuilt.extend(elements)
+        parent.children = rebuilt
     return stats
 
 
@@ -113,6 +190,8 @@ def _match_confidence(matched: str, text: str) -> float:
 
 def _resolve_token(
     token: Element,
+    parent: Element,
+    node_path: str,
     kb: KnowledgeBase,
     config: ConversionConfig,
     matcher: Matcher,
@@ -120,20 +199,18 @@ def _resolve_token(
     stats: InstanceRuleStats,
     doc_id: str | None = None,
     provenance: ProvenanceLog | None = None,
-) -> None:
-    parent = token.parent
-    assert parent is not None
+) -> list[Element]:
+    """The elements that replace ``token`` in ``parent`` (none when its
+    text passes to the parent's ``val``).  ``node_path`` is the token's
+    label path in the tree as rewritten so far."""
     text = token_text(token)
-    # The label path must be taken while the token is still in the tree.
-    node_path = node_label_path(token) if provenance is not None else ""
     if len(text) < config.min_token_length:
         parent.append_val(text)
-        token.detach()
         if provenance is not None:
             provenance.concept_event(
                 doc_id, node_path, "unlabeled", text=text, reason="short"
             )
-        return
+        return []
 
     matches: list[InstanceMatch] = []
     if config.tagger in ("synonym", "hybrid"):
@@ -141,7 +218,7 @@ def _resolve_token(
     if not matches and config.tagger in ("bayes", "hybrid") and bayes is not None:
         label, margin = bayes.predict(text)
         if label is not None:
-            _emit_single(token, label, text, stats)
+            element = _emit_single(label, text, stats)
             if provenance is not None:
                 provenance.concept_event(
                     doc_id,
@@ -151,20 +228,23 @@ def _resolve_token(
                     confidence=min(margin, _MAX_CONFIDENCE),
                     text=text,
                 )
-            return
+            return [element]
 
     if not matches:
         # Case 2: unidentified -- text passes to the parent.
         parent.append_val(text)
-        token.detach()
         stats.unidentified += 1
         if provenance is not None:
             provenance.concept_event(doc_id, node_path, "unlabeled", text=text)
-        return
+        return []
 
     if len(matches) == 1 or not config.split_multi_instance_tokens:
-        best = max(matches, key=lambda m: (m.specificity, -m.start))
-        _emit_single(token, best.concept_tag, text, stats)
+        best = (
+            matches[0]
+            if len(matches) == 1
+            else max(matches, key=lambda m: (m.specificity, -m.start))
+        )
+        element = _emit_single(best.concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
                 doc_id,
@@ -175,18 +255,20 @@ def _resolve_token(
                 text=text,
                 matched=best.matched_text,
             )
-        return
+        return [element]
 
-    _emit_split(token, matches, text, kb, config, stats, doc_id, node_path, provenance)
+    return _emit_split(
+        parent, matches, text, kb, config, stats, doc_id, node_path, provenance
+    )
 
 
-def _emit_single(token: Element, tag: str, text: str, stats: InstanceRuleStats) -> None:
+def _emit_single(tag: str, text: str, stats: InstanceRuleStats) -> Element:
     element = Element(tag)
     element.set_val(text)
-    token.replace_with(element)
     stats.identified += 1
     stats.elements_created += 1
     stats._count(tag)
+    return element
 
 
 def _merge_connected(
@@ -221,7 +303,7 @@ def _merge_connected(
 
 
 def _emit_split(
-    token: Element,
+    parent: Element,
     matches: list[InstanceMatch],
     text: str,
     kb: KnowledgeBase,
@@ -230,7 +312,7 @@ def _emit_split(
     doc_id: str | None = None,
     node_path: str = "",
     provenance: ProvenanceLog | None = None,
-) -> None:
+) -> list[Element]:
     """Case 1 with several instances: decompose the token.
 
     Consecutive matches whose concepts may not be siblings (per the
@@ -239,8 +321,6 @@ def _emit_split(
     "concept constraints describing typical sibling relationships can be
     employed in order to determine a proper decomposition" refinement.
     """
-    parent = token.parent
-    assert parent is not None
     matches = _merge_connected(matches, text, config)
     kept: list[InstanceMatch] = []
     for match in matches:
@@ -257,7 +337,7 @@ def _emit_split(
         kept.append(match)
 
     if len(kept) == 1:
-        _emit_single(token, kept[0].concept_tag, text, stats)
+        element = _emit_single(kept[0].concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
                 doc_id,
@@ -268,7 +348,7 @@ def _emit_split(
                 text=text,
                 matched=kept[0].matched_text,
             )
-        return
+        return [element]
 
     # Text before the first identified instance goes to the parent.
     prefix = text[: kept[0].start].strip()
@@ -295,6 +375,6 @@ def _emit_split(
                 matched=match.matched_text,
                 split=True,
             )
-    token.replace_with(*elements)
     stats.identified += 1
     stats.split_tokens += 1
+    return elements

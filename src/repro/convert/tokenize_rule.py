@@ -4,16 +4,33 @@
 token nodes of the pattern ``<TOKEN>text</TOKEN>``."  Topic sentences are
 split at punctuation delimiters (``;``, ``,``, ``:`` by default); the
 resulting token nodes are later consumed by the concept instance rule.
+
+The rule is one top-down pass: each parent that holds text gets one new
+child list, its text children replaced in place by their tokens, instead
+of one ``replace_with`` (a scan of the parent's list) per text node.
+:func:`split_topic_sentence` jumps from delimiter to delimiter with a
+character-class pattern rather than visiting every character.
 """
 
 from __future__ import annotations
 
-from repro.concepts.textutil import squeeze_whitespace
+import re
+from functools import lru_cache
+
 from repro.convert.config import ConversionConfig
-from repro.dom.node import Element, Text
-from repro.dom.treeops import iter_preorder
+from repro.dom.node import Element, Node, Text
 
 TOKEN_TAG = "TOKEN"
+
+
+@lru_cache(maxsize=None)
+def _delimiter_pattern(delimiters: tuple[str, ...]) -> re.Pattern[str]:
+    """One character class over the single-character delimiters
+    (a longer string never equals one character, so it never splits)."""
+    chars = sorted({d for d in delimiters if len(d) == 1})
+    if not chars:
+        return re.compile("(?!)")  # matches nowhere
+    return re.compile("[" + "".join(re.escape(char) for char in chars) + "]")
 
 
 def split_topic_sentence(text: str, delimiters: tuple[str, ...]) -> list[str]:
@@ -24,26 +41,21 @@ def split_topic_sentence(text: str, delimiters: tuple[str, ...]) -> list[str]:
     naive splitting there would shred dates and GPAs.  Empty fragments are
     dropped; whitespace is squeezed.
     """
-    delimiter_set = set(delimiters)
     pieces: list[str] = []
-    current: list[str] = []
-    for index, char in enumerate(text):
-        if char in delimiter_set:
-            prev_char = text[index - 1] if index > 0 else ""
-            next_char = text[index + 1] if index + 1 < len(text) else ""
-            if prev_char.isdigit() and next_char.isdigit():
-                current.append(char)
-                continue
-            if char == ":" and text[index + 1 : index + 3] == "//":
-                # URL scheme separator ("http://..."), not a delimiter.
-                current.append(char)
-                continue
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    pieces.append("".join(current))
-    tokens = [squeeze_whitespace(piece) for piece in pieces]
+    start = 0
+    for match in _delimiter_pattern(delimiters).finditer(text):
+        index = match.start()
+        if index and text[index - 1].isdigit() and text[index + 1 : index + 2].isdigit():
+            continue
+        if text.startswith("://", index):
+            # URL scheme separator ("http://..."), not a delimiter.
+            continue
+        pieces.append(text[start:index])
+        start = index + 1
+    pieces.append(text[start:])
+    # str.split() breaks at exactly the characters ``\s`` matches, so
+    # this is re.sub(r"\s+", " ", piece).strip(), without the regex.
+    tokens = [" ".join(piece.split()) for piece in pieces]
     return [token for token in tokens if token]
 
 
@@ -57,21 +69,38 @@ def apply_tokenization_rule(
     whitespace) is simply removed.
     """
     config = config or ConversionConfig()
+    delimiters = config.delimiters
     created = 0
-    for node in list(iter_preorder(root)):
-        if not isinstance(node, Text) or node.parent is None:
-            continue
-        tokens = split_topic_sentence(node.text, config.delimiters)
-        replacements = []
-        for token_text in tokens:
-            token = Element(TOKEN_TAG)
-            token.append_child(Text(token_text))
-            replacements.append(token)
-        node.replace_with(*replacements)
-        created += len(replacements)
+    stack: list[Element] = [root]
+    while stack:
+        parent = stack.pop()
+        children = parent.children
+        rebuilt: list[Node] | None = None
+        for index, child in enumerate(children):
+            if not isinstance(child, Text):
+                if isinstance(child, Element):
+                    stack.append(child)
+                if rebuilt is not None:
+                    rebuilt.append(child)
+                continue
+            if rebuilt is None:
+                rebuilt = children[:index]
+            child.parent = None
+            for piece in split_topic_sentence(child.text, delimiters):
+                token = Element(TOKEN_TAG)
+                token.adopt_new(Text(piece))
+                token.parent = parent
+                rebuilt.append(token)
+                created += 1
+        if rebuilt is not None:
+            parent.children = rebuilt
     return created
 
 
 def token_text(token: Element) -> str:
     """The text carried by a ``<TOKEN>`` element."""
+    children = token.children
+    if len(children) == 1 and isinstance(children[0], Text):
+        # The shape the tokenization rule builds: inner_text of one leaf.
+        return children[0].text.strip()
     return token.inner_text()

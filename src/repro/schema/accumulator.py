@@ -81,10 +81,21 @@ class PathAccumulator:
         return accumulator
 
     def add(self, doc: DocumentPaths) -> None:
-        """Fold one document's path set into the statistics."""
+        """Fold one document's path set into the statistics.
+
+        Paths are taken in the order ``extract_paths`` meets them (the
+        insertion order of ``avg_position``), not in set order: set order
+        follows string hashing, and the key order reaches the checkpoint
+        bytes.  A path missing from ``avg_position`` (a hand-built
+        document) comes after those, sorted."""
         self.document_count += 1
-        self.doc_frequency.update(doc.paths)
-        for path in doc.paths:
+        paths = doc.paths
+        ordered = [path for path in doc.avg_position if path in paths]
+        if len(ordered) < len(paths):
+            ordered.extend(sorted(paths.difference(doc.avg_position)))
+        frequency = self.doc_frequency
+        for path in ordered:
+            frequency[path] = frequency.get(path, 0) + 1
             position = doc.avg_position.get(path, 0.0)
             self.position_sum[path] = self.position_sum.get(path, 0.0) + position
             histogram = self.multiplicity_docs.get(path)

@@ -177,6 +177,9 @@ class DocumentOutcome:
     seconds: float = 0.0
     schema_version: int | None = None
     folded: bool = False
+    # The summary of the fold that took this document (not serialized;
+    # the batch response reports it once, in its ``fold`` object).
+    fold_summary: dict | None = None
 
     def to_json(self) -> dict:
         out: dict = {

@@ -304,6 +304,7 @@ class ConversionService:
                 if outcome.ok:
                     outcome.folded = True
                     outcome.schema_version = summary["schema_version"]
+                    outcome.fold_summary = summary
         await self._apply_schema_versions(topic, batch, outcomes)
         for pending, outcome in zip(batch, outcomes):
             if not pending.future.done():
@@ -559,12 +560,36 @@ class ConversionService:
         )
         batch = BatchOutcome(results=list(results))
         if requests and requests[0].fold:
-            state = self.topics[requests[0].topic]
-            batch.fold = {
-                "schema_version": state.evolving.version,
-                "total_documents": state.evolving.total_documents(),
-            }
+            batch.fold = self._batch_fold(requests[0].topic, batch.results)
         return 200, _json_body(batch.to_json())
+
+    def _batch_fold(self, topic: str, results: list[DocumentOutcome]) -> dict:
+        """The batch's ``fold`` object, from the folds that took its
+        documents: the latest one's summary, ``bumped`` if any of them
+        bumped, and ``documents_folded`` counting this batch only.
+
+        Folds of one topic may finish out of dispatch order; the
+        topic's document total and schema version only grow, so the
+        latest fold is the one with the largest pair."""
+        summaries = [r.fold_summary for r in results if r.fold_summary is not None]
+        if not summaries:
+            # Nothing folded (every document failed): report where the
+            # topic stands.
+            state = self.topics[topic]
+            return {
+                "documents_folded": 0,
+                "total_documents": state.evolving.total_documents(),
+                "schema_version": state.evolving.version,
+                "bumped": False,
+            }
+        latest = max(
+            summaries, key=lambda s: (s["total_documents"], s["schema_version"])
+        )
+        return {
+            **latest,
+            "documents_folded": len(summaries),
+            "bumped": any(summary["bumped"] for summary in summaries),
+        }
 
     # -- reporting -----------------------------------------------------------
 

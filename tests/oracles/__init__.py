@@ -11,15 +11,18 @@ suites compare against:
   six-traversal cleanser;
 * ``tagger`` -- :class:`tests.oracles.tagger.NaiveSynonymMatcher`, the
   per-pattern synonym matcher;
+* ``rules`` -- :mod:`tests.oracles.rules`, the four conversion rules
+  that rewrite one node at a time;
 * :func:`tests.oracles.entities.decode_entities_slow`, the entity
   decoder's oracle (unit level only; nothing swaps it in).
 
-:func:`swapped` installs any of the first three by monkeypatching the
+:func:`swapped` installs any of the first four by monkeypatching the
 names production code calls through -- ``repro.htmlparse.parser.tokenize``,
-``repro.convert.pipeline.tidy`` and ``repro.convert.pipeline.FastSynonymMatcher``
--- and restores them on exit.  ``src/`` has no hook for it.  A
+``repro.convert.pipeline.tidy``, ``repro.convert.pipeline.FastSynonymMatcher``
+and the four ``repro.convert.pipeline.apply_*_rule`` names -- and restores
+them on exit.  ``src/`` has no hook for it.  A
 converter built under the swap keeps the naive matcher, and engine
-workers forked under it keep all three, so the swap must be in place
+workers forked under it keep all four, so the swap must be in place
 before the engine builds its converter and forks its pool.
 
 The swap counts the calls it serves in shared memory, so calls made in
@@ -38,16 +41,18 @@ from typing import Iterator
 import repro.convert.pipeline as pipeline_module
 import repro.htmlparse.parser as parser_module
 from repro.concepts.knowledge import KnowledgeBase
+from tests.oracles import rules
 from tests.oracles.tagger import NaiveSynonymMatcher
 from tests.oracles.tidy import tidy_legacy
 from tests.oracles.tokenizer import tokenize_legacy
 
-ORACLES = ("parser", "tidy", "tagger")
+ORACLES = ("parser", "tidy", "tagger", "rules")
 
 
 class OracleCalls:
     """Calls served per swapped oracle: documents tokenized (``parser``),
-    trees cleansed (``tidy``) and naive matchers built (``tagger``)."""
+    trees cleansed (``tidy``), naive matchers built (``tagger``) and rule
+    applications (``rules``, four per converted document)."""
 
     def __init__(self) -> None:
         self._values = {name: multiprocessing.Value("q", 0) for name in ORACLES}
@@ -82,18 +87,34 @@ def swapped(*oracles: str) -> Iterator[OracleCalls]:
             calls.bump("tagger")
             super().__init__(kb, cache_size=cache_size)
 
+    def counted_rule(rule):
+        def apply(*args, **kwargs):
+            calls.bump("rules")
+            return rule(*args, **kwargs)
+
+        return apply
+
     targets = {
-        "parser": (parser_module, "tokenize", tokenize),
-        "tidy": (pipeline_module, "tidy", tidy),
-        "tagger": (pipeline_module, "FastSynonymMatcher", CountedNaiveMatcher),
+        "parser": [(parser_module, "tokenize", tokenize)],
+        "tidy": [(pipeline_module, "tidy", tidy)],
+        "tagger": [(pipeline_module, "FastSynonymMatcher", CountedNaiveMatcher)],
+        "rules": [
+            (pipeline_module, name, counted_rule(getattr(rules, f"{name}_legacy")))
+            for name in (
+                "apply_tokenization_rule",
+                "apply_instance_rule",
+                "apply_grouping_rule",
+                "apply_consolidation_rule",
+            )
+        ],
     }
     saved = []
     try:
         for oracle in oracles:
-            module, name, replacement = targets[oracle]
-            # getattr first: a renamed target fails here, loudly.
-            saved.append((module, name, getattr(module, name)))
-            setattr(module, name, replacement)
+            for module, name, replacement in targets[oracle]:
+                # getattr first: a renamed target fails here, loudly.
+                saved.append((module, name, getattr(module, name)))
+                setattr(module, name, replacement)
         yield calls
     finally:
         for module, name, original in reversed(saved):

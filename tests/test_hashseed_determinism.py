@@ -1,4 +1,5 @@
-"""The XML and DTD depend on the corpus, not on ``PYTHONHASHSEED``.
+"""The XML, DTD and checkpoint bytes depend on the corpus, not on
+``PYTHONHASHSEED``.
 
 String hashing is salted per interpreter, so any set or dict iteration
 that leaks into output ordering would make two runs of the same corpus
@@ -51,3 +52,37 @@ def test_output_independent_of_hash_seed_and_workers(tmp_path):
     for key, (xml, dtd) in runs.items():
         assert xml == reference_xml, key
         assert dtd == reference_dtd, key
+
+
+def evolve_state(state: Path, *, hash_seed: str) -> dict[str, bytes]:
+    """``evolve init`` plus two ``evolve fold``s; returns the checkpoint
+    files' bytes.  The first fold writes the snapshot; the second, a
+    third its size, stays a frame in the delta log."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+    commands = (
+        ["init", str(state)],
+        ["fold", str(state), "--generate", "12", "--seed", "3", "--max-workers", "1"],
+        ["fold", str(state), "--generate", "4", "--seed", "4", "--max-workers", "1"],
+    )
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "evolve", *command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    return {
+        name: (state / name).read_bytes() for name in ("snapshot.bin", "deltas.log")
+    }
+
+
+def test_checkpoint_bytes_independent_of_hash_seed(tmp_path):
+    """The accumulator's key order, and with it every snapshot and delta
+    frame, follows the documents, not string hashing."""
+    runs = {
+        seed: evolve_state(tmp_path / f"state{seed}", hash_seed=seed)
+        for seed in HASH_SEEDS
+    }
+    reference = runs[HASH_SEEDS[0]]
+    assert reference["snapshot.bin"] and reference["deltas.log"]
+    for seed, files in runs.items():
+        assert files == reference, seed

@@ -278,25 +278,17 @@ class TestOfflineEquivalence:
         ).read_text(encoding="utf-8")
         assert service_dtd.rstrip("\n") == evolving.dtd_text.rstrip("\n")
 
-    def test_fold_publishes_every_survivor(
-        self, kb, tmp_path, corpus_html, monkeypatch
-    ):
+    def test_fold_publishes_every_survivor(self, kb, tmp_path, corpus_html):
         """With ``publish`` on, every fold syncs the topic's versioned
         repository: CURRENT holds every surviving document, stored
-        against the topic's current DTD."""
+        against the topic's current DTD.  Each batch response reports
+        the latest fold that took its documents."""
         service = make_service(kb, tmp_path, publish=True)
         state = service.topics["resume"]
-        summaries = []
-        fold = state.fold
-
-        def recording_fold(accumulator, new_xml):
-            summaries.append(fold(accumulator, new_xml))
-            return summaries[-1]
-
-        monkeypatch.setattr(state, "fold", recording_fold)
         server = ServerThread(service)
         host, port = server.start()
         converted = 0
+        folds = []
         try:
             for lo, hi in ((0, 4), (4, len(corpus_html))):
                 status, payload = post_json(
@@ -305,16 +297,21 @@ class TestOfflineEquivalence:
                 )
                 assert status == 200
                 converted += payload["converted"]
+                assert payload["fold"]["documents_folded"] == payload["converted"]
+                folds.append(payload["fold"])
             status, _, body = fetch(host, port, _get("/schemas/resume"))
             described = json.loads(body)
         finally:
             server.stop()
 
-        assert summaries
-        assert [summary["repository_version"] for summary in summaries] == (
-            list(range(1, len(summaries) + 1))
-        )
+        first, last = folds
+        # The first fold into an empty state always bumps to version 1.
+        assert first["bumped"] is True and first["schema_version"] >= 1
+        assert first["repository_version"] < last["repository_version"]
+        assert last["total_documents"] == converted
+        assert last["schema_version"] == state.evolving.version
         repository = state.repository
+        assert last["repository_version"] == repository.current_version()
         assert described["repository_version"] == repository.current_version()
         assert len(repository.load()) == converted  # load re-validates
         assert repository.dtd_text() == state.evolving.dtd_text
