@@ -1,9 +1,11 @@
-"""The repository lifecycle: integrate, persist, reload, migrate.
+"""The repository lifecycle: integrate, publish, reload, migrate.
 
 The durable half of the Quixote system [11]: a repository built from one
-corpus snapshot is saved to disk, reloaded later, and -- when the web's
-authoring habits have drifted -- migrated onto a freshly re-discovered
-DTD without losing any document.
+corpus snapshot is published as version 1 of a versioned store,
+reloaded later, and -- when the web's authoring habits have drifted --
+migrated onto a freshly re-discovered DTD, together with new-web
+documents, as version 2, without losing any document.  Version 1 stays
+on disk for rollback.
 
 Run:  python examples/repository_workflow.py [directory]
 """
@@ -22,8 +24,8 @@ from repro import (
     mine_frequent_paths,
 )
 from repro.corpus.styles import STYLES
-from repro.mapping.migrate import migrate_repository
-from repro.mapping.persistence import load_repository, save_repository
+from repro.dom.serialize import to_xml_document
+from repro.mapping.versioned import VersionedRepository
 
 
 def discover_dtd(kb, converter, docs):
@@ -50,19 +52,24 @@ def main(directory: str) -> None:
     repository = XMLRepository(old_dtd)
     for doc in old_docs:
         repository.insert(converter.convert(doc.html).root)
-    target = save_repository(repository, directory)
-    print(f"saved {len(repository)} documents to {target}/")
+    store = VersionedRepository(directory)
+    version = store.publish(old_dtd, repository.export(), repository.stats)
+    print(f"published {len(repository)} documents as v{version:04d} "
+          f"in {directory}/")
 
     # --- reload -----------------------------------------------------------
-    loaded = load_repository(target)
+    loaded = store.load()
     print(f"reloaded {len(loaded)} documents "
           f"({loaded.stats.repaired} had been repaired on arrival)")
 
-    # --- the web drifts: re-discover and migrate --------------------------
+    # --- the web drifts: re-discover, migrate, absorb new documents -------
     new_mix = {s: (1.0 if s in ("table", "font-soup") else 0.0) for s in STYLES}
     new_docs = ResumeCorpusGenerator(seed=2, style_weights=new_mix).generate(30)
     new_dtd = discover_dtd(kb, converter, new_docs)
-    migrated, report = migrate_repository(loaded, new_dtd)
+    new_xml = [
+        to_xml_document(converter.convert(doc.html).root) for doc in new_docs[:10]
+    ]
+    version, report = store.sync(new_dtd, new_xml)
     print(
         f"migrated onto the re-discovered DTD: "
         f"{report.migrated} documents changed "
@@ -70,11 +77,9 @@ def main(directory: str) -> None:
         f"{report.avg_edit_distance:.1f}), "
         f"{report.already_conforming} already conformed"
     )
-
-    # Fresh documents from the new web integrate into the migrated store.
-    for doc in new_docs[:10]:
-        migrated.insert(converter.convert(doc.html).root)
-    print(f"after absorbing new-web documents: {len(migrated)} total")
+    migrated = store.load()
+    print(f"after absorbing new-web documents: {len(migrated)} total "
+          f"in v{version:04d} (v0001 kept for rollback)")
 
     degrees = migrated.values("RESUME//DEGREE")
     print(f"query across old and new documents: {len(degrees)} degrees found")

@@ -657,7 +657,6 @@ def _cmd_evolve_init(args: argparse.Namespace) -> int:
         sup_threshold=args.sup,
         ratio_threshold=args.ratio,
         optional_threshold=args.optional,
-        compaction_ratio=args.compaction_ratio,
     )
     if evolving.exists():
         print(
@@ -766,7 +765,6 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
             ).sync(
                 dtd, result.xml_documents, schema_version=evolving.version,
                 max_workers=args.max_workers or None,
-                chunk_size=args.chunk_size,
             )
             _print_sync(args.repository, repository_version, migration,
                         evolving.version)
@@ -811,7 +809,6 @@ def _cmd_evolve_migrate(args: argparse.Namespace) -> int:
     version, report = vrepo.sync(
         dtd, [], schema_version=evolving.version,
         max_workers=args.max_workers or None,
-        chunk_size=args.chunk_size,
     )
     _print_sync(args.repository, version, report, evolving.version)
     return 0
@@ -1088,13 +1085,6 @@ def build_parser() -> argparse.ArgumentParser:
     einit.add_argument("--sup", type=_fraction, default=0.4)
     einit.add_argument("--ratio", type=_fraction, default=0.0)
     einit.add_argument("--optional", type=_fraction, default=None)
-    einit.add_argument(
-        "--compaction-ratio",
-        type=float,
-        default=1.0,
-        help="compact the delta log once it reaches this multiple of "
-        "the snapshot size (default 1.0)",
-    )
     einit.set_defaults(func=_cmd_evolve_init)
 
     estatus = evolve_sub.add_parser(
@@ -1126,7 +1116,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for conversion and migration "
         "(0 = one per CPU, 1 = serial in-process)",
     )
-    efold.add_argument("--chunk-size", type=_count, default=16)
+    efold.add_argument(
+        "--chunk-size", type=_count, default=16,
+        help="documents per conversion chunk",
+    )
     efold.add_argument(
         "--repository", default="", metavar="DIR",
         help="versioned repository to keep in step: on a version bump "
@@ -1157,7 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers", type=_count, default=0,
         help="migration worker processes (0 = one per CPU, 1 = serial)",
     )
-    emigrate.add_argument("--chunk-size", type=_count, default=16)
     emigrate.set_defaults(func=_cmd_evolve_migrate)
 
     erollback = evolve_sub.add_parser(

@@ -149,7 +149,7 @@ class DocumentConverter:
                     document = parse_html(html)
                 else:
                     document = clone(html) if copy else html
-            input_nodes = tree_size(document)
+                input_nodes = tree_size(document)
             if self.config.apply_tidy:
                 with tracer.stage("tidy", timings):
                     tidy(document)

@@ -21,6 +21,18 @@ def fsync_write(path: Path, data: bytes) -> None:
         os.fsync(handle.fileno())
 
 
+def link_or_copy(source: Path, target: Path) -> None:
+    """Hard-link ``source`` at ``target``; where the filesystem refuses
+    a link, write ``target`` as an fsync'd copy instead.  An existing
+    ``target`` is an error: it may share its inode with another file."""
+    try:
+        os.link(source, target)
+    except FileExistsError:
+        raise
+    except OSError:
+        fsync_write(target, source.read_bytes())
+
+
 def fsync_dir(directory: Path) -> None:
     """Flush a directory entry (rename durability); best-effort on
     filesystems that reject directory fsync."""

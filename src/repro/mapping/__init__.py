@@ -8,7 +8,9 @@ document repository."
 * :mod:`repro.mapping.tree_edit` -- Zhang--Shasha ordered tree edit
   distance, implemented from scratch.
 * :mod:`repro.mapping.validate` -- DTD conformance checking.
-* :mod:`repro.mapping.conform` -- DTD-guided document repair.
+* :mod:`repro.mapping.conform` -- DTD-guided document repair, and
+  :func:`~repro.mapping.conform.repair`, the one step every insert,
+  migration and schema-version conform runs.
 * :mod:`repro.mapping.repository` -- the XML repository that integrates
   conformed documents.
 * :mod:`repro.mapping.versioned` -- the on-disk versioned repository
@@ -16,14 +18,14 @@ document repository."
   with parallel document migration between schema versions.
 """
 
-from repro.mapping.conform import ConformResult, conform_document
+from repro.mapping.conform import ConformResult, conform_document, repair
 from repro.mapping.edit_script import approximate_edit_script
-from repro.mapping.migrate import MigrationReport, migrate_repository
 from repro.mapping.persistence import load_repository, save_repository
 from repro.mapping.repository import XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
 from repro.mapping.validate import Violation, validate_document
 from repro.mapping.versioned import (
+    MigrationReport,
     VersionedRepository,
     migrate_documents,
 )
@@ -34,10 +36,10 @@ __all__ = [
     "Violation",
     "conform_document",
     "ConformResult",
+    "repair",
     "XMLRepository",
     "save_repository",
     "load_repository",
-    "migrate_repository",
     "MigrationReport",
     "approximate_edit_script",
     "VersionedRepository",

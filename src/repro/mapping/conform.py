@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dom.node import Element
+from repro.mapping.validate import validate_document
 from repro.schema.dtd import DTD, Multiplicity
 
 
@@ -68,6 +69,26 @@ def conform_document(
         result.merged += 1
 
     _conform_element(root, dtd, result, name_of, synth_chain=(), synthesized=set())
+    return result
+
+
+def repair(root: Element, dtd: DTD) -> ConformResult:
+    """The document mapping step: make ``root`` conform to ``dtd``.
+
+    A conforming document is left alone; any other is conformed in
+    place and validated again.  Repair is designed to be complete, so
+    residue raises :class:`AssertionError` -- it is a bug, not a
+    skippable document.  Every repair operation changes the tree, so a
+    result with zero operations means the document conformed on arrival.
+    """
+    if not validate_document(root, dtd):
+        return ConformResult(root)
+    result = conform_document(root, dtd)
+    remaining = validate_document(root, dtd)
+    if remaining:
+        raise AssertionError(
+            f"repair left violations: {[str(v) for v in remaining[:3]]}"
+        )
     return result
 
 

@@ -13,12 +13,13 @@ carries non-ASCII names and punctuation).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.dom.node import Element
 from repro.dom.serialize import to_xml_document
 from repro.dom.treeops import iter_elements
-from repro.durable import fsync_dir, fsync_write
+from repro.durable import fsync_dir, fsync_write, link_or_copy
 from repro.htmlparse.parser import parse_fragment
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.schema.dtd import DTD
@@ -68,23 +69,27 @@ def write_repository_dir(
     stats: RepositoryStats,
     *,
     schema_version: int | None = None,
+    carried: Sequence[Path] = (),
 ) -> Path:
     """Write one repository directory from already-serialized documents.
 
     The lower-level half of :func:`save_repository`, shared with the
     versioned layout (:mod:`repro.mapping.versioned`) whose parallel
     migration transports documents as XML text and should not re-build
-    trees just to serialize them again.  Every file, and the directory
-    entry naming them, is flushed to stable storage before this returns.
+    trees just to serialize them again.  The ``carried`` document files
+    of another repository directory come first, hard-linked where the
+    filesystem allows.  Every file, and the directory entry naming
+    them, is flushed to stable storage before this returns.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     fsync_write(target / DTD_NAME, dtd.render().encode(ENCODING))
-    names = []
-    for index, xml in enumerate(xml_documents):
-        name = f"doc{index:05d}.xml"
+    count = len(carried) + len(xml_documents)
+    names = [f"doc{index:05d}.xml" for index in range(count)]
+    for source, name in zip(carried, names):
+        link_or_copy(source, target / name)
+    for xml, name in zip(xml_documents, names[len(carried):]):
         fsync_write(target / name, xml.encode(ENCODING))
-        names.append(name)
     manifest = {
         "format": "repro-xml-repository/1",
         "root_name": dtd.root_name,

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from repro.dom.node import Element
 from repro.dom.path import find_all
 from repro.dom.serialize import to_xml_document
-from repro.mapping.conform import ConformResult, conform_document
-from repro.mapping.validate import validate_document
+from repro.mapping.conform import ConformResult, repair
 from repro.schema.dtd import DTD
 
 
@@ -35,6 +34,16 @@ class RepositoryStats:
         """Fraction of accepted documents that needed repair."""
         accepted = self.conforming_on_arrival + self.repaired
         return self.repaired / accepted if accepted else 0.0
+
+    def record(self, operations: int) -> None:
+        """Count one accepted document whose repair took ``operations``
+        (zero: it conformed on arrival)."""
+        self.documents += 1
+        if operations:
+            self.repaired += 1
+            self.total_repair_operations += operations
+        else:
+            self.conforming_on_arrival += 1
 
 
 class XMLRepository:
@@ -64,29 +73,17 @@ class XMLRepository:
         the document was rejected by the repair budget.  The input tree
         is mutated by the repair.
         """
-        self.stats.documents += 1
         self._index = None
-        violations = validate_document(root, self.dtd)
-        if not violations:
-            self.documents.append(root)
-            self.stats.conforming_on_arrival += 1
-            return ConformResult(root)
-        result = conform_document(root, self.dtd)
+        result = repair(root, self.dtd)
         if (
             self.max_repair_operations is not None
             and result.total_operations > self.max_repair_operations
         ):
+            self.stats.documents += 1
             self.stats.rejected += 1
             return None
-        remaining = validate_document(root, self.dtd)
-        if remaining:
-            # Repair is designed to be complete; any residue is a bug.
-            raise AssertionError(
-                f"repair left violations: {[str(v) for v in remaining[:3]]}"
-            )
         self.documents.append(root)
-        self.stats.repaired += 1
-        self.stats.total_repair_operations += result.total_operations
+        self.stats.record(result.total_operations)
         return result
 
     def __len__(self) -> int:

@@ -11,37 +11,41 @@ atomically updated ``CURRENT`` pointer::
       versions/
         v0001/  v0002/  v0003/   -- each a full save_repository() dir
 
-Every publish allocates the next version number and writes a complete
-directory (each file fsync'd, staged under a temp name, renamed into
-place) before ``CURRENT`` is committed through
+Every publish allocates the next version number and stages a complete
+directory under a temp name (new files fsync'd, documents carried over
+unchanged hard-linked from the previous version), renames it into
+place and only then commits ``CURRENT`` through
 :func:`repro.durable.atomic_replace`, so a reader following ``CURRENT``
 never observes a half-written store, not even after a crash, and
 ``rollback`` is just repointing ``CURRENT`` at the previous version --
-the superseded directories stay on disk until explicitly pruned.
+the superseded directories stay on disk until explicitly pruned.  A
+version never changes after it is published, so sharing a file between
+versions is safe.
 
 :meth:`VersionedRepository.sync` is the one way a repository follows the
 evolving schema: ``repro-web evolve fold --repository``, ``repro-web
 evolve migrate`` and the conversion service's fold lane all call it.
-Its migration productionizes ``examples/schema_evolution.py``'s serial
-sketch: documents are replayed through the existing tree-edit mapping
-layer (:func:`repro.mapping.conform.conform_document`) **in parallel**
-on a :class:`repro.runtime.pool.WorkerPool` -- the corpus engine's
-pool with a parsed DTD as the per-worker state -- and every migrated
-document is re-validated against the new DTD before
-the new version is published.
+Every document it migrates or inserts goes through one per-document
+step, :func:`repro.mapping.conform.repair`: stored documents are
+migrated **in parallel** on a
+:class:`repro.runtime.pool.WorkerPool` (the corpus engine's pool with
+a parsed DTD as the per-worker state), new documents in the calling
+process.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.dom.serialize import to_xml_document
-from repro.dom.treeops import clone
 from repro.durable import atomic_replace, fsync_dir
-from repro.mapping.conform import conform_document
-from repro.mapping.migrate import MigrationReport
+from repro.mapping.conform import repair
 from repro.mapping.persistence import (
     DTD_NAME,
     ENCODING,
@@ -52,57 +56,77 @@ from repro.mapping.persistence import (
 )
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
-from repro.mapping.validate import validate_document
 from repro.runtime.pool import WorkerPool
 from repro.schema.dtd import DTD
 
 VERSIONS_DIR = "versions"
 CURRENT_NAME = "CURRENT"
+# Documents per migration task; output does not depend on it.
+MIGRATION_CHUNK_SIZE = 16
 
 
-# -- parallel migration (worker side) -----------------------------------------
+@dataclass
+class MigrationReport:
+    """What a migration did."""
 
+    documents: int = 0
+    already_conforming: int = 0
+    migrated: int = 0
+    total_operations: int = 0
+    edit_distances: list[float] = field(default_factory=list)
 
-def _migration_state(
-    dtd_text: str, root_name: str, measure_distance: bool
-) -> tuple[DTD, bool]:
-    """Per-worker state: the target DTD parsed exactly once."""
-    return DTD.parse(dtd_text, root_name=root_name), measure_distance
+    @property
+    def avg_edit_distance(self) -> float:
+        """Mean structural change per migrated document."""
+        if not self.edit_distances:
+            return 0.0
+        return sum(self.edit_distances) / len(self.edit_distances)
 
-
-def _migrate_one(state: tuple[DTD, bool], xml_text: str) -> dict:
-    """Migrate one serialized document onto the per-worker DTD.
-
-    Returns the migrated XML plus the accounting the report needs.  The
-    post-repair validation mirrors :func:`repro.mapping.migrate.
-    migrate_repository`: repair is designed to be complete, so residue
-    is a bug, not a skippable document.
-    """
-    dtd, measure_distance = state
-    root = load_xml_document(xml_text)
-    if not validate_document(root, dtd):
+    def to_json(self) -> dict:
+        """The summary a run-ledger record and a service fold carry."""
         return {
-            "xml": to_xml_document(root),
-            "conforming": True,
-            "operations": 0,
-            "distance": None,
+            "documents": self.documents,
+            "already_conforming": self.already_conforming,
+            "migrated": self.migrated,
+            "total_operations": self.total_operations,
+            "avg_edit_distance": self.avg_edit_distance,
         }
-    original = clone(root) if measure_distance else None
-    outcome = conform_document(root, dtd)
-    remaining = validate_document(root, dtd)
-    if remaining:
-        raise AssertionError(
-            f"migration left violations: {[str(v) for v in remaining[:3]]}"
-        )
-    distance = (
-        tree_edit_distance(original, root) if measure_distance else None
-    )
-    return {
-        "xml": to_xml_document(root),
-        "conforming": False,
-        "operations": outcome.total_operations,
-        "distance": distance,
-    }
+
+    def rows(self) -> list[list[str]]:
+        """Report-table rows for the CLI's migration table."""
+        return [
+            ["documents", str(self.documents)],
+            ["already conforming", str(self.already_conforming)],
+            ["migrated", str(self.migrated)],
+            ["repair operations", str(self.total_operations)],
+            ["avg edit distance", f"{self.avg_edit_distance:.2f}"],
+        ]
+
+
+# -- the per-document step ----------------------------------------------------
+
+
+def _migration_state(dtd_text: str, root_name: str) -> DTD:
+    """Per-worker state: the target DTD parsed exactly once."""
+    return DTD.parse(dtd_text, root_name=root_name)
+
+
+def repair_xml(
+    dtd: DTD, xml_text: str, measure_distance: bool = False
+) -> tuple[str, int, float | None]:
+    """Repair one serialized document onto ``dtd``.
+
+    Returns the repaired XML, the repair operations it took (zero: it
+    already conformed) and, with ``measure_distance``, the
+    Zhang--Shasha distance a repaired document moved (``None`` when
+    not measured or nothing changed).
+    """
+    root = load_xml_document(xml_text)
+    operations = repair(root, dtd).total_operations
+    distance = None
+    if measure_distance and operations:
+        distance = tree_edit_distance(load_xml_document(xml_text), root)
+    return to_xml_document(root), operations, distance
 
 
 def migrate_documents(
@@ -110,33 +134,32 @@ def migrate_documents(
     new_dtd: DTD,
     *,
     max_workers: int | None = 1,
-    chunk_size: int = 32,
-    measure_distance: bool = True,
 ) -> tuple[list[str], MigrationReport]:
     """Migrate serialized documents onto ``new_dtd`` in parallel.
 
-    Returns the migrated XML (document order preserved) and a
-    :class:`~repro.mapping.migrate.MigrationReport` identical to what
-    the serial :func:`~repro.mapping.migrate.migrate_repository` path
-    reports for the same input.
+    Returns the migrated XML (document order preserved) and the
+    migration report; neither depends on the worker count.
     """
     report = MigrationReport()
     migrated_xml: list[str] = []
     with WorkerPool(
         _migration_state,
-        (new_dtd.render(), new_dtd.root_name, measure_distance),
+        (new_dtd.render(), new_dtd.root_name),
         workers=max_workers,
     ) as pool:
-        for result in pool.map(_migrate_one, xml_documents, chunk_size=chunk_size):
+        for xml, operations, distance in pool.map(
+            partial(repair_xml, measure_distance=True),
+            xml_documents,
+            chunk_size=MIGRATION_CHUNK_SIZE,
+        ):
             report.documents += 1
-            migrated_xml.append(result["xml"])
-            if result["conforming"]:
+            migrated_xml.append(xml)
+            if not operations:
                 report.already_conforming += 1
                 continue
             report.migrated += 1
-            report.total_operations += result["operations"]
-            if result["distance"] is not None:
-                report.edit_distances.append(result["distance"])
+            report.total_operations += operations
+            report.edit_distances.append(distance)
     return migrated_xml, report
 
 
@@ -199,19 +222,23 @@ class VersionedRepository:
             raise ValueError(f"{self.root}: version {version} does not exist")
         return load_repository(directory)
 
+    def document_paths(self, version: int | None = None) -> list[Path]:
+        """The stored document files of a version, in manifest order."""
+        directory = self._directory(version)
+        manifest = json.loads(
+            (directory / MANIFEST_NAME).read_text(encoding=ENCODING)
+        )
+        return [directory / name for name in manifest["documents"]]
+
     def document_xml(self, version: int | None = None) -> list[str]:
         """The stored documents of a version as serialized XML text.
 
         Reads the files directly (no tree rebuild) -- the transport form
         parallel migration wants.
         """
-        directory = self._directory(version)
-        manifest = json.loads(
-            (directory / MANIFEST_NAME).read_text(encoding=ENCODING)
-        )
         return [
-            (directory / name).read_text(encoding=ENCODING)
-            for name in manifest["documents"]
+            path.read_text(encoding=ENCODING)
+            for path in self.document_paths(version)
         ]
 
     def dtd_text(self) -> str:
@@ -235,19 +262,27 @@ class VersionedRepository:
         stats: RepositoryStats,
         *,
         schema_version: int | None = None,
+        carried: Sequence[Path] = (),
     ) -> int:
-        """Write serialized documents as a new version; repoint CURRENT.
+        """Write a new version; repoint CURRENT.
 
-        The directory is staged under a temporary name, flushed and
-        renamed into place before CURRENT moves, so a concurrent reader
-        -- or one after a crash -- sees the complete new version or
-        none at all.
+        The version holds the ``carried`` files of an earlier version
+        (hard-linked, unchanged) followed by ``xml_documents``.  The
+        directory is staged under a temporary name, flushed and renamed
+        into place before CURRENT moves, so a concurrent reader -- or
+        one after a crash -- sees the complete new version or none at
+        all.
         """
         version = (self.versions()[-1] + 1) if self.versions() else 1
         staging = self.versions_dir / f".staging-v{version:04d}"
+        # A publish that died before its rename leaves this directory
+        # behind, possibly holding links to a published version's files;
+        # writing through those links would change that version.
+        shutil.rmtree(staging, ignore_errors=True)
         self.versions_dir.mkdir(parents=True, exist_ok=True)
         write_repository_dir(
-            staging, dtd, xml_documents, stats, schema_version=schema_version
+            staging, dtd, xml_documents, stats,
+            schema_version=schema_version, carried=carried,
         )
         os.replace(staging, self.version_dir(version))
         fsync_dir(self.versions_dir)
@@ -261,47 +296,43 @@ class VersionedRepository:
         *,
         schema_version: int | None = None,
         max_workers: int | None = 1,
-        chunk_size: int = 16,
     ) -> tuple[int, MigrationReport | None]:
         """Bring the repository up to ``dtd`` and publish ``new_xml`` in it.
 
         When the CURRENT version's stored DTD is not ``dtd``, its
         documents are migrated in parallel (:func:`migrate_documents`);
-        the documents of ``new_xml`` are conformed on insertion; the
+        otherwise they are carried into the new version unread.  The
+        documents of ``new_xml`` are repaired in this process; the
         combined store is published as the next version, the previous
         one staying on disk for rollback.  Returns the published version
         and the migration report (``None`` when nothing was migrated).
         """
-        existing_xml: list[str] = []
+        documents: list[str] = []
+        carried: list[Path] = []
         report = None
-        if self.exists():
-            existing_xml = self.document_xml()
-            if self.dtd_text() != dtd.render():
-                existing_xml, report = migrate_documents(
-                    existing_xml, dtd,
-                    max_workers=max_workers, chunk_size=chunk_size,
-                )
-        existing = report if report is not None else MigrationReport(
-            documents=len(existing_xml), already_conforming=len(existing_xml)
-        )
-        inserter = XMLRepository(dtd)
+        if self.exists() and self.dtd_text() != dtd.render():
+            documents, report = migrate_documents(
+                self.document_xml(), dtd, max_workers=max_workers
+            )
+            stats = RepositoryStats(
+                documents=report.documents,
+                conforming_on_arrival=report.already_conforming,
+                repaired=report.migrated,
+                total_repair_operations=report.total_operations,
+            )
+        else:
+            if self.exists():
+                carried = self.document_paths()
+            stats = RepositoryStats(
+                documents=len(carried), conforming_on_arrival=len(carried)
+            )
         for xml in new_xml:
-            inserter.insert(load_xml_document(xml))
-        inserted = inserter.stats
-        combined = existing_xml + inserter.export()
-        stats = RepositoryStats(
-            documents=len(combined),
-            conforming_on_arrival=(
-                existing.already_conforming + inserted.conforming_on_arrival
-            ),
-            repaired=existing.migrated + inserted.repaired,
-            rejected=inserted.rejected,
-            total_repair_operations=(
-                existing.total_operations + inserted.total_repair_operations
-            ),
-        )
+            repaired, operations, _ = repair_xml(dtd, xml)
+            documents.append(repaired)
+            stats.record(operations)
         version = self.publish(
-            dtd, combined, stats, schema_version=schema_version
+            dtd, documents, stats,
+            schema_version=schema_version, carried=carried,
         )
         return version, report
 

@@ -15,11 +15,6 @@ a Prometheus histogram: a cumulative ``_bucket`` sample at *every* edge
 of the one digest layout (``le`` semantics: an observation equal to an
 edge counts at that edge) plus ``+Inf``, so every scrape carries the
 same ``le`` set and scrapers can diff cumulative counts.
-
-Everything is picklable and mergeable: worker processes can fill a
-registry and the parent folds it in with :meth:`MetricsRegistry.merge`
-(counters add, histogram digests merge; gauges take the other side's
-value).
 """
 
 from __future__ import annotations
@@ -99,41 +94,20 @@ class Counter(Metric):
         self.value += amount
 
 
-GAUGE_MERGE_MODES = ("last", "max", "min", "sum")
-
-
 class Gauge(Metric):
-    """A value that can go up and down (set wins over arithmetic).
-
-    ``merge_mode`` is the cross-registry aggregation hint consulted by
-    :meth:`MetricsRegistry.merge`: ``"last"`` (the historical
-    last-writer-wins), ``"max"``/``"min"`` for high/low-water marks that
-    must survive merging chunk-worker registries, or ``"sum"``.
-    Without it, a per-worker high-water mark like queue depth would be
-    silently understated by whichever worker merged last.
-    """
+    """A value that can go up and down (set wins over arithmetic)."""
 
     kind = "gauge"
 
-    def __init__(
-        self, name: str, labels: LabelSet, merge_mode: str = "last"
-    ) -> None:
+    def __init__(self, name: str, labels: LabelSet) -> None:
         super().__init__(name, labels)
-        if merge_mode not in GAUGE_MERGE_MODES:
-            raise ValueError(f"unknown gauge merge mode {merge_mode!r}")
         self.value: float = 0.0
-        self.merge_mode = merge_mode
 
     def set(self, value: float) -> None:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def max(self, value: float) -> None:
-        """Keep the running maximum (queue depths, high-water marks)."""
-        if value > self.value:
-            self.value = float(value)
 
 
 class Distribution(Metric):
@@ -150,7 +124,7 @@ class Distribution(Metric):
 
 
 class MetricsRegistry:
-    """A mutable collection of metrics, mergeable and exportable."""
+    """A mutable collection of metrics, exportable."""
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelSet], Metric] = {}
@@ -170,11 +144,11 @@ class MetricsRegistry:
     def help_text(self, name: str) -> str | None:
         return self._help.get(name)
 
-    def _get_or_create(self, cls, name: str, labels: LabelSet, *args) -> Metric:
+    def _get_or_create(self, cls, name: str, labels: LabelSet) -> Metric:
         key = (name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = cls(name, labels, *args)
+            metric = self._metrics[key] = cls(name, labels)
         elif not isinstance(metric, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {metric.kind}"
@@ -184,20 +158,8 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get_or_create(Counter, name, _labelset(labels))
 
-    def gauge(self, name: str, *, merge: str | None = None, **labels: str) -> Gauge:
-        """A gauge; ``merge`` sets its cross-registry aggregation mode
-        (``"last"``/``"max"``/``"min"``/``"sum"``) on first registration
-        and must agree on re-registration (``None`` = don't care)."""
-        metric = self._get_or_create(
-            Gauge, name, _labelset(labels), merge if merge is not None else "last"
-        )
-        assert isinstance(metric, Gauge)
-        if merge is not None and metric.merge_mode != merge:
-            raise ValueError(
-                f"gauge {name!r} already registered with merge mode "
-                f"{metric.merge_mode!r}, not {merge!r}"
-            )
-        return metric
+    def gauge(self, name: str, **labels: str) -> Gauge:
+        return self._get_or_create(Gauge, name, _labelset(labels))
 
     def histogram(self, name: str, **labels: str) -> Distribution:
         return self._get_or_create(Distribution, name, _labelset(labels))
@@ -224,41 +186,6 @@ class MetricsRegistry:
         """Every metric registered under ``name``, any label set."""
         return [m for m in self if m.name == name]
 
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, histogram digests merge;
-        gauges aggregate per their ``merge_mode`` (``"last"`` -- the
-        historical last-writer-wins default -- ``"max"``, ``"min"``, or
-        ``"sum"``), so high-water marks merged from chunk workers keep
-        the corpus-wide extreme instead of the last worker's value."""
-        for name, text in other._help.items():
-            self._help.setdefault(name, text)
-        for metric in other:
-            if isinstance(metric, Counter):
-                self._get_or_create(Counter, metric.name, metric.labels).inc(
-                    metric.value
-                )
-            elif isinstance(metric, Gauge):
-                fresh = (metric.name, metric.labels) not in self._metrics
-                held = self._get_or_create(
-                    Gauge, metric.name, metric.labels, metric.merge_mode
-                )
-                assert isinstance(held, Gauge)
-                mode = held.merge_mode
-                if fresh or mode == "last":
-                    held.set(metric.value)
-                elif mode == "max":
-                    held.max(metric.value)
-                elif mode == "min":
-                    if metric.value < held.value:
-                        held.set(metric.value)
-                else:  # sum
-                    held.inc(metric.value)
-            elif isinstance(metric, Distribution):
-                held = self._get_or_create(Distribution, metric.name, metric.labels)
-                held.digest.update(metric.digest)
-
     # -- export --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -274,8 +201,6 @@ class MetricsRegistry:
                 entry["digest"] = metric.digest.to_json()
             else:
                 entry["value"] = metric.value  # type: ignore[union-attr]
-                if isinstance(metric, Gauge) and metric.merge_mode != "last":
-                    entry["merge"] = metric.merge_mode
             metrics.append(entry)
         snapshot: dict = {"metrics": metrics}
         if self._help:
@@ -286,7 +211,8 @@ class MetricsRegistry:
     def from_json(cls, data: dict) -> "MetricsRegistry":
         """Rebuild a registry saved by :meth:`to_json`.
 
-        Histograms saved in the retired fixed-bucket form
+        A gauge's ``"merge"`` key, written by earlier versions, is
+        ignored.  Histograms saved in the retired fixed-bucket form
         (``buckets``/``counts``) are a ``ValueError``: their buckets do
         not map onto the digest layout, so they cannot be read back.
         """
@@ -299,9 +225,7 @@ class MetricsRegistry:
             if kind == "counter":
                 registry.counter(entry["name"], **labels).inc(entry["value"])
             elif kind == "gauge":
-                registry.gauge(
-                    entry["name"], merge=entry.get("merge"), **labels
-                ).set(entry["value"])
+                registry.gauge(entry["name"], **labels).set(entry["value"])
             elif kind == "histogram":
                 if "digest" not in entry:
                     raise ValueError(

@@ -415,9 +415,7 @@ class EngineStats:
 
     @max_queue_depth.setter
     def max_queue_depth(self, value: int) -> None:
-        # A high-water mark: registered with merge="max" so registries
-        # merged across chunk workers keep the corpus-wide maximum.
-        self.registry.gauge(MAX_QUEUE_DEPTH, merge="max").set(value)
+        self.registry.gauge(MAX_QUEUE_DEPTH).set(value)
 
     @property
     def tokens_created(self) -> int:

@@ -178,16 +178,15 @@ class CheckpointInfo:
 class AccumulatorCheckpoint:
     """Durable snapshot + append-only delta log for an accumulator.
 
-    ``compaction_ratio`` controls when :meth:`maybe_compact` folds the
-    log into the snapshot: once ``delta_bytes >= ratio * snapshot_bytes``
-    (default 1.0 -- "deltas outweigh the snapshot").
+    :meth:`maybe_compact` folds the log into the snapshot once
+    ``delta_bytes >= compaction_ratio * snapshot_bytes`` ("deltas
+    outweigh the snapshot").
     """
 
-    def __init__(
-        self, directory: str | Path, *, compaction_ratio: float = 1.0
-    ) -> None:
+    compaction_ratio = 1.0
+
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.compaction_ratio = compaction_ratio
         self._live: PathAccumulator | None = None
         self._sequence = 0  # highest sequence on disk (snapshot or delta)
         self._snapshot_documents = 0
@@ -409,15 +408,12 @@ class EvolvingSchema:
         sup_threshold: float = 0.4,
         ratio_threshold: float = 0.0,
         optional_threshold: float | None = None,
-        compaction_ratio: float = 1.0,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         self.directory = Path(directory)
         self.kb = kb
         self.registry = registry
-        self.checkpoint = AccumulatorCheckpoint(
-            self.directory, compaction_ratio=compaction_ratio
-        )
+        self.checkpoint = AccumulatorCheckpoint(self.directory)
         self.version = 0
         self.sup_threshold = sup_threshold
         self.ratio_threshold = ratio_threshold
@@ -588,7 +584,7 @@ class EvolvingSchema:
         self.registry.counter(EVOLUTION_DOCUMENTS).inc(outcome.documents_folded)
         if outcome.bumped:
             self.registry.counter(VERSION_BUMPS).inc()
-        self.registry.gauge(SCHEMA_VERSION, merge="max").set(self.version)
+        self.registry.gauge(SCHEMA_VERSION).set(self.version)
 
     # -- reporting -----------------------------------------------------------
 

@@ -387,16 +387,29 @@ class ConversionService:
         state = self.topics[topic]
         loop = asyncio.get_running_loop()
 
-        def conform_all() -> list[str]:
-            return [
-                state.conform_to_version(outcome.xml, version)
-                for version, outcome in targeted
-            ]
+        def conform_all() -> list[str | AssertionError]:
+            conformed: list[str | AssertionError] = []
+            for version, outcome in targeted:
+                try:
+                    conformed.append(
+                        state.conform_to_version(outcome.xml, version)
+                    )
+                except AssertionError as exc:  # residue fails one document
+                    conformed.append(exc)
+            return conformed
 
         conformed = await loop.run_in_executor(None, conform_all)
         for (version, outcome), xml in zip(targeted, conformed):
-            outcome.xml = xml
             outcome.schema_version = version
+            if isinstance(xml, AssertionError):
+                outcome.ok, outcome.xml = False, None
+                outcome.error = {
+                    "stage": "conform",
+                    "error_type": type(xml).__name__,
+                    "message": str(xml),
+                }
+            else:
+                outcome.xml = xml
 
     # -- request validation --------------------------------------------------
 
@@ -435,9 +448,7 @@ class ConversionService:
                 method, path, headers, body = parsed
                 self._active_requests += 1
                 self._idle.clear()
-                self.registry.gauge(INFLIGHT, merge="max").set(
-                    self._active_requests
-                )
+                self.registry.gauge(INFLIGHT).set(self._active_requests)
                 started = time.monotonic()
                 try:
                     status, payload = await self._route(method, path, body)
@@ -455,9 +466,7 @@ class ConversionService:
                     self._active_requests -= 1
                     if self._active_requests == 0:
                         self._idle.set()
-                    self.registry.gauge(INFLIGHT, merge="max").set(
-                        self._active_requests
-                    )
+                    self.registry.gauge(INFLIGHT).set(self._active_requests)
                 elapsed = time.monotonic() - started
                 route = _route_label(method, path)
                 self.registry.counter(

@@ -54,14 +54,12 @@ class TopicState:
         registry: "MetricsRegistry | None" = None,
         publish: bool = False,
         max_workers: int | None = None,
-        chunk_size: int = 16,
     ) -> None:
         self.topic = topic
         self.kb = kb
         self.directory = Path(directory)
         self.lock = threading.Lock()
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.evolving = EvolvingSchema(
             self.directory / "evolution", kb, registry=registry
         )
@@ -96,7 +94,7 @@ class TopicState:
             if self.repository is not None and dtd is not None:
                 version, migration = self.repository.sync(
                     dtd, new_xml, schema_version=self.evolving.version,
-                    max_workers=self.max_workers, chunk_size=self.chunk_size,
+                    max_workers=self.max_workers,
                 )
                 summary["repository_version"] = version
                 if migration is not None:
@@ -123,16 +121,9 @@ class TopicState:
     def conform_to_version(self, xml_text: str, version: int) -> str:
         """Re-shape converted XML against an archived schema version
         (the "convert against schema v3" request mode)."""
-        from repro.dom.serialize import to_xml_document
-        from repro.mapping.conform import conform_document
-        from repro.mapping.persistence import load_xml_document
-        from repro.mapping.validate import validate_document
+        from repro.mapping.versioned import repair_xml
 
-        dtd = self.dtd_for_version(version)
-        root = load_xml_document(xml_text)
-        if validate_document(root, dtd):
-            conform_document(root, dtd)
-        return to_xml_document(root)
+        return repair_xml(self.dtd_for_version(version), xml_text)[0]
 
     # -- reporting -----------------------------------------------------------
 

@@ -15,6 +15,9 @@ suites compare against:
   that rewrite one node at a time;
 * :func:`tests.oracles.entities.decode_entities_slow`, the entity
   decoder's oracle (unit level only; nothing swaps it in).
+* :func:`tests.oracles.migrate.migrate_repository`, the serial
+  repository migration ``VersionedRepository.sync`` is checked against
+  (unit level only).
 
 :func:`swapped` installs any of the first four by monkeypatching the
 names production code calls through -- ``repro.htmlparse.parser.tokenize``,

@@ -86,7 +86,6 @@ COUNT_OPTIONS = [
     (["evolve", "fold", "state"], "--max-workers"),
     (["evolve", "fold", "state"], "--chunk-size"),
     (["evolve", "migrate", "state", "--repository", "repo"], "--max-workers"),
-    (["evolve", "migrate", "state", "--repository", "repo"], "--chunk-size"),
     (["serve"], "--max-workers"),
 ]
 

@@ -1,12 +1,12 @@
-"""Tests for repository schema migration."""
+"""Tests for the serial repository-migration oracle (``tests/oracles/migrate.py``)."""
 
 import pytest
 
 from repro.dom.node import Element
-from repro.mapping.migrate import migrate_repository
 from repro.mapping.repository import XMLRepository
 from repro.mapping.validate import validate_document
 from repro.schema.dtd import DTD
+from tests.oracles.migrate import migrate_repository
 
 OLD_DTD = DTD.parse(
     """

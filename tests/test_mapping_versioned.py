@@ -1,4 +1,5 @@
-"""Tests for the versioned repository and parallel migration."""
+"""Tests for the versioned repository, parallel migration and the one
+repair step every insert, migration and schema-version conform runs."""
 
 import json
 import os
@@ -6,16 +7,23 @@ from pathlib import Path
 
 import pytest
 
+import repro.mapping.conform as conform_module
 from repro.dom.node import Element
 from repro.dom.serialize import to_xml_document
-from repro.mapping.migrate import migrate_repository
+from repro.durable import link_or_copy
+from repro.mapping.conform import ConformResult
 from repro.mapping.persistence import load_xml_document
 from repro.mapping.repository import XMLRepository
+from repro.mapping.validate import validate_document
 from repro.mapping.versioned import (
+    MIGRATION_CHUNK_SIZE,
     VersionedRepository,
     migrate_documents,
 )
+from repro.schema.accumulator import PathAccumulator
 from repro.schema.dtd import DTD
+from repro.service.state import TopicState
+from tests.oracles.migrate import migrate_repository
 
 OLD_DTD = DTD.parse(
     """
@@ -162,16 +170,16 @@ class TestParallelMigration:
 
     @pytest.mark.slow
     def test_workers_do_not_change_output(self):
-        repository = old_repository(8)
+        # Three migration chunks, so two workers each take at least one.
+        repository = old_repository(3 * MIGRATION_CHUNK_SIZE)
         serial_xml, serial_report = migrate_documents(
             repository.export(), NEW_DTD, max_workers=1
         )
         parallel_xml, parallel_report = migrate_documents(
-            repository.export(), NEW_DTD, max_workers=2, chunk_size=3
+            repository.export(), NEW_DTD, max_workers=2
         )
         assert parallel_xml == serial_xml
-        assert parallel_report.total_operations == serial_report.total_operations
-        assert parallel_report.edit_distances == serial_report.edit_distances
+        assert parallel_report == serial_report
 
     def test_migrate_publishes_new_version(self, tmp_path):
         versioned = VersionedRepository(tmp_path / "repo")
@@ -269,6 +277,150 @@ class TestSync:
         assert versioned.versions() == [1]
         assert versioned.document_xml() == new_xml
         assert manifest_stats(versioned, 1)["documents"] == 3
+
+
+def oracle_sync(repository, dtd, new_xml):
+    """The serial reference for ``sync``: migrate the stored repository
+    with the oracle, then insert the new documents one by one."""
+    migrated, _report = migrate_repository(repository, dtd)
+    for xml in new_xml:
+        migrated.insert(load_xml_document(xml))
+    return migrated
+
+
+def stats_json(stats):
+    return {
+        "documents": stats.documents,
+        "conforming_on_arrival": stats.conforming_on_arrival,
+        "repaired": stats.repaired,
+        "rejected": stats.rejected,
+        "total_repair_operations": stats.total_repair_operations,
+    }
+
+
+class TestSyncParity:
+    @pytest.mark.parametrize("target", [NEW_DTD, OLD_DTD],
+                             ids=["migrating", "not-migrating"])
+    def test_sync_matches_oracle(self, tmp_path, target):
+        stored = old_repository(4)
+        versioned = VersionedRepository(tmp_path / "repo")
+        publish(versioned, stored)
+        # One new document conforms to each DTD; the other needs repair.
+        new_xml = [to_xml_document(old_doc("M.S.")),
+                   to_xml_document(new_doc("Ph.D."))]
+        version, _report = versioned.sync(target, new_xml)
+        expected = oracle_sync(stored, target, new_xml)
+        assert versioned.document_xml(version) == expected.export()
+        assert manifest_stats(versioned, version) == stats_json(expected.stats)
+        assert versioned.dtd_text() == target.render()
+
+
+class TestCarriedDocuments:
+    def test_not_migrating_links_the_previous_files(self, tmp_path):
+        versioned = VersionedRepository(tmp_path / "repo")
+        publish(versioned, old_repository(3))
+        versioned.sync(OLD_DTD, [to_xml_document(new_doc("Ph.D."))])
+        carried = versioned.document_paths(1)
+        published = versioned.document_paths(2)
+        assert len(published) == len(carried) + 1
+        for before, after in zip(carried, published):
+            assert after.stat().st_ino == before.stat().st_ino
+            assert after.read_bytes() == before.read_bytes()
+
+    def test_not_migrating_reads_no_stored_document(self, tmp_path, monkeypatch):
+        versioned = VersionedRepository(tmp_path / "repo")
+        publish(versioned, old_repository(3))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a non-migrating sync read or migrated")
+
+        monkeypatch.setattr(VersionedRepository, "document_xml", refuse)
+        monkeypatch.setattr(
+            "repro.mapping.versioned.migrate_documents", refuse
+        )
+        version, report = versioned.sync(OLD_DTD, [])
+        assert (version, report) == (2, None)
+        assert manifest_stats(versioned, 2)["conforming_on_arrival"] == 3
+
+    def test_link_refused_falls_back_to_a_copy(self, tmp_path, monkeypatch):
+        versioned = VersionedRepository(tmp_path / "repo")
+        publish(versioned, old_repository(2))
+
+        def no_link(*_args, **_kwargs):
+            raise OSError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_link)
+        versioned.sync(OLD_DTD, [])
+        for before, after in zip(versioned.document_paths(1),
+                                 versioned.document_paths(2)):
+            assert after.stat().st_ino != before.stat().st_ino
+            assert after.read_bytes() == before.read_bytes()
+
+    def test_stale_staging_links_leave_the_published_version_alone(
+        self, tmp_path
+    ):
+        """A publish that died after linking v1's files into its staging
+        directory leaves links behind; the next publish, migrating, must
+        not write through them into v1."""
+        versioned = VersionedRepository(tmp_path / "repo")
+        publish(versioned, old_repository(3))
+        before = [path.read_bytes() for path in versioned.document_paths(1)]
+        staging = versioned.versions_dir / ".staging-v0002"
+        staging.mkdir()
+        for path in versioned.document_paths(1):
+            os.link(path, staging / path.name)
+        version, report = versioned.sync(NEW_DTD, [])
+        assert version == 2 and report.migrated == 3
+        assert [path.read_bytes() for path in versioned.document_paths(1)] \
+            == before
+        assert versioned.document_xml(2) != [b.decode() for b in before]
+
+    def test_link_onto_an_existing_name_raises(self, tmp_path):
+        source, target = tmp_path / "source", tmp_path / "target"
+        source.write_bytes(b"new")
+        target.write_bytes(b"old")
+        with pytest.raises(FileExistsError):
+            link_or_copy(source, target)
+        assert target.read_bytes() == b"old"
+
+
+class TestOneRepairStep:
+    """Every caller repairs through ``repair``: with the conform step
+    disabled, each one raises on the residue instead of storing or
+    returning a document that does not conform."""
+
+    @pytest.fixture(autouse=True)
+    def no_op_conform(self, monkeypatch):
+        monkeypatch.setattr(
+            conform_module, "conform_document",
+            lambda root, dtd, **_: ConformResult(root),
+        )
+
+    def test_insert(self):
+        with pytest.raises(AssertionError, match="repair left violations"):
+            XMLRepository(NEW_DTD).insert(old_doc("B.S."))
+
+    def test_migrate_documents(self):
+        with pytest.raises(AssertionError, match="repair left violations"):
+            migrate_documents(old_repository(2).export(), NEW_DTD, max_workers=1)
+
+    def test_sync(self, tmp_path):
+        versioned = VersionedRepository(tmp_path / "repo")
+        with pytest.raises(AssertionError, match="repair left violations"):
+            versioned.sync(NEW_DTD, [to_xml_document(old_doc("B.S."))])
+        assert not versioned.exists()
+
+    def test_conform_to_version(self, tmp_path, kb, converted_corpus):
+        state = TopicState("resume", kb, tmp_path / "topic")
+        state.fold(
+            PathAccumulator.from_trees([r.root for r in converted_corpus]), []
+        )
+        version = state.evolving.version
+        stray = Element("RESUME")
+        stray.append_child(Element("NOT_A_CONCEPT"))
+        assert validate_document(stray, state.dtd_for_version(version))
+        with pytest.raises(AssertionError, match="repair left violations"):
+            state.conform_to_version(to_xml_document(stray), version)
 
 
 class TestDurablePublish:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters/gauges/histograms, exports, merging.
+"""Metrics registry: counters/gauges/histograms and exports.
 
 The histogram bucket-edge tests pin the Prometheus ``le`` convention on
 the digest-backed histogram (a value equal to an edge counts at that
@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.cli import main
 from repro.obs.export import load_metrics, write_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import BUCKET_COUNT, EDGES, QuantileDigest
@@ -59,13 +60,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_max(self):
+    def test_set_and_inc(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("queue_depth")
         gauge.set(3)
-        gauge.max(2)
-        assert registry.value("queue_depth") == 3.0
-        gauge.max(7)
+        gauge.inc(-1)
+        assert registry.value("queue_depth") == 2.0
+        gauge.set(7)
         assert registry.value("queue_depth") == 7.0
 
 
@@ -206,17 +207,13 @@ class TestHelpText:
         assert '# HELP c multi\\nline \\\\ with "quotes"' in text
         assert validate_prometheus_text(text) == []
 
-    def test_help_survives_json_round_trip_and_merge(self):
+    def test_help_survives_json_round_trip(self):
         registry = MetricsRegistry()
         registry.describe("docs", "Total docs.")
         registry.counter("docs").inc(2)
         clone = MetricsRegistry.from_json(json.loads(registry.render_json()))
         assert clone.help_text("docs") == "Total docs."
         assert clone.render_prometheus() == registry.render_prometheus()
-        other = MetricsRegistry()
-        other.counter("docs").inc(1)
-        other.merge(registry)
-        assert other.help_text("docs") == "Total docs."
 
     def test_first_description_wins(self):
         registry = MetricsRegistry()
@@ -236,80 +233,6 @@ class TestJsonRoundTrip:
         assert histogram.digest == registry.histogram("repro_chunk_seconds").digest
         assert histogram.digest.count == 3
         assert clone.render_prometheus() == registry.render_prometheus()
-
-
-class TestMerge:
-    def test_counters_and_histograms_add_gauges_overwrite(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        left.counter("docs").inc(2)
-        right.counter("docs").inc(3)
-        left.gauge("workers").set(1)
-        right.gauge("workers").set(8)
-        left.histogram("h").observe(0.5)
-        right.histogram("h").observe(2.0)
-        left.merge(right)
-        assert left.value("docs") == 5
-        assert left.value("workers") == 8
-        expected = QuantileDigest()
-        expected.observe_many([0.5, 2.0])
-        assert left.histogram("h").digest == expected
-        assert right.histogram("h").digest.count == 1  # not aliased
-
-
-class TestGaugeMergeModes:
-    def merge_pair(self, mode, left_value, right_value):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.gauge("g", merge=mode).set(left_value)
-        right.gauge("g", merge=mode).set(right_value)
-        left.merge(right)
-        return left.value("g")
-
-    def test_last_writer_wins_default(self):
-        assert self.merge_pair("last", 9, 2) == 2
-
-    def test_max_keeps_high_water_mark(self):
-        """A worker's peak queue depth must survive merging a later,
-        quieter chunk -- last-writer-wins understates it."""
-        assert self.merge_pair("max", 9, 2) == 9
-        assert self.merge_pair("max", 2, 9) == 9
-
-    def test_min_keeps_low_water_mark(self):
-        assert self.merge_pair("min", 9, 2) == 2
-        assert self.merge_pair("min", 2, 9) == 2
-
-    def test_sum_accumulates(self):
-        assert self.merge_pair("sum", 9, 2) == 11
-
-    def test_merge_into_fresh_registry_adopts_value(self):
-        """First contribution always lands verbatim, whatever the mode
-        (a fresh gauge's 0.0 must not win a min merge)."""
-        for mode in ("last", "max", "min", "sum"):
-            held = MetricsRegistry()
-            incoming = MetricsRegistry()
-            incoming.gauge("g", merge=mode).set(7)
-            held.merge(incoming)
-            assert held.value("g") == 7, mode
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().gauge("g", merge="average")
-
-    def test_conflicting_reregistration_rejected(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", merge="max")
-        with pytest.raises(ValueError):
-            registry.gauge("g", merge="sum")
-        # None means "don't care" and returns the existing gauge.
-        assert registry.gauge("g").merge_mode == "max"
-
-    def test_merge_mode_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.gauge("peak", merge="max").set(5)
-        registry.gauge("plain").set(3)
-        clone = MetricsRegistry.from_json(json.loads(registry.render_json()))
-        assert clone.gauge("peak").merge_mode == "max"
-        assert clone.gauge("plain").merge_mode == "last"
 
 
 class TestHistogramQuantile:
@@ -348,7 +271,7 @@ class TestLoadMetrics:
         registry.counter("docs_total").inc(12)
         registry.counter("rule_seconds_total", rule="parse").inc(0.5)
         registry.gauge("workers").set(4)
-        registry.gauge("peak_queue", merge="max").set(7)
+        registry.gauge("peak_queue").set(7)
         registry.histogram("chunk_seconds").observe(0.05)
         registry.histogram("stage_seconds", stage="parse").observe(3.0)
         return registry
@@ -361,12 +284,24 @@ class TestLoadMetrics:
         assert clone.value("docs_total") == 12
         assert clone.value("rule_seconds_total", rule="parse") == 0.5
         assert clone.value("workers") == 4
-        assert clone.gauge("peak_queue").merge_mode == "max"
         assert clone.histogram("chunk_seconds").digest == (
             registry.histogram("chunk_seconds").digest
         )
         assert clone.histogram("stage_seconds", stage="parse").digest.max_value == 3.0
         assert clone.render_prometheus() == registry.render_prometheus()
+
+    def test_gauge_merge_key_of_older_files_ignored(self, tmp_path, capsys):
+        """Metrics files saved while gauges carried a merge mode still
+        load, and ``repro-web stats`` still renders them."""
+        snapshot = self.build().to_json()
+        for entry in snapshot["metrics"]:
+            if entry["kind"] == "gauge":
+                entry["merge"] = "max"
+        target = tmp_path / "older.json"
+        target.write_text(json.dumps(snapshot))
+        assert load_metrics(target).to_json() == self.build().to_json()
+        assert main(["stats", str(target)]) == 0
+        assert "Saved engine metrics" in capsys.readouterr().out
 
     def test_old_fixed_bucket_form_rejected(self, tmp_path):
         target = tmp_path / "old.json"

@@ -75,9 +75,8 @@ class TestCheckpointRoundTrip:
         assert checkpoint.load() is live
 
     def test_compaction_folds_log_into_snapshot(self, tmp_path):
-        checkpoint = AccumulatorCheckpoint(
-            tmp_path / "ckpt", compaction_ratio=0.5
-        )
+        checkpoint = AccumulatorCheckpoint(tmp_path / "ckpt")
+        checkpoint.compaction_ratio = 0.5
         trees = golden_trees()
         checkpoint.append_delta(accumulate(trees[:2]))
         assert checkpoint.maybe_compact()
@@ -87,9 +86,8 @@ class TestCheckpointRoundTrip:
         assert reloaded == accumulate(trees)
 
     def test_no_compaction_below_threshold(self, tmp_path):
-        checkpoint = AccumulatorCheckpoint(
-            tmp_path / "ckpt", compaction_ratio=100.0
-        )
+        checkpoint = AccumulatorCheckpoint(tmp_path / "ckpt")
+        checkpoint.compaction_ratio = 100.0
         checkpoint.append_delta(accumulate(golden_trees()[:1]))
         checkpoint.commit_snapshot(checkpoint.load())
         checkpoint.append_delta(accumulate(golden_trees()[1:2]))
@@ -236,7 +234,8 @@ class TestFoldIOBudget:
         self, tmp_path, kb, corpus_trees, io_counts
     ):
         fsyncs, decodes = io_counts
-        evolving = EvolvingSchema(tmp_path / "state", kb, compaction_ratio=100.0)
+        evolving = EvolvingSchema(tmp_path / "state", kb)
+        evolving.checkpoint.compaction_ratio = 100.0
         evolving.fold(accumulate(corpus_trees))
         fsyncs.calls = decodes.calls = 0
         outcome = evolving.fold(accumulate(corpus_trees))
@@ -249,7 +248,8 @@ class TestFoldIOBudget:
     ):
         _, decodes = io_counts
         state = tmp_path / "state"
-        evolving = EvolvingSchema(state, kb, compaction_ratio=100.0)
+        evolving = EvolvingSchema(state, kb)
+        evolving.checkpoint.compaction_ratio = 100.0
         for part in (corpus_trees[:3], corpus_trees[3:6], corpus_trees[6:]):
             evolving.fold(accumulate(part))
         frames = on_disk_frames(state)
@@ -265,7 +265,8 @@ class TestFoldIOBudget:
         state = tmp_path / "state"
         EvolvingSchema(state, kb).fold(accumulate(corpus_trees))
         frames = on_disk_frames(state)
-        evolving = EvolvingSchema(state, kb, compaction_ratio=100.0)
+        evolving = EvolvingSchema(state, kb)
+        evolving.checkpoint.compaction_ratio = 100.0
         per_fold = []
         for start in range(0, len(corpus_trees), 2):
             decodes.calls = 0
@@ -439,7 +440,7 @@ class TestEvolvingSchema:
             corpus_trees
         )
         assert registry.counter(VERSION_BUMPS).value == 1
-        assert registry.gauge(SCHEMA_VERSION, merge="max").value == 1
+        assert registry.gauge(SCHEMA_VERSION).value == 1
 
     def test_status_rows_render(self, tmp_path, kb, corpus_trees):
         evolving = EvolvingSchema(tmp_path / "state", kb)

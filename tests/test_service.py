@@ -412,6 +412,51 @@ class TestDocumentFailures:
         finally:
             server.stop()
 
+    def test_repair_residue_fails_only_its_document(
+        self, kb, tmp_path, corpus_html
+    ):
+        """A pinned document whose repair leaves residue fails alone;
+        the other documents of its micro-batch keep their results."""
+        from repro.service.batcher import PendingDocument
+
+        service = make_service(kb, tmp_path)
+        state = service.topics["resume"]
+        calls = []
+
+        def conform_to_version(xml_text, version):
+            calls.append(version)
+            if len(calls) == 1:
+                raise AssertionError("repair left violations: ['x']")
+            return xml_text
+
+        state.conform_to_version = conform_to_version
+        requests = [
+            ConvertRequest(source=corpus_html[0], schema_version=1),
+            ConvertRequest(source=corpus_html[1], schema_version=1),
+            ConvertRequest(source=corpus_html[2]),
+        ]
+
+        async def dispatch():
+            loop = asyncio.get_running_loop()
+            batch = [PendingDocument(request, loop.create_future())
+                     for request in requests]
+            await service._dispatch(("resume", False), batch)
+            return [pending.future.result() for pending in batch]
+
+        service.pools = {
+            name: engine.worker_pool()
+            for name, engine in service.engines.items()
+        }
+        try:
+            outcomes = asyncio.run(dispatch())
+        finally:
+            for pool in service.pools.values():
+                pool.shutdown(wait=True)
+        assert [outcome.ok for outcome in outcomes] == [False, True, True]
+        assert outcomes[0].error["error_type"] == "AssertionError"
+        assert outcomes[0].error["stage"] == "conform"
+        assert outcomes[1].schema_version == 1 and outcomes[1].xml
+        assert outcomes[2].schema_version is None and outcomes[2].xml
 
     def test_worker_killer_fails_alone(self, kb, tmp_path, corpus_html):
         """A document that kills its pool worker fails alone, as in the
