@@ -30,6 +30,17 @@ DTD_NAME = "schema.dtd"
 ENCODING = "utf-8"
 
 
+def read_document(path: Path) -> str:
+    """A stored document's XML text, byte for byte.
+
+    ``Path.read_text`` would translate newlines and turn a carriage
+    return in PCDATA or an attribute value into a line feed; the XML
+    reader keeps a raw carriage return, so decoding the bytes keeps it
+    too.
+    """
+    return path.read_bytes().decode(ENCODING)
+
+
 def load_xml_document(text: str) -> Element:
     """Parse serialized converted-XML back into an element tree.
 
@@ -149,9 +160,7 @@ def load_repository(directory: str | Path) -> XMLRepository:
     from repro.mapping.validate import validate_document
 
     for name in manifest["documents"]:
-        document = load_xml_document(
-            (source / name).read_text(encoding=ENCODING)
-        )
+        document = load_xml_document(read_document(source / name))
         violations = validate_document(document, dtd)
         if violations:
             raise ValueError(

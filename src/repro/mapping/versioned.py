@@ -52,6 +52,7 @@ from repro.mapping.persistence import (
     MANIFEST_NAME,
     load_repository,
     load_xml_document,
+    read_document,
     write_repository_dir,
 )
 from repro.mapping.repository import RepositoryStats, XMLRepository
@@ -236,10 +237,7 @@ class VersionedRepository:
         Reads the files directly (no tree rebuild) -- the transport form
         parallel migration wants.
         """
-        return [
-            path.read_text(encoding=ENCODING)
-            for path in self.document_paths(version)
-        ]
+        return [read_document(path) for path in self.document_paths(version)]
 
     def dtd_text(self) -> str:
         """The DTD text stored with the CURRENT version."""

@@ -6,7 +6,9 @@ D^p_XML" -- i.e. only documents containing the prefix ``p`` vote, and
 they vote with the average child position recorded during path
 extraction.  :meth:`~repro.schema.accumulator.PathAccumulator.avg_position`
 holds exactly that average, summed as documents are accumulated, so
-ordering a node's children reads one number per child.
+ordering a node's children reads one number per child.  The average is an
+exact rational, so two children tie only when their true averages are
+equal, whatever order the documents were accumulated in.
 """
 
 from __future__ import annotations

@@ -14,18 +14,39 @@ child nodes does not cause any computational overhead"):
   siblings realizing the path's last step (drives the repetition rule);
 * the *average child position* of the path's last element among its
   parent's element children (drives the ordering rule).
+
+Average positions are exact.  A path's average is its position sum over
+its *realization count*, the number of elements realizing the path
+anywhere in the document (over all parents, not per parent).  It is
+held as an integer numerator over :data:`POSITION_DENOMINATOR` =
+lcm(1..16), which every count up to 16 divides; for a larger count that
+does not divide it (17, 19, 23, 25, ...) the numerator is a
+:class:`~fractions.Fraction` unless the position sum cancels.  So two
+averages compare, and their sums over a corpus add up, without
+rounding: the ordering rule's ties are true ties.  Converted resumes
+realize a path at most 8 times, so they build no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from sys import intern
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.dom.node import Element
 
+if TYPE_CHECKING:  # pragma: no cover
+    # Imported where used: ``fractions`` pulls in ``decimal``, start-up
+    # time every engine worker and service process would pay for a type
+    # that only the ordering rule and a realization count not dividing
+    # POSITION_DENOMINATOR build.
+    from fractions import Fraction
+
 # A root-emanating label path; index 0 is the root's label.
 LabelPath = tuple[str, ...]
+
+# lcm(1..16): the common denominator of per-document average positions.
+POSITION_DENOMINATOR = 720720
 
 
 @dataclass
@@ -35,8 +56,12 @@ class DocumentPaths:
     paths: set[LabelPath] = field(default_factory=set)
     # label path -> max number of same-label siblings realizing its tail
     multiplicity: dict[LabelPath, int] = field(default_factory=dict)
-    # label path -> average 0-based position among parent element children
-    avg_position: dict[LabelPath, float] = field(default_factory=dict)
+    # label path -> average 0-based position among parent element
+    # children, times POSITION_DENOMINATOR (an int, or a Fraction when the
+    # path's realization count does not divide the scaled position sum)
+    position_numerator: dict[LabelPath, int | Fraction] = field(
+        default_factory=dict
+    )
 
     def contains(self, path: LabelPath) -> bool:
         """Whether the document realizes ``path``.
@@ -65,12 +90,12 @@ def extract_paths(root: Element) -> DocumentPaths:
     root_path: LabelPath = (intern(root.tag),)
     doc.paths.add(root_path)
     doc.multiplicity[root_path] = 1
-    doc.avg_position[root_path] = 0.0
+    doc.position_numerator[root_path] = 0
 
     # Running (sum_of_positions, count) per path for averaging --
-    # constant space per distinct path instead of a list of floats per
-    # realized position.
-    position_acc: dict[LabelPath, list[float]] = {}
+    # constant space per distinct path instead of a list of realized
+    # positions.
+    position_acc: dict[LabelPath, list[int]] = {}
 
     stack: list[tuple[Element, LabelPath]] = [(root, root_path)]
     while stack:
@@ -87,14 +112,21 @@ def extract_paths(root: Element) -> DocumentPaths:
             doc.multiplicity[child_path] = max(seen, label_counts[child.tag])
             acc = position_acc.get(child_path)
             if acc is None:
-                position_acc[child_path] = [float(position), 1.0]
+                position_acc[child_path] = [position, 1]
             else:
-                acc[0] += float(position)
-                acc[1] += 1.0
+                acc[0] += position
+                acc[1] += 1
             stack.append((child, child_path))
 
+    numerators = doc.position_numerator
     for child_path, (position_sum, count) in position_acc.items():
-        doc.avg_position[child_path] = position_sum / count
+        scaled = position_sum * POSITION_DENOMINATOR
+        numerator, remainder = divmod(scaled, count)
+        if remainder:
+            from fractions import Fraction
+
+            numerator = Fraction(scaled, count)
+        numerators[child_path] = numerator
     return doc
 
 

@@ -11,12 +11,15 @@ against them with ``==``.
 * :func:`multiplicity_fraction` -- ``mult(e)``, the repetition rule's
   fraction (Section 3.3);
 * :func:`presence_fraction` -- the optional-element fraction;
-* :func:`average_child_positions` -- the ordering rule's averages.
+* :func:`average_child_positions` -- the ordering rule's averages, as
+  exact rationals like the accumulator's.
 """
 
 from __future__ import annotations
 
-from repro.schema.paths import DocumentPaths, LabelPath
+from fractions import Fraction
+
+from repro.schema.paths import POSITION_DENOMINATOR, DocumentPaths, LabelPath
 
 
 def support(documents: list[DocumentPaths], path: LabelPath) -> float:
@@ -62,21 +65,22 @@ def presence_fraction(documents: list[DocumentPaths], path: LabelPath) -> float:
 
 def average_child_positions(
     documents: list[DocumentPaths], parent_path: LabelPath, child_labels: list[str]
-) -> dict[str, float]:
+) -> dict[str, Fraction | float]:
     """Average (over documents containing the child path) of the average
-    child position of each ``child_label`` under ``parent_path``.
+    child position of each ``child_label`` under ``parent_path``, as an
+    exact rational.
 
     Children never observed in any document default to position ``inf``
     so they sort last.
     """
-    sums: dict[str, float] = {label: 0.0 for label in child_labels}
+    sums: dict[str, Fraction] = {label: Fraction(0) for label in child_labels}
     counts: dict[str, int] = {label: 0 for label in child_labels}
     for doc in documents:
+        numerators = doc.position_numerator
         for label in child_labels:
-            child_path = parent_path + (label,)
-            position = doc.avg_position.get(child_path)
-            if position is not None:
-                sums[label] += position
+            numerator = numerators.get(parent_path + (label,))
+            if numerator is not None:
+                sums[label] += Fraction(numerator, POSITION_DENOMINATOR)
                 counts[label] += 1
     return {
         label: (sums[label] / counts[label]) if counts[label] else float("inf")

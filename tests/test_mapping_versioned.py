@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro.mapping.conform as conform_module
-from repro.dom.node import Element
+from repro.dom.node import Element, Text
 from repro.dom.serialize import to_xml_document
+from repro.dom.treeops import iter_elements
 from repro.durable import link_or_copy
 from repro.mapping.conform import ConformResult
 from repro.mapping.persistence import load_xml_document
@@ -277,6 +278,46 @@ class TestSync:
         assert versioned.versions() == [1]
         assert versioned.document_xml() == new_xml
         assert manifest_stats(versioned, 1)["documents"] == 3
+
+
+def degrees(root):
+    return [element for element in iter_elements(root) if element.tag == "DEGREE"]
+
+
+def carriage_return_doc(tag):
+    r"""An ``old_doc`` (``tag`` "old") or ``new_doc`` whose DEGREE holds
+    ``\r`` and ``\r\n`` in its ``val`` and in its PCDATA."""
+    make = old_doc if tag == "old" else new_doc
+    root = make(f"{tag}\rB\r\nS")
+    degrees(root)[0].append_child(Text(f"{tag} line\r\nnext\rlast"))
+    return root
+
+
+def degree_fields(repository):
+    return sorted(
+        (degree.get_val(), degree.inner_text())
+        for document in repository.documents
+        for degree in degrees(document)
+    )
+
+
+class TestCarriageReturns:
+    def test_carriage_returns_survive_publish_sync_and_load(self, tmp_path):
+        r"""Stored XML is read as bytes: a ``\r`` in text or an attribute
+        value is not turned into ``\n`` on its way through a migration."""
+        versioned = VersionedRepository(tmp_path / "repo")
+        stored = XMLRepository(OLD_DTD)
+        stored.insert(carriage_return_doc("old"))
+        publish(versioned, stored, schema_version=1)
+        assert degree_fields(versioned.load()) == degree_fields(stored)
+        assert "\r" in versioned.document_xml()[0]
+        new_xml = to_xml_document(carriage_return_doc("new"))
+        version, report = versioned.sync(NEW_DTD, [new_xml], schema_version=2)
+        assert report is not None and report.migrated == 1
+        fields = degree_fields(versioned.load(version))
+        assert [val for val, _ in fields] == ["new\rB\r\nS", "old\rB\r\nS"]
+        for tag, (_, text) in zip(("new", "old"), fields):
+            assert f"{tag} line\r\nnext\rlast" in text
 
 
 def oracle_sync(repository, dtd, new_xml):

@@ -2,16 +2,19 @@
 
 The engine's correctness rests on ``merge`` being a commutative monoid
 over path statistics: any chunking of a corpus, merged in any grouping,
-must equal the single-pass accumulation.  Counters are exact integers;
-position sums are floats, so re-associated additions are compared with
-``pytest.approx``.
+must equal the single-pass accumulation.  Every statistic is exact --
+counters are integers and position sums are integer (or ``Fraction``)
+numerators -- so every law is checked with ``==``, and so is the DTD
+derived from permuted and re-partitioned corpora.
 """
 
 from __future__ import annotations
 
 import pickle
 import sys
+from array import array
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.dom.node import Element
 from repro.schema.accumulator import PathAccumulator
+from repro.schema.dtd import derive_dtd
 from repro.schema.frequent import mine_frequent_paths
-from repro.schema.paths import extract_paths
+from repro.schema.majority import MajoritySchema
+from repro.schema.paths import POSITION_DENOMINATOR, extract_paths
 from tests.oracles import schema_stats as oracle
 
 tag_names = st.sampled_from(["a", "b", "c", "d"])
@@ -60,14 +65,19 @@ def hand_built_accumulators(draw):
         order = draw(st.permutations(paths))
         return [path for path in order if draw(st.booleans())]
 
-    counts = st.integers(min_value=0, max_value=50)
+    # Mostly small counts; sometimes one no unsigned array column holds.
+    counts = st.integers(min_value=0, max_value=50) | st.integers(
+        min_value=-(2**70), max_value=2**70
+    )
+    positions = (
+        st.integers(min_value=0, max_value=2**40)
+        | st.fractions()
+        | st.floats(allow_nan=False, allow_infinity=False)
+    )
     return PathAccumulator(
         document_count=draw(counts),
         doc_frequency=Counter({path: draw(counts) for path in keys()}),
-        position_sum={
-            path: draw(st.floats(allow_nan=False, allow_infinity=False))
-            for path in keys()
-        },
+        position_sum={path: draw(positions) for path in keys()},
         multiplicity_docs={
             path: Counter(draw(st.dictionaries(counts, counts, max_size=3)))
             for path in keys()
@@ -76,13 +86,12 @@ def hand_built_accumulators(draw):
 
 
 def assert_equivalent(a: PathAccumulator, b: PathAccumulator) -> None:
-    """Exact on counters, approx on re-associated float position sums."""
+    """Exact on every statistic, position sums included: re-associated
+    additions of integer and ``Fraction`` numerators lose nothing."""
     assert a.document_count == b.document_count
     assert a.doc_frequency == b.doc_frequency
     assert a.multiplicity_docs == b.multiplicity_docs
-    assert set(a.position_sum) == set(b.position_sum)
-    for path, value in a.position_sum.items():
-        assert b.position_sum[path] == pytest.approx(value)
+    assert a.position_sum == b.position_sum
 
 
 class TestMonoidLaws:
@@ -97,7 +106,6 @@ class TestMonoidLaws:
     def test_commutative(self, left, right):
         a = PathAccumulator.from_documents(left)
         b = PathAccumulator.from_documents(right)
-        # IEEE addition commutes exactly, so equality is exact here.
         assert a.merge(b) == b.merge(a)
 
     @given(corpora, corpora, corpora)
@@ -155,8 +163,8 @@ class TestUpdate:
     @given(corpora, corpora)
     def test_document_by_document_update_equals_single_pass(self, left, right):
         """Merging one-document accumulators repeats ``add`` exactly:
-        the same float additions in the same order, the same key order,
-        and ``Counter`` histograms."""
+        the same additions in the same order, the same key order, and
+        ``Counter`` histograms."""
         merged = PathAccumulator.from_documents(left)
         for doc in right:
             merged.update(PathAccumulator.from_documents([doc]))
@@ -225,6 +233,51 @@ def assert_wire_round_trip(acc: PathAccumulator) -> None:
                 assert label is sys.intern(label)
 
 
+def seventeenths_document() -> Element:
+    """``r`` with 17 ``p`` children, each with an ``x`` child; ``x`` is at
+    position 1 in the last ``p`` and 0 in the others.  So ``(r, p, x)``
+    is realized 17 times with average position 1/17, a count that does
+    not divide POSITION_DENOMINATOR."""
+    root = Element("r")
+    for index in range(17):
+        parent = Element("p")
+        if index == 16:
+            parent.append_child(Element("y"))
+        parent.append_child(Element("x"))
+        root.append_child(parent)
+    return root
+
+
+SEVENTEENTHS = ("r", "p", "x")
+
+
+class TestWholeSums:
+    def test_fraction_numerator_for_a_non_divisor_count(self):
+        doc = extract_paths(seventeenths_document())
+        assert doc.position_numerator[SEVENTEENTHS] == Fraction(
+            POSITION_DENOMINATOR, 17
+        )
+        # 0 + 1 + ... + 16 = 8 * 17: the sum cancels, so an int.
+        assert type(doc.position_numerator[("r", "p")]) is int
+
+    def test_whole_sum_is_kept_as_int(self):
+        """Seventeen 1/17 averages sum to a whole numerator; ``add`` and
+        ``update`` keep it as an ``int``, so the wire column stays an
+        array."""
+        doc = extract_paths(seventeenths_document())
+        added = PathAccumulator.from_documents([doc] * 17)
+        merged = PathAccumulator.from_documents([doc] * 8)
+        merged.update(PathAccumulator.from_documents([doc] * 9))
+        for acc in (added, merged):
+            assert acc.position_sum[SEVENTEENTHS] == POSITION_DENOMINATOR
+            assert type(acc.position_sum[SEVENTEENTHS]) is int
+            assert isinstance(acc.__getstate__()[8], array)
+        partial = PathAccumulator.from_documents([doc] * 16)
+        assert type(partial.position_sum[SEVENTEENTHS]) is Fraction
+        assert isinstance(partial.__getstate__()[8], list)
+        assert_wire_round_trip(partial)
+
+
 class TestWireForm:
     @given(corpora)
     def test_round_trip_of_accumulated_corpora(self, docs):
@@ -261,6 +314,36 @@ class TestWireForm:
                 ),
                 id="dicts-in-different-orders",
             ),
+            pytest.param(
+                PathAccumulator(
+                    document_count=1,
+                    doc_frequency=Counter({("RESUME", "DATE"): 1, ("RESUME",): 1}),
+                    position_sum={("RESUME", "DATE"): 1, ("RESUME",): 0},
+                    multiplicity_docs={
+                        ("RESUME", "DATE"): Counter({1: 1}),
+                        ("RESUME",): Counter({1: 1}),
+                    },
+                ),
+                id="child-before-parent",
+            ),
+            pytest.param(
+                PathAccumulator(
+                    document_count=3,
+                    doc_frequency=Counter({("RESUME", "EDUCATION", "DATE"): 3}),
+                    position_sum={("RESUME", "EDUCATION", "DATE"): Fraction(1, 17)},
+                    multiplicity_docs={("RESUME", "EDUCATION", "DATE"): Counter()},
+                ),
+                id="missing-parents-fraction-empty-histogram",
+            ),
+            pytest.param(
+                PathAccumulator(
+                    document_count=2**70,
+                    doc_frequency=Counter({("RESUME",): 2**70, (): -1}),
+                    position_sum={("RESUME",): 2**64},
+                    multiplicity_docs={("RESUME",): Counter({2**64: 1, 1: -1})},
+                ),
+                id="values-no-array-holds",
+            ),
         ],
     )
     def test_round_trip_of_differing_key_lists(self, acc):
@@ -268,14 +351,15 @@ class TestWireForm:
 
     @given(corpora)
     def test_shared_key_list_decodes_like_separate_lists(self, docs):
-        """Accumulators built by ``add`` write one key list in all three
-        slots; the older form with three equal lists still decodes to
-        the same accumulator."""
+        """Accumulators built by ``add`` write no key column: the path
+        table is every dict's key order.  Explicit key columns naming
+        the same rows decode to the same accumulator."""
         acc = PathAccumulator.from_documents(docs)
         shared = acc.__getstate__()
-        assert shared[3] is shared[5] is shared[7]
+        assert shared[5] is shared[7] is shared[9] is None
         separate = list(shared)
-        separate[5], separate[7] = list(shared[3]), list(shared[3])
+        rows = list(range(1, len(acc.doc_frequency) + 1))
+        separate[5], separate[7], separate[9] = rows, list(rows), list(rows)
         decoded = []
         for state in (shared, tuple(separate)):
             clone = PathAccumulator()
@@ -293,8 +377,113 @@ class TestWireForm:
         root.append_child(education)
         acc = PathAccumulator.from_documents([extract_paths(root)])
         state = acc.__getstate__()
-        separate = (*state[:5], list(state[3]), state[6], list(state[3]), state[8])
+        rows = list(range(1, len(acc.doc_frequency) + 1))
+        separate = (*state[:5], rows, state[6], rows[:], state[8], rows[:], *state[10:])
         assert len(pickle.dumps(state)) < len(pickle.dumps(separate))
+
+    def test_columns_are_narrow_arrays(self):
+        """An accumulated corpus encodes every integer column as an
+        array of the narrowest unsigned typecode; only the few
+        multi-entry histograms are Python tuples."""
+        root = Element("RESUME")
+        for tag in ("DATE", "DATE", "NAME"):
+            root.append_child(Element(tag))
+        acc = PathAccumulator.from_documents([extract_paths(root)] * 300)
+        state = acc.__getstate__()
+        columns = (*state[3:5], state[6], state[8], *state[10:13])
+        assert [column.typecode for column in columns] == [
+            "B", "B", "H", "I", "B", "H", "B"
+        ]
+        assert state[2] == ["RESUME", "DATE", "NAME"]
+        assert state[13] == []
+
+    @pytest.mark.parametrize(
+        "top, typecode",
+        [
+            (255, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
+            (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None), (-1, None),
+        ],
+    )
+    def test_column_typecode_bounds(self, top, typecode):
+        """Each column takes the narrowest typecode that holds its
+        largest value; no unsigned typecode holds it -> a plain list."""
+        acc = PathAccumulator(
+            document_count=1,
+            doc_frequency=Counter({("RESUME",): top}),
+            position_sum={("RESUME",): 0},
+            multiplicity_docs={("RESUME",): Counter({1: 1})},
+        )
+        counts = acc.__getstate__()[6]
+        if typecode is None:
+            assert counts == [top]
+        else:
+            assert counts.typecode == typecode
+        assert_wire_round_trip(acc)
+
+    def test_version_1_state_decodes(self):
+        """A version-1 state (packed index tuples, float position sums)
+        decodes with each float sum as its numerator."""
+        state = (
+            1, 2, ["RESUME", "DATE"],
+            [(0,), (0, 1)], [2, 1],
+            [(0,), (0, 1)], [0.0, 1.5],
+            [(0,), (0, 1)], [((1, 2),), ((1, 1), (2, 1))],
+        )
+        clone = PathAccumulator()
+        clone.__setstate__(state)
+        assert clone == PathAccumulator(
+            document_count=2,
+            doc_frequency=Counter({("RESUME",): 2, ("RESUME", "DATE"): 1}),
+            position_sum={
+                ("RESUME",): 0,
+                ("RESUME", "DATE"): 3 * POSITION_DENOMINATOR // 2,
+            },
+            multiplicity_docs={
+                ("RESUME",): Counter({1: 2}),
+                ("RESUME", "DATE"): Counter({1: 1, 2: 1}),
+            },
+        )
+        assert type(clone.position_sum[("RESUME", "DATE")]) is int
+
+    def test_version_1_sum_from_a_non_divisor_count_is_rounded(self):
+        """A version-1 float sum is rounded to the nearest integer
+        numerator.  An average over a realization count that does not
+        divide POSITION_DENOMINATOR has no integer numerator, so the
+        decoded state only approximates its corpus: it is not ``==`` to
+        the corpus accumulated afresh."""
+        exact = PathAccumulator.from_documents(
+            [extract_paths(seventeenths_document())]
+        )
+        labels = ["r", "p", "y", "x"]
+        paths = [tuple(map(labels.index, path)) for path in exact.doc_frequency]
+        state = (
+            1, 1, labels,
+            paths, list(exact.doc_frequency.values()),
+            paths, [
+                float(Fraction(value, POSITION_DENOMINATOR))
+                for value in exact.position_sum.values()
+            ],
+            paths, [
+                tuple(histogram.items())
+                for histogram in exact.multiplicity_docs.values()
+            ],
+        )
+        clone = PathAccumulator()
+        clone.__setstate__(state)
+        assert clone.position_sum[SEVENTEENTHS] == round(POSITION_DENOMINATOR / 17)
+        assert exact.position_sum[SEVENTEENTHS] == Fraction(POSITION_DENOMINATOR, 17)
+        assert clone != exact
+        assert clone.doc_frequency == exact.doc_frequency
+        assert clone.multiplicity_docs == exact.multiplicity_docs
+        assert {
+            path: value
+            for path, value in clone.position_sum.items()
+            if path != SEVENTEENTHS
+        } == {
+            path: value
+            for path, value in exact.position_sum.items()
+            if path != SEVENTEENTHS
+        }
 
     @pytest.mark.parametrize(
         "state",
@@ -309,3 +498,64 @@ class TestWireForm:
     def test_unsupported_state_raises(self, state):
         with pytest.raises(ValueError, match="unsupported PathAccumulator"):
             PathAccumulator().__setstate__(state)
+
+
+def rooted_document(children: list[Element]) -> Element:
+    root = Element("r")
+    for child in children:
+        root.append_child(child)
+    return root
+
+
+# One-root documents, the shape schema discovery expects.
+rooted_documents = st.builds(
+    extract_paths,
+    st.lists(element_trees(max_depth=2), max_size=5).map(rooted_document),
+)
+
+
+def dtd_text(acc: PathAccumulator) -> str:
+    frequent = mine_frequent_paths(acc, sup_threshold=0.3)
+    schema = MajoritySchema.from_frequent_paths(frequent)
+    return derive_dtd(schema, acc, optional_threshold=0.6).render()
+
+
+class TestOrderFree:
+    """The statistics, and the DTD derived from them, depend only on the
+    corpus: not on document order, nor on how it is cut into chunks,
+    nor on the order the chunks are merged in."""
+
+    @given(st.lists(rooted_documents, min_size=1, max_size=10), st.data())
+    @settings(max_examples=60)
+    def test_permutations_and_partitions_agree(self, docs, data):
+        whole = PathAccumulator.from_documents(docs)
+        permuted = data.draw(st.permutations(docs))
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(docs)), max_size=4))
+        )
+        parts = [
+            PathAccumulator.from_documents(permuted[start:stop])
+            for start, stop in zip([0, *cuts], [*cuts, len(docs)])
+        ]
+        merged = PathAccumulator()
+        for part in data.draw(st.permutations(parts)):
+            merged.update(part)
+        assert merged == whole
+        assert PathAccumulator.from_documents(permuted) == whole
+        assert dtd_text(merged) == dtd_text(whole)
+
+    def test_true_tie_orders_alphabetically_in_any_document_order(self):
+        """``x`` and ``z`` have equal average positions under ``r``.
+        Summed as floats, the two document orders came out unequal in the
+        last bit, so reversing the corpus swapped them in the DTD."""
+        docs = [
+            extract_paths(rooted_document([Element(tag) for tag in spec]))
+            for spec in ("yzxyxyz", "xxyyzyx", "yy", "zzxzyx")
+        ]
+        forward = PathAccumulator.from_documents(docs)
+        backward = PathAccumulator.from_documents(docs[::-1])
+        assert forward.avg_position(("r", "x")) == forward.avg_position(("r", "z"))
+        assert forward == backward
+        text = dtd_text(forward)
+        assert text == dtd_text(backward)
+        assert "<!ELEMENT r ((#PCDATA), y, x, z)>" in text

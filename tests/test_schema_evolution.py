@@ -22,6 +22,7 @@ from repro.schema.frequent import mine_frequent_paths
 from repro.schema.majority import MajoritySchema
 
 GOLDEN_CHECKPOINT = Path(__file__).parent / "golden" / "checkpoint" / "v1"
+GOLDEN_CHECKPOINT_V2 = GOLDEN_CHECKPOINT.parent / "v2"
 
 
 def tree(tags):
@@ -45,6 +46,21 @@ def golden_trees():
 
 def accumulate(trees):
     return PathAccumulator.from_trees(trees)
+
+
+def build_golden_checkpoint(directory):
+    """Write the golden checkpoint's layout: a snapshot of the first two
+    golden trees at sequence 1 and one delta frame with the third.
+
+    A new wire version gets its golden directory by calling this with
+    ``tests/golden/checkpoint/vN`` from the repository root, with
+    ``PYTHONPATH=src``; committed directories are never rewritten.
+    """
+    checkpoint = AccumulatorCheckpoint(directory)
+    trees = golden_trees()
+    checkpoint.commit_snapshot(accumulate(trees[:2]), sequence=1)
+    checkpoint.append_delta(accumulate(trees[2:]))
+    return checkpoint
 
 
 class TestCheckpointRoundTrip:
@@ -171,7 +187,8 @@ class TestCrashRecovery:
 
 
 class TestGoldenWireFormat:
-    """The committed v1 checkpoint must stay loadable forever."""
+    """The committed checkpoints of every wire version must stay loadable
+    forever; the current version's bytes are pinned."""
 
     def test_golden_checkpoint_loads(self, tmp_path):
         assert GOLDEN_CHECKPOINT.exists(), "golden checkpoint fixture missing"
@@ -185,6 +202,30 @@ class TestGoldenWireFormat:
         checkpoint.append_delta(accumulate([tree(["CONTACT"])]))
         reloaded = AccumulatorCheckpoint(tmp_path / "ckpt").load()
         assert reloaded.document_count == 4
+
+    def test_v1_snapshot_with_v2_delta_loads(self, tmp_path):
+        shutil.copytree(GOLDEN_CHECKPOINT, tmp_path / "ckpt")
+        extra = tree(["CONTACT", "EDUCATION/DATE"])
+        AccumulatorCheckpoint(tmp_path / "ckpt").append_delta(accumulate([extra]))
+        name = evolution.DELTA_LOG_NAME
+        log = (tmp_path / "ckpt" / name).read_bytes()
+        assert log.startswith((GOLDEN_CHECKPOINT / name).read_bytes())
+        reloaded = AccumulatorCheckpoint(tmp_path / "ckpt").load()
+        assert reloaded == accumulate([*golden_trees(), extra])
+
+    def test_golden_v2_checkpoint_loads(self, tmp_path):
+        assert GOLDEN_CHECKPOINT_V2.exists(), "golden v2 checkpoint missing"
+        shutil.copytree(GOLDEN_CHECKPOINT_V2, tmp_path / "ckpt")
+        loaded = AccumulatorCheckpoint(tmp_path / "ckpt").load()
+        assert loaded == accumulate(golden_trees())
+
+    def test_golden_v2_bytes_are_pinned(self, tmp_path):
+        """Encoding the golden trees today gives the committed bytes: a
+        wire-form change must bump the version and add a directory."""
+        build_golden_checkpoint(tmp_path / "ckpt")
+        for name in (evolution.SNAPSHOT_NAME, evolution.DELTA_LOG_NAME):
+            written = (tmp_path / "ckpt" / name).read_bytes()
+            assert written == (GOLDEN_CHECKPOINT_V2 / name).read_bytes(), name
 
 
 class CountingModule:
@@ -480,11 +521,10 @@ def test_engine_fold_differential(tmp_path, kb, workers):
     )
     schema = MajoritySchema.from_frequent_paths(frequent)
     assert evolving.dtd_text == derive_dtd(schema, batch).render()
-    # Integer statistics agree exactly; float position sums may
-    # re-associate across chunk boundaries.
+    # Every statistic agrees exactly, position sums included: they are
+    # integer numerators, so chunk boundaries cannot re-associate them.
     restored = AccumulatorCheckpoint(tmp_path / "state").load()
     assert restored.document_count == batch.document_count
     assert restored.doc_frequency == batch.doc_frequency
     assert restored.multiplicity_docs == batch.multiplicity_docs
-    for path, value in batch.position_sum.items():
-        assert restored.position_sum[path] == pytest.approx(value)
+    assert restored.position_sum == batch.position_sum

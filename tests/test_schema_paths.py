@@ -1,7 +1,11 @@
 """Tests for label-path extraction (Section 3.2)."""
 
 from repro.dom.node import Element
-from repro.schema.paths import extract_corpus_paths, extract_paths
+from repro.schema.paths import (
+    POSITION_DENOMINATOR,
+    extract_corpus_paths,
+    extract_paths,
+)
 
 
 def tree(spec):
@@ -82,19 +86,23 @@ class TestMultiplicity:
 class TestPositions:
     def test_average_positions(self):
         doc = extract_paths(RESUME)
-        assert doc.avg_position[("resume", "education")] == 0.0
-        assert doc.avg_position[("resume", "contact")] == 1.0
+        assert doc.position_numerator[("resume", "education")] == 0
+        assert doc.position_numerator[("resume", "contact")] == POSITION_DENOMINATOR
 
     def test_averaged_over_realizations(self):
         # date at positions 0 and 0 in the two degrees -> 0.0;
         # institution at position 1 in the first degree -> 1.0.
         doc = extract_paths(RESUME)
-        assert doc.avg_position[("resume", "education", "degree", "date")] == 0.0
-        assert doc.avg_position[("resume", "education", "degree", "institution")] == 1.0
+        numerators = doc.position_numerator
+        assert numerators[("resume", "education", "degree", "date")] == 0
+        assert (
+            numerators[("resume", "education", "degree", "institution")]
+            == POSITION_DENOMINATOR
+        )
 
     def test_root_position_zero(self):
         doc = extract_paths(RESUME)
-        assert doc.avg_position[("resume",)] == 0.0
+        assert doc.position_numerator[("resume",)] == 0
 
 
 class TestCorpus:
