@@ -9,9 +9,8 @@ Subcommands mirror the pipeline stages::
               --trace-out trace.jsonl --metrics-out m.prom   # parallel engine
     repro-web discover     xml/*.xml --sup 0.4               # schema + DTD
     repro-web stats        metrics.json                      # re-render metrics
-    repro-web report       runs.jsonl                        # render a run record
-    repro-web runs         runs.jsonl --check                # ledger + regressions
-    repro-web validate-obs --trace trace.jsonl --metrics m.prom
+    repro-web report       runs.jsonl                        # render a ledger record
+    repro-web runs         runs.jsonl                        # list the ledger
     repro-web evaluate     --docs 50                         # Figure 4 numbers
     repro-web crawl        --resumes 30 --noise 100          # simulated crawl
     repro-web evolve init state/                             # online evolution
@@ -47,7 +46,6 @@ from repro.obs import (
     Tracer,
     build_run_record,
     config_fingerprint,
-    detect_history_regressions,
     load_metrics,
     write_chrome_trace,
     write_metrics,
@@ -74,14 +72,6 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
-
-
-def _threshold(text: str) -> float:
-    """argparse type of the regression threshold: a finite number > 0."""
-    value = float(text)
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
     return value
 
 
@@ -463,14 +453,47 @@ def _render_run_record(record: dict) -> None:
         ))
 
 
+def _render_evolution_record(record: dict) -> None:
+    """Print one ``kind: "evolution"`` ledger record (a schema fold)."""
+    summary = [
+        ["run id", record.get("run_id", "?")],
+        ["time", record.get("time_iso", "?")],
+        ["topic", record.get("topic", "")],
+        ["documents folded", record.get("documents_folded", "")],
+        ["total documents", record.get("total_documents", "")],
+        ["schema version", record.get("schema_version", "")],
+        ["bumped", record.get("bumped", "")],
+        ["paths added", record.get("paths_added", "")],
+        ["paths removed", record.get("paths_removed", "")],
+        ["repository version", record.get("repository_version") or ""],
+    ]
+    print(format_table(["fold", "value"], [[k, str(v)] for k, v in summary],
+                       title="Evolution report"))
+    migration = record.get("migration") or {}
+    if migration:
+        print()
+        print(format_table(
+            ["migration", "value"],
+            [
+                [key.replace("_", " "),
+                 f"{value:.2f}" if isinstance(value, float) else str(value)]
+                for key, value in migration.items()
+            ],
+            title="Repository migration",
+        ))
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     ledger = RunLedger(args.ledger)
     record = ledger.find(args.run) if args.run else ledger.latest()
     if record is None:
-        which = f"run {args.run!r}" if args.run else "any run record"
+        which = f"run {args.run!r}" if args.run else "record"
         print(f"{args.ledger}: no {which} found", file=sys.stderr)
         return 1
-    _render_run_record(record)
+    if record.get("kind") == "evolution":
+        _render_evolution_record(record)
+    else:
+        _render_run_record(record)
     return 0
 
 
@@ -483,76 +506,21 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     rows = [
         [
             record.get("run_id", "?"),
+            record.get("kind", ""),
             record.get("time_iso", "?"),
             str(record.get("workers", "")),
-            str(record.get("documents", "")),
+            # A fold's documents are the ones it folded.
+            str(record.get("documents", record.get("documents_folded", ""))),
             str(record.get("documents_failed", "")),
             str(record.get("docs_per_second", "")),
         ]
         for record in records[-args.limit:]
     ]
     print(format_table(
-        ["run id", "time", "workers", "docs", "failed", "docs/s"], rows,
+        ["run id", "kind", "time", "workers", "docs", "failed", "docs/s"],
+        rows,
         title=f"Run ledger ({len(records)} records, {args.ledger})",
     ))
-    baseline, regressions = detect_history_regressions(
-        records, threshold=args.threshold
-    )
-    print()
-    if baseline is None:
-        print("no comparable history for the latest run "
-              "(need earlier records with the same config and workers)")
-        return 0
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION: {regression.message}", file=sys.stderr)
-        print(f"{len(regressions)} regression(s) vs {baseline['run_id']} "
-              f"beyond {args.threshold:.0%}", file=sys.stderr)
-        return 1 if args.check else 0
-    print(f"latest run within {args.threshold:.0%} of {baseline['run_id']}")
-    return 0
-
-
-def _cmd_validate_obs(args: argparse.Namespace) -> int:
-    from repro.obs.chrometrace import validate_chrome_trace_file
-    from repro.obs.validate import (
-        validate_metrics_file,
-        validate_runlog_file,
-        validate_trace_file,
-    )
-
-    if not (args.trace or args.metrics or args.chrome or args.runlog):
-        print("validate-obs needs --trace, --metrics, --chrome and/or --runlog",
-              file=sys.stderr)
-        return 2
-    errors: list[str] = []
-    if args.trace:
-        errors.extend(
-            f"{args.trace}: {error}"
-            for error in validate_trace_file(
-                args.trace, require_coverage=args.require_coverage
-            )
-        )
-    for metrics in args.metrics or []:
-        errors.extend(
-            f"{metrics}: {error}" for error in validate_metrics_file(metrics)
-        )
-    if args.chrome:
-        errors.extend(
-            f"{args.chrome}: {error}"
-            for error in validate_chrome_trace_file(args.chrome)
-        )
-    if args.runlog:
-        errors.extend(
-            f"{args.runlog}: {error}"
-            for error in validate_runlog_file(args.runlog)
-        )
-    for error in errors:
-        print(error, file=sys.stderr)
-    if errors:
-        print(f"{len(errors)} validation error(s)", file=sys.stderr)
-        return 1
-    print("observability artifacts valid")
     return 0
 
 
@@ -1008,36 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("metrics", help="metrics JSON written by --metrics-out")
     stats.set_defaults(func=_cmd_stats)
 
-    vobs = sub.add_parser(
-        "validate-obs",
-        help="validate trace JSONL / metrics files against the checked-in schema",
-    )
-    vobs.add_argument("--trace", default="", help="trace JSONL to validate")
-    vobs.add_argument(
-        "--metrics",
-        action="append",
-        metavar="PATH",
-        help="metrics file to validate (.prom/.txt exposition or JSON; repeatable)",
-    )
-    vobs.add_argument(
-        "--chrome",
-        default="",
-        metavar="PATH",
-        help="Chrome trace-event JSON (--trace-chrome output) to validate",
-    )
-    vobs.add_argument(
-        "--runlog",
-        default="",
-        metavar="PATH",
-        help="run-ledger JSONL (--runlog output) to validate",
-    )
-    vobs.add_argument(
-        "--require-coverage",
-        action="store_true",
-        help="also require every schema-listed span name and event kind",
-    )
-    vobs.set_defaults(func=_cmd_validate_obs)
-
     report = sub.add_parser(
         "report", help="render one run-ledger record as report tables"
     )
@@ -1048,18 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(func=_cmd_report)
 
-    runs = sub.add_parser(
-        "runs", help="list the run ledger and flag regressions",
-    )
+    runs = sub.add_parser("runs", help="list the run ledger")
     runs.add_argument("ledger", help="run-ledger JSONL written by --runlog")
-    runs.add_argument(
-        "--threshold", type=_threshold, default=0.2,
-        help="relative change that counts as a regression (default 0.2)",
-    )
-    runs.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when a regression is flagged (CI gate)",
-    )
     runs.add_argument(
         "--limit", type=_limit, default=20,
         help="show at most this many most-recent ledger rows",

@@ -23,38 +23,31 @@ The run-intelligence layer builds on them:
   registry's ``repro_stage_seconds`` histograms, yielding per-stage and
   per-document p50/p95/p99.
 * :mod:`repro.obs.runlog` -- the persistent append-only run ledger
-  (:class:`RunLedger`) plus the regression detector behind
-  ``repro-web runs``.
+  (:class:`RunLedger`) that ``repro-web runs`` lists and
+  ``repro-web report`` renders.
 * :mod:`repro.obs.progress` -- :class:`ProgressReporter`, rate-limited
   live progress/ETA on stderr, auto-disabled off-TTY.
 * :mod:`repro.obs.chrometrace` -- span-tree export to Chrome
   trace-event JSON (Perfetto/chrome://tracing), with cross-process
   worker spans re-based onto the parent timeline.
 
-:mod:`repro.obs.validate` checks emitted artifacts against the
-checked-in ``trace_schema.json`` / ``runlog_schema.json`` (used by CI
-and ``repro-web validate-obs``); :mod:`repro.obs.export` holds the file
-writers/loaders.
+:mod:`repro.obs.export` holds the file writers/loaders.  The contract
+checks of the emitted files live outside the package, in
+``tests/obscheck`` (``python -m tests.obscheck`` from the repository
+root).
 """
 
-from repro.obs.chrometrace import (
-    spans_to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.chrometrace import spans_to_chrome_trace, write_chrome_trace
 from repro.obs.export import load_metrics, write_metrics, write_trace_jsonl
 from repro.obs.metrics import Counter, Distribution, Gauge, MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.provenance import ProvenanceLog, node_label_path
 from repro.obs.quantiles import QuantileDigest, merge_digest_maps
 from repro.obs.runlog import (
-    Regression,
     RunLedger,
     build_evolution_record,
     build_run_record,
-    compare_records,
     config_fingerprint,
-    detect_history_regressions,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, resolve_tracer
 
@@ -68,20 +61,16 @@ __all__ = [
     "ProgressReporter",
     "QuantileDigest",
     "merge_digest_maps",
-    "Regression",
     "RunLedger",
     "build_evolution_record",
     "build_run_record",
-    "compare_records",
     "config_fingerprint",
-    "detect_history_regressions",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "resolve_tracer",
     "spans_to_chrome_trace",
-    "validate_chrome_trace",
     "write_chrome_trace",
     "write_trace_jsonl",
     "write_metrics",

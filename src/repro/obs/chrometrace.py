@@ -17,12 +17,6 @@ the parent timeline by aligning the domain's earliest span start with
 the start of the span its roots were re-parented under -- the chunk
 visibly nests inside ``engine.convert_corpus`` without pretending we
 know exactly when the worker ran.
-
-:func:`validate_chrome_trace` is the dependency-free checker CI and
-``repro-web validate-obs --chrome`` run over emitted files: valid
-trace-event JSON, required fields per phase, non-negative durations,
-matched ``B``/``E`` pairs, and per-track events that strictly nest (no
-partial overlap) -- the invariants Perfetto's importer relies on.
 """
 
 from __future__ import annotations
@@ -158,103 +152,3 @@ def write_chrome_trace(
     )
     target.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
     return target
-
-
-# -- validation ---------------------------------------------------------------
-
-_PHASES = {"X", "B", "E", "M", "i", "C"}
-
-
-def validate_chrome_trace(document: object) -> list[str]:
-    """Errors in a parsed trace-event document (empty list = valid).
-
-    Checks the invariants the acceptance bar names: well-formed
-    trace-event JSON (an object with a ``traceEvents`` list, or a bare
-    list), required fields per event, non-negative ``X`` durations,
-    matched ``B``/``E`` pairs per track, and per-track ``X`` events that
-    nest strictly (two events on one track are either disjoint or one
-    contains the other) with monotone begin timestamps.
-    """
-    errors: list[str] = []
-    if isinstance(document, dict):
-        events = document.get("traceEvents")
-        if not isinstance(events, list):
-            return ["traceEvents is missing or not a list"]
-    elif isinstance(document, list):
-        events = document
-    else:
-        return ["trace document is neither an object nor a list"]
-
-    tracks: dict[tuple, list[tuple[float, float]]] = {}
-    open_b: dict[tuple, list[float]] = {}
-    for number, event in enumerate(events):
-        where = f"event {number}"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        phase = event.get("ph")
-        if phase not in _PHASES:
-            errors.append(f"{where}: unknown phase {phase!r}")
-            continue
-        if not isinstance(event.get("name"), str):
-            errors.append(f"{where}: missing name")
-        if "pid" not in event or "tid" not in event:
-            errors.append(f"{where}: missing pid/tid")
-            continue
-        track = (event["pid"], event["tid"])
-        if phase == "M":
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-            errors.append(f"{where}: missing numeric ts")
-            continue
-        if phase == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or isinstance(dur, bool):
-                errors.append(f"{where}: X event missing numeric dur")
-                continue
-            if dur < 0:
-                errors.append(f"{where}: negative duration {dur}")
-                continue
-            tracks.setdefault(track, []).append((float(ts), float(ts) + float(dur)))
-        elif phase == "B":
-            open_b.setdefault(track, []).append(float(ts))
-        elif phase == "E":
-            stack = open_b.get(track)
-            if not stack:
-                errors.append(f"{where}: E without matching B on track {track}")
-                continue
-            begin = stack.pop()
-            if float(ts) < begin:
-                errors.append(
-                    f"{where}: E at {ts} precedes its B at {begin} on {track}"
-                )
-    for track, stack in open_b.items():
-        for begin in stack:
-            errors.append(f"unmatched B at {begin} on track {track}")
-
-    # Per-track X events must strictly nest.  Sweep in start order
-    # (longest first on ties) with a stack of open intervals: an event
-    # starting inside an open interval must also end inside it.
-    for track, intervals in tracks.items():
-        stack: list[float] = []
-        for start, end in sorted(intervals, key=lambda pair: (pair[0], -pair[1])):
-            while stack and stack[-1] <= start:
-                stack.pop()
-            if stack and end > stack[-1]:
-                errors.append(
-                    f"track {track}: event [{start}, {end}] partially "
-                    f"overlaps an open event ending at {stack[-1]}"
-                )
-                continue
-            stack.append(end)
-    return errors
-
-
-def validate_chrome_trace_file(path: str | Path) -> list[str]:
-    """Validate a trace-event JSON file on disk."""
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"cannot read trace-event JSON: {exc}"]
-    return validate_chrome_trace(document)

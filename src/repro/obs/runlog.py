@@ -1,28 +1,19 @@
-"""The persistent run ledger and its regression detector.
+"""The persistent run ledger.
 
 Every engine run can append one self-describing JSON record (``kind:
 "run"``) to an append-only JSONL **ledger**: run id, config fingerprint,
 corpus size, per-stage latency quantiles (from the mergeable
 :class:`~repro.obs.quantiles.QuantileDigest` the chunks ship home),
 docs/sec, failure breakdown, tagger-cache hit rates, and the top-K
-slowest documents with their label-path context.  ``repro-web report``
-renders a record; ``repro-web runs`` lists the ledger and diffs the
-latest run against its history.
+slowest documents with their label-path context.  Every schema fold can
+append a ``kind: "evolution"`` record to the same ledger.
+``repro-web report`` renders a record by its kind; ``repro-web runs``
+lists the ledger.
 
-The **regression detector** is one comparator used two ways:
-
-* latest ledger record vs. the median of earlier same-configuration
-  records (``repro-web runs --check``),
-* any two records a caller hands it (:func:`compare_records`).
-
-Throughput (``docs_per_second``) regresses by *dropping*; latency
-quantiles (stage/document p95) regress by *rising*.  Either direction
-is flagged when the relative change crosses the threshold (default
-20%).
-
-Ledger records validate against the checked-in ``runlog_schema.json``
-(same dependency-free schema dialect as ``trace_schema.json``), so a
-ledger written on one machine is checkable anywhere.
+The ledger is a log for an operator, not a performance record: the
+benchmark in ``perfbench/`` is the only place throughput is compared
+across code versions.  The record format is pinned by the contract
+check ``tests/obscheck/runlog_schema.json``.
 """
 
 from __future__ import annotations
@@ -31,9 +22,8 @@ import hashlib
 import json
 import time
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.stats import EngineStats
@@ -229,136 +219,3 @@ class RunLedger:
 
     def __len__(self) -> int:
         return len(self.records())
-
-
-# -- regression detection -----------------------------------------------------
-
-
-@dataclass
-class Regression:
-    """One flagged metric change between a baseline and a current run."""
-
-    metric: str
-    baseline: float
-    current: float
-    change: float  # signed relative change, e.g. -0.31 = 31% drop
-    direction: str  # "drop" | "rise"
-
-    @property
-    def message(self) -> str:
-        verb = "dropped" if self.direction == "drop" else "rose"
-        return (
-            f"{self.metric} {verb} {abs(self.change):.0%}: "
-            f"{self.baseline:g} -> {self.current:g}"
-        )
-
-
-def _relative_change(baseline: float, current: float) -> float:
-    if baseline == 0:
-        return 0.0
-    return (current - baseline) / baseline
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def compare_records(
-    current: Mapping,
-    baseline: Mapping,
-    *,
-    threshold: float = 0.2,
-    min_latency_delta: float = 0.005,
-) -> list[Regression]:
-    """Regressions of one run record against a baseline record.
-
-    Flags: ``docs_per_second`` drops, and per-stage / per-document p95
-    rises, beyond ``threshold`` relative change.  Stages present in only
-    one record are skipped (nothing to compare).
-
-    A p95 rise must also exceed ``min_latency_delta`` seconds in
-    absolute terms: sub-millisecond stage latencies jitter by integer
-    multiples run to run, and a 5x rise on a 0.2 ms stage is scheduler
-    noise, not a regression worth failing CI over.
-    """
-    regressions: list[Regression] = []
-    base_rate = float(baseline.get("docs_per_second", 0.0) or 0.0)
-    cur_rate = float(current.get("docs_per_second", 0.0) or 0.0)
-    if base_rate > 0:
-        change = _relative_change(base_rate, cur_rate)
-        if change <= -threshold:
-            regressions.append(
-                Regression("docs_per_second", base_rate, cur_rate, change, "drop")
-            )
-    base_stages = baseline.get("stage_quantiles", {}) or {}
-    cur_stages = current.get("stage_quantiles", {}) or {}
-    for stage in sorted(set(base_stages) & set(cur_stages)):
-        base_p95 = float(base_stages[stage].get("p95", 0.0) or 0.0)
-        cur_p95 = float(cur_stages[stage].get("p95", 0.0) or 0.0)
-        if base_p95 <= 0:
-            continue
-        if cur_p95 - base_p95 < min_latency_delta:
-            continue
-        change = _relative_change(base_p95, cur_p95)
-        if change >= threshold:
-            regressions.append(
-                Regression(f"{stage}.p95", base_p95, cur_p95, change, "rise")
-            )
-    return regressions
-
-
-def baseline_of_history(
-    history: Iterable[Mapping], latest: Mapping
-) -> dict | None:
-    """A synthetic baseline record: the per-metric median over earlier
-    records comparable to ``latest`` (same config fingerprint and worker
-    count -- reconfigured runs are expected to perform differently)."""
-    comparable = [
-        record
-        for record in history
-        if record is not latest
-        and record.get("config_fingerprint") == latest.get("config_fingerprint")
-        and record.get("workers") == latest.get("workers")
-    ]
-    if not comparable:
-        return None
-    baseline: dict = {
-        "run_id": f"median-of-{len(comparable)}",
-        "docs_per_second": _median(
-            [float(r.get("docs_per_second", 0.0) or 0.0) for r in comparable]
-        ),
-        "stage_quantiles": {},
-    }
-    stages: set[str] = set()
-    for record in comparable:
-        stages.update((record.get("stage_quantiles") or {}).keys())
-    for stage in stages:
-        p95s = [
-            float(r["stage_quantiles"][stage].get("p95", 0.0) or 0.0)
-            for r in comparable
-            if stage in (r.get("stage_quantiles") or {})
-        ]
-        if p95s:
-            baseline["stage_quantiles"][stage] = {"p95": _median(p95s)}
-    return baseline
-
-
-def detect_history_regressions(
-    records: list[dict], *, threshold: float = 0.2
-) -> tuple[dict | None, list[Regression]]:
-    """Diff the ledger's latest record against its comparable history.
-
-    Returns ``(baseline, regressions)``; baseline is ``None`` (and the
-    list empty) when there is no comparable history to judge against.
-    """
-    if not records:
-        return None, []
-    latest = records[-1]
-    baseline = baseline_of_history(records[:-1], latest)
-    if baseline is None:
-        return None, []
-    return baseline, compare_records(latest, baseline, threshold=threshold)

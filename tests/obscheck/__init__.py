@@ -1,22 +1,35 @@
-"""Validation of emitted observability artifacts.
+"""Contract checks for the observability artifacts ``repro-web`` writes.
 
-Two artifact classes are validated, both in CI (see the ``obs-validate``
-workflow job) and by ``repro-web validate-obs``:
+These check the program's own output against schemas this repository
+defines, so they live with the tests rather than in the package.  The
+tier-1 tests import them, and CI runs them over the files a real run
+leaves behind, from the repository root::
 
-* the ``--trace-out`` JSONL (span + provenance records) against the
-  checked-in schema ``trace_schema.json`` shipped inside this package --
-  a deliberately small, dependency-free schema dialect: per-record-kind
-  required/optional field types (``string``, ``number``, ``boolean``,
-  ``object``, ``null``, unions with ``|``), enums, and a *coverage*
-  section naming the span names and event kinds a healthy full-pipeline
-  run must emit;
+    python -m tests.obscheck --trace trace.jsonl \\
+        --metrics metrics.prom --metrics metrics.json \\
+        --chrome trace-chrome.json --runlog runs.jsonl --require-coverage
+
+Four artifact classes are checked:
+
+* the ``--trace-out`` JSONL (span + provenance records) against
+  ``trace_schema.json`` beside this module -- a deliberately small,
+  dependency-free schema dialect: per-record-kind required/optional
+  field types (``string``, ``number``, ``boolean``, ``object``,
+  ``null``, unions with ``|``), enums, and a *coverage* section naming
+  the span names and event kinds a healthy full-pipeline run must emit;
+* the ``--runlog`` ledger against ``runlog_schema.json`` (same dialect);
 * the ``--metrics-out`` output: Prometheus text exposition (every sample
   matches the line grammar, every series has a ``# TYPE``, histograms
   carry ``+Inf``/``_sum``/``_count``) or the registry JSON snapshot
-  (must round-trip through :meth:`MetricsRegistry.from_json`).
+  (must round-trip through :meth:`MetricsRegistry.from_json`);
+* the ``--trace-chrome`` trace-event JSON: required fields per phase,
+  non-negative durations, matched ``B``/``E`` pairs, and per-track
+  events that strictly nest -- the invariants Perfetto's importer
+  relies on.
 
-All validators return a list of human-readable error strings; empty
-means valid.
+All checkers return a list of human-readable error strings; empty
+means valid.  Only the standard library and ``repro`` are imported, so
+the entry point runs wherever the package is installed.
 """
 
 from __future__ import annotations
@@ -162,7 +175,7 @@ def validate_runlog_lines(
     lines: Iterable[str], *, schema: dict | None = None
 ) -> list[str]:
     """Validate run-ledger JSONL content line by line (same record
-    dialect as the trace schema; every record must be ``kind: "run"``)."""
+    dialect as the trace schema; ``run`` and ``evolution`` records)."""
     schema = schema or load_runlog_schema()
     errors: list[str] = []
     count = 0
@@ -257,3 +270,103 @@ def validate_metrics_file(path: str | Path) -> list[str]:
     if len(registry) == 0:
         return ["metrics JSON contains no metrics"]
     return []
+
+
+# -- Chrome trace-event JSON --------------------------------------------------
+
+_PHASES = {"X", "B", "E", "M", "i", "C"}
+
+
+def validate_chrome_trace(document: object) -> list[str]:
+    """Errors in a parsed trace-event document (empty list = valid).
+
+    Checks the invariants the acceptance bar names: well-formed
+    trace-event JSON (an object with a ``traceEvents`` list, or a bare
+    list), required fields per event, non-negative ``X`` durations,
+    matched ``B``/``E`` pairs per track, and per-track ``X`` events that
+    nest strictly (two events on one track are either disjoint or one
+    contains the other) with monotone begin timestamps.
+    """
+    errors: list[str] = []
+    if isinstance(document, dict):
+        events = document.get("traceEvents")
+        if not isinstance(events, list):
+            return ["traceEvents is missing or not a list"]
+    elif isinstance(document, list):
+        events = document
+    else:
+        return ["trace document is neither an object nor a list"]
+
+    tracks: dict[tuple, list[tuple[float, float]]] = {}
+    open_b: dict[tuple, list[float]] = {}
+    for number, event in enumerate(events):
+        where = f"event {number}"
+        if not isinstance(event, dict):
+            errors.append(f"{where}: not an object")
+            continue
+        phase = event.get("ph")
+        if phase not in _PHASES:
+            errors.append(f"{where}: unknown phase {phase!r}")
+            continue
+        if not isinstance(event.get("name"), str):
+            errors.append(f"{where}: missing name")
+        if "pid" not in event or "tid" not in event:
+            errors.append(f"{where}: missing pid/tid")
+            continue
+        track = (event["pid"], event["tid"])
+        if phase == "M":
+            continue
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
+            errors.append(f"{where}: missing numeric ts")
+            continue
+        if phase == "X":
+            dur = event.get("dur")
+            if not isinstance(dur, (int, float)) or isinstance(dur, bool):
+                errors.append(f"{where}: X event missing numeric dur")
+                continue
+            if dur < 0:
+                errors.append(f"{where}: negative duration {dur}")
+                continue
+            tracks.setdefault(track, []).append((float(ts), float(ts) + float(dur)))
+        elif phase == "B":
+            open_b.setdefault(track, []).append(float(ts))
+        elif phase == "E":
+            stack = open_b.get(track)
+            if not stack:
+                errors.append(f"{where}: E without matching B on track {track}")
+                continue
+            begin = stack.pop()
+            if float(ts) < begin:
+                errors.append(
+                    f"{where}: E at {ts} precedes its B at {begin} on {track}"
+                )
+    for track, stack in open_b.items():
+        for begin in stack:
+            errors.append(f"unmatched B at {begin} on track {track}")
+
+    # Per-track X events must strictly nest.  Sweep in start order
+    # (longest first on ties) with a stack of open intervals: an event
+    # starting inside an open interval must also end inside it.
+    for track, intervals in tracks.items():
+        stack: list[float] = []
+        for start, end in sorted(intervals, key=lambda pair: (pair[0], -pair[1])):
+            while stack and stack[-1] <= start:
+                stack.pop()
+            if stack and end > stack[-1]:
+                errors.append(
+                    f"track {track}: event [{start}, {end}] partially "
+                    f"overlaps an open event ending at {stack[-1]}"
+                )
+                continue
+            stack.append(end)
+    return errors
+
+
+def validate_chrome_trace_file(path: str | Path) -> list[str]:
+    """Validate a trace-event JSON file on disk."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"cannot read trace-event JSON: {exc}"]
+    return validate_chrome_trace(document)

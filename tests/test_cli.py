@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.obscheck.__main__ import main as obscheck_main
 
 
 class TestParser:
@@ -61,23 +62,21 @@ class TestThresholdOptions:
             args = build_parser().parse_args([*command, option, value])
             assert getattr(args, option[2:]) == float(value)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "0"])
-    def test_regression_threshold_must_be_finite_and_positive(
-        self, capsys, value
-    ):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["runs", "runs.jsonl", "--check", f"--threshold={value}"])
-        assert exit_info.value.code == 2
-        assert f"argument --threshold: {value} is not a finite number > 0" in (
-            capsys.readouterr().err
-        )
 
-    def test_regression_threshold_accepted(self):
-        for value in ("0.35", "2"):
-            args = build_parser().parse_args(
-                ["runs", "runs.jsonl", "--threshold", value]
-            )
-            assert args.threshold == float(value)
+class TestRemovedCommands:
+    """The ledger's regression detector and the artifact checker are not
+    part of the CLI: ``runs`` only lists, and the checks run as
+    ``python -m tests.obscheck``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate-obs", "--runlog", "runs.jsonl"],
+        ["runs", "runs.jsonl", "--check"],
+        ["runs", "runs.jsonl", "--threshold", "0.35"],
+    ])
+    def test_unknown(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 COUNT_OPTIONS = [
@@ -280,7 +279,8 @@ class TestCommands:
 
     def test_run_intelligence_artifacts_round_trip(self, tmp_path, capsys):
         """convert-corpus writes a Chrome trace and a ledger record,
-        both of which validate-obs accepts and report/runs render."""
+        both of which the obscheck entry point accepts and report/runs
+        render."""
         chrome = tmp_path / "trace-chrome.json"
         ledger = tmp_path / "runs.jsonl"
         assert main(
@@ -288,8 +288,8 @@ class TestCommands:
              "--chunk-size", "3", "--quiet",
              "--trace-chrome", str(chrome), "--runlog", str(ledger)]
         ) == 0
-        assert main(
-            ["validate-obs", "--chrome", str(chrome), "--runlog", str(ledger)]
+        assert obscheck_main(
+            ["--chrome", str(chrome), "--runlog", str(ledger)]
         ) == 0
         capsys.readouterr()
         assert main(["report", str(ledger)]) == 0
@@ -299,35 +299,53 @@ class TestCommands:
         assert main(["runs", str(ledger)]) == 0
         out = capsys.readouterr().out
         assert "Run ledger (1 records" in out
-        assert "no comparable history" in out
+
+    def test_report_renders_each_record_by_kind(self, tmp_path, capsys):
+        """A fold appends a ``kind: "evolution"`` record to the ledger
+        convert-corpus writes: report renders it with the fold's own
+        fields, not as an empty run report, and runs names each kind."""
+        ledger = tmp_path / "runs.jsonl"
+        state = tmp_path / "state"
+        assert main(["convert-corpus", "--generate", "4", "--quiet",
+                     "--max-workers", "1", "--runlog", str(ledger)]) == 0
+        main(["evolve", "init", str(state)])
+        assert main(["evolve", "fold", str(state), "--generate", "6",
+                     "--seed", "5", "--max-workers", "1",
+                     "--repository", str(tmp_path / "repo"),
+                     "--runlog", str(ledger)]) == 0
+        run_id, fold_id = (
+            json.loads(line)["run_id"]
+            for line in ledger.read_text().splitlines()
+        )
+        capsys.readouterr()
+        assert main(["report", str(ledger)]) == 0
+        out = capsys.readouterr().out
+        assert "Evolution report" in out and "Run report" not in out
+        rows = dict(
+            line.rsplit(None, 1) for line in out.splitlines()
+            if line.startswith(("documents folded", "total documents",
+                                "schema version", "bumped",
+                                "repository version"))
+        )
+        assert {key.strip(): value for key, value in rows.items()} == {
+            "documents folded": "6", "total documents": "6",
+            "schema version": "1", "bumped": "True", "repository version": "1",
+        }
+        assert main(["report", str(ledger), "--run", run_id]) == 0
+        out = capsys.readouterr().out
+        assert "Run report" in out and "Evolution report" not in out
+        assert main(["runs", str(ledger)]) == 0
+        kinds = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("run-")
+        }
+        assert kinds == {run_id: "run", fold_id: "evolution"}
 
     def test_report_missing_run_fails(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
         ledger.write_text("")
         assert main(["report", str(ledger)]) == 1
-
-    def test_runs_check_flags_synthetic_slowdown(self, tmp_path, capsys):
-        """Three identical records pass --check; appending a 25% slower
-        clone fails it."""
-        record = {
-            "run_id": "r", "config_fingerprint": "cfg", "workers": 2,
-            "time_iso": "2026-01-01T00:00:00Z", "documents": 10,
-            "documents_failed": 0, "docs_per_second": 100.0,
-            "stage_quantiles": {},
-        }
-        ledger = tmp_path / "runs.jsonl"
-        lines = [dict(record, run_id=f"r{i}") for i in range(3)]
-        ledger.write_text(
-            "\n".join(json.dumps(line) for line in lines) + "\n"
-        )
-        assert main(["runs", str(ledger), "--check"]) == 0
-        slow = dict(record, run_id="slow", docs_per_second=75.0)
-        with ledger.open("a") as handle:
-            handle.write(json.dumps(slow) + "\n")
-        assert main(["runs", str(ledger), "--check"]) == 1
-        assert "REGRESSION: docs_per_second" in capsys.readouterr().err
-        # Without --check regressions are reported but don't fail.
-        assert main(["runs", str(ledger)]) == 0
 
     def test_runs_without_ledger_or_bench_fails(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

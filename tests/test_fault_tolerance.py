@@ -46,7 +46,6 @@ from repro.convert.errors import (
 from repro.convert.pipeline import DocumentConverter
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.obs.provenance import ProvenanceLog
-from repro.obs.validate import load_schema, validate_record
 from repro.runtime.engine import ChunkTask, CorpusEngine, EngineConfig
 from repro.runtime.faults import (
     PoolRebuildExhausted,
@@ -54,6 +53,7 @@ from repro.runtime.faults import (
     split_segment,
     worker_crash_failure,
 )
+from tests.obscheck import load_schema, validate_record
 
 POISON = "__CHAOS_POISON__"
 KILL = "__CHAOS_KILL__"

@@ -7,11 +7,10 @@ import json
 from repro.obs.chrometrace import (
     _domain_of,
     spans_to_chrome_trace,
-    validate_chrome_trace,
-    validate_chrome_trace_file,
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer
+from tests.obscheck import validate_chrome_trace, validate_chrome_trace_file
 
 
 def span(span_id, name, start, end, parent=None, **attrs):

@@ -6,25 +6,31 @@
 * Coverage: a traced convert+discover run emits spans for all four
   conversion rules and every discovery stage, one rule event per rule
   per document, and one concept event per token decision.
-* CLI: ``--trace-out`` / ``--metrics-out`` / ``stats`` / ``validate-obs``
-  round-trip through real files.
+* CLI: ``--trace-out`` / ``--metrics-out`` / ``stats`` and the
+  ``python -m tests.obscheck`` entry point round-trip through real files.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs import ProvenanceLog, Tracer
-from repro.obs.validate import (
+from repro.runtime.engine import CorpusEngine, EngineConfig
+from tests.obscheck import (
     load_schema,
     validate_metrics_file,
     validate_trace_file,
     validate_trace_lines,
 )
-from repro.runtime.engine import CorpusEngine, EngineConfig
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RULE_SPAN_NAMES = {
     "convert.tokenize",
@@ -258,17 +264,30 @@ class TestCliObservability:
               "--metrics-out", str(prom)])
         assert main(["stats", str(prom)]) == 2
 
-    def test_validate_obs_subcommand(self, tmp_path, capsys):
+    def test_obscheck_entry_point(self, tmp_path, capsys):
+        """``python -m tests.obscheck`` from the repository root, as CI
+        runs it: 0 valid, 1 errors, 2 nothing to check."""
         trace = tmp_path / "trace.jsonl"
         prom = tmp_path / "metrics.prom"
         main(["convert-corpus", "--generate", "4", "--chunk-size", "2",
               "--max-workers", "1", "--discover",
               "--trace-out", str(trace), "--metrics-out", str(prom)])
-        assert main(["validate-obs", "--trace", str(trace),
-                     "--metrics", str(prom), "--require-coverage"]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+
+        def obscheck(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "tests.obscheck", *argv],
+                cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            ).returncode
+
+        assert obscheck("--trace", str(trace),
+                        "--metrics", str(prom), "--require-coverage") == 0
         trace.write_text('{"kind": "span"}\n')
-        assert main(["validate-obs", "--trace", str(trace)]) == 1
-        assert main(["validate-obs"]) == 2
+        assert obscheck("--trace", str(trace)) == 1
+        assert obscheck() == 2
 
     def test_html2xml_rule_table_and_metrics(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

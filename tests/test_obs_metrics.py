@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.obs.export import load_metrics, write_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import BUCKET_COUNT, EDGES, QuantileDigest
-from repro.obs.validate import validate_prometheus_text
+from tests.obscheck import validate_prometheus_text
 
 
 def bucket_samples(registry: MetricsRegistry, name: str) -> list[tuple[str, int]]:

@@ -9,7 +9,7 @@ import json
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, resolve_tracer
 from repro.obs.export import write_trace_jsonl
-from repro.obs.validate import validate_trace_file
+from tests.obscheck import validate_trace_file
 
 
 class TestSpanNesting:

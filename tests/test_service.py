@@ -32,7 +32,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.validate import validate_prometheus_text
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.schema.evolution import EvolvingSchema
 from repro.service import ContractError, ConvertRequest, ServiceConfig
@@ -45,6 +44,7 @@ from tests.loadtest import (
     request,
     run_load,
 )
+from tests.obscheck import validate_prometheus_text
 
 
 @pytest.fixture(scope="module")
