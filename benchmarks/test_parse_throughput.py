@@ -288,19 +288,6 @@ def test_parse_throughput(benchmark, kb, capsys):
         pickle.dumps(dict(accumulator.__dict__), protocol=pickle.HIGHEST_PROTOCOL)
     )
 
-    # ChunkStats wire form: same treatment, measured on a real chunk
-    # from the run with the most workers (digests, rule timings, slowest
-    # docs and all) -- wire tuple vs pre-PR dataclass dict state.
-    sample_chunk = max(
-        last_fast_result.stats.per_chunk, key=lambda c: c.documents
-    )
-    chunk_wire_bytes = len(
-        pickle.dumps(sample_chunk, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    chunk_dict_bytes = len(
-        pickle.dumps(dict(sample_chunk.__dict__), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
     with capsys.disabled():
         print()
         print(
@@ -343,9 +330,7 @@ def test_parse_throughput(benchmark, kb, capsys):
         )
         print(
             f"  accumulator wire: {wire_bytes} bytes "
-            f"({1.0 - wire_bytes / dict_bytes:.0%} under dict state); "
-            f"chunkstats wire: {chunk_wire_bytes} bytes "
-            f"({1.0 - chunk_wire_bytes / chunk_dict_bytes:.0%} under dict state)"
+            f"({1.0 - wire_bytes / dict_bytes:.0%} under dict state)"
         )
 
     directory_speedup = tokenizer["directory"]["speedup"]
@@ -373,8 +358,4 @@ def test_parse_throughput(benchmark, kb, capsys):
     assert tidy_stage <= MAX_TIDY_STAGE_SECONDS, (
         f"engine tidy stage regressed past the PR 6 baseline band: "
         f"{tidy_stage:.4f}s > {MAX_TIDY_STAGE_SECONDS:.4f}s"
-    )
-    assert chunk_wire_bytes < chunk_dict_bytes, (
-        f"ChunkStats wire form larger than dict state: "
-        f"{chunk_wire_bytes} >= {chunk_dict_bytes} bytes"
     )

@@ -125,7 +125,7 @@ def _conversion_config(args: argparse.Namespace) -> "ConversionConfig":
 
 
 def _cmd_html2xml(args: argparse.Namespace) -> int:
-    from repro.runtime.stats import STAGE_SECONDS, rule_rows_from_registry
+    from repro.runtime.stats import STAGE_SECONDS, EngineStats
 
     converter = DocumentConverter(
         build_resume_knowledge_base(), _conversion_config(args)
@@ -148,7 +148,7 @@ def _cmd_html2xml(args: argparse.Namespace) -> int:
             f"{source.name}: {result.concept_node_count} concept nodes, "
             f"{result.instance_stats.unidentified_ratio:.0%} unidentified"
         )
-    rows = rule_rows_from_registry(registry)
+    rows = EngineStats.from_registry(registry).rule_rows()
     if rows:
         print()
         print(format_table(["rule", "seconds", "share"], rows,

@@ -220,29 +220,10 @@ class QuantileDigest:
 
     # -- serialization --------------------------------------------------------
     #
-    # Pickle (the ChunkStats wire format crossing the engine's process
-    # boundary) and JSON carry the same six fields and no layout: there
-    # is only one.  Sparse counts travel as parallel (indices, counts)
-    # lists.
-
-    def __getstate__(self) -> tuple:
-        indices = sorted(self.counts)
-        return (
-            indices,
-            [self.counts[index] for index in indices],
-            self.count,
-            self.total,
-            self.min_value,
-            self.max_value,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        indices, counts, count, total, min_value, max_value = state
-        self.counts = dict(zip(indices, counts))
-        self.count = count
-        self.total = total
-        self.min_value = min_value
-        self.max_value = max_value
+    # JSON carries no layout: there is only one.  Sparse counts travel
+    # as parallel (indices, counts) lists.  Pickle (a digest inside a
+    # ChunkStats crossing the process boundary) uses the default
+    # __slots__ state.
 
     def to_json(self) -> dict:
         indices = sorted(self.counts)

@@ -12,10 +12,11 @@
   (adopted copy-on-write from the parent under fork), inline execution
   at one worker, an ordered bounded-window ``map``, and
   ``rebuild``/``pids``/``shutdown`` for crash recovery and drain.
-* :mod:`repro.runtime.faults` -- the fault-tolerance layer:
-  :class:`ErrorPolicy` (fail-fast / skip / quarantine),
-  :class:`DocumentFailure` records, and worker-crash recovery
-  (pool rebuild + chunk bisection) support.
+* :mod:`repro.runtime.faults` -- worker-crash recovery (pool rebuild
+  budget + chunk bisection).  The policy vocabulary it builds on --
+  :class:`ErrorPolicy` (fail-fast / skip / quarantine) and
+  :class:`DocumentFailure` records -- lives in
+  :mod:`repro.convert.errors` and is exported here too.
 
 The engine is differentially tested against the serial
 :meth:`repro.convert.pipeline.DocumentConverter.convert_many` path:
@@ -25,6 +26,12 @@ skip policy, where the engine must equal the serial conversion of the
 surviving documents.
 """
 
+from repro.convert.errors import (
+    DocumentFailure,
+    ErrorPolicy,
+    PipelineStageError,
+    write_quarantine,
+)
 from repro.runtime.engine import (
     ChunkPayload,
     CorpusEngine,
@@ -34,22 +41,17 @@ from repro.runtime.engine import (
     EngineRun,
 )
 from repro.runtime.faults import (
-    DocumentFailure,
-    ErrorPolicy,
-    PipelineStageError,
     PoolRebuildExhausted,
     RecoveryBudget,
     worker_crash_failure,
-    write_quarantine,
 )
-from repro.runtime.stats import ChunkStats, EngineStats, rule_rows_from_registry
+from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 
 __all__ = [
     "CorpusEngine",
     "EngineConfig",
     "EngineStats",
-    "rule_rows_from_registry",
     "ChunkStats",
     "ChunkPayload",
     "CorpusResult",

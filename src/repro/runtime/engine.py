@@ -48,17 +48,19 @@ from repro.concepts.bayes import MultinomialNaiveBayes
 from repro.concepts.fastmatch import cache_counter_delta
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
+from repro.convert.errors import (
+    DocumentFailure,
+    ErrorPolicy,
+    failure_from_exception,
+    write_quarantine,
+)
 from repro.convert.pipeline import DocumentConverter
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, resolve_tracer
 from repro.runtime.faults import (
-    DocumentFailure,
-    ErrorPolicy,
     RecoveryBudget,
-    failure_from_exception,
     split_segment,
     worker_crash_failure,
-    write_quarantine,
 )
 from repro.runtime.pool import WorkerPool, chunked, resolve_workers
 from repro.runtime.stats import DOCUMENT_STAGE, ChunkStats, EngineStats
@@ -515,9 +517,8 @@ class CorpusEngine:
                 )
             if payload.events and provenance is not None:
                 provenance.extend(payload.events)
-            for failure in payload.failures:
-                stats.failures.append(failure)
-                if policy.mode == "quarantine":
+            if policy.mode == "quarantine":
+                for failure in payload.failures:
                     write_quarantine(policy.quarantine_dir, failure)
             if progress is not None:
                 progress(stats)

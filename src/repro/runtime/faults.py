@@ -4,8 +4,8 @@ The conversion-layer vocabulary (:class:`DocumentFailure`,
 :class:`ErrorPolicy`, :class:`PipelineStageError`, quarantine writing)
 lives in :mod:`repro.convert.errors` so the serial
 :meth:`~repro.convert.pipeline.DocumentConverter.convert_many` path can
-honor the same policies; this module re-exports it and adds what only
-the process-pool engine needs:
+honor the same policies, and every caller imports it from there.  This
+module holds only what the process-pool engine adds:
 
 * :func:`worker_crash_failure` -- the :class:`DocumentFailure` recorded
   for a document that *killed its worker* (OOM, segfault, ``os._exit``):
@@ -26,16 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.convert.errors import (  # noqa: F401  (re-exported fault API)
-    ERROR_MODES,
-    DocumentFailure,
-    ErrorPolicy,
-    InjectedFaultError,
-    PipelineStageError,
-    failure_from_exception,
-    truncate_traceback,
-    write_quarantine,
-)
+from repro.convert.errors import DocumentFailure
 
 # The pseudo-stage recorded for documents that took their worker down
 # with them (no pipeline stage ever raised).

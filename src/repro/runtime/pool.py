@@ -17,8 +17,9 @@ module is the only place that builds a ``ProcessPoolExecutor``:
   the factory again; under spawn the initargs arrive as copies, the
   identity check fails, and each worker builds its own;
 * **inline execution** when ``workers == 1`` -- no processes, no
-  pickling; :meth:`WorkerPool.submit` runs the task at once and returns
-  a completed future (the degenerate case differential tests use);
+  pickling; :meth:`WorkerPool.submit` runs the task at once, one task
+  at a time across threads, and returns a completed future (the
+  degenerate case differential tests use);
 * :meth:`WorkerPool.map` -- ordered results over a bounded window of
   ``2 * workers`` chunks;
 * :meth:`WorkerPool.rebuild`, :meth:`WorkerPool.pids` and
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -132,6 +134,10 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._context: _RecordingContext | None = None
         self._closed = False
+        # An inline pool is one worker: tasks submitted from several
+        # threads (the service converts on executor threads) run one at
+        # a time, since the state is not thread-safe.
+        self._inline_lock = threading.Lock()
         if self.workers > 1:
             _PREFORK[id(state_args)] = (state_args, self.state)
             self._spawn()
@@ -155,10 +161,11 @@ class WorkerPool:
             raise PoolClosed("worker pool is shut down")
         if self._executor is None:
             future: Future = Future()
-            try:
-                future.set_result(fn(self.state, *args))
-            except Exception as exc:
-                future.set_exception(exc)
+            with self._inline_lock:
+                try:
+                    future.set_result(fn(self.state, *args))
+                except Exception as exc:
+                    future.set_exception(exc)
             return future
         return self._executor.submit(_call, fn, args)
 

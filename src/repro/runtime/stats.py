@@ -1,14 +1,15 @@
 """Engine instrumentation, built on the metrics registry.
 
-:class:`ChunkStats` is the picklable wire record one worker reports for
-one chunk of documents.  :class:`EngineStats` is the corpus-level
-aggregate the engine, the ``convert-corpus`` CLI, and the Figure 5
-scaling harness all read.  It is a *view* over a
-:class:`repro.obs.metrics.MetricsRegistry`: every counter it absorbs
-lands in named metrics (``repro_engine_documents_total``, a
-chunk-seconds histogram, ...), so one engine run exports directly as
-JSON or Prometheus text and ``repro-web stats`` can re-render a saved
-snapshot as these same tables.
+:class:`ChunkStats` is the plain dataclass one worker reports for one
+chunk of documents; it pickles by default across the process boundary.
+:class:`EngineStats` is the corpus-level aggregate the engine, the
+``convert-corpus`` CLI, and the Figure 5 scaling harness all read.  It
+is a *view* over a :class:`repro.obs.metrics.MetricsRegistry`: every
+counter it absorbs lands in named metrics
+(``repro_engine_documents_total``, a chunk-seconds histogram, ...), so
+one engine run exports directly as JSON or Prometheus text and
+``repro-web stats`` can re-render a saved snapshot as these same
+tables.
 
 Stage time has one clock and one channel.  Each stage of a document
 (:data:`repro.obs.tracer.STAGE_SPANS`) is read once by the stage clock,
@@ -23,14 +24,11 @@ ledger, ``/metrics`` and a saved snapshot -- reads them there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.obs.metrics import Distribution, MetricsRegistry
 from repro.obs.quantiles import QuantileDigest, merge_digest_maps
 from repro.obs.tracer import STAGE_SPANS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.convert.errors import DocumentFailure
 
 # Metric names of the engine's registry schema.
 DOCUMENTS = "repro_engine_documents_total"
@@ -96,9 +94,10 @@ def merge_slowest(
 class ChunkStats:
     """Per-chunk counters and timings, as measured inside the worker.
 
-    This is the wire format crossing the process boundary (plain
-    picklable dataclass); the parent folds it into the registry-backed
-    :class:`EngineStats` with :meth:`EngineStats.absorb`.
+    It crosses the process boundary with the chunk's payload and pickles
+    as a plain dataclass (it is never persisted); the parent folds it
+    into the registry-backed :class:`EngineStats` with
+    :meth:`EngineStats.absorb`.
     """
 
     index: int
@@ -124,8 +123,8 @@ class ChunkStats:
     tagger_cache: dict[str, dict[str, int]] = field(default_factory=dict)
     # Per-stage latency digests ({"parse": ..., "document": ...}): one
     # observation per surviving document per stage, in a mergeable
-    # QuantileDigest whose compact tuple state rides the pickle.  The
-    # chunk's only record of stage time: per-stage sums are the totals.
+    # QuantileDigest.  The chunk's only record of stage time: per-stage
+    # sums are the totals.
     stage_digests: dict[str, QuantileDigest] = field(default_factory=dict)
     # This chunk's top-K slowest documents, slowest first, each with its
     # label-path context ({"doc", "index", "seconds", "root",
@@ -184,113 +183,6 @@ class ChunkStats:
         """Trim the slowest-documents candidates to the shipped top K."""
         self.slowest_docs = merge_slowest(self.slowest_docs, [])
 
-    # -- wire form ------------------------------------------------------------
-    #
-    # Every chunk crosses the process boundary as one of these, so the
-    # pickle gets the same treatment PathAccumulator received: a
-    # version-tagged tuple instead of dataclass dict state (no
-    # per-instance field-name strings), with the slowest-document dicts
-    # -- whose keys repeat across every row -- packed as one key tuple
-    # plus value rows.  The digests already carry their own compact
-    # tuple state.  ChunkStats only travels between processes of one
-    # version and is never persisted, so there is no older form to read.
-
-    _WIRE_VERSION = 2
-
-    def __getstate__(self):
-        slowest = self.slowest_docs
-        packed: tuple | list
-        if slowest:
-            keys = tuple(slowest[0])
-            if all(tuple(entry) == keys for entry in slowest):
-                packed = (keys, [tuple(entry.values()) for entry in slowest])
-            else:
-                packed = list(slowest)
-        else:
-            packed = ((), [])
-        return (
-            ChunkStats._WIRE_VERSION,
-            self.index,
-            self.documents,
-            self.documents_failed,
-            self.failures_by_stage,
-            self.seconds,
-            self.doc_seconds,
-            (
-                self.tokens_created,
-                self.groups_created,
-                self.nodes_eliminated,
-                self.input_nodes,
-                self.concept_nodes,
-            ),
-            self.tagger_cache,
-            self.stage_digests,
-            packed,
-        )
-
-    def __setstate__(self, state) -> None:
-        if state[0] != ChunkStats._WIRE_VERSION:
-            raise ValueError(f"unknown ChunkStats wire version: {state[0]!r}")
-        (
-            _version,
-            self.index,
-            self.documents,
-            self.documents_failed,
-            self.failures_by_stage,
-            self.seconds,
-            self.doc_seconds,
-            counters,
-            self.tagger_cache,
-            self.stage_digests,
-            packed,
-        ) = state
-        (
-            self.tokens_created,
-            self.groups_created,
-            self.nodes_eliminated,
-            self.input_nodes,
-            self.concept_nodes,
-        ) = counters
-        if isinstance(packed, tuple):
-            keys, rows = packed
-            self.slowest_docs = [dict(zip(keys, row)) for row in rows]
-        else:
-            self.slowest_docs = list(packed)
-
-
-def stage_digests_from_registry(
-    registry: MetricsRegistry,
-) -> dict[str, QuantileDigest]:
-    """``{stage: digest}`` of the ``repro_stage_seconds`` histograms."""
-    return {
-        metric.label_dict().get("stage", "?"): metric.digest
-        for metric in registry.find(STAGE_SECONDS)
-        if isinstance(metric, Distribution)
-    }
-
-
-def stage_totals(registry: MetricsRegistry) -> dict[str, float]:
-    """Seconds per pipeline stage (each stage digest's total), without
-    the end-to-end ``document`` row."""
-    return {
-        stage: digest.total
-        for stage, digest in stage_digests_from_registry(registry).items()
-        if stage != DOCUMENT_STAGE
-    }
-
-
-def rule_rows_from_registry(registry: MetricsRegistry) -> list[list[str]]:
-    """(rule, seconds, share) rows from the ``repro_stage_seconds``
-    totals, slowest stage first -- shared by the engine stats table,
-    the serial ``html2xml`` summary, and ``repro-web stats``."""
-    timings = stage_totals(registry)
-    total = sum(timings.values())
-    rows = []
-    for rule, seconds in sorted(timings.items(), key=lambda item: -item[1]):
-        share = seconds / total if total else 0.0
-        rows.append([rule, f"{seconds:.3f}", f"{share:.0%}"])
-    return rows
-
 
 def stage_quantile_rows(summaries: Mapping[str, Mapping]) -> list[list[str]]:
     """(stage, count, p50/p95/p99 ms) rows from ``{stage: summary}``
@@ -330,10 +222,6 @@ class EngineStats:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.per_chunk: list[ChunkStats] = []
-        # Structured failure records collected by the engine's merge loop
-        # (parent-side only; counters below persist through the registry,
-        # this detail list does not).
-        self.failures: list["DocumentFailure"] = []
         # Slowest documents merged from the chunks' top Ks (parent-side;
         # persisted via the run ledger rather than the registry).
         self.slowest_docs: list[dict] = []
@@ -440,14 +328,23 @@ class EngineStats:
     @property
     def rule_seconds(self) -> dict[str, float]:
         """Per-stage seconds summed over workers: each pipeline stage's
-        digest total, from the registry."""
-        return stage_totals(self.registry)
+        digest total, without the end-to-end ``document`` row."""
+        return {
+            stage: digest.total
+            for stage, digest in self.stage_digests.items()
+            if stage != DOCUMENT_STAGE
+        }
 
     @property
     def stage_digests(self) -> dict[str, QuantileDigest]:
         """Per-stage latency digests (``document`` included), from the
-        registry -- so a saved snapshot carries them too."""
-        return stage_digests_from_registry(self.registry)
+        ``repro_stage_seconds`` histograms -- so a saved snapshot carries
+        them too."""
+        return {
+            metric.label_dict().get("stage", "?"): metric.digest
+            for metric in self.registry.find(STAGE_SECONDS)
+            if isinstance(metric, Distribution)
+        }
 
     def stage_summaries(self) -> dict[str, dict]:
         """``{stage: digest summary}`` of every non-empty stage digest --
@@ -553,7 +450,6 @@ class EngineStats:
         stats = cls.__new__(cls)
         stats.registry = registry
         stats.per_chunk = []
-        stats.failures = []
         stats.slowest_docs = []
         return stats
 
@@ -618,8 +514,16 @@ class EngineStats:
         return rows
 
     def rule_rows(self) -> list[list[str]]:
-        """(rule, seconds, share) rows, slowest stage first."""
-        return rule_rows_from_registry(self.registry)
+        """(rule, seconds, share) rows from the stage totals, slowest
+        stage first -- shared by the engine stats table, the serial
+        ``html2xml`` summary, and ``repro-web stats``."""
+        timings = self.rule_seconds
+        total = sum(timings.values())
+        rows = []
+        for rule, seconds in sorted(timings.items(), key=lambda item: -item[1]):
+            share = seconds / total if total else 0.0
+            rows.append([rule, f"{seconds:.3f}", f"{share:.0%}"])
+        return rows
 
     def slowest_rows(self) -> list[list[str]]:
         """(doc, seconds, label paths, input nodes) rows, slowest first."""

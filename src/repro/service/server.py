@@ -39,10 +39,10 @@ from typing import Callable
 
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
+from repro.convert.errors import DocumentFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import QuantileDigest
 from repro.runtime.engine import ChunkPayload, ChunkTask, CorpusEngine, EngineConfig
-from repro.runtime.faults import DocumentFailure
 from repro.runtime.pool import PoolClosed, WorkerPool
 from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
@@ -95,7 +95,6 @@ class ServiceConfig:
     max_batch: int = 16
     batch_wait: float = 0.005
     max_queue: int = 1024
-    max_inflight: int | None = None
     publish: bool = False
     drain_timeout: float = 30.0
 
@@ -105,11 +104,6 @@ class ServiceConfig:
 
             return max(1, min(4, os.cpu_count() or 1))
         return max(1, self.max_workers)
-
-    def resolved_inflight(self, workers: int) -> int:
-        if self.max_inflight is None:
-            return max(2, 2 * workers)
-        return max(1, self.max_inflight)
 
 
 class ConversionService:
@@ -163,7 +157,7 @@ class ConversionService:
             max_batch=self.config.max_batch,
             max_wait=self.config.batch_wait,
             max_queue=self.config.max_queue,
-            max_inflight=self.config.resolved_inflight(workers),
+            max_inflight=max(2, 2 * workers),
         )
         self.latency = QuantileDigest()
         self._server: asyncio.base_events.Server | None = None
@@ -329,16 +323,13 @@ class ConversionService:
             )
 
     def _record(self, payload: ChunkPayload) -> None:
-        """Absorb a chunk's counters, failures included, into the stats
-        behind ``/healthz`` and ``/metrics``."""
+        """Absorb a chunk's counters, failure counts included, into the
+        stats behind ``/healthz`` and ``/metrics``."""
         self.stats.absorb(payload.stats)
         # The engine keeps every ChunkStats for post-run reporting; a
         # daemon absorbing chunks forever must not.  The registry has
-        # already folded the counters in, so drop the per-chunk detail
-        # and cap the retained failure records.
+        # already folded the counters in, so drop the per-chunk detail.
         self.stats.per_chunk.clear()
-        self.stats.failures.extend(payload.failures)
-        del self.stats.failures[:-100]
 
     def _split_payload(
         self, payload, base: int, batch: list[PendingDocument]

@@ -1,8 +1,8 @@
 """Unit tests for the engine's scaling machinery.
 
 Covers the adaptive chunk-size controller (:class:`ChunkSizer`), the
-worker-side XML sink, the :class:`ChunkStats` compact wire form (the
-pickle every chunk rides home on), and the scaling-efficiency metrics
+worker-side XML sink, the :class:`ChunkStats` pickle round trip (every
+chunk rides home in one), and the scaling-efficiency metrics
 :class:`EngineStats` derives from the new ``doc_seconds`` counter.  The
 end-to-end guarantees (sink files == collected strings, adaptive ==
 static bytes) live in test_fast_tidy_differential.py; these tests pin
@@ -143,15 +143,13 @@ class TestXmlSink:
 
 class TestChunkStatsWire:
     def test_pickle_round_trip(self):
-        """The v2 wire form: the stage digests are the chunk's only
-        record of stage time, so they and their totals must survive."""
+        """The stage digests are the chunk's only record of stage time,
+        so they and their totals must survive the pickle."""
         stats = chunk(index=3, documents=7, seconds=1.5, doc_seconds=1.2, failed=2)
         stats.failures_by_stage = {"parse": 2}
         stats.observe_document("doc0", 0, 0.25, {"group": 0.2, "parse": 0.01})
         stats.observe_document("doc1", 1, 0.95, {"group": 0.3, "parse": 0.02})
         stats.finalize_slowest()
-        state = stats.__getstate__()
-        assert state[0] == 2
         restored = pickle.loads(pickle.dumps(stats))
         assert not hasattr(restored, "rule_seconds")
         assert restored.index == 3
@@ -166,18 +164,6 @@ class TestChunkStatsWire:
         assert restored.stage_digests["document"].total == 0.25 + 0.95
         assert restored.stage_digests["group"].count == 2
         assert restored.slowest_docs == stats.slowest_docs
-
-    def test_wire_form_is_tuple_not_dict(self):
-        """The pickle must carry the version-tagged tuple, not dataclass
-        dict state (no per-instance field-name strings on the wire)."""
-        state = chunk().__getstate__()
-        assert isinstance(state, tuple)
-        assert state[0] == ChunkStats._WIRE_VERSION
-
-    def test_unknown_wire_version_rejected(self):
-        stats = ChunkStats.__new__(ChunkStats)
-        with pytest.raises(ValueError):
-            stats.__setstate__((99,))
 
 
 class TestScalingMetrics:

@@ -187,6 +187,50 @@ class TestEngineStats:
         document = stats.registry.histogram(STAGE_SECONDS, stage="document")
         assert document.digest.count == stats.documents
 
+    def test_books_survive_the_process_boundary(self, kb, corpus_html):
+        """Chunk records pickle home at two workers and never cross a
+        process at one; at the same chunk size the books must agree.
+        Tagger-cache events are left out: each worker has its own cache."""
+        import pickle
+
+        from repro.convert.config import ConversionConfig
+
+        poisoned = list(corpus_html)
+        poisoned[4] += "__POISON__"
+
+        def books(workers):
+            engine = CorpusEngine(
+                kb,
+                ConversionConfig(chaos_fail_marker="__POISON__"),
+                engine_config=EngineConfig(
+                    max_workers=workers, chunk_size=3, error_policy="skip"
+                ),
+            )
+            stats = engine.convert_corpus(poisoned).stats
+            for chunk in stats.per_chunk:
+                assert pickle.loads(pickle.dumps(chunk)) == chunk
+            return {
+                "documents": stats.documents,
+                "chunks": stats.chunks,
+                "documents_failed": stats.documents_failed,
+                "failures_by_stage": stats.failures_by_stage,
+                "counters": [
+                    stats.input_nodes, stats.tokens_created,
+                    stats.groups_created, stats.nodes_eliminated,
+                    stats.concept_nodes,
+                ],
+                "stage_counts": {
+                    stage: digest.count
+                    for stage, digest in stats.stage_digests.items()
+                },
+                "per_chunk": [(c.index, c.documents) for c in stats.per_chunk],
+            }
+
+        inline = books(1)
+        assert inline["documents_failed"] == 1
+        assert inline["per_chunk"] == [(0, 3), (1, 2), (2, 3), (3, 1)]
+        assert books(2) == inline
+
     def test_streaming_yields_chunks_in_order(self, kb, corpus_html):
         engine = make_engine(kb, 2, chunk_size=3)
         stats = engine.new_stats()

@@ -601,6 +601,38 @@ class TestConcurrentLoad:
             assert diff[f"{name}_count"] > 0, name
             assert diff[f"{name}_sum"] > 0, name
 
+    def test_one_worker_converts_one_chunk_at_a_time(
+        self, kb, tmp_path, corpus_html
+    ):
+        """At one worker every micro-batch runs on the one converter, so
+        batches in flight together must still convert one at a time: then
+        each chunk's tagger-cache delta counts only its own lookups, and
+        ``/metrics`` agrees with the converter's own counters."""
+        service = make_service(kb, tmp_path, workers=1)
+        sources = corpus_html * 8
+
+        async def drive():
+            await service.start()
+            try:
+                outcomes = await asyncio.gather(*(
+                    service.batcher.submit(ConvertRequest(source=source))
+                    for source in sources
+                ))
+                own = service.pools["resume"].state.converter.tagger_cache_counters()
+            finally:
+                await service.shutdown()
+            return outcomes, own
+
+        outcomes, own = asyncio.run(drive())
+        assert all(outcome.ok for outcome in outcomes)
+        assert service.stats.chunks > 2
+
+        def lookups(events):
+            return sum(c["hits"] + c["misses"] for c in events.values())
+
+        assert lookups(own) > 0
+        assert lookups(service.stats.tagger_cache_events) == lookups(own)
+
 
 # -- graceful drain ------------------------------------------------------------
 
