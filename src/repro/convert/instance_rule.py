@@ -17,12 +17,14 @@ For each ``<TOKEN>`` produced by the tokenization rule:
 
 The rule is one preorder walk.  Tokens are resolved in document order,
 so the provenance events and each parent's ``val`` appends come in the
-order the node-at-a-time rule made them; the resolver returns a token's
-replacement elements instead of splicing them in, and every parent that
-lost a token gets its child list rebuilt once, after the walk.  A
-token's label path counts, for its own index, the elements its already
-resolved left siblings became -- the path the sequential rule read off
-the half-rewritten tree.
+order the node-at-a-time rule made them.  A token that names one
+concept is relabelled where it stands: its tag, attributes and child
+list change in place, so the parent's child list and every other node
+are left alone.  Only a split token (two or more elements) or a dropped
+one (its text passed to the parent) makes its parent rebuild its child
+list, once, after the walk.  A token's label path counts, for its own
+index, the elements its already resolved left siblings became -- the
+path the sequential rule read off the half-rewritten tree.
 
 Synonym matching runs through the Aho-Corasick
 :class:`~repro.concepts.fastmatch.FastSynonymMatcher`.  The naive
@@ -110,8 +112,9 @@ def apply_instance_rule(
         matcher = FastSynonymMatcher(kb)
     stats = InstanceRuleStats()
     # Tokens are resolved in document order, the order of the provenance
-    # events and of each parent's ``val`` appends; their replacements are
-    # spliced into each parent's child list once, after the walk.
+    # events and of each parent's ``val`` appends.  A relabelled token
+    # keeps its slot; splits and drops are spliced into each parent's
+    # child list once, after the walk.
     replacements: dict[int, list[Element]] = {}
     spliced: dict[int, Element] = {}
     labelled = provenance is not None
@@ -120,6 +123,7 @@ def apply_instance_rule(
     # its already-resolved left siblings became.
     frames: dict[int, list] = {}
     stack: list[Node]
+    root_attrs = root.attrs
     if root.tag == TOKEN_TAG and root.parent is not None:
         stack = [root]
         if labelled:
@@ -155,16 +159,28 @@ def apply_instance_rule(
                 doc_id,
                 provenance,
             )
-            replacements[id(node)] = elements
-            spliced[id(parent)] = parent
-            node.parent = None
+            if elements is None and node is root:
+                # The caller holds ``root``: it leaves the tree as a
+                # token, as in the sequential rule, and a new element
+                # takes its slot.
+                elements = [Element(node.tag, node.attrs)]
+                node.tag, node.attrs, node.children = TOKEN_TAG, root_attrs, children
+            if elements is not None:
+                replacements[id(node)] = elements
+                spliced[id(parent)] = parent
+                node.parent = None
             if labelled:
-                frame[1] = index + len(elements)
-                # Tokens nested in this one are resolved as in the
-                # detached token's own tree.
-                frames[id(node)] = [TOKEN_TAG, 0]
+                frame[1] = index + (1 if elements is None else len(elements))
             if len(children) == 1 and isinstance(children[0], Text):
                 continue
+            # Tokens nested in this one are resolved as in the detached
+            # token's own tree -- a stand-in when the token kept its slot.
+            detached = node
+            if elements is None:
+                detached = Element(TOKEN_TAG)
+                detached.adopt_all(children)
+            if labelled:
+                frames[id(detached)] = [TOKEN_TAG, 0]
         elif labelled:
             frame[1] = index + 1
             frames[id(node)] = [f"{path}/{node.tag}[{index}]", 0]
@@ -199,10 +215,12 @@ def _resolve_token(
     stats: InstanceRuleStats,
     doc_id: str | None = None,
     provenance: ProvenanceLog | None = None,
-) -> list[Element]:
-    """The elements that replace ``token`` in ``parent`` (none when its
-    text passes to the parent's ``val``).  ``node_path`` is the token's
-    label path in the tree as rewritten so far."""
+) -> list[Element] | None:
+    """Resolve ``token``: ``None`` when it was relabelled in place as
+    one concept element, otherwise the elements that replace it in
+    ``parent`` (none when its text passes to the parent's ``val``).
+    ``node_path`` is the token's label path in the tree as rewritten so
+    far."""
     text = token_text(token)
     if len(text) < config.min_token_length:
         parent.append_val(text)
@@ -218,7 +236,7 @@ def _resolve_token(
     if not matches and config.tagger in ("bayes", "hybrid") and bayes is not None:
         label, margin = bayes.predict(text)
         if label is not None:
-            element = _emit_single(label, text, stats)
+            _emit_single(token, label, text, stats)
             if provenance is not None:
                 provenance.concept_event(
                     doc_id,
@@ -228,7 +246,7 @@ def _resolve_token(
                     confidence=min(margin, _MAX_CONFIDENCE),
                     text=text,
                 )
-            return [element]
+            return None
 
     if not matches:
         # Case 2: unidentified -- text passes to the parent.
@@ -244,7 +262,7 @@ def _resolve_token(
             if len(matches) == 1
             else max(matches, key=lambda m: (m.specificity, -m.start))
         )
-        element = _emit_single(best.concept_tag, text, stats)
+        _emit_single(token, best.concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
                 doc_id,
@@ -255,20 +273,24 @@ def _resolve_token(
                 text=text,
                 matched=best.matched_text,
             )
-        return [element]
+        return None
 
     return _emit_split(
-        parent, matches, text, kb, config, stats, doc_id, node_path, provenance
+        token, parent, matches, text, kb, config, stats, doc_id, node_path, provenance
     )
 
 
-def _emit_single(tag: str, text: str, stats: InstanceRuleStats) -> Element:
-    element = Element(tag)
-    element.set_val(text)
+def _emit_single(
+    token: Element, tag: str, text: str, stats: InstanceRuleStats
+) -> None:
+    """Relabel ``token`` in place as ``<tag val="text"/>``: the element
+    the rule creates for a one-concept token is the token itself."""
+    token.tag = tag
+    token.attrs = {"val": text} if text else {}
+    token.children = []
     stats.identified += 1
     stats.elements_created += 1
     stats._count(tag)
-    return element
 
 
 def _merge_connected(
@@ -303,6 +325,7 @@ def _merge_connected(
 
 
 def _emit_split(
+    token: Element,
     parent: Element,
     matches: list[InstanceMatch],
     text: str,
@@ -312,8 +335,9 @@ def _emit_split(
     doc_id: str | None = None,
     node_path: str = "",
     provenance: ProvenanceLog | None = None,
-) -> list[Element]:
-    """Case 1 with several instances: decompose the token.
+) -> list[Element] | None:
+    """Case 1 with several instances: decompose the token (``None``
+    when the constraints leave one instance and ``token`` is relabelled).
 
     Consecutive matches whose concepts may not be siblings (per the
     constraint set) are reduced by dropping the less specific match, so
@@ -337,7 +361,7 @@ def _emit_split(
         kept.append(match)
 
     if len(kept) == 1:
-        element = _emit_single(kept[0].concept_tag, text, stats)
+        _emit_single(token, kept[0].concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
                 doc_id,
@@ -348,7 +372,7 @@ def _emit_split(
                 text=text,
                 matched=kept[0].matched_text,
             )
-        return [element]
+        return None
 
     # Text before the first identified instance goes to the parent.
     prefix = text[: kept[0].start].strip()

@@ -27,8 +27,8 @@ from repro.convert.instance_rule import InstanceRuleStats, apply_instance_rule
 from repro.convert.tokenize_rule import apply_tokenization_rule
 from repro.dom.node import Element
 from repro.dom.serialize import to_xml_document
-from repro.dom.treeops import clone, count_elements, tree_size
-from repro.htmlparse.parser import body_of, parse_html
+from repro.dom.treeops import clone_counted, count_elements, tree_size
+from repro.htmlparse.parser import body_of, parse_html_counted
 from repro.htmlparse.tidy import tidy
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.tracer import NullTracer, Tracer, resolve_tracer
@@ -146,10 +146,11 @@ class DocumentConverter:
                 )
             with tracer.stage("parse", timings):
                 if isinstance(html, str):
-                    document = parse_html(html)
+                    document, input_nodes = parse_html_counted(html)
+                elif copy:
+                    document, input_nodes = clone_counted(html)
                 else:
-                    document = clone(html) if copy else html
-                input_nodes = tree_size(document)
+                    document, input_nodes = html, tree_size(html)
             if self.config.apply_tidy:
                 with tracer.stage("tidy", timings):
                     tidy(document)

@@ -1,11 +1,31 @@
-"""Serialization of document trees to XML and HTML text."""
+r"""Serialization of document trees to XML and HTML text.
+
+:func:`to_xml` is one walk over the tree that appends each output line
+to a single list and joins it once; an explicit stack of child
+iterators replaces recursion, so a tree of any depth renders.  The
+escapes make the output read back exactly by any XML reader: besides
+the markup characters, ``\r`` in character data and ``\r``, ``\n``,
+``\t`` in attribute values are written as character references, which
+an XML parser would otherwise normalize to ``\n`` or a space.
+"""
 
 from __future__ import annotations
 
+import re
+
 from repro.dom.node import Element, Node, Text
 
-_XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_XML_ESCAPES, '"': "&quot;"}
+_XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTR_ESCAPES = {
+    **_XML_ESCAPES,
+    '"': "&quot;",
+    "\n": "&#10;",
+    "\t": "&#9;",
+}
+# Most text needs no escape: one scan for any of the characters above
+# is cheaper than one ``str.replace`` scan per character.
+_XML_SPECIAL = re.compile("[&<>\r]")
+_ATTR_SPECIAL = re.compile('[&<>"\r\n\t]')
 
 # HTML elements serialized without a closing tag.
 _VOID_TAGS = frozenset(
@@ -15,6 +35,8 @@ _VOID_TAGS = frozenset(
 
 def escape_text(text: str) -> str:
     """Escape character data for XML/HTML output."""
+    if _XML_SPECIAL.search(text) is None:
+        return text
     for raw, esc in _XML_ESCAPES.items():
         text = text.replace(raw, esc)
     return text
@@ -22,6 +44,8 @@ def escape_text(text: str) -> str:
 
 def escape_attr(text: str) -> str:
     """Escape an attribute value for double-quoted output."""
+    if _ATTR_SPECIAL.search(text) is None:
+        return text
     for raw, esc in _ATTR_ESCAPES.items():
         text = text.replace(raw, esc)
     return text
@@ -30,27 +54,47 @@ def escape_attr(text: str) -> str:
 def _attrs_string(element: Element) -> str:
     if not element.attrs:
         return ""
-    parts = [f'{name}="{escape_attr(value)}"' for name, value in element.attrs.items()]
-    return " " + " ".join(parts)
+    return "".join(
+        [f' {name}="{escape_attr(value)}"' for name, value in element.attrs.items()]
+    )
 
 
 def to_xml(node: Node, *, indent: int = 2, _level: int = 0) -> str:
     """Render a tree as pretty-printed XML.
 
     Leaf elements render as self-closing tags, matching the element
-    patterns shown in the paper (``<INSTITUTION val="..."/>``).
+    patterns shown in the paper (``<INSTITUTION val="..."/>``).  Each
+    node is one line, indented ``indent`` spaces per level below
+    ``_level``.
     """
     pad = " " * (indent * _level)
     if isinstance(node, Text):
-        return f"{pad}{escape_text(node.text)}"
+        return pad + escape_text(node.text)
     assert isinstance(node, Element)
-    attrs = _attrs_string(node)
     if not node.children:
-        return f"{pad}<{node.tag}{attrs}/>"
-    lines = [f"{pad}<{node.tag}{attrs}>"]
-    for child in node.children:
-        lines.append(to_xml(child, indent=indent, _level=_level + 1))
-    lines.append(f"{pad}</{node.tag}>")
+        return f"{pad}<{node.tag}{_attrs_string(node)}/>"
+    lines = [f"{pad}<{node.tag}{_attrs_string(node)}>"]
+    append = lines.append
+    # One frame per open element: its remaining children, their level
+    # and its closing tag.
+    stack = [(iter(node.children), _level + 1, f"{pad}</{node.tag}>")]
+    while stack:
+        children, level, closing = stack[-1]
+        pad = " " * (indent * level)
+        for child in children:
+            if isinstance(child, Text):
+                append(pad + escape_text(child.text))
+            elif child.children:
+                append(f"{pad}<{child.tag}{_attrs_string(child)}>")
+                stack.append(
+                    (iter(child.children), level + 1, f"{pad}</{child.tag}>")
+                )
+                break
+            else:
+                append(f"{pad}<{child.tag}{_attrs_string(child)}/>")
+        else:
+            stack.pop()
+            append(closing)
     return "\n".join(lines)
 
 

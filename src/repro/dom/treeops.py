@@ -73,13 +73,35 @@ def tree_depth(root: Node) -> int:
 
 def clone(node: Node) -> Node:
     """Deep-copy a subtree (the copy is detached)."""
+    return clone_counted(node)[0]
+
+
+def clone_counted(node: Node) -> tuple[Node, int]:
+    """:func:`clone` plus the number of nodes copied (``tree_size``).
+
+    An explicit stack copies trees of any depth without recursion.
+    """
     if isinstance(node, Text):
-        return Text(node.text)
+        return Text(node.text), 1
     assert isinstance(node, Element)
-    copy = Element(node.tag, dict(node.attrs))
-    for child in node.children:
-        copy.append_child(clone(child))
-    return copy
+    copy = Element(node.tag, node.attrs)
+    count = 1
+    stack: list[tuple[Element, Element]] = [(node, copy)]
+    while stack:
+        source, target = stack.pop()
+        copies = target.children
+        for child in source.children:
+            if isinstance(child, Element):
+                twin: Node = Element(child.tag, child.attrs)
+                if child.children:
+                    stack.append((child, twin))
+            else:
+                assert isinstance(child, Text)
+                twin = Text(child.text)
+            twin.parent = target
+            copies.append(twin)
+        count += len(source.children)
+    return copy, count
 
 
 def deep_equal(a: Node, b: Node, *, compare_attrs: bool = True) -> bool:

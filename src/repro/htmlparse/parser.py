@@ -12,6 +12,11 @@ paper's document model requires:
 
 Comments and doctype tokens are discarded: they carry no information the
 restructuring rules use.
+
+The builder counts the nodes it creates as it goes; every one of them
+ends up in the finished tree (adjacent text merges into one node), so
+:func:`parse_html_counted` hands the converter the input size without a
+second walk.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ class _TreeBuilder:
         if fragment:
             self.root = Element("#fragment")
             self.body = self.root
+            self.nodes = 1
         else:
             self.root = Element("html")
             self.body = Element("body")
+            self.nodes = 2
         self.stack: list[Element] = [self.body]
         self.head: Element | None = None
 
@@ -63,6 +70,7 @@ class _TreeBuilder:
         self._close_implied(name)
         element = Element(name, attrs)
         self.stack[-1].adopt_new(element)
+        self.nodes += 1
         if not is_void(name) and not self_closing:
             self.stack.append(element)
 
@@ -72,6 +80,7 @@ class _TreeBuilder:
         elif name == "head":
             if self.head is None:
                 self.head = Element("head", attrs)
+                self.nodes += 1
         elif name == "body":
             self.body.attrs.update(attrs)
 
@@ -101,6 +110,7 @@ class _TreeBuilder:
             children[-1].text += data
         else:
             current.adopt_new(Text(data))
+            self.nodes += 1
 
     def finish(self) -> Element:
         if self.fragment:
@@ -117,8 +127,14 @@ def parse_html(source: str) -> Element:
     Returns the ``html`` root element; body content hangs under its
     ``body`` child regardless of whether the source declared one.
     """
+    return parse_html_counted(source)[0]
+
+
+def parse_html_counted(source: str) -> tuple[Element, int]:
+    """:func:`parse_html` plus the number of nodes in the tree it
+    returns (``tree_size`` of the root), counted while building."""
     builder = _TreeBuilder(fragment=False)
-    return _run(builder, source)
+    return _run(builder, source), builder.nodes
 
 
 def parse_fragment(source: str) -> Element:

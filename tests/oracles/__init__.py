@@ -15,6 +15,8 @@ suites compare against:
   that rewrite one node at a time;
 * :func:`tests.oracles.entities.decode_entities_slow`, the entity
   decoder's oracle (unit level only; nothing swaps it in).
+* :func:`tests.oracles.serialize.to_xml_legacy`, the recursive XML
+  writer (unit level only).
 * :func:`tests.oracles.migrate.migrate_repository`, the serial
   repository migration ``VersionedRepository.sync`` is checked against
   (unit level only).

@@ -63,6 +63,21 @@ class TestCaseOne:
             "DATE",
         ]
 
+    def test_single_concept_token_is_relabelled_in_place(self, kb):
+        """A one-concept token keeps its object identity: the rule
+        relabels it where it stands instead of building a new element."""
+        parent = parent_with_tokens("Stanford University", "lorem", "June 1996")
+        institution, dropped, date = parent.children
+        stats = apply_instance_rule(parent, kb)
+        assert parent.children == [institution, date]
+        assert parent.children[0] is institution and parent.children[1] is date
+        assert (institution.tag, institution.attrs) == (
+            "INSTITUTION", {"val": "Stanford University"}
+        )
+        assert institution.children == [] and institution.parent is parent
+        assert dropped.parent is None
+        assert stats.elements_created == 2
+
 
 class TestCaseTwo:
     def test_unidentified_token_text_passed_to_parent(self, kb):
@@ -98,6 +113,13 @@ class TestMultiInstanceSplit:
         assert children[1].get_val() == "B.S. honors"
         assert parent.get_val() == "studied at"
         assert stats.split_tokens == 1
+
+    def test_split_token_is_replaced_by_new_elements(self, kb):
+        parent = parent_with_tokens("studied at University campus B.S. honors")
+        (split,) = parent.children
+        apply_instance_rule(parent, kb)
+        assert all(child is not split for child in parent.children)
+        assert split.parent is None and split.tag == TOKEN_TAG
 
     def test_split_disabled(self, kb):
         config = ConversionConfig(split_multi_instance_tokens=False)

@@ -303,14 +303,16 @@ def degree_fields(repository):
 
 class TestCarriageReturns:
     def test_carriage_returns_survive_publish_sync_and_load(self, tmp_path):
-        r"""Stored XML is read as bytes: a ``\r`` in text or an attribute
-        value is not turned into ``\n`` on its way through a migration."""
+        r"""Stored XML writes a ``\r`` as ``&#13;`` and is read as bytes: a
+        ``\r`` in text or an attribute value is not turned into ``\n`` on
+        its way through a migration."""
         versioned = VersionedRepository(tmp_path / "repo")
         stored = XMLRepository(OLD_DTD)
         stored.insert(carriage_return_doc("old"))
         publish(versioned, stored, schema_version=1)
         assert degree_fields(versioned.load()) == degree_fields(stored)
-        assert "\r" in versioned.document_xml()[0]
+        stored_xml = versioned.document_xml()[0]
+        assert "\r" not in stored_xml and "&#13;" in stored_xml
         new_xml = to_xml_document(carriage_return_doc("new"))
         version, report = versioned.sync(NEW_DTD, [new_xml], schema_version=2)
         assert report is not None and report.migrated == 1

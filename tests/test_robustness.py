@@ -6,7 +6,10 @@ from repro.concepts.concept import Concept
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.pipeline import DocumentConverter
 from repro.dom.node import Element
+from repro.dom.serialize import to_xml
+from repro.dom.treeops import clone, tree_size
 from repro.htmlparse.parser import parse_html
+from repro.mapping.persistence import load_xml_document
 from repro.htmlparse.tidy import tidy
 
 
@@ -16,6 +19,24 @@ class TestAdversarialHtml:
         doc = parse_html(html)
         assert "deep" in doc.inner_text()
         tidy(doc)
+
+    def test_deeply_nested_list_converts_and_serializes(self, converter):
+        """3,000 nested list items convert, and the result renders to XML
+        and reads back; the writer walks without recursion."""
+        html = "<ul><li>Education, University of Davis, B.S. 1996" * 3000
+        result = converter.convert(html)
+        xml = result.to_xml()
+        assert xml.count("<INSTITUTION") == 3000
+        assert to_xml(load_xml_document(xml)) == to_xml(result.root)
+
+    def test_deeply_nested_element_input_is_cloned(self, converter):
+        """A pre-parsed 3,000-deep tree is copied without recursion."""
+        html = "<div>Education, " * 3000 + "University of Davis" + "</div>" * 3000
+        document = parse_html(html)
+        result = converter.convert(document, copy=True)
+        assert result.input_nodes == tree_size(document)
+        assert "INSTITUTION" in result.to_xml()
+        assert to_xml(clone(document)) == to_xml(document)
 
     def test_thousands_of_siblings(self):
         html = "<ul>" + "<li>x</li>" * 5000 + "</ul>"
