@@ -101,7 +101,7 @@ def test_engine_throughput_serial_vs_parallel(benchmark, kb, converter, capsys):
 
 def test_engine_scaling_efficiency(benchmark, kb, capsys):
     """Scaling regression gate: docs/sec must not *fall* as workers are
-    added, with adaptive chunk sizing on (the engine's default)."""
+    added, at the engine's default chunk size."""
     html = ResumeCorpusGenerator(seed=1966).generate_html(CORPUS_SIZE)
 
     def run(workers: int):
@@ -137,7 +137,7 @@ def test_engine_scaling_efficiency(benchmark, kb, capsys):
                     )
                 ],
                 title=f"[engine] scaling efficiency, {CORPUS_SIZE}-doc corpus, "
-                f"adaptive chunks ({os.cpu_count()} CPUs)",
+                f"default chunks ({os.cpu_count()} CPUs)",
             )
         )
         print(f"  {WORKERS}-worker/1-worker ratio: {ratio:.2f}x")

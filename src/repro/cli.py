@@ -51,6 +51,7 @@ from repro.obs import (
     write_metrics,
     write_trace_jsonl,
 )
+from repro.runtime.pool import CHUNK_SIZE
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import discover_schema
 
@@ -124,6 +125,19 @@ def _conversion_config(args: argparse.Namespace) -> "ConversionConfig":
     )
 
 
+def _engine_config(args: argparse.Namespace, **options) -> "EngineConfig":
+    """The engine settings ``convert-corpus`` and ``evolve fold`` share:
+    ``--max-workers 0`` means one per CPU, ``--chunk-size 0`` means
+    :data:`CHUNK_SIZE`."""
+    from repro.runtime.engine import EngineConfig
+
+    return EngineConfig(
+        max_workers=args.max_workers or None,
+        chunk_size=args.chunk_size or CHUNK_SIZE,
+        **options,
+    )
+
+
 def _cmd_html2xml(args: argparse.Namespace) -> int:
     from repro.runtime.stats import STAGE_SECONDS, EngineStats
 
@@ -160,7 +174,7 @@ def _cmd_html2xml(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert_corpus(args: argparse.Namespace) -> int:
-    from repro.runtime.engine import CorpusEngine, EngineConfig
+    from repro.runtime.engine import CorpusEngine
 
     if args.files:
         sources = [Path(name).read_text(encoding="utf-8") for name in args.files]
@@ -175,11 +189,8 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
     engine = CorpusEngine(
         kb,
         _conversion_config(args),
-        engine_config=EngineConfig(
-            max_workers=args.max_workers or None,
-            chunk_size=args.chunk_size or None,
-            error_policy=args.on_error,
-            quarantine_dir=args.quarantine_dir,
+        engine_config=_engine_config(
+            args, error_policy=args.on_error, quarantine_dir=args.quarantine_dir
         ),
     )
     tracing = bool(args.trace_out or args.trace_chrome)
@@ -686,7 +697,7 @@ def _print_sync(
 
 def _cmd_evolve_fold(args: argparse.Namespace) -> int:
     from repro.mapping.versioned import VersionedRepository
-    from repro.runtime.engine import CorpusEngine, EngineConfig
+    from repro.runtime.engine import CorpusEngine
     from repro.schema.evolution import EvolvingSchema
 
     kb = build_resume_knowledge_base()
@@ -704,13 +715,7 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
     else:
         print("evolve fold needs input files or --generate N", file=sys.stderr)
         return 2
-    engine = CorpusEngine(
-        kb,
-        engine_config=EngineConfig(
-            max_workers=args.max_workers or None,
-            chunk_size=args.chunk_size,
-        ),
-    )
+    engine = CorpusEngine(kb, engine_config=_engine_config(args))
     # Discovery-only folds never read the XML back, so keep it out of
     # the chunk payloads; only repository syncs need the documents.
     run = engine.run(sources, discover=False, collect_xml=bool(args.repository))
@@ -863,8 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=_count,
         default=0,
-        help="documents per worker chunk (0 = adaptive: start small and "
-        "grow until per-chunk overhead is amortized)",
+        help=f"documents per worker chunk (0 = {CHUNK_SIZE}); the output "
+        "does not depend on it",
     )
     engine.add_argument(
         "--discover",
@@ -1045,8 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU, 1 = serial in-process)",
     )
     efold.add_argument(
-        "--chunk-size", type=_count, default=16,
-        help="documents per conversion chunk",
+        "--chunk-size", type=_count, default=0,
+        help=f"documents per conversion chunk (0 = {CHUNK_SIZE}); the "
+        "state does not depend on it",
     )
     efold.add_argument(
         "--repository", default="", metavar="DIR",

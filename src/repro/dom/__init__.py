@@ -18,8 +18,6 @@ from repro.dom.treeops import (
     deep_equal,
     iter_postorder,
     iter_preorder,
-    tree_depth,
-    tree_signature,
     tree_size,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "iter_preorder",
     "iter_postorder",
     "tree_size",
-    "tree_depth",
-    "tree_signature",
     "to_xml",
     "to_html",
     "find_first",

@@ -44,9 +44,12 @@ def _match_step(element: Element, step: str) -> bool:
 
 
 def _descendants(element: Element) -> Iterator[Element]:
-    for child in element.element_children():
+    """Element descendants in document order, without recursion."""
+    stack = element.element_children()[::-1]
+    while stack:
+        child = stack.pop()
         yield child
-        yield from _descendants(child)
+        stack.extend(reversed(child.element_children()))
 
 
 def _walk(frontier: list[Element], steps: list[str], *, anchored: bool) -> list[Element]:

@@ -64,13 +64,6 @@ def tree_size(root: Node) -> int:
     return sum(1 for _ in iter_preorder(root))
 
 
-def tree_depth(root: Node) -> int:
-    """Number of edges on the longest root-to-leaf path."""
-    if not isinstance(root, Element) or not root.children:
-        return 0
-    return 1 + max(tree_depth(child) for child in root.children)
-
-
 def clone(node: Node) -> Node:
     """Deep-copy a subtree (the copy is detached)."""
     return clone_counted(node)[0]
@@ -108,42 +101,26 @@ def deep_equal(a: Node, b: Node, *, compare_attrs: bool = True) -> bool:
     """Structural equality of two subtrees.
 
     With ``compare_attrs=False`` only tags and tree shape are compared,
-    which is what the schema-level comparisons need.
+    which is what the schema-level comparisons need.  An explicit stack
+    of node pairs compares trees of any depth without recursion.
     """
-    if isinstance(a, Text) or isinstance(b, Text):
-        return isinstance(a, Text) and isinstance(b, Text) and a.text == b.text
-    assert isinstance(a, Element) and isinstance(b, Element)
-    if a.tag != b.tag:
-        return False
-    if compare_attrs and a.attrs != b.attrs:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(
-        deep_equal(ca, cb, compare_attrs=compare_attrs)
-        for ca, cb in zip(a.children, b.children)
-    )
-
-
-def tree_signature(node: Node, *, include_val: bool = False) -> str:
-    """A canonical string for a subtree's shape.
-
-    Used to detect groups of similarly structured siblings (consolidation
-    rule) and to unify similar schema components.  Text nodes collapse to
-    ``#text`` so signatures reflect structure, not content.
-    """
-    if isinstance(node, Text):
-        return "#text"
-    assert isinstance(node, Element)
-    label = node.tag
-    if include_val and node.get_val():
-        label += f"[{node.get_val()}]"
-    if not node.children:
-        return label
-    inner = ",".join(
-        tree_signature(child, include_val=include_val) for child in node.children
-    )
-    return f"{label}({inner})"
+    stack: list[tuple[Node, Node]] = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Text) or isinstance(b, Text):
+            same = isinstance(a, Text) and isinstance(b, Text) and a.text == b.text
+            if not same:
+                return False
+            continue
+        assert isinstance(a, Element) and isinstance(b, Element)
+        if a.tag != b.tag:
+            return False
+        if compare_attrs and a.attrs != b.attrs:
+            return False
+        if len(a.children) != len(b.children):
+            return False
+        stack.extend(zip(a.children, b.children))
+    return True
 
 
 def find_elements(

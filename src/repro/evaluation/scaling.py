@@ -88,7 +88,6 @@ def run_scaling_experiment(
     sup_threshold: float = 0.4,
     config: ConversionConfig | None = None,
     max_workers: int = 1,
-    chunk_size: int = 16,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> ScalingReport:
     """Time the full pipeline (convert + discover) at each corpus size.
@@ -107,7 +106,7 @@ def run_scaling_experiment(
     engine = CorpusEngine(
         kb,
         config or ConversionConfig(),
-        engine_config=EngineConfig(max_workers=max_workers, chunk_size=chunk_size),
+        engine_config=EngineConfig(max_workers=max_workers),
     )
     report = ScalingReport()
     for size in sizes:

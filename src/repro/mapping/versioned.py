@@ -30,7 +30,9 @@ step, :func:`repro.mapping.conform.repair`: stored documents are
 migrated **in parallel** on a
 :class:`repro.runtime.pool.WorkerPool` (the corpus engine's pool with
 a parsed DTD as the per-worker state), new documents in the calling
-process.
+process.  Migration tasks carry the engine's
+:data:`~repro.runtime.pool.CHUNK_SIZE` documents each; the output does
+not depend on it.
 """
 
 from __future__ import annotations
@@ -57,13 +59,11 @@ from repro.mapping.persistence import (
 )
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
-from repro.runtime.pool import WorkerPool
+from repro.runtime.pool import CHUNK_SIZE, WorkerPool
 from repro.schema.dtd import DTD
 
 VERSIONS_DIR = "versions"
 CURRENT_NAME = "CURRENT"
-# Documents per migration task; output does not depend on it.
-MIGRATION_CHUNK_SIZE = 16
 
 
 @dataclass
@@ -151,7 +151,7 @@ def migrate_documents(
         for xml, operations, distance in pool.map(
             partial(repair_xml, measure_distance=True),
             xml_documents,
-            chunk_size=MIGRATION_CHUNK_SIZE,
+            chunk_size=CHUNK_SIZE,
         ):
             report.documents += 1
             migrated_xml.append(xml)

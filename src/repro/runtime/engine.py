@@ -3,7 +3,8 @@
 The paper's pipeline is embarrassingly parallel per document (Section 2
 conversion) and its schema discovery (Section 3) only consumes
 corpus-level path statistics -- so :class:`CorpusEngine` splits a corpus
-into chunks, converts the chunks on a
+into chunks (:data:`~repro.runtime.pool.CHUNK_SIZE` documents unless
+configured otherwise), converts the chunks on a
 :class:`~repro.runtime.pool.WorkerPool` whose workers each hold one
 :class:`~repro.convert.pipeline.DocumentConverter` (and its compiled
 synonym matcher), and merges results back **in document order**::
@@ -62,20 +63,11 @@ from repro.runtime.faults import (
     split_segment,
     worker_crash_failure,
 )
-from repro.runtime.pool import WorkerPool, chunked, resolve_workers
+from repro.runtime.pool import CHUNK_SIZE, WorkerPool, chunked, resolve_workers
 from repro.runtime.stats import DOCUMENT_STAGE, ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.paths import extract_paths
-
-
-# Adaptive chunk sizing: first chunk size, growth ceiling, and the
-# per-chunk duration to aim for.  50ms per chunk keeps progress and the
-# backpressure window responsive while making the ~1ms fixed cost of
-# scheduling + payload transport <2% overhead.
-MIN_CHUNK_SIZE = 8
-MAX_CHUNK_SIZE = 128
-TARGET_CHUNK_SECONDS = 0.05
 
 
 @dataclass
@@ -83,17 +75,13 @@ class EngineConfig:
     """Tuning knobs of the engine.
 
     ``max_workers=None`` uses every CPU; ``1`` runs the pool inline in
-    the calling process.  ``chunk_size`` trades scheduling overhead
-    against load balance: an explicit integer pins every chunk to that
-    size (what the differential tests use), while the default ``None``
-    starts chunks at :data:`MIN_CHUNK_SIZE` and lets the
-    :class:`ChunkSizer` grow them (up to :data:`MAX_CHUNK_SIZE`) until
-    each chunk's measured duration amortizes the per-chunk fixed
-    overhead against :data:`TARGET_CHUNK_SECONDS`.
+    the calling process.  ``chunk_size`` is the number of documents per
+    pool task (every chunk but the last is full); the output does not
+    depend on it, so tests set it to force chunk boundaries.
     """
 
     max_workers: int | None = None
-    chunk_size: int | None = None
+    chunk_size: int = CHUNK_SIZE
     # What to do with documents that fail to convert: "fail_fast" (the
     # historical raise-and-abort default), "skip", "quarantine" (an
     # ErrorPolicy instance carrying the directory), or a mode string.
@@ -111,51 +99,6 @@ class EngineConfig:
         return ErrorPolicy.coerce(
             self.error_policy, quarantine_dir=self.quarantine_dir
         )
-
-    def resolved_chunk_size(self) -> int:
-        """The first chunk's size (and every chunk's, when static)."""
-        return MIN_CHUNK_SIZE if self.chunk_size is None else max(1, self.chunk_size)
-
-
-class ChunkSizer:
-    """In-flight chunk-size controller: the engine's one sizing policy.
-
-    Each merged chunk reports its wall time (``ChunkStats.seconds``) and
-    its per-document time (``doc_seconds``); the difference is fixed
-    overhead that does not shrink with smaller chunks.  While chunks
-    finish faster than the target duration the controller grows the
-    size toward ``target / per_doc_seconds`` (at most 4x per step, so
-    one anomalously fast chunk cannot blow past the cap); if chunks
-    overshoot the target badly it backs off by halves, never below the
-    initial size.  An explicit ``chunk_size`` gives a sizer whose cap
-    equals its initial size, so it never moves: growth is clamped to
-    the cap and backoff to the initial size.
-    """
-
-    def __init__(self, initial: int, cap: int, target_seconds: float) -> None:
-        self.size = max(1, initial)
-        self.initial = self.size
-        self.cap = max(self.size, cap)
-        self.target_seconds = target_seconds
-
-    @classmethod
-    def from_config(cls, config: EngineConfig) -> "ChunkSizer":
-        initial = config.resolved_chunk_size()
-        cap = MAX_CHUNK_SIZE if config.chunk_size is None else initial
-        return cls(initial, cap, TARGET_CHUNK_SECONDS)
-
-    def observe(self, stats: "ChunkStats") -> None:
-        """Adjust the size from one merged chunk's measurements."""
-        documents = stats.documents + stats.documents_failed
-        if documents <= 0 or stats.seconds <= 0.0:
-            return
-        per_doc = stats.seconds / documents
-        desired = max(1, int(self.target_seconds / per_doc)) if per_doc > 0 else self.cap
-        if stats.seconds < self.target_seconds:
-            grown = max(self.size + 1, min(desired, self.size * 4))
-            self.size = min(self.cap, grown)
-        elif stats.seconds > 4 * self.target_seconds and self.size > self.initial:
-            self.size = max(self.initial, max(self.size // 2, min(desired, self.size)))
 
 
 @dataclass
@@ -455,9 +398,8 @@ class CorpusEngine:
         Every chunk is one :func:`_convert_chunk` task on a
         :class:`WorkerPool` (inline at one worker).  Results stream as
         soon as their chunk (and every earlier chunk) finishes; at most
-        ``max(2, 2 * workers)`` chunks' worth of documents, at the
-        current chunk size, are submitted but unmerged, so memory stays
-        bounded on arbitrarily large corpora.  Pass a
+        ``max(2, 2 * workers)`` chunks are submitted but unmerged, so
+        memory stays bounded on arbitrarily large corpora.  Pass a
         :class:`EngineStats` to have counters, timings, and queue-depth
         instrumentation filled in as the stream drains.
 
@@ -484,7 +426,6 @@ class CorpusEngine:
         sink = XmlSink(xml_sink) if xml_sink is not None else None
         if sink is not None:
             sink.prepare()
-        sizer = ChunkSizer.from_config(self.engine_config)
         started = time.perf_counter()
         max_pending = max(2, 2 * stats.workers)
         budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
@@ -497,16 +438,12 @@ class CorpusEngine:
             sink=sink,
         )
         pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
-        pending_docs = 0
         doc_cursor = 0
         interrupted = False
 
         def merge_oldest() -> ChunkPayload:
-            nonlocal pending_docs
             payload = self._next_payload(pending, pool, policy, budget, stats)
-            pending_docs -= payload.stats.documents + payload.stats.documents_failed
             stats.absorb(payload.stats)
-            sizer.observe(payload.stats)
             # Wall clock advances at every merge, so an abandoned stream
             # still reports the time actually spent (not a close/GC-time
             # reading, and never a stale 0.0).
@@ -525,7 +462,9 @@ class CorpusEngine:
             return payload
 
         try:
-            for index, chunk in enumerate(chunked(sources, lambda: sizer.size)):
+            for index, chunk in enumerate(
+                chunked(sources, self.engine_config.chunk_size)
+            ):
                 task = ChunkTask(
                     index, doc_cursor, chunk,
                     None if names is None
@@ -533,17 +472,12 @@ class CorpusEngine:
                 )
                 doc_cursor += len(chunk)
                 pending.append((task, self._submit(pool, task, budget, stats)))
-                pending_docs += len(chunk)
                 stats.max_queue_depth = max(
                     stats.max_queue_depth, len(pending)
                 )
                 # Backpressure: consume the oldest chunk (preserving
-                # document order) before submitting past the window.  It
-                # counts documents -- max_pending chunks of the current
-                # size -- so the buffered volume stays bounded as chunks
-                # grow, and the many small warm-up chunks do not throttle
-                # the pool.  For full static chunks this is a chunk count.
-                while pending and pending_docs >= max_pending * sizer.size:
+                # document order) before submitting past the window.
+                while len(pending) >= max_pending:
                     yield merge_oldest()
             while pending:
                 yield merge_oldest()
@@ -864,7 +798,7 @@ class CorpusEngine:
         """A fresh stats sink sized to this engine's configuration."""
         return EngineStats(
             workers=self.engine_config.resolved_workers(),
-            chunk_size=self.engine_config.resolved_chunk_size(),
+            chunk_size=self.engine_config.chunk_size,
         )
 
     def _converter(self) -> DocumentConverter:

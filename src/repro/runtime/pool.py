@@ -46,6 +46,11 @@ Item = TypeVar("Item")
 # The worker process's state slot, filled once by the pool initializer.
 _STATE: object = None
 
+# Documents (or items) per pool task: the engine's default chunk, and
+# migration's.  Results do not depend on it; it only trades per-task
+# overhead against load balance.
+CHUNK_SIZE = 16
+
 # Parent-built states keyed by id(state_args), each kept with its
 # state_args tuple so the id stays unique while registered.  Forked
 # workers inherit this dict; spawned ones start with it empty.
@@ -80,13 +85,12 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def chunked(items: Iterable[Item], size: Callable[[], int]) -> Iterator[list[Item]]:
-    """Split ``items`` into lists, reading ``size()`` at every chunk
-    boundary (adaptive sizing changes it while the stream drains)."""
+def chunked(items: Iterable[Item], size: int) -> Iterator[list[Item]]:
+    """Split ``items`` into lists of ``size`` (the last may be shorter)."""
     chunk: list[Item] = []
     for item in items:
         chunk.append(item)
-        if len(chunk) >= size():
+        if len(chunk) >= size:
             yield chunk
             chunk = []
     if chunk:
@@ -182,10 +186,9 @@ class WorkerPool:
         chunks are in flight, so the oldest is drained before the window
         overflows.  Errors raised by ``fn`` propagate to the caller.
         """
-        size = max(1, chunk_size)
         window = 2 * self.workers
         pending: deque[Future] = deque()
-        for chunk in chunked(items, lambda: size):
+        for chunk in chunked(items, chunk_size):
             pending.append(self.submit(_map_chunk, fn, chunk))
             while len(pending) >= window:
                 yield from pending.popleft().result()

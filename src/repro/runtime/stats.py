@@ -110,7 +110,7 @@ class ChunkStats:
     seconds: float = 0.0
     # Seconds spent inside the per-document conversion loop (failed
     # documents included); ``seconds - doc_seconds`` is this chunk's
-    # fixed overhead, which the adaptive chunk sizer amortizes away.
+    # fixed overhead (scheduling, cache snapshots, payload assembly).
     doc_seconds: float = 0.0
     tokens_created: int = 0
     groups_created: int = 0
@@ -221,7 +221,6 @@ class EngineStats:
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.per_chunk: list[ChunkStats] = []
         # Slowest documents merged from the chunks' top Ks (parent-side;
         # persisted via the run ledger rather than the registry).
         self.slowest_docs: list[dict] = []
@@ -407,9 +406,8 @@ class EngineStats:
 
         ``worker_seconds`` covers whole chunks; ``doc_seconds`` only the
         per-document loop bodies.  The difference is per-chunk fixed
-        cost (scheduling, cache-counter snapshots, payload assembly) --
-        the quantity adaptive chunk sizing drives down by growing
-        chunks until it is amortized.
+        cost (scheduling, cache-counter snapshots, payload assembly),
+        which a larger chunk size spreads over more documents.
         """
         worker_seconds = self.worker_seconds
         if worker_seconds <= 0.0:
@@ -441,15 +439,13 @@ class EngineStats:
         for stage, digest in chunk.stage_digests.items():
             registry.histogram(STAGE_SECONDS, stage=stage).digest.update(digest)
         self.slowest_docs = merge_slowest(self.slowest_docs, chunk.slowest_docs)
-        self.per_chunk.append(chunk)
 
     @classmethod
     def from_registry(cls, registry: MetricsRegistry) -> "EngineStats":
         """View a saved registry snapshot (``repro-web stats``) as engine
-        statistics; ``per_chunk`` detail is not persisted."""
+        statistics."""
         stats = cls.__new__(cls)
         stats.registry = registry
-        stats.per_chunk = []
         stats.slowest_docs = []
         return stats
 
@@ -460,16 +456,6 @@ class EngineStats:
         rows = [
             ["documents", str(self.documents)],
             ["chunks", f"{self.chunks} x {self.chunk_size}"],
-        ]
-        # Adaptive chunk sizing: when the observed chunk sizes vary,
-        # show the range next to the nominal "chunks" row.  The final
-        # chunk is excluded -- it is a partial tail under static sizing
-        # too, not evidence of adaptation.
-        ordered = sorted(self.per_chunk, key=lambda c: c.index)[:-1]
-        sizes = [c.documents + c.documents_failed for c in ordered]
-        if sizes and min(sizes) != max(sizes):
-            rows.append(["chunk sizes", f"{min(sizes)}..{max(sizes)}"])
-        rows += [
             ["workers", str(self.workers)],
             ["wall seconds", f"{self.wall_seconds:.2f}"],
             ["worker seconds", f"{self.worker_seconds:.2f}"],

@@ -286,7 +286,8 @@ class ConversionService:
         except Exception as exc:
             payload = _engine_failure(task, exc)
             fold = False  # nothing converted, nothing to fold
-        self._record(payload)
+        # Counters, failure counts included, feed /healthz and /metrics.
+        self.stats.absorb(payload.stats)
         outcomes = self._split_payload(payload, task.base, batch)
         if fold:
             state = self.topics[topic]
@@ -321,15 +322,6 @@ class ConversionService:
             return await loop.run_in_executor(
                 None, engine.recover_chunk, pool, task, self.stats
             )
-
-    def _record(self, payload: ChunkPayload) -> None:
-        """Absorb a chunk's counters, failure counts included, into the
-        stats behind ``/healthz`` and ``/metrics``."""
-        self.stats.absorb(payload.stats)
-        # The engine keeps every ChunkStats for post-run reporting; a
-        # daemon absorbing chunks forever must not.  The registry has
-        # already folded the counters in, so drop the per-chunk detail.
-        self.stats.per_chunk.clear()
 
     def _split_payload(
         self, payload, base: int, batch: list[PendingDocument]

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import load_metrics
+from repro.runtime.pool import CHUNK_SIZE
 from tests.obscheck.__main__ import main as obscheck_main
 
 
@@ -403,6 +405,21 @@ class TestEvolve:
         out = capsys.readouterr().out
         assert "schema version" in out
         assert "sup=0.5" in out
+
+    def test_fold_chunk_size_zero_means_default(self, tmp_path):
+        """``--chunk-size 0`` folds in chunks of CHUNK_SIZE, as it does
+        on convert-corpus, not one document per chunk."""
+        state = tmp_path / "state"
+        metrics = tmp_path / "m.json"
+        main(["evolve", "init", str(state)])
+        assert main(
+            ["evolve", "fold", str(state), "--generate", "20",
+             "--max-workers", "1", "--chunk-size", "0",
+             "--metrics-out", str(metrics)]
+        ) == 0
+        registry = load_metrics(metrics)
+        assert registry.value("repro_engine_chunks_total") == 2
+        assert registry.value("repro_engine_chunk_size") == CHUNK_SIZE
 
     def test_fold_requires_init(self, tmp_path, capsys):
         assert main(

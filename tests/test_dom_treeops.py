@@ -10,8 +10,6 @@ from repro.dom.treeops import (
     iter_elements,
     iter_postorder,
     iter_preorder,
-    tree_depth,
-    tree_signature,
     tree_size,
 )
 
@@ -66,11 +64,6 @@ class TestMeasures:
         root, *_ = sample()
         assert tree_size(root) == 6
 
-    def test_tree_depth(self):
-        root, *_ = sample()
-        assert tree_depth(root) == 2
-        assert tree_depth(Element("leaf")) == 0
-
     def test_count_elements_with_and_without_tag(self):
         root, *_ = sample()
         assert count_elements(root) == 5
@@ -110,20 +103,6 @@ class TestCloneAndEquality:
 
     def test_text_vs_element_not_equal(self):
         assert not deep_equal(Text("a"), Element("a"))
-
-
-class TestSignature:
-    def test_leaf_signature_is_tag(self):
-        assert tree_signature(Element("x")) == "x"
-
-    def test_nested_signature(self):
-        root, *_ = sample()
-        assert tree_signature(root) == "root(a(c,#text),b(d))"
-
-    def test_signature_with_val(self):
-        e = Element("x")
-        e.set_val("v")
-        assert tree_signature(e, include_val=True) == "x[v]"
 
 
 class TestSearch:

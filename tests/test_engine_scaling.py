@@ -1,12 +1,12 @@
 """Unit tests for the engine's scaling machinery.
 
-Covers the adaptive chunk-size controller (:class:`ChunkSizer`), the
-worker-side XML sink, the :class:`ChunkStats` pickle round trip (every
-chunk rides home in one), and the scaling-efficiency metrics
-:class:`EngineStats` derives from the new ``doc_seconds`` counter.  The
-end-to-end guarantees (sink files == collected strings, adaptive ==
-static bytes) live in test_fast_tidy_differential.py; these tests pin
-the mechanisms in isolation.
+Covers the default chunk size, the worker-side XML sink, the
+:class:`ChunkStats` pickle round trip (every chunk rides home in one),
+and the scaling-efficiency metrics :class:`EngineStats` derives from
+the ``doc_seconds`` counter.  The end-to-end guarantees (sink files ==
+collected strings, default == forced chunk size bytes) live in
+test_fast_tidy_differential.py; these tests pin the mechanisms in
+isolation.
 """
 
 from __future__ import annotations
@@ -15,16 +15,8 @@ import pickle
 
 import pytest
 
-import repro.runtime.engine as engine_module
-from repro.runtime.engine import (
-    MAX_CHUNK_SIZE,
-    MIN_CHUNK_SIZE,
-    TARGET_CHUNK_SECONDS,
-    ChunkSizer,
-    CorpusEngine,
-    EngineConfig,
-    XmlSink,
-)
+from repro.runtime.engine import CorpusEngine, EngineConfig, XmlSink
+from repro.runtime.pool import CHUNK_SIZE
 from repro.runtime.stats import ChunkStats, EngineStats
 
 
@@ -39,65 +31,8 @@ def chunk(index=0, documents=4, seconds=0.0, doc_seconds=0.0, failed=0):
 
 
 class TestEngineConfigChunking:
-    def test_default_is_adaptive(self):
-        sizer = ChunkSizer.from_config(EngineConfig())
-        assert sizer.size == MIN_CHUNK_SIZE
-        assert sizer.cap == MAX_CHUNK_SIZE
-        assert sizer.target_seconds == TARGET_CHUNK_SECONDS
-
-    def test_static_size_resolves_to_itself(self):
-        sizer = ChunkSizer.from_config(EngineConfig(chunk_size=16))
-        assert sizer.size == sizer.cap == 16
-
-
-class TestChunkSizer:
-    def test_static_sizer_never_moves(self):
-        sizer = ChunkSizer.from_config(EngineConfig(chunk_size=8))
-        for index in range(5):
-            sizer.observe(chunk(index, documents=8, seconds=0.001, doc_seconds=0.0008))
-        # Fast chunks grow an adaptive sizer and a slow one (20x the
-        # 50ms target) backs it off; a static one is pinned by
-        # cap == initial.
-        sizer.observe(chunk(5, documents=8, seconds=1.0, doc_seconds=0.9))
-        assert sizer.size == 8
-
-    def test_fast_chunks_grow_the_size(self):
-        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
-        sizer.observe(chunk(documents=4, seconds=0.004, doc_seconds=0.001))
-        assert sizer.size > 4
-
-    def test_growth_bounded_at_4x_per_step(self):
-        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 1.0)
-        # Per-doc time is tiny, so the desired size is enormous -- but a
-        # single observation may only quadruple the size.
-        sizer.observe(chunk(documents=4, seconds=0.0001, doc_seconds=0.00008))
-        assert sizer.size == 16
-
-    def test_growth_capped_at_max_chunk_size(self):
-        sizer = ChunkSizer(4, 10, 1.0)
-        for index in range(5):
-            sizer.observe(chunk(index, documents=sizer.size, seconds=0.0001))
-        assert sizer.size == 10
-
-    def test_slow_chunks_back_off_toward_initial(self):
-        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
-        sizer.observe(chunk(0, documents=4, seconds=0.004))  # grow first
-        grown = sizer.size
-        sizer.observe(chunk(1, documents=grown, seconds=1.0))  # 20x over target
-        assert sizer.size < grown
-        assert sizer.size >= sizer.initial
-
-    def test_never_shrinks_below_initial(self):
-        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, 0.05)
-        for index in range(5):
-            sizer.observe(chunk(index, documents=4, seconds=10.0))
-        assert sizer.size == 4
-
-    def test_empty_or_instant_chunks_are_ignored(self):
-        sizer = ChunkSizer(4, MAX_CHUNK_SIZE, TARGET_CHUNK_SECONDS)
-        sizer.observe(chunk(documents=0, failed=0, seconds=0.0))
-        sizer.observe(chunk(documents=4, seconds=0.0))
-        assert sizer.size == 4
+    def test_default_is_one_chunk_size(self):
+        assert EngineConfig().chunk_size == CHUNK_SIZE
 
 
 class TestXmlSink:
@@ -195,33 +130,3 @@ class TestScalingMetrics:
         names = [row[0] for row in stats.summary_rows()]
         assert "docs/sec/worker" in names
         assert "chunk overhead" in names
-
-    def test_chunk_sizes_row_only_when_nontail_sizes_vary(self):
-        static = EngineStats(workers=1, chunk_size=4)
-        for index, docs in enumerate([4, 4, 2]):  # static run, partial tail
-            static.absorb(chunk(index, documents=docs))
-        assert "chunk sizes" not in [row[0] for row in static.summary_rows()]
-
-        adaptive = EngineStats(workers=1, chunk_size=4)
-        for index, docs in enumerate([4, 8, 16, 3]):  # grown sizes + tail
-            adaptive.absorb(chunk(index, documents=docs))
-        rows = {row[0]: row[1] for row in adaptive.summary_rows()}
-        assert rows["chunk sizes"] == "4..16"
-
-
-class TestAdaptiveStream:
-    def test_chunk_sizes_grow_across_a_run(self, kb, monkeypatch):
-        """On a corpus of fast documents the observed chunk sizes must
-        actually grow (the controller is live, not decorative)."""
-        monkeypatch.setattr(engine_module, "MIN_CHUNK_SIZE", 2)
-        monkeypatch.setattr(engine_module, "MAX_CHUNK_SIZE", 32)
-        html = ["<html><body><p>doc</p></body></html>"] * 60
-        engine = CorpusEngine(
-            kb,
-            engine_config=EngineConfig(max_workers=1, chunk_size=None),
-        )
-        result = engine.convert_corpus(html)
-        ordered = sorted(result.stats.per_chunk, key=lambda c: c.index)
-        sizes = [c.documents + c.documents_failed for c in ordered[:-1]]
-        assert max(sizes) > sizes[0]
-        assert sizes == sorted(sizes)  # monotone growth on a uniform corpus

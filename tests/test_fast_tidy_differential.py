@@ -14,8 +14,8 @@ legacy cleanser served every document it converted.
 This file also proves the engine's new transport modes change nothing
 but the transport: worker-side XML sinks write exactly the bytes the
 collected payloads would have carried, ``collect_xml=False`` leaves the
-accumulator and DTD untouched, and adaptive chunk sizing converts the
-same corpus to the same bytes as any static chunk size.
+accumulator and DTD untouched, and the default chunk size converts the
+same corpus to the same bytes as a forced small one.
 
 The tree-level equivalence lives in test_tidy_properties.py and the
 pinned corpus in tests/golden/tidy_edge/.
@@ -28,8 +28,8 @@ from pathlib import Path
 import pytest
 
 from repro.convert.pipeline import DocumentConverter
-import repro.runtime.engine as engine_module
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from repro.runtime.pool import CHUNK_SIZE
 from tests.oracles import swapped
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -162,17 +162,15 @@ class TestXmlSinkMode:
 
 class TestAdaptiveChunking:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_adaptive_equals_static(self, kb, golden_html, workers, monkeypatch):
-        """chunk_size=None (adaptive) converts the same corpus to the
-        same bytes and statistics as a pinned static size."""
+    def test_adaptive_equals_static(self, kb, golden_html, workers):
+        """The default chunk size converts the same corpus to the same
+        bytes and statistics as a forced small size."""
         static = fast_engine(kb, workers, chunk_size=3).convert_corpus(
             golden_html
         )
-        monkeypatch.setattr(engine_module, "MIN_CHUNK_SIZE", 2)
-        monkeypatch.setattr(engine_module, "MAX_CHUNK_SIZE", 16)
-        adaptive = fast_engine(kb, workers, chunk_size=None).convert_corpus(
+        default = fast_engine(kb, workers, chunk_size=CHUNK_SIZE).convert_corpus(
             golden_html
         )
-        assert adaptive.xml_documents == static.xml_documents
-        assert adaptive.stats.documents == static.stats.documents
-        assert adaptive.accumulator.doc_frequency == static.accumulator.doc_frequency
+        assert default.xml_documents == static.xml_documents
+        assert default.stats.documents == static.stats.documents
+        assert default.accumulator.doc_frequency == static.accumulator.doc_frequency

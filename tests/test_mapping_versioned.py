@@ -16,11 +16,8 @@ from repro.mapping.conform import ConformResult
 from repro.mapping.persistence import load_xml_document
 from repro.mapping.repository import XMLRepository
 from repro.mapping.validate import validate_document
-from repro.mapping.versioned import (
-    MIGRATION_CHUNK_SIZE,
-    VersionedRepository,
-    migrate_documents,
-)
+from repro.mapping.versioned import VersionedRepository, migrate_documents
+from repro.runtime.pool import CHUNK_SIZE
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.dtd import DTD
 from repro.service.state import TopicState
@@ -172,7 +169,7 @@ class TestParallelMigration:
     @pytest.mark.slow
     def test_workers_do_not_change_output(self):
         # Three migration chunks, so two workers each take at least one.
-        repository = old_repository(3 * MIGRATION_CHUNK_SIZE)
+        repository = old_repository(3 * CHUNK_SIZE)
         serial_xml, serial_report = migrate_documents(
             repository.export(), NEW_DTD, max_workers=1
         )

@@ -6,8 +6,9 @@ from repro.concepts.concept import Concept
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.pipeline import DocumentConverter
 from repro.dom.node import Element
+from repro.dom.path import find_all
 from repro.dom.serialize import to_xml
-from repro.dom.treeops import clone, tree_size
+from repro.dom.treeops import clone, deep_equal, tree_size
 from repro.htmlparse.parser import parse_html
 from repro.mapping.persistence import load_xml_document
 from repro.htmlparse.tidy import tidy
@@ -37,6 +38,21 @@ class TestAdversarialHtml:
         assert result.input_nodes == tree_size(document)
         assert "INSTITUTION" in result.to_xml()
         assert to_xml(clone(document)) == to_xml(document)
+
+    def test_deeply_nested_trees_compare(self):
+        """Structural equality walks a 3,000-deep tree without recursion."""
+        document = parse_html("<div>" * 3000 + "x" + "</div>" * 3000)
+        assert deep_equal(document, clone(document))
+        other = parse_html("<div>" * 3000 + "y" + "</div>" * 3000)
+        assert not deep_equal(document, other)
+
+    def test_deeply_nested_descendant_query(self):
+        """A '//' query reaches every level of a 3,000-deep tree, in
+        document order, without recursion."""
+        document = parse_html("<div>" * 3000 + "x" + "</div>" * 3000)
+        divs = find_all(document, "//div")
+        assert len(divs) == 3000
+        assert all(inner.parent is outer for outer, inner in zip(divs, divs[1:]))
 
     def test_thousands_of_siblings(self):
         html = "<ul>" + "<li>x</li>" * 5000 + "</ul>"

@@ -111,8 +111,11 @@ class TestDifferentialSchema:
 
 class TestEngineStats:
     def test_stats_populated(self, kb, corpus_html):
-        result = make_engine(kb, 2, chunk_size=4).convert_corpus(corpus_html)
-        stats = result.stats
+        engine = make_engine(kb, 2, chunk_size=4)
+        stats = engine.new_stats()
+        chunks = [
+            payload.stats for payload in engine.stream(corpus_html, stats=stats)
+        ]
         assert stats.documents == len(corpus_html)
         assert stats.chunks == 3
         assert stats.workers == 2
@@ -122,8 +125,8 @@ class TestEngineStats:
         assert stats.tokens_created > 0
         assert stats.concept_nodes > 0
         assert set(stats.rule_seconds) >= {"parse", "tokenize", "instance"}
-        assert len(stats.per_chunk) == 3
-        assert [chunk.index for chunk in stats.per_chunk] == [0, 1, 2]
+        assert len(chunks) == 3
+        assert [chunk.index for chunk in chunks] == [0, 1, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_queue_depth_bounded_by_window(self, kb, corpus_html, workers):
@@ -206,8 +209,11 @@ class TestEngineStats:
                     max_workers=workers, chunk_size=3, error_policy="skip"
                 ),
             )
-            stats = engine.convert_corpus(poisoned).stats
-            for chunk in stats.per_chunk:
+            stats = engine.new_stats()
+            chunks = [
+                payload.stats for payload in engine.stream(poisoned, stats=stats)
+            ]
+            for chunk in chunks:
                 assert pickle.loads(pickle.dumps(chunk)) == chunk
             return {
                 "documents": stats.documents,
@@ -223,7 +229,7 @@ class TestEngineStats:
                     stage: digest.count
                     for stage, digest in stats.stage_digests.items()
                 },
-                "per_chunk": [(c.index, c.documents) for c in stats.per_chunk],
+                "per_chunk": [(c.index, c.documents) for c in chunks],
             }
 
         inline = books(1)

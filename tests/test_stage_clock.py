@@ -98,7 +98,11 @@ class TestExactPerRun:
     def test_span_durations_digest_to_the_registry(self, kb, resumes, workers):
         tracer = Tracer()
         engine = CorpusEngine(kb, engine_config=EngineConfig(max_workers=workers))
-        stats = engine.convert_corpus(resumes, tracer=tracer).stats
+        stats = engine.new_stats()
+        chunks = [
+            payload.stats
+            for payload in engine.stream(resumes, stats=stats, tracer=tracer)
+        ]
         registry = stats.stage_digests
         assert set(registry) == set(STAGE_ORDER)
         for stage in STAGE_ORDER:
@@ -112,7 +116,7 @@ class TestExactPerRun:
             assert spans.min_value == digest.min_value, stage
             assert spans.max_value == digest.max_value, stage
         chunk_seconds = [span.seconds for span in tracer.by_name("engine.chunk")]
-        assert chunk_seconds == [chunk.seconds for chunk in stats.per_chunk]
+        assert chunk_seconds == [chunk.seconds for chunk in chunks]
 
 
 class TestCoverage:
