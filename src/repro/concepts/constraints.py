@@ -104,6 +104,9 @@ class ConstraintSet:
             self._depths_by_concept.setdefault(constraint.concept, []).append(
                 constraint
             )
+        # depth -> the concepts their depth constraints forbid there; filled
+        # by extensions on first use, emptied by add_depth.
+        self._forbidden_at: dict[int, frozenset[str]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -122,6 +125,7 @@ class ConstraintSet:
         constraint = DepthConstraint(concept, op, bound, negated)
         self.depths.append(constraint)
         self._depths_by_concept.setdefault(concept, []).append(constraint)
+        self._forbidden_at.clear()
 
     def is_empty(self) -> bool:
         """True when no constraint of any kind is present."""
@@ -173,23 +177,31 @@ class ConstraintSet:
         depth constraints at ``len(path) + 1`` and, for a label not yet
         on the path, the parent constraints.  A label already on the
         path leaves every parent verdict as it was, since
-        ``satisfied_by_path`` reads first occurrences only.  This is the
-        miner's per-prefix check; ``allows_path`` stays the reference
-        predicate.
+        ``satisfied_by_path`` reads first occurrences only.  The depth
+        constraints' verdicts at a depth are worked out once, as the set
+        of concepts they forbid there; the cap, repetition and parent
+        constraints are public and mutable, so they are read on every
+        call.  This is the miner's per-prefix check; ``allows_path``
+        stays the reference predicate.
         """
         depth = len(path) + 1
         if self.max_depth is not None and depth > self.max_depth:
             return []
+        forbidden = self._forbidden_at.get(depth)
+        if forbidden is None:
+            forbidden = self._forbidden_at[depth] = frozenset(
+                concept
+                for concept, constraints in self._depths_by_concept.items()
+                if not all(c.allows_depth(depth) for c in constraints)
+            )
+        skip = forbidden.union(path) if self.no_repeat_on_path else forbidden
         on_path = set(path)
-        allowed = []
-        for label in labels:
-            if label in on_path:
-                if self.no_repeat_on_path:
-                    continue
-            elif self.parents and not all(
-                c.satisfied_by_path((*path, label)) for c in self.parents
-            ):
-                continue
-            if self.allows_depth(label, depth):
-                allowed.append(label)
-        return allowed
+        return [
+            label
+            for label in labels
+            if label not in skip
+            and (
+                label in on_path
+                or all(c.satisfied_by_path((*path, label)) for c in self.parents)
+            )
+        ]

@@ -16,6 +16,7 @@ companion to the paper's single-core curve.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.concepts.knowledge import KnowledgeBase
@@ -34,6 +35,10 @@ class ScalingPoint:
     nodes: int
     concept_nodes: int
     seconds: float
+    # Process CPU seconds of the same region: all of the work at
+    # max_workers=1, where the engine converts in this process; with
+    # worker processes, only the parent's share.
+    cpu_seconds: float = 0.0
     # Per-stage engine instrumentation for this sweep point (None for
     # hand-built reports in unit tests).
     engine_stats: EngineStats | None = None
@@ -112,18 +117,21 @@ def run_scaling_experiment(
     for size in sizes:
         corpus = generator.generate_html(size)
         elapsed: dict[str, float] = {}
+        cpu_started = time.process_time()
         with tracer.stage("scaling.point", elapsed, documents=size) as point_span:
             result = engine.convert_corpus(corpus, tracer=tracer)
             engine.discover(
                 result.accumulator, sup_threshold=sup_threshold, tracer=tracer
             )
             point_span.set(concept_nodes=result.stats.concept_nodes)
+        cpu_seconds = time.process_time() - cpu_started
         report.points.append(
             ScalingPoint(
                 documents=size,
                 nodes=result.stats.input_nodes,
                 concept_nodes=result.stats.concept_nodes,
                 seconds=elapsed["scaling.point"],
+                cpu_seconds=cpu_seconds,
                 engine_stats=result.stats,
             )
         )

@@ -56,6 +56,13 @@ def load_xml_document(text: str) -> Element:
     serializer never produces one, so extra roots mean the file was
     corrupted or hand-edited, and silently keeping one root (and
     dropping the others) would lose data.
+
+    Text that is only whitespace does not come back: the reader cannot
+    tell it from the serializer's pretty-print padding, so an element
+    whose one text child is ``" \t\r\n "`` loads with no text child.
+    Attribute values, ``val`` included, keep their whitespace.
+    Converted documents keep their text in ``val`` attributes and carry
+    no text nodes, so no stored corpus loses anything to this.
     """
     fragment = parse_fragment(text)
     elements = fragment.element_children()

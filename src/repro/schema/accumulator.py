@@ -31,9 +31,19 @@ number of documents) rather than a pre-thresholded count, so
 list-of-documents code path.
 
 The pickled form (``__getstate__``) is what engine chunk results and
-checkpoint frames carry, and a cold fold decodes a whole snapshot, so
-it is built to be small and to decode without per-path intermediates.
-Wire version 2 is a tuple of columns::
+checkpoint frames carry, so it is built to be small and to decode
+without per-path intermediates.  Decoding is split by what reads it.
+The path table and ``doc_frequency``, which mining reads, are decoded
+at once; ``position_sum`` and ``multiplicity_docs`` stay columns until
+their first full read: ``copy``, ``==``, ``__getstate__`` or any direct
+access.  Until then the state's own ``update`` adds into a per-path
+overlay, ``avg_position`` and ``multiplicity_fraction`` read one path
+from the columns plus the overlay, and merging the state into another
+decodes its columns for that merge alone (an engine chunk or a delta
+frame is merged once, then dropped).  So a cold fold, which derives its
+DTD from the few paths of the majority schema, decodes none of the
+snapshot's position or histogram columns unless it compacts.  Wire
+version 2 is a tuple of columns::
 
     labels              every distinct label, once
     parents, tails      the path table, parent first: row r > 0 is
@@ -62,6 +72,7 @@ with its sums rounded (see ``_decode_v1``).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
@@ -82,6 +93,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Version tag of the compact pickled form (see __getstate__).
 _WIRE_VERSION = 2
+
+# The statistics a decoded v2 state decodes on their first full read.
+_VALUE_FIELDS = ("position_sum", "multiplicity_docs")
 
 # A path's parent and its last label.
 _prefix = itemgetter(slice(None, -1))
@@ -202,23 +216,32 @@ class PathAccumulator:
 
         Plain get-and-add loops: ``Counter.update`` costs more per call
         than these small histograms cost to add.  New keys are appended
-        in ``other``'s order."""
+        in ``other``'s order.  A decoded state whose values are still
+        columns adds ``other``'s values to its overlay instead."""
         self.document_count += other.document_count
         frequency = self.doc_frequency
         for path, count in other.doc_frequency.items():
             frequency[path] = frequency.get(path, 0) + count
-        positions = self.position_sum
-        for path, value in other.position_sum.items():
-            total = positions.get(path, 0) + value
-            positions[path] = total if type(total) is int else _whole(total)
-        multiplicities = self.multiplicity_docs
-        for path, histogram in other.multiplicity_docs.items():
-            held = multiplicities.get(path)
-            if held is None:
-                multiplicities[path] = _counter(histogram)
-            else:
-                for value, count in histogram.items():
-                    held[value] = held.get(value, 0) + count
+        unread = other._columns
+        if unread is not None and other is not self:
+            # Decoded for this merge alone (an engine chunk or a delta frame
+            # is read once), so its histograms are new and are not copied.
+            positions, histograms = unread.decode()
+            copy = False
+        else:
+            # Read before self._columns: when other is self, this reads self.
+            positions, histograms = other.position_sum, other.multiplicity_docs
+            copy = True
+        columns = self._columns
+        if columns is None:
+            _add_values(
+                self.position_sum, self.multiplicity_docs,
+                positions, histograms, copy,
+            )
+        else:
+            _add_values(
+                columns.positions, columns.histograms, positions, histograms, copy
+            )
 
     def merge(self, other: "PathAccumulator") -> "PathAccumulator":
         """Pure merge: a new accumulator, neither operand mutated."""
@@ -307,19 +330,39 @@ class PathAccumulator:
     def __setstate__(self, state) -> None:
         version = state[0] if isinstance(state, tuple) and state else None
         if version == _WIRE_VERSION:
-            decoded = _decode_v2(state)
+            self.document_count, self.doc_frequency, self._columns = _decode_v2(
+                state
+            )
+            for name in _VALUE_FIELDS:
+                self.__dict__.pop(name, None)
         elif version == 1:
-            decoded = _decode_v1(state)
+            (
+                self.document_count,
+                self.doc_frequency,
+                self.position_sum,
+                self.multiplicity_docs,
+            ) = _decode_v1(state)
+            self.__dict__.pop("_columns", None)
         else:
             raise ValueError(
                 f"unsupported PathAccumulator wire version: {version!r}"
             )
-        (
-            self.document_count,
-            self.doc_frequency,
-            self.position_sum,
-            self.multiplicity_docs,
-        ) = decoded
+
+    # A decoded v2 state keeps position_sum and multiplicity_docs as wire
+    # columns (_ValueColumns) until their first full read -- copy, ==,
+    # __getstate__, any direct access -- which, the attributes being
+    # absent, lands in __getattr__.
+    _columns = None
+
+    def __getattr__(self, name: str):
+        columns = self._columns
+        if columns is None or name not in _VALUE_FIELDS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.position_sum, self.multiplicity_docs = columns.decode()
+        del self._columns
+        return self.__dict__[name]
 
     # -- mining statistics (Section 3.2) -------------------------------------
 
@@ -360,9 +403,13 @@ class PathAccumulator:
         frequency = self.doc_frequency[path]
         if frequency == 0:
             return float("inf")
-        return Fraction(
-            self.position_sum.get(path, 0), frequency * POSITION_DENOMINATOR
+        columns = self._columns
+        total = (
+            self.position_sum.get(path, 0)
+            if columns is None
+            else columns.position(path)
         )
+        return Fraction(total, frequency * POSITION_DENOMINATOR)
 
     def multiplicity_fraction(
         self, path: LabelPath, *, rep_threshold: int
@@ -372,7 +419,12 @@ class PathAccumulator:
         containing = self.doc_frequency[path]
         if containing == 0:
             return 0.0
-        histogram = self.multiplicity_docs.get(path, Counter())
+        columns = self._columns
+        histogram = (
+            self.multiplicity_docs.get(path, Counter())
+            if columns is None
+            else columns.histogram(path)
+        )
         repetitive = sum(
             count for value, count in histogram.items() if value >= rep_threshold
         )
@@ -391,22 +443,84 @@ class PathAccumulator:
 
 # -- wire-form decoders -------------------------------------------------------
 #
-# Each returns (document_count, doc_frequency, position_sum,
-# multiplicity_docs).  Labels are interned, which restores the
-# one-string-object-per-label property extract_paths establishes, so
-# merged accumulators in the parent process don't hold per-chunk
-# duplicate label strings.
+# Labels are interned, which restores the one-string-object-per-label
+# property extract_paths establishes, so merged accumulators in the parent
+# process don't hold per-chunk duplicate label strings.
 
 
 def _decode_v2(state: tuple) -> tuple:
-    (
-        _,
+    """``(document_count, doc_frequency, value columns)`` of a v2 state.
+
+    The path table and ``doc_frequency`` -- what mining reads -- are
+    decoded here; :meth:`_ValueColumns.decode` decodes the rest when it
+    is first read in full or merged into another state."""
+    _, document_count, labels, parents, tails, frequency_keys, counts = state[:7]
+    singles = [(intern(label),) for label in labels]
+    rows: list[LabelPath] = [()]
+    append = rows.append
+    for parent, tail in zip(parents, tails):
+        append(rows[parent] + singles[tail])
+    return (
         document_count,
-        labels,
-        parents,
-        tails,
-        frequency_keys,
-        counts,
+        _counter(zip(_keys(rows, frequency_keys), counts)),
+        _ValueColumns(rows, *state[7:]),
+    )
+
+
+def _keys(rows: list[LabelPath], column) -> list[LabelPath]:
+    """A dict's keys from its key column (``None``: the table in order)."""
+    return rows[1:] if column is None else list(map(rows.__getitem__, column))
+
+
+def _add_values(
+    positions, histograms, more_positions, more_histograms, copy=True
+) -> None:
+    """Add position sums and multiplicity histograms into ``positions``
+    and ``histograms``; a new key is appended in the order the added
+    dicts hold it, with its histogram copied unless ``copy`` is false."""
+    for path, value in more_positions.items():
+        total = positions.get(path, 0) + value
+        positions[path] = total if type(total) is int else _whole(total)
+    for path, histogram in more_histograms.items():
+        held = histograms.get(path)
+        if held is None:
+            histograms[path] = _counter(histogram) if copy else histogram
+        else:
+            for value, count in histogram.items():
+                held[value] = held.get(value, 0) + count
+
+
+class _ValueColumns:
+    """``position_sum`` and ``multiplicity_docs`` of a decoded v2 state,
+    still as wire columns, and the overlay of what ``update`` added since:
+    one position sum and one histogram per path, dicts keyed by path, so a
+    long-lived state stays bounded by its path count.
+
+    :meth:`position` and :meth:`histogram` answer one path from the
+    columns plus the overlay, through a path -> column-index map built on
+    their first call.  :meth:`decode` builds both dicts and applies the
+    overlay in its insertion order: the additions ``update`` would have
+    made, re-associated, which for integer and ``Fraction`` sums gives
+    the same values, key order and so the same wire bytes.
+    """
+
+    __slots__ = (
+        "rows",
+        "position_keys",
+        "numerators",
+        "multiplicity_keys",
+        "single_values",
+        "single_counts",
+        "multi_at",
+        "multi_items",
+        "positions",
+        "histograms",
+        "_indexes",
+    )
+
+    def __init__(
+        self,
+        rows: list[LabelPath],
         position_keys,
         numerators,
         multiplicity_keys,
@@ -414,31 +528,78 @@ def _decode_v2(state: tuple) -> tuple:
         single_counts,
         multi_at,
         multi_items,
-    ) = state
-    singles = [(intern(label),) for label in labels]
-    rows: list[LabelPath] = [()]
-    append = rows.append
-    for parent, tail in zip(parents, tails):
-        append(rows[parent] + singles[tail])
-    table = rows[1:]
+    ) -> None:
+        self.rows = rows
+        self.position_keys = position_keys
+        self.numerators = numerators
+        self.multiplicity_keys = multiplicity_keys
+        self.single_values = single_values
+        self.single_counts = single_counts
+        self.multi_at = multi_at
+        self.multi_items = multi_items
+        self.positions: dict[LabelPath, int | Fraction] = {}
+        self.histograms: dict[LabelPath, Counter[int]] = {}
+        self._indexes: dict[str | None, dict[LabelPath, int]] = {}
 
-    def keys(column) -> list[LabelPath]:
-        return table if column is None else list(map(rows.__getitem__, column))
+    def decode(self) -> tuple:
+        """``(position_sum, multiplicity_docs)``, overlay applied."""
+        # One empty Counter per single-entry histogram, then each filled by
+        # a C-level map over the value and count columns (deque(...,
+        # maxlen=0) is the itertools "consume" recipe); the other
+        # histograms go back to their places.
+        histograms = list(
+            map(Counter.__new__, repeat(Counter, len(self.single_values)))
+        )
+        deque(
+            map(dict.__setitem__, histograms, self.single_values, self.single_counts),
+            0,
+        )
+        for index, items in zip(self.multi_at, self.multi_items):
+            histograms.insert(index, _counter(items))
+        position_sum = dict(zip(_keys(self.rows, self.position_keys), self.numerators))
+        multiplicity_docs = dict(
+            zip(_keys(self.rows, self.multiplicity_keys), histograms)
+        )
+        _add_values(position_sum, multiplicity_docs, self.positions, self.histograms)
+        return position_sum, multiplicity_docs
 
-    # One empty Counter per single-entry histogram, then each filled by a
-    # C-level map over the value and count columns (deque(..., maxlen=0)
-    # is the itertools "consume" recipe); the other histograms go back
-    # to their places.
-    histograms = list(map(Counter.__new__, repeat(Counter, len(single_values))))
-    deque(map(dict.__setitem__, histograms, single_values, single_counts), 0)
-    for index, items in zip(multi_at, multi_items):
-        histograms.insert(index, _counter(items))
-    return (
-        document_count,
-        _counter(zip(keys(frequency_keys), counts)),
-        dict(zip(keys(position_keys), numerators)),
-        dict(zip(keys(multiplicity_keys), histograms)),
-    )
+    def _index(self, keys: str) -> dict[LabelPath, int]:
+        """path -> index into the value column keyed by the key column
+        named ``keys`` (one shared map for key columns that are the
+        table)."""
+        column = getattr(self, keys)
+        cached = None if column is None else keys
+        index = self._indexes.get(cached)
+        if index is None:
+            index = self._indexes[cached] = dict(
+                zip(_keys(self.rows, column), count())
+            )
+        return index
+
+    def position(self, path: LabelPath) -> int | Fraction:
+        """``position_sum.get(path, 0)`` as materializing would leave it
+        (equal in value; a whole sum may be a ``Fraction``)."""
+        at = self._index("position_keys").get(path)
+        total = 0 if at is None else self.numerators[at]
+        return total + self.positions.get(path, 0)
+
+    def histogram(self, path: LabelPath) -> Counter:
+        """``multiplicity_docs.get(path, Counter())`` as materializing
+        would leave it (a new ``Counter``)."""
+        at = self._index("multiplicity_keys").get(path)
+        histogram = Counter()
+        if at is not None:
+            # Histogram ``at`` is a multi-entry one, or the single-entry
+            # one after the ``multi`` multi-entry ones before it.
+            multi = bisect_left(self.multi_at, at)
+            if multi < len(self.multi_at) and self.multi_at[multi] == at:
+                dict.update(histogram, self.multi_items[multi])
+            else:
+                single = at - multi
+                histogram[self.single_values[single]] = self.single_counts[single]
+        for value, docs in self.histograms.get(path, {}).items():
+            histogram[value] = histogram.get(value, 0) + docs
+        return histogram
 
 
 def _decode_v1(state: tuple) -> tuple:

@@ -126,9 +126,6 @@ class ConversionService:
         self.state_dir = Path(state_dir)
         workers = self.config.resolved_workers()
         self.registry = MetricsRegistry()
-        self.stats = EngineStats(
-            workers=workers, chunk_size=0, registry=self.registry
-        )
         # One engine and warm pool per topic: the converter (and its
         # compiled automaton) is knowledge-base-specific, so topics
         # cannot share worker processes.  The typical deployment serves
@@ -158,6 +155,12 @@ class ConversionService:
             max_wait=self.config.batch_wait,
             max_queue=self.config.max_queue,
             max_inflight=max(2, 2 * workers),
+        )
+        # Every micro-batch is one engine chunk of up to max_batch documents.
+        self.stats = EngineStats(
+            workers=workers,
+            chunk_size=self.batcher.max_batch,
+            registry=self.registry,
         )
         self.latency = QuantileDigest()
         self._server: asyncio.base_events.Server | None = None

@@ -12,13 +12,21 @@ against them with ``==``.
   fraction (Section 3.3);
 * :func:`presence_fraction` -- the optional-element fraction;
 * :func:`average_child_positions` -- the ordering rule's averages, as
-  exact rationals like the accumulator's.
+  exact rationals like the accumulator's;
+* :func:`_decode_v2` -- the version-2 wire decoder that decodes every
+  column at once: the reference for the accumulator's own, which leaves
+  ``position_sum`` and ``multiplicity_docs`` as columns until their
+  first full read.  :func:`decoded_v2` wraps it into an accumulator.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import repeat
+from sys import intern
 
+from repro.schema.accumulator import PathAccumulator, _counter
 from repro.schema.paths import POSITION_DENOMINATOR, DocumentPaths, LabelPath
 
 
@@ -86,3 +94,58 @@ def average_child_positions(
         label: (sums[label] / counts[label]) if counts[label] else float("inf")
         for label in child_labels
     }
+
+
+def _decode_v2(state: tuple) -> tuple:
+    (
+        _,
+        document_count,
+        labels,
+        parents,
+        tails,
+        frequency_keys,
+        counts,
+        position_keys,
+        numerators,
+        multiplicity_keys,
+        single_values,
+        single_counts,
+        multi_at,
+        multi_items,
+    ) = state
+    singles = [(intern(label),) for label in labels]
+    rows: list[LabelPath] = [()]
+    append = rows.append
+    for parent, tail in zip(parents, tails):
+        append(rows[parent] + singles[tail])
+    table = rows[1:]
+
+    def keys(column) -> list[LabelPath]:
+        return table if column is None else list(map(rows.__getitem__, column))
+
+    # One empty Counter per single-entry histogram, then each filled by a
+    # C-level map over the value and count columns (deque(..., maxlen=0)
+    # is the itertools "consume" recipe); the other histograms go back
+    # to their places.
+    histograms = list(map(Counter.__new__, repeat(Counter, len(single_values))))
+    deque(map(dict.__setitem__, histograms, single_values, single_counts), 0)
+    for index, items in zip(multi_at, multi_items):
+        histograms.insert(index, _counter(items))
+    return (
+        document_count,
+        _counter(zip(keys(frequency_keys), counts)),
+        dict(zip(keys(position_keys), numerators)),
+        dict(zip(keys(multiplicity_keys), histograms)),
+    )
+
+
+def decoded_v2(state: tuple) -> PathAccumulator:
+    """An accumulator whose every statistic :func:`_decode_v2` decoded."""
+    accumulator = PathAccumulator()
+    (
+        accumulator.document_count,
+        accumulator.doc_frequency,
+        accumulator.position_sum,
+        accumulator.multiplicity_docs,
+    ) = _decode_v2(state)
+    return accumulator

@@ -164,15 +164,21 @@ class TestExtensions:
     @given(
         constraint_sets(),
         st.lists(st.sampled_from(CONCEPTS + ("E",)), max_size=6),
+        depth_specs,
     )
     @settings(max_examples=150)
-    def test_matches_allows_path_on_every_allowed_path(self, cs, labels):
-        for path in all_paths():
-            if not cs.allows_path(path):
-                continue
-            assert cs.extensions(path, labels) == [
-                label for label in labels if cs.allows_path((*path, label))
-            ]
+    def test_matches_allows_path_on_every_allowed_path(self, cs, labels, late):
+        # Queried before and after one more depth constraint: the verdicts
+        # extensions keeps per depth must not outlive add_depth.
+        for _ in range(2):
+            for path in all_paths():
+                if not cs.allows_path(path):
+                    continue
+                assert cs.extensions(path, labels) == [
+                    label for label in labels if cs.allows_path((*path, label))
+                ]
+            concept, op, bound, negated = late
+            cs.add_depth(concept, op, bound, negated=negated)
 
     def test_keeps_label_order_and_duplicates(self):
         cs = ConstraintSet(no_repeat_on_path=True)

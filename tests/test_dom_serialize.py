@@ -130,8 +130,12 @@ class TestWhitespaceRoundTrip:
             (degree,) = root.element_children()
             assert degree.get_val() == value
             if value.strip():
-                # (Whitespace-only text is pretty-print padding to it.)
                 assert value in degree.children[0].text
+            else:
+                # A known loss, pinned until storage keeps such text: to
+                # the reader, whitespace-only text is pretty-print padding
+                # (see load_xml_document).
+                assert degree.children == []
 
 
 # Random trees for the writer-vs-oracle property, free of the characters

@@ -1,5 +1,7 @@
 """Tests for the scalability harness (Figure 5)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.evaluation.scaling import ScalingPoint, ScalingReport, run_scaling_experiment
@@ -51,12 +53,18 @@ class TestExperiment:
         assert concept_nodes[0] < concept_nodes[1] < concept_nodes[2]
 
     def test_linearity_on_modest_sweep(self, kb):
-        """The paper's claim: runtime linear in corpus size.
+        """The paper's claim: the work is linear in corpus size.
 
-        Small sweeps are sensitive to machine-load jitter, so the bar
-        here is loose; the Figure 5 benchmark asserts R^2 > 0.95 on a
-        bigger sweep.
+        The fit reads each point's process CPU time, not its wall time:
+        the one-worker sweep converts in this process, and its CPU time
+        does not grow when other processes share the machine.  The bar
+        stays loose for so small a sweep; the Figure 5 benchmark asserts
+        R^2 > 0.95 on wall time over a bigger one.
         """
         report = run_scaling_experiment(kb, [20, 40, 80], seed=1966)
-        _slope, r2 = report.fit_against("concept_nodes")
+        assert all(point.cpu_seconds > 0 for point in report.points)
+        cpu = ScalingReport(
+            [replace(point, seconds=point.cpu_seconds) for point in report.points]
+        )
+        _slope, r2 = cpu.fit_against("concept_nodes")
         assert r2 > 0.75

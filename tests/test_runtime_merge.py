@@ -56,9 +56,11 @@ label_paths = st.lists(label_names, min_size=1, max_size=4).map(tuple)
 
 
 @st.composite
-def hand_built_accumulators(draw):
+def hand_built_accumulators(draw, *, exact=False):
     """Accumulators whose three dicts need not share keys or key order --
-    shapes ``add``/``update`` never build, but the wire form must keep."""
+    shapes ``add``/``update`` never build, but the wire form must keep.
+    ``exact`` leaves out float position sums, whose additions do not
+    re-associate exactly."""
     paths = draw(st.lists(label_paths, unique=True, max_size=8))
 
     def keys():
@@ -69,11 +71,9 @@ def hand_built_accumulators(draw):
     counts = st.integers(min_value=0, max_value=50) | st.integers(
         min_value=-(2**70), max_value=2**70
     )
-    positions = (
-        st.integers(min_value=0, max_value=2**40)
-        | st.fractions()
-        | st.floats(allow_nan=False, allow_infinity=False)
-    )
+    positions = st.integers(min_value=0, max_value=2**40) | st.fractions()
+    if not exact:
+        positions |= st.floats(allow_nan=False, allow_infinity=False)
     return PathAccumulator(
         document_count=draw(counts),
         doc_frequency=Counter({path: draw(counts) for path in keys()}),
@@ -231,6 +231,129 @@ def assert_wire_round_trip(acc: PathAccumulator) -> None:
         for path in getattr(clone, name):
             for label in path:
                 assert label is sys.intern(label)
+
+
+exact_accumulators = st.builds(
+    PathAccumulator.from_documents, corpora
+) | hand_built_accumulators(exact=True)
+
+
+def assert_same_reads(lazy, eager, paths) -> None:
+    """Every per-path statistic the DTD rules read, exactly."""
+    for path in paths:
+        assert lazy.avg_position(path) == eager.avg_position(path)
+        assert lazy.presence_fraction(path) == eager.presence_fraction(path)
+        for threshold in (2, 3):
+            assert lazy.multiplicity_fraction(
+                path, rep_threshold=threshold
+            ) == eager.multiplicity_fraction(path, rep_threshold=threshold)
+
+
+class TestValuesDecodedOnFirstFullRead:
+    """A decoded state keeps ``position_sum`` and ``multiplicity_docs`` as
+    wire columns, updates adding into an overlay, until a full read.
+    The oracle is :func:`tests.oracles.schema_stats._decode_v2`, which
+    decodes every column at once."""
+
+    @given(
+        exact_accumulators,
+        st.lists(st.tuples(exact_accumulators, st.booleans()), max_size=4),
+    )
+    @settings(max_examples=80)
+    def test_decoded_then_updated_equals_the_eager_decode(self, base, updates):
+        protocol = pickle.HIGHEST_PROTOCOL
+
+        def decoded(acc):
+            return pickle.loads(pickle.dumps(acc, protocol=protocol))
+
+        lazy = decoded(base)
+        eager = oracle.decoded_v2(base.__getstate__())
+        # A materialized state that merges decoded states (the engine's
+        # merge of chunk results), and the same merges of eager decodes.
+        merged = PathAccumulator()
+        merged.update(decoded(base))
+        merged_eager = PathAccumulator()
+        merged_eager.update(oracle.decoded_v2(base.__getstate__()))
+        for other, pickled in updates:
+            lazy.update(decoded(other) if pickled else other)
+            merged.update(decoded(other) if pickled else other)
+            eager.update(other)
+            merged_eager.update(
+                oracle.decoded_v2(other.__getstate__()) if pickled else other
+            )
+        paths = [
+            *eager.doc_frequency,
+            *eager.position_sum,
+            *eager.multiplicity_docs,
+            ("NEVER", "SEEN"),
+        ]
+        assert_same_reads(lazy, eager, paths)
+        assert "position_sum" not in vars(lazy)
+        assert "multiplicity_docs" not in vars(lazy)
+        assert lazy == eager
+        assert "position_sum" in vars(lazy)
+        assert_same_key_order(lazy, eager)
+        assert_same_reads(lazy, eager, paths)
+        assert pickle.dumps(lazy, protocol=protocol) == pickle.dumps(
+            eager, protocol=protocol
+        )
+        assert merged == merged_eager
+        assert_same_key_order(merged, merged_eager)
+        assert pickle.dumps(merged, protocol=protocol) == pickle.dumps(
+            merged_eager, protocol=protocol
+        )
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda acc: acc.position_sum,
+            lambda acc: acc.multiplicity_docs,
+            lambda acc: acc.copy(),
+            lambda acc: acc.__getstate__(),
+            lambda acc: acc == PathAccumulator(),
+        ],
+        ids=["position_sum", "multiplicity_docs", "copy", "getstate", "eq"],
+    )
+    def test_full_reads_materialize(self, read):
+        acc = PathAccumulator.from_trees([seventeenths_document()])
+        clone = pickle.loads(pickle.dumps(acc))
+        clone.update(acc)
+        assert "position_sum" not in vars(clone)
+        read(clone)
+        assert "position_sum" in vars(clone)
+        assert "multiplicity_docs" in vars(clone)
+        twice = PathAccumulator.from_trees([seventeenths_document()] * 2)
+        assert clone == twice
+        assert_same_key_order(clone, twice)
+
+    def test_merging_a_decoded_state_keeps_nothing_of_it(self):
+        """A materialized state merging a decoded one reads its columns
+        for that merge alone: the decoded state keeps its columns, and no
+        histogram is shared between the two."""
+        acc = PathAccumulator.from_trees([seventeenths_document()])
+        clone = pickle.loads(pickle.dumps(acc))
+        clone.update(acc)
+        merged = PathAccumulator()
+        merged.update(clone)
+        assert "position_sum" not in vars(clone)
+        twice = PathAccumulator.from_trees([seventeenths_document()] * 2)
+        assert merged == twice
+        merged.update(acc)
+        assert clone == twice
+        for path, histogram in clone.multiplicity_docs.items():
+            assert histogram is not merged.multiplicity_docs[path]
+
+    def test_update_of_itself_doubles(self):
+        acc = PathAccumulator.from_trees([seventeenths_document()])
+        clone = pickle.loads(pickle.dumps(acc))
+        clone.update(clone)
+        assert clone == PathAccumulator.from_trees([seventeenths_document()] * 2)
+
+    def test_other_attributes_still_raise(self):
+        clone = pickle.loads(pickle.dumps(PathAccumulator()))
+        with pytest.raises(AttributeError, match="no_such_statistic"):
+            clone.no_such_statistic
+        assert "position_sum" not in vars(clone)
 
 
 def seventeenths_document() -> Element:

@@ -440,6 +440,39 @@ class TestEvolvingSchema:
         assert restored.dtd is not None
         assert restored.dtd.render() == evolving.dtd_text
 
+    def test_cold_folds_write_the_warm_instance_bytes(
+        self, tmp_path, kb, corpus_trees
+    ):
+        """A cold fold -- a fresh instance, whose snapshot stays columns
+        until a compaction reads it in full -- writes what one warm
+        instance folding the same deltas writes, byte for byte, across
+        compactions and folds that leave deltas in the log."""
+        warm = EvolvingSchema(tmp_path / "warm", kb)
+        compacted = []
+        for batch in (
+            corpus_trees[:4], corpus_trees[4:5], corpus_trees[5:6],
+            corpus_trees[6:7], corpus_trees[7:8], corpus_trees[8:],
+        ):
+            delta = accumulate(batch)
+            outcome = warm.fold(delta)
+            cold = EvolvingSchema(tmp_path / "cold", kb).fold(delta)
+            assert (cold.compacted, cold.version) == (
+                outcome.compacted, outcome.version
+            )
+            compacted.append(outcome.compacted)
+            for name in (
+                evolution.SNAPSHOT_NAME,
+                evolution.DELTA_LOG_NAME,
+                evolution.STATE_NAME,
+                evolution.CURRENT_DTD_NAME,
+            ):
+                assert (tmp_path / "cold" / name).read_bytes() == (
+                    tmp_path / "warm" / name
+                ).read_bytes()
+        # The first fold compacts into the empty snapshot; a later one
+        # compacts a snapshot that a cold fold decoded as columns.
+        assert compacted[0] and any(compacted[1:]) and not all(compacted)
+
     def test_vocabulary_shift_bumps_exactly_once(self, tmp_path, kb,
                                                  corpus_trees):
         evolving = EvolvingSchema(tmp_path / "state", kb)

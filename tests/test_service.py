@@ -171,6 +171,13 @@ class TestLifecycleRoutes:
             in text
         )
 
+    def test_metrics_export_the_micro_batch_size(self, kb, tmp_path):
+        """Each micro-batch is one engine chunk of up to ``max_batch``
+        documents, so that is the exported chunk size."""
+        service = make_service(kb, tmp_path)
+        assert service.registry.value("repro_engine_chunk_size") == 16
+        assert ["chunks", "0 x 16"] in service.stats.summary_rows()
+
     def test_unknown_route_and_topic(self, live, corpus_html):
         _, host, port = live
         status, _, _ = fetch(host, port, _get("/nope"))
