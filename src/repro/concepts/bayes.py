@@ -185,15 +185,3 @@ class MultinomialNaiveBayes:
             return 0.0
         correct = sum(1 for text, label in examples if self.classify(text) == label)
         return correct / len(examples)
-
-    def unknown_ratio(self, texts: Sequence[str]) -> float:
-        """Fraction of tokens on which the classifier abstains.
-
-        The paper suggests using "the ratio between identified and
-        unidentifiable tokens ... as a feedback to the user" who then adds
-        training data (Section 2.3.1).
-        """
-        if not texts:
-            return 0.0
-        unknown = sum(1 for text in texts if self.classify(text) is None)
-        return unknown / len(texts)

@@ -166,10 +166,6 @@ class AhoCorasickAutomaton:
         self._fail = fail
         self._out = out
 
-    @property
-    def state_count(self) -> int:
-        return len(self._goto)
-
     def find(self, text: str) -> Iterator[tuple[int, int]]:
         """Yield ``(keyword_id, end)`` for every occurrence in ``text``."""
         goto = self._goto

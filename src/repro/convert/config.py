@@ -73,7 +73,3 @@ class ConversionConfig:
         for delimiter in self.delimiters:
             if len(delimiter) != 1:
                 raise ValueError(f"delimiters must be single characters: {delimiter!r}")
-
-    def group_tags(self) -> frozenset[str]:
-        """The set of tags participating in the grouping rule."""
-        return frozenset(self.group_tag_weights)

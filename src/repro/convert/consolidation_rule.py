@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
-from repro.convert.grouping_rule import GROUP_TAG
 from repro.dom.node import Element, Node
-from repro.dom.treeops import iter_postorder
 
 
 def is_concept_node(node: Node, concept_tags: frozenset[str] | set[str]) -> bool:
@@ -148,22 +146,3 @@ def _eliminate(
             sibling.parent = first_concept
             adopted.append(sibling)
     return [first_concept]
-
-
-def residual_markup_tags(root: Element, kb: KnowledgeBase) -> set[str]:
-    """Tags below ``root`` that are neither concepts nor ``GROUP``.
-
-    Diagnostic helper: after consolidation this must be empty for every
-    node except the root.
-    """
-    concept_tags = {concept.tag for concept in kb}
-    residual: set[str] = set()
-    for node in iter_postorder(root):
-        if (
-            isinstance(node, Element)
-            and node is not root
-            and node.tag not in concept_tags
-            and node.tag != GROUP_TAG
-        ):
-            residual.add(node.tag)
-    return residual

@@ -109,8 +109,3 @@ def _sink(leader: Element, members: list[Node]) -> None:
         member.parent = group
     group.parent = leader
     leader.children.append(group)
-
-
-def is_group(node: Node) -> bool:
-    """True for temporary ``GROUP`` nodes."""
-    return isinstance(node, Element) and node.tag == GROUP_TAG

@@ -69,25 +69,6 @@ class Node:
             yield node
             node = node.parent
 
-    def next_sibling(self) -> Optional["Node"]:
-        """The sibling immediately to the right, or ``None``."""
-        if self.parent is None:
-            return None
-        idx = self.index_in_parent()
-        siblings = self.parent.children
-        if idx + 1 < len(siblings):
-            return siblings[idx + 1]
-        return None
-
-    def previous_sibling(self) -> Optional["Node"]:
-        """The sibling immediately to the left, or ``None``."""
-        if self.parent is None:
-            return None
-        idx = self.index_in_parent()
-        if idx > 0:
-            return self.parent.children[idx - 1]
-        return None
-
     # -- mutation ------------------------------------------------------
 
     def detach(self) -> "Node":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.dom.node import Element, Node, Text
 
@@ -121,23 +121,6 @@ def deep_equal(a: Node, b: Node, *, compare_attrs: bool = True) -> bool:
             return False
         stack.extend(zip(a.children, b.children))
     return True
-
-
-def find_elements(
-    root: Node, predicate: Callable[[Element], bool]
-) -> list[Element]:
-    """All elements (preorder) satisfying ``predicate``."""
-    return [el for el in iter_elements(root) if predicate(el)]
-
-
-def first_element(
-    root: Node, predicate: Callable[[Element], bool]
-) -> Optional[Element]:
-    """First element (preorder) satisfying ``predicate``, or ``None``."""
-    for el in iter_elements(root):
-        if predicate(el):
-            return el
-    return None
 
 
 def count_elements(root: Node, tag: Optional[str] = None) -> int:

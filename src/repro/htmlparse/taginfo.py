@@ -144,31 +144,3 @@ def is_inline(tag: str) -> bool:
 def is_heading(tag: str) -> bool:
     """True for ``h1``..``h6``."""
     return tag in HEADING_TAGS
-
-
-def heading_level(tag: str) -> int:
-    """1..6 for headings, 0 otherwise."""
-    if is_heading(tag):
-        return int(tag[1])
-    return 0
-
-
-def is_html_tag(tag: str) -> bool:
-    """True when ``tag`` is a known HTML tag (case-insensitive).
-
-    The conversion pipeline marks concept elements with upper-case names;
-    this predicate is how structure rules tell residual HTML markup apart
-    from already-recovered concept elements.
-    """
-    return tag.lower() in _ALL_HTML_TAGS
-
-
-_ALL_HTML_TAGS = (
-    VOID_TAGS
-    | RAW_TEXT_TAGS
-    | BLOCK_TAGS
-    | INLINE_TAGS
-    | frozenset(
-        "applet body head html iframe map noframes noscript object optgroup option select caption".split()
-    )
-)

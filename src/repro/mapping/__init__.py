@@ -19,7 +19,6 @@ document repository."
 """
 
 from repro.mapping.conform import ConformResult, conform_document, repair
-from repro.mapping.edit_script import approximate_edit_script
 from repro.mapping.persistence import load_repository, save_repository
 from repro.mapping.repository import XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
@@ -41,7 +40,6 @@ __all__ = [
     "save_repository",
     "load_repository",
     "MigrationReport",
-    "approximate_edit_script",
     "VersionedRepository",
     "migrate_documents",
 ]

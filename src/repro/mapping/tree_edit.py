@@ -144,18 +144,3 @@ def _compute_treedist(
                     forest[x][y - 1] + cost(None, b.labels[node_b]),
                     forest[xa][yb] + treedist[node_a][node_b],
                 )
-
-
-def tree_distance_normalized(
-    tree_a: Node, tree_b: Node, *, include_text: bool = False
-) -> float:
-    """Edit distance normalized to ``[0, 1]``.
-
-    The divisor is the sum of the tree sizes -- the cost of deleting one
-    tree entirely and inserting the other, an upper bound on the
-    distance -- so 0 means identical and 1 means nothing shared.
-    """
-    a_size = len(_AnnotatedTree(tree_a, include_text=include_text))
-    b_size = len(_AnnotatedTree(tree_b, include_text=include_text))
-    distance = tree_edit_distance(tree_a, tree_b, include_text=include_text)
-    return distance / max(a_size + b_size, 1)

@@ -223,9 +223,6 @@ class Tracer:
     def names(self) -> set[str]:
         return {span.name for span in self.spans}
 
-    def children_of(self, span_id: str) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]
-
     def iter_dicts(self) -> Iterator[dict]:
         for span in self.spans:
             yield span.to_dict()

@@ -14,8 +14,6 @@
   mine -> majority schema -> DTD sequence every discovery runs.
 * :mod:`repro.schema.dataguide` / :mod:`repro.schema.lowerbound` -- the
   upper/lower-bound baselines the paper positions itself against.
-* :mod:`repro.schema.unify` -- unification of similar schema components
-  (the optional step deferred to [13]).
 * :mod:`repro.schema.evolution` -- online schema evolution: durable
   accumulator checkpoints (snapshot + append-only delta log) and the
   :class:`EvolvingSchema` driver that folds new documents and bumps the
@@ -35,7 +33,7 @@ from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.dtd import DTD, DTDElement, derive_dtd
 from repro.schema.diff import diff_schemas, schema_stability
 from repro.schema.frequent import FrequentPathSet, mine_frequent_paths
-from repro.schema.homonyms import homonym_contexts, homonym_labels
+from repro.schema.homonyms import homonym_contexts
 from repro.schema.index import PathIndex
 from repro.schema.lowerbound import build_lower_bound_schema
 from repro.schema.majority import MajoritySchema, SchemaNode
@@ -47,7 +45,6 @@ from repro.schema.paths import (
     iter_corpus_paths,
 )
 from repro.schema.patterns import GroupPattern, discover_group_patterns
-from repro.schema.unify import unify_schema
 
 __all__ = [
     "LabelPath",
@@ -72,12 +69,10 @@ __all__ = [
     "discover_schema",
     "build_dataguide",
     "build_lower_bound_schema",
-    "unify_schema",
     "PathIndex",
     "GroupPattern",
     "discover_group_patterns",
     "diff_schemas",
     "schema_stability",
     "homonym_contexts",
-    "homonym_labels",
 ]

@@ -62,20 +62,3 @@ def homonym_contexts(
         if len(path) >= 2 and path[:-1] in contexts:
             contexts[path[:-1]].child_labels.add(path[-1])
     return sorted(contexts.values(), key=lambda c: (-c.support, c.path))
-
-
-def homonym_labels(
-    documents: list[DocumentPaths], *, min_contexts: int = 2
-) -> dict[str, int]:
-    """Labels occurring under at least ``min_contexts`` distinct parents,
-    with their context counts -- the corpus's homonyms."""
-    statistics = PathAccumulator.from_documents(documents)
-    parents: dict[str, set[str]] = {}
-    for path in statistics.doc_frequency:
-        if len(path) >= 2:
-            parents.setdefault(path[-1], set()).add(path[-2])
-    return {
-        label: len(contexts)
-        for label, contexts in sorted(parents.items())
-        if len(contexts) >= min_contexts
-    }

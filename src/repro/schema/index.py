@@ -80,17 +80,6 @@ class PathIndex:
             if entry.element.get_val()
         ]
 
-    def occurrence_count(self, path: LabelPath) -> int:
-        """Total occurrences (node realizations) of ``path``."""
-        return len(self.entries.get(path, ()))
-
-    def paths_with_prefix(self, prefix: LabelPath) -> list[LabelPath]:
-        """All indexed paths extending ``prefix`` (the prefix included
-        when itself indexed), sorted."""
-        return sorted(
-            path for path in self.entries if path[: len(prefix)] == prefix
-        )
-
     def child_labels(self, parent_path: LabelPath) -> set[str]:
         """Labels observed directly below ``parent_path``."""
         depth = len(parent_path) + 1

@@ -82,10 +82,6 @@ class TestDiagnostics:
     def test_evaluate_empty(self, trained):
         assert trained.evaluate([]) == 0.0
 
-    def test_unknown_ratio(self, trained):
-        texts = ["Stanford University", "qqqq zzzz"]
-        assert trained.unknown_ratio(texts) == 0.5
-
     def test_incremental_training_changes_prediction(self):
         clf = MultinomialNaiveBayes().fit(TRAINING)
         assert clf.classify("nehanet corporation") is None

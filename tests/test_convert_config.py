@@ -16,7 +16,7 @@ class TestDefaults:
         config = ConversionConfig()
         for tag in ("h1", "h2", "h3", "h4", "h5", "h6", "div", "p", "tr",
                     "dt", "dd", "li", "title", "u", "strong", "b", "em", "i"):
-            assert tag in config.group_tags(), tag
+            assert tag in config.group_tag_weights, tag
 
     def test_paper_list_tags(self):
         """Section 4's list-tag annotation."""
@@ -54,7 +54,3 @@ class TestValidation:
         b = ConversionConfig()
         a.group_tag_weights["h1"] = 1
         assert b.group_tag_weights["h1"] == DEFAULT_GROUP_TAG_WEIGHTS["h1"]
-
-    def test_group_tags_tracks_weights(self):
-        config = ConversionConfig(group_tag_weights={"h2": 10})
-        assert config.group_tags() == frozenset({"h2"})

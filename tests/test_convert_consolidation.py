@@ -4,12 +4,10 @@ import pytest
 
 from repro.concepts.concept import Concept
 from repro.concepts.knowledge import KnowledgeBase
-from repro.convert.consolidation_rule import (
-    apply_consolidation_rule,
-    residual_markup_tags,
-)
+from repro.convert.consolidation_rule import apply_consolidation_rule
 from repro.convert.grouping_rule import GROUP_TAG
 from repro.dom.node import Element
+from repro.dom.treeops import iter_elements
 
 
 @pytest.fixture()
@@ -18,6 +16,17 @@ def kb():
     for name in ("education", "date", "institution", "degree"):
         kb.add(Concept(name))
     return kb
+
+
+def residual_markup_tags(root, kb):
+    """Tags below ``root`` that are neither concepts nor ``GROUP``:
+    after consolidation there must be none."""
+    concept_tags = {concept.tag for concept in kb}
+    return {
+        node.tag
+        for node in iter_elements(root)
+        if node is not root and node.tag not in concept_tags and node.tag != GROUP_TAG
+    }
 
 
 def concept(tag, *children):

@@ -1,7 +1,7 @@
 """Tests for the grouping rule (Section 2.3.2)."""
 
 from repro.convert.config import ConversionConfig
-from repro.convert.grouping_rule import GROUP_TAG, apply_grouping_rule, is_group
+from repro.convert.grouping_rule import GROUP_TAG, apply_grouping_rule
 from repro.dom.node import Element, Text
 
 
@@ -84,10 +84,3 @@ class TestWeights:
         config = ConversionConfig(min_group_leaders=1)
         root = build("h2", "ul")
         assert apply_grouping_rule(root, config) == 1
-
-
-class TestHelpers:
-    def test_is_group(self):
-        assert is_group(Element(GROUP_TAG))
-        assert not is_group(Element("div"))
-        assert not is_group(Text("x"))

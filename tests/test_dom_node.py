@@ -71,10 +71,11 @@ class TestTreeStructure:
 
     def test_siblings(self):
         root, a, b, c = make_tree()
-        assert a.next_sibling() is b
-        assert b.previous_sibling() is a
-        assert c.next_sibling() is None
-        assert a.previous_sibling() is None
+        siblings = a.parent.children
+        assert siblings[a.index_in_parent() + 1] is b
+        assert siblings[b.index_in_parent() - 1] is a
+        assert c.index_in_parent() == len(siblings) - 1
+        assert a.index_in_parent() == 0
 
     def test_ancestors(self):
         root, a, *_ = make_tree()

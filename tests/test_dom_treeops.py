@@ -5,8 +5,6 @@ from repro.dom.treeops import (
     clone,
     count_elements,
     deep_equal,
-    find_elements,
-    first_element,
     iter_elements,
     iter_postorder,
     iter_preorder,
@@ -103,18 +101,3 @@ class TestCloneAndEquality:
 
     def test_text_vs_element_not_equal(self):
         assert not deep_equal(Text("a"), Element("a"))
-
-
-class TestSearch:
-    def test_find_elements(self):
-        root, a, b, c, d, t = sample()
-        found = find_elements(root, lambda el: el.tag in ("c", "d"))
-        assert found == [c, d]
-
-    def test_first_element_returns_none_when_absent(self):
-        root, *_ = sample()
-        assert first_element(root, lambda el: el.tag == "zzz") is None
-
-    def test_first_element_preorder(self):
-        root, a, *_ = sample()
-        assert first_element(root, lambda el: True) is root

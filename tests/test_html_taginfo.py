@@ -1,10 +1,8 @@
 """Tests for the HTML tag catalog."""
 
 from repro.htmlparse.taginfo import (
-    heading_level,
     is_block,
     is_heading,
-    is_html_tag,
     is_inline,
     is_void,
     tags_closed_by,
@@ -25,15 +23,6 @@ class TestClassification:
     def test_heading_levels(self):
         assert is_heading("h1") and is_heading("h6")
         assert not is_heading("h7") and not is_heading("p")
-        assert heading_level("h3") == 3
-        assert heading_level("div") == 0
-
-    def test_is_html_tag_case_insensitive(self):
-        assert is_html_tag("DIV") and is_html_tag("div")
-
-    def test_concept_tags_are_not_html(self):
-        for tag in ("RESUME", "EDUCATION", "JOB-TITLE", "GROUP", "TOKEN"):
-            assert not is_html_tag(tag)
 
 
 class TestImpliedEndTags:

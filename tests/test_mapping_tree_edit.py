@@ -3,10 +3,7 @@
 import pytest
 
 from repro.dom.node import Element, Text
-from repro.mapping.tree_edit import (
-    tree_distance_normalized,
-    tree_edit_distance,
-)
+from repro.mapping.tree_edit import tree_edit_distance
 
 
 def tree(spec):
@@ -105,12 +102,6 @@ class TestOptions:
         a = tree(("r", [("a", [])]))
         b = tree(("r", [("x", [])]))
         assert tree_edit_distance(a, b, cost=cheap_relabel) == pytest.approx(0.1)
-
-    def test_normalized_in_unit_interval(self):
-        a = tree(("r", [("a", []), ("b", [])]))
-        b = tree(("x", [("y", [("z", [("w", [])])])]))
-        value = tree_distance_normalized(a, b)
-        assert 0 < value <= 1.0
 
     def test_text_root_is_single_node(self):
         # A bare Text root annotates as one "#text" node, so comparing it

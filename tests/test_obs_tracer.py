@@ -29,7 +29,7 @@ class TestSpanNesting:
         assert child.parent_id == parent.span_id
         assert grandchild.parent_id == child.span_id
         assert sibling.parent_id == parent.span_id
-        assert {span.span_id for span in tracer.children_of(parent.span_id)} == {
+        assert {span.span_id for span in tracer.spans if span.parent_id == parent.span_id} == {
             child.span_id,
             sibling.span_id,
         }

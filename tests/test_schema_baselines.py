@@ -1,4 +1,4 @@
-"""Tests for the DataGuide / lower-bound baselines and unification."""
+"""Tests for the DataGuide / lower-bound baselines."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.schema.frequent import mine_frequent_paths
 from repro.schema.lowerbound import build_lower_bound_schema
 from repro.schema.majority import MajoritySchema
 from repro.schema.paths import extract_paths
-from repro.schema.unify import jaccard, unify_same_label, unify_similar_siblings
 
 
 def tree(spec):
@@ -77,50 +76,3 @@ class TestLowerBound:
             ).paths()
             assert lower <= majority <= guide
 
-
-class TestUnify:
-    def test_jaccard(self):
-        assert jaccard({"a", "b"}, {"a", "b"}) == 1.0
-        assert jaccard({"a"}, {"b"}) == 0.0
-        assert jaccard(set(), set()) == 1.0
-        assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-
-    def test_same_label_unification(self):
-        docs = corpus(
-            ("r", [("s", [("d", [("x", [])])]), ("t", [("d", [("y", [])])])]),
-            ("r", [("s", [("d", [("x", [])])]), ("t", [("d", [("y", [])])])]),
-        )
-        schema = MajoritySchema.from_frequent_paths(
-            mine_frequent_paths(docs, sup_threshold=0.5)
-        )
-        merged = unify_same_label(schema)
-        assert merged == 1
-        d_under_s = schema.root.children["s"].children["d"]
-        d_under_t = schema.root.children["t"].children["d"]
-        assert set(d_under_s.children) == {"x", "y"}
-        assert set(d_under_t.children) == {"x", "y"}
-
-    def test_similar_siblings_unified(self):
-        docs = corpus(
-            ("r", [("s", [("a", []), ("b", []), ("c", [])]),
-                   ("t", [("a", []), ("b", []), ("d", [])])]),
-            ("r", [("s", [("a", []), ("b", []), ("c", [])]),
-                   ("t", [("a", []), ("b", []), ("d", [])])]),
-        )
-        schema = MajoritySchema.from_frequent_paths(
-            mine_frequent_paths(docs, sup_threshold=0.5)
-        )
-        count = unify_similar_siblings(schema, threshold=0.5)
-        assert count == 1
-        assert set(schema.root.children["s"].children) == {"a", "b", "c", "d"}
-        assert set(schema.root.children["t"].children) == {"a", "b", "c", "d"}
-
-    def test_dissimilar_siblings_untouched(self):
-        docs = corpus(
-            ("r", [("s", [("a", [])]), ("t", [("z", [])])]),
-            ("r", [("s", [("a", [])]), ("t", [("z", [])])]),
-        )
-        schema = MajoritySchema.from_frequent_paths(
-            mine_frequent_paths(docs, sup_threshold=0.5)
-        )
-        assert unify_similar_siblings(schema, threshold=0.5) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dom.node import Element
-from repro.schema.homonyms import homonym_contexts, homonym_labels
+from repro.schema.homonyms import homonym_contexts
 from repro.schema.paths import extract_paths
 
 
@@ -72,15 +72,6 @@ class TestContexts:
     def test_absent_label(self, docs):
         assert homonym_contexts(docs, "ghost") == []
 
-
-class TestHomonymLabels:
-    def test_multi_context_labels_reported(self, docs):
-        labels = homonym_labels(docs)
-        assert labels == {"date": 2}
-
-    def test_min_contexts_threshold(self, docs):
-        assert homonym_labels(docs, min_contexts=3) == {}
-
     def test_on_real_corpus(self, kb, converter):
         """DATE is a homonym in converted resumes: it occurs under
         education entries, courses, and experience entries."""
@@ -90,9 +81,6 @@ class TestHomonymLabels:
         documents = [
             extract_paths(converter.convert(d.html).root) for d in corpus
         ]
-        labels = homonym_labels(documents)
-        assert "DATE" in labels
-        assert labels["DATE"] >= 2
         contexts = homonym_contexts(documents, "DATE", min_support=0.2)
         parents = {c.parent_label for c in contexts}
         assert "EDUCATION" in parents or "JOB-TITLE" in parents

@@ -33,9 +33,9 @@ class TestConstruction:
         assert index.document_count == 2
 
     def test_occurrences(self, index):
-        assert index.occurrence_count(("r",)) == 2
-        assert index.occurrence_count(("r", "edu", "d")) == 3
-        assert index.occurrence_count(("r", "nope")) == 0
+        assert len(index.elements(("r",))) == 2
+        assert len(index.elements(("r", "edu", "d"))) == 3
+        assert len(index.elements(("r", "nope"))) == 0
 
     def test_elements_are_live_pointers(self, index):
         elements = index.elements(("r", "edu"))
@@ -45,7 +45,7 @@ class TestConstruction:
     def test_incremental_add(self, index):
         index.add_document(2, tree(("r", [("edu", [])])))
         assert index.document_count == 3
-        assert index.occurrence_count(("r", "edu")) == 3
+        assert len(index.elements(("r", "edu"))) == 3
 
 
 class TestStatistics:
@@ -80,10 +80,6 @@ class TestStatistics:
 
 
 class TestNavigation:
-    def test_paths_with_prefix(self, index):
-        paths = index.paths_with_prefix(("r", "edu"))
-        assert paths == [("r", "edu"), ("r", "edu", "d")]
-
     def test_child_labels(self, index):
         assert index.child_labels(("r",)) == {"edu", "exp"}
         assert index.child_labels(("r", "edu")) == {"d"}
