@@ -1109,9 +1109,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--state-dir", default="service-state", metavar="DIR",
-                       help="per-topic schema/repository state root")
+                       help="schema/repository state root (the topic's state "
+                            "goes under DIR/<topic>/)")
     serve.add_argument("--max-workers", type=_count, default=0,
-                       help="engine worker processes per topic "
+                       help="engine worker processes "
                             "(0 = min(4, CPUs); 1 = inline)")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="documents per micro-batched engine chunk")

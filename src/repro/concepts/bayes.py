@@ -11,8 +11,7 @@ Implemented from scratch: Laplace-smoothed multinomial model over the
 word features of :mod:`repro.concepts.textutil`, with an explicit
 ``unknown`` outcome -- the paper relies on tokens "classified as
 'unknown'" as user feedback (Section 2.3.1), so the classifier abstains
-when the winning log-odds margin is below ``margin_threshold`` or when no
-training word is present in the token at all.
+when no training word is present in the token at all.
 """
 
 from __future__ import annotations
@@ -24,17 +23,20 @@ from typing import Iterable, Optional, Sequence
 
 from repro.concepts.textutil import normalized_words
 
+# Laplace smoothing: one pseudo-count per word and class.
+ALPHA = 1.0
+
 
 @dataclass(frozen=True)
 class _FoldedTables:
     """Train-time-folded inference tables.
 
-    ``key`` fingerprints the training state (version counter + alpha)
-    the tables were derived from, so mutation after folding triggers a
-    rebuild instead of serving stale probabilities.
+    ``key`` is the training state's version counter when the tables
+    were derived, so mutation after folding triggers a rebuild instead
+    of serving stale probabilities.
     """
 
-    key: tuple[int, float]
+    key: int
     priors: dict[str, float]
     word_logprob: dict[str, dict[str, float]]
     unknown_logprob: dict[str, float]
@@ -43,18 +45,14 @@ class _FoldedTables:
 class MultinomialNaiveBayes:
     """Laplace-smoothed multinomial naive Bayes over token words."""
 
-    def __init__(self, *, alpha: float = 1.0, margin_threshold: float = 0.0) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
-        self.margin_threshold = margin_threshold
+    def __init__(self) -> None:
         self._word_counts: dict[str, Counter[str]] = defaultdict(Counter)
         self._class_word_totals: Counter[str] = Counter()
         self._class_doc_counts: Counter[str] = Counter()
         self._vocabulary: set[str] = set()
         self._total_docs = 0
         # Folded inference tables (see _folded); rebuilt lazily whenever
-        # training data or alpha changes.  version lets caching wrappers
+        # training data changes.  version lets caching wrappers
         # (repro.concepts.fastmatch.CachedBayes) invalidate memoized
         # predictions after online training.
         self.version = 0
@@ -114,7 +112,7 @@ class MultinomialNaiveBayes:
         summed in the same word order.
         """
         tables = self._tables
-        if tables is None or tables.key != (self.version, self.alpha):
+        if tables is None or tables.key != self.version:
             vocab = len(self._vocabulary) or 1
             priors: dict[str, float] = {}
             word_logprob: dict[str, dict[str, float]] = {}
@@ -123,15 +121,15 @@ class MultinomialNaiveBayes:
                 priors[label] = math.log(
                     self._class_doc_counts[label] / self._total_docs
                 )
-                denom = self._class_word_totals[label] + self.alpha * vocab
+                denom = self._class_word_totals[label] + ALPHA * vocab
                 counts = self._word_counts.get(label, {})
                 word_logprob[label] = {
-                    word: math.log((count + self.alpha) / denom)
+                    word: math.log((count + ALPHA) / denom)
                     for word, count in counts.items()
                 }
-                unknown_logprob[label] = math.log(self.alpha / denom)
+                unknown_logprob[label] = math.log(ALPHA / denom)
             tables = self._tables = _FoldedTables(
-                (self.version, self.alpha), priors, word_logprob, unknown_logprob
+                self.version, priors, word_logprob, unknown_logprob
             )
         return tables
 
@@ -154,8 +152,7 @@ class MultinomialNaiveBayes:
         """Best label and its winning margin (nats) for ``text``.
 
         Returns ``(None, 0.0)`` when the classifier abstains: the token
-        shares no word with the training data, or the margin between the
-        best and second-best class is below ``margin_threshold``.
+        shares no word with the training data.
         """
         words = normalized_words(text)
         if not words or not any(word in self._vocabulary for word in words):
@@ -164,8 +161,6 @@ class MultinomialNaiveBayes:
         ranked = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
         best_label, best_score = ranked[0]
         margin = best_score - ranked[1][1] if len(ranked) > 1 else math.inf
-        if margin < self.margin_threshold:
-            return None, margin
         return best_label, margin
 
     def classify(self, text: str) -> Optional[str]:

@@ -31,7 +31,8 @@ STOPWORDS = frozenset(
 )
 
 DEFAULT_MIN_COUNT = 3
-DEFAULT_MIN_PURITY = 0.8
+MIN_PURITY = 0.8
+MAX_PER_CONCEPT = 10
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,13 @@ def propose_instances(
     *,
     kb: KnowledgeBase | None = None,
     min_count: int = DEFAULT_MIN_COUNT,
-    min_purity: float = DEFAULT_MIN_PURITY,
-    max_per_concept: int = 10,
 ) -> list[InstanceProposal]:
     """Mine keyword proposals from labeled ``(token text, concept tag)``.
 
     A feature (word or bigram) is proposed for the concept under which
     it occurs most, provided it occurs at least ``min_count`` times and
-    at least ``min_purity`` of its occurrences are under that concept.
+    at least ``MIN_PURITY`` of its occurrences are under that concept;
+    each concept gets at most ``MAX_PER_CONCEPT`` proposals.
     When ``kb`` is given, features an existing instance already matches
     are filtered out (the proposal set is the *new* knowledge), and
     bigram proposals subsume their component words.
@@ -84,7 +84,7 @@ def propose_instances(
     for feature, counts in per_feature.items():
         label, top = counts.most_common(1)[0]
         total = sum(counts.values())
-        if top < min_count or top / total < min_purity:
+        if top < min_count or top / total < MIN_PURITY:
             continue
         if len(feature) < 3 or feature.isdigit():
             continue
@@ -111,7 +111,7 @@ def propose_instances(
     limited: list[InstanceProposal] = []
     taken: Counter[str] = Counter()
     for proposal in filtered:
-        if taken[proposal.concept_tag] < max_per_concept:
+        if taken[proposal.concept_tag] < MAX_PER_CONCEPT:
             limited.append(proposal)
             taken[proposal.concept_tag] += 1
     return limited

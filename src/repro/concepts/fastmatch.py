@@ -349,16 +349,9 @@ class CachedBayes:
     checked on every lookup so online training invalidates the cache.
     """
 
-    def __init__(
-        self,
-        bayes: MultinomialNaiveBayes,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, bayes: MultinomialNaiveBayes) -> None:
         self.bayes = bayes
-        self.cache: LRUCache | None = (
-            LRUCache(cache_size) if cache_size > 0 else None
-        )
+        self.cache = LRUCache(DEFAULT_CACHE_SIZE)
         self._seen_version = bayes.version
 
     def is_trained(self) -> bool:
@@ -366,8 +359,6 @@ class CachedBayes:
 
     def predict(self, text: str) -> tuple[Optional[str], float]:
         cache = self.cache
-        if cache is None:
-            return self.bayes.predict(text)
         if self.bayes.version != self._seen_version:
             cache.clear()
             self._seen_version = self.bayes.version

@@ -152,9 +152,9 @@ class KnowledgeBase:
         )
         return cls(data.get("topic", "unknown"), concepts, constraints)
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "KnowledgeBase":

@@ -1,22 +1,28 @@
 """Configuration of the conversion rules.
 
-Defaults reproduce the annotation of tags from Section 4:
+The rules follow the annotation of tags from Section 4:
 
 * punctuation used in tokenization: ``;``, ``,``, ``:``
 * group tags: headings, ``div``, ``p``, ``tr``, ``dt``, ``dd``, ``li``,
   ``title``, ``u``, ``strong``, ``b``, ``em``, ``i`` (weighted)
 * list tags: ``body``, ``table``, ``dl``, ``ul``, ``ol``, ``dir``, ``menu``
 
-Only the rules' behaviour is configurable.  Parsing, cleansing and
-synonym matching each have one implementation; the legacy forms they
-replaced are test oracles under ``tests/oracles/``, not options.
+The list tags and the rules' other fixed parameters are constants of
+the rule modules: multi-instance tokens split, sibling constraints veto
+a split, connector words merge matches into one named entity, and a
+group needs two leaders of one tag.  What callers set here is the
+tokenization punctuation, the group tag weights, whether to tidy, the
+instance-identification channel and the fault-injection markers.
+Parsing, cleansing and synonym matching each have one implementation;
+the legacy forms they replaced are test oracles under
+``tests/oracles/``, not options.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.htmlparse.taginfo import DEFAULT_GROUP_TAG_WEIGHTS, DEFAULT_LIST_TAGS
+from repro.htmlparse.taginfo import DEFAULT_GROUP_TAG_WEIGHTS
 
 DEFAULT_DELIMITERS = (";", ",", ":")
 
@@ -35,27 +41,8 @@ class ConversionConfig:
     group_tag_weights: dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_GROUP_TAG_WEIGHTS)
     )
-    list_tags: frozenset[str] = DEFAULT_LIST_TAGS
     apply_tidy: bool = True
     tagger: str = "synonym"
-    # Minimum number of equal-tag sibling leaders required before the
-    # grouping rule fires for that tag (2 = repeated markup only).
-    min_group_leaders: int = 2
-    # Minimum characters for a token to be worth classifying; shorter
-    # fragments (stray bullets, lone punctuation survivors) pass straight
-    # to the parent's ``val``.
-    min_token_length: int = 1
-    # Split tokens in which the synonym matcher finds several instances
-    # (Section 2.3.1, case 1, second paragraph).
-    split_multi_instance_tokens: bool = True
-    # Consult sibling constraints when decomposing multi-instance tokens.
-    use_sibling_constraints: bool = True
-    # Connector words: consecutive instance matches separated only by
-    # these words belong to one named entity ("University OF California
-    # AT Davis") and are merged instead of split.
-    merge_connectors: frozenset[str] = frozenset(
-        {"of", "at", "the", "in", "for", "and", "&", "de", "la", "del", "von"}
-    )
     # Chaos-testing hooks (fault-injection suite + chaos-smoke CI job).
     # When a source document contains ``chaos_fail_marker`` the pipeline
     # raises InjectedFaultError (stage "inject"); when it contains

@@ -26,8 +26,8 @@ postorder the node-at-a-time rule made them in.
 from __future__ import annotations
 
 from repro.concepts.knowledge import KnowledgeBase
-from repro.convert.config import ConversionConfig
 from repro.dom.node import Element, Node
+from repro.htmlparse.taginfo import DEFAULT_LIST_TAGS
 
 
 def is_concept_node(node: Node, concept_tags: frozenset[str] | set[str]) -> bool:
@@ -35,17 +35,12 @@ def is_concept_node(node: Node, concept_tags: frozenset[str] | set[str]) -> bool
     return isinstance(node, Element) and node.tag in concept_tags
 
 
-def apply_consolidation_rule(
-    root: Element,
-    kb: KnowledgeBase,
-    config: ConversionConfig | None = None,
-) -> int:
+def apply_consolidation_rule(root: Element, kb: KnowledgeBase) -> int:
     """Consolidate the tree under ``root`` (the root itself is kept).
 
     Returns the number of nodes eliminated.  After this rule, every
     element strictly below ``root`` carries a concept name.
     """
-    config = config or ConversionConfig()
     concept_tags = {concept.tag for concept in kb}
     # Every parent comes before its children here, so the reversed walk
     # rebuilds a list only once the lists below it are final.
@@ -61,15 +56,11 @@ def apply_consolidation_rule(
         )
     eliminated = 0
     for parent in reversed(parents):
-        eliminated += _consolidate_children(parent, concept_tags, config)
+        eliminated += _consolidate_children(parent, concept_tags)
     return eliminated
 
 
-def _consolidate_children(
-    parent: Element,
-    concept_tags: set[str],
-    config: ConversionConfig,
-) -> int:
+def _consolidate_children(parent: Element, concept_tags: set[str]) -> int:
     """Eliminate ``parent``'s non-concept element children, left to
     right, rebuilding its child list once.  Returns how many went."""
     children = parent.children
@@ -82,7 +73,7 @@ def _consolidate_children(
             continue
         if rebuilt is None:
             rebuilt = children[:index]
-        replacement = _eliminate(node, parent, concept_tags, config)
+        replacement = _eliminate(node, parent, concept_tags)
         for kept in replacement:
             kept.parent = parent
         rebuilt.extend(replacement)
@@ -92,9 +83,9 @@ def _consolidate_children(
     return eliminated
 
 
-def _children_push_up(node: Element, config: ConversionConfig) -> bool:
+def _children_push_up(node: Element) -> bool:
     """Whether ``node``'s children stay siblings when ``node`` goes away."""
-    if node.tag.lower() in config.list_tags:
+    if node.tag.lower() in DEFAULT_LIST_TAGS:
         return True
     # At least two children, all of them elements with one tag.
     children = node.children
@@ -106,12 +97,7 @@ def _children_push_up(node: Element, config: ConversionConfig) -> bool:
     )
 
 
-def _eliminate(
-    node: Element,
-    parent: Element,
-    concept_tags: set[str],
-    config: ConversionConfig,
-) -> list[Node]:
+def _eliminate(node: Element, parent: Element, concept_tags: set[str]) -> list[Node]:
     """Detach ``node`` and return what takes its place in ``parent``."""
     node.parent = None
     children = node.children
@@ -121,7 +107,7 @@ def _eliminate(
         parent.append_val(node.get_val())
         return []
 
-    push_up = _children_push_up(node, config)
+    push_up = _children_push_up(node)
     node.children = []
     if push_up:
         parent.append_val(node.get_val())

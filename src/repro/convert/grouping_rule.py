@@ -24,6 +24,9 @@ from repro.convert.config import ConversionConfig
 from repro.dom.node import Element, Node
 
 GROUP_TAG = "GROUP"
+# Equal-tag sibling leaders needed before the rule groups on that tag:
+# repeated markup only.
+MIN_GROUP_LEADERS = 2
 
 
 def apply_grouping_rule(root: Element, config: ConversionConfig | None = None) -> int:
@@ -62,7 +65,7 @@ def _leader_tag(children: list[Node], config: ConversionConfig) -> str | None:
         if isinstance(child, Element) and child.tag in weights:
             counts[child.tag] = counts.get(child.tag, 0) + 1
     candidates = [
-        tag for tag, count in counts.items() if count >= config.min_group_leaders
+        tag for tag, count in counts.items() if count >= MIN_GROUP_LEADERS
     ]
     if not candidates:
         return None

@@ -56,6 +56,13 @@ from repro.obs.provenance import ProvenanceLog, node_label_path
 # provenance JSON stays strictly valid (json.dumps(inf) is not JSON).
 _MAX_CONFIDENCE = 1e6
 
+# Connector words: consecutive instance matches separated only by these
+# words belong to one named entity ("University OF California AT Davis")
+# and are merged instead of split.
+CONNECTORS = frozenset(
+    {"of", "at", "the", "in", "for", "and", "&", "de", "la", "del", "von"}
+)
+
 
 @dataclass
 class InstanceRuleStats:
@@ -222,7 +229,7 @@ def _resolve_token(
     ``node_path`` is the token's label path in the tree as rewritten so
     far."""
     text = token_text(token)
-    if len(text) < config.min_token_length:
+    if not text:
         parent.append_val(text)
         if provenance is not None:
             provenance.concept_event(
@@ -256,12 +263,8 @@ def _resolve_token(
             provenance.concept_event(doc_id, node_path, "unlabeled", text=text)
         return []
 
-    if len(matches) == 1 or not config.split_multi_instance_tokens:
-        best = (
-            matches[0]
-            if len(matches) == 1
-            else max(matches, key=lambda m: (m.specificity, -m.start))
-        )
+    if len(matches) == 1:
+        best = matches[0]
         _emit_single(token, best.concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
@@ -276,7 +279,7 @@ def _resolve_token(
         return None
 
     return _emit_split(
-        token, parent, matches, text, kb, config, stats, doc_id, node_path, provenance
+        token, parent, matches, text, kb, stats, doc_id, node_path, provenance
     )
 
 
@@ -293,9 +296,7 @@ def _emit_single(
     stats._count(tag)
 
 
-def _merge_connected(
-    matches: list[InstanceMatch], text: str, config: ConversionConfig
-) -> list[InstanceMatch]:
+def _merge_connected(matches: list[InstanceMatch], text: str) -> list[InstanceMatch]:
     """Merge consecutive matches joined only by connector words.
 
     "University of California at Davis" yields instance matches for
@@ -303,14 +304,14 @@ def _merge_connected(
     the gaps are pure connectors, so the whole phrase is one named entity
     and is claimed by the leftmost match's concept.
     """
-    if not config.merge_connectors or len(matches) < 2:
+    if len(matches) < 2:
         return matches
     merged = [matches[0]]
     for match in matches[1:]:
         gap = text[merged[-1].end : match.start]
         gap_words = gap.replace(",", " ").split()
         if gap_words and all(
-            word.lower() in config.merge_connectors for word in gap_words
+            word.lower() in CONNECTORS for word in gap_words
         ):
             previous = merged[-1]
             merged[-1] = InstanceMatch(
@@ -330,7 +331,6 @@ def _emit_split(
     matches: list[InstanceMatch],
     text: str,
     kb: KnowledgeBase,
-    config: ConversionConfig,
     stats: InstanceRuleStats,
     doc_id: str | None = None,
     node_path: str = "",
@@ -345,12 +345,11 @@ def _emit_split(
     "concept constraints describing typical sibling relationships can be
     employed in order to determine a proper decomposition" refinement.
     """
-    matches = _merge_connected(matches, text, config)
+    matches = _merge_connected(matches, text)
     kept: list[InstanceMatch] = []
     for match in matches:
         if (
-            config.use_sibling_constraints
-            and kept
+            kept
             and not kb.constraints.allows_sibling_pair(
                 kept[-1].concept_tag, match.concept_tag
             )

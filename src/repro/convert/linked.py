@@ -32,6 +32,8 @@ from repro.htmlparse.parser import parse_html
 
 # A fetch function: URL -> HTML source, or None for a dead link.
 FetchFn = Callable[[str], Optional[str]]
+# Linked pages followed per document, at most.
+MAX_LINKS = 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class TopicLink:
     """An anchor pointing at a section page."""
 
     href: str
-    anchor_text: str
     concept_tag: str
 
 
@@ -81,7 +82,7 @@ def extract_topic_links(html: str, matcher: SynonymMatcher, kb) -> list[TopicLin
             continue
         if href not in seen:
             seen.add(href)
-            links.append(TopicLink(href, text.strip(), best.concept_tag))
+            links.append(TopicLink(href, best.concept_tag))
     return links
 
 
@@ -91,7 +92,6 @@ class LinkedDocumentConverter:
 
     converter: DocumentConverter
     fetch: FetchFn
-    max_links: int = 8
 
     def __post_init__(self) -> None:
         self._matcher = SynonymMatcher(self.converter.kb)
@@ -100,7 +100,7 @@ class LinkedDocumentConverter:
         """Convert ``html`` plus the topic-linked pages it references."""
         links = extract_topic_links(html, self._matcher, self.converter.kb)
         outcome = LinkedConversionResult(self.converter.convert(html))
-        for link in links[: self.max_links]:
+        for link in links[:MAX_LINKS]:
             sub_html = self.fetch(link.href)
             if sub_html is None:
                 continue

@@ -27,7 +27,7 @@ from repro.convert.instance_rule import InstanceRuleStats, apply_instance_rule
 from repro.convert.tokenize_rule import apply_tokenization_rule
 from repro.dom.node import Element
 from repro.dom.serialize import to_xml_document
-from repro.dom.treeops import clone_counted, count_elements, tree_size
+from repro.dom.treeops import clone_counted, count_elements
 from repro.htmlparse.parser import body_of, parse_html_counted
 from repro.htmlparse.tidy import tidy
 from repro.obs.provenance import ProvenanceLog
@@ -97,7 +97,7 @@ class DocumentConverter:
         if self._matcher.cache is not None:
             counters["synonym"] = self._matcher.cache.counters()
         bayes = self._tagger_bayes
-        if bayes is not None and bayes.cache is not None:
+        if bayes is not None:
             counters["bayes"] = bayes.cache.counters()
         return counters
 
@@ -114,7 +114,6 @@ class DocumentConverter:
         self,
         html: str | Element,
         *,
-        copy: bool = True,
         doc_id: str | None = None,
         tracer: Tracer | NullTracer | None = None,
         provenance: ProvenanceLog | None = None,
@@ -122,12 +121,9 @@ class DocumentConverter:
         """Convert one HTML document (source text or pre-parsed tree).
 
         Conversion restructures its working tree in place, so a
-        pre-parsed ``Element`` input is defensively cloned by default --
-        converting the same tree twice yields identical results.  Pass
-        ``copy=False`` to consume a throwaway tree without the cloning
-        cost (the historical behavior); the input is then mutated and
-        must not be reused.  String inputs are parsed fresh and never
-        need the guard.
+        pre-parsed ``Element`` input is cloned first -- converting the
+        same tree twice yields identical results.  String inputs are
+        parsed fresh and need no clone.
 
         ``doc_id``/``tracer``/``provenance`` are the observability hooks:
         each stage's ``rule_seconds`` entry is also its span's duration
@@ -147,10 +143,8 @@ class DocumentConverter:
             with tracer.stage("parse", timings):
                 if isinstance(html, str):
                     document, input_nodes = parse_html_counted(html)
-                elif copy:
-                    document, input_nodes = clone_counted(html)
                 else:
-                    document, input_nodes = html, tree_size(html)
+                    document, input_nodes = clone_counted(html)
             if self.config.apply_tidy:
                 with tracer.stage("tidy", timings):
                     tidy(document)
@@ -177,9 +171,7 @@ class DocumentConverter:
                 groups = apply_grouping_rule(work_root, self.config)
                 span.set(groups=groups)
             with tracer.stage("consolidate", timings) as span:
-                eliminated = apply_consolidation_rule(
-                    work_root, self.kb, self.config
-                )
+                eliminated = apply_consolidation_rule(work_root, self.kb)
                 span.set(eliminated=eliminated)
             with tracer.stage("root", timings):
                 root = self._rootify(work_root)

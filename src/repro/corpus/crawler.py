@@ -24,6 +24,8 @@ DEFAULT_TOPIC_KEYWORDS = (
     "resume", "curriculum vitae", "objective", "education", "experience",
     "skills", "references",
 )
+# Distinct topic keywords a page needs to be collected as a resume.
+RELEVANCE_THRESHOLD = 3
 
 
 @dataclass
@@ -56,12 +58,10 @@ class TopicCrawler:
         web: SimulatedWeb,
         *,
         keywords: tuple[str, ...] = DEFAULT_TOPIC_KEYWORDS,
-        relevance_threshold: int = 3,
         max_pages: int | None = None,
     ) -> None:
         self.web = web
         self.keywords = keywords
-        self.relevance_threshold = relevance_threshold
         self.max_pages = max_pages
         self._patterns = [
             re.compile(rf"(?<![a-z]){re.escape(keyword)}(?![a-z])", re.IGNORECASE)
@@ -69,9 +69,7 @@ class TopicCrawler:
         ]
 
     @classmethod
-    def from_knowledge_base(
-        cls, web: SimulatedWeb, kb: KnowledgeBase, **kwargs
-    ) -> "TopicCrawler":
+    def from_knowledge_base(cls, web: SimulatedWeb, kb: KnowledgeBase) -> "TopicCrawler":
         """Build the scorer from a knowledge base's title concepts.
 
         Reuses concept names as crawl keywords -- the paper's observation
@@ -82,7 +80,7 @@ class TopicCrawler:
         keywords = tuple(
             concept.name for concept in kb.by_role(ConceptRole.TITLE)
         )
-        return cls(web, keywords=keywords, **kwargs)
+        return cls(web, keywords=keywords)
 
     def score(self, html: str) -> int:
         """Topic relevance: number of distinct topic keywords present."""
@@ -91,7 +89,7 @@ class TopicCrawler:
     def crawl(self, seeds: list[str] | None = None) -> CrawlReport:
         """Best-first crawl from ``seeds`` (the web's defaults if None).
 
-        Pages scoring at least ``relevance_threshold`` are collected as
+        Pages scoring at least ``RELEVANCE_THRESHOLD`` are collected as
         resumes; frontier expansion prefers links found on high-scoring
         pages (standard focused-crawling heuristic).
         """
@@ -117,7 +115,7 @@ class TopicCrawler:
                 continue
             report.visited += 1
             score = self.score(page.html)
-            if score >= self.relevance_threshold:
+            if score >= RELEVANCE_THRESHOLD:
                 report.collected_urls.append(url)
                 if page.resume is not None:
                     report.collected.append(page.resume)

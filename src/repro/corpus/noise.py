@@ -16,19 +16,11 @@ from dataclasses import dataclass
 
 @dataclass
 class NoiseConfig:
-    """Per-malformation probabilities (each evaluated independently).
-
-    ``rate`` scales all of them at once; ``NoiseConfig(rate=0)`` is a
-    no-op.
+    """The noise level: ``rate`` scales every malformation's probability
+    (each evaluated independently); ``NoiseConfig(rate=0)`` is a no-op.
     """
 
     rate: float = 0.3
-    drop_close_tags: bool = True
-    drop_heading_close_tags: bool = True
-    uppercase_tags: bool = True
-    unquote_attributes: bool = True
-    stray_font_tags: bool = True
-    double_open_bold: bool = True
 
     def scaled(self, p: float) -> float:
         return min(1.0, p * self.rate)
@@ -53,42 +45,37 @@ def inject_noise(
     if config.rate <= 0:
         return html
 
-    if config.drop_close_tags:
-        html = _CLOSE_TAG_RE.sub(
-            lambda m: "" if rng.random() < config.scaled(0.5) else m.group(0),
-            html,
-        )
-    if config.drop_heading_close_tags:
-        # A dropped </h2> makes the heading swallow the section body --
-        # the malformation HTML Tidy's heading repair exists for.
-        html = _HEADING_CLOSE_RE.sub(
-            lambda m: "" if rng.random() < config.scaled(0.35) else m.group(0),
-            html,
-        )
-    if config.uppercase_tags:
-        html = _OPEN_TAG_RE.sub(
-            lambda m: (
-                f"<{m.group(1).upper()}{m.group(2)}>"
-                if rng.random() < config.scaled(0.4)
-                else m.group(0)
-            ),
-            html,
-        )
-    if config.unquote_attributes:
-        html = _QUOTED_ATTR_RE.sub(
-            lambda m: (
-                f"{m.group(1)}{m.group(2)}"
-                if rng.random() < config.scaled(0.6)
-                else m.group(0)
-            ),
-            html,
-        )
-    if config.stray_font_tags:
-        lines = html.split("\n")
-        for index in range(len(lines)):
-            if rng.random() < config.scaled(0.1):
-                lines[index] = "<font>" + lines[index]
-        html = "\n".join(lines)
-    if config.double_open_bold and rng.random() < config.scaled(0.5):
+    html = _CLOSE_TAG_RE.sub(
+        lambda m: "" if rng.random() < config.scaled(0.5) else m.group(0),
+        html,
+    )
+    # A dropped </h2> makes the heading swallow the section body -- the
+    # malformation HTML Tidy's heading repair exists for.
+    html = _HEADING_CLOSE_RE.sub(
+        lambda m: "" if rng.random() < config.scaled(0.35) else m.group(0),
+        html,
+    )
+    html = _OPEN_TAG_RE.sub(
+        lambda m: (
+            f"<{m.group(1).upper()}{m.group(2)}>"
+            if rng.random() < config.scaled(0.4)
+            else m.group(0)
+        ),
+        html,
+    )
+    html = _QUOTED_ATTR_RE.sub(
+        lambda m: (
+            f"{m.group(1)}{m.group(2)}"
+            if rng.random() < config.scaled(0.6)
+            else m.group(0)
+        ),
+        html,
+    )
+    lines = html.split("\n")
+    for index in range(len(lines)):
+        if rng.random() < config.scaled(0.1):
+            lines[index] = "<font>" + lines[index]
+    html = "\n".join(lines)
+    if rng.random() < config.scaled(0.5):
         html = html.replace("<b>", "<b><b>", 1)
     return html

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from repro.corpus import vocab
 from repro.corpus.generator import GeneratedResume, ResumeCorpusGenerator
 
+# Chance that a resume page's link goes to another resume page
+# (personal-page clustering).
+CLUSTER_BIAS = 0.7
+
 
 @dataclass
 class WebPage:
@@ -48,8 +52,6 @@ class SimulatedWeb:
         resume_count: int = 50,
         noise_count: int = 150,
         seed: int = 7,
-        generator: ResumeCorpusGenerator | None = None,
-        cluster_bias: float = 0.7,
         multipage_fraction: float = 0.0,
     ) -> None:
         if resume_count < 1:
@@ -57,7 +59,7 @@ class SimulatedWeb:
         if not 0.0 <= multipage_fraction <= 1.0:
             raise ValueError("multipage_fraction must be in [0, 1]")
         rng = random.Random(seed)
-        generator = generator or ResumeCorpusGenerator(seed=seed)
+        generator = ResumeCorpusGenerator(seed=seed)
         self.pages: dict[str, WebPage] = {}
 
         resume_urls = [f"http://people.example.org/~user{i}/resume.html"
@@ -85,7 +87,7 @@ class SimulatedWeb:
             attempts = 0
             while len(targets) < out_degree and attempts < 50 * out_degree:
                 attempts += 1
-                if page.is_resume and rng.random() < cluster_bias:
+                if page.is_resume and rng.random() < CLUSTER_BIAS:
                     target = rng.choice(resume_urls)
                 else:
                     target = rng.choice(all_urls)

@@ -15,6 +15,8 @@ import re
 
 from repro.dom.node import Element, Node, Text
 
+# Spaces of indentation per tree level in to_xml's output.
+INDENT = 2
 _XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 _ATTR_ESCAPES = {
     **_XML_ESCAPES,
@@ -59,28 +61,27 @@ def _attrs_string(element: Element) -> str:
     )
 
 
-def to_xml(node: Node, *, indent: int = 2, _level: int = 0) -> str:
+def to_xml(node: Node) -> str:
     """Render a tree as pretty-printed XML.
 
     Leaf elements render as self-closing tags, matching the element
     patterns shown in the paper (``<INSTITUTION val="..."/>``).  Each
-    node is one line, indented ``indent`` spaces per level below
-    ``_level``.
+    node is one line, indented ``INDENT`` spaces per level below the
+    root.
     """
-    pad = " " * (indent * _level)
     if isinstance(node, Text):
-        return pad + escape_text(node.text)
+        return escape_text(node.text)
     assert isinstance(node, Element)
     if not node.children:
-        return f"{pad}<{node.tag}{_attrs_string(node)}/>"
-    lines = [f"{pad}<{node.tag}{_attrs_string(node)}>"]
+        return f"<{node.tag}{_attrs_string(node)}/>"
+    lines = [f"<{node.tag}{_attrs_string(node)}>"]
     append = lines.append
     # One frame per open element: its remaining children, their level
     # and its closing tag.
-    stack = [(iter(node.children), _level + 1, f"{pad}</{node.tag}>")]
+    stack = [(iter(node.children), 1, f"</{node.tag}>")]
     while stack:
         children, level, closing = stack[-1]
-        pad = " " * (indent * level)
+        pad = " " * (INDENT * level)
         for child in children:
             if isinstance(child, Text):
                 append(pad + escape_text(child.text))
@@ -98,9 +99,9 @@ def to_xml(node: Node, *, indent: int = 2, _level: int = 0) -> str:
     return "\n".join(lines)
 
 
-def to_xml_document(root: Element, *, indent: int = 2) -> str:
+def to_xml_document(root: Element) -> str:
     """Render a complete XML document with an XML declaration."""
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + to_xml(root, indent=indent)
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + to_xml(root)
 
 
 def to_html(node: Node) -> str:

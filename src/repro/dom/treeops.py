@@ -97,12 +97,10 @@ def clone_counted(node: Node) -> tuple[Node, int]:
     return copy, count
 
 
-def deep_equal(a: Node, b: Node, *, compare_attrs: bool = True) -> bool:
-    """Structural equality of two subtrees.
-
-    With ``compare_attrs=False`` only tags and tree shape are compared,
-    which is what the schema-level comparisons need.  An explicit stack
-    of node pairs compares trees of any depth without recursion.
+def deep_equal(a: Node, b: Node) -> bool:
+    """Structural equality of two subtrees: tags, attributes, text and
+    shape.  An explicit stack of node pairs compares trees of any depth
+    without recursion.
     """
     stack: list[tuple[Node, Node]] = [(a, b)]
     while stack:
@@ -115,7 +113,7 @@ def deep_equal(a: Node, b: Node, *, compare_attrs: bool = True) -> bool:
         assert isinstance(a, Element) and isinstance(b, Element)
         if a.tag != b.tag:
             return False
-        if compare_attrs and a.attrs != b.attrs:
+        if a.attrs != b.attrs:
             return False
         if len(a.children) != len(b.children):
             return False

@@ -68,8 +68,8 @@ def _group_edges(root: Element) -> Counter[tuple[str, str]]:
 
 def _count_group_moves(
     extracted: Counter[tuple[str, str]], truth: Counter[tuple[str, str]]
-) -> tuple[int, int, int]:
-    """(errors, surplus_edges, deficit_edges) per the module docstring."""
+) -> int:
+    """The logical errors, counted per the module docstring."""
     surplus: Counter[tuple[str, str]] = Counter()
     deficit: Counter[tuple[str, str]] = Counter()
     for edge in set(extracted) | set(truth):
@@ -121,7 +121,7 @@ def _count_group_moves(
         if not absorbed:
             errors += count
     errors += sum(deficit.values())
-    return errors, sum(surplus.values()), sum(deficit.values())
+    return errors
 
 
 @dataclass
@@ -131,9 +131,6 @@ class DocumentErrors:
     doc_id: int
     errors: int
     extracted_nodes: int
-    truth_nodes: int
-    surplus_paths: int
-    deficit_paths: int
 
     @property
     def error_percentage(self) -> float:
@@ -149,14 +146,10 @@ def count_logical_errors(
     """Logical errors of one extracted tree against its ground truth."""
     extracted_edges = _group_edges(extracted)
     truth_edges = _group_edges(truth)
-    errors, surplus, deficit = _count_group_moves(extracted_edges, truth_edges)
     return DocumentErrors(
         doc_id=doc_id,
-        errors=errors,
+        errors=_count_group_moves(extracted_edges, truth_edges),
         extracted_nodes=sum(_label_path_counts(extracted).values()),
-        truth_nodes=sum(_label_path_counts(truth).values()),
-        surplus_paths=surplus,
-        deficit_paths=deficit,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+HISTOGRAM_WIDTH = 40
+
 
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]], *, title: str = ""
@@ -54,14 +56,13 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def format_histogram(
-    bands: Sequence[tuple[str, int]], *, title: str = "", width: int = 40
-) -> str:
-    """Render labelled counts as an ASCII bar chart (Figure 4 style)."""
+def format_histogram(bands: Sequence[tuple[str, int]], *, title: str = "") -> str:
+    """Render labelled counts as an ASCII bar chart (Figure 4 style), the
+    largest count ``HISTOGRAM_WIDTH`` characters wide."""
     peak = max((count for _label, count in bands), default=1) or 1
     label_width = max((len(label) for label, _count in bands), default=0)
     lines = [title] if title else []
     for label, count in bands:
-        bar = "#" * round(width * count / peak)
+        bar = "#" * round(HISTOGRAM_WIDTH * count / peak)
         lines.append(f"{label.rjust(label_width)} | {bar} {count}")
     return "\n".join(lines)

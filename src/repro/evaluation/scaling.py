@@ -7,11 +7,8 @@ number of nodes and of documents).  Absolute times are hardware-bound
 (the paper used a Pentium 266); the reproducible claim is the *linear
 shape*, so this module reports the least-squares fit and its R².
 
-The sweep is driven by :class:`repro.runtime.CorpusEngine`, which also
-yields per-stage timings (:class:`~repro.runtime.stats.EngineStats`) for
-every point and, with ``max_workers > 1``, a parallel variant of the
-experiment -- the "how fast can this corpus go on this hardware"
-companion to the paper's single-core curve.
+The sweep is driven by :class:`repro.runtime.CorpusEngine` with one
+worker, the paper's serial setting.
 """
 
 from __future__ import annotations
@@ -20,11 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.concepts.knowledge import KnowledgeBase
-from repro.convert.config import ConversionConfig
 from repro.corpus.generator import ResumeCorpusGenerator
-from repro.obs.tracer import NullTracer, Tracer, resolve_tracer
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime.engine import CorpusEngine, EngineConfig
-from repro.runtime.stats import EngineStats
 
 
 @dataclass
@@ -35,13 +30,9 @@ class ScalingPoint:
     nodes: int
     concept_nodes: int
     seconds: float
-    # Process CPU seconds of the same region: all of the work at
-    # max_workers=1, where the engine converts in this process; with
-    # worker processes, only the parent's share.
+    # Process CPU seconds of the same region: all of the work, since
+    # the one-worker engine converts in this process.
     cpu_seconds: float = 0.0
-    # Per-stage engine instrumentation for this sweep point (None for
-    # hand-built reports in unit tests).
-    engine_stats: EngineStats | None = None
 
 
 @dataclass
@@ -90,40 +81,22 @@ def run_scaling_experiment(
     sizes: list[int],
     *,
     seed: int = 1966,
-    sup_threshold: float = 0.4,
-    config: ConversionConfig | None = None,
-    max_workers: int = 1,
-    tracer: "Tracer | NullTracer | None" = None,
 ) -> ScalingReport:
     """Time the full pipeline (convert + discover) at each corpus size.
 
     Documents are generated outside the timed region; the clock covers
     exactly what the paper timed (restructuring + schema discovery).
-    The sweep runs through :class:`repro.runtime.CorpusEngine`, so
-    ``max_workers`` extends Figure 5 with parallel sweep points and each
-    :class:`ScalingPoint` carries the engine's per-stage instrumentation
-    (``max_workers=1`` is the paper's serial setting).  A recording
-    ``tracer`` wraps each sweep point in a ``scaling.point`` span whose
-    children are the engine's own conversion/discovery spans.
     """
-    tracer = resolve_tracer(tracer)
     generator = ResumeCorpusGenerator(seed=seed)
-    engine = CorpusEngine(
-        kb,
-        config or ConversionConfig(),
-        engine_config=EngineConfig(max_workers=max_workers),
-    )
+    engine = CorpusEngine(kb, engine_config=EngineConfig(max_workers=1))
     report = ScalingReport()
     for size in sizes:
         corpus = generator.generate_html(size)
         elapsed: dict[str, float] = {}
         cpu_started = time.process_time()
-        with tracer.stage("scaling.point", elapsed, documents=size) as point_span:
-            result = engine.convert_corpus(corpus, tracer=tracer)
-            engine.discover(
-                result.accumulator, sup_threshold=sup_threshold, tracer=tracer
-            )
-            point_span.set(concept_nodes=result.stats.concept_nodes)
+        with NULL_TRACER.stage("scaling.point", elapsed):
+            result = engine.convert_corpus(corpus)
+            engine.discover(result.accumulator)
         cpu_seconds = time.process_time() - cpu_started
         report.points.append(
             ScalingPoint(
@@ -132,7 +105,6 @@ def run_scaling_experiment(
                 concept_nodes=result.stats.concept_nodes,
                 seconds=elapsed["scaling.point"],
                 cpu_seconds=cpu_seconds,
-                engine_stats=result.stats,
             )
         )
     return report

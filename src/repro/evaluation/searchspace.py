@@ -93,22 +93,18 @@ class SearchSpaceReport:
 def run_search_space_experiment(
     kb: KnowledgeBase,
     documents: list[DocumentPaths],
-    *,
-    sup_threshold: float = 0.4,
-    ratio_threshold: float = 0.0,
 ) -> SearchSpaceReport:
     """Reproduce the Section 4.2 accounting on a converted corpus.
 
     ``explored_nodes`` counts candidates generated when only prefixes
-    meeting the support threshold are extended (the miner's real work);
+    meeting the support threshold (0.4) are extended (the miner's real work);
     ``positive_support_nodes`` counts those that actually occur in the
     data -- the analog of the paper's 73.
     """
     constraints = paper_constraints(kb)
     result = mine_frequent_paths(
         documents,
-        sup_threshold=sup_threshold,
-        ratio_threshold=ratio_threshold,
+        sup_threshold=0.4,
         constraints=constraints,
         candidate_labels=kb.concept_tags(),
     )

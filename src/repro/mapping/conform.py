@@ -26,7 +26,7 @@ schema types (experiment E7/E9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dom.node import Element
 from repro.mapping.validate import validate_document
@@ -50,22 +50,21 @@ class ConformResult:
         return self.unwrapped + self.merged + self.reordered + self.inserted + self.dropped
 
 
-def conform_document(
-    root: Element, dtd: DTD, *, lowercase: bool = True
-) -> ConformResult:
+def conform_document(root: Element, dtd: DTD) -> ConformResult:
     """Repair ``root`` in place until it conforms to ``dtd``.
 
-    The root element must already carry the DTD's root name (documents
-    produced by the converter always do); a mismatched root is renamed
-    and counted as one operation.
+    Upper-case concept tags match the lower-case DTD names.  The root
+    element must already carry the DTD's root name (documents produced
+    by the converter always do); a mismatched root is renamed and
+    counted as one operation.
     """
     result = ConformResult(root)
 
     def name_of(element: Element) -> str:
-        return element.tag.lower() if lowercase else element.tag
+        return element.tag.lower()
 
     if name_of(root) != dtd.root_name:
-        root.tag = dtd.root_name.upper() if lowercase else dtd.root_name
+        root.tag = dtd.root_name.upper()
         result.merged += 1
 
     _conform_element(root, dtd, result, name_of, synth_chain=(), synthesized=set())

@@ -129,21 +129,14 @@ def write_repository_dir(
     return target
 
 
-def save_repository(
-    repository: XMLRepository,
-    directory: str | Path,
-    *,
-    schema_version: int | None = None,
-) -> Path:
+def save_repository(repository: XMLRepository, directory: str | Path) -> Path:
     """Write a repository to ``directory`` (created if needed)."""
-    if schema_version is None:
-        schema_version = repository.schema_version
     return write_repository_dir(
         directory,
         repository.dtd,
         [to_xml_document(document) for document in repository.documents],
         repository.stats,
-        schema_version=schema_version,
+        schema_version=repository.schema_version,
     )
 
 

@@ -10,7 +10,7 @@ mapping component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dom.node import Element
 from repro.dom.path import find_all

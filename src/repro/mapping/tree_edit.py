@@ -10,17 +10,12 @@ keyroots, with O(n1 * n2 * min(depth, leaves)^2) time.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.dom.node import Element, Node, Text
 
-# Cost functions: (label_a or None, label_b or None) -> cost.  ``None``
-# encodes the empty side of an insertion/deletion.
-CostFn = Callable[[str | None, str | None], float]
 
-
-def default_cost(a: str | None, b: str | None) -> float:
-    """Unit costs: insert 1, delete 1, relabel 1 (0 when labels match)."""
+def _cost(a: str | None, b: str | None) -> float:
+    """Unit costs: insert 1, delete 1, relabel 1 (0 when labels match).
+    ``None`` is the empty side of an insertion or deletion."""
     if a is None or b is None:
         return 1.0
     return 0.0 if a == b else 1.0
@@ -36,18 +31,16 @@ def _node_label(node: Node) -> str:
 class _AnnotatedTree:
     """Postorder numbering, l() table, and keyroots of a tree."""
 
-    def __init__(self, root: Node, *, include_text: bool) -> None:
+    def __init__(self, root: Node) -> None:
         self.labels: list[str] = []
         self.lmld: list[int] = []  # leftmost leaf descendant, postorder ids
-        self._postorder(root, include_text)
+        self._postorder(root)
         self.keyroots = self._keyroots()
 
-    def _postorder(self, root: Node, include_text: bool) -> None:
+    def _postorder(self, root: Node) -> None:
         # Returns postorder ids via an explicit stack to survive deep trees.
         def children_of(node: Node) -> list[Node]:
             if isinstance(node, Element):
-                if include_text:
-                    return list(node.children)
                 return list(node.element_children())
             return []
 
@@ -81,20 +74,14 @@ class _AnnotatedTree:
         return len(self.labels)
 
 
-def tree_edit_distance(
-    tree_a: Node,
-    tree_b: Node,
-    *,
-    cost: CostFn = default_cost,
-    include_text: bool = False,
-) -> float:
+def tree_edit_distance(tree_a: Node, tree_b: Node) -> float:
     """Minimum-cost edit script turning ``tree_a`` into ``tree_b``.
 
-    ``include_text`` controls whether text leaves participate (schema
-    comparisons want elements only, which is the default).
+    Only elements participate: text leaves below them are not nodes of
+    the compared trees, as schema comparisons want.
     """
-    a = _AnnotatedTree(tree_a, include_text=include_text)
-    b = _AnnotatedTree(tree_b, include_text=include_text)
+    a = _AnnotatedTree(tree_a)
+    b = _AnnotatedTree(tree_b)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("cannot compute distance for an empty tree")
 
@@ -102,7 +89,7 @@ def tree_edit_distance(
 
     for i in a.keyroots:
         for j in b.keyroots:
-            _compute_treedist(a, b, i, j, cost, treedist)
+            _compute_treedist(a, b, i, j, treedist)
     return treedist[len(a) - 1][len(b) - 1]
 
 
@@ -111,7 +98,6 @@ def _compute_treedist(
     b: _AnnotatedTree,
     i: int,
     j: int,
-    cost: CostFn,
     treedist: list[list[float]],
 ) -> None:
     li, lj = a.lmld[i], b.lmld[j]
@@ -120,9 +106,9 @@ def _compute_treedist(
     forest = [[0.0] * n for _ in range(m)]
 
     for x in range(1, m):
-        forest[x][0] = forest[x - 1][0] + cost(a.labels[li + x - 1], None)
+        forest[x][0] = forest[x - 1][0] + _cost(a.labels[li + x - 1], None)
     for y in range(1, n):
-        forest[0][y] = forest[0][y - 1] + cost(None, b.labels[lj + y - 1])
+        forest[0][y] = forest[0][y - 1] + _cost(None, b.labels[lj + y - 1])
 
     for x in range(1, m):
         node_a = li + x - 1
@@ -131,16 +117,16 @@ def _compute_treedist(
             if a.lmld[node_a] == li and b.lmld[node_b] == lj:
                 # Both prefixes are whole trees rooted at node_a/node_b.
                 forest[x][y] = min(
-                    forest[x - 1][y] + cost(a.labels[node_a], None),
-                    forest[x][y - 1] + cost(None, b.labels[node_b]),
-                    forest[x - 1][y - 1] + cost(a.labels[node_a], b.labels[node_b]),
+                    forest[x - 1][y] + _cost(a.labels[node_a], None),
+                    forest[x][y - 1] + _cost(None, b.labels[node_b]),
+                    forest[x - 1][y - 1] + _cost(a.labels[node_a], b.labels[node_b]),
                 )
                 treedist[node_a][node_b] = forest[x][y]
             else:
                 xa = a.lmld[node_a] - li
                 yb = b.lmld[node_b] - lj
                 forest[x][y] = min(
-                    forest[x - 1][y] + cost(a.labels[node_a], None),
-                    forest[x][y - 1] + cost(None, b.labels[node_b]),
+                    forest[x - 1][y] + _cost(a.labels[node_a], None),
+                    forest[x][y - 1] + _cost(None, b.labels[node_b]),
                     forest[xa][yb] + treedist[node_a][node_b],
                 )

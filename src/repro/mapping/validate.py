@@ -38,19 +38,13 @@ class Violation:
         return f"{self.kind.value} at /{'/'.join(self.path)}: {self.detail}"
 
 
-def _name_of(element: Element, *, lowercase: bool) -> str:
-    return element.tag.lower() if lowercase else element.tag
-
-
 def validate_element(
     element: Element,
     dtd: DTD,
     path: tuple[str, ...],
     violations: list[Violation],
-    *,
-    lowercase: bool,
 ) -> None:
-    name = _name_of(element, lowercase=lowercase)
+    name = element.tag.lower()
     declaration = dtd.elements.get(name)
     if declaration is None:
         violations.append(
@@ -59,7 +53,7 @@ def validate_element(
         return
 
     children = element.element_children()
-    child_names = [_name_of(child, lowercase=lowercase) for child in children]
+    child_names = [child.tag.lower() for child in children]
     declared_order = [particle.name for particle in declaration.particles]
     declared_set = set(declared_order)
 
@@ -123,24 +117,20 @@ def validate_element(
         )
 
     for child in children:
-        child_name = _name_of(child, lowercase=lowercase)
+        child_name = child.tag.lower()
         if child_name in declared_set:
-            validate_element(
-                child, dtd, path + (child_name,), violations, lowercase=lowercase
-            )
+            validate_element(child, dtd, path + (child_name,), violations)
 
 
-def validate_document(
-    root: Element, dtd: DTD, *, lowercase: bool = True
-) -> list[Violation]:
+def validate_document(root: Element, dtd: DTD) -> list[Violation]:
     """All conformance violations of ``root`` against ``dtd``.
 
-    ``lowercase`` maps the upper-case concept tags of converted documents
-    onto the lower-case DTD element names (the paper's convention).  An
-    empty result means the document conforms.
+    The upper-case concept tags of converted documents map onto the
+    lower-case DTD element names (the paper's convention).  An empty
+    result means the document conforms.
     """
     violations: list[Violation] = []
-    root_name = _name_of(root, lowercase=lowercase)
+    root_name = root.tag.lower()
     if root_name != dtd.root_name:
         violations.append(
             Violation(
@@ -150,10 +140,10 @@ def validate_document(
             )
         )
         return violations
-    validate_element(root, dtd, (root_name,), violations, lowercase=lowercase)
+    validate_element(root, dtd, (root_name,), violations)
     return violations
 
 
-def conforms(root: Element, dtd: DTD, *, lowercase: bool = True) -> bool:
+def conforms(root: Element, dtd: DTD) -> bool:
     """True when the document has no violations."""
-    return not validate_document(root, dtd, lowercase=lowercase)
+    return not validate_document(root, dtd)

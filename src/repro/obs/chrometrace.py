@@ -26,6 +26,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 _US = 1e6  # seconds -> microseconds
+# The one process the trace shows, and its name.
+PID = 1
+PROCESS_NAME = "repro-web"
 
 
 def _domain_of(span_id: str) -> str:
@@ -34,12 +37,7 @@ def _domain_of(span_id: str) -> str:
     return span_id[:dot] if dot >= 0 else ""
 
 
-def spans_to_chrome_trace(
-    span_dicts: Sequence[Mapping],
-    *,
-    pid: int = 1,
-    process_name: str = "repro-web",
-) -> dict:
+def spans_to_chrome_trace(span_dicts: Sequence[Mapping]) -> dict:
     """Convert exported span dicts into a Chrome trace-event document."""
     spans = [dict(span) for span in span_dicts]
     by_id = {span["id"]: span for span in spans}
@@ -86,9 +84,9 @@ def spans_to_chrome_trace(
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": PID,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": PROCESS_NAME},
         }
     ]
     for domain in ordered:
@@ -96,7 +94,7 @@ def spans_to_chrome_trace(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": PID,
                 "tid": tids[domain],
                 "args": {"name": domain if domain else "main"},
             }
@@ -125,7 +123,7 @@ def spans_to_chrome_trace(
                     "ph": "X",
                     "ts": ts,
                     "dur": dur,
-                    "pid": pid,
+                    "pid": PID,
                     "tid": tid,
                     "args": args,
                 }
@@ -133,22 +131,14 @@ def spans_to_chrome_trace(
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"producer": process_name, "spans": len(spans)},
+        "otherData": {"producer": PROCESS_NAME, "spans": len(spans)},
     }
 
 
-def write_chrome_trace(
-    path: str | Path,
-    span_dicts: Sequence[Mapping],
-    *,
-    pid: int = 1,
-    process_name: str = "repro-web",
-) -> Path:
+def write_chrome_trace(path: str | Path, span_dicts: Sequence[Mapping]) -> Path:
     """Write a Chrome trace-event JSON file (parents created)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    document = spans_to_chrome_trace(
-        span_dicts, pid=pid, process_name=process_name
-    )
+    document = spans_to_chrome_trace(span_dicts)
     target.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
     return target

@@ -65,7 +65,6 @@ class ProgressReporter:
         min_interval: float = 0.2,
         enabled: bool | None = None,
         clock: Callable[[], float] = time.monotonic,
-        label: str = "repro-web",
     ) -> None:
         self.total = total
         self.stream = stream if stream is not None else sys.stderr
@@ -74,7 +73,6 @@ class ProgressReporter:
             _default_enabled(self.stream) if enabled is None else enabled
         )
         self.clock = clock
-        self.label = label
         self.renders = 0
         self._last_render = float("-inf")
         self._last_width = 0
@@ -128,7 +126,7 @@ class ProgressReporter:
         it) is never garbage, and a zero rate suppresses the ETA field
         entirely rather than extrapolating from nothing."""
         rate = done / max(elapsed, MIN_RATE_ELAPSED) if done > 0 else 0.0
-        parts = [f"[{self.label}] "]
+        parts = ["[repro-web] "]
         if self.total is not None and self.total > 0:
             finished = done + failed
             percent = min(1.0, finished / self.total)

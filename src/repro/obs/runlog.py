@@ -96,11 +96,9 @@ def build_run_record(
     fingerprint: str = "",
     topic: str = "",
     corpus_size: int | None = None,
-    timestamp: float | None = None,
-    extra: Mapping[str, object] | None = None,
 ) -> dict:
     """One ledger record for a finished engine run."""
-    now = time.time() if timestamp is None else timestamp
+    now = time.time()
     record: dict = {
         "kind": "run",
         "version": RUNLOG_VERSION,
@@ -133,20 +131,15 @@ def build_run_record(
         "stage_quantiles": stats.stage_summaries(),
         "slowest_documents": list(stats.slowest_docs[:SLOWEST_KEPT]),
     }
-    if extra:
-        record.update(extra)
     return record
 
 
 def build_evolution_record(
     outcome,
     *,
-    run_id: str | None = None,
     topic: str = "",
-    timestamp: float | None = None,
     migration: Mapping[str, object] | None = None,
     repository_version: int | None = None,
-    extra: Mapping[str, object] | None = None,
 ) -> dict:
     """One ledger record (``kind: "evolution"``) for a schema fold.
 
@@ -154,11 +147,11 @@ def build_evolution_record(
     ``migration`` and ``repository_version`` describe what the fold did
     to a versioned repository, when one was attached.
     """
-    now = time.time() if timestamp is None else timestamp
+    now = time.time()
     record: dict = {
         "kind": "evolution",
         "version": RUNLOG_VERSION,
-        "run_id": run_id or new_run_id(clock=lambda: now),
+        "run_id": new_run_id(clock=lambda: now),
         "timestamp": round(now, 3),
         "time_iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)),
         "topic": topic,
@@ -173,8 +166,6 @@ def build_evolution_record(
         "migration": dict(migration) if migration else None,
         "repository_version": repository_version,
     }
-    if extra:
-        record.update(extra)
     return record
 
 

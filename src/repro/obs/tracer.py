@@ -187,22 +187,15 @@ class Tracer:
         """Spans as plain dicts, completion order (children first)."""
         return [span.to_dict() for span in self.spans]
 
-    def adopt(
-        self,
-        span_dicts: list[dict],
-        *,
-        parent_id: str | None = None,
-        prefix: str = "",
-    ) -> list[Span]:
+    def adopt(self, span_dicts: list[dict], *, prefix: str = "") -> list[Span]:
         """Graft serialized spans from another process into this tracer.
 
         Every span id (and internal parent reference) is namespaced with
         ``prefix`` so ids stay unique after merging many workers; spans
         that were roots in the worker (no parent) are re-parented under
-        ``parent_id`` (defaulting to this tracer's current span).
+        this tracer's current span.
         """
-        if parent_id is None:
-            parent_id = self.current_span_id
+        parent_id = self.current_span_id
         adopted: list[Span] = []
         for data in span_dicts:
             span = Span.from_dict(data)

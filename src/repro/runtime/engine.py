@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.concepts.bayes import MultinomialNaiveBayes
 from repro.concepts.fastmatch import cache_counter_delta
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
@@ -203,13 +202,8 @@ class _ChunkWorker:
     sink: XmlSink | None = None
 
 
-def _build_worker(
-    kb: KnowledgeBase,
-    config: ConversionConfig,
-    bayes: MultinomialNaiveBayes | None,
-    *options,
-) -> _ChunkWorker:
-    return _ChunkWorker(DocumentConverter(kb, config, bayes), *options)
+def _build_worker(kb: KnowledgeBase, config: ConversionConfig, *options) -> _ChunkWorker:
+    return _ChunkWorker(DocumentConverter(kb, config), *options)
 
 
 def _convert_chunk(
@@ -370,12 +364,10 @@ class CorpusEngine:
         config: ConversionConfig | None = None,
         *,
         engine_config: EngineConfig | None = None,
-        bayes: MultinomialNaiveBayes | None = None,
     ) -> None:
         self.kb = kb
         self.config = config or ConversionConfig()
         self.engine_config = engine_config or EngineConfig()
-        self.bayes = bayes
         self._inline_converter: DocumentConverter | None = None
         self._recovery = threading.Lock()
 
@@ -554,7 +546,6 @@ class CorpusEngine:
         *,
         sup_threshold: float = 0.4,
         ratio_threshold: float = 0.0,
-        optional_threshold: float | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> DiscoveryResult | None:
         """Majority schema + DTD from accumulated statistics alone, with
@@ -564,7 +555,6 @@ class CorpusEngine:
             self.kb,
             sup_threshold=sup_threshold,
             ratio_threshold=ratio_threshold,
-            optional_threshold=optional_threshold,
             tracer=tracer,
         )
 
@@ -574,7 +564,6 @@ class CorpusEngine:
         *,
         sup_threshold: float = 0.4,
         ratio_threshold: float = 0.0,
-        optional_threshold: float | None = None,
         discover: bool = True,
         tracer: Tracer | NullTracer | None = None,
         provenance: ProvenanceLog | None = None,
@@ -604,7 +593,6 @@ class CorpusEngine:
                     corpus.accumulator,
                     sup_threshold=sup_threshold,
                     ratio_threshold=ratio_threshold,
-                    optional_threshold=optional_threshold,
                     tracer=tracer,
                 )
         return EngineRun(corpus=corpus, discovery=discovery)
@@ -635,7 +623,7 @@ class CorpusEngine:
         options = (trace, provenance, policy, collect_xml, sink)
         return WorkerPool(
             _build_worker,
-            (self.kb, self.config, self.bayes, *options),
+            (self.kb, self.config, *options),
             workers=workers,
             state=_ChunkWorker(self._converter(), *options),
         )
@@ -805,7 +793,5 @@ class CorpusEngine:
         """The lazily built parent-side converter: the inline pool runs
         on it, and forked workers adopt it copy-on-write."""
         if self._inline_converter is None:
-            self._inline_converter = DocumentConverter(
-                self.kb, self.config, self.bayes
-            )
+            self._inline_converter = DocumentConverter(self.kb, self.config)
         return self._inline_converter

@@ -78,16 +78,15 @@ STAGE_ORDER = tuple(STAGE_SPANS)
 SLOWEST_PER_CHUNK = 10
 
 
-def merge_slowest(
-    held: list[dict], other: list[dict], *, keep: int = SLOWEST_PER_CHUNK
-) -> list[dict]:
-    """Top-``keep`` slowest documents across two top-K lists, slowest
-    first, index-tiebroken so merging is order-insensitive."""
+def merge_slowest(held: list[dict], other: list[dict]) -> list[dict]:
+    """Top-``SLOWEST_PER_CHUNK`` slowest documents across two top-K
+    lists, slowest first, index-tiebroken so merging is
+    order-insensitive."""
     combined = sorted(
         held + list(other),
         key=lambda entry: (-entry.get("seconds", 0.0), entry.get("index", 0)),
     )
-    return combined[:keep]
+    return combined[:SLOWEST_PER_CHUNK]
 
 
 @dataclass

@@ -27,11 +27,7 @@ from repro.schema.accumulator import PathAccumulator
 from repro.schema.majority import MajoritySchema, SchemaNode
 from repro.schema.ordering import ordered_labels
 from repro.schema.paths import DocumentPaths
-from repro.schema.repetition import (
-    DEFAULT_MULT_THRESHOLD,
-    DEFAULT_REP_THRESHOLD,
-    is_repetitive,
-)
+from repro.schema.repetition import DEFAULT_REP_THRESHOLD, is_repetitive
 
 
 class Multiplicity(enum.Enum):
@@ -194,9 +190,7 @@ def derive_dtd(
     documents: list[DocumentPaths] | PathAccumulator,
     *,
     rep_threshold: int = DEFAULT_REP_THRESHOLD,
-    mult_threshold: float = DEFAULT_MULT_THRESHOLD,
     optional_threshold: float | None = None,
-    lowercase_names: bool = True,
     tracer: "Tracer | NullTracer | None" = None,
 ) -> DTD:
     """Derive a DTD from a majority schema (Section 3.3).
@@ -208,8 +202,8 @@ def derive_dtd(
     paper mentions: a child present in fewer than that fraction of its
     parent's documents is marked ``?`` (``*`` when also repetitive).  The
     default ``None`` reproduces the paper exactly: "no element should be
-    optional".  ``lowercase_names`` maps concept tags (upper-case in the
-    XML documents) to the lower-case names the paper's DTD uses.
+    optional".  Concept tags (upper-case in the XML documents) become
+    the lower-case names the paper's DTD uses.
     ``tracer`` records the derivation as a ``discover.derive_dtd`` span
     with a nested ``discover.repetition_ordering`` span covering the
     per-node repetition/ordering rule work.
@@ -221,11 +215,8 @@ def derive_dtd(
         else PathAccumulator.from_documents(documents)
     )
 
-    def dtd_name(label: str) -> str:
-        return label.lower() if lowercase_names else label
-
     with tracer.span("discover.derive_dtd") as derive_span:
-        dtd = DTD(dtd_name(schema.root.label))
+        dtd = DTD(schema.root.label.lower())
         with tracer.span("discover.repetition_ordering") as order_span:
             nodes_ordered = 0
             queue: list[SchemaNode] = [schema.root]
@@ -238,10 +229,7 @@ def derive_dtd(
                     child_path = node.path + (label,)
                     multiplicity = Multiplicity.ONE
                     if is_repetitive(
-                        statistics,
-                        child_path,
-                        rep_threshold=rep_threshold,
-                        mult_threshold=mult_threshold,
+                        statistics, child_path, rep_threshold=rep_threshold
                     ):
                         multiplicity = Multiplicity.PLUS
                     if (
@@ -250,8 +238,8 @@ def derive_dtd(
                         < optional_threshold
                     ):
                         multiplicity = multiplicity.combine(Multiplicity.OPTIONAL)
-                    particles.append(ContentParticle(dtd_name(label), multiplicity))
-                dtd.declare(DTDElement(dtd_name(node.label), particles))
+                    particles.append(ContentParticle(label.lower(), multiplicity))
+                dtd.declare(DTDElement(node.label.lower(), particles))
                 queue.extend(node.children.values())
                 nodes_ordered += 1
             order_span.set(schema_nodes=nodes_ordered)

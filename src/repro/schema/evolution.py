@@ -44,9 +44,9 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from repro.durable import atomic_replace, fsync_write
 from repro.schema.accumulator import PathAccumulator
@@ -111,7 +111,6 @@ def _encode_frame(sequence: int, accumulator: PathAccumulator) -> bytes:
 class _Frame:
     sequence: int
     accumulator: PathAccumulator
-    end_offset: int
 
 
 def _scan_frames(data: bytes, *, where: str) -> tuple[list[_Frame], int]:
@@ -147,7 +146,7 @@ def _scan_frames(data: bytes, *, where: str) -> tuple[list[_Frame], int]:
             raise CheckpointCorruption(
                 f"{where}: frame at byte {offset} is not an accumulator"
             )
-        frames.append(_Frame(sequence, accumulator, payload_end))
+        frames.append(_Frame(sequence, accumulator))
         offset = payload_end
     return frames, offset
 

@@ -78,7 +78,6 @@ def mine_frequent_paths(
     constraints: ConstraintSet | None = None,
     candidate_labels: set[str] | None = None,
     extend_zero_support: bool = False,
-    max_length: int | None = None,
 ) -> FrequentPathSet:
     """Mine the frequent label paths of a corpus.
 
@@ -91,8 +90,8 @@ def mine_frequent_paths(
     mimics pure constraint-based enumeration: every constraint-admissible
     candidate is generated and counted even when its parent has support
     below the threshold -- this reproduces the search-space accounting of
-    Section 4.2 and requires a depth bound (``constraints.max_depth`` or
-    ``max_length``) to terminate.
+    Section 4.2 and requires a depth bound (``constraints.max_depth``) to
+    terminate.
     """
     statistics = (
         documents
@@ -105,10 +104,10 @@ def mine_frequent_paths(
         else sorted(statistics.observed_labels())
     )
     constraints = constraints or ConstraintSet()
-    if extend_zero_support and constraints.max_depth is None and max_length is None:
+    if extend_zero_support and constraints.max_depth is None:
         raise ValueError(
             "extend_zero_support enumeration needs a depth bound "
-            "(constraints.max_depth or max_length)"
+            "(constraints.max_depth)"
         )
 
     # Roots: every label observed at the root of some document.
@@ -137,8 +136,6 @@ def mine_frequent_paths(
     while frontier:
         next_frontier: list[LabelPath] = []
         for prefix in frontier:
-            if max_length is not None and len(prefix) >= max_length:
-                continue
             for label in constraints.extensions(prefix[1:], labels):
                 candidate = prefix + (label,)
                 explored += 1

@@ -8,13 +8,13 @@ We recently included similar computations into our approach."
 This module supplies that computation.  Given the child-label sequences
 observed under a parent element across the corpus, it detects *tandem
 repeats*: a unit of k consecutive labels (k >= 1) repeated m >= 2 times.
-A unit that explains enough documents' sequences (``group_threshold``)
-is reported as a group pattern, which the DTD deriver can render as
+A unit that explains more than ``GROUP_THRESHOLD`` of the documents'
+sequences is reported as a group pattern, which the DTD deriver can render as
 ``(e1, e2)+`` instead of ``e1+, e2+``.
 
 The search follows XTRACT's spirit without its full MDL machinery:
-candidate units are enumerated from the sequences themselves (bounded
-unit length), each candidate is scored by how many documents' sequences
+candidate units are enumerated from the sequences themselves (at most
+``MAX_UNIT`` labels long), each candidate is scored by how many documents' sequences
 it *covers* (the sequence is, up to a prefix and suffix, an iteration of
 the unit), and the best-covering candidate wins.
 """
@@ -27,19 +27,17 @@ from dataclasses import dataclass
 from repro.dom.node import Element
 from repro.schema.paths import LabelPath
 
-DEFAULT_MAX_UNIT = 4
-DEFAULT_MIN_REPEATS = 2
-DEFAULT_GROUP_THRESHOLD = 0.5
+MAX_UNIT = 4
+MIN_REPEATS = 2
+GROUP_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class GroupPattern:
     """A discovered ``(e1, ..., ek)+`` pattern under one parent path."""
 
-    parent_path: LabelPath
     unit: tuple[str, ...]
     support: float  # fraction of parent-containing docs covered
-    avg_repeats: float
 
     def render(self) -> str:
         """The content-model fragment, e.g. ``(date, degree)+``."""
@@ -123,12 +121,7 @@ def _is_primitive(unit: tuple[str, ...]) -> bool:
 
 
 def discover_group_patterns(
-    corpus_roots: list[Element],
-    parent_path: LabelPath,
-    *,
-    max_unit: int = DEFAULT_MAX_UNIT,
-    min_repeats: int = DEFAULT_MIN_REPEATS,
-    group_threshold: float = DEFAULT_GROUP_THRESHOLD,
+    corpus_roots: list[Element], parent_path: LabelPath
 ) -> list[GroupPattern]:
     """Find ``(e1, ..., ek)+`` patterns under ``parent_path``.
 
@@ -146,19 +139,18 @@ def discover_group_patterns(
         return []
 
     patterns: list[GroupPattern] = []
-    for unit in _candidate_units(relevant, max_unit):
+    for unit in _candidate_units(relevant, MAX_UNIT):
         if len(unit) < 2:
             continue
         covered = [
             sequence
             for sequence in all_sequences
-            if covers(sequence, unit, min_repeats=min_repeats)
+            if covers(sequence, unit, min_repeats=MIN_REPEATS)
         ]
         support = len(covered) / len(all_sequences)
-        if support <= group_threshold:
+        if support <= GROUP_THRESHOLD:
             continue
-        avg = sum(repeats_of(sequence, unit) for sequence in covered) / len(covered)
-        patterns.append(GroupPattern(parent_path, unit, support, avg))
+        patterns.append(GroupPattern(unit, support))
     patterns.sort(key=lambda p: (p.support, len(p.unit)), reverse=True)
     return patterns
 
@@ -205,12 +197,11 @@ def render_dtd_with_patterns(dtd, patterns: dict[LabelPath, GroupPattern]) -> st
 def discover_all_group_patterns(
     corpus_roots: list[Element],
     parent_paths: list[LabelPath],
-    **options,
 ) -> dict[LabelPath, GroupPattern]:
     """Best group pattern per parent path (paths without one omitted)."""
     result: dict[LabelPath, GroupPattern] = {}
     for parent_path in parent_paths:
-        found = discover_group_patterns(corpus_roots, parent_path, **options)
+        found = discover_group_patterns(corpus_roots, parent_path)
         if found:
             result[parent_path] = found[0]
     return result

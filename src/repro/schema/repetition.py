@@ -29,7 +29,7 @@ from repro.schema.accumulator import PathAccumulator
 from repro.schema.paths import LabelPath
 
 DEFAULT_REP_THRESHOLD = 3
-DEFAULT_MULT_THRESHOLD = 0.5
+MULT_THRESHOLD = 0.5
 
 
 def is_repetitive(
@@ -37,11 +37,10 @@ def is_repetitive(
     path: LabelPath,
     *,
     rep_threshold: int = DEFAULT_REP_THRESHOLD,
-    mult_threshold: float = DEFAULT_MULT_THRESHOLD,
 ) -> bool:
     """Whether the tail element of ``path`` should be rendered ``e+``."""
     if rep_threshold <= 1:
         raise ValueError("repThreshold must be greater than 1 for e to be repetitive")
     return statistics.multiplicity_fraction(
         path, rep_threshold=rep_threshold
-    ) > mult_threshold
+    ) > MULT_THRESHOLD

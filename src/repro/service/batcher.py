@@ -12,7 +12,7 @@ once every slot is busy the collector waits up to ``max_wait`` for
 companions, amortizing per-chunk overhead exactly when load makes it
 worthwhile.
 
-Lanes are keyed by ``(topic, fold)``: a chunk's
+Lanes are keyed by the request's ``fold`` flag: a chunk's
 :class:`~repro.schema.accumulator.PathAccumulator` is batch-wide, so a
 fold must cover the whole chunk -- mixing fold and non-fold documents
 in one chunk would fold strangers' statistics into the live schema.
@@ -38,13 +38,13 @@ class PendingDocument:
 
     request: ConvertRequest
     future: "asyncio.Future[DocumentOutcome]"
-    enqueued_at: float = field(default_factory=time.monotonic)
+    enqueued_at: float = field(init=False, default_factory=time.monotonic)
 
 
-Lane = tuple[str, bool]
 _CLOSE = object()
 
-DispatchFn = Callable[[Lane, list[PendingDocument]], Awaitable[None]]
+# Called with the lane's ``fold`` flag and the batch.
+DispatchFn = Callable[[bool, list[PendingDocument]], Awaitable[None]]
 
 
 class MicroBatcher:
@@ -64,8 +64,8 @@ class MicroBatcher:
         self.max_wait = max_wait
         self.max_queue = max(1, max_queue)
         self._inflight = asyncio.Semaphore(max(1, max_inflight))
-        self._queues: dict[Lane, asyncio.Queue] = {}
-        self._collectors: dict[Lane, asyncio.Task] = {}
+        self._queues: dict[bool, asyncio.Queue] = {}
+        self._collectors: dict[bool, asyncio.Task] = {}
         self._dispatches: set[asyncio.Task] = set()
         self._draining = False
 
@@ -80,15 +80,14 @@ class MicroBatcher:
         """
         if self._draining:
             raise ServiceDraining("service is draining")
-        lane: Lane = (request.topic, request.fold)
-        queue = self._lane_queue(lane)
+        queue = self._lane_queue(request.fold)
         pending = PendingDocument(
             request, asyncio.get_running_loop().create_future()
         )
         await queue.put(pending)
         return await pending.future
 
-    def _lane_queue(self, lane: Lane) -> asyncio.Queue:
+    def _lane_queue(self, lane: bool) -> asyncio.Queue:
         queue = self._queues.get(lane)
         if queue is None:
             queue = self._queues[lane] = asyncio.Queue(maxsize=self.max_queue)
@@ -99,7 +98,7 @@ class MicroBatcher:
 
     # -- collection ----------------------------------------------------------
 
-    async def _collect(self, lane: Lane, queue: asyncio.Queue) -> None:
+    async def _collect(self, lane: bool, queue: asyncio.Queue) -> None:
         loop = asyncio.get_running_loop()
         while True:
             first = await queue.get()
@@ -138,7 +137,7 @@ class MicroBatcher:
                 return
 
     async def _run_dispatch(
-        self, lane: Lane, batch: list[PendingDocument]
+        self, lane: bool, batch: list[PendingDocument]
     ) -> None:
         try:
             await self._dispatch(lane, batch)

@@ -36,14 +36,14 @@ def _require_mapping(data: object) -> dict:
     return data
 
 
-def _parse_source(value: object, *, field_name: str = "source") -> str:
+def _parse_source(value: object) -> str:
     if not isinstance(value, str):
-        raise ContractError("must be an HTML string", field_name=field_name)
+        raise ContractError("must be an HTML string", field_name="source")
     if not value.strip():
-        raise ContractError("must not be empty", field_name=field_name)
+        raise ContractError("must not be empty", field_name="source")
     if len(value.encode("utf-8", errors="replace")) > MAX_SOURCE_BYTES:
         raise ContractError(
-            f"exceeds {MAX_SOURCE_BYTES} bytes", field_name=field_name
+            f"exceeds {MAX_SOURCE_BYTES} bytes", field_name="source"
         )
     return value
 

@@ -17,7 +17,8 @@ in-flight and queued request finish (the batcher flushes its lanes),
 then shut the pool down with ``wait=True`` so no worker process is
 orphaned.  ``run()`` wires SIGTERM/SIGINT to exactly that.
 
-Each micro-batch is one engine chunk on the topic's
+The service serves one topic, its knowledge base's.  Each micro-batch
+is one engine chunk on the service's
 :class:`~repro.runtime.pool.WorkerPool`, converted under the engine's
 ``skip`` policy.  A worker crash goes through
 :meth:`CorpusEngine.recover_chunk`, the same bisection the offline
@@ -46,12 +47,7 @@ from repro.runtime.engine import ChunkPayload, ChunkTask, CorpusEngine, EngineCo
 from repro.runtime.pool import PoolClosed, WorkerPool
 from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
-from repro.service.batcher import (
-    Lane,
-    MicroBatcher,
-    PendingDocument,
-    ServiceDraining,
-)
+from repro.service.batcher import MicroBatcher, PendingDocument, ServiceDraining
 from repro.service.contracts import (
     BatchOutcome,
     ContractError,
@@ -107,48 +103,36 @@ class ServiceConfig:
 
 
 class ConversionService:
-    """The long-lived daemon: warm pool + batcher + topic states + HTTP."""
+    """The long-lived daemon: warm pool + batcher + topic state + HTTP.
+
+    The topic is ``kb.topic``; its state lives under
+    ``<state_dir>/<topic>/``.
+    """
 
     def __init__(
         self,
-        kb: KnowledgeBase | None = None,
+        kb: KnowledgeBase,
         *,
         state_dir: str | Path,
-        topics: dict[str, KnowledgeBase] | None = None,
         config: ServiceConfig | None = None,
         conversion: ConversionConfig | None = None,
     ) -> None:
-        if topics is None:
-            if kb is None:
-                raise ValueError("pass a knowledge base or a topics mapping")
-            topics = {"resume": kb}
         self.config = config or ServiceConfig()
         self.state_dir = Path(state_dir)
         workers = self.config.resolved_workers()
         self.registry = MetricsRegistry()
-        # One engine and warm pool per topic: the converter (and its
-        # compiled automaton) is knowledge-base-specific, so topics
-        # cannot share worker processes.  The typical deployment serves
-        # one topic.  Pools are built by start().
-        self.engines = {
-            name: CorpusEngine(
-                topic_kb,
-                conversion,
-                engine_config=EngineConfig(
-                    max_workers=workers, error_policy="skip"
-                ),
-            )
-            for name, topic_kb in topics.items()
-        }
-        self.pools: dict[str, WorkerPool] = {}
-        self.topics = {
-            name: TopicState(
-                name, topic_kb, self.state_dir / name,
-                registry=self.registry, publish=self.config.publish,
-                max_workers=workers,
-            )
-            for name, topic_kb in topics.items()
-        }
+        self.engine = CorpusEngine(
+            kb,
+            conversion,
+            engine_config=EngineConfig(max_workers=workers, error_policy="skip"),
+        )
+        # The warm pool is built by start().
+        self.pool: WorkerPool | None = None
+        self.state = TopicState(
+            kb.topic, kb, self.state_dir / kb.topic,
+            registry=self.registry, publish=self.config.publish,
+            max_workers=workers,
+        )
         self.batcher = MicroBatcher(
             self._dispatch,
             max_batch=self.config.max_batch,
@@ -194,10 +178,8 @@ class ConversionService:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Warm the pools and start accepting; returns the bound address."""
-        self.pools = {
-            name: engine.worker_pool() for name, engine in self.engines.items()
-        }
+        """Warm the pool and start accepting; returns the bound address."""
+        self.pool = self.engine.worker_pool()
         self._server = await asyncio.start_server(
             self._serve_connection, host, port
         )
@@ -262,8 +244,8 @@ class ConversionService:
                 *list(self._conn_tasks), return_exceptions=True
             )
         # Workers exit with their pool; wait=True means no orphans.
-        for pool in self.pools.values():
-            pool.shutdown(wait=True)
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
 
     @property
     def draining(self) -> bool:
@@ -271,8 +253,7 @@ class ConversionService:
 
     # -- dispatch (batcher -> engine -> topic state) -------------------------
 
-    async def _dispatch(self, lane: Lane, batch: list[PendingDocument]) -> None:
-        topic, fold = lane
+    async def _dispatch(self, fold: bool, batch: list[PendingDocument]) -> None:
         now = time.monotonic()
         wait_histogram = self.registry.histogram(QUEUE_WAIT_SECONDS)
         for pending in batch:
@@ -285,7 +266,7 @@ class ConversionService:
         )
         self._doc_cursor += len(batch)
         try:
-            payload = await self._convert(topic, task)
+            payload = await self._convert(task)
         except Exception as exc:
             payload = _engine_failure(task, exc)
             fold = False  # nothing converted, nothing to fold
@@ -293,26 +274,25 @@ class ConversionService:
         self.stats.absorb(payload.stats)
         outcomes = self._split_payload(payload, task.base, batch)
         if fold:
-            state = self.topics[topic]
             survivors = list(payload.xml)
             summary = await asyncio.get_running_loop().run_in_executor(
-                None, state.fold, payload.accumulator, survivors
+                None, self.state.fold, payload.accumulator, survivors
             )
             for outcome in outcomes:
                 if outcome.ok:
                     outcome.folded = True
                     outcome.schema_version = summary["schema_version"]
                     outcome.fold_summary = summary
-        await self._apply_schema_versions(topic, batch, outcomes)
+        await self._apply_schema_versions(batch, outcomes)
         for pending, outcome in zip(batch, outcomes):
             if not pending.future.done():
                 pending.future.set_result(outcome)
 
-    async def _convert(self, topic: str, task: ChunkTask) -> ChunkPayload:
-        """One micro-batch on the topic's warm pool.  A broken pool goes
-        to the engine's crash recovery on a thread (it blocks while it
-        bisects), so a worker-killing document fails alone."""
-        engine, pool = self.engines[topic], self.pools[topic]
+    async def _convert(self, task: ChunkTask) -> ChunkPayload:
+        """One micro-batch on the warm pool.  A broken pool goes to the
+        engine's crash recovery on a thread (it blocks while it bisects),
+        so a worker-killing document fails alone."""
+        pool = self.pool
         loop = asyncio.get_running_loop()
         try:
             if pool.workers == 1:
@@ -323,7 +303,7 @@ class ConversionService:
             return await asyncio.wrap_future(task.submit(pool))
         except BrokenProcessPool:
             return await loop.run_in_executor(
-                None, engine.recover_chunk, pool, task, self.stats
+                None, self.engine.recover_chunk, pool, task, self.stats
             )
 
     def _split_payload(
@@ -356,10 +336,7 @@ class ConversionService:
         return outcomes
 
     async def _apply_schema_versions(
-        self,
-        topic: str,
-        batch: list[PendingDocument],
-        outcomes: list[DocumentOutcome],
+        self, batch: list[PendingDocument], outcomes: list[DocumentOutcome]
     ) -> None:
         """Conform outcomes that pinned ``schema_version`` against the
         archived DTD (validated at request time, so lookups succeed)."""
@@ -370,7 +347,7 @@ class ConversionService:
         ]
         if not targeted:
             return
-        state = self.topics[topic]
+        state = self.state
         loop = asyncio.get_running_loop()
 
         def conform_all() -> list[str | AssertionError]:
@@ -400,12 +377,11 @@ class ConversionService:
     # -- request validation --------------------------------------------------
 
     def _check_request(self, request: ConvertRequest) -> None:
-        state = self.topics.get(request.topic)
-        if state is None:
+        if request.topic != self.state.topic:
             raise HttpError(404, f"unknown topic {request.topic!r}")
         if request.schema_version is not None:
             try:
-                state.dtd_for_version(request.schema_version)
+                self.state.dtd_for_version(request.schema_version)
             except UnknownSchemaVersion as exc:
                 raise HttpError(400, str(exc)) from exc
 
@@ -516,10 +492,10 @@ class ConversionService:
         raise HttpError(404, f"no route for {method} {path}")
 
     def _route_schemas(self, rest: list[str]) -> tuple[int, bytes]:
+        state = self.state
         if not rest:
-            return 200, _json_body({"topics": sorted(self.topics)})
-        state = self.topics.get(rest[0])
-        if state is None:
+            return 200, _json_body({"topics": [state.topic]})
+        if rest[0] != state.topic:
             raise HttpError(404, f"unknown topic {rest[0]!r}")
         if len(rest) == 1:
             return 200, _json_body(state.describe())
@@ -555,26 +531,26 @@ class ConversionService:
         )
         batch = BatchOutcome(results=list(results))
         if requests and requests[0].fold:
-            batch.fold = self._batch_fold(requests[0].topic, batch.results)
+            batch.fold = self._batch_fold(batch.results)
         return 200, _json_body(batch.to_json())
 
-    def _batch_fold(self, topic: str, results: list[DocumentOutcome]) -> dict:
+    def _batch_fold(self, results: list[DocumentOutcome]) -> dict:
         """The batch's ``fold`` object, from the folds that took its
         documents: the latest one's summary, ``bumped`` if any of them
         bumped, and ``documents_folded`` counting this batch only.
 
-        Folds of one topic may finish out of dispatch order; the
-        topic's document total and schema version only grow, so the
-        latest fold is the one with the largest pair."""
+        Folds may finish out of dispatch order; the topic's document
+        total and schema version only grow, so the latest fold is the
+        one with the largest pair."""
         summaries = [r.fold_summary for r in results if r.fold_summary is not None]
         if not summaries:
             # Nothing folded (every document failed): report where the
             # topic stands.
-            state = self.topics[topic]
+            evolving = self.state.evolving
             return {
                 "documents_folded": 0,
-                "total_documents": state.evolving.total_documents(),
-                "schema_version": state.evolving.version,
+                "total_documents": evolving.total_documents(),
+                "schema_version": evolving.version,
                 "bumped": False,
             }
         latest = max(
@@ -589,9 +565,7 @@ class ConversionService:
     # -- reporting -----------------------------------------------------------
 
     def _health_report(self) -> dict:
-        worker_pids = sorted(
-            pid for pool in self.pools.values() for pid in pool.pids()
-        )
+        worker_pids = sorted(self.pool.pids()) if self.pool is not None else []
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -600,7 +574,7 @@ class ConversionService:
             "documents": self.stats.documents,
             "documents_failed": self.stats.documents_failed,
             "queued": self.batcher.queued(),
-            "topics": sorted(self.topics),
+            "topics": [self.state.topic],
             "latency": self.latency.summary() if self.latency.count else None,
         }
 
@@ -615,7 +589,7 @@ class ConversionService:
                 "GET /metrics",
                 "GET /healthz",
             ],
-            "topics": sorted(self.topics),
+            "topics": [self.state.topic],
         }
 
 

@@ -1,6 +1,7 @@
-"""Per-topic artifact store behind the conversion service.
+"""The topic's artifact store behind the conversion service.
 
-Each topic owns a state directory::
+The service's one topic (its knowledge base's ``topic``) keeps its
+state under one directory::
 
     <state-dir>/<topic>/evolution/    durable accumulator checkpoint,
                                       current.dtd, dtds/vNNNN.dtd

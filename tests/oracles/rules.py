@@ -19,11 +19,12 @@ from repro.concepts.knowledge import KnowledgeBase
 from repro.concepts.matcher import InstanceMatch
 from repro.concepts.textutil import squeeze_whitespace
 from repro.convert.config import ConversionConfig
-from repro.convert.grouping_rule import GROUP_TAG
-from repro.convert.instance_rule import InstanceRuleStats
+from repro.convert.grouping_rule import GROUP_TAG, MIN_GROUP_LEADERS
+from repro.convert.instance_rule import CONNECTORS, InstanceRuleStats
 from repro.convert.tokenize_rule import TOKEN_TAG
 from repro.dom.node import Element, Node, Text
 from repro.dom.treeops import iter_postorder, iter_preorder
+from repro.htmlparse.taginfo import DEFAULT_LIST_TAGS
 from repro.obs.provenance import ProvenanceLog, node_label_path
 
 _MAX_CONFIDENCE = 1e6
@@ -124,7 +125,7 @@ def _resolve_token(
     text = token.inner_text()
     # The label path must be taken while the token is still in the tree.
     node_path = node_label_path(token) if provenance is not None else ""
-    if len(text) < config.min_token_length:
+    if not text:
         parent.append_val(text)
         token.detach()
         if provenance is not None:
@@ -160,8 +161,8 @@ def _resolve_token(
             provenance.concept_event(doc_id, node_path, "unlabeled", text=text)
         return
 
-    if len(matches) == 1 or not config.split_multi_instance_tokens:
-        best = max(matches, key=lambda m: (m.specificity, -m.start))
+    if len(matches) == 1:
+        best = matches[0]
         _emit_single(token, best.concept_tag, text, stats)
         if provenance is not None:
             provenance.concept_event(
@@ -175,7 +176,7 @@ def _resolve_token(
             )
         return
 
-    _emit_split(token, matches, text, kb, config, stats, doc_id, node_path, provenance)
+    _emit_split(token, matches, text, kb, stats, doc_id, node_path, provenance)
 
 
 def _emit_single(token: Element, tag: str, text: str, stats: InstanceRuleStats) -> None:
@@ -187,17 +188,15 @@ def _emit_single(token: Element, tag: str, text: str, stats: InstanceRuleStats) 
     _count(stats, tag)
 
 
-def _merge_connected(
-    matches: list[InstanceMatch], text: str, config: ConversionConfig
-) -> list[InstanceMatch]:
-    if not config.merge_connectors or len(matches) < 2:
+def _merge_connected(matches: list[InstanceMatch], text: str) -> list[InstanceMatch]:
+    if len(matches) < 2:
         return matches
     merged = [matches[0]]
     for match in matches[1:]:
         gap = text[merged[-1].end : match.start]
         gap_words = gap.replace(",", " ").split()
         if gap_words and all(
-            word.lower() in config.merge_connectors for word in gap_words
+            word.lower() in CONNECTORS for word in gap_words
         ):
             previous = merged[-1]
             merged[-1] = InstanceMatch(
@@ -216,7 +215,6 @@ def _emit_split(
     matches: list[InstanceMatch],
     text: str,
     kb: KnowledgeBase,
-    config: ConversionConfig,
     stats: InstanceRuleStats,
     doc_id: str | None = None,
     node_path: str = "",
@@ -224,12 +222,11 @@ def _emit_split(
 ) -> None:
     parent = token.parent
     assert parent is not None
-    matches = _merge_connected(matches, text, config)
+    matches = _merge_connected(matches, text)
     kept: list[InstanceMatch] = []
     for match in matches:
         if (
-            config.use_sibling_constraints
-            and kept
+            kept
             and not kb.constraints.allows_sibling_pair(
                 kept[-1].concept_tag, match.concept_tag
             )
@@ -305,7 +302,7 @@ def _leader_tag(element: Element, config: ConversionConfig) -> str | None:
         if child.tag in config.group_tag_weights:
             counts[child.tag] = counts.get(child.tag, 0) + 1
     candidates = [
-        tag for tag, count in counts.items() if count >= config.min_group_leaders
+        tag for tag, count in counts.items() if count >= MIN_GROUP_LEADERS
     ]
     if not candidates:
         return None
@@ -346,12 +343,7 @@ def _group_children(element: Element, config: ConversionConfig) -> int:
 # -- consolidation (Section 2.3.2, structure rule 2) ------------------------
 
 
-def apply_consolidation_rule_legacy(
-    root: Element,
-    kb: KnowledgeBase,
-    config: ConversionConfig | None = None,
-) -> int:
-    config = config or ConversionConfig()
+def apply_consolidation_rule_legacy(root: Element, kb: KnowledgeBase) -> int:
     concept_tags = {concept.tag for concept in kb}
     eliminated = 0
     for node in list(iter_postorder(root)):
@@ -359,7 +351,7 @@ def apply_consolidation_rule_legacy(
             continue
         if node.tag in concept_tags:
             continue
-        _eliminate(node, concept_tags, config)
+        _eliminate(node, concept_tags)
         eliminated += 1
     return eliminated
 
@@ -368,8 +360,8 @@ def _is_concept_node(node: Node, concept_tags: set[str]) -> bool:
     return isinstance(node, Element) and node.tag in concept_tags
 
 
-def _children_push_up(node: Element, config: ConversionConfig) -> bool:
-    if node.tag.lower() in config.list_tags:
+def _children_push_up(node: Element) -> bool:
+    if node.tag.lower() in DEFAULT_LIST_TAGS:
         return True
     element_children = node.element_children()
     if len(element_children) >= 2 and len(element_children) == len(node.children):
@@ -378,11 +370,7 @@ def _children_push_up(node: Element, config: ConversionConfig) -> bool:
     return False
 
 
-def _eliminate(
-    node: Element,
-    concept_tags: set[str],
-    config: ConversionConfig,
-) -> None:
+def _eliminate(node: Element, concept_tags: set[str]) -> None:
     parent = node.parent
     assert parent is not None
 
@@ -392,7 +380,7 @@ def _eliminate(
         return
 
     children = list(node.children)
-    if _children_push_up(node, config):
+    if _children_push_up(node):
         parent.append_val(node.get_val())
         node.replace_with(*children)
         return

@@ -40,10 +40,6 @@ class TestTraining:
         clf.add_example("   ", "X")
         assert not clf.is_trained()
 
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            MultinomialNaiveBayes(alpha=0)
-
 
 class TestPrediction:
     def test_classifies_seen_patterns(self, trained):
@@ -61,10 +57,6 @@ class TestPrediction:
         label, margin = trained.predict("Stanford University")
         assert label == "INSTITUTION"
         assert margin > 0
-
-    def test_margin_threshold_forces_abstention(self):
-        clf = MultinomialNaiveBayes(margin_threshold=1e9).fit(TRAINING)
-        assert clf.classify("Stanford University") is None
 
     def test_log_posteriors_requires_training(self):
         with pytest.raises(RuntimeError):

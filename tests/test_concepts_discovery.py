@@ -4,6 +4,7 @@ import pytest
 
 from repro.concepts.concept import Concept, ConceptInstance
 from repro.concepts.discovery import (
+    MAX_PER_CONCEPT,
     InstanceProposal,
     augment_knowledge_base,
     propose_instances,
@@ -39,7 +40,7 @@ class TestProposals:
 
     def test_impure_words_rejected(self):
         mixed = EXAMPLES + [("Princeton Works", "COMPANY")] * 2
-        proposals = propose_instances(mixed, min_count=3, min_purity=0.9)
+        proposals = propose_instances(mixed, min_count=3)
         assert not any(
             p.keyword == "princeton" and p.concept_tag == "COMPANY"
             for p in proposals
@@ -70,8 +71,8 @@ class TestProposals:
         examples = [
             (f"uniword{i} uniword{i} filler", "X") for i in range(30) for _ in range(3)
         ]
-        proposals = propose_instances(examples, min_count=3, max_per_concept=5)
-        assert len([p for p in proposals if p.concept_tag == "X"]) <= 5
+        proposals = propose_instances(examples, min_count=3)
+        assert len([p for p in proposals if p.concept_tag == "X"]) == MAX_PER_CONCEPT
 
     def test_deterministic(self):
         a = propose_instances(EXAMPLES, min_count=3)

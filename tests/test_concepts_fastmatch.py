@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.concepts.bayes import MultinomialNaiveBayes
+from repro.concepts.bayes import ALPHA, MultinomialNaiveBayes
 from repro.concepts.concept import Concept, ConceptInstance
 from repro.concepts.fastmatch import (
     AhoCorasickAutomaton,
@@ -228,7 +228,7 @@ class TestFoldedBayes:
     def test_log_posteriors_match_explicit_formula(self):
         import math
 
-        bayes = MultinomialNaiveBayes(alpha=0.5).fit(
+        bayes = MultinomialNaiveBayes().fit(
             [("alpha beta", "A"), ("beta gamma", "B"), ("alpha alpha", "A")]
         )
         text = "alpha gamma delta"
@@ -241,10 +241,10 @@ class TestFoldedBayes:
             prior = math.log(
                 bayes._class_doc_counts[label] / bayes._total_docs
             )
-            denom = bayes._class_word_totals[label] + bayes.alpha * vocab
+            denom = bayes._class_word_totals[label] + ALPHA * vocab
             likelihood = sum(
                 math.log(
-                    (bayes._word_counts[label][word] + bayes.alpha) / denom
+                    (bayes._word_counts[label][word] + ALPHA) / denom
                 )
                 for word in words
             )

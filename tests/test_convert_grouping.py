@@ -1,6 +1,5 @@
 """Tests for the grouping rule (Section 2.3.2)."""
 
-from repro.convert.config import ConversionConfig
 from repro.convert.grouping_rule import GROUP_TAG, apply_grouping_rule
 from repro.dom.node import Element, Text
 
@@ -28,7 +27,7 @@ class TestBasicGrouping:
 
     def test_siblings_right_of_last_leader_grouped(self):
         root = build("h2", "ul")
-        # one leader is below the min_group_leaders threshold
+        # one leader is below MIN_GROUP_LEADERS
         assert apply_grouping_rule(root) == 0
         root = build("h2", "ul", "h2", "ul", "p")
         apply_grouping_rule(root)
@@ -79,8 +78,3 @@ class TestWeights:
     def test_non_group_tags_never_lead(self):
         root = build("table", "ul", "table", "ul")
         assert apply_grouping_rule(root) == 0
-
-    def test_custom_min_leaders(self):
-        config = ConversionConfig(min_group_leaders=1)
-        root = build("h2", "ul")
-        assert apply_grouping_rule(root, config) == 1

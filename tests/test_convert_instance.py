@@ -121,14 +121,6 @@ class TestMultiInstanceSplit:
         assert all(child is not split for child in parent.children)
         assert split.parent is None and split.tag == TOKEN_TAG
 
-    def test_split_disabled(self, kb):
-        config = ConversionConfig(split_multi_instance_tokens=False)
-        parent = parent_with_tokens("University 1996")
-        apply_instance_rule(parent, kb, config)
-        children = parent.element_children()
-        assert len(children) == 1
-        assert children[0].tag == "INSTITUTION"
-
     def test_connector_merge_keeps_named_entity_whole(self, kb):
         kb.add(
             Concept(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.convert.linked import LinkedDocumentConverter, extract_topic_links
+from repro.convert.linked import MAX_LINKS, LinkedDocumentConverter, extract_topic_links
 from repro.concepts.matcher import SynonymMatcher
 from repro.corpus.web import SimulatedWeb
 from repro.dom.path import find_all, find_first
@@ -100,10 +100,15 @@ class TestLinkedConversion:
         assert outcome.followed == []
         assert outcome.root.tag == "RESUME"
 
-    def test_max_links_respected(self, converter, pages):
-        linked = LinkedDocumentConverter(converter, fetch=pages.get, max_links=0)
-        outcome = linked.convert(MAIN_HTML)
-        assert outcome.followed == []
+    def test_max_links_respected(self, converter):
+        fetched = []
+        linked = LinkedDocumentConverter(converter, fetch=fetched.append)
+        anchors = "".join(
+            f'<li><a href="/education{i}.html">Education</a></li>'
+            for i in range(MAX_LINKS + 2)
+        )
+        linked.convert(f"<html><body><h1>Resume</h1><ul>{anchors}</ul></body></html>")
+        assert len(fetched) == MAX_LINKS
 
     def test_other_sections_unaffected(self, linked, converter):
         plain = converter.convert(MAIN_HTML)

@@ -111,18 +111,6 @@ class TestConverterBehavior:
         assert first.to_xml() == second.to_xml()
         assert first.to_xml() == converter.convert(RESUME_HTML).to_xml()
 
-    def test_convert_copy_false_consumes_input(self, converter):
-        """Opting out of the defensive clone mutates the input in place
-        (the historical behavior, kept for throwaway trees)."""
-        from repro.dom.treeops import clone, deep_equal
-        from repro.htmlparse.parser import parse_html
-
-        tree = parse_html(RESUME_HTML)
-        snapshot = clone(tree)
-        result = converter.convert(tree, copy=False)
-        assert result.root.tag == "RESUME"
-        assert not deep_equal(tree, snapshot)
-
     def test_per_rule_timings_recorded(self, converter):
         result = converter.convert(RESUME_HTML)
         assert {"parse", "tokenize", "instance", "group", "consolidate"} <= set(

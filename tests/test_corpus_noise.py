@@ -41,29 +41,13 @@ class TestInjection:
             tree = parse_html(noisy)
             assert "UC Davis" in tree.inner_text()
 
-    def test_individual_toggles(self):
-        config = NoiseConfig(
-            rate=2.0,
-            drop_close_tags=False,
-            uppercase_tags=False,
-            unquote_attributes=True,
-            stray_font_tags=False,
-            double_open_bold=False,
-        )
-        noisy = inject_noise(SAMPLE, random.Random(3), config)
-        assert noisy.count("</li>") == SAMPLE.count("</li>")
+    def test_attributes_unquoted_at_full_rate(self):
+        noisy = inject_noise(SAMPLE, random.Random(3), NoiseConfig(rate=2.0))
         assert 'border="1"' not in noisy
+        assert "border=1" in noisy.lower()
 
     def test_double_bold_injected(self):
-        config = NoiseConfig(
-            rate=2.0,
-            drop_close_tags=False,
-            uppercase_tags=False,
-            unquote_attributes=False,
-            stray_font_tags=False,
-            double_open_bold=True,
-        )
-        noisy = inject_noise(SAMPLE, random.Random(3), config)
+        noisy = inject_noise(SAMPLE, random.Random(1), NoiseConfig(rate=1.0))
         assert "<b><b>" in noisy
 
     def test_scaled_probability_capped(self):

@@ -90,9 +90,6 @@ class TestCloneAndEquality:
 
     def test_deep_equal_detects_attr_difference(self):
         assert not deep_equal(Element("a", {"val": "1"}), Element("a"))
-        assert deep_equal(
-            Element("a", {"val": "1"}), Element("a"), compare_attrs=False
-        )
 
     def test_deep_equal_detects_child_count(self):
         a = Element("a", children=[Element("x")])

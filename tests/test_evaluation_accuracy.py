@@ -65,7 +65,6 @@ class TestSingleDocument:
         truth = tree(("R", [("A", [])]))
         result = count_logical_errors(extracted, truth)
         assert result.extracted_nodes == 3
-        assert result.truth_nodes == 2
 
     def test_error_percentage(self):
         extracted = tree(("R", [("A", [])] + [("B", [])]))
@@ -91,9 +90,6 @@ class TestReport:
                     doc_id=i,
                     errors=int(pct),
                     extracted_nodes=100,
-                    truth_nodes=100,
-                    surplus_paths=0,
-                    deficit_paths=0,
                 )
             )
         return report

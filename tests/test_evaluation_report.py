@@ -1,6 +1,6 @@
 """Tests for text table/histogram rendering."""
 
-from repro.evaluation.report import format_histogram, format_table
+from repro.evaluation.report import HISTOGRAM_WIDTH, format_histogram, format_table
 
 
 class TestTable:
@@ -32,10 +32,10 @@ class TestTable:
 
 class TestHistogram:
     def test_bars_scale_to_peak(self):
-        out = format_histogram([("low", 1), ("high", 10)], width=10)
+        out = format_histogram([("low", 1), ("high", 10)])
         lines = out.splitlines()
-        assert lines[0].count("#") == 1
-        assert lines[1].count("#") == 10
+        assert lines[0].count("#") == HISTOGRAM_WIDTH // 10
+        assert lines[1].count("#") == HISTOGRAM_WIDTH
 
     def test_counts_shown(self):
         out = format_histogram([("a", 3)])

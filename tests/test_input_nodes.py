@@ -27,12 +27,11 @@ def test_source_input(converter, corpus):  # noqa: F811
         assert converter.convert(html).input_nodes == tree_size(parse_html(html))
 
 
-@pytest.mark.parametrize("copy", [True, False], ids=["copy", "in-place"])
-def test_element_input(converter, corpus, copy):  # noqa: F811
+def test_element_input(converter, corpus):  # noqa: F811
     for html in corpus:
         document = parse_html(html)
         expected = tree_size(document)
-        assert converter.convert(document, copy=copy).input_nodes == expected
+        assert converter.convert(document).input_nodes == expected
 
 
 @pytest.mark.parametrize(

@@ -224,11 +224,6 @@ class TestSchemaVersionManifest:
         save_repository(repo, tmp_path / "store")
         assert load_repository(tmp_path / "store").schema_version is None
 
-    def test_explicit_override_wins(self, repo, tmp_path):
-        repo.schema_version = 4
-        save_repository(repo, tmp_path / "store", schema_version=9)
-        assert load_repository(tmp_path / "store").schema_version == 9
-
 
 class TestNonAsciiRoundTrip:
     def test_round_trip_under_ascii_locale(self, tmp_path):

@@ -97,10 +97,6 @@ class TestConformance:
         violations = validate_document(d, dtd)
         assert any(v.path == ("resume", "education") for v in violations)
 
-    def test_case_sensitive_mode(self, dtd):
-        d = doc(True)
-        assert not conforms(d, dtd, lowercase=False)  # tags are upper-case
-
     def test_nested_validation_recurses(self, dtd):
         d = doc(True)
         d.element_children()[1].element_children()[0].append_child(

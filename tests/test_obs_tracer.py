@@ -103,14 +103,6 @@ class TestAdoptAcrossWorkerBoundary:
         assert parent.by_name("engine.chunk")[0].span_id.startswith("c0.")
         assert parent.by_name("engine.chunk")[1].span_id.startswith("c1.")
 
-    def test_adopt_with_explicit_parent(self):
-        parent = Tracer()
-        with parent.span("root"):
-            pass
-        root_id = parent.spans[0].span_id
-        parent.adopt(self.simulate_worker(), parent_id=root_id, prefix="c9.")
-        assert parent.by_name("engine.chunk")[0].parent_id == root_id
-
     def test_adopted_attrs_and_durations_survive(self):
         worker_dicts = self.simulate_worker()
         parent = Tracer()

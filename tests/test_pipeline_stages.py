@@ -45,7 +45,7 @@ def stages(kb):
     snapshots["tagged"] = _snapshot(work)
     apply_grouping_rule(work, config)
     snapshots["grouped"] = _snapshot(work)
-    apply_consolidation_rule(work, kb, config)
+    apply_consolidation_rule(work, kb)
     snapshots["consolidated"] = _snapshot(work)
     return work, snapshots, stats
 

@@ -34,7 +34,7 @@ class TestAdversarialHtml:
         """A pre-parsed 3,000-deep tree is copied without recursion."""
         html = "<div>Education, " * 3000 + "University of Davis" + "</div>" * 3000
         document = parse_html(html)
-        result = converter.convert(document, copy=True)
+        result = converter.convert(document)
         assert result.input_nodes == tree_size(document)
         assert "INSTITUTION" in result.to_xml()
         assert to_xml(clone(document)) == to_xml(document)

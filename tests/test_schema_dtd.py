@@ -125,11 +125,6 @@ class TestDerivation:
         dtd = derive_dtd(schema_for(stats), stats)
         assert "r" in dtd.elements and "c" in dtd.elements
 
-    def test_lowercase_disabled(self):
-        stats = corpus(("R", [("C", [])]), ("R", [("C", [])]))
-        dtd = derive_dtd(schema_for(stats), stats, lowercase_names=False)
-        assert "R" in dtd.elements
-
     def test_optional_extension(self):
         stats = corpus(
             ("r", [("a", []), ("b", [])]),

@@ -146,7 +146,7 @@ class TestMining:
             figure2_docs,
             sup_threshold=0.5,
             extend_zero_support=True,
-            max_length=2,
+            constraints=ConstraintSet(max_depth=1),
             candidate_labels={"resume", "education", "contact", "skills"},
         )
         # root + 4 labels at level 2 (no constraint other than length)

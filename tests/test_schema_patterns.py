@@ -1,6 +1,5 @@
 """Tests for general repetition patterns ((e1,e2)+ discovery)."""
 
-import pytest
 
 from repro.dom.node import Element
 from repro.schema.patterns import (
@@ -72,7 +71,6 @@ class TestDiscovery:
         assert patterns
         assert patterns[0].unit == ("a", "b")
         assert patterns[0].support == 1.0
-        assert patterns[0].avg_repeats == pytest.approx(3.0)
 
     def test_no_pattern_in_uniform_children(self):
         corpus = [tree(("r", [("e", [("a", []), ("a", []), ("a", [])])]))]
@@ -83,9 +81,7 @@ class TestDiscovery:
         corpus = [entry_doc(2)] + [
             tree(("r", [("e", [("a", []), ("x", [])])])) for _ in range(4)
         ]
-        patterns = discover_group_patterns(
-            corpus, ("r", "e"), group_threshold=0.5
-        )
+        patterns = discover_group_patterns(corpus, ("r", "e"))
         assert patterns == []
 
     def test_longer_unit_preferred_over_subunit(self):
@@ -101,7 +97,7 @@ class TestDiscovery:
         assert set(result) == {("r", "e")}
 
     def test_render_method(self):
-        pattern = GroupPattern(("R", "E"), ("DATE", "DEGREE"), 1.0, 3.0)
+        pattern = GroupPattern(("DATE", "DEGREE"), 1.0)
         assert pattern.render() == "(date, degree)+"
 
 

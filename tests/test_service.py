@@ -188,6 +188,29 @@ class TestLifecycleRoutes:
         )
         assert status == 404 and "magazines" in payload["error"]
 
+    def test_catalog_service_serves_the_catalog_topic(self, tmp_path):
+        """The service's topic is its knowledge base's: a catalog service
+        lists ``catalog``, converts a request for it and keeps its state
+        under ``<state-dir>/catalog/``."""
+        from repro.concepts.catalog_kb import build_catalog_knowledge_base
+        from repro.corpus.catalog import CatalogCorpusGenerator
+
+        source = CatalogCorpusGenerator(seed=7).generate_one(0).html
+        server = ServerThread(make_service(build_catalog_knowledge_base(), tmp_path))
+        host, port = server.start()
+        try:
+            _, _, body = fetch(host, port, _get("/schemas"))
+            assert json.loads(body) == {"topics": ["catalog"]}
+            status, payload = post_json(
+                host, port, "/convert",
+                {"source": source, "topic": "catalog", "fold": True},
+            )
+            assert status == 200 and payload["ok"] and payload["folded"]
+        finally:
+            server.stop()
+        assert (tmp_path / "state" / "catalog" / "evolution").is_dir()
+        assert not (tmp_path / "state" / "resume").exists()
+
     def test_bad_json_is_400(self, live):
         _, host, port = live
         raw = (
@@ -291,7 +314,7 @@ class TestOfflineEquivalence:
         against the topic's current DTD.  Each batch response reports
         the latest fold that took its documents."""
         service = make_service(kb, tmp_path, publish=True)
-        state = service.topics["resume"]
+        state = service.state
         server = ServerThread(service)
         host, port = server.start()
         converted = 0
@@ -427,7 +450,7 @@ class TestDocumentFailures:
         from repro.service.batcher import PendingDocument
 
         service = make_service(kb, tmp_path)
-        state = service.topics["resume"]
+        state = service.state
         calls = []
 
         def conform_to_version(xml_text, version):
@@ -447,18 +470,14 @@ class TestDocumentFailures:
             loop = asyncio.get_running_loop()
             batch = [PendingDocument(request, loop.create_future())
                      for request in requests]
-            await service._dispatch(("resume", False), batch)
+            await service._dispatch(False, batch)
             return [pending.future.result() for pending in batch]
 
-        service.pools = {
-            name: engine.worker_pool()
-            for name, engine in service.engines.items()
-        }
+        service.pool = service.engine.worker_pool()
         try:
             outcomes = asyncio.run(dispatch())
         finally:
-            for pool in service.pools.values():
-                pool.shutdown(wait=True)
+            service.pool.shutdown(wait=True)
         assert [outcome.ok for outcome in outcomes] == [False, True, True]
         assert outcomes[0].error["error_type"] == "AssertionError"
         assert outcomes[0].error["stage"] == "conform"
@@ -520,7 +539,7 @@ class TestDocumentFailures:
             def broken_submit(*args, **kwargs):
                 raise RuntimeError("pool unavailable")
 
-            monkeypatch.setattr(service.pools["resume"], "submit", broken_submit)
+            monkeypatch.setattr(service.pool, "submit", broken_submit)
             status, payload = post_json(
                 host, port, "/convert/batch", {"documents": corpus_html[:3]}
             )
@@ -625,7 +644,7 @@ class TestConcurrentLoad:
                     service.batcher.submit(ConvertRequest(source=source))
                     for source in sources
                 ))
-                own = service.pools["resume"].state.converter.tagger_cache_counters()
+                own = service.pool.state.converter.tagger_cache_counters()
             finally:
                 await service.shutdown()
             return outcomes, own
@@ -651,9 +670,8 @@ class TestDrain:
         host, port = server.start()
         server.stop()
         assert service.draining
-        # Every pool refuses post-shutdown work.
-        for pool in service.pools.values():
-            assert pool._closed
+        # The pool refuses post-shutdown work.
+        assert service.pool._closed
 
     def test_sigterm_drains_with_no_orphans(self, tmp_path, corpus_html):
         """End-to-end: `repro-web serve` under SIGTERM exits 0, prints
