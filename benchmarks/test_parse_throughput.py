@@ -51,6 +51,7 @@ TOKENIZER_ROUNDS = 12
 TIDY_ROUNDS = 5
 E2E_CORPUS_SIZE = 120
 E2E_CHUNK_SIZE = 8
+E2E_ROUNDS = 3
 # Never more workers than CPUs: an oversubscribed pool measures the
 # scheduler, not the engine.
 WORKER_COUNTS = [n for n in (1, 2, 4) if n <= (os.cpu_count() or 1)]
@@ -185,6 +186,21 @@ def _measure_tidy(docs: list[str]) -> tuple[float, float]:
     return legacy_best, fast_best
 
 
+def _measure_engine(kb, html: list[str], workers: int):
+    """Best-of-``E2E_ROUNDS`` interleaved engine runs (legacy, fast):
+    each side's run with the most docs/sec.  One run per side let one
+    noisy neighbour swing the ratio from 0.85 to 1.92."""
+    legacy_runs, fast_runs = [], []
+    for _ in range(E2E_ROUNDS):
+        legacy_runs.append(_engine_docs_per_sec(kb, html, fast=False, workers=workers))
+        fast_runs.append(_engine_docs_per_sec(kb, html, fast=True, workers=workers))
+
+    def fastest(runs):
+        return max(runs, key=lambda run: run.stats.docs_per_second)
+
+    return fastest(legacy_runs), fastest(fast_runs)
+
+
 def _engine_docs_per_sec(kb, html: list[str], *, fast: bool, workers: int):
     """One engine run; ``fast=False`` swaps the legacy tokenizer in
     before the engine builds its converter and forks its pool, and
@@ -205,6 +221,15 @@ def _engine_run(kb, html: list[str], workers: int):
     result = engine.convert_corpus(html)
     assert result.stats.documents == len(html)
     return result
+
+
+def _engine_row(legacy_result, fast_result) -> dict:
+    legacy, fast = legacy_result.stats.docs_per_second, fast_result.stats.docs_per_second
+    return {
+        "legacy_docs_per_sec": round(legacy, 1),
+        "fast_docs_per_sec": round(fast, 1),
+        "ratio": round(fast / legacy, 3),
+    }
 
 
 def test_parse_throughput(benchmark, kb, capsys):
@@ -249,35 +274,16 @@ def test_parse_throughput(benchmark, kb, capsys):
     tidy_legacy_seconds, tidy_fast_seconds = _measure_tidy(e2e_html)
     tidy_speedup = tidy_legacy_seconds / tidy_fast_seconds
     engine_rows: dict[str, dict] = {}
-    last_fast_result = None
-    for workers in WORKER_COUNTS:
-        legacy_result = _engine_docs_per_sec(
-            kb, e2e_html, fast=False, workers=workers
-        )
-        if workers == WORKER_COUNTS[-1]:
-            last_fast_result = benchmark.pedantic(
-                lambda: _engine_docs_per_sec(
-                    kb, e2e_html, fast=True, workers=WORKER_COUNTS[-1]
-                ),
-                rounds=1,
-                iterations=1,
-            )
-            fast_result = last_fast_result
-        else:
-            fast_result = _engine_docs_per_sec(
-                kb, e2e_html, fast=True, workers=workers
-            )
-        engine_rows[str(workers)] = {
-            "legacy_docs_per_sec": round(legacy_result.stats.docs_per_second, 1),
-            "fast_docs_per_sec": round(fast_result.stats.docs_per_second, 1),
-            "ratio": round(
-                fast_result.stats.docs_per_second
-                / legacy_result.stats.docs_per_second,
-                3,
-            ),
-        }
+    for workers in WORKER_COUNTS[:-1]:
+        legacy_result, fast_result = _measure_engine(kb, e2e_html, workers)
+        engine_rows[str(workers)] = _engine_row(legacy_result, fast_result)
+    legacy_result, last_fast_result = benchmark.pedantic(
+        lambda: _measure_engine(kb, e2e_html, WORKER_COUNTS[-1]),
+        rounds=1,
+        iterations=1,
+    )
+    engine_rows[str(WORKER_COUNTS[-1])] = _engine_row(legacy_result, last_fast_result)
 
-    assert last_fast_result is not None
     tidy_stage = last_fast_result.stats.rule_seconds.get("tidy", 0.0)
 
     # Accumulator wire form: the compact pickle chunk results cross the
@@ -319,7 +325,8 @@ def test_parse_throughput(benchmark, kb, capsys):
                     ]
                     for workers, row in engine_rows.items()
                 ],
-                title=f"[parse] engine docs/sec, {E2E_CORPUS_SIZE}-doc corpus",
+                title=f"[parse] engine docs/sec, {E2E_CORPUS_SIZE}-doc corpus "
+                f"(best of {E2E_ROUNDS} interleaved runs)",
             )
         )
         print(

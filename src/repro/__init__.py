@@ -32,88 +32,71 @@ baselines), ``mapping`` (tree edit distance, conformance, repository),
 ``evaluation`` (the paper's experiments), ``runtime`` (the parallel
 streaming corpus engine with mergeable path statistics), ``obs``
 (span tracing, metrics registry, per-document provenance).
+
+Every package exports its names lazily (PEP 562): importing a package
+runs none of its submodules, and the first read of a name imports the
+module that defines it.  So ``import repro.x.y`` runs ``x.y`` and what
+it imports itself, and nothing more.
 """
 
-from repro.concepts import (
-    Concept,
-    ConceptInstance,
-    ConceptRole,
-    ConstraintSet,
-    KnowledgeBase,
-    MultinomialNaiveBayes,
-    SynonymMatcher,
-    build_resume_knowledge_base,
-)
-from repro.convert import ConversionConfig, ConversionResult, DocumentConverter
-from repro.corpus import ResumeCorpusGenerator, SimulatedWeb, TopicCrawler
-from repro.dom import Element, Text, to_xml
-from repro.htmlparse import parse_html, tidy
-from repro.mapping import (
-    XMLRepository,
-    conform_document,
-    tree_edit_distance,
-    validate_document,
-)
-from repro.obs import MetricsRegistry, ProvenanceLog, Tracer
-from repro.runtime import CorpusEngine, EngineConfig, EngineStats
-from repro.schema import (
-    DTD,
-    MajoritySchema,
-    PathAccumulator,
-    build_dataguide,
-    build_lower_bound_schema,
-    derive_dtd,
-    extract_paths,
-    mine_frequent_paths,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # knowledge
-    "Concept",
-    "ConceptInstance",
-    "ConceptRole",
-    "ConstraintSet",
-    "KnowledgeBase",
-    "SynonymMatcher",
-    "MultinomialNaiveBayes",
-    "build_resume_knowledge_base",
-    # conversion
-    "DocumentConverter",
-    "ConversionConfig",
-    "ConversionResult",
-    # dom / parsing
-    "Element",
-    "Text",
-    "to_xml",
-    "parse_html",
-    "tidy",
-    # schema discovery
-    "extract_paths",
-    "mine_frequent_paths",
-    "MajoritySchema",
-    "derive_dtd",
-    "DTD",
-    "build_dataguide",
-    "build_lower_bound_schema",
-    # mapping
-    "tree_edit_distance",
-    "validate_document",
-    "conform_document",
-    "XMLRepository",
-    # corpus
-    "ResumeCorpusGenerator",
-    "SimulatedWeb",
-    "TopicCrawler",
-    # runtime
-    "CorpusEngine",
-    "EngineConfig",
-    "EngineStats",
-    "PathAccumulator",
-    # observability
-    "Tracer",
-    "MetricsRegistry",
-    "ProvenanceLog",
-]
+
+def lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]) -> None:
+    """Give the package whose globals are ``namespace`` a module
+    ``__getattr__``, ``__dir__`` and ``__all__`` over ``table``, which
+    maps a module path, relative to the package (``".node"``) or
+    absolute, to the names it exports.  A name is cached in the package
+    namespace on first read."""
+    package = namespace["__name__"]
+    home = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(home[name], package), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | home.keys())
+
+    namespace.update(__getattr__=__getattr__, __dir__=__dir__, __all__=list(home))
+    for name, module in home.items():
+        if module == f".{name}":
+            # Importing a submodule binds it under its own name, over an
+            # export of that name; so import it now and bind the export after.
+            __getattr__(name)
+
+
+lazy_exports(globals(), {
+    ".concepts": (
+        "Concept",
+        "ConceptInstance",
+        "ConceptRole",
+        "ConstraintSet",
+        "KnowledgeBase",
+        "SynonymMatcher",
+        "MultinomialNaiveBayes",
+        "build_resume_knowledge_base",
+    ),
+    ".convert": ("DocumentConverter", "ConversionConfig", "ConversionResult"),
+    ".dom": ("Element", "Text", "to_xml"),
+    ".htmlparse": ("parse_html", "tidy"),
+    ".schema": (
+        "extract_paths",
+        "mine_frequent_paths",
+        "MajoritySchema",
+        "derive_dtd",
+        "DTD",
+        "build_dataguide",
+        "build_lower_bound_schema",
+        "PathAccumulator",
+    ),
+    ".mapping": ("tree_edit_distance", "validate_document", "conform_document", "XMLRepository"),
+    ".corpus": ("ResumeCorpusGenerator", "SimulatedWeb", "TopicCrawler"),
+    ".runtime": ("CorpusEngine", "EngineConfig", "EngineStats"),
+    ".obs": ("Tracer", "MetricsRegistry", "ProvenanceLog"),
+})
+__all__.append("__version__")

@@ -30,11 +30,7 @@ from pathlib import Path
 
 from repro.concepts.resume_kb import build_resume_knowledge_base
 from repro.convert.pipeline import DocumentConverter
-from repro.corpus.crawler import TopicCrawler
-from repro.corpus.generator import ResumeCorpusGenerator
-from repro.corpus.web import SimulatedWeb
 from repro.dom.serialize import to_xml_document
-from repro.evaluation.accuracy import evaluate_accuracy
 from repro.evaluation.report import format_histogram, format_table
 from repro.htmlparse.parser import parse_fragment
 from repro.obs import (
@@ -104,13 +100,17 @@ def _style_weights(styles: list[str] | None) -> dict[str, float] | None:
     return {name: (1.0 if name in styles else 0.0) for name in STYLES}
 
 
+def _generator(args: argparse.Namespace) -> "ResumeCorpusGenerator":
+    """The corpus generator that ``--seed`` and ``--style`` select."""
+    from repro.corpus.generator import ResumeCorpusGenerator
+
+    return ResumeCorpusGenerator(seed=args.seed, style_weights=_style_weights(args.style))
+
+
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    generator = ResumeCorpusGenerator(
-        seed=args.seed, style_weights=_style_weights(args.style)
-    )
-    for doc in generator.generate(args.count):
+    for doc in _generator(args).generate(args.count):
         (out / f"resume{doc.doc_id:04d}.html").write_text(doc.html, encoding="utf-8")
     print(f"wrote {args.count} resumes to {out}/")
     return 0
@@ -179,9 +179,7 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
     if args.files:
         sources = [Path(name).read_text(encoding="utf-8") for name in args.files]
     elif args.generate:
-        sources = ResumeCorpusGenerator(
-            seed=args.seed, style_weights=_style_weights(args.style)
-        ).generate_html(args.generate)
+        sources = _generator(args).generate_html(args.generate)
     else:
         print("convert-corpus needs input files or --generate N", file=sys.stderr)
         return 2
@@ -536,6 +534,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.corpus.generator import ResumeCorpusGenerator
+    from repro.evaluation.accuracy import evaluate_accuracy
+
     kb = build_resume_knowledge_base()
     converter = DocumentConverter(kb)
     generator = ResumeCorpusGenerator(seed=args.seed)
@@ -564,6 +565,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
+    from repro.corpus.crawler import TopicCrawler
+    from repro.corpus.web import SimulatedWeb
+
     web = SimulatedWeb(
         resume_count=args.resumes, noise_count=args.noise, seed=args.seed
     )
@@ -709,9 +713,7 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
     if args.files:
         sources = [Path(name).read_text(encoding="utf-8") for name in args.files]
     elif args.generate:
-        sources = ResumeCorpusGenerator(
-            seed=args.seed, style_weights=_style_weights(args.style)
-        ).generate_html(args.generate)
+        sources = _generator(args).generate_html(args.generate)
     else:
         print("evolve fold needs input files or --generate N", file=sys.stderr)
         return 2

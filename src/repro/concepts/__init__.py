@@ -18,47 +18,15 @@ discovery (Section 4.2).
   alternative ([12] in the paper).
 """
 
-from repro.concepts.bayes import MultinomialNaiveBayes
-from repro.concepts.concept import Concept, ConceptInstance, ConceptRole
-from repro.concepts.fastmatch import (
-    AhoCorasickAutomaton,
-    CachedBayes,
-    FastSynonymMatcher,
-    LRUCache,
-)
-from repro.concepts.discovery import (
-    InstanceProposal,
-    augment_knowledge_base,
-    propose_instances,
-)
-from repro.concepts.constraints import (
-    ConstraintSet,
-    DepthConstraint,
-    ParentConstraint,
-    SiblingConstraint,
-)
-from repro.concepts.knowledge import KnowledgeBase
-from repro.concepts.matcher import InstanceMatch, SynonymMatcher
-from repro.concepts.resume_kb import build_resume_knowledge_base
+from repro import lazy_exports
 
-__all__ = [
-    "Concept",
-    "ConceptInstance",
-    "ConceptRole",
-    "ConstraintSet",
-    "ParentConstraint",
-    "SiblingConstraint",
-    "DepthConstraint",
-    "KnowledgeBase",
-    "SynonymMatcher",
-    "FastSynonymMatcher",
-    "AhoCorasickAutomaton",
-    "CachedBayes",
-    "LRUCache",
-    "InstanceMatch",
-    "MultinomialNaiveBayes",
-    "build_resume_knowledge_base",
-    "InstanceProposal",
-    "propose_instances",
-    "augment_knowledge_base",
-]
+lazy_exports(globals(), {
+    ".bayes": ("MultinomialNaiveBayes",),
+    ".concept": ("Concept", "ConceptInstance", "ConceptRole"),
+    ".constraints": ("ConstraintSet", "ParentConstraint", "SiblingConstraint", "DepthConstraint"),
+    ".discovery": ("InstanceProposal", "propose_instances", "augment_knowledge_base"),
+    ".fastmatch": ("FastSynonymMatcher", "AhoCorasickAutomaton", "CachedBayes", "LRUCache"),
+    ".knowledge": ("KnowledgeBase",),
+    ".matcher": ("SynonymMatcher", "InstanceMatch"),
+    ".resume_kb": ("build_resume_knowledge_base",),
+})

@@ -27,12 +27,15 @@ same greedy non-overlap resolution -- for every input:
 
 * Literal keywords are matched over an ASCII-case-folded copy of the
   token (``str.translate`` with an A-Z table), which coincides with
-  ``re.IGNORECASE`` on ASCII text; the automaton hits are then filtered
+  ``re.IGNORECASE`` for ASCII keywords on any text: the only non-ASCII
+  characters ``re.IGNORECASE`` matches to ASCII ones are İ, ı, ſ and
+  the Kelvin sign (``_ASCII_CASE_ALIASES``), and a token holding one of
+  them takes the naive matcher.  The automaton hits are then filtered
   through the same word-boundary checks (``(?<![A-Za-z0-9])`` /
   ``(?![A-Za-z0-9])``) the compiled patterns assert, and through
   ``finditer``'s per-pattern left-to-right non-overlap rule.
-* Non-ASCII tokens and non-ASCII keywords fall back to the compiled
-  regex path, so Unicode case-folding corner cases never diverge.
+* Non-ASCII keywords keep their compiled regex, so Unicode case
+  folding of the keyword itself never diverges.
 * Regex instances run their own ``finditer`` exactly as before --
   a combined alternation can only tell *whether* some regex matches
   (its per-position alternative preference differs from running each
@@ -59,8 +62,11 @@ from repro.concepts.matcher import InstanceMatch, SynonymMatcher
 DEFAULT_CACHE_SIZE = 4096
 
 # ASCII case folding: coincides with re.IGNORECASE for ASCII patterns
-# over ASCII text (non-ASCII text takes the compiled-regex fallback).
+# over any text without one of the _ASCII_CASE_ALIASES.
 _ASCII_FOLD = {code: code + 32 for code in range(ord("A"), ord("Z") + 1)}
+# The non-ASCII characters that re.IGNORECASE matches to ASCII letters:
+# İ (U+0130), ı (U+0131), ſ (U+017F) and the Kelvin sign (U+212A).
+_ASCII_CASE_ALIASES = frozenset("\u0130\u0131\u017f\u212a")
 _ASCII_ALNUM = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 )
@@ -280,8 +286,8 @@ class FastSynonymMatcher:
     # -- internals -----------------------------------------------------------
 
     def _find_all_uncached(self, text: str) -> list[InstanceMatch]:
-        if not text.isascii():
-            # Unicode case folding is regex territory; stay exact.
+        if not text.isascii() and not _ASCII_CASE_ALIASES.isdisjoint(text):
+            # ASCII folding would miss what re.IGNORECASE matches here.
             return self._naive_matcher().find_all(text)
         raw = self._literal_matches(text)
         raw.extend(self._regex_matches(text))

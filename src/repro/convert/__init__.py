@@ -13,23 +13,14 @@ The four restructuring rules, applied in order by
    remaining HTML/temporary markup (structure rule 2).
 """
 
-from repro.convert.config import ConversionConfig
-from repro.convert.consolidation_rule import apply_consolidation_rule
-from repro.convert.grouping_rule import apply_grouping_rule
-from repro.convert.instance_rule import apply_instance_rule
-from repro.convert.linked import LinkedConversionResult, LinkedDocumentConverter
-from repro.convert.pipeline import ConversionResult, DocumentConverter
-from repro.convert.tokenize_rule import TOKEN_TAG, apply_tokenization_rule
+from repro import lazy_exports
 
-__all__ = [
-    "ConversionConfig",
-    "DocumentConverter",
-    "ConversionResult",
-    "LinkedDocumentConverter",
-    "LinkedConversionResult",
-    "apply_tokenization_rule",
-    "apply_instance_rule",
-    "apply_grouping_rule",
-    "apply_consolidation_rule",
-    "TOKEN_TAG",
-]
+lazy_exports(globals(), {
+    ".config": ("ConversionConfig",),
+    ".pipeline": ("DocumentConverter", "ConversionResult"),
+    ".linked": ("LinkedDocumentConverter", "LinkedConversionResult"),
+    ".tokenize_rule": ("apply_tokenization_rule", "TOKEN_TAG"),
+    ".instance_rule": ("apply_instance_rule",),
+    ".grouping_rule": ("apply_grouping_rule",),
+    ".consolidation_rule": ("apply_consolidation_rule",),
+})

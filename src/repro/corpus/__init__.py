@@ -18,25 +18,13 @@ heterogeneous visual markup) *plus* machine-checkable ground truth.
   web graph and the topic crawler that harvests resumes from it.
 """
 
-from repro.corpus.crawler import CrawlReport, TopicCrawler
-from repro.corpus.generator import GeneratedResume, ResumeCorpusGenerator
-from repro.corpus.model import EducationEntry, ExperienceEntry, ResumeData
-from repro.corpus.noise import NoiseConfig, inject_noise
-from repro.corpus.styles import STYLES, RenderStyle
-from repro.corpus.web import SimulatedWeb, WebPage
+from repro import lazy_exports
 
-__all__ = [
-    "ResumeData",
-    "EducationEntry",
-    "ExperienceEntry",
-    "ResumeCorpusGenerator",
-    "GeneratedResume",
-    "RenderStyle",
-    "STYLES",
-    "NoiseConfig",
-    "inject_noise",
-    "SimulatedWeb",
-    "WebPage",
-    "TopicCrawler",
-    "CrawlReport",
-]
+lazy_exports(globals(), {
+    ".model": ("ResumeData", "EducationEntry", "ExperienceEntry"),
+    ".generator": ("ResumeCorpusGenerator", "GeneratedResume"),
+    ".styles": ("RenderStyle", "STYLES"),
+    ".noise": ("NoiseConfig", "inject_noise"),
+    ".web": ("SimulatedWeb", "WebPage"),
+    ".crawler": ("TopicCrawler", "CrawlReport"),
+})

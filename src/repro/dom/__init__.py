@@ -10,28 +10,11 @@ CDATA (Section 2.3).  This package provides that model:
 * :mod:`repro.dom.path` -- simple slash-separated path queries.
 """
 
-from repro.dom.node import Element, Node, Text
-from repro.dom.path import find_all, find_first
-from repro.dom.serialize import to_html, to_xml
-from repro.dom.treeops import (
-    clone,
-    deep_equal,
-    iter_postorder,
-    iter_preorder,
-    tree_size,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Node",
-    "Element",
-    "Text",
-    "clone",
-    "deep_equal",
-    "iter_preorder",
-    "iter_postorder",
-    "tree_size",
-    "to_xml",
-    "to_html",
-    "find_first",
-    "find_all",
-]
+lazy_exports(globals(), {
+    ".node": ("Node", "Element", "Text"),
+    ".treeops": ("clone", "deep_equal", "iter_preorder", "iter_postorder", "tree_size"),
+    ".serialize": ("to_xml", "to_html"),
+    ".path": ("find_first", "find_all"),
+})

@@ -9,26 +9,11 @@
 * :mod:`repro.evaluation.report` -- plain-text tables and histograms.
 """
 
-from repro.evaluation.accuracy import (
-    AccuracyReport,
-    DocumentErrors,
-    count_logical_errors,
-    evaluate_accuracy,
-)
-from repro.evaluation.report import format_histogram, format_table
-from repro.evaluation.scaling import ScalingPoint, ScalingReport, run_scaling_experiment
-from repro.evaluation.searchspace import SearchSpaceReport, run_search_space_experiment
+from repro import lazy_exports
 
-__all__ = [
-    "count_logical_errors",
-    "DocumentErrors",
-    "AccuracyReport",
-    "evaluate_accuracy",
-    "SearchSpaceReport",
-    "run_search_space_experiment",
-    "ScalingPoint",
-    "ScalingReport",
-    "run_scaling_experiment",
-    "format_table",
-    "format_histogram",
-]
+lazy_exports(globals(), {
+    ".accuracy": ("count_logical_errors", "DocumentErrors", "AccuracyReport", "evaluate_accuracy"),
+    ".searchspace": ("SearchSpaceReport", "run_search_space_experiment"),
+    ".scaling": ("ScalingPoint", "ScalingReport", "run_scaling_experiment"),
+    ".report": ("format_table", "format_histogram"),
+})

@@ -14,15 +14,10 @@ without external dependencies:
   catalog the restructuring rules consult.
 """
 
-from repro.htmlparse.parser import parse_fragment, parse_html
-from repro.htmlparse.tidy import tidy
-from repro.htmlparse.tokenizer import Token, TokenType, tokenize
+from repro import lazy_exports
 
-__all__ = [
-    "parse_html",
-    "parse_fragment",
-    "tidy",
-    "tokenize",
-    "Token",
-    "TokenType",
-]
+lazy_exports(globals(), {
+    ".parser": ("parse_html", "parse_fragment"),
+    ".tidy": ("tidy",),
+    ".tokenizer": ("tokenize", "Token", "TokenType"),
+})

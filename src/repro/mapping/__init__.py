@@ -18,28 +18,13 @@ document repository."
   with parallel document migration between schema versions.
 """
 
-from repro.mapping.conform import ConformResult, conform_document, repair
-from repro.mapping.persistence import load_repository, save_repository
-from repro.mapping.repository import XMLRepository
-from repro.mapping.tree_edit import tree_edit_distance
-from repro.mapping.validate import Violation, validate_document
-from repro.mapping.versioned import (
-    MigrationReport,
-    VersionedRepository,
-    migrate_documents,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "tree_edit_distance",
-    "validate_document",
-    "Violation",
-    "conform_document",
-    "ConformResult",
-    "repair",
-    "XMLRepository",
-    "save_repository",
-    "load_repository",
-    "MigrationReport",
-    "VersionedRepository",
-    "migrate_documents",
-]
+lazy_exports(globals(), {
+    ".tree_edit": ("tree_edit_distance",),
+    ".validate": ("validate_document", "Violation"),
+    ".conform": ("conform_document", "ConformResult", "repair"),
+    ".repository": ("XMLRepository",),
+    ".persistence": ("save_repository", "load_repository"),
+    ".versioned": ("MigrationReport", "VersionedRepository", "migrate_documents"),
+})

@@ -37,42 +37,15 @@ checks of the emitted files live outside the package, in
 root).
 """
 
-from repro.obs.chrometrace import spans_to_chrome_trace, write_chrome_trace
-from repro.obs.export import load_metrics, write_metrics, write_trace_jsonl
-from repro.obs.metrics import Counter, Distribution, Gauge, MetricsRegistry
-from repro.obs.progress import ProgressReporter
-from repro.obs.provenance import ProvenanceLog, node_label_path
-from repro.obs.quantiles import QuantileDigest, merge_digest_maps
-from repro.obs.runlog import (
-    RunLedger,
-    build_evolution_record,
-    build_run_record,
-    config_fingerprint,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, resolve_tracer
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Distribution",
-    "Gauge",
-    "MetricsRegistry",
-    "ProvenanceLog",
-    "node_label_path",
-    "ProgressReporter",
-    "QuantileDigest",
-    "merge_digest_maps",
-    "RunLedger",
-    "build_evolution_record",
-    "build_run_record",
-    "config_fingerprint",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "resolve_tracer",
-    "spans_to_chrome_trace",
-    "write_chrome_trace",
-    "write_trace_jsonl",
-    "write_metrics",
-    "load_metrics",
-]
+lazy_exports(globals(), {
+    ".metrics": ("Counter", "Distribution", "Gauge", "MetricsRegistry"),
+    ".provenance": ("ProvenanceLog", "node_label_path"),
+    ".progress": ("ProgressReporter",),
+    ".quantiles": ("QuantileDigest", "merge_digest_maps"),
+    ".runlog": ("RunLedger", "build_evolution_record", "build_run_record", "config_fingerprint"),
+    ".tracer": ("Span", "Tracer", "NullTracer", "NULL_TRACER", "resolve_tracer"),
+    ".chrometrace": ("spans_to_chrome_trace", "write_chrome_trace"),
+    ".export": ("write_trace_jsonl", "write_metrics", "load_metrics"),
+})

@@ -26,43 +26,24 @@ skip policy, where the engine must equal the serial conversion of the
 surviving documents.
 """
 
-from repro.convert.errors import (
-    DocumentFailure,
-    ErrorPolicy,
-    PipelineStageError,
-    write_quarantine,
-)
-from repro.runtime.engine import (
-    ChunkPayload,
-    CorpusEngine,
-    CorpusResult,
-    DiscoveryResult,
-    EngineConfig,
-    EngineRun,
-)
-from repro.runtime.faults import (
-    PoolRebuildExhausted,
-    RecoveryBudget,
-    worker_crash_failure,
-)
-from repro.runtime.stats import ChunkStats, EngineStats
-from repro.schema.accumulator import PathAccumulator
+from repro import lazy_exports
 
-__all__ = [
-    "CorpusEngine",
-    "EngineConfig",
-    "EngineStats",
-    "ChunkStats",
-    "ChunkPayload",
-    "CorpusResult",
-    "DiscoveryResult",
-    "EngineRun",
-    "PathAccumulator",
-    "DocumentFailure",
-    "ErrorPolicy",
-    "PipelineStageError",
-    "PoolRebuildExhausted",
-    "RecoveryBudget",
-    "worker_crash_failure",
-    "write_quarantine",
-]
+lazy_exports(globals(), {
+    ".engine": (
+        "CorpusEngine",
+        "EngineConfig",
+        "ChunkPayload",
+        "CorpusResult",
+        "DiscoveryResult",
+        "EngineRun",
+    ),
+    ".stats": ("EngineStats", "ChunkStats"),
+    "repro.schema.accumulator": ("PathAccumulator",),
+    "repro.convert.errors": (
+        "DocumentFailure",
+        "ErrorPolicy",
+        "PipelineStageError",
+        "write_quarantine",
+    ),
+    ".faults": ("PoolRebuildExhausted", "RecoveryBudget", "worker_crash_failure"),
+})

@@ -20,59 +20,32 @@
   schema version only on real change.
 """
 
-from repro.schema.accumulator import PathAccumulator
-from repro.schema.evolution import (
-    AccumulatorCheckpoint,
-    CheckpointCorruption,
-    CheckpointInfo,
-    EvolvingSchema,
-    FoldOutcome,
-)
-from repro.schema.dataguide import build_dataguide
-from repro.schema.discovery import DiscoveryResult, discover_schema
-from repro.schema.dtd import DTD, DTDElement, derive_dtd
-from repro.schema.diff import diff_schemas, schema_stability
-from repro.schema.frequent import FrequentPathSet, mine_frequent_paths
-from repro.schema.homonyms import homonym_contexts
-from repro.schema.index import PathIndex
-from repro.schema.lowerbound import build_lower_bound_schema
-from repro.schema.majority import MajoritySchema, SchemaNode
-from repro.schema.paths import (
-    DocumentPaths,
-    LabelPath,
-    extract_corpus_paths,
-    extract_paths,
-    iter_corpus_paths,
-)
-from repro.schema.patterns import GroupPattern, discover_group_patterns
+from repro import lazy_exports
 
-__all__ = [
-    "LabelPath",
-    "DocumentPaths",
-    "extract_paths",
-    "extract_corpus_paths",
-    "iter_corpus_paths",
-    "PathAccumulator",
-    "AccumulatorCheckpoint",
-    "CheckpointCorruption",
-    "CheckpointInfo",
-    "EvolvingSchema",
-    "FoldOutcome",
-    "FrequentPathSet",
-    "mine_frequent_paths",
-    "MajoritySchema",
-    "SchemaNode",
-    "DTD",
-    "DTDElement",
-    "derive_dtd",
-    "DiscoveryResult",
-    "discover_schema",
-    "build_dataguide",
-    "build_lower_bound_schema",
-    "PathIndex",
-    "GroupPattern",
-    "discover_group_patterns",
-    "diff_schemas",
-    "schema_stability",
-    "homonym_contexts",
-]
+lazy_exports(globals(), {
+    ".paths": (
+        "LabelPath",
+        "DocumentPaths",
+        "extract_paths",
+        "extract_corpus_paths",
+        "iter_corpus_paths",
+    ),
+    ".accumulator": ("PathAccumulator",),
+    ".evolution": (
+        "AccumulatorCheckpoint",
+        "CheckpointCorruption",
+        "CheckpointInfo",
+        "EvolvingSchema",
+        "FoldOutcome",
+    ),
+    ".frequent": ("FrequentPathSet", "mine_frequent_paths"),
+    ".majority": ("MajoritySchema", "SchemaNode"),
+    ".dtd": ("DTD", "DTDElement", "derive_dtd"),
+    ".discovery": ("DiscoveryResult", "discover_schema"),
+    ".dataguide": ("build_dataguide",),
+    ".lowerbound": ("build_lower_bound_schema",),
+    ".index": ("PathIndex",),
+    ".patterns": ("GroupPattern", "discover_group_patterns"),
+    ".diff": ("diff_schemas", "schema_stability"),
+    ".homonyms": ("homonym_contexts",),
+})

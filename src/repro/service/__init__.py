@@ -23,19 +23,9 @@ The concurrent-client load harness that drives this server is test
 tooling, not part of the package: it lives in ``tests/loadtest.py``.
 """
 
-from repro.service.contracts import (
-    BatchOutcome,
-    ContractError,
-    ConvertRequest,
-    DocumentOutcome,
-)
-from repro.service.server import ConversionService, ServiceConfig
+from repro import lazy_exports
 
-__all__ = [
-    "BatchOutcome",
-    "ContractError",
-    "ConversionService",
-    "ConvertRequest",
-    "DocumentOutcome",
-    "ServiceConfig",
-]
+lazy_exports(globals(), {
+    ".contracts": ("BatchOutcome", "ContractError", "ConvertRequest", "DocumentOutcome"),
+    ".server": ("ConversionService", "ServiceConfig"),
+})

@@ -18,8 +18,6 @@ MAX_SOURCE_BYTES = 4 * 1024 * 1024
 # micro-batcher's own coalescing and would bypass queue backpressure.
 MAX_BATCH_DOCUMENTS = 256
 
-DEFAULT_TOPIC = "resume"
-
 
 class ContractError(ValueError):
     """A request failed contract validation (HTTP 400)."""
@@ -58,9 +56,9 @@ def _parse_doc_id(value: object) -> str | None:
     return value
 
 
-def _parse_topic(value: object) -> str:
+def _parse_topic(value: object) -> str | None:
     if value is None:
-        return DEFAULT_TOPIC
+        return None
     if not isinstance(value, str) or not value.isidentifier():
         raise ContractError(
             "must be an identifier-like string", field_name="topic"
@@ -94,11 +92,13 @@ class ConvertRequest:
     accumulator (advancing the evolving schema); ``schema_version``
     instead conforms the output against an archived schema version.
     The two are mutually exclusive: folding targets the *live* head.
+    ``topic`` is ``None`` when the request names none: the service
+    serves one topic, so that means its own.
     """
 
     source: str
     doc_id: str | None = None
-    topic: str = DEFAULT_TOPIC
+    topic: str | None = None
     fold: bool = False
     schema_version: int | None = None
 

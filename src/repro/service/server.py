@@ -377,7 +377,7 @@ class ConversionService:
     # -- request validation --------------------------------------------------
 
     def _check_request(self, request: ConvertRequest) -> None:
-        if request.topic != self.state.topic:
+        if request.topic not in (None, self.state.topic):
             raise HttpError(404, f"unknown topic {request.topic!r}")
         if request.schema_version is not None:
             try:

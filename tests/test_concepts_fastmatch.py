@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pickle
+import re
+import sys
 
 import pytest
 
 from repro.concepts.bayes import ALPHA, MultinomialNaiveBayes
 from repro.concepts.concept import Concept, ConceptInstance
 from repro.concepts.fastmatch import (
+    _ASCII_CASE_ALIASES,
     AhoCorasickAutomaton,
     CachedBayes,
     FastSynonymMatcher,
@@ -91,7 +94,8 @@ EQUIVALENCE_TEXTS = [
     "universitys",  # embedded keyword must respect word boundaries
     "xuniversity",
     "C+++",
-    "Université de Montréal",  # non-ASCII text takes the fallback path
+    "Université de Montréal",  # non-ASCII text, automaton path
+    "bachelor of ſcience at the Unıversity",  # ASCII case aliases: fallback
     "July 2003, June 1996",
 ]
 
@@ -122,6 +126,24 @@ class TestEquivalence:
         fast, naive = FastSynonymMatcher(kb), SynonymMatcher(kb)
         for text in ["in Zürich today", "in zürich today", "plain"]:
             assert fast.find_all(text) == naive.find_all(text)
+
+    def test_ascii_case_aliases_are_found_by_brute_force(self):
+        """Every non-ASCII character that ``re.IGNORECASE`` matches to an
+        ASCII pattern character or to the boundary class, over all code
+        points: the set the fast path must hand to the naive matcher."""
+        non_ascii = "".join(chr(code) for code in range(0x80, sys.maxunicode + 1))
+        found = set(re.findall(r"[A-Za-z0-9]", non_ascii, re.IGNORECASE))
+        for code in range(0x80):
+            found.update(re.findall(re.escape(chr(code)), non_ascii, re.IGNORECASE))
+        assert found == _ASCII_CASE_ALIASES
+
+    def test_non_ascii_token_stays_on_the_automaton(self, kb):
+        fast, naive = FastSynonymMatcher(kb), SynonymMatcher(kb)
+        for token in ["\u00a9 2001 Portal 7", "résumé", "Université de Montréal"]:
+            assert fast.find_all(token) == naive.find_all(token)
+        assert fast._naive is None
+        fast.find_all("\u212a")
+        assert fast._naive is not None
 
     def test_resume_kb_tokens(self, kb):
         fast, naive = FastSynonymMatcher(kb), SynonymMatcher(kb)

@@ -98,3 +98,31 @@ def test_fast_matcher_equals_naive_on_resume_kb(kb, sample_texts):
     fast = FastSynonymMatcher(kb)
     for text in sample_texts:
         assert fast.find_all(text) == naive.find_all(text)
+
+
+# ASCII, the four non-ASCII characters re.IGNORECASE matches to ASCII
+# letters, other non-ASCII letters and signs, and the resume KB's two
+# non-ASCII keywords.
+UNICODE_TEXTS = st.lists(
+    st.lists(
+        st.one_of(
+            st.characters(max_codepoint=0x7F),
+            st.sampled_from(["\u0130", "\u0131", "\u017f", "\u212a", "é", "É", "ß", "©"]),
+            st.sampled_from(["résumé", "université", "RÉSUMÉ", "UNIVERSITÉ", " school ", "cv"]),
+        ),
+        max_size=12,
+    ).map("".join),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_texts=UNICODE_TEXTS)
+def test_fast_matcher_equals_naive_on_non_ascii_text(kb, sample_texts):
+    """Non-ASCII tokens stay on the automaton unless they hold one of
+    the ASCII case aliases; either way the matches are the naive ones."""
+    naive = SynonymMatcher(kb)
+    fast = FastSynonymMatcher(kb)
+    for text in sample_texts:
+        assert fast.find_all(text) == naive.find_all(text)

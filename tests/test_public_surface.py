@@ -5,7 +5,7 @@ dataclass field is read by it, and every import is loaded.
 The scan parses every module under ``src/repro`` and lists its public
 top-level functions and classes and the public methods of its top-level
 classes.  It then looks for a use of each name in the code that runs the
-package: ``src/`` (without the ``__init__.py`` re-exports),
+package: ``src/`` (without the ``__init__.py`` imports and export tables),
 ``benchmarks/``, ``examples/``, ``perfbench/``, ``.github/`` and
 ``pyproject.toml``.  A name with no use is surface that only ``tests/``
 reads; delete it with its tests, or put it on ``KEEP`` with the reason a
@@ -35,7 +35,11 @@ field scan fails on a dataclass field that no attribute read
 
 The import scan fails on a name that a module of ``src/repro`` imports
 and never uses; a use in an annotation, quoted or not, counts, and the
-``__init__.py`` re-exports are exempt.
+``__init__.py`` files are exempt.
+
+A package's export table (the ``lazy_exports`` call of its
+``__init__.py``) names the names it lists, it does not use them: every
+scan reads the call without its table.
 """
 
 from __future__ import annotations
@@ -126,17 +130,14 @@ def public_definitions() -> list[tuple[str, str, Path]]:
 
 
 def is_reexport(node: ast.stmt) -> bool:
-    """An ``__init__.py`` import or ``__all__``: it names, not uses."""
-    return isinstance(node, (ast.Import, ast.ImportFrom)) or (
-        isinstance(node, ast.Assign)
-        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
-    )
+    """An ``__init__.py`` import: it names, not uses."""
+    return isinstance(node, (ast.Import, ast.ImportFrom))
 
 
 def python_uses(path: Path) -> tuple[Counter[str], Counter[str]]:
     """The names a Python file uses from anywhere (imports, attributes,
     words in strings), and the bare names it loads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     statements = [
         node for node in tree.body if not (path.name == "__init__.py" and is_reexport(node))
     ]
@@ -336,8 +337,21 @@ class Uses(ast.NodeVisitor):
         )
 
 
+def is_export_table(node: ast.stmt) -> bool:
+    """A package's ``lazy_exports(globals(), {module: names})`` call."""
+    call = node.value if isinstance(node, ast.Expr) else None
+    return isinstance(call, ast.Call) and getattr(call.func, "id", "") == "lazy_exports"
+
+
 def parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    """The syntax tree of ``path``, with an ``__init__.py``'s export
+    table cut from its ``lazy_exports`` call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if path.name == "__init__.py":
+        for node in tree.body:
+            if is_export_table(node):
+                del node.value.args[1:]
+    return tree
 
 
 def package_definitions() -> Definitions:

@@ -105,7 +105,7 @@ def post_json(host, port, path, payload):
 class TestContracts:
     def test_parse_minimal(self):
         req = ConvertRequest.parse({"source": "<html>x</html>"})
-        assert req.topic == "resume"
+        assert req.topic is None
         assert not req.fold and req.schema_version is None
 
     def test_rejects_non_object(self):
@@ -210,6 +210,29 @@ class TestLifecycleRoutes:
             server.stop()
         assert (tmp_path / "state" / "catalog" / "evolution").is_dir()
         assert not (tmp_path / "state" / "resume").exists()
+
+    def test_catalog_service_takes_an_omitted_topic_as_its_own(self, tmp_path):
+        """A request without ``topic`` goes to the service's one topic,
+        whatever its knowledge base; a wrong topic is still a 404."""
+        from repro.concepts.catalog_kb import build_catalog_knowledge_base
+        from repro.corpus.catalog import CatalogCorpusGenerator
+
+        source = CatalogCorpusGenerator(seed=7).generate_one(0).html
+        server = ServerThread(make_service(build_catalog_knowledge_base(), tmp_path))
+        host, port = server.start()
+        try:
+            status, payload = post_json(host, port, "/convert", {"source": source})
+            assert status == 200 and payload["ok"]
+            status, payload = post_json(
+                host, port, "/convert/batch", {"documents": [source, source]}
+            )
+            assert status == 200 and payload["converted"] == 2
+            status, payload = post_json(
+                host, port, "/convert", {"source": source, "topic": "resume"}
+            )
+            assert status == 404 and "resume" in payload["error"]
+        finally:
+            server.stop()
 
     def test_bad_json_is_400(self, live):
         _, host, port = live
