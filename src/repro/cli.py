@@ -3,10 +3,9 @@
 Subcommands mirror the pipeline stages::
 
     repro-web gen-corpus   --count 50 --out corpus/          # synthesize HTML
-    repro-web html2xml     corpus/*.html --out xml/          # convert (serial)
     repro-web convert-corpus corpus/*.html --out xml/ \\
               --max-workers 4 --discover \\
-              --trace-out trace.jsonl --metrics-out m.prom   # parallel engine
+              --trace-out trace.jsonl --metrics-out m.prom   # convert (engine)
     repro-web discover     xml/*.xml --sup 0.4               # schema + DTD
     repro-web stats        metrics.json                      # re-render metrics
     repro-web report       runs.jsonl                        # render a ledger record
@@ -34,8 +33,6 @@ from repro.dom.serialize import to_xml_document
 from repro.evaluation.report import format_histogram, format_table
 from repro.htmlparse.parser import parse_fragment
 from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
     ProgressReporter,
     ProvenanceLog,
     RunLedger,
@@ -65,7 +62,8 @@ def _fraction(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """argparse type of worker and chunk counts: an integer >= 0."""
+    """argparse type of counts (documents, workers, chunk sizes): an
+    integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
@@ -116,15 +114,6 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _conversion_config(args: argparse.Namespace) -> "ConversionConfig":
-    from repro.convert.config import ConversionConfig
-
-    return ConversionConfig(
-        chaos_fail_marker=getattr(args, "chaos_fail_marker", "") or None,
-        chaos_kill_marker=getattr(args, "chaos_kill_marker", "") or None,
-    )
-
-
 def _engine_config(args: argparse.Namespace, **options) -> "EngineConfig":
     """The engine settings ``convert-corpus`` and ``evolve fold`` share:
     ``--max-workers 0`` means one per CPU, ``--chunk-size 0`` means
@@ -138,55 +127,38 @@ def _engine_config(args: argparse.Namespace, **options) -> "EngineConfig":
     )
 
 
-def _cmd_html2xml(args: argparse.Namespace) -> int:
-    from repro.runtime.stats import STAGE_SECONDS, EngineStats
+def _read_corpus(args: argparse.Namespace, command: str) -> list[str] | None:
+    """The HTML sources a converting command runs over: its input files,
+    else ``--generate N`` synthesized resumes.  With neither, say so on
+    stderr and return ``None`` (the command exits 2)."""
+    if args.files:
+        return [Path(name).read_text(encoding="utf-8") for name in args.files]
+    if args.generate:
+        return _generator(args).generate_html(args.generate)
+    print(f"{command} needs input files or --generate N", file=sys.stderr)
+    return None
 
-    converter = DocumentConverter(
-        build_resume_knowledge_base(), _conversion_config(args)
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # Same per-stage histograms the parallel engine reports, so the
-    # serial path answers "where does the time go" with the same table.
-    registry = MetricsRegistry()
-    for name in args.files:
-        source = Path(name)
-        result = converter.convert(source.read_text(encoding="utf-8"))
-        with NULL_TRACER.stage("to_xml", result.rule_seconds):
-            xml = result.to_xml()
-        target = out / (source.stem + ".xml")
-        target.write_text(xml, encoding="utf-8")
-        for stage, seconds in result.rule_seconds.items():
-            registry.histogram(STAGE_SECONDS, stage=stage).observe(seconds)
-        print(
-            f"{source.name}: {result.concept_node_count} concept nodes, "
-            f"{result.instance_stats.unidentified_ratio:.0%} unidentified"
-        )
-    rows = EngineStats.from_registry(registry).rule_rows()
-    if rows:
-        print()
-        print(format_table(["rule", "seconds", "share"], rows,
-                           title="Per-rule time"))
+
+def _write_metrics_out(args: argparse.Namespace, registry) -> None:
+    """Write ``registry`` to every ``--metrics-out`` target."""
     for target_name in args.metrics_out or []:
         write_metrics(registry, target_name)
         print(f"wrote metrics to {target_name}")
-    return 0
 
 
 def _cmd_convert_corpus(args: argparse.Namespace) -> int:
+    from repro.convert.config import ConversionConfig
     from repro.runtime.engine import CorpusEngine
 
-    if args.files:
-        sources = [Path(name).read_text(encoding="utf-8") for name in args.files]
-    elif args.generate:
-        sources = _generator(args).generate_html(args.generate)
-    else:
-        print("convert-corpus needs input files or --generate N", file=sys.stderr)
+    sources = _read_corpus(args, "convert-corpus")
+    if sources is None:
         return 2
-    kb = build_resume_knowledge_base()
     engine = CorpusEngine(
-        kb,
-        _conversion_config(args),
+        build_resume_knowledge_base(),
+        ConversionConfig(
+            chaos_fail_marker=args.chaos_fail_marker or None,
+            chaos_kill_marker=args.chaos_kill_marker or None,
+        ),
         engine_config=_engine_config(
             args, error_policy=args.on_error, quarantine_dir=args.quarantine_dir
         ),
@@ -225,11 +197,10 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         spans = list(tracer.iter_dicts())
         write_chrome_trace(args.trace_chrome, spans)
         print(f"wrote Chrome trace ({len(spans)} spans) to {args.trace_chrome}")
-    for target_name in args.metrics_out or []:
-        write_metrics(result.stats.registry, target_name)
-        print(f"wrote metrics to {target_name}")
+    stats = result.stats
+    _write_metrics_out(args, stats.registry)
     if args.out:
-        print(f"wrote {result.stats.documents} XML documents to {Path(args.out)}/")
+        print(f"wrote {stats.documents} XML documents to {Path(args.out)}/")
     if result.failures:
         rows = [
             [failure.doc_id, failure.stage, failure.error_type,
@@ -241,21 +212,8 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         if args.on_error == "quarantine":
             print(f"quarantined sources + error JSONs in {args.quarantine_dir}/")
         print()
-    stats = result.stats
-    print(format_table(["engine", "value"], stats.summary_rows(),
-                       title="Corpus engine run"))
-    if stats.rule_seconds:
-        print()
-        print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
-                           title="Per-rule time (summed over workers)"))
-    _print_stage_quantiles(stats.stage_summaries())
-    slowest = stats.slowest_rows()
-    if slowest:
-        print()
-        print(format_table(
-            ["document", "ms", "label paths", "input nodes"], slowest,
-            title=f"Slowest documents (top {len(slowest)})",
-        ))
+    _print_engine_tables(stats, "Corpus engine run")
+    _print_slowest(stats.slowest_docs)
     if args.runlog:
         ledger = RunLedger(args.runlog)
         record = ledger.append(
@@ -280,32 +238,35 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_xml_roots(files: list[str]) -> list:
-    """Parse converted-XML files back into element trees."""
+def _discover_files(args: argparse.Namespace, **options) -> tuple | None:
+    """Parse the converted-XML files back into element trees and run
+    discovery over them: ``(roots, discovery)``, or ``None`` after
+    saying on stderr why there is nothing to report."""
     from repro.mapping.persistence import load_xml_document
 
     roots = []
-    for name in files:
+    for name in args.files:
         text = Path(name).read_text(encoding="utf-8")
-        if not parse_fragment(text).element_children():
-            continue
-        roots.append(load_xml_document(text))
-    return roots
-
-
-def _cmd_discover(args: argparse.Namespace) -> int:
-    kb = build_resume_knowledge_base()
-    roots = _load_xml_roots(args.files)
+        if parse_fragment(text).element_children():
+            roots.append(load_xml_document(text))
     if not roots:
         print("no XML documents parsed", file=sys.stderr)
-        return 1
+        return None
     discovery = discover_schema(
-        PathAccumulator.from_trees(roots), kb,
-        sup_threshold=args.sup, ratio_threshold=args.ratio,
+        PathAccumulator.from_trees(roots), build_resume_knowledge_base(),
+        sup_threshold=args.sup, ratio_threshold=args.ratio, **options,
     )
     if discovery is None:
         print(NO_SCHEMA, file=sys.stderr)
+        return None
+    return roots, discovery
+
+
+def _cmd_discover(args: argparse.Namespace) -> int:
+    found = _discover_files(args)
+    if found is None:
         return 1
+    roots, discovery = found
     schema, dtd = discovery.schema, discovery.dtd
     print(schema.describe())
     print()
@@ -329,19 +290,10 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     from repro.mapping.persistence import save_repository
     from repro.mapping.repository import XMLRepository
 
-    kb = build_resume_knowledge_base()
-    roots = _load_xml_roots(args.files)
-    if not roots:
-        print("no XML documents parsed", file=sys.stderr)
+    found = _discover_files(args, optional_threshold=args.optional)
+    if found is None:
         return 1
-    discovery = discover_schema(
-        PathAccumulator.from_trees(roots), kb,
-        sup_threshold=args.sup, ratio_threshold=args.ratio,
-        optional_threshold=args.optional,
-    )
-    if discovery is None:
-        print(NO_SCHEMA, file=sys.stderr)
-        return 1
+    roots, discovery = found
     repository = XMLRepository(discovery.dtd)
     for root in roots:
         repository.insert(root)
@@ -386,13 +338,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     stats = EngineStats.from_registry(registry)
-    print(format_table(["engine", "value"], stats.summary_rows(),
-                       title=f"Saved engine metrics ({args.metrics})"))
-    if stats.rule_seconds:
-        print()
-        print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
-                           title="Per-rule time (summed over workers)"))
-    _print_stage_quantiles(stats.stage_summaries())
+    _print_engine_tables(stats, f"Saved engine metrics ({args.metrics})")
     p50, p95 = stats.chunk_seconds_quantile(0.5), stats.chunk_seconds_quantile(0.95)
     if p95 > 0:
         print()
@@ -401,6 +347,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             title="Chunk duration quantiles",
         ))
     return 0
+
+
+def _print_engine_tables(stats: "EngineStats", title: str) -> None:
+    """The engine summary under ``title``, then the per-rule time and
+    per-stage latency tables (each only when it has rows)."""
+    print(format_table(["engine", "value"], stats.summary_rows(), title=title))
+    if stats.rule_seconds:
+        print()
+        print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
+                           title="Per-rule time (summed over workers)"))
+    _print_stage_quantiles(stats.stage_summaries())
 
 
 def _print_stage_quantiles(summaries: dict) -> None:
@@ -414,6 +371,27 @@ def _print_stage_quantiles(summaries: dict) -> None:
             ["stage", "count", "p50 ms", "p95 ms", "p99 ms"], rows,
             title="Per-stage latency quantiles",
         ))
+
+
+def _print_slowest(entries: list[dict]) -> None:
+    """The slowest-documents table from the engine's top-K records, live
+    or from a run ledger, slowest first."""
+    if not entries:
+        return
+    rows = [
+        [
+            str(entry.get("doc", "?")),
+            f"{float(entry.get('seconds', 0.0)) * 1e3:.2f}",
+            str(entry.get("label_paths", "")),
+            str(entry.get("input_nodes", "")),
+        ]
+        for entry in entries
+    ]
+    print()
+    print(format_table(
+        ["document", "ms", "label paths", "input nodes"], rows,
+        title=f"Slowest documents (top {len(rows)})",
+    ))
 
 
 def _render_run_record(record: dict) -> None:
@@ -444,22 +422,7 @@ def _render_run_record(record: dict) -> None:
             title="Failures by stage",
         ))
     _print_stage_quantiles(record.get("stage_quantiles") or {})
-    slowest = record.get("slowest_documents") or []
-    if slowest:
-        print()
-        print(format_table(
-            ["document", "ms", "label paths", "input nodes"],
-            [
-                [
-                    str(entry.get("doc", "?")),
-                    f"{float(entry.get('seconds', 0.0)) * 1e3:.2f}",
-                    str(entry.get("label_paths", "")),
-                    str(entry.get("input_nodes", "")),
-                ]
-                for entry in slowest
-            ],
-            title=f"Slowest documents (top {len(slowest)})",
-        ))
+    _print_slowest(record.get("slowest_documents") or [])
 
 
 def _render_evolution_record(record: dict) -> None:
@@ -710,12 +673,8 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
         print(f"{args.state}: no evolution state (run 'evolve init' first)",
               file=sys.stderr)
         return 1
-    if args.files:
-        sources = [Path(name).read_text(encoding="utf-8") for name in args.files]
-    elif args.generate:
-        sources = _generator(args).generate_html(args.generate)
-    else:
-        print("evolve fold needs input files or --generate N", file=sys.stderr)
+    sources = _read_corpus(args, "evolve fold")
+    if sources is None:
         return 2
     engine = CorpusEngine(kb, engine_config=_engine_config(args))
     # Discovery-only folds never read the XML back, so keep it out of
@@ -743,9 +702,7 @@ def _cmd_evolve_fold(args: argparse.Namespace) -> int:
             )
             _print_sync(args.repository, repository_version, migration,
                         evolving.version)
-    for target_name in args.metrics_out or []:
-        write_metrics(result.stats.registry, target_name)
-        print(f"wrote metrics to {target_name}")
+    _write_metrics_out(args, result.stats.registry)
     if args.runlog:
         from repro.obs import build_evolution_record
 
@@ -815,50 +772,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-corpus", help="generate synthetic resume HTML")
-    gen.add_argument("--count", type=int, default=50)
-    gen.add_argument("--seed", type=int, default=1966)
-    gen.add_argument("--out", default="corpus")
-    gen.add_argument(
+    # Options several subcommands share, each defined once here.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1966,
+                        help="corpus generator seed")
+    styled = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    styled.add_argument(
         "--style",
         action="append",
         metavar="NAME",
-        help="restrict generation to this rendering style (repeatable; "
-        "default: all styles uniformly)",
+        help="restrict generated resumes to this rendering style "
+        "(repeatable; default: all styles uniformly)",
     )
-    gen.set_defaults(func=_cmd_gen_corpus)
-
-    conv = sub.add_parser("html2xml", help="convert HTML files to XML")
-    conv.add_argument("files", nargs="+")
-    conv.add_argument("--out", default="xml")
-    conv.add_argument(
-        "--metrics-out",
-        action="append",
-        metavar="PATH",
-        help="write the per-rule timing registry (.prom/.txt for "
-        "Prometheus text, anything else for JSON; repeatable)",
-    )
-    conv.set_defaults(func=_cmd_html2xml)
-
-    engine = sub.add_parser(
-        "convert-corpus",
-        help="convert a corpus with the parallel streaming engine",
-    )
-    engine.add_argument("files", nargs="*")
-    engine.add_argument(
+    engine_run = argparse.ArgumentParser(add_help=False, parents=[styled])
+    engine_run.add_argument(
         "--generate",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="generate N synthetic resumes instead of reading files",
     )
-    engine.add_argument("--seed", type=int, default=1966)
-    engine.add_argument(
-        "--style",
-        action="append",
-        metavar="NAME",
-        help="restrict --generate to this rendering style (repeatable)",
+    engine_run.add_argument(
+        "--chunk-size",
+        type=_count,
+        default=0,
+        help=f"documents per worker chunk (0 = {CHUNK_SIZE}); the output "
+        "does not depend on it",
     )
+    engine_run.add_argument(
+        "--metrics-out",
+        action="append",
+        metavar="PATH",
+        help="write the run's metrics registry (.prom/.txt for Prometheus "
+        "text, anything else for JSON; repeatable)",
+    )
+    engine_run.add_argument(
+        "--runlog",
+        default="",
+        metavar="PATH",
+        help="append the run's record to this JSONL ledger; see "
+        "'report'/'runs'",
+    )
+    thresholds = argparse.ArgumentParser(add_help=False)
+    thresholds.add_argument("--sup", type=_fraction, default=0.4)
+    thresholds.add_argument("--ratio", type=_fraction, default=0.0)
+
+    gen = sub.add_parser("gen-corpus", parents=[styled],
+                         help="generate synthetic resume HTML")
+    gen.add_argument("--count", type=_count, default=50)
+    gen.add_argument("--out", default="corpus")
+    gen.set_defaults(func=_cmd_gen_corpus)
+
+    engine = sub.add_parser(
+        "convert-corpus",
+        parents=[engine_run, thresholds],
+        help="convert a corpus with the parallel streaming engine",
+    )
+    engine.add_argument("files", nargs="*")
     engine.add_argument("--out", default="", help="directory for converted XML")
     engine.add_argument(
         "--max-workers",
@@ -867,19 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = one per CPU, 1 = serial in-process)",
     )
     engine.add_argument(
-        "--chunk-size",
-        type=_count,
-        default=0,
-        help=f"documents per worker chunk (0 = {CHUNK_SIZE}); the output "
-        "does not depend on it",
-    )
-    engine.add_argument(
         "--discover",
         action="store_true",
         help="also mine the majority schema and print the DTD",
     )
-    engine.add_argument("--sup", type=_fraction, default=0.4)
-    engine.add_argument("--ratio", type=_fraction, default=0.0)
     engine.add_argument(
         "--trace-out",
         default="",
@@ -895,13 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "onto the parent timeline)",
     )
     engine.add_argument(
-        "--runlog",
-        default="",
-        metavar="PATH",
-        help="append one run record (quantiles, throughput, failures, "
-        "slowest documents) to this JSONL ledger; see 'report'/'runs'",
-    )
-    engine.add_argument(
         "--progress",
         action="store_true",
         help="force the live progress/ETA line on stderr even off-TTY "
@@ -911,13 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="suppress the live progress line even on a terminal",
-    )
-    engine.add_argument(
-        "--metrics-out",
-        action="append",
-        metavar="PATH",
-        help="write the run's metrics registry (.prom/.txt for Prometheus "
-        "text, anything else for JSON; repeatable)",
     )
     engine.add_argument(
         "--on-error",
@@ -951,10 +898,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.set_defaults(func=_cmd_convert_corpus)
 
-    disc = sub.add_parser("discover", help="discover majority schema + DTD")
+    disc = sub.add_parser("discover", parents=[thresholds],
+                          help="discover majority schema + DTD")
     disc.add_argument("files", nargs="+")
-    disc.add_argument("--sup", type=_fraction, default=0.4)
-    disc.add_argument("--ratio", type=_fraction, default=0.0)
     disc.add_argument(
         "--patterns",
         action="store_true",
@@ -963,11 +909,10 @@ def build_parser() -> argparse.ArgumentParser:
     disc.set_defaults(func=_cmd_discover)
 
     integ = sub.add_parser(
-        "integrate", help="discover a DTD, conform documents, save a repository"
+        "integrate", parents=[thresholds],
+        help="discover a DTD, conform documents, save a repository",
     )
     integ.add_argument("files", nargs="+")
-    integ.add_argument("--sup", type=_fraction, default=0.4)
-    integ.add_argument("--ratio", type=_fraction, default=0.0)
     integ.add_argument("--optional", type=_fraction, default=0.9)
     integ.add_argument("--out", default="repository")
     integ.set_defaults(func=_cmd_integrate)
@@ -1001,9 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs.set_defaults(func=_cmd_runs)
 
-    ev = sub.add_parser("evaluate", help="run the Figure 4 accuracy experiment")
-    ev.add_argument("--docs", type=int, default=50)
-    ev.add_argument("--seed", type=int, default=1966)
+    ev = sub.add_parser("evaluate", parents=[seeded],
+                        help="run the Figure 4 accuracy experiment")
+    ev.add_argument("--docs", type=_limit, default=50)
     ev.set_defaults(func=_cmd_evaluate)
 
     evolve = sub.add_parser(
@@ -1014,11 +959,9 @@ def build_parser() -> argparse.ArgumentParser:
     evolve_sub = evolve.add_subparsers(dest="evolve_command", required=True)
 
     einit = evolve_sub.add_parser(
-        "init", help="create an evolution state directory"
+        "init", parents=[thresholds], help="create an evolution state directory"
     )
     einit.add_argument("state", help="state directory to create")
-    einit.add_argument("--sup", type=_fraction, default=0.4)
-    einit.add_argument("--ratio", type=_fraction, default=0.0)
     einit.add_argument("--optional", type=_fraction, default=None)
     einit.set_defaults(func=_cmd_evolve_init)
 
@@ -1030,31 +973,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     efold = evolve_sub.add_parser(
         "fold",
+        parents=[engine_run],
         help="convert new documents and fold them into the schema "
         "(bumps the version only on real change)",
     )
     efold.add_argument("state")
     efold.add_argument("files", nargs="*")
     efold.add_argument(
-        "--generate", type=int, default=0, metavar="N",
-        help="generate N synthetic resumes instead of reading files",
-    )
-    efold.add_argument("--seed", type=int, default=1966)
-    efold.add_argument(
-        "--style",
-        action="append",
-        metavar="NAME",
-        help="restrict --generate to this rendering style (repeatable)",
-    )
-    efold.add_argument(
         "--max-workers", type=_count, default=0,
         help="worker processes for conversion and migration "
         "(0 = one per CPU, 1 = serial in-process)",
-    )
-    efold.add_argument(
-        "--chunk-size", type=_count, default=0,
-        help=f"documents per conversion chunk (0 = {CHUNK_SIZE}); the "
-        "state does not depend on it",
     )
     efold.add_argument(
         "--repository", default="", metavar="DIR",
@@ -1062,17 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its documents are migrated in parallel, then the new documents "
         "are inserted and the combined store is published as the next "
         "repository version",
-    )
-    efold.add_argument(
-        "--runlog", default="", metavar="PATH",
-        help="append one evolution record to this JSONL ledger",
-    )
-    efold.add_argument(
-        "--metrics-out",
-        action="append",
-        metavar="PATH",
-        help="write conversion + evolution metrics (.prom/.txt for "
-        "Prometheus text, anything else for JSON; repeatable)",
     )
     efold.set_defaults(func=_cmd_evolve_fold)
 
@@ -1096,8 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
     erollback.set_defaults(func=_cmd_evolve_rollback)
 
     crawl = sub.add_parser("crawl", help="crawl the simulated web for resumes")
-    crawl.add_argument("--resumes", type=int, default=30)
-    crawl.add_argument("--noise", type=int, default=100)
+    crawl.add_argument("--resumes", type=_count, default=30)
+    crawl.add_argument("--noise", type=_count, default=100)
     crawl.add_argument("--seed", type=int, default=7)
     crawl.add_argument("--out", default="")
     crawl.set_defaults(func=_cmd_crawl)

@@ -20,10 +20,10 @@ built from:
   and save the offending source plus an error JSON to a directory).
 
 These live at the conversion layer (not :mod:`repro.runtime`) because
-the serial :meth:`convert_many` path honors the same policies, and the
-engine and the service import them from here.  The engine-side
-machinery (worker-crash recovery, chunk bisection) builds on top in
-:mod:`repro.runtime.faults`.
+they describe one document's conversion; the engine applies the
+policies to a corpus, and the engine and the service import them from
+here.  The engine-side machinery (worker-crash recovery, chunk
+bisection) builds on top in :mod:`repro.runtime.faults`.
 """
 
 from __future__ import annotations

@@ -15,13 +15,7 @@ from repro.concepts.fastmatch import CachedBayes, FastSynonymMatcher
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
 from repro.convert.consolidation_rule import apply_consolidation_rule
-from repro.convert.errors import (
-    ErrorPolicy,
-    InjectedFaultError,
-    PipelineStageError,
-    failure_from_exception,
-    write_quarantine,
-)
+from repro.convert.errors import InjectedFaultError, PipelineStageError
 from repro.convert.grouping_rule import apply_grouping_rule
 from repro.convert.instance_rule import InstanceRuleStats, apply_instance_rule
 from repro.convert.tokenize_rule import apply_tokenization_rule
@@ -217,49 +211,16 @@ class DocumentConverter:
             rule_seconds=timings,
         )
 
-    def convert_many(
-        self,
-        documents: list[str],
-        *,
-        error_policy: "ErrorPolicy | str | None" = None,
-        failures: "list | None" = None,
-    ) -> list[ConversionResult]:
+    def convert_many(self, documents: list[str]) -> list[ConversionResult]:
         """Convert a corpus of HTML source strings, serially.
 
-        This is the reference implementation the parallel
-        :class:`repro.runtime.CorpusEngine` is differentially tested
-        against; for large corpora prefer the engine.
-
-        ``error_policy`` (an :class:`~repro.convert.errors.ErrorPolicy`
-        or a mode string) governs documents that fail to convert: the
-        default fail-fast re-raises (the historical behavior); ``skip``
-        and ``quarantine`` drop the document from the results, append a
-        :class:`~repro.convert.errors.DocumentFailure` to ``failures``
-        (when a list is supplied), and -- under quarantine -- save the
-        offending source plus an error JSON to the policy's directory.
-        Surviving documents convert exactly as they would alone, so the
-        result equals ``convert_many`` of the corpus minus the poison
-        documents.
+        This is the plain reference the :class:`repro.runtime.CorpusEngine`
+        is differentially tested against: the engine's XML equals these
+        results', in order, and under a skip policy it equals
+        ``convert_many`` of the surviving documents.  Error policies
+        apply in the engine only; here the first failure raises.
         """
-        policy = ErrorPolicy.coerce(error_policy)
-        results: list[ConversionResult] = []
-        for position, source in enumerate(documents):
-            try:
-                results.append(self.convert(source))
-            except Exception as exc:
-                if policy.is_fail_fast:
-                    raise
-                failure = failure_from_exception(
-                    f"doc{position:04d}",
-                    position,
-                    exc,
-                    source=source if policy.captures_source else None,
-                )
-                if policy.mode == "quarantine":
-                    write_quarantine(policy.quarantine_dir, failure)
-                if failures is not None:
-                    failures.append(failure)
-        return results
+        return [self.convert(source) for source in documents]
 
     # -- internals -----------------------------------------------------------
 

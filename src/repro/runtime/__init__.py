@@ -18,11 +18,12 @@
   :class:`DocumentFailure` records -- lives in
   :mod:`repro.convert.errors` and is exported here too.
 
-The engine is differentially tested against the serial
-:meth:`repro.convert.pipeline.DocumentConverter.convert_many` path:
+The engine is the one code path that applies an error policy to a
+corpus.  It is differentially tested against the plain serial
+:meth:`repro.convert.pipeline.DocumentConverter.convert_many`:
 identical XML bytes per document and an identical discovered DTD for
 any worker count -- including corpora with poison documents under a
-skip policy, where the engine must equal the serial conversion of the
+skip policy, where the engine must equal ``convert_many`` of the
 surviving documents.
 """
 

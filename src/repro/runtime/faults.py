@@ -2,10 +2,8 @@
 
 The conversion-layer vocabulary (:class:`DocumentFailure`,
 :class:`ErrorPolicy`, :class:`PipelineStageError`, quarantine writing)
-lives in :mod:`repro.convert.errors` so the serial
-:meth:`~repro.convert.pipeline.DocumentConverter.convert_many` path can
-honor the same policies, and every caller imports it from there.  This
-module holds only what the process-pool engine adds:
+lives in :mod:`repro.convert.errors`, and every caller imports it from
+there.  This module holds only what the process-pool engine adds:
 
 * :func:`worker_crash_failure` -- the :class:`DocumentFailure` recorded
   for a document that *killed its worker* (OOM, segfault, ``os._exit``):

@@ -500,8 +500,8 @@ class EngineStats:
 
     def rule_rows(self) -> list[list[str]]:
         """(rule, seconds, share) rows from the stage totals, slowest
-        stage first -- shared by the engine stats table, the serial
-        ``html2xml`` summary, and ``repro-web stats``."""
+        stage first -- shared by ``convert-corpus`` and ``repro-web
+        stats``."""
         timings = self.rule_seconds
         total = sum(timings.values())
         rows = []
@@ -509,18 +509,6 @@ class EngineStats:
             share = seconds / total if total else 0.0
             rows.append([rule, f"{seconds:.3f}", f"{share:.0%}"])
         return rows
-
-    def slowest_rows(self) -> list[list[str]]:
-        """(doc, seconds, label paths, input nodes) rows, slowest first."""
-        return [
-            [
-                str(entry.get("doc", "?")),
-                f"{entry.get('seconds', 0.0) * 1e3:.2f}",
-                str(entry.get("label_paths", "")),
-                str(entry.get("input_nodes", "")),
-            ]
-            for entry in self.slowest_docs
-        ]
 
     def chunk_seconds_quantile(self, q: float) -> float:
         """Chunk-duration quantile from the registry's chunk digest --

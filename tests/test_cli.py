@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -29,7 +30,7 @@ class TestParser:
         args = build_parser().parse_args(["convert-corpus", "--generate", "10"])
         assert args.generate == 10
         assert args.max_workers == 0
-        assert args.chunk_size == 0  # 0 = adaptive sizing
+        assert args.chunk_size == 0  # 0 = CHUNK_SIZE
         assert not args.discover
 
 
@@ -121,6 +122,146 @@ class TestCountOptions:
         args = build_parser().parse_args(["runs", "runs.jsonl", "--limit", "1"])
         assert args.limit == 1
 
+    @pytest.mark.parametrize("command,option,value,reason", [
+        (["gen-corpus"], "--count", "-3", "is negative"),
+        (["convert-corpus"], "--generate", "-2", "is negative"),
+        (["evolve", "fold", "state"], "--generate", "-1", "is negative"),
+        (["crawl"], "--resumes", "-1", "is negative"),
+        (["crawl"], "--noise", "-1", "is negative"),
+        (["evaluate"], "--docs", "0", "is less than 1"),
+    ])
+    def test_out_of_range_document_counts_rejected(
+        self, capsys, tmp_path, monkeypatch, command, option, value, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, f"{option}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: {value} {reason}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+# What one minimal argv per subcommand parses to (``func`` by name).
+# Each option's name and default are pinned here, so defining an option
+# once for several subcommands cannot change what any of them parses.
+PARSED_DEFAULTS = [
+    (["gen-corpus"], {
+        "command": "gen-corpus", "count": 50, "seed": 1966, "out": "corpus",
+        "style": None, "func": "_cmd_gen_corpus",
+    }),
+    (["convert-corpus"], {
+        "command": "convert-corpus", "files": [], "generate": 0, "seed": 1966,
+        "style": None, "out": "", "max_workers": 0, "chunk_size": 0,
+        "discover": False, "sup": 0.4, "ratio": 0.0, "trace_out": "",
+        "trace_chrome": "", "runlog": "", "progress": False, "quiet": False,
+        "metrics_out": None, "on_error": "fail-fast",
+        "quarantine_dir": "quarantine", "chaos_fail_marker": "",
+        "chaos_kill_marker": "", "func": "_cmd_convert_corpus",
+    }),
+    (["discover", "a.xml"], {
+        "command": "discover", "files": ["a.xml"], "sup": 0.4, "ratio": 0.0,
+        "patterns": False, "func": "_cmd_discover",
+    }),
+    (["integrate", "a.xml"], {
+        "command": "integrate", "files": ["a.xml"], "sup": 0.4, "ratio": 0.0,
+        "optional": 0.9, "out": "repository", "func": "_cmd_integrate",
+    }),
+    (["inspect", "store"], {
+        "command": "inspect", "store": "store", "query": "",
+        "func": "_cmd_inspect",
+    }),
+    (["stats", "m.json"], {
+        "command": "stats", "metrics": "m.json", "func": "_cmd_stats",
+    }),
+    (["report", "runs.jsonl"], {
+        "command": "report", "ledger": "runs.jsonl", "run": "",
+        "func": "_cmd_report",
+    }),
+    (["runs", "runs.jsonl"], {
+        "command": "runs", "ledger": "runs.jsonl", "limit": 20,
+        "func": "_cmd_runs",
+    }),
+    (["evaluate"], {
+        "command": "evaluate", "docs": 50, "seed": 1966, "func": "_cmd_evaluate",
+    }),
+    (["evolve", "init", "state"], {
+        "command": "evolve", "evolve_command": "init", "state": "state",
+        "sup": 0.4, "ratio": 0.0, "optional": None, "func": "_cmd_evolve_init",
+    }),
+    (["evolve", "status", "state"], {
+        "command": "evolve", "evolve_command": "status", "state": "state",
+        "func": "_cmd_evolve_status",
+    }),
+    (["evolve", "fold", "state"], {
+        "command": "evolve", "evolve_command": "fold", "state": "state",
+        "files": [], "generate": 0, "seed": 1966, "style": None,
+        "max_workers": 0, "chunk_size": 0, "repository": "", "runlog": "",
+        "metrics_out": None, "func": "_cmd_evolve_fold",
+    }),
+    (["evolve", "migrate", "state", "--repository", "repo"], {
+        "command": "evolve", "evolve_command": "migrate", "state": "state",
+        "repository": "repo", "max_workers": 0, "func": "_cmd_evolve_migrate",
+    }),
+    (["evolve", "rollback", "--repository", "repo"], {
+        "command": "evolve", "evolve_command": "rollback", "repository": "repo",
+        "func": "_cmd_evolve_rollback",
+    }),
+    (["crawl"], {
+        "command": "crawl", "resumes": 30, "noise": 100, "seed": 7, "out": "",
+        "func": "_cmd_crawl",
+    }),
+    (["serve"], {
+        "command": "serve", "host": "127.0.0.1", "port": 8080,
+        "state_dir": "service-state", "max_workers": 0, "max_batch": 16,
+        "batch_wait": 0.005, "max_queue": 1024, "publish": False,
+        "drain_timeout": 30.0, "func": "_cmd_serve",
+    }),
+]
+
+
+class TestParsedOptions:
+    @pytest.mark.parametrize(
+        "argv,expected", PARSED_DEFAULTS,
+        ids=[" ".join(argv[:2]) for argv, _ in PARSED_DEFAULTS],
+    )
+    def test_minimal_argv_parses_to_pinned_defaults(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed["func"] = parsed["func"].__name__
+        assert parsed == expected
+
+    def test_every_subcommand_is_pinned(self):
+        def commands(parser):
+            (action,) = [
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            ]
+            return action.choices
+
+        listed = set()
+        for name, child in commands(build_parser()).items():
+            if name == "evolve":
+                listed |= {(name, step) for step in commands(child)}
+            else:
+                listed.add((name, None))
+        assert listed == {
+            (expected["command"], expected.get("evolve_command"))
+            for _, expected in PARSED_DEFAULTS
+        }
+
+    @pytest.mark.parametrize("command", [
+        ["convert-corpus"], ["evolve", "fold", "state"],
+    ])
+    def test_shared_engine_run_options_parse_alike(self, command):
+        args = build_parser().parse_args(
+            [*command, "--generate", "3", "--seed", "5", "--style", "table",
+             "--chunk-size", "2", "--metrics-out", "m.json",
+             "--runlog", "runs.jsonl"]
+        )
+        assert (args.generate, args.seed, args.style, args.chunk_size,
+                args.metrics_out, args.runlog) == (
+            3, 5, ["table"], 2, ["m.json"], "runs.jsonl"
+        )
+
 
 def write_two_rooted_corpus(directory):
     """Two XML documents with different roots: at ``--sup 0.6`` neither
@@ -175,14 +316,15 @@ class TestCommands:
         assert len(files) == 3
         assert "<html>" in files[0].read_text()
 
-    def test_html2xml_converts(self, tmp_path):
+    def test_convert_corpus_one_worker_converts(self, tmp_path):
         corpus = tmp_path / "corpus"
         main(["gen-corpus", "--count", "2", "--out", str(corpus)])
         xml_out = tmp_path / "xml"
         files = [str(p) for p in sorted(corpus.glob("*.html"))]
-        assert main(["html2xml", *files, "--out", str(xml_out)]) == 0
+        assert main(["convert-corpus", *files, "--out", str(xml_out),
+                     "--max-workers", "1", "--quiet"]) == 0
         xml_files = sorted(xml_out.glob("*.xml"))
-        assert len(xml_files) == 2
+        assert [p.name for p in xml_files] == ["resume0000.xml", "resume0001.xml"]
         assert "<RESUME" in xml_files[0].read_text()
 
     def test_convert_corpus_without_input_fails(self, capsys):
@@ -203,29 +345,34 @@ class TestCommands:
         assert "instance" in printed  # per-rule timing table
         assert "<!ELEMENT resume" in printed
 
-    def test_convert_corpus_matches_html2xml(self, tmp_path, capsys):
-        """The engine subcommand writes the same XML as the serial one."""
+    def test_convert_corpus_one_and_two_workers_write_same_files(
+        self, tmp_path, capsys
+    ):
+        """The serial in-process run and a two-worker run write
+        byte-identical files under the same names."""
         corpus = tmp_path / "corpus"
         main(["gen-corpus", "--count", "4", "--out", str(corpus)])
         files = [str(p) for p in sorted(corpus.glob("*.html"))]
-        serial_out, engine_out = tmp_path / "serial", tmp_path / "engine"
-        main(["html2xml", *files, "--out", str(serial_out)])
-        assert main(
-            ["convert-corpus", *files, "--out", str(engine_out),
-             "--max-workers", "2", "--chunk-size", "2"]
-        ) == 0
-        serial_files = sorted(serial_out.glob("*.xml"))
-        engine_files = sorted(engine_out.glob("*.xml"))
-        assert [p.name for p in serial_files] == [p.name for p in engine_files]
-        for serial_file, engine_file in zip(serial_files, engine_files):
-            assert serial_file.read_text() == engine_file.read_text()
+        written = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"xml-{workers}"
+            assert main(
+                ["convert-corpus", *files, "--out", str(out), "--quiet",
+                 "--max-workers", workers, "--chunk-size", "2"]
+            ) == 0
+            written[workers] = {
+                path.name: path.read_bytes() for path in out.glob("*.xml")
+            }
+        assert len(written["1"]) == 4
+        assert written["1"] == written["2"]
 
     def test_discover_pipeline(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         main(["gen-corpus", "--count", "8", "--out", str(corpus)])
         xml_out = tmp_path / "xml"
         files = [str(p) for p in sorted(corpus.glob("*.html"))]
-        main(["html2xml", *files, "--out", str(xml_out)])
+        main(["convert-corpus", *files, "--out", str(xml_out),
+              "--max-workers", "1", "--quiet"])
         capsys.readouterr()
         xml_files = [str(p) for p in sorted(xml_out.glob("*.xml"))]
         assert main(["discover", *xml_files, "--sup", "0.4"]) == 0
@@ -249,7 +396,8 @@ class TestCommands:
         main(["gen-corpus", "--count", "6", "--out", str(corpus)])
         xml_out = tmp_path / "xml"
         files = [str(p) for p in sorted(corpus.glob("*.html"))]
-        main(["html2xml", *files, "--out", str(xml_out)])
+        main(["convert-corpus", *files, "--out", str(xml_out),
+              "--max-workers", "1", "--quiet"])
         capsys.readouterr()
         xml_files = [str(p) for p in sorted(xml_out.glob("*.xml"))]
         assert main(["discover", *xml_files, "--patterns"]) == 0
@@ -260,7 +408,8 @@ class TestCommands:
         main(["gen-corpus", "--count", "8", "--out", str(corpus)])
         xml_out = tmp_path / "xml"
         files = [str(p) for p in sorted(corpus.glob("*.html"))]
-        main(["html2xml", *files, "--out", str(xml_out)])
+        main(["convert-corpus", *files, "--out", str(xml_out),
+              "--max-workers", "1", "--quiet"])
         xml_files = [str(p) for p in sorted(xml_out.glob("*.xml"))]
         store = tmp_path / "store"
         assert main(["integrate", *xml_files, "--out", str(store)]) == 0

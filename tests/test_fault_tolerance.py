@@ -13,7 +13,7 @@ Two chaos hooks on :class:`ConversionConfig` drive the injections:
 The invariants enforced here:
 
 * k poison documents under ``error_policy="skip"`` produce XML and a
-  DTD byte-identical to the serial conversion of the survivors, at
+  DTD byte-identical to ``convert_many`` of the survivors, at
   worker counts 1/2/4, with all k failures reported with doc id, corpus
   index, and pipeline stage;
 * an injected worker kill recovers via pool rebuild + chunk bisection,
@@ -37,13 +37,11 @@ from repro.convert.errors import (
     TRACEBACK_LIMIT,
     DocumentFailure,
     ErrorPolicy,
-    InjectedFaultError,
     PipelineStageError,
     failure_from_exception,
     truncate_traceback,
     write_quarantine,
 )
-from repro.convert.pipeline import DocumentConverter
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.obs.provenance import ProvenanceLog
 from repro.runtime.engine import ChunkTask, CorpusEngine, EngineConfig
@@ -224,62 +222,6 @@ class TestRecoveryPrimitives:
         assert failure.stage == "worker"
         assert failure.error_type == "WorkerCrash"
         assert failure.source == "<p>x</p>"
-
-
-# -- serial path: convert_many under a policy ---------------------------------
-
-
-class TestConvertManyPolicies:
-    @pytest.fixture()
-    def chaos_converter(self, kb):
-        return DocumentConverter(
-            kb, ConversionConfig(chaos_fail_marker=POISON)
-        )
-
-    def test_default_fail_fast_raises_with_stage(
-        self, chaos_converter, corpus_html
-    ):
-        corpus = tainted(corpus_html, {1}, POISON)
-        with pytest.raises(PipelineStageError) as excinfo:
-            chaos_converter.convert_many(corpus)
-        assert excinfo.value.stage == "inject"
-        assert isinstance(excinfo.value.__cause__, InjectedFaultError)
-
-    def test_skip_equals_serial_conversion_of_survivors(
-        self, chaos_converter, corpus_html
-    ):
-        poison_at = {2, 5}
-        corpus = tainted(corpus_html, poison_at, POISON)
-        failures: list[DocumentFailure] = []
-        results = chaos_converter.convert_many(
-            corpus, error_policy="skip", failures=failures
-        )
-        expected = serial_xml(
-            chaos_converter, survivors_of(corpus_html, poison_at)
-        )
-        assert [result.to_xml() for result in results] == expected
-        assert [(f.doc_id, f.index, f.stage) for f in failures] == [
-            ("doc0002", 2, "inject"),
-            ("doc0005", 5, "inject"),
-        ]
-        assert all(f.source is None for f in failures)
-
-    def test_quarantine_writes_source_and_record(
-        self, chaos_converter, corpus_html, tmp_path
-    ):
-        corpus = tainted(corpus_html, {4}, POISON)
-        failures: list[DocumentFailure] = []
-        results = chaos_converter.convert_many(
-            corpus,
-            error_policy=ErrorPolicy.quarantine(tmp_path),
-            failures=failures,
-        )
-        assert len(results) == len(corpus) - 1
-        assert failures[0].source == corpus[4]
-        assert (tmp_path / "doc0004.html").read_text() == corpus[4]
-        record = json.loads((tmp_path / "doc0004.error.json").read_text())
-        assert record["stage"] == "inject"
-        assert record["error_type"] == "InjectedFaultError"
 
 
 # -- engine: poison documents under skip --------------------------------------
@@ -516,32 +458,44 @@ class TestPathologicalInputs:
 
     @pytest.fixture(scope="class")
     def serial_skip(self, converter, mixed_corpus):
+        """Each document converted alone: the survivors' XML, and the
+        failure record of each document that raised."""
+        xml: list[str] = []
         failures: list[DocumentFailure] = []
-        results = converter.convert_many(
-            mixed_corpus, error_policy="skip", failures=failures
-        )
-        return [result.to_xml() for result in results], failures
+        for position, source in enumerate(mixed_corpus):
+            try:
+                xml.append(converter.convert(source).to_xml())
+            except PipelineStageError as exc:
+                failures.append(
+                    failure_from_exception(f"doc{position:04d}", position, exc)
+                )
+        return xml, failures
 
-    def test_serial_skip_accounts_for_every_document(
-        self, mixed_corpus, serial_skip
-    ):
-        xml, failures = serial_skip
-        assert len(xml) + len(failures) == len(mixed_corpus)
-        for failure in failures:
+    def test_serial_skip_accounts_for_every_document(self, kb, mixed_corpus):
+        """The serial run (one worker, inline) under skip converts or
+        records every document."""
+        result = chaos_engine(kb, 1).convert_corpus(mixed_corpus)
+        assert len(result.xml_documents) + len(result.failures) == len(
+            mixed_corpus
+        )
+        for failure in result.failures:
             assert failure.stage
             assert failure.error_type
 
     def test_survivors_convert_identically_alone(
         self, converter, mixed_corpus, serial_skip
     ):
+        """No converter state carries from one document to the next:
+        ``convert_many`` of the survivors equals converting each alone."""
         xml, failures = serial_skip
         failed = {failure.index for failure in failures}
-        alone = [
-            converter.convert(source).to_xml()
-            for position, source in enumerate(mixed_corpus)
+        survivors = [
+            source for position, source in enumerate(mixed_corpus)
             if position not in failed
         ]
-        assert xml == alone
+        assert [
+            result.to_xml() for result in converter.convert_many(survivors)
+        ] == xml
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_engine_equals_serial_skip(

@@ -84,12 +84,6 @@ KEEP = {
         "test seam: test_fast_rules_differential generates one corpus per style"
     ),
     "ConversionService(conversion=)": "fault injection: carries the chaos markers to the engine",
-    "convert_many(error_policy=)": (
-        "fault injection: the serial reference test_fault_tolerance runs poison corpora through"
-    ),
-    "convert_many(failures=)": (
-        "fault injection: the serial reference test_fault_tolerance runs poison corpora through"
-    ),
     "EngineConfig.max_pool_rebuilds": "safety bound: caps worker-pool rebuilds after crashes",
     "XMLRepository(max_repair_operations=)": "safety bound: caps the repair one insert may do",
     "TopicCrawler(max_pages=)": "safety bound: caps the pages one crawl visits",
