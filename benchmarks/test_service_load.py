@@ -14,7 +14,7 @@ import os
 
 from repro.corpus.generator import ResumeCorpusGenerator
 from repro.evaluation.report import format_table
-from repro.service import ConversionService, ServiceConfig
+from repro.service import ConversionService
 from tests.loadtest import ServerThread, run_load
 
 CLIENTS = 1000
@@ -26,9 +26,7 @@ def test_service_load_thousand_clients(benchmark, kb, tmp_path, capsys):
     sources = ResumeCorpusGenerator(seed=1966).generate_html(
         DISTINCT_DOCUMENTS
     )
-    service = ConversionService(
-        kb, state_dir=tmp_path / "state", config=ServiceConfig()
-    )
+    service = ConversionService(kb, state_dir=tmp_path / "state")
     server = ServerThread(service)
     host, port = server.start()
     try:
@@ -67,7 +65,7 @@ def test_service_load_thousand_clients(benchmark, kb, tmp_path, capsys):
                     ["p99 latency", f"{latency['p99'] * 1000:.1f} ms"],
                 ],
                 title=f"[service] {CLIENTS} concurrent clients "
-                f"({service.config.resolved_workers()} workers, "
+                f"({service.workers} workers, "
                 f"{os.cpu_count()} CPUs)",
             )
         )

@@ -560,20 +560,13 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import ConversionService, ServiceConfig
+    from repro.service import ConversionService
 
-    config = ServiceConfig(
-        max_workers=args.max_workers or None,
-        max_batch=args.max_batch,
-        batch_wait=args.batch_wait,
-        max_queue=args.max_queue,
-        publish=args.publish,
-        drain_timeout=args.drain_timeout,
-    )
     service = ConversionService(
         build_resume_knowledge_base(),
         state_dir=args.state_dir,
-        config=config,
+        max_workers=args.max_workers or None,
+        publish=args.publish,
     )
 
     def ready(host: str, port: int) -> None:
@@ -581,8 +574,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # scrape the bound port even when --port 0 picked an ephemeral one.
         print(f"listening on http://{host}:{port}", flush=True)
         print(
-            f"workers={config.resolved_workers()} "
-            f"max_batch={config.max_batch} state_dir={args.state_dir}",
+            f"workers={service.workers} "
+            f"max_batch={CHUNK_SIZE} state_dir={args.state_dir}",
             flush=True,
         )
 
@@ -1033,20 +1026,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-workers", type=_count, default=0,
                        help="engine worker processes "
                             "(0 = min(4, CPUs); 1 = inline)")
-    serve.add_argument("--max-batch", type=int, default=16,
-                       help="documents per micro-batched engine chunk")
-    serve.add_argument("--batch-wait", type=float, default=0.005,
-                       help="seconds to linger for batch companions "
-                            "when all dispatch slots are busy")
-    serve.add_argument("--max-queue", type=int, default=1024,
-                       help="queued documents per lane before submits "
-                            "block (backpressure bound)")
     serve.add_argument("--publish", action="store_true",
                        help="publish folded documents into a versioned "
                             "repository under the state dir")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="seconds to wait for in-flight requests on "
-                            "SIGTERM/SIGINT before forcing the drain")
     serve.set_defaults(func=_cmd_serve)
 
     return parser

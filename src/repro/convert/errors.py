@@ -18,6 +18,9 @@ built from:
   ``fail_fast`` (raise, the historical behavior and the default),
   ``skip`` (record and continue), or ``quarantine`` (record, continue,
   and save the offending source plus an error JSON to a directory).
+  A run spells its policy once, as the mode string of
+  ``EngineConfig.error_policy``; the engine turns it into the one
+  ``ErrorPolicy(mode, quarantine_dir)`` it applies.
 
 These live at the conversion layer (not :mod:`repro.runtime`) because
 they describe one document's conversion; the engine applies the
@@ -97,7 +100,12 @@ class DocumentFailure:
 
 @dataclass(frozen=True)
 class ErrorPolicy:
-    """What a corpus run does with a document that fails to convert."""
+    """What a corpus run does with a document that fails to convert.
+
+    The engine builds the one instance a run uses from its
+    :class:`~repro.runtime.engine.EngineConfig` mode string
+    (:meth:`~repro.runtime.engine.EngineConfig.resolved_policy`).
+    """
 
     mode: str = "fail_fast"
     quarantine_dir: str | None = None
@@ -109,40 +117,6 @@ class ErrorPolicy:
             )
         if self.mode == "quarantine" and not self.quarantine_dir:
             raise ValueError("quarantine policy needs a quarantine_dir")
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def fail_fast(cls) -> "ErrorPolicy":
-        return cls("fail_fast")
-
-    @classmethod
-    def skip(cls) -> "ErrorPolicy":
-        return cls("skip")
-
-    @classmethod
-    def quarantine(cls, directory: str | Path) -> "ErrorPolicy":
-        return cls("quarantine", str(directory))
-
-    @classmethod
-    def coerce(
-        cls,
-        value: "ErrorPolicy | str | None",
-        *,
-        quarantine_dir: str | Path | None = None,
-    ) -> "ErrorPolicy":
-        """Normalize a policy spelled as an instance, a mode string
-        (``-``/``_`` both accepted), or ``None`` (= fail fast)."""
-        if value is None:
-            return cls.fail_fast()
-        if isinstance(value, ErrorPolicy):
-            return value
-        mode = value.replace("-", "_")
-        if mode == "quarantine":
-            if quarantine_dir is None:
-                raise ValueError("quarantine policy needs a quarantine_dir")
-            return cls.quarantine(quarantine_dir)
-        return cls(mode)
 
     # -- predicates ----------------------------------------------------------
 

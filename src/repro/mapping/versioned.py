@@ -337,8 +337,7 @@ class VersionedRepository:
     def rollback(self) -> int:
         """Repoint CURRENT at the previous version; returns it.
 
-        The rolled-back version's directory stays on disk, so a
-        subsequent :meth:`activate` can roll forward again.
+        The rolled-back version's directory stays on disk.
         """
         current = self.current_version()
         if current is None:
@@ -351,9 +350,3 @@ class VersionedRepository:
         previous = earlier[-1]
         self._set_current(previous)
         return previous
-
-    def activate(self, version: int) -> None:
-        """Repoint CURRENT at an existing version (roll forward/back)."""
-        if version not in self.versions():
-            raise ValueError(f"{self.root}: version {version} does not exist")
-        self._set_current(version)

@@ -2,7 +2,9 @@
 
 * :mod:`repro.runtime.engine` -- :class:`CorpusEngine`: chunked
   process-pool conversion with a deterministic in-order merge, plus
-  schema discovery over merged path statistics.
+  schema discovery over merged path statistics.  Its
+  :class:`EngineConfig` is the one source of a run's worker count,
+  chunk size and error policy (a mode string).
 * :mod:`repro.runtime.stats` -- :class:`EngineStats` / per-chunk
   instrumentation (rule timings, docs/sec, queue depth, failure
   counts).
@@ -10,7 +12,8 @@
   pool every parallel path uses (the engine, repository migration, the
   conversion service): per-worker state built once by the initializer
   (adopted copy-on-write from the parent under fork), inline execution
-  at one worker, an ordered bounded-window ``map``, and
+  at one worker, an ordered ``map`` bounded by ``inflight_window``
+  (the in-flight bound the engine and the service share), and
   ``rebuild``/``pids``/``shutdown`` for crash recovery and drain.
 * :mod:`repro.runtime.faults` -- worker-crash recovery (pool rebuild
   budget + chunk bisection).  The policy vocabulary it builds on --

@@ -62,7 +62,13 @@ from repro.runtime.faults import (
     split_segment,
     worker_crash_failure,
 )
-from repro.runtime.pool import CHUNK_SIZE, WorkerPool, chunked, resolve_workers
+from repro.runtime.pool import (
+    CHUNK_SIZE,
+    WorkerPool,
+    chunked,
+    inflight_window,
+    resolve_workers,
+)
 from repro.runtime.stats import DOCUMENT_STAGE, ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import DiscoveryResult, discover_schema
@@ -81,10 +87,10 @@ class EngineConfig:
 
     max_workers: int | None = None
     chunk_size: int = CHUNK_SIZE
-    # What to do with documents that fail to convert: "fail_fast" (the
-    # historical raise-and-abort default), "skip", "quarantine" (an
-    # ErrorPolicy instance carrying the directory), or a mode string.
-    error_policy: ErrorPolicy | str = "fail_fast"
+    # What to do with documents that fail to convert, as a mode string:
+    # "fail_fast" (the historical raise-and-abort default), "skip" or
+    # "quarantine" (into quarantine_dir); "-" may stand for "_".
+    error_policy: str = "fail_fast"
     quarantine_dir: str | None = None
     # Bounded-retry budget for BrokenProcessPool recovery: each worker
     # crash costs one pool rebuild (bisecting a chunk with one killer
@@ -95,8 +101,10 @@ class EngineConfig:
         return resolve_workers(self.max_workers)
 
     def resolved_policy(self) -> ErrorPolicy:
-        return ErrorPolicy.coerce(
-            self.error_policy, quarantine_dir=self.quarantine_dir
+        """The one :class:`ErrorPolicy` a run applies (it rejects an
+        unknown mode, and quarantine without a directory)."""
+        return ErrorPolicy(
+            self.error_policy.replace("-", "_"), self.quarantine_dir
         )
 
 
@@ -197,7 +205,7 @@ class _ChunkWorker:
     converter: DocumentConverter
     trace: bool = False
     provenance: bool = False
-    policy: ErrorPolicy = ErrorPolicy.fail_fast()
+    policy: ErrorPolicy = ErrorPolicy()
     collect_xml: bool = True
     sink: XmlSink | None = None
 
@@ -388,12 +396,15 @@ class CorpusEngine:
         """Yield converted chunks **in document order**.
 
         Every chunk is one :func:`_convert_chunk` task on a
-        :class:`WorkerPool` (inline at one worker).  Results stream as
-        soon as their chunk (and every earlier chunk) finishes; at most
-        ``max(2, 2 * workers)`` chunks are submitted but unmerged, so
-        memory stays bounded on arbitrarily large corpora.  Pass a
-        :class:`EngineStats` to have counters, timings, and queue-depth
-        instrumentation filled in as the stream drains.
+        :class:`WorkerPool` (inline at one worker).  The worker count,
+        chunk size and error policy all come from :attr:`engine_config`.
+        Results stream as soon as their chunk (and every earlier chunk)
+        finishes; at most :func:`~repro.runtime.pool.inflight_window`
+        chunks are submitted but unmerged, so memory stays bounded on
+        arbitrarily large corpora.  Pass an :class:`EngineStats` to have
+        counters, timings, and queue-depth instrumentation filled in as
+        the stream drains; the engine writes its own ``workers`` and
+        ``chunk_size`` onto it.
 
         With a recording ``tracer``/``provenance``, each chunk builds its
         own tracer and log and ships serialized spans/events back; the
@@ -412,23 +423,22 @@ class CorpusEngine:
         the aligned ``names`` sequence when given, by global document
         position otherwise.
         """
-        stats = stats if stats is not None else self.new_stats()
         tracer = resolve_tracer(tracer)
         policy = self.engine_config.resolved_policy()
         sink = XmlSink(xml_sink) if xml_sink is not None else None
         if sink is not None:
             sink.prepare()
         started = time.perf_counter()
-        max_pending = max(2, 2 * stats.workers)
         budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
         pool = self.worker_pool(
-            workers=stats.workers,
             trace=tracer.enabled,
             provenance=provenance is not None,
-            policy=policy,
             collect_xml=collect_xml,
             sink=sink,
         )
+        max_pending = inflight_window(pool.workers)
+        stats = stats if stats is not None else EngineStats()
+        stats.workers, stats.chunk_size = pool.workers, self.engine_config.chunk_size
         pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
         doc_cursor = 0
         interrupted = False
@@ -602,29 +612,24 @@ class CorpusEngine:
     def worker_pool(
         self,
         *,
-        workers: int | None = None,
         trace: bool = False,
         provenance: bool = False,
-        policy: ErrorPolicy | None = None,
         collect_xml: bool = True,
         sink: XmlSink | None = None,
     ) -> WorkerPool:
         """A pool whose workers each hold this engine's converter.
 
+        The worker count and error policy are the engine config's; the
+        options select what a chunk ships home (see :meth:`stream`).
         The converter is built (or reused) parent-side, so forked
-        workers adopt it copy-on-write.  ``policy`` defaults to the
-        engine's error policy; the other options select what a chunk
-        ships home (see :meth:`stream`).
+        workers adopt it copy-on-write.
         """
-        if policy is None:
-            policy = self.engine_config.resolved_policy()
-        if workers is None:
-            workers = self.engine_config.resolved_workers()
-        options = (trace, provenance, policy, collect_xml, sink)
+        config = self.engine_config
+        options = (trace, provenance, config.resolved_policy(), collect_xml, sink)
         return WorkerPool(
             _build_worker,
             (self.kb, self.config, *options),
-            workers=workers,
+            workers=config.resolved_workers(),
             state=_ChunkWorker(self._converter(), *options),
         )
 

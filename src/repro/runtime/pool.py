@@ -21,7 +21,8 @@ module is the only place that builds a ``ProcessPoolExecutor``:
   at a time across threads, and returns a completed future (the
   degenerate case differential tests use);
 * :meth:`WorkerPool.map` -- ordered results over a bounded window of
-  ``2 * workers`` chunks;
+  :func:`inflight_window` chunks (the window the engine's merge and the
+  service's dispatch share);
 * :meth:`WorkerPool.rebuild`, :meth:`WorkerPool.pids` and
   :meth:`WorkerPool.shutdown` -- the lifecycle crash recovery and the
   service's drain need.
@@ -83,6 +84,14 @@ def resolve_workers(workers: int | None) -> int:
     if workers is None:
         return os.cpu_count() or 1
     return max(1, workers)
+
+
+def inflight_window(workers: int) -> int:
+    """Chunks submitted but not yet consumed, at most: two per worker,
+    so each worker has its next chunk queued while the oldest result is
+    merged.  :meth:`WorkerPool.map`, the engine's stream and the
+    service's dispatch all bound their in-flight work by it."""
+    return 2 * workers
 
 
 def chunked(items: Iterable[Item], size: int) -> Iterator[list[Item]]:
@@ -182,11 +191,12 @@ class WorkerPool:
     ) -> Iterator:
         """Yield ``fn(state, item)`` for every item, in item order.
 
-        Items travel in chunks of ``chunk_size``; at most ``2 * workers``
-        chunks are in flight, so the oldest is drained before the window
-        overflows.  Errors raised by ``fn`` propagate to the caller.
+        Items travel in chunks of ``chunk_size``; at most
+        :func:`inflight_window` chunks are in flight, so the oldest is
+        drained before the window overflows.  Errors raised by ``fn``
+        propagate to the caller.
         """
-        window = 2 * self.workers
+        window = inflight_window(self.workers)
         pending: deque[Future] = deque()
         for chunk in chunked(items, chunk_size):
             pending.append(self.submit(_map_chunk, fn, chunk))

@@ -27,8 +27,6 @@ lazy_exports(globals(), {
         "LabelPath",
         "DocumentPaths",
         "extract_paths",
-        "extract_corpus_paths",
-        "iter_corpus_paths",
     ),
     ".accumulator": ("PathAccumulator",),
     ".evolution": (

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from sys import intern
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from repro.dom.node import Element
 
@@ -128,20 +128,3 @@ def extract_paths(root: Element) -> DocumentPaths:
             numerator = Fraction(scaled, count)
         numerators[child_path] = numerator
     return doc
-
-
-def iter_corpus_paths(roots: Iterable[Element]) -> Iterator[DocumentPaths]:
-    """Lazily reduce a corpus of XML documents to path sets.
-
-    The streaming counterpart of :func:`extract_corpus_paths`: trees can
-    be discarded as soon as their statistics are folded into a
-    :class:`~repro.schema.accumulator.PathAccumulator`, so schema
-    discovery never needs the whole converted corpus in memory.
-    """
-    for root in roots:
-        yield extract_paths(root)
-
-
-def extract_corpus_paths(roots: Iterable[Element]) -> list[DocumentPaths]:
-    """Path sets for a corpus of XML documents, materialized."""
-    return list(iter_corpus_paths(roots))

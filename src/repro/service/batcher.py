@@ -2,15 +2,17 @@
 
 Concurrent clients each submit one (or a few) documents; the engine
 wants chunks.  The batcher bridges the two: submissions enqueue onto a
-bounded per-lane :class:`asyncio.Queue` (a full queue makes ``await
-submit()`` wait -- callers are never dropped), and one collector task
-per lane coalesces queued documents into chunks of up to ``max_batch``.
+bounded per-lane :class:`asyncio.Queue` of :data:`MAX_QUEUED` documents
+(a full queue makes ``await submit()`` wait -- callers are never
+dropped), and one collector task per lane coalesces queued documents
+into chunks of up to :data:`~repro.runtime.pool.CHUNK_SIZE`, the
+engine's one chunk size.
 
 Batching is adaptive: while the dispatch semaphore has free slots a
 lone document ships immediately (no added latency on an idle service);
-once every slot is busy the collector waits up to ``max_wait`` for
-companions, amortizing per-chunk overhead exactly when load makes it
-worthwhile.
+once every slot is busy the collector waits up to
+:data:`LINGER_SECONDS` for companions, amortizing per-chunk overhead
+exactly when load makes it worthwhile.
 
 Lanes are keyed by the request's ``fold`` flag: a chunk's
 :class:`~repro.schema.accumulator.PathAccumulator` is batch-wide, so a
@@ -25,7 +27,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
+from repro.runtime.pool import CHUNK_SIZE
 from repro.service.contracts import ConvertRequest, DocumentOutcome
+
+# Documents one lane queues before ``submit()`` blocks (backpressure).
+MAX_QUEUED = 1024
+# Seconds a collector lingers for batch companions while every dispatch
+# slot is busy.
+LINGER_SECONDS = 0.005
 
 
 class ServiceDraining(RuntimeError):
@@ -48,22 +57,12 @@ DispatchFn = Callable[[bool, list[PendingDocument]], Awaitable[None]]
 
 
 class MicroBatcher:
-    """Coalesces concurrent submissions into engine chunks."""
+    """Coalesces concurrent submissions into engine chunks, with at most
+    ``max_inflight`` chunks dispatched at once."""
 
-    def __init__(
-        self,
-        dispatch: DispatchFn,
-        *,
-        max_batch: int = 16,
-        max_wait: float = 0.005,
-        max_queue: int = 1024,
-        max_inflight: int = 8,
-    ) -> None:
+    def __init__(self, dispatch: DispatchFn, max_inflight: int) -> None:
         self._dispatch = dispatch
-        self.max_batch = max(1, max_batch)
-        self.max_wait = max_wait
-        self.max_queue = max(1, max_queue)
-        self._inflight = asyncio.Semaphore(max(1, max_inflight))
+        self._inflight = asyncio.Semaphore(max_inflight)
         self._queues: dict[bool, asyncio.Queue] = {}
         self._collectors: dict[bool, asyncio.Task] = {}
         self._dispatches: set[asyncio.Task] = set()
@@ -90,7 +89,7 @@ class MicroBatcher:
     def _lane_queue(self, lane: bool) -> asyncio.Queue:
         queue = self._queues.get(lane)
         if queue is None:
-            queue = self._queues[lane] = asyncio.Queue(maxsize=self.max_queue)
+            queue = self._queues[lane] = asyncio.Queue(maxsize=MAX_QUEUED)
             self._collectors[lane] = asyncio.get_running_loop().create_task(
                 self._collect(lane, queue)
             )
@@ -105,9 +104,9 @@ class MicroBatcher:
             if first is _CLOSE:
                 return
             batch = [first]
-            deadline = loop.time() + self.max_wait
+            deadline = loop.time() + LINGER_SECONDS
             closing = False
-            while len(batch) < self.max_batch:
+            while len(batch) < CHUNK_SIZE:
                 # Drain whatever is already queued for free.
                 try:
                     item = queue.get_nowait()

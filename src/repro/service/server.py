@@ -31,10 +31,10 @@ import asyncio
 import contextlib
 import itertools
 import json
+import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +44,7 @@ from repro.convert.errors import DocumentFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import QuantileDigest
 from repro.runtime.engine import ChunkPayload, ChunkTask, CorpusEngine, EngineConfig
-from repro.runtime.pool import PoolClosed, WorkerPool
+from repro.runtime.pool import CHUNK_SIZE, PoolClosed, WorkerPool, inflight_window
 from repro.runtime.stats import ChunkStats, EngineStats
 from repro.schema.accumulator import PathAccumulator
 from repro.service.batcher import MicroBatcher, PendingDocument, ServiceDraining
@@ -58,6 +58,9 @@ from repro.service.state import TopicState, UnknownSchemaVersion
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADERS = 100
+# Seconds a drain waits for in-flight HTTP requests before flushing the
+# batcher regardless.
+DRAIN_SECONDS = 30.0
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -83,30 +86,13 @@ class HttpError(Exception):
         super().__init__(message)
 
 
-@dataclass
-class ServiceConfig:
-    """Tuning knobs of the conversion service."""
-
-    max_workers: int | None = None
-    max_batch: int = 16
-    batch_wait: float = 0.005
-    max_queue: int = 1024
-    publish: bool = False
-    drain_timeout: float = 30.0
-
-    def resolved_workers(self) -> int:
-        if self.max_workers is None:
-            import os
-
-            return max(1, min(4, os.cpu_count() or 1))
-        return max(1, self.max_workers)
-
-
 class ConversionService:
     """The long-lived daemon: warm pool + batcher + topic state + HTTP.
 
     The topic is ``kb.topic``; its state lives under
-    ``<state_dir>/<topic>/``.
+    ``<state_dir>/<topic>/``.  ``max_workers=None`` runs min(4, CPUs)
+    workers; ``publish`` publishes folded documents into a versioned
+    repository under the state dir.
     """
 
     def __init__(
@@ -114,36 +100,32 @@ class ConversionService:
         kb: KnowledgeBase,
         *,
         state_dir: str | Path,
-        config: ServiceConfig | None = None,
+        max_workers: int | None = None,
+        publish: bool = False,
         conversion: ConversionConfig | None = None,
     ) -> None:
-        self.config = config or ServiceConfig()
         self.state_dir = Path(state_dir)
-        workers = self.config.resolved_workers()
+        if max_workers is None:
+            max_workers = min(4, os.cpu_count() or 1)
         self.registry = MetricsRegistry()
         self.engine = CorpusEngine(
             kb,
             conversion,
-            engine_config=EngineConfig(max_workers=workers, error_policy="skip"),
+            engine_config=EngineConfig(max_workers=max_workers, error_policy="skip"),
         )
+        self.workers = self.engine.engine_config.resolved_workers()
         # The warm pool is built by start().
         self.pool: WorkerPool | None = None
         self.state = TopicState(
             kb.topic, kb, self.state_dir / kb.topic,
-            registry=self.registry, publish=self.config.publish,
-            max_workers=workers,
+            registry=self.registry, publish=publish,
+            max_workers=self.workers,
         )
-        self.batcher = MicroBatcher(
-            self._dispatch,
-            max_batch=self.config.max_batch,
-            max_wait=self.config.batch_wait,
-            max_queue=self.config.max_queue,
-            max_inflight=max(2, 2 * workers),
-        )
-        # Every micro-batch is one engine chunk of up to max_batch documents.
+        self.batcher = MicroBatcher(self._dispatch, inflight_window(self.workers))
+        # Every micro-batch is one engine chunk of up to CHUNK_SIZE documents.
         self.stats = EngineStats(
-            workers=workers,
-            chunk_size=self.batcher.max_batch,
+            workers=self.workers,
+            chunk_size=CHUNK_SIZE,
             registry=self.registry,
         )
         self.latency = QuantileDigest()
@@ -229,9 +211,7 @@ class ConversionService:
         # Every accepted request runs to completion: first the ones in
         # HTTP handlers (they may be waiting on batcher futures)...
         with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout
-            )
+            await asyncio.wait_for(self._idle.wait(), timeout=DRAIN_SECONDS)
         # ...then the batcher's queues and in-flight chunks.
         await self.batcher.drain()
         # Idle keep-alive connections are blocked in readline(); closing
@@ -569,7 +549,7 @@ class ConversionService:
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-            "workers": self.config.resolved_workers(),
+            "workers": self.workers,
             "worker_pids": worker_pids,
             "documents": self.stats.documents,
             "documents_failed": self.stats.documents_failed,

@@ -69,12 +69,18 @@ class TestThresholdOptions:
 class TestRemovedCommands:
     """The ledger's regression detector and the artifact checker are not
     part of the CLI: ``runs`` only lists, and the checks run as
-    ``python -m tests.obscheck``."""
+    ``python -m tests.obscheck``.  ``serve`` has no tuning options: it
+    batches by the engine's chunk size, and its queue, linger and drain
+    bounds are constants."""
 
     @pytest.mark.parametrize("argv", [
         ["validate-obs", "--runlog", "runs.jsonl"],
         ["runs", "runs.jsonl", "--check"],
         ["runs", "runs.jsonl", "--threshold", "0.35"],
+        ["serve", "--max-batch", "4"],
+        ["serve", "--batch-wait", "0.01"],
+        ["serve", "--max-queue", "64"],
+        ["serve", "--drain-timeout", "5"],
     ])
     def test_unknown(self, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -212,9 +218,8 @@ PARSED_DEFAULTS = [
     }),
     (["serve"], {
         "command": "serve", "host": "127.0.0.1", "port": 8080,
-        "state_dir": "service-state", "max_workers": 0, "max_batch": 16,
-        "batch_wait": 0.005, "max_queue": 1024, "publish": False,
-        "drain_timeout": 30.0, "func": "_cmd_serve",
+        "state_dir": "service-state", "max_workers": 0, "publish": False,
+        "func": "_cmd_serve",
     }),
 ]
 

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.convert.config import ConversionConfig
+from repro.convert.pipeline import DocumentConverter
 from repro.convert.errors import (
     TRACEBACK_LIMIT,
     DocumentFailure,
@@ -114,18 +115,25 @@ def serial_xml(converter, corpus):
 
 
 class TestErrorPolicy:
-    def test_coerce_mode_strings(self):
-        assert ErrorPolicy.coerce("skip").mode == "skip"
-        assert ErrorPolicy.coerce("fail-fast").is_fail_fast
-        assert ErrorPolicy.coerce("fail_fast").is_fail_fast
-        assert ErrorPolicy.coerce(None).is_fail_fast
+    """A run spells its policy once, as ``EngineConfig.error_policy``;
+    ``resolved_policy`` builds the one ``ErrorPolicy`` it applies."""
 
-    def test_coerce_passes_instances_through(self):
-        policy = ErrorPolicy.skip()
-        assert ErrorPolicy.coerce(policy) is policy
+    def test_mode_strings_resolve(self):
+        """``-`` stands for ``_``: the CLI's ``--on-error fail-fast``."""
+        for mode, expected in (
+            ("skip", "skip"),
+            ("fail-fast", "fail_fast"),
+            ("fail_fast", "fail_fast"),
+        ):
+            policy = EngineConfig(error_policy=mode).resolved_policy()
+            assert policy.mode == expected
+            assert policy.is_fail_fast == (expected == "fail_fast")
+        assert EngineConfig().resolved_policy().is_fail_fast
 
-    def test_coerce_quarantine_carries_directory(self, tmp_path):
-        policy = ErrorPolicy.coerce("quarantine", quarantine_dir=tmp_path)
+    def test_quarantine_carries_directory(self, tmp_path):
+        policy = EngineConfig(
+            error_policy="quarantine", quarantine_dir=str(tmp_path)
+        ).resolved_policy()
         assert policy.mode == "quarantine"
         assert policy.quarantine_dir == str(tmp_path)
         assert policy.captures_source
@@ -133,16 +141,18 @@ class TestErrorPolicy:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ErrorPolicy("retry")
+        with pytest.raises(ValueError):
+            EngineConfig(error_policy="retry").resolved_policy()
 
     def test_quarantine_requires_directory(self):
         with pytest.raises(ValueError):
             ErrorPolicy("quarantine")
         with pytest.raises(ValueError):
-            ErrorPolicy.coerce("quarantine")
+            EngineConfig(error_policy="quarantine").resolved_policy()
 
     def test_only_quarantine_captures_source(self):
-        assert not ErrorPolicy.skip().captures_source
-        assert not ErrorPolicy.fail_fast().captures_source
+        assert not EngineConfig(error_policy="skip").resolved_policy().captures_source
+        assert not ErrorPolicy().captures_source
 
 
 class TestDocumentFailure:
@@ -444,6 +454,9 @@ PATHOLOGICAL = [
     "<div><b>unclosed <i>mismatched</div></b>",
     "\x00\x01\x02 binary \xff garbage \x00 <p>tail</p>",
     "<div>" * 120 + "deep" + "</div>" * 120,
+    # None of the above raises; this one does, in the chaos hook, so the
+    # failure-parity checks below compare real failure records.
+    f"<p>a poisoned page</p><!-- {POISON} -->",
 ]
 
 
@@ -457,24 +470,33 @@ class TestPathologicalInputs:
         return corpus
 
     @pytest.fixture(scope="class")
-    def serial_skip(self, converter, mixed_corpus):
+    def poison_converter(self, kb):
+        """A converter whose chaos hook fails the poisoned document."""
+        return DocumentConverter(kb, ConversionConfig(chaos_fail_marker=POISON))
+
+    @pytest.fixture(scope="class")
+    def serial_skip(self, poison_converter, mixed_corpus):
         """Each document converted alone: the survivors' XML, and the
         failure record of each document that raised."""
         xml: list[str] = []
         failures: list[DocumentFailure] = []
         for position, source in enumerate(mixed_corpus):
             try:
-                xml.append(converter.convert(source).to_xml())
+                xml.append(poison_converter.convert(source).to_xml())
             except PipelineStageError as exc:
                 failures.append(
                     failure_from_exception(f"doc{position:04d}", position, exc)
                 )
+        assert [failure.stage for failure in failures] == ["inject"]
         return xml, failures
 
     def test_serial_skip_accounts_for_every_document(self, kb, mixed_corpus):
         """The serial run (one worker, inline) under skip converts or
         records every document."""
-        result = chaos_engine(kb, 1).convert_corpus(mixed_corpus)
+        result = chaos_engine(kb, 1, fail_marker=POISON).convert_corpus(
+            mixed_corpus
+        )
+        assert result.failures
         assert len(result.xml_documents) + len(result.failures) == len(
             mixed_corpus
         )
@@ -502,9 +524,10 @@ class TestPathologicalInputs:
         self, kb, mixed_corpus, serial_skip, workers
     ):
         serial, failures = serial_skip
-        engine = chaos_engine(kb, workers, chunk_size=3)
+        engine = chaos_engine(kb, workers, chunk_size=3, fail_marker=POISON)
         result = engine.convert_corpus(mixed_corpus)
         assert result.xml_documents == serial
+        assert result.failures
         assert [(f.index, f.stage) for f in result.failures] == [
             (f.index, f.stage) for f in failures
         ]

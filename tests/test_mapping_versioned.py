@@ -133,20 +133,6 @@ class TestRollback:
         with pytest.raises(ValueError):
             VersionedRepository(tmp_path / "repo").rollback()
 
-    def test_activate_rolls_forward(self, tmp_path):
-        versioned = VersionedRepository(tmp_path / "repo")
-        publish(versioned, old_repository(2))
-        publish(versioned, old_repository(4))
-        versioned.rollback()
-        versioned.activate(2)
-        assert versioned.current_version() == 2
-
-    def test_activate_unknown_version_fails(self, tmp_path):
-        versioned = VersionedRepository(tmp_path / "repo")
-        publish(versioned, old_repository())
-        with pytest.raises(ValueError):
-            versioned.activate(9)
-
 
 class TestParallelMigration:
     def test_serial_parity_with_migrate_repository(self):

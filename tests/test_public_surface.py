@@ -12,9 +12,10 @@ reads; delete it with its tests, or put it on ``KEEP`` with the reason a
 test needs it.
 
 A Python file is read through its syntax tree.  An import, an attribute
-or a word inside a string (a docstring, a ``getattr`` key) uses a name
-anywhere; a bare name uses it only in the module that defines it, since
-anywhere else it would need an import.  Other files are read word by
+or a word inside a string (a ``getattr`` key, a format string) uses a
+name anywhere; a bare name uses it only in the module that defines it,
+since anywhere else it would need an import.  A docstring is not a use:
+it describes a name, it does not run it.  Other files are read word by
 word.  Matching is by name, not by binding, so the scan under-reports:
 any attribute ``x.run`` counts as a use of every method ``run``.
 
@@ -64,6 +65,16 @@ WORD = re.compile(r"""\b(?![bBfFrRuU]{1,2}['"])[A-Za-z_]\w*""")
 KEEP = {
     "squeeze_whitespace": "tests/oracles/rules.py builds the legacy rule oracle on it",
     "is_inline": "tests/oracles/tidy.py builds the legacy tidy oracle on it",
+    "is_block": "tests/oracles/tidy.py builds the legacy tidy oracle on it",
+    "is_heading": "tests/oracles/tidy.py builds the legacy tidy oracle on it",
+    "iter_postorder": "tests/oracles/rules.py and tidy.py walk trees the legacy way with it",
+    "Node.ancestors": "tests/oracles/tidy.py finds enclosing <pre> elements with it",
+    "ConstraintSet.allows_path": (
+        "the whole-path reference predicate the miner's per-prefix extensions are tested against"
+    ),
+    "Concept.first_match": "knowledge-base tests check each concept's patterns on sample text with it",
+    "DocumentPaths.contains": "tests/oracles/schema_stats.py computes reference support and ratio with it",
+    "XMLRepository.query_path": "Section 3.3 path-index lookup; tested against the tree walk",
     "find_first": "the path query API's one-result form; conversion tests read output with it",
     "KnowledgeBase.total_instances": "pins the paper's 233 KB instances in test_paper_counts",
     "Element.text_children": "parser and tidy tests check decoded and merged text through it",
@@ -128,10 +139,23 @@ def is_reexport(node: ast.stmt) -> bool:
     return isinstance(node, (ast.Import, ast.ImportFrom))
 
 
+def docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of a module and its classes and
+    functions."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None
+    }
+
+
 def python_uses(path: Path) -> tuple[Counter[str], Counter[str]]:
     """The names a Python file uses from anywhere (imports, attributes,
-    words in strings), and the bare names it loads."""
+    words in strings other than docstrings), and the bare names it
+    loads."""
     tree = parse(path)
+    skipped = docstrings(tree)
     statements = [
         node for node in tree.body if not (path.name == "__init__.py" and is_reexport(node))
     ]
@@ -144,6 +168,8 @@ def python_uses(path: Path) -> tuple[Counter[str], Counter[str]]:
             elif isinstance(node, ast.Attribute):
                 anywhere[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) in skipped:
+                    continue
                 anywhere.update(WORD.findall(node.value))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 bare[node.id] += 1

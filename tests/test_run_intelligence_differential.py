@@ -131,6 +131,9 @@ class TestDigestMergeEqualsSerial:
         stats = EngineStats()
         for _ in engine.stream(html, stats=stats):
             pass
+        # The engine sizes its pool from its config and writes the
+        # worker count onto the caller's book.
+        assert stats.workers == 4
         merged = stats.stage_digests["instance"]
         wire = pickle.loads(pickle.dumps(merged))
         assert wire == merged

@@ -128,6 +128,30 @@ class TestEngineStats:
         assert len(chunks) == 3
         assert [chunk.index for chunk in chunks] == [0, 1, 2]
 
+    def test_pool_follows_config_not_caller_stats(
+        self, kb, corpus_html, monkeypatch
+    ):
+        """A caller's stats book only receives counters: the pool is
+        sized by the engine config, which writes its worker count and
+        chunk size onto the book."""
+        from repro.runtime.stats import EngineStats
+
+        engine = make_engine(kb, 2, chunk_size=3)
+        pools = []
+        build = engine.worker_pool
+
+        def recording(**options):
+            pools.append(build(**options))
+            return pools[-1]
+
+        monkeypatch.setattr(engine, "worker_pool", recording)
+        stats = EngineStats()
+        for _ in engine.stream(corpus_html, stats=stats):
+            pass
+        assert [pool.workers for pool in pools] == [2]
+        assert (stats.workers, stats.chunk_size) == (2, 3)
+        assert stats.documents == len(corpus_html)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_queue_depth_bounded_by_window(self, kb, corpus_html, workers):
         """Static chunks fill the window before the oldest is merged, at

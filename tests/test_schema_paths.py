@@ -1,11 +1,7 @@
 """Tests for label-path extraction (Section 3.2)."""
 
 from repro.dom.node import Element
-from repro.schema.paths import (
-    POSITION_DENOMINATOR,
-    extract_corpus_paths,
-    extract_paths,
-)
+from repro.schema.paths import POSITION_DENOMINATOR, extract_paths
 
 
 def tree(spec):
@@ -103,10 +99,3 @@ class TestPositions:
     def test_root_position_zero(self):
         doc = extract_paths(RESUME)
         assert doc.position_numerator[("resume",)] == 0
-
-
-class TestCorpus:
-    def test_extract_corpus_paths(self):
-        docs = extract_corpus_paths([RESUME, Element("resume")])
-        assert len(docs) == 2
-        assert docs[1].paths == {("resume",)}

@@ -34,7 +34,7 @@ import pytest
 
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.schema.evolution import EvolvingSchema
-from repro.service import ContractError, ConvertRequest, ServiceConfig
+from repro.service import ContractError, ConvertRequest
 from repro.service.contracts import MAX_BATCH_DOCUMENTS
 from repro.service.server import ConversionService
 from tests.loadtest import (
@@ -56,7 +56,8 @@ def make_service(kb, tmp_path, *, workers=1, publish=False, conversion=None):
     return ConversionService(
         kb,
         state_dir=tmp_path / "state",
-        config=ServiceConfig(max_workers=workers, publish=publish),
+        max_workers=workers,
+        publish=publish,
         conversion=conversion,
     )
 
@@ -172,7 +173,7 @@ class TestLifecycleRoutes:
         )
 
     def test_metrics_export_the_micro_batch_size(self, kb, tmp_path):
-        """Each micro-batch is one engine chunk of up to ``max_batch``
+        """Each micro-batch is one engine chunk of up to ``CHUNK_SIZE``
         documents, so that is the exported chunk size."""
         service = make_service(kb, tmp_path)
         assert service.registry.value("repro_engine_chunk_size") == 16
