@@ -7,9 +7,10 @@ cost, thread through the conversion/discovery pipeline:
   context-manager API and cross-process re-parenting (worker chunks
   serialize spans; the engine grafts them under its own span tree).
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of counters,
-  gauges, and histograms that each hold a :class:`QuantileDigest`; the
-  engine's ``EngineStats`` is a view over one; exports JSON and
-  Prometheus text exposition.
+  gauges, and histograms that each hold a :class:`QuantileDigest`; an
+  engine chunk records into one, the engine's ``EngineStats`` is a view
+  over one, and :meth:`MetricsRegistry.update` merges the first into the
+  second; exports JSON and Prometheus text exposition.
 * :mod:`repro.obs.provenance` -- per-document JSONL events: one record
   per rule application and per concept-instance decision (synonym match
   vs. Bayes posterior vs. unlabeled, with confidence), keyed by doc id
@@ -19,9 +20,10 @@ The run-intelligence layer builds on them:
 
 * :mod:`repro.obs.quantiles` -- :class:`QuantileDigest`, the one
   latency structure: a mergeable (monoid) digest over one fixed
-  log-bucket layout, shipped per chunk, merged parent-side into the
-  registry's ``repro_stage_seconds`` histograms, yielding per-stage and
-  per-document p50/p95/p99.
+  log-bucket layout, recorded per chunk into the chunk registry's
+  ``repro_stage_seconds`` histograms and merged parent-side with the
+  rest of the chunk's books, yielding per-stage and per-document
+  p50/p95/p99.
 * :mod:`repro.obs.runlog` -- the persistent append-only run ledger
   (:class:`RunLedger`) that ``repro-web runs`` lists and
   ``repro-web report`` renders.
@@ -43,7 +45,7 @@ lazy_exports(globals(), {
     ".metrics": ("Counter", "Distribution", "Gauge", "MetricsRegistry"),
     ".provenance": ("ProvenanceLog", "node_label_path"),
     ".progress": ("ProgressReporter",),
-    ".quantiles": ("QuantileDigest", "merge_digest_maps"),
+    ".quantiles": ("QuantileDigest",),
     ".runlog": ("RunLedger", "build_evolution_record", "build_run_record", "config_fingerprint"),
     ".tracer": ("Span", "Tracer", "NullTracer", "NULL_TRACER", "resolve_tracer"),
     ".chrometrace": ("spans_to_chrome_trace", "write_chrome_trace"),

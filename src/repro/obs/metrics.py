@@ -164,6 +164,21 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: str) -> Distribution:
         return self._get_or_create(Distribution, name, _labelset(labels))
 
+    def update(self, other: "MetricsRegistry") -> None:
+        """Merge another registry's counters and histograms into this
+        one, in place: counters add, digests merge into get-or-created
+        histograms (the incoming digest is never aliased).  A gauge is
+        a setting or a high-water mark, not a sum, so merging one is a
+        ``ValueError``; so is a name registered here as another kind."""
+        for (name, labels), metric in other._metrics.items():
+            if isinstance(metric, Gauge):
+                raise ValueError(f"cannot merge gauge {name!r}")
+            mine = self._get_or_create(type(metric), name, labels)
+            if isinstance(metric, Distribution):
+                mine.digest.update(metric.digest)  # type: ignore[attr-defined]
+            else:
+                mine.inc(metric.value)  # type: ignore[attr-defined]
+
     # -- reading -------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Metric]:

@@ -15,10 +15,12 @@ commutative monoid::
 Bucket counts and extrema are exact integers/comparisons, so the laws
 hold exactly for everything :meth:`quantile` reads; only ``total`` (the
 running sum) is a float whose re-associated additions round in the usual
-IEEE way.  That is what lets the engine ship one digest per chunk in
-:class:`~repro.runtime.stats.ChunkStats` and merge parent-side: the
-merged digest's quantiles are *identical* to a serial run's digest over
-the same per-document values, regardless of chunking or worker count.
+IEEE way.  That is what lets the engine ship one digest per stage in
+each chunk's registry (:class:`~repro.runtime.stats.ChunkStats`) and
+merge parent-side (:meth:`~repro.obs.metrics.MetricsRegistry.update`):
+the merged digest's quantiles are *identical* to a serial run's digest
+over the same per-document values, regardless of chunking or worker
+count.
 
 **Layout.**  :data:`EDGES` holds the 191 finite bucket edges
 ``1e-6 * 10 ** (k / 16)`` for ``k = 1..191`` (about 1.15 us to 8.7e5).
@@ -222,7 +224,7 @@ class QuantileDigest:
     #
     # JSON carries no layout: there is only one.  Sparse counts travel
     # as parallel (indices, counts) lists.  Pickle (a digest inside a
-    # ChunkStats crossing the process boundary) uses the default
+    # chunk's registry crossing the process boundary) uses the default
     # __slots__ state.
 
     def to_json(self) -> dict:
@@ -274,15 +276,3 @@ class QuantileDigest:
         digest.max_value = float(data.get("max", 0.0))
         return digest
 
-
-def merge_digest_maps(
-    held: dict[str, QuantileDigest], other: Mapping[str, QuantileDigest]
-) -> None:
-    """Fold a ``{stage: digest}`` map into another, in place -- the
-    parent-side merge of per-chunk stage digests."""
-    for stage, digest in other.items():
-        mine = held.get(stage)
-        if mine is None:
-            held[stage] = digest.copy()
-        else:
-            mine.update(digest)

@@ -11,7 +11,7 @@ synonym matcher), and merges results back **in document order**::
 
     sources ──chunk──▶ worker pool (DocumentConverter per process)
                           │  per chunk: XML strings + PathAccumulator
-                          ▼           + ChunkStats
+                          ▼           + ChunkStats (a metrics registry)
             in-order, backpressured merge
                           │
          CorpusResult(xml_documents, accumulator, stats)
@@ -55,6 +55,7 @@ from repro.convert.errors import (
     write_quarantine,
 )
 from repro.convert.pipeline import DocumentConverter
+from repro.obs.metrics import Distribution
 from repro.obs.provenance import ProvenanceLog
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, resolve_tracer
 from repro.runtime.faults import (
@@ -69,7 +70,22 @@ from repro.runtime.pool import (
     inflight_window,
     resolve_workers,
 )
-from repro.runtime.stats import DOCUMENT_STAGE, ChunkStats, EngineStats
+from repro.runtime.stats import (
+    CONCEPT_NODES,
+    DOC_SECONDS,
+    DOCUMENT_STAGE,
+    DOCUMENTS,
+    DOCUMENTS_FAILED,
+    GROUPS_CREATED,
+    INPUT_NODES,
+    NODES_ELIMINATED,
+    STAGE_SECONDS,
+    TAGGER_CACHE_EVENTS,
+    TOKENS_CREATED,
+    WORKER_SECONDS,
+    ChunkStats,
+    EngineStats,
+)
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import DiscoveryResult, discover_schema
 from repro.schema.paths import extract_paths
@@ -135,10 +151,13 @@ class XmlSink:
 class ChunkPayload:
     """Everything one worker returns for one chunk.
 
-    ``spans``/``events`` carry the worker's serialized observability
-    output (``None`` when tracing/provenance is off).  ``failures`` are
-    the documents a skip/quarantine policy dropped, in document order;
-    ``xml`` holds the survivors only.
+    ``stats`` is the chunk's books: the worker records them into the
+    chunk's own metrics registry, under the names the parent's
+    :class:`EngineStats` merges them into.  ``spans``/``events`` carry
+    the worker's serialized observability output (``None`` when
+    tracing/provenance is off).  ``failures`` are the documents a
+    skip/quarantine policy dropped, in document order; ``xml`` holds the
+    survivors only.
     """
 
     xml: list[str]
@@ -154,10 +173,7 @@ class ChunkPayload:
         """Book one dropped document: the failure record, the chunk's
         failure counters and, when provenance is on, an error event."""
         self.failures.append(failure)
-        self.stats.documents_failed += 1
-        self.stats.failures_by_stage[failure.stage] = (
-            self.stats.failures_by_stage.get(failure.stage, 0) + 1
-        )
+        self.stats.registry.counter(DOCUMENTS_FAILED, stage=failure.stage).inc()
         if provenance is not None:
             provenance.error_event(
                 failure.doc_id,
@@ -255,12 +271,19 @@ def _convert_chunk(
     provenance = ProvenanceLog() if worker.provenance else None
     sink = worker.sink
     need_xml = worker.collect_xml or sink is not None
-    chunk = ChunkPayload(
-        xml=[],
-        accumulator=PathAccumulator(),
-        stats=ChunkStats(index=index, documents=0),
-    )
+    chunk = ChunkPayload(xml=[], accumulator=PathAccumulator(), stats=ChunkStats(index))
     stats = chunk.stats
+    # The chunk's books: each counter and stage histogram is resolved
+    # once per chunk, not once per document.
+    registry = stats.registry
+    documents = registry.counter(DOCUMENTS)
+    doc_seconds = registry.counter(DOC_SECONDS)
+    tokens = registry.counter(TOKENS_CREATED)
+    groups = registry.counter(GROUPS_CREATED)
+    eliminated = registry.counter(NODES_ELIMINATED)
+    input_nodes = registry.counter(INPUT_NODES)
+    concepts = registry.counter(CONCEPT_NODES)
+    stage_histograms: dict[str, Distribution] = {}
     clock: dict[str, float] = {}
     with tracer.stage("engine.chunk", clock, chunk=index, documents=len(sources)):
         # Tagger caches persist across chunks inside one converter;
@@ -301,24 +324,32 @@ def _convert_chunk(
                         doc_paths = extract_paths(result.root)
                         chunk.accumulator.add(doc_paths)
                     concept_nodes = result.concept_node_count
-                    stats.documents += 1
-                    stats.tokens_created += result.tokens_created
-                    stats.groups_created += result.groups_created
-                    stats.nodes_eliminated += result.nodes_eliminated
-                    stats.input_nodes += result.input_nodes
-                    stats.concept_nodes += concept_nodes
-            stats.doc_seconds += clock[DOCUMENT_STAGE]
+                    documents.inc()
+                    tokens.inc(result.tokens_created)
+                    groups.inc(result.groups_created)
+                    eliminated.inc(result.nodes_eliminated)
+                    input_nodes.inc(result.input_nodes)
+                    concepts.inc(concept_nodes)
+            seconds = clock[DOCUMENT_STAGE]
+            doc_seconds.inc(seconds)
             if failure is not None:
                 chunk.drop(failure, provenance)
                 continue
             # Run intelligence: per-stage + end-to-end latency into the
             # chunk's mergeable digests, plus slowest-document context.
-            stats.observe_document(
+            stage_seconds = (*result.rule_seconds.items(), (DOCUMENT_STAGE, seconds))
+            for stage, elapsed in stage_seconds:
+                histogram = stage_histograms.get(stage)
+                if histogram is None:
+                    histogram = stage_histograms[stage] = registry.histogram(
+                        STAGE_SECONDS, stage=stage
+                    )
+                histogram.observe(elapsed)
+            stats.consider_slowest(
                 doc_id,
                 base + offset,
-                clock[DOCUMENT_STAGE],
-                result.rule_seconds,
-                context={
+                seconds,
+                {
                     "root": result.root.tag,
                     "label_paths": len(doc_paths.paths),
                     "input_nodes": result.input_nodes,
@@ -326,10 +357,13 @@ def _convert_chunk(
                 },
             )
         stats.finalize_slowest()
-        stats.tagger_cache = cache_counter_delta(
-            cache_before, converter.tagger_cache_counters()
-        )
-    stats.seconds = clock["engine.chunk"]
+        delta = cache_counter_delta(cache_before, converter.tagger_cache_counters())
+        for cache_name, events in delta.items():
+            for event, value in events.items():
+                registry.counter(
+                    TAGGER_CACHE_EVENTS, cache=cache_name, event=event
+                ).inc(value)
+    registry.counter(WORKER_SECONDS).inc(clock["engine.chunk"])
     if worker.trace:
         chunk.spans = tracer.export()
     if provenance is not None:
@@ -754,9 +788,7 @@ class CorpusEngine:
     ) -> ChunkPayload:
         """Reassemble bisection pieces into one in-order chunk payload."""
         chunk = ChunkPayload(
-            xml=[],
-            accumulator=PathAccumulator(),
-            stats=ChunkStats(index=index, documents=0),
+            xml=[], accumulator=PathAccumulator(), stats=ChunkStats(index)
         )
         provenance = ProvenanceLog() if provenance_on else None
         spans: list[dict] = []

@@ -1,33 +1,35 @@
 """Engine instrumentation, built on the metrics registry.
 
-:class:`ChunkStats` is the plain dataclass one worker reports for one
-chunk of documents; it pickles by default across the process boundary.
-:class:`EngineStats` is the corpus-level aggregate the engine, the
-``convert-corpus`` CLI, and the Figure 5 scaling harness all read.  It
-is a *view* over a :class:`repro.obs.metrics.MetricsRegistry`: every
-counter it absorbs lands in named metrics
-(``repro_engine_documents_total``, a chunk-seconds histogram, ...), so
-one engine run exports directly as JSON or Prometheus text and
-``repro-web stats`` can re-render a saved snapshot as these same
-tables.
+One set of books runs from the worker to ``/metrics``.  A worker
+records each chunk into a chunk-local
+:class:`~repro.obs.metrics.MetricsRegistry` under the engine's metric
+names (``repro_engine_documents_total``, ...); :class:`ChunkStats` is
+that registry plus the chunk's index and slowest documents, and it
+pickles by default across the process boundary.  :class:`EngineStats`
+is the corpus-level view over the run's registry that the engine, the
+``convert-corpus`` CLI and the Figure 5 scaling harness read.  One
+merge, :meth:`~repro.obs.metrics.MetricsRegistry.update`, moves a
+chunk's books into the run's (:meth:`EngineStats.absorb`) and stitches
+crash recovery's bisection pieces into one chunk
+(:meth:`ChunkStats.fold`).  One engine run exports directly as JSON or
+Prometheus text, and ``repro-web stats`` re-renders a saved snapshot as
+these same tables.
 
 Stage time has one clock and one channel.  Each stage of a document
 (:data:`repro.obs.tracer.STAGE_SPANS`) is read once by the stage clock,
 and that reading -- its span's too, when tracing -- is observed into
-the chunk's per-stage digests (:attr:`ChunkStats.stage_digests`);
-:meth:`EngineStats.absorb` merges those into the
-``repro_stage_seconds{stage=...}`` histograms, and every surface -- the
-per-rule seconds (each digest's total), the quantile tables, the run
-ledger, ``/metrics`` and a saved snapshot -- reads them there.
+the chunk registry's ``repro_stage_seconds{stage=...}`` histograms; the
+merge carries them into the run's, and every surface -- the per-rule
+seconds (each digest's total), the quantile tables, the run ledger,
+``/metrics`` and a saved snapshot -- reads them there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.obs.metrics import Distribution, MetricsRegistry
-from repro.obs.quantiles import QuantileDigest, merge_digest_maps
+from repro.obs.quantiles import QuantileDigest
 from repro.obs.tracer import STAGE_SPANS
 
 # Metric names of the engine's registry schema.
@@ -89,94 +91,108 @@ def merge_slowest(held: list[dict], other: list[dict]) -> list[dict]:
     return combined[:SLOWEST_PER_CHUNK]
 
 
-@dataclass
-class ChunkStats:
-    """Per-chunk counters and timings, as measured inside the worker.
+# The counters every chunk books, zero or not: a chunk whose documents
+# all failed still reports zero documents, seconds and nodes.
+CHUNK_COUNTERS = (
+    DOCUMENTS,
+    WORKER_SECONDS,
+    DOC_SECONDS,
+    TOKENS_CREATED,
+    GROUPS_CREATED,
+    NODES_ELIMINATED,
+    INPUT_NODES,
+    CONCEPT_NODES,
+)
 
-    It crosses the process boundary with the chunk's payload and pickles
-    as a plain dataclass (it is never persisted); the parent folds it
-    into the registry-backed :class:`EngineStats` with
+
+class RegistryView:
+    """Read properties over a registry holding the engine's books --
+    one chunk's (:class:`ChunkStats`) or a whole run's
+    (:class:`EngineStats`)."""
+
+    registry: MetricsRegistry
+
+    def _count(self, name: str) -> int:
+        return int(self.registry.value(name))
+
+    @property
+    def documents(self) -> int:
+        return self._count(DOCUMENTS)
+
+    @property
+    def documents_failed(self) -> int:
+        """Documents dropped by the error policy, across all stages."""
+        return sum(
+            int(metric.value) for metric in self.registry.find(DOCUMENTS_FAILED)
+        )
+
+    @property
+    def failures_by_stage(self) -> dict[str, int]:
+        """Dropped-document counts keyed by failing pipeline stage."""
+        return {
+            metric.label_dict().get("stage", "?"): int(metric.value)  # type: ignore[union-attr]
+            for metric in self.registry.find(DOCUMENTS_FAILED)
+        }
+
+    @property
+    def worker_seconds(self) -> float:
+        return self.registry.value(WORKER_SECONDS)
+
+    @property
+    def doc_seconds(self) -> float:
+        """In-worker seconds spent in the per-document loop bodies."""
+        return self.registry.value(DOC_SECONDS)
+
+    @property
+    def stage_digests(self) -> dict[str, QuantileDigest]:
+        """Per-stage latency digests (``document`` included), from the
+        ``repro_stage_seconds`` histograms -- so a saved snapshot carries
+        them too."""
+        return {
+            metric.label_dict().get("stage", "?"): metric.digest
+            for metric in self.registry.find(STAGE_SECONDS)
+            if isinstance(metric, Distribution)
+        }
+
+
+class ChunkStats(RegistryView):
+    """One chunk's books, as recorded inside the worker.
+
+    The worker writes the chunk's counters, tagger-cache events and
+    per-stage digests straight into :attr:`registry` under the engine's
+    metric names; the record crosses the process boundary with the
+    chunk's payload and pickles by default (it is never persisted).
+    The parent merges it into the run's :class:`EngineStats` with
     :meth:`EngineStats.absorb`.
     """
 
-    index: int
-    documents: int
-    # Documents a skip/quarantine policy dropped in this chunk, total
-    # and broken down by the pipeline stage that failed (``"worker"``
-    # for documents whose conversion killed the worker process).
-    documents_failed: int = 0
-    failures_by_stage: dict[str, int] = field(default_factory=dict)
-    seconds: float = 0.0
-    # Seconds spent inside the per-document conversion loop (failed
-    # documents included); ``seconds - doc_seconds`` is this chunk's
-    # fixed overhead (scheduling, cache snapshots, payload assembly).
-    doc_seconds: float = 0.0
-    tokens_created: int = 0
-    groups_created: int = 0
-    nodes_eliminated: int = 0
-    input_nodes: int = 0
-    concept_nodes: int = 0
-    # Token-decision cache counter growth during this chunk, per cache
-    # ({"synonym": {"hits": ..., "misses": ..., "evictions": ...}});
-    # empty when the fast tagger or its memoization is off.
-    tagger_cache: dict[str, dict[str, int]] = field(default_factory=dict)
-    # Per-stage latency digests ({"parse": ..., "document": ...}): one
-    # observation per surviving document per stage, in a mergeable
-    # QuantileDigest.  The chunk's only record of stage time: per-stage
-    # sums are the totals.
-    stage_digests: dict[str, QuantileDigest] = field(default_factory=dict)
-    # This chunk's top-K slowest documents, slowest first, each with its
-    # label-path context ({"doc", "index", "seconds", "root",
-    # "label_paths", "input_nodes", "concept_nodes"}).
-    slowest_docs: list[dict] = field(default_factory=list)
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.registry = MetricsRegistry()
+        for name in CHUNK_COUNTERS:
+            self.registry.counter(name)
+        # This chunk's top-K slowest documents, slowest first, each with
+        # its label-path context ({"doc", "index", "seconds", "root",
+        # "label_paths", "input_nodes", "concept_nodes"}).
+        self.slowest_docs: list[dict] = []
 
     def fold(self, other: "ChunkStats") -> None:
         """Accumulate another chunk record into this one (used when
         crash recovery stitches bisection pieces back into the original
         chunk; ``index`` keeps this record's value)."""
-        self.documents += other.documents
-        self.documents_failed += other.documents_failed
-        for stage, count in other.failures_by_stage.items():
-            self.failures_by_stage[stage] = (
-                self.failures_by_stage.get(stage, 0) + count
-            )
-        self.seconds += other.seconds
-        self.doc_seconds += other.doc_seconds
-        self.tokens_created += other.tokens_created
-        self.groups_created += other.groups_created
-        self.nodes_eliminated += other.nodes_eliminated
-        self.input_nodes += other.input_nodes
-        self.concept_nodes += other.concept_nodes
-        for cache_name, counters in other.tagger_cache.items():
-            held = self.tagger_cache.setdefault(cache_name, {})
-            for event, value in counters.items():
-                held[event] = held.get(event, 0) + value
-        merge_digest_maps(self.stage_digests, other.stage_digests)
+        self.registry.update(other.registry)
         self.slowest_docs = merge_slowest(self.slowest_docs, other.slowest_docs)
 
-    def observe_document(
-        self,
-        doc_id: str,
-        index: int,
-        seconds: float,
-        stage_seconds: Mapping[str, float],
-        *,
-        context: dict | None = None,
+    def consider_slowest(
+        self, doc_id: str, index: int, seconds: float, context: dict
     ) -> None:
-        """Fold one surviving document's stage and end-to-end timings
-        into the chunk digests and its slowest-documents candidates."""
-        digests = self.stage_digests
-        for stage, elapsed in (*stage_seconds.items(), (DOCUMENT_STAGE, seconds)):
-            digest = digests.get(stage)
-            if digest is None:
-                digest = digests[stage] = QuantileDigest()
-            digest.observe(elapsed)
-        entry = {"doc": doc_id, "index": index, "seconds": round(seconds, 6)}
-        if context:
-            entry.update(context)
-        self.slowest_docs.append(entry)
+        """Add one surviving document to the slowest-documents
+        candidates."""
+        self.slowest_docs.append(
+            {"doc": doc_id, "index": index, "seconds": round(seconds, 6), **context}
+        )
         if len(self.slowest_docs) > 4 * SLOWEST_PER_CHUNK:
-            self.slowest_docs = merge_slowest(self.slowest_docs, [])
+            self.finalize_slowest()
 
     def finalize_slowest(self) -> None:
         """Trim the slowest-documents candidates to the shipped top K."""
@@ -199,7 +215,7 @@ def stage_quantile_rows(summaries: Mapping[str, Mapping]) -> list[list[str]]:
     ]
 
 
-class EngineStats:
+class EngineStats(RegistryView):
     """Corpus-level instrumentation of one engine run (registry view).
 
     ``worker_seconds`` is the sum of in-worker chunk times; with ``n``
@@ -228,9 +244,6 @@ class EngineStats:
 
     # -- registry-backed attributes ------------------------------------------
 
-    def _count(self, name: str) -> int:
-        return int(self.registry.value(name))
-
     @property
     def workers(self) -> int:
         return int(self.registry.value(WORKERS, default=1))
@@ -248,27 +261,8 @@ class EngineStats:
         self.registry.gauge(CHUNK_SIZE).set(value)
 
     @property
-    def documents(self) -> int:
-        return self._count(DOCUMENTS)
-
-    @property
     def chunks(self) -> int:
         return self._count(CHUNKS)
-
-    @property
-    def documents_failed(self) -> int:
-        """Documents dropped by the error policy, across all stages."""
-        return sum(
-            int(metric.value) for metric in self.registry.find(DOCUMENTS_FAILED)
-        )
-
-    @property
-    def failures_by_stage(self) -> dict[str, int]:
-        """Dropped-document counts keyed by failing pipeline stage."""
-        return {
-            metric.label_dict().get("stage", "?"): int(metric.value)  # type: ignore[union-attr]
-            for metric in self.registry.find(DOCUMENTS_FAILED)
-        }
 
     @property
     def pool_rebuilds(self) -> int:
@@ -287,33 +281,12 @@ class EngineStats:
         self.registry.gauge(WALL_SECONDS).set(value)
 
     @property
-    def worker_seconds(self) -> float:
-        return self.registry.value(WORKER_SECONDS)
-
-    @property
-    def doc_seconds(self) -> float:
-        """In-worker seconds spent in the per-document loop bodies."""
-        return self.registry.value(DOC_SECONDS)
-
-    @property
     def max_queue_depth(self) -> int:
         return self._count(MAX_QUEUE_DEPTH)
 
     @max_queue_depth.setter
     def max_queue_depth(self, value: int) -> None:
         self.registry.gauge(MAX_QUEUE_DEPTH).set(value)
-
-    @property
-    def tokens_created(self) -> int:
-        return self._count(TOKENS_CREATED)
-
-    @property
-    def groups_created(self) -> int:
-        return self._count(GROUPS_CREATED)
-
-    @property
-    def nodes_eliminated(self) -> int:
-        return self._count(NODES_ELIMINATED)
 
     @property
     def input_nodes(self) -> int:
@@ -331,17 +304,6 @@ class EngineStats:
             stage: digest.total
             for stage, digest in self.stage_digests.items()
             if stage != DOCUMENT_STAGE
-        }
-
-    @property
-    def stage_digests(self) -> dict[str, QuantileDigest]:
-        """Per-stage latency digests (``document`` included), from the
-        ``repro_stage_seconds`` histograms -- so a saved snapshot carries
-        them too."""
-        return {
-            metric.label_dict().get("stage", "?"): metric.digest
-            for metric in self.registry.find(STAGE_SECONDS)
-            if isinstance(metric, Distribution)
         }
 
     def stage_summaries(self) -> dict[str, dict]:
@@ -364,15 +326,17 @@ class EngineStats:
             cache_events[labels.get("event", "?")] = int(metric.value)  # type: ignore[union-attr]
         return events
 
+    def _tagger_cache_hits(self) -> tuple[int, int, float]:
+        """(hits, lookups, hit rate) across all token-decision caches."""
+        events = self.tagger_cache_events.values()
+        hits = sum(counters.get("hits", 0) for counters in events)
+        lookups = hits + sum(counters.get("misses", 0) for counters in events)
+        return hits, lookups, hits / lookups if lookups else 0.0
+
     @property
     def tagger_cache_hit_rate(self) -> float:
         """Hits over lookups across all token-decision caches."""
-        hits = 0
-        lookups = 0
-        for counters in self.tagger_cache_events.values():
-            hits += counters.get("hits", 0)
-            lookups += counters.get("hits", 0) + counters.get("misses", 0)
-        return hits / lookups if lookups else 0.0
+        return self._tagger_cache_hits()[2]
 
     @property
     def docs_per_second(self) -> float:
@@ -416,27 +380,12 @@ class EngineStats:
     # -- aggregation ---------------------------------------------------------
 
     def absorb(self, chunk: ChunkStats) -> None:
-        """Fold one chunk's counters into the registry."""
-        registry = self.registry
-        registry.counter(CHUNKS).inc()
-        registry.counter(DOCUMENTS).inc(chunk.documents)
-        for stage, count in chunk.failures_by_stage.items():
-            registry.counter(DOCUMENTS_FAILED, stage=stage).inc(count)
-        registry.counter(WORKER_SECONDS).inc(chunk.seconds)
-        registry.counter(DOC_SECONDS).inc(chunk.doc_seconds)
-        registry.counter(TOKENS_CREATED).inc(chunk.tokens_created)
-        registry.counter(GROUPS_CREATED).inc(chunk.groups_created)
-        registry.counter(NODES_ELIMINATED).inc(chunk.nodes_eliminated)
-        registry.counter(INPUT_NODES).inc(chunk.input_nodes)
-        registry.counter(CONCEPT_NODES).inc(chunk.concept_nodes)
-        for cache_name, counters in chunk.tagger_cache.items():
-            for event, value in counters.items():
-                registry.counter(
-                    TAGGER_CACHE_EVENTS, cache=cache_name, event=event
-                ).inc(value)
-        registry.histogram(CHUNK_SECONDS_HISTOGRAM).observe(chunk.seconds)
-        for stage, digest in chunk.stage_digests.items():
-            registry.histogram(STAGE_SECONDS, stage=stage).digest.update(digest)
+        """Merge one chunk's books into the registry: one chunk, one
+        chunk-seconds observation, however many bisection pieces crash
+        recovery stitched it from."""
+        self.registry.update(chunk.registry)
+        self.registry.counter(CHUNKS).inc()
+        self.registry.histogram(CHUNK_SECONDS_HISTOGRAM).observe(chunk.worker_seconds)
         self.slowest_docs = merge_slowest(self.slowest_docs, chunk.slowest_docs)
 
     @classmethod
@@ -462,22 +411,15 @@ class EngineStats:
             ["docs/sec/worker", f"{self.docs_per_second_per_worker:.1f}"],
             ["chunk overhead", f"{self.chunk_overhead_fraction:.0%}"],
             ["max queue depth", str(self.max_queue_depth)],
-            ["input nodes", str(self.input_nodes)],
-            ["tokens created", str(self.tokens_created)],
-            ["groups created", str(self.groups_created)],
-            ["nodes eliminated", str(self.nodes_eliminated)],
-            ["concept nodes", str(self.concept_nodes)],
+            ["input nodes", str(self._count(INPUT_NODES))],
+            ["tokens created", str(self._count(TOKENS_CREATED))],
+            ["groups created", str(self._count(GROUPS_CREATED))],
+            ["nodes eliminated", str(self._count(NODES_ELIMINATED))],
+            ["concept nodes", str(self._count(CONCEPT_NODES))],
         ]
-        events = self.tagger_cache_events
-        if events:
-            hits = sum(c.get("hits", 0) for c in events.values())
-            lookups = hits + sum(c.get("misses", 0) for c in events.values())
-            rows.append(
-                [
-                    "tagger cache",
-                    f"{hits}/{lookups} hits ({self.tagger_cache_hit_rate:.0%})",
-                ]
-            )
+        if self.tagger_cache_events:
+            hits, lookups, rate = self._tagger_cache_hits()
+            rows.append(["tagger cache", f"{hits}/{lookups} hits ({rate:.0%})"])
         rows.extend(self.failure_rows())
         return rows
 

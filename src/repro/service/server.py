@@ -577,9 +577,7 @@ def _engine_failure(task: ChunkTask, exc: Exception) -> ChunkPayload:
     """The payload of a micro-batch the engine could not run at all:
     every document fails with ``stage="engine"``."""
     payload = ChunkPayload(
-        xml=[],
-        accumulator=PathAccumulator(),
-        stats=ChunkStats(index=task.index, documents=0),
+        xml=[], accumulator=PathAccumulator(), stats=ChunkStats(task.index)
     )
     for offset in range(len(task.sources)):
         payload.drop(

@@ -1,8 +1,8 @@
 """Unit tests for the engine's scaling machinery.
 
 Covers the default chunk size, the worker-side XML sink, the
-:class:`ChunkStats` pickle round trip (every chunk rides home in one),
-and the scaling-efficiency metrics :class:`EngineStats` derives from
+:class:`ChunkStats` pickle round trip (every chunk's books ride home in
+its registry), and the scaling-efficiency metrics :class:`EngineStats` derives from
 the ``doc_seconds`` counter.  The end-to-end guarantees (sink files ==
 collected strings, default == forced chunk size bytes) live in
 test_fast_tidy_differential.py; these tests pin the mechanisms in
@@ -17,17 +17,23 @@ import pytest
 
 from repro.runtime.engine import CorpusEngine, EngineConfig, XmlSink
 from repro.runtime.pool import CHUNK_SIZE
-from repro.runtime.stats import ChunkStats, EngineStats
+from repro.runtime.stats import (
+    DOC_SECONDS,
+    DOCUMENTS,
+    DOCUMENTS_FAILED,
+    STAGE_SECONDS,
+    WORKER_SECONDS,
+    ChunkStats,
+    EngineStats,
+)
 
 
-def chunk(index=0, documents=4, seconds=0.0, doc_seconds=0.0, failed=0):
-    return ChunkStats(
-        index=index,
-        documents=documents,
-        documents_failed=failed,
-        seconds=seconds,
-        doc_seconds=doc_seconds,
-    )
+def chunk(index=0, documents=4, seconds=0.0, doc_seconds=0.0):
+    stats = ChunkStats(index)
+    stats.registry.counter(DOCUMENTS).inc(documents)
+    stats.registry.counter(WORKER_SECONDS).inc(seconds)
+    stats.registry.counter(DOC_SECONDS).inc(doc_seconds)
+    return stats
 
 
 class TestEngineConfigChunking:
@@ -80,18 +86,24 @@ class TestChunkStatsWire:
     def test_pickle_round_trip(self):
         """The stage digests are the chunk's only record of stage time,
         so they and their totals must survive the pickle."""
-        stats = chunk(index=3, documents=7, seconds=1.5, doc_seconds=1.2, failed=2)
-        stats.failures_by_stage = {"parse": 2}
-        stats.observe_document("doc0", 0, 0.25, {"group": 0.2, "parse": 0.01})
-        stats.observe_document("doc1", 1, 0.95, {"group": 0.3, "parse": 0.02})
+        stats = chunk(index=3, documents=7, seconds=1.5, doc_seconds=1.2)
+        stats.registry.counter(DOCUMENTS_FAILED, stage="parse").inc(2)
+        for doc, index, seconds, stages in (
+            ("doc0", 0, 0.25, {"group": 0.2, "parse": 0.01}),
+            ("doc1", 1, 0.95, {"group": 0.3, "parse": 0.02}),
+        ):
+            for stage, elapsed in (*stages.items(), ("document", seconds)):
+                stats.registry.histogram(STAGE_SECONDS, stage=stage).observe(elapsed)
+            stats.consider_slowest(doc, index, seconds, {})
         stats.finalize_slowest()
         restored = pickle.loads(pickle.dumps(stats))
         assert not hasattr(restored, "rule_seconds")
+        assert restored.registry.to_json() == stats.registry.to_json()
         assert restored.index == 3
         assert restored.documents == 7
         assert restored.documents_failed == 2
         assert restored.failures_by_stage == {"parse": 2}
-        assert restored.seconds == 1.5
+        assert restored.worker_seconds == 1.5
         assert restored.doc_seconds == 1.2
         assert restored.stage_digests == stats.stage_digests
         assert set(restored.stage_digests) == {"group", "parse", "document"}

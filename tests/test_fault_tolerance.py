@@ -52,6 +52,7 @@ from repro.runtime.faults import (
     split_segment,
     worker_crash_failure,
 )
+from repro.runtime.stats import CHUNK_SECONDS_HISTOGRAM
 from tests.obscheck import load_schema, validate_record
 
 POISON = "__CHAOS_POISON__"
@@ -378,6 +379,25 @@ class TestWorkerCrashRecovery:
         assert result.stats.pool_rebuilds >= 1
         assert result.stats.documents == len(killed) - 1
         assert result.stats.failures_by_stage == {"worker": 1}
+
+    def test_stitched_chunk_keeps_one_set_of_books(self, kb, corpus_html, killed):
+        """Crash recovery stitches the killer's bisection pieces back
+        into one chunk: the books count it as one chunk with one
+        chunk-seconds observation, and every stage digest counts each
+        survivor once."""
+        clean = chaos_engine(kb, 2, kill_marker=KILL).convert_corpus(corpus_html)
+        stats = chaos_engine(kb, 2, kill_marker=KILL).convert_corpus(killed).stats
+        assert stats.pool_rebuilds >= 1
+        assert stats.chunks == clean.stats.chunks
+        chunk_seconds = stats.registry.get(CHUNK_SECONDS_HISTOGRAM)
+        assert chunk_seconds.digest.count == stats.chunks
+        survivors = len(killed) - 1
+        assert stats.documents == survivors
+        assert "document" in stats.stage_digests
+        assert {
+            stage: digest.count for stage, digest in stats.stage_digests.items()
+        } == dict.fromkeys(stats.stage_digests, survivors)
+        assert stats.failures_by_stage == {"worker": 1}
 
     def test_quarantine_saves_exactly_the_killer(
         self, kb, killed, survivor_xml, tmp_path

@@ -1,9 +1,12 @@
-"""Metrics registry: counters/gauges/histograms and exports.
+"""Metrics registry: counters/gauges/histograms, merging and exports.
 
 The histogram bucket-edge tests pin the Prometheus ``le`` convention on
 the digest-backed histogram (a value equal to an edge counts at that
 edge); the exposition tests check the text format against both the
-repo's own validator and hand-written expectations.
+repo's own validator and hand-written expectations.  The merge tests
+check :meth:`MetricsRegistry.update` -- how an engine chunk's books
+reach the run's -- against the monoid laws with hypothesis, as the
+accumulator and digest merges are checked.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.obs.export import load_metrics, write_metrics
@@ -342,3 +347,87 @@ class TestValidation:
         registry.counter("x")
         with pytest.raises(ValueError):
             registry.gauge("x")
+
+
+# Recordings for the merge laws: a name fixes the metric's kind, and
+# every value is a multiple of 2**-10 so float sums are exact in any
+# grouping.
+exact_values = st.integers(min_value=0, max_value=2**20).map(lambda k: k * 2.0**-10)
+recordings = st.lists(
+    st.tuples(
+        st.sampled_from(["docs_total", "nodes_total", "stage_seconds"]),
+        st.sampled_from(["parse", "tidy"]),
+        exact_values,
+    ),
+    max_size=20,
+)
+
+
+def recorded(ops) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for name, stage, value in ops:
+        if name.endswith("_total"):
+            registry.counter(name, stage=stage).inc(value)
+        else:
+            registry.histogram(name, stage=stage).observe(value)
+    return registry
+
+
+def merged(*parts) -> dict:
+    """The JSON snapshot of the parts' registries merged left to right."""
+    registry = MetricsRegistry()
+    for part in parts:
+        registry.update(recorded(part))
+    return registry.to_json()
+
+
+class TestUpdate:
+    @given(recordings)
+    def test_identity(self, ops):
+        expected = recorded(ops).to_json()
+        held = recorded(ops)
+        held.update(MetricsRegistry())
+        assert held.to_json() == expected
+        assert merged(ops) == expected
+
+    @given(recordings, recordings)
+    def test_commutative(self, left, right):
+        assert merged(left, right) == merged(right, left)
+
+    @given(recordings, recordings, recordings)
+    @settings(max_examples=50)
+    def test_associative(self, one, two, three):
+        grouped = recorded(two)
+        grouped.update(recorded(three))
+        right = recorded(one)
+        right.update(grouped)
+        assert merged(one, two, three) == right.to_json()
+
+    @given(recordings, st.integers(min_value=1, max_value=5))
+    def test_chunked_books_equal_one_book(self, ops, chunk_size):
+        """Recording in chunks and merging equals recording once -- the
+        engine's any-worker-count books."""
+        chunks = [ops[i : i + chunk_size] for i in range(0, len(ops), chunk_size)]
+        assert merged(*chunks) == recorded(ops).to_json()
+
+    def test_incoming_digest_not_aliased(self):
+        incoming = MetricsRegistry()
+        incoming.histogram("stage_seconds", stage="parse").observe(0.5)
+        held = MetricsRegistry()
+        held.update(incoming)
+        held.histogram("stage_seconds", stage="parse").observe(1.0)
+        assert incoming.histogram("stage_seconds", stage="parse").digest.count == 1
+
+    def test_kind_clash_rejected(self):
+        held = MetricsRegistry()
+        held.counter("x")
+        incoming = MetricsRegistry()
+        incoming.histogram("x").observe(1.0)
+        with pytest.raises(ValueError):
+            held.update(incoming)
+
+    def test_gauge_rejected(self):
+        incoming = MetricsRegistry()
+        incoming.gauge("workers").set(2)
+        with pytest.raises(ValueError):
+            MetricsRegistry().update(incoming)

@@ -25,7 +25,6 @@ from repro.obs.quantiles import (
     EDGES,
     QuantileDigest,
     bucket_index,
-    merge_digest_maps,
 )
 
 # Latency-shaped observations: most values in the microsecond-to-minute
@@ -97,23 +96,6 @@ class TestPartitionEquivalence:
         for start in range(0, len(values), chunk_size):
             merged.update(from_values(values[start : start + chunk_size]))
         assert_equivalent(merged, whole)
-
-    @given(st.lists(latencies, min_size=1, max_size=30))
-    def test_digest_map_fold(self, values):
-        half = len(values) // 2
-        held: dict[str, QuantileDigest] = {}
-        merge_digest_maps(held, {"parse": from_values(values[:half])})
-        merge_digest_maps(held, {"parse": from_values(values[half:]),
-                                 "tidy": from_values(values)})
-        assert_equivalent(held["parse"], from_values(values))
-        assert_equivalent(held["tidy"], from_values(values))
-
-    def test_digest_map_fold_copies_first_contribution(self):
-        incoming = from_values([0.5])
-        held: dict[str, QuantileDigest] = {}
-        merge_digest_maps(held, {"parse": incoming})
-        held["parse"].observe(1.0)
-        assert incoming.count == 1  # caller's digest not aliased
 
 
 class TestQuantileAccuracy:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from repro.runtime.stats import CHUNK_COUNTERS, TOKENS_CREATED
 from repro.schema.dtd import derive_dtd
 from repro.schema.frequent import mine_frequent_paths
 from repro.schema.majority import MajoritySchema
@@ -122,7 +123,7 @@ class TestEngineStats:
         assert stats.wall_seconds > 0
         assert stats.docs_per_second > 0
         assert 1 <= stats.max_queue_depth <= 4
-        assert stats.tokens_created > 0
+        assert stats.registry.value(TOKENS_CREATED) > 0
         assert stats.concept_nodes > 0
         assert set(stats.rule_seconds) >= {"parse", "tokenize", "instance"}
         assert len(chunks) == 3
@@ -170,10 +171,17 @@ class TestEngineStats:
         assert int(rows["input nodes"]) > 0
 
     def test_docs_per_second_guards_sub_millisecond_wall(self):
-        from repro.runtime.stats import MIN_WALL_SECONDS, ChunkStats, EngineStats
+        from repro.runtime.stats import (
+            DOCUMENTS,
+            MIN_WALL_SECONDS,
+            ChunkStats,
+            EngineStats,
+        )
 
         stats = EngineStats(workers=1, chunk_size=1)
-        stats.absorb(ChunkStats(index=0, documents=100))
+        chunk = ChunkStats(0)
+        chunk.registry.counter(DOCUMENTS).inc(100)
+        stats.absorb(chunk)
         stats.wall_seconds = 1e-7  # timer noise, not a real measurement
         assert stats.docs_per_second == pytest.approx(100 / MIN_WALL_SECONDS)
         stats.wall_seconds = 0.0
@@ -238,16 +246,16 @@ class TestEngineStats:
                 payload.stats for payload in engine.stream(poisoned, stats=stats)
             ]
             for chunk in chunks:
-                assert pickle.loads(pickle.dumps(chunk)) == chunk
+                restored = pickle.loads(pickle.dumps(chunk)).registry
+                assert restored.to_json() == chunk.registry.to_json()
             return {
                 "documents": stats.documents,
                 "chunks": stats.chunks,
                 "documents_failed": stats.documents_failed,
                 "failures_by_stage": stats.failures_by_stage,
                 "counters": [
-                    stats.input_nodes, stats.tokens_created,
-                    stats.groups_created, stats.nodes_eliminated,
-                    stats.concept_nodes,
+                    stats.registry.value(name) for name in CHUNK_COUNTERS
+                    if not name.endswith("seconds_total")
                 ],
                 "stage_counts": {
                     stage: digest.count

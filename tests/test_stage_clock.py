@@ -116,7 +116,7 @@ class TestExactPerRun:
             assert spans.min_value == digest.min_value, stage
             assert spans.max_value == digest.max_value, stage
         chunk_seconds = [span.seconds for span in tracer.by_name("engine.chunk")]
-        assert chunk_seconds == [chunk.seconds for chunk in chunks]
+        assert chunk_seconds == [chunk.worker_seconds for chunk in chunks]
 
 
 class TestCoverage:
