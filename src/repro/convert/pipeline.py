@@ -139,10 +139,10 @@ class DocumentConverter:
                     document, input_nodes = parse_html_counted(html)
                 else:
                     document, input_nodes = clone_counted(html)
+            work_root = self._content_root(document)
             if self.config.apply_tidy:
                 with tracer.stage("tidy", timings):
-                    tidy(document)
-            work_root = self._content_root(document)
+                    tidy(work_root)
 
             with tracer.stage("tokenize", timings) as span:
                 tokens = apply_tokenization_rule(work_root, self.config)
@@ -225,9 +225,17 @@ class DocumentConverter:
     # -- internals -----------------------------------------------------------
 
     def _content_root(self, document: Element) -> Element:
-        """The subtree the rules operate on: the body, with the document
-        ``<title>`` (a group tag in the paper's annotation) moved to the
-        front so its text participates in concept identification."""
+        """The subtree tidy and the rules operate on: the body, with the
+        document ``<title>`` (a group tag in the paper's annotation) moved
+        from ``head`` to the front so its text participates in concept
+        identification.
+
+        The parser keeps head content under ``head`` (see
+        :mod:`repro.htmlparse.parser`), so this is the one place a head
+        child reaches the rules; the rest of the head (``style`` and
+        ``script`` text, ``meta``, ``link``) is not rendered and is not
+        converted.  A title that follows body content is already in the
+        body and stays where it is."""
         body = body_of(document)
         for child in document.element_children():
             if child.tag == "head":

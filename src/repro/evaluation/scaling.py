@@ -21,6 +21,11 @@ from repro.corpus.generator import ResumeCorpusGenerator
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.engine import CorpusEngine, EngineConfig
 
+# Timed runs per sweep point.  A point reads the least of them on each
+# clock, as ``timeit`` does: a slower run measured the machine's other
+# load, not more work.
+_REPEATS = 3
+
 
 @dataclass
 class ScalingPoint:
@@ -31,7 +36,8 @@ class ScalingPoint:
     concept_nodes: int
     seconds: float
     # Process CPU seconds of the same region: all of the work, since
-    # the one-worker engine converts in this process.
+    # the one-worker engine converts in this process.  Both clocks read
+    # the least of the point's timed runs.
     cpu_seconds: float = 0.0
 
 
@@ -86,25 +92,30 @@ def run_scaling_experiment(
 
     Documents are generated outside the timed region; the clock covers
     exactly what the paper timed (restructuring + schema discovery).
+    One document is converted and mined before the sweep, untimed: the
+    first conversion pays one-time costs (building the converter, first
+    use of lazily loaded modules) that belong to no corpus size.  The
+    sweep then runs :data:`_REPEATS` times over, so that a burst of
+    other load on the machine hits different points in different
+    rounds, and each point keeps the least reading of each clock.
     """
     generator = ResumeCorpusGenerator(seed=seed)
+    corpora = [generator.generate_html(size) for size in sizes]
     engine = CorpusEngine(kb, engine_config=EngineConfig(max_workers=1))
-    report = ScalingReport()
-    for size in sizes:
-        corpus = generator.generate_html(size)
-        elapsed: dict[str, float] = {}
-        cpu_started = time.process_time()
-        with NULL_TRACER.stage("scaling.point", elapsed):
-            result = engine.convert_corpus(corpus)
-            engine.discover(result.accumulator)
-        cpu_seconds = time.process_time() - cpu_started
-        report.points.append(
-            ScalingPoint(
-                documents=size,
-                nodes=result.stats.input_nodes,
-                concept_nodes=result.stats.concept_nodes,
-                seconds=elapsed["scaling.point"],
-                cpu_seconds=cpu_seconds,
+    if corpora:
+        engine.discover(engine.convert_corpus(corpora[0][:1]).accumulator)
+    points = [ScalingPoint(size, 0, 0, float("inf"), float("inf")) for size in sizes]
+    for _ in range(_REPEATS):
+        for point, corpus in zip(points, corpora):
+            elapsed: dict[str, float] = {}
+            cpu_started = time.process_time()
+            with NULL_TRACER.stage("scaling.point", elapsed):
+                result = engine.convert_corpus(corpus)
+                engine.discover(result.accumulator)
+            point.cpu_seconds = min(
+                point.cpu_seconds, time.process_time() - cpu_started
             )
-        )
-    return report
+            point.seconds = min(point.seconds, elapsed["scaling.point"])
+            point.nodes = result.stats.input_nodes
+            point.concept_nodes = result.stats.concept_nodes
+    return ScalingReport(points)

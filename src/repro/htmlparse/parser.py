@@ -8,7 +8,17 @@ paper's document model requires:
 * mismatched end tags close intervening open elements when a matching
   open element exists, and are dropped otherwise,
 * everything is rooted under ``html > body`` even when those tags are
-  missing from the source.
+  missing from the source,
+* head content is parsed under ``head`` (HTML's "in head" insertion
+  mode): head mode starts at ``<head>``, or at a head-content start tag
+  (``title``, ``base``, ``link``, ``meta``, ``script``, ``style``) that
+  arrives before any body content, as HTML implies ``<head>``.  It ends
+  at ``</head>``, at ``<body>``, or at any other start tag or
+  non-whitespace text, as an implied ``</head>`` (whitespace-only text
+  is dropped everywhere).  Head content after that stays in the body,
+  and a later ``<head>`` starts no head mode.  What a browser does not
+  render therefore never reaches the restructuring rules, which read
+  the body alone.
 
 Comments and doctype tokens are discarded: they carry no information the
 restructuring rules use.
@@ -32,6 +42,9 @@ _WHITESPACE_ONLY_RE = re.compile(r"^\s*$")
 # Structural tags handled specially at the document level.
 _DOCUMENT_TAGS = frozenset({"html", "head", "body"})
 
+# HTML 4.01's head content: what a browser reads but never renders.
+_HEAD_CONTENT = frozenset({"title", "base", "link", "meta", "script", "style"})
+
 
 class _TreeBuilder:
     """Assembles tokens into an element tree."""
@@ -48,6 +61,13 @@ class _TreeBuilder:
             self.nodes = 2
         self.stack: list[Element] = [self.body]
         self.head: Element | None = None
+        # Start and end tags that address the document's own structure.
+        self.document_tags = frozenset() if fragment else _DOCUMENT_TAGS
+        # True until the first body content: head mode may still start
+        # (``head`` is None) or is running (``head`` heads the stack).
+        # Once it is False the builder pays one test per token for head
+        # mode and nothing more.
+        self.before_body = not fragment
 
     # -- stack helpers ---------------------------------------------------
 
@@ -64,7 +84,9 @@ class _TreeBuilder:
     # -- token handlers ----------------------------------------------------
 
     def start_tag(self, name: str, attrs: dict[str, str], self_closing: bool) -> None:
-        if not self.fragment and name in _DOCUMENT_TAGS:
+        if self.before_body and self._head_start_tag(name, attrs):
+            return
+        if name in self.document_tags:
             self._document_tag(name, attrs)
             return
         self._close_implied(name)
@@ -73,6 +95,33 @@ class _TreeBuilder:
         self.nodes += 1
         if not is_void(name) and not self_closing:
             self.stack.append(element)
+
+    def _head_start_tag(self, name: str, attrs: dict[str, str]) -> bool:
+        """A start tag before any body content: open head mode (``head``
+        or implied by head content), or end it (``body`` and any other
+        tag).  True when the tag is consumed here; head content is then
+        adopted by :meth:`start_tag` under the open ``head``."""
+        if name in _HEAD_CONTENT:
+            if self.head is None:
+                self._open_head({})
+            return False
+        if name == "head":
+            if self.head is None:
+                self._open_head(attrs)
+            return True
+        if name != "html":
+            self._end_head()
+        return False
+
+    def _open_head(self, attrs: dict[str, str]) -> None:
+        self.head = Element("head", attrs)
+        self.nodes += 1
+        self.stack = [self.head]
+
+    def _end_head(self) -> None:
+        """The (possibly implied) ``</head>``: body content follows."""
+        self.before_body = False
+        self.stack = [self.body]
 
     def _document_tag(self, name: str, attrs: dict[str, str]) -> None:
         if name == "html":
@@ -85,7 +134,9 @@ class _TreeBuilder:
             self.body.attrs.update(attrs)
 
     def end_tag(self, name: str) -> None:
-        if not self.fragment and name in _DOCUMENT_TAGS:
+        if name in self.document_tags:
+            if name == "head" and self.before_body and self.head is not None:
+                self._end_head()
             return
         stack = self.stack
         for open_element in reversed(stack):
@@ -102,6 +153,9 @@ class _TreeBuilder:
     def text(self, data: str) -> None:
         if _WHITESPACE_ONLY_RE.match(data):
             return
+        if self.before_body and len(self.stack) == 1:
+            # Text outside any head child is body content.
+            self._end_head()
         current = self.stack[-1]
         # Merge adjacent text nodes so downstream tokenization sees whole
         # topic sentences.

@@ -75,8 +75,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
-from operator import itemgetter, lt
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, lt, not_
 from sys import intern
 from typing import TYPE_CHECKING
 
@@ -330,9 +330,12 @@ class PathAccumulator:
     def __setstate__(self, state) -> None:
         version = state[0] if isinstance(state, tuple) and state else None
         if version == _WIRE_VERSION:
-            self.document_count, self.doc_frequency, self._columns = _decode_v2(
-                state
-            )
+            (
+                self.document_count,
+                self.doc_frequency,
+                self._columns,
+                self._roots,
+            ) = _decode_v2(state)
             for name in _VALUE_FIELDS:
                 self.__dict__.pop(name, None)
         elif version == 1:
@@ -343,6 +346,7 @@ class PathAccumulator:
                 self.multiplicity_docs,
             ) = _decode_v1(state)
             self.__dict__.pop("_columns", None)
+            self.__dict__.pop("_roots", None)
         else:
             raise ValueError(
                 f"unsupported PathAccumulator wire version: {version!r}"
@@ -353,6 +357,11 @@ class PathAccumulator:
     # __getstate__, any direct access -- which, the attributes being
     # absent, lands in __getattr__.
     _columns = None
+
+    # A decoded v2 state's root paths, read off its path table, and the
+    # number of doc_frequency keys it decoded: update appends new keys
+    # after those, so root_labels scans only the appended ones.
+    _roots = None
 
     def __getattr__(self, name: str):
         columns = self._columns
@@ -389,8 +398,18 @@ class PathAccumulator:
         return labels
 
     def root_labels(self) -> list[str]:
-        """Labels observed at the root of some document, sorted."""
-        return sorted({path[0] for path in self.doc_frequency if len(path) == 1})
+        """Labels observed at the root of some document, sorted.
+
+        A decoded state reads its root paths from the path table and
+        scans only the paths ``update`` added since; any other state
+        scans every path."""
+        decoded = self._roots
+        if decoded is None:
+            paths = self.doc_frequency
+        else:
+            roots, decoded_count = decoded
+            paths = chain(roots, islice(self.doc_frequency, decoded_count, None))
+        return sorted({path[0] for path in paths if len(path) == 1})
 
     # -- DTD-derivation statistics (Section 3.3) -----------------------------
 
@@ -449,21 +468,31 @@ class PathAccumulator:
 
 
 def _decode_v2(state: tuple) -> tuple:
-    """``(document_count, doc_frequency, value columns)`` of a v2 state.
+    """``(document_count, doc_frequency, value columns, root paths)`` of
+    a v2 state.
 
     The path table and ``doc_frequency`` -- what mining reads -- are
     decoded here; :meth:`_ValueColumns.decode` decodes the rest when it
-    is first read in full or merged into another state."""
+    is first read in full or merged into another state.  The root paths
+    are the table rows whose parent is row 0 that ``doc_frequency``
+    holds, with its key count (see ``PathAccumulator._roots``)."""
     _, document_count, labels, parents, tails, frequency_keys, counts = state[:7]
     singles = [(intern(label),) for label in labels]
     rows: list[LabelPath] = [()]
     append = rows.append
     for parent, tail in zip(parents, tails):
         append(rows[parent] + singles[tail])
+    frequency = _counter(zip(_keys(rows, frequency_keys), counts))
+    roots = [
+        path
+        for path in compress(islice(rows, 1, None), map(not_, parents))
+        if path in frequency
+    ]
     return (
         document_count,
-        _counter(zip(_keys(rows, frequency_keys), counts)),
+        frequency,
         _ValueColumns(rows, *state[7:]),
+        (roots, len(frequency)),
     )
 
 

@@ -57,9 +57,18 @@ class TestExperiment:
 
         The fit reads each point's process CPU time, not its wall time:
         the one-worker sweep converts in this process, and its CPU time
-        does not grow when other processes share the machine.  The bar
-        stays loose for so small a sweep; the Figure 5 benchmark asserts
-        R^2 > 0.95 on wall time over a bigger one.
+        does not grow when other processes share the machine.  The
+        harness converts once before the sweep and keeps each point's
+        least CPU reading over three rounds of the sweep, so neither the
+        one-time first-use costs nor a burst of other load bend the
+        line.  The bar stays loose for so small a sweep; the Figure 5
+        benchmark asserts R^2 > 0.95 on wall time over a bigger one.
+
+        Three points that span a factor of four fit a convex curve well
+        too (a cost in ``n ** 2`` alone reads R^2 0.98), so the fit
+        cannot tell linear from quadratic work.  The cost per concept
+        node can: linear work keeps it flat, a quadratic cost that is
+        two thirds of the work at 80 documents doubles it.
         """
         report = run_scaling_experiment(kb, [20, 40, 80], seed=1966)
         assert all(point.cpu_seconds > 0 for point in report.points)
@@ -68,3 +77,8 @@ class TestExperiment:
         )
         _slope, r2 = cpu.fit_against("concept_nodes")
         assert r2 > 0.75
+        first, last = report.points[0], report.points[-1]
+        growth = (last.cpu_seconds / last.concept_nodes) / (
+            first.cpu_seconds / first.concept_nodes
+        )
+        assert growth < 2.0, f"CPU per concept node grew {growth:.2f}x"

@@ -4,7 +4,9 @@ Every case in tests/golden/parser_edge/ is a construct that tripped (or
 plausibly could trip) one tokenizer lane -- unterminated comments and
 CDATA, stray angle brackets, exotic whitespace in attribute position,
 unquoted CGI URLs, truncated entities at EOF, duplicate attributes,
-raw-text close-tag casing, implied table end tags.  The expected files
+raw-text close-tag casing, implied table end tags -- and the tree
+builder's head mode (the ``head_*`` cases: explicit, implied and
+unclosed heads, what ends one, a second ``<head>``).  The expected files
 pin the *serialized parse tree* (no tidy, no conversion rules), so a
 behavior change in either tokenizer -- the production lexer or the
 legacy oracle in ``tests/oracles/`` -- fails here even if the two drift

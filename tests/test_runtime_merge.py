@@ -356,6 +356,41 @@ class TestValuesDecodedOnFirstFullRead:
         assert "position_sum" not in vars(clone)
 
 
+def scanned_root_labels(acc: PathAccumulator) -> list[str]:
+    """The root labels by a scan of every path: the reference."""
+    return sorted({path[0] for path in acc.doc_frequency if len(path) == 1})
+
+
+class TestRootLabels:
+    """A decoded state reads its root labels off the path table (rows
+    whose parent is row 0) plus the paths ``update`` added since; every
+    state answers what a scan of all its paths would."""
+
+    @given(
+        exact_accumulators,
+        st.lists(st.tuples(exact_accumulators, st.booleans()), max_size=3),
+    )
+    @settings(max_examples=80)
+    def test_equals_the_scan_on_built_decoded_and_updated_states(
+        self, base, updates
+    ):
+        def decoded(acc):
+            return pickle.loads(pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL))
+
+        lazy = decoded(base)
+        assert base.root_labels() == scanned_root_labels(base)
+        assert lazy.root_labels() == scanned_root_labels(base)
+        for other, pickled in updates:
+            lazy.update(decoded(other) if pickled else other)
+            base.update(other)
+            assert lazy.root_labels() == scanned_root_labels(lazy)
+            assert base.root_labels() == scanned_root_labels(base)
+            assert lazy.root_labels() == base.root_labels()
+        lazy.position_sum  # a full read decodes the value columns
+        assert lazy.root_labels() == scanned_root_labels(lazy)
+        assert lazy.copy().root_labels() == scanned_root_labels(lazy)
+
+
 def seventeenths_document() -> Element:
     """``r`` with 17 ``p`` children, each with an ``x`` child; ``x`` is at
     position 1 in the last ``p`` and 0 in the others.  So ``(r, p, x)``
