@@ -7,8 +7,8 @@ Subcommands mirror the pipeline stages::
               --max-workers 4 --discover \\
               --trace-out trace.jsonl --metrics-out m.prom   # convert (engine)
     repro-web discover     xml/*.xml --sup 0.4               # schema + DTD
-    repro-web stats        metrics.json                      # re-render metrics
     repro-web report       runs.jsonl                        # render a ledger record
+    repro-web report       metrics.json                      # ... or saved metrics
     repro-web runs         runs.jsonl                        # list the ledger
     repro-web evaluate     --docs 50                         # Figure 4 numbers
     repro-web crawl        --resumes 30 --noise 100          # simulated crawl
@@ -24,6 +24,7 @@ subset the converter emits.)
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.dom.serialize import to_xml_document
 from repro.evaluation.report import format_histogram, format_table
 from repro.htmlparse.parser import parse_fragment
 from repro.obs import (
+    MetricsRegistry,
     ProgressReporter,
     ProvenanceLog,
     RunLedger,
@@ -44,6 +46,8 @@ from repro.obs import (
     write_metrics,
     write_trace_jsonl,
 )
+from repro.obs.export import PROMETHEUS_SUFFIXES
+from repro.obs.runlog import RUNLOG_VERSION
 from repro.runtime.pool import CHUNK_SIZE
 from repro.schema.accumulator import PathAccumulator
 from repro.schema.discovery import discover_schema
@@ -199,6 +203,12 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         print(f"wrote Chrome trace ({len(spans)} spans) to {args.trace_chrome}")
     stats = result.stats
     _write_metrics_out(args, stats.registry)
+    if args.runlog:
+        record = RunLedger(args.runlog).append(build_run_record(
+            stats, corpus_size=len(sources), topic="resume",
+            fingerprint=config_fingerprint(engine.config, engine.engine_config),
+        ))
+        print(f"appended run {record['run_id']} to {args.runlog}")
     if args.out:
         print(f"wrote {stats.documents} XML documents to {Path(args.out)}/")
     if result.failures:
@@ -212,21 +222,7 @@ def _cmd_convert_corpus(args: argparse.Namespace) -> int:
         if args.on_error == "quarantine":
             print(f"quarantined sources + error JSONs in {args.quarantine_dir}/")
         print()
-    _print_engine_tables(stats, "Corpus engine run")
-    _print_slowest(stats.slowest_docs)
-    if args.runlog:
-        ledger = RunLedger(args.runlog)
-        record = ledger.append(
-            build_run_record(
-                stats,
-                fingerprint=config_fingerprint(
-                    engine.config, engine.engine_config
-                ),
-                topic="resume",
-                corpus_size=len(sources),
-            )
-        )
-        print(f"appended run {record['run_id']} to {args.runlog}")
+    _print_run(stats)
     if run.discovery is not None:
         print()
         print(run.discovery.schema.describe())
@@ -329,100 +325,51 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.runtime.stats import EngineStats
-
-    try:
-        registry = load_metrics(args.metrics)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    stats = EngineStats.from_registry(registry)
-    _print_engine_tables(stats, f"Saved engine metrics ({args.metrics})")
-    p50, p95 = stats.chunk_seconds_quantile(0.5), stats.chunk_seconds_quantile(0.95)
-    if p95 > 0:
-        print()
-        print(format_table(
-            ["p50 s", "p95 s"], [[f"{p50:.3f}", f"{p95:.3f}"]],
-            title="Chunk duration quantiles",
-        ))
-    return 0
-
-
-def _print_engine_tables(stats: "EngineStats", title: str) -> None:
-    """The engine summary under ``title``, then the per-rule time and
-    per-stage latency tables (each only when it has rows)."""
-    print(format_table(["engine", "value"], stats.summary_rows(), title=title))
-    if stats.rule_seconds:
-        print()
-        print(format_table(["rule", "seconds", "share"], stats.rule_rows(),
-                           title="Per-rule time (summed over workers)"))
-    _print_stage_quantiles(stats.stage_summaries())
-
-
-def _print_stage_quantiles(summaries: dict) -> None:
-    """The per-stage latency table from ``{stage: digest summary}``."""
+def _print_run(stats: "EngineStats") -> None:
+    """The one rendering of an engine run's books, live or saved: the
+    engine summary, then the per-rule time, per-stage latency,
+    chunk-duration and slowest-documents tables, each only when it has
+    rows."""
     from repro.runtime.stats import stage_quantile_rows
 
-    rows = stage_quantile_rows(summaries)
-    if rows:
-        print()
-        print(format_table(
-            ["stage", "count", "p50 ms", "p95 ms", "p99 ms"], rows,
-            title="Per-stage latency quantiles",
-        ))
-
-
-def _print_slowest(entries: list[dict]) -> None:
-    """The slowest-documents table from the engine's top-K records, live
-    or from a run ledger, slowest first."""
-    if not entries:
-        return
-    rows = [
+    print(format_table(["engine", "value"], stats.summary_rows(),
+                       title="Corpus engine run"))
+    p50, p95 = stats.chunk_seconds_quantile(0.5), stats.chunk_seconds_quantile(0.95)
+    slowest = [
         [
             str(entry.get("doc", "?")),
             f"{float(entry.get('seconds', 0.0)) * 1e3:.2f}",
             str(entry.get("label_paths", "")),
             str(entry.get("input_nodes", "")),
         ]
-        for entry in entries
+        for entry in stats.slowest_docs
     ]
-    print()
-    print(format_table(
-        ["document", "ms", "label paths", "input nodes"], rows,
-        title=f"Slowest documents (top {len(rows)})",
-    ))
+    tables = [
+        (["rule", "seconds", "share"], stats.rule_rows(),
+         "Per-rule time (summed over workers)"),
+        (["stage", "count", "p50 ms", "p95 ms", "p99 ms"],
+         stage_quantile_rows(stats.stage_summaries()),
+         "Per-stage latency quantiles"),
+        (["p50 s", "p95 s"], [[f"{p50:.3f}", f"{p95:.3f}"]] if p95 > 0 else [],
+         "Chunk duration quantiles"),
+        (["document", "ms", "label paths", "input nodes"], slowest,
+         f"Slowest documents (top {len(slowest)})"),
+    ]
+    for headers, rows, title in tables:
+        if rows:
+            print()
+            print(format_table(headers, rows, title=title))
 
 
-def _render_run_record(record: dict) -> None:
-    """Print one ledger record as report tables."""
-    summary = [
-        ["run id", record.get("run_id", "?")],
-        ["time", record.get("time_iso", "?")],
-        ["topic", record.get("topic", "")],
-        ["config", record.get("config_fingerprint", "")],
-        ["workers", record.get("workers", "")],
-        ["chunk size", record.get("chunk_size", "")],
-        ["corpus size", record.get("corpus_size", "")],
-        ["documents", record.get("documents", "")],
-        ["failed", record.get("documents_failed", "")],
-        ["wall seconds", record.get("wall_seconds", "")],
-        ["docs/second", record.get("docs_per_second", "")],
-        ["pool rebuilds", record.get("pool_rebuilds", "")],
-        ["cache hit rate", (record.get("cache") or {}).get("hit_rate", "")],
-    ]
-    print(format_table(["run", "value"], [[k, str(v)] for k, v in summary],
-                       title="Run report"))
-    failures = record.get("failures_by_stage") or {}
-    if failures:
-        print()
-        print(format_table(
-            ["stage", "failures"],
-            [[stage, str(count)] for stage, count in failures.items()],
-            title="Failures by stage",
-        ))
-    _print_stage_quantiles(record.get("stage_quantiles") or {})
-    _print_slowest(record.get("slowest_documents") or [])
+def _record_stats(record: dict) -> "EngineStats":
+    """The engine books a run record stores: its registry, viewed as
+    :class:`EngineStats`, and its slowest documents.  A malformed
+    registry is a ``ValueError``."""
+    from repro.runtime.stats import EngineStats
+
+    stats = EngineStats.from_registry(MetricsRegistry.from_json(record.get("metrics")))
+    stats.slowest_docs = list(record.get("slowest_documents") or [])
+    return stats
 
 
 def _render_evolution_record(record: dict) -> None:
@@ -455,17 +402,67 @@ def _render_evolution_record(record: dict) -> None:
         ))
 
 
+def _is_metrics_snapshot(path: Path, text: str) -> bool:
+    """Whether ``report`` reads ``path`` as a ``--metrics-out`` file: a
+    Prometheus file, or one JSON document that is not a ledger record.
+    A ledger of several records (or none) is not one JSON document."""
+    if path.suffix in PROMETHEUS_SUFFIXES:
+        return True
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        return False
+    return not (isinstance(document, dict) and "kind" in document)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    ledger = RunLedger(args.ledger)
-    record = ledger.find(args.run) if args.run else ledger.latest()
-    if record is None:
-        which = f"run {args.run!r}" if args.run else "record"
-        print(f"{args.ledger}: no {which} found", file=sys.stderr)
+    from repro.runtime.stats import EngineStats
+
+    path = Path(args.ledger)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    if record.get("kind") == "evolution":
-        _render_evolution_record(record)
-    else:
-        _render_run_record(record)
+    record = None
+    try:
+        if _is_metrics_snapshot(path, text):
+            stats = EngineStats.from_registry(load_metrics(path))
+        else:
+            ledger = RunLedger(path)
+            record = ledger.find(args.run) if args.run else ledger.latest()
+            if record is None:
+                which = f"run {args.run!r}" if args.run else "record"
+                print(f"{path}: no {which} found", file=sys.stderr)
+                return 1
+            if record.get("kind") == "evolution":
+                _render_evolution_record(record)
+                return 0
+            if record.get("version") != RUNLOG_VERSION:
+                print(
+                    f"{path}: run {record.get('run_id', '?')} is a version-"
+                    f"{record.get('version', '?')} record, which does not hold "
+                    "the run's registry; re-run the conversion with --runlog "
+                    "to record it again",
+                    file=sys.stderr,
+                )
+                return 1
+            stats = _record_stats(record)
+    except ValueError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return 2
+    if record is not None:
+        identity = [
+            ["run id", record.get("run_id", "?")],
+            ["time", record.get("time_iso", "?")],
+            ["topic", record.get("topic", "")],
+            ["config", record.get("config_fingerprint", "")],
+            ["corpus size", record.get("corpus_size", "")],
+        ]
+        print(format_table(["run", "value"], [[k, str(v)] for k, v in identity],
+                           title="Run report"))
+        print()
+    _print_run(stats)
     return 0
 
 
@@ -475,19 +472,24 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     if not records:
         print(f"{args.ledger}: no run records", file=sys.stderr)
         return 1
-    rows = [
-        [
-            record.get("run_id", "?"),
-            record.get("kind", ""),
-            record.get("time_iso", "?"),
-            str(record.get("workers", "")),
+    rows = []
+    for record in records[-args.limit:]:
+        row = [record.get("run_id", "?"), record.get("kind", ""),
+               record.get("time_iso", "?")]
+        if record.get("kind") == "evolution":
             # A fold's documents are the ones it folded.
-            str(record.get("documents", record.get("documents_folded", ""))),
-            str(record.get("documents_failed", "")),
-            str(record.get("docs_per_second", "")),
-        ]
-        for record in records[-args.limit:]
-    ]
+            row += ["", str(record.get("documents_folded", "")), "", ""]
+        elif record.get("version") == RUNLOG_VERSION:
+            try:
+                stats = _record_stats(record)
+            except ValueError as exc:
+                print(f"{args.ledger}: run {row[0]}: {exc}", file=sys.stderr)
+                return 2
+            row += [str(stats.workers), str(stats.documents),
+                    str(stats.documents_failed), f"{stats.docs_per_second:.1f}"]
+        else:
+            row += ["", "", "", ""]
+        rows.append(row)
     print(format_table(
         ["run id", "kind", "time", "workers", "docs", "failed", "docs/s"],
         rows,
@@ -915,16 +917,15 @@ def build_parser() -> argparse.ArgumentParser:
     insp.add_argument("--query", default="", help="slash path to evaluate")
     insp.set_defaults(func=_cmd_inspect)
 
-    stats = sub.add_parser(
-        "stats", help="re-render saved engine metrics (JSON) as report tables"
-    )
-    stats.add_argument("metrics", help="metrics JSON written by --metrics-out")
-    stats.set_defaults(func=_cmd_stats)
-
     report = sub.add_parser(
-        "report", help="render one run-ledger record as report tables"
+        "report",
+        help="render a run-ledger record or a saved metrics JSON as report tables",
     )
-    report.add_argument("ledger", help="run-ledger JSONL written by --runlog")
+    report.add_argument(
+        "ledger",
+        help="run-ledger JSONL written by --runlog, or metrics JSON written "
+        "by --metrics-out",
+    )
     report.add_argument(
         "--run", default="", metavar="RUN_ID",
         help="render this run id (default: the latest record)",

@@ -4,7 +4,7 @@ One trace file carries both span records and provenance events (each
 line is self-describing via its ``kind`` field); metrics files pick
 their format by extension -- ``.prom``/``.txt`` get the Prometheus text
 exposition, everything else the JSON registry snapshot that
-``repro-web stats`` can re-render.
+``repro-web report`` can re-render.
 """
 
 from __future__ import annotations
@@ -73,6 +73,6 @@ def load_metrics(path: str | Path) -> MetricsRegistry:
     if target.suffix in PROMETHEUS_SUFFIXES:
         raise ValueError(
             "Prometheus exposition files cannot be re-loaded; "
-            "save metrics as .json to render them with 'repro-web stats'"
+            "save metrics as .json to render them with 'repro-web report'"
         )
     return MetricsRegistry.from_json(json.loads(target.read_text(encoding="utf-8")))

@@ -3,7 +3,7 @@
 The registry is the single numeric sink of the pipeline: the engine's
 :class:`~repro.runtime.stats.EngineStats` is a view over one, the serial
 CLI path shares the same per-rule counters, and both export formats --
-JSON (re-loadable, rendered by ``repro-web stats``) and the Prometheus
+JSON (re-loadable, rendered by ``repro-web report``) and the Prometheus
 text exposition format -- read straight from it.
 
 Metrics are identified by ``(name, labels)``; names follow Prometheus
@@ -223,36 +223,51 @@ class MetricsRegistry:
         return snapshot
 
     @classmethod
-    def from_json(cls, data: dict) -> "MetricsRegistry":
+    def from_json(cls, data: object) -> "MetricsRegistry":
         """Rebuild a registry saved by :meth:`to_json`.
 
-        A gauge's ``"merge"`` key, written by earlier versions, is
-        ignored.  Histograms saved in the retired fixed-bucket form
-        (``buckets``/``counts``) are a ``ValueError``: their buckets do
-        not map onto the digest layout, so they cannot be read back.
+        The snapshot may come from a file outside the program, so one
+        :meth:`to_json` could not have written is a ``ValueError``: not
+        an object with a ``metrics`` list (and a ``help`` object, if
+        any), an entry that is not an object with a string ``name`` and
+        ``kind`` (and a ``labels`` object), a malformed digest, an
+        unknown kind, a non-numeric counter or gauge ``value``, or a
+        histogram saved in the retired fixed-bucket form
+        (``buckets``/``counts``), whose buckets do not map onto the
+        digest layout.  A gauge's ``"merge"`` key, written by earlier
+        versions, is ignored.
         """
+        if not (isinstance(data, Mapping) and isinstance(data.get("metrics"), list)
+                and isinstance(data.get("help", {}), Mapping)):
+            raise ValueError("metrics snapshot is not an object with a metrics list")
         registry = cls()
         for name, text in data.get("help", {}).items():
             registry.describe(name, text)
-        for entry in data.get("metrics", []):
+        for entry in data["metrics"]:
+            if not (isinstance(entry, Mapping) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("kind"), str)
+                    and isinstance(entry.get("labels", {}), Mapping)):
+                raise ValueError(f"metrics entry without a string name and kind: {entry!r}")
+            name, kind, value = entry["name"], entry["kind"], entry.get("value")
             labels = entry.get("labels", {})
-            kind = entry.get("kind")
-            if kind == "counter":
-                registry.counter(entry["name"], **labels).inc(entry["value"])
-            elif kind == "gauge":
-                registry.gauge(entry["name"], **labels).set(entry["value"])
-            elif kind == "histogram":
+            if kind == "histogram":
                 if "digest" not in entry:
                     raise ValueError(
-                        f"histogram {entry.get('name')!r} is in the old "
+                        f"histogram {name!r} is in the old "
                         "fixed-bucket form (buckets/counts); re-run the "
                         "command to save a digest-backed metrics file"
                     )
-                registry.histogram(entry["name"], **labels).digest = (
+                registry.histogram(name, **labels).digest = (
                     QuantileDigest.from_json(entry["digest"])
                 )
-            else:
+            elif kind not in ("counter", "gauge"):
                 raise ValueError(f"unknown metric kind {kind!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{kind} {name!r} has non-numeric value {value!r}")
+            elif kind == "counter":
+                registry.counter(name, **labels).inc(value)
+            else:
+                registry.gauge(name, **labels).set(value)
         return registry
 
     def render_json(self) -> str:

@@ -246,10 +246,14 @@ class QuantileDigest:
         no :meth:`observe` sequence could produce is a ``ValueError``:
         an index outside the layout, a repeated index, a negative
         count, index/count lists of different lengths, or a ``count``
-        that is not the sum of the bucket counts.
+        that is not the sum of the bucket counts, or one that is not an
+        object of index and count lists.
         """
-        indices = [int(index) for index in data.get("indices", [])]
-        counts = [int(count) for count in data.get("counts", [])]
+        try:
+            indices = [int(index) for index in data.get("indices", [])]
+            counts = [int(count) for count in data.get("counts", [])]
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"digest is not an object of index and count lists: {exc}") from None
         if len(indices) != len(counts):
             raise ValueError(
                 f"digest has {len(indices)} bucket indices but {len(counts)} counts"

@@ -1,14 +1,13 @@
 """The persistent run ledger.
 
 Every engine run can append one self-describing JSON record (``kind:
-"run"``) to an append-only JSONL **ledger**: run id, config fingerprint,
-corpus size, per-stage latency quantiles (from the mergeable
-:class:`~repro.obs.quantiles.QuantileDigest` the chunks ship home),
-docs/sec, failure breakdown, tagger-cache hit rates, and the top-K
-slowest documents with their label-path context.  Every schema fold can
-append a ``kind: "evolution"`` record to the same ledger.
-``repro-web report`` renders a record by its kind; ``repro-web runs``
-lists the ledger.
+"run"``) to an append-only JSONL **ledger**: the run's identity (run
+id, time, topic, config fingerprint, corpus size), its registry
+snapshot (:meth:`~repro.obs.metrics.MetricsRegistry.to_json`, the same
+books ``--metrics-out`` saves) and the slowest documents with their
+label-path context.  Every schema fold can append a ``kind:
+"evolution"`` record to the same ledger.  ``repro-web report`` renders
+a record by its kind; ``repro-web runs`` lists the ledger.
 
 The ledger is a log for an operator, not a performance record: the
 benchmark in ``perfbench/`` is the only place throughput is compared
@@ -28,10 +27,9 @@ from typing import TYPE_CHECKING, Mapping
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.stats import EngineStats
 
-RUNLOG_VERSION = 1
-
-# How many slowest documents a run record retains.
-SLOWEST_KEPT = 10
+# A version-2 run record holds the run's registry; a version-1 record
+# held fields copied out of it, which ``repro-web report`` refuses.
+RUNLOG_VERSION = 2
 
 # -- run records --------------------------------------------------------------
 
@@ -92,14 +90,15 @@ def new_run_id(*, clock=time.time) -> str:
 def build_run_record(
     stats: "EngineStats",
     *,
+    corpus_size: int,
     run_id: str | None = None,
     fingerprint: str = "",
     topic: str = "",
-    corpus_size: int | None = None,
 ) -> dict:
-    """One ledger record for a finished engine run."""
+    """One ledger record for a finished engine run: its identity, the
+    run's registry and its slowest documents."""
     now = time.time()
-    record: dict = {
+    return {
         "kind": "run",
         "version": RUNLOG_VERSION,
         "run_id": run_id or new_run_id(clock=lambda: now),
@@ -107,31 +106,10 @@ def build_run_record(
         "time_iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)),
         "topic": topic,
         "config_fingerprint": fingerprint,
-        "workers": stats.workers,
-        "chunk_size": stats.chunk_size,
-        "documents": stats.documents,
-        "documents_failed": stats.documents_failed,
-        "corpus_size": (
-            corpus_size
-            if corpus_size is not None
-            else stats.documents + stats.documents_failed
-        ),
-        "wall_seconds": round(stats.wall_seconds, 6),
-        "worker_seconds": round(stats.worker_seconds, 6),
-        "docs_per_second": round(stats.docs_per_second, 3),
-        "failures_by_stage": dict(sorted(stats.failures_by_stage.items())),
-        "pool_rebuilds": stats.pool_rebuilds,
-        "cache": {
-            "hit_rate": round(stats.tagger_cache_hit_rate, 4),
-            "events": {
-                cache: dict(sorted(counters.items()))
-                for cache, counters in sorted(stats.tagger_cache_events.items())
-            },
-        },
-        "stage_quantiles": stats.stage_summaries(),
-        "slowest_documents": list(stats.slowest_docs[:SLOWEST_KEPT]),
+        "corpus_size": corpus_size,
+        "metrics": stats.registry.to_json(),
+        "slowest_documents": list(stats.slowest_docs),
     }
-    return record
 
 
 def build_evolution_record(

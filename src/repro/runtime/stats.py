@@ -12,8 +12,8 @@ merge, :meth:`~repro.obs.metrics.MetricsRegistry.update`, moves a
 chunk's books into the run's (:meth:`EngineStats.absorb`) and stitches
 crash recovery's bisection pieces into one chunk
 (:meth:`ChunkStats.fold`).  One engine run exports directly as JSON or
-Prometheus text, and ``repro-web stats`` re-renders a saved snapshot as
-these same tables.
+Prometheus text, its run-ledger record stores the same JSON snapshot,
+and ``repro-web report`` re-renders either as these same tables.
 
 Stage time has one clock and one channel.  Each stage of a document
 (:data:`repro.obs.tracer.STAGE_SPANS`) is read once by the stage clock,
@@ -201,8 +201,8 @@ class ChunkStats(RegistryView):
 
 def stage_quantile_rows(summaries: Mapping[str, Mapping]) -> list[list[str]]:
     """(stage, count, p50/p95/p99 ms) rows from ``{stage: summary}``
-    (:meth:`QuantileDigest.summary` dicts, live or from a run ledger),
-    pipeline order, end-to-end ``document`` row last."""
+    (:meth:`QuantileDigest.summary` dicts), pipeline order, end-to-end
+    ``document`` row last."""
     ordered = [stage for stage in STAGE_ORDER if stage in summaries]
     ordered += sorted(set(summaries) - set(STAGE_ORDER))
     return [
@@ -237,7 +237,7 @@ class EngineStats(RegistryView):
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         # Slowest documents merged from the chunks' top Ks (parent-side;
-        # persisted via the run ledger rather than the registry).
+        # a run-ledger record stores them beside the registry).
         self.slowest_docs: list[dict] = []
         self.workers = workers
         self.chunk_size = chunk_size
@@ -308,8 +308,7 @@ class EngineStats(RegistryView):
 
     def stage_summaries(self) -> dict[str, dict]:
         """``{stage: digest summary}`` of every non-empty stage digest --
-        the run ledger's ``stage_quantiles`` and the quantile table's
-        input."""
+        the quantile table's input."""
         return {
             stage: digest.summary()
             for stage, digest in self.stage_digests.items()
@@ -390,8 +389,8 @@ class EngineStats(RegistryView):
 
     @classmethod
     def from_registry(cls, registry: MetricsRegistry) -> "EngineStats":
-        """View a saved registry snapshot (``repro-web stats``) as engine
-        statistics."""
+        """View a saved registry snapshot (``repro-web report``) as
+        engine statistics."""
         stats = cls.__new__(cls)
         stats.registry = registry
         stats.slowest_docs = []
@@ -443,7 +442,7 @@ class EngineStats(RegistryView):
     def rule_rows(self) -> list[list[str]]:
         """(rule, seconds, share) rows from the stage totals, slowest
         stage first -- shared by ``convert-corpus`` and ``repro-web
-        stats``."""
+        report``."""
         timings = self.rule_seconds
         total = sum(timings.values())
         rows = []
@@ -454,7 +453,7 @@ class EngineStats(RegistryView):
 
     def chunk_seconds_quantile(self, q: float) -> float:
         """Chunk-duration quantile from the registry's chunk digest --
-        available for snapshots re-loaded by ``repro-web stats`` too."""
+        available for snapshots re-loaded by ``repro-web report`` too."""
         metric = self.registry.get(CHUNK_SECONDS_HISTOGRAM)
         if not isinstance(metric, Distribution):
             return 0.0

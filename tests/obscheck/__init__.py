@@ -17,7 +17,8 @@ Four artifact classes are checked:
   field types (``string``, ``number``, ``boolean``, ``object``,
   ``null``, unions with ``|``), enums, and a *coverage* section naming
   the span names and event kinds a healthy full-pipeline run must emit;
-* the ``--runlog`` ledger against ``runlog_schema.json`` (same dialect);
+* the ``--runlog`` ledger against ``runlog_schema.json`` (same dialect),
+  each run record's embedded registry snapshot round-tripping as below;
 * the ``--metrics-out`` output: Prometheus text exposition (every sample
   matches the line grammar, every series has a ``# TYPE``, histograms
   carry ``+Inf``/``_sum``/``_count``) or the registry JSON snapshot
@@ -175,7 +176,9 @@ def validate_runlog_lines(
     lines: Iterable[str], *, schema: dict | None = None
 ) -> list[str]:
     """Validate run-ledger JSONL content line by line (same record
-    dialect as the trace schema; ``run`` and ``evolution`` records)."""
+    dialect as the trace schema; ``run`` and ``evolution`` records).
+    A run record's embedded ``metrics`` must also round-trip through
+    :meth:`MetricsRegistry.from_json`, as a ``--metrics-out`` file must."""
     schema = schema or load_runlog_schema()
     errors: list[str] = []
     count = 0
@@ -190,6 +193,11 @@ def validate_runlog_lines(
             errors.append(f"line {number}: invalid JSON ({exc})")
             continue
         errors.extend(validate_record(record, schema, where=f"line {number}"))
+        if isinstance(record, dict) and record.get("kind") == "run":
+            try:
+                MetricsRegistry.from_json(record.get("metrics"))
+            except ValueError as exc:
+                errors.append(f"line {number}: metrics do not round-trip: {exc}")
     if count == 0:
         errors.append("run ledger is empty")
     return errors
@@ -265,7 +273,7 @@ def validate_metrics_file(path: str | Path) -> list[str]:
         return validate_prometheus_text(text)
     try:
         registry = MetricsRegistry.from_json(json.loads(text))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         return [f"metrics JSON does not round-trip: {exc}"]
     if len(registry) == 0:
         return ["metrics JSON contains no metrics"]

@@ -11,6 +11,28 @@ from repro.runtime.pool import CHUNK_SIZE
 from tests.obscheck.__main__ import main as obscheck_main
 
 
+RUN_TABLES = (
+    "Corpus engine run",
+    "Per-rule time (summed over workers)",
+    "Per-stage latency quantiles",
+    "Chunk duration quantiles",
+    "Slowest documents (top 10)",
+)
+
+
+def run_tables(out: str) -> dict[str, list[str]]:
+    """Each run table in ``out``, title line through its last row,
+    keyed by its title."""
+    lines = out.splitlines()
+    tables = {}
+    for title in RUN_TABLES:
+        if title in lines:
+            start = lines.index(title)
+            end = next((i for i in range(start, len(lines)) if not lines[i]), len(lines))
+            tables[title] = lines[start:end]
+    return tables
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -69,9 +91,10 @@ class TestThresholdOptions:
 class TestRemovedCommands:
     """The ledger's regression detector and the artifact checker are not
     part of the CLI: ``runs`` only lists, and the checks run as
-    ``python -m tests.obscheck``.  ``serve`` has no tuning options: it
-    batches by the engine's chunk size, and its queue, linger and drain
-    bounds are constants."""
+    ``python -m tests.obscheck``.  ``report`` renders saved metrics, so
+    there is no ``stats``.  ``serve`` has no tuning options: it batches
+    by the engine's chunk size, and its queue, linger and drain bounds
+    are constants."""
 
     @pytest.mark.parametrize("argv", [
         ["validate-obs", "--runlog", "runs.jsonl"],
@@ -81,6 +104,7 @@ class TestRemovedCommands:
         ["serve", "--batch-wait", "0.01"],
         ["serve", "--max-queue", "64"],
         ["serve", "--drain-timeout", "5"],
+        ["stats", "m.json"],
     ])
     def test_unknown(self, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -175,9 +199,6 @@ PARSED_DEFAULTS = [
     (["inspect", "store"], {
         "command": "inspect", "store": "store", "query": "",
         "func": "_cmd_inspect",
-    }),
-    (["stats", "m.json"], {
-        "command": "stats", "metrics": "m.json", "func": "_cmd_stats",
     }),
     (["report", "runs.jsonl"], {
         "command": "report", "ledger": "runs.jsonl", "run": "",
@@ -455,6 +476,56 @@ class TestCommands:
         assert main(["runs", str(ledger)]) == 0
         out = capsys.readouterr().out
         assert "Run ledger (1 records" in out
+
+    def test_one_renderer_for_live_ledger_and_snapshot(self, tmp_path, capsys):
+        """A run's tables print the same from the live run, from its
+        ledger record and from its --metrics-out snapshot: all three
+        render one registry through one function."""
+        ledger, snapshot = tmp_path / "runs.jsonl", tmp_path / "m.json"
+        assert main(["convert-corpus", "--generate", "12", "--quiet",
+                     "--max-workers", "2", "--chunk-size", "4",
+                     "--runlog", str(ledger), "--metrics-out", str(snapshot)]) == 0
+        live = run_tables(capsys.readouterr().out)
+        assert main(["report", str(ledger)]) == 0
+        from_ledger = run_tables(capsys.readouterr().out)
+        assert main(["report", str(snapshot)]) == 0
+        from_snapshot = run_tables(capsys.readouterr().out)
+        assert set(live) == set(RUN_TABLES)
+        assert live == from_ledger
+        # A snapshot holds the registry alone: no slowest documents.
+        del live["Slowest documents (top 10)"]
+        assert live == from_snapshot
+
+    def test_version_one_run_record_refused(self, tmp_path, capsys):
+        """A version-1 run record copied fields out of the registry and
+        does not hold it: report refuses it, runs lists it blank."""
+        ledger = tmp_path / "runs.jsonl"
+        ledger.write_text(json.dumps({
+            "kind": "run", "version": 1, "run_id": "run-old",
+            "time_iso": "2026-01-01T00:00:00Z", "workers": 2,
+            "documents": 30, "documents_failed": 0, "docs_per_second": 120.0,
+        }) + "\n")
+        assert main(["report", str(ledger)]) == 1
+        err = capsys.readouterr().err
+        assert "version-1 record" in err and "--runlog" in err
+        assert main(["runs", str(ledger)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("run-old"))
+        assert row.split() == ["run-old", "run", "2026-01-01T00:00:00Z"]
+
+    def test_corrupted_embedded_registry_is_one_message(self, tmp_path, capsys):
+        ledger = tmp_path / "runs.jsonl"
+        assert main(["convert-corpus", "--generate", "2", "--quiet",
+                     "--max-workers", "1", "--runlog", str(ledger)]) == 0
+        record = json.loads(ledger.read_text())
+        counter = next(e for e in record["metrics"]["metrics"] if e["kind"] == "counter")
+        counter["value"] = "abc"
+        ledger.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        for command in ("report", "runs"):
+            assert main([command, str(ledger)]) == 2
+            err = capsys.readouterr().err
+            assert "non-numeric value 'abc'" in err and err.count("\n") == 1
 
     def test_report_renders_each_record_by_kind(self, tmp_path, capsys):
         """A fold appends a ``kind: "evolution"`` record to the ledger

@@ -6,7 +6,7 @@
 * Coverage: a traced convert+discover run emits spans for all four
   conversion rules and every discovery stage, one rule event per rule
   per document, and one concept event per token decision.
-* CLI: ``--trace-out`` / ``--metrics-out`` / ``stats`` and the
+* CLI: ``--trace-out`` / ``--metrics-out`` / ``report`` and the
   ``python -m tests.obscheck`` entry point round-trip through real files.
 """
 
@@ -217,12 +217,12 @@ class TestCliObservability:
         assert validate_metrics_file(prom) == []
         assert validate_metrics_file(mjson) == []
 
-    def test_stats_rerenders_saved_metrics(self, tmp_path, capsys):
+    def test_report_rerenders_saved_metrics(self, tmp_path, capsys):
         mjson = tmp_path / "metrics.json"
         main(["convert-corpus", "--generate", "4", "--chunk-size", "2",
               "--max-workers", "1", "--metrics-out", str(mjson)])
         live = quantile_table(capsys.readouterr().out)
-        assert main(["stats", str(mjson)]) == 0
+        assert main(["report", str(mjson)]) == 0
         printed = capsys.readouterr().out
         assert "documents" in printed
         assert "4" in printed
@@ -234,9 +234,13 @@ class TestCliObservability:
 
     @pytest.mark.parametrize("corruption", [
         "index_outside_layout", "negative_count", "mismatched_lengths",
-        "count_not_sum", "old_fixed_buckets",
+        "count_not_sum", "old_fixed_buckets", "not_an_object",
+        "metrics_not_a_list", "entry_without_name", "non_numeric_value",
+        "help_not_an_object", "labels_not_an_object", "indices_not_a_list",
     ])
     def test_stats_rejects_malformed_snapshot(self, tmp_path, capsys, corruption):
+        """``report`` exits 2 with one message on a snapshot no run
+        could have written, never with a traceback."""
         mjson = tmp_path / "metrics.json"
         main(["convert-corpus", "--generate", "2", "--max-workers", "1",
               "--metrics-out", str(mjson)])
@@ -251,19 +255,42 @@ class TestCliObservability:
             digest["counts"].append(1)
         elif corruption == "count_not_sum":
             digest["count"] += 1
-        else:
+        elif corruption == "not_an_object":
+            snapshot = [1, 2]
+        elif corruption == "metrics_not_a_list":
+            snapshot["metrics"] = {}
+        elif corruption == "entry_without_name":
+            del snapshot["metrics"][0]["name"]
+        elif corruption == "non_numeric_value":
+            counter = next(e for e in snapshot["metrics"] if e["kind"] == "counter")
+            counter["value"] = "abc"
+        elif corruption == "help_not_an_object":
+            snapshot["help"] = [1]
+        elif corruption == "labels_not_an_object":
+            entry["labels"] = [1]
+        elif corruption == "indices_not_a_list":
+            digest["indices"] = 5
+        elif corruption == "old_fixed_buckets":
             del entry["digest"]
             entry.update(buckets=[0.1, 1.0], counts=[2, 0, 0], sum=0.1, count=2)
         mjson.write_text(json.dumps(snapshot))
         capsys.readouterr()
-        assert main(["stats", str(mjson)]) == 2
-        assert capsys.readouterr().err.strip()
+        assert main(["report", str(mjson)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{mjson}: ") and err.count("\n") == 1
 
-    def test_stats_rejects_prometheus_input(self, tmp_path, capsys):
+    def test_report_rejects_prometheus_input(self, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"
         main(["convert-corpus", "--generate", "2", "--max-workers", "1",
               "--metrics-out", str(prom)])
-        assert main(["stats", str(prom)]) == 2
+        capsys.readouterr()
+        assert main(["report", str(prom)]) == 2
+        assert "save metrics as .json" in capsys.readouterr().err
+
+    def test_report_missing_file_is_one_line(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "absent.json")]) == 1
+        err = capsys.readouterr().err
+        assert "absent.json" in err and err.count("\n") == 1
 
     def test_obscheck_entry_point(self, tmp_path, capsys):
         """``python -m tests.obscheck`` from the repository root, as CI

@@ -297,7 +297,7 @@ class TestLoadMetrics:
 
     def test_gauge_merge_key_of_older_files_ignored(self, tmp_path, capsys):
         """Metrics files saved while gauges carried a merge mode still
-        load, and ``repro-web stats`` still renders them."""
+        load, and ``repro-web report`` still renders them."""
         snapshot = self.build().to_json()
         for entry in snapshot["metrics"]:
             if entry["kind"] == "gauge":
@@ -305,8 +305,8 @@ class TestLoadMetrics:
         target = tmp_path / "older.json"
         target.write_text(json.dumps(snapshot))
         assert load_metrics(target).to_json() == self.build().to_json()
-        assert main(["stats", str(target)]) == 0
-        assert "Saved engine metrics" in capsys.readouterr().out
+        assert main(["report", str(target)]) == 0
+        assert "Corpus engine run" in capsys.readouterr().out
 
     def test_old_fixed_bucket_form_rejected(self, tmp_path):
         target = tmp_path / "old.json"

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import (
+    RUNLOG_VERSION,
     RunLedger,
     build_run_record,
     config_fingerprint,
     new_run_id,
 )
+from repro.runtime.stats import EngineStats
 from tests.obscheck import validate_runlog_file, validate_runlog_lines
 
 
@@ -66,10 +69,16 @@ class TestRunRecord:
             corpus_size=8,
         )
         assert record["kind"] == "run"
-        assert record["documents"] == 8
-        assert record["workers"] == 2
-        assert record["docs_per_second"] > 0
-        assert set(record["stage_quantiles"]) >= {"parse", "instance", "document"}
+        assert record["version"] == RUNLOG_VERSION == 2
+        assert record["corpus_size"] == 8
+        # The record stores the run's registry, not fields copied out of it.
+        assert record["metrics"] == stats.registry.to_json()
+        saved = EngineStats.from_registry(MetricsRegistry.from_json(record["metrics"]))
+        assert saved.documents == 8
+        assert saved.workers == 2
+        assert saved.docs_per_second > 0
+        assert set(saved.stage_summaries()) >= {"parse", "instance", "document"}
+        assert not {"documents", "workers", "stage_quantiles"} & set(record)
         assert record["slowest_documents"]
         assert record["slowest_documents"][0]["seconds"] >= (
             record["slowest_documents"][-1]["seconds"]
@@ -81,13 +90,27 @@ class TestRunRecord:
         _, stats = engine_stats(kb, count=4, workers=1)
         path = tmp_path / "deep" / "runs.jsonl"  # parents created
         ledger = RunLedger(path)
-        first = ledger.append(build_run_record(stats, run_id="run-a"))
-        ledger.append(build_run_record(stats, run_id="run-b"))
+        first = ledger.append(build_run_record(stats, corpus_size=4, run_id="run-a"))
+        ledger.append(build_run_record(stats, corpus_size=4, run_id="run-b"))
         assert len(ledger) == 2
         assert ledger.latest()["run_id"] == "run-b"
         assert ledger.find("run-a") == first
         assert ledger.find("missing") is None
         assert validate_runlog_file(path) == []
+
+    def test_corrupted_embedded_registry_fails_validation(self, kb):
+        """The contract check round-trips a run record's registry, so a
+        record whose digest no run could produce is rejected."""
+        _, stats = engine_stats(kb, count=4, workers=1)
+        record = build_run_record(stats, corpus_size=4)
+        assert validate_runlog_lines([json.dumps(record)]) == []
+        digest = next(
+            entry["digest"] for entry in record["metrics"]["metrics"]
+            if entry["kind"] == "histogram"
+        )
+        digest["count"] += 1
+        errors = validate_runlog_lines([json.dumps(record)])
+        assert len(errors) == 1 and "metrics do not round-trip" in errors[0]
 
     def test_ledger_skips_blank_and_garbage_lines(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -18,10 +18,10 @@ import io
 import pytest
 
 from repro.corpus.generator import ResumeCorpusGenerator
-from repro.obs import ProgressReporter, build_run_record
+from repro.obs import MetricsRegistry, ProgressReporter, build_run_record
 from repro.obs.tracer import Tracer
 from repro.runtime.engine import CorpusEngine, EngineConfig
-from repro.runtime.stats import STAGE_ORDER
+from repro.runtime.stats import STAGE_ORDER, EngineStats
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -41,7 +41,9 @@ def run_engine(kb, html, workers, *, intelligence):
         html, discover=True, tracer=Tracer(), progress=reporter
     )
     reporter.finish(run.corpus.stats)
-    record = build_run_record(run.corpus.stats, fingerprint="t", topic="resume")
+    record = build_run_record(
+        run.corpus.stats, corpus_size=len(html), fingerprint="t", topic="resume"
+    )
     return run, record
 
 
@@ -70,8 +72,9 @@ class TestByteIdenticalOutput:
         assert full.corpus.xml_documents == plain.corpus.xml_documents
         assert full.discovery.dtd.render() == plain.discovery.dtd.render()
         # ... and the observers actually observed.
-        assert record["documents"] == len(html)
-        assert record["stage_quantiles"]["document"]["count"] == len(html)
+        saved = EngineStats.from_registry(MetricsRegistry.from_json(record["metrics"]))
+        assert saved.documents == len(html)
+        assert saved.stage_digests["document"].count == len(html)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_golden_plus_generated_corpus(self, kb, mixed_html, workers):
@@ -122,8 +125,6 @@ class TestDigestMergeEqualsSerial:
         """Pickle-simulate the wire: per-chunk digests folded in any
         order equal the engine's parent-side merge."""
         import pickle
-
-        from repro.runtime.stats import EngineStats
 
         engine = CorpusEngine(
             kb, engine_config=EngineConfig(max_workers=4, chunk_size=3)
