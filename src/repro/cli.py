@@ -427,10 +427,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     record = None
     try:
         if _is_metrics_snapshot(path, text):
+            if args.run:
+                print(f"{path}: --run selects a ledger record, and this is "
+                      "a metrics snapshot of one run", file=sys.stderr)
+                return 1
             stats = EngineStats.from_registry(load_metrics(path))
         else:
-            ledger = RunLedger(path)
-            record = ledger.find(args.run) if args.run else ledger.latest()
+            records, tail_skipped = _read_ledger(path)
+            if args.run:
+                record = RunLedger(path).find(args.run)
+            elif tail_skipped:
+                print(f"{path}: the last line does not parse, so the latest "
+                      "record is unknown; name one with --run", file=sys.stderr)
+                return 1
+            else:
+                record = records[-1] if records else None
             if record is None:
                 which = f"run {args.run!r}" if args.run else "record"
                 print(f"{path}: no {which} found", file=sys.stderr)
@@ -466,9 +477,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_ledger(path: str | Path) -> tuple[list[dict], bool]:
+    """A ledger's records, and whether its last non-blank line was
+    skipped.  Each skipped line number is named on stderr."""
+    lines = RunLedger(path).lines()
+    skipped = [str(number) for number, record in lines if record is None]
+    if skipped:
+        print(f"{path}: skipped unparseable line(s) {', '.join(skipped)}",
+              file=sys.stderr)
+    records = [record for _, record in lines if record is not None]
+    return records, bool(lines) and lines[-1][1] is None
+
+
 def _cmd_runs(args: argparse.Namespace) -> int:
-    ledger = RunLedger(args.ledger)
-    records = ledger.records()
+    records, _ = _read_ledger(args.ledger)
     if not records:
         print(f"{args.ledger}: no run records", file=sys.stderr)
         return 1

@@ -159,32 +159,29 @@ class RunLedger:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         return record
 
-    def records(self) -> list[dict]:
-        """All parseable records, oldest first (blank lines skipped)."""
+    def lines(self) -> list[tuple[int, dict | None]]:
+        """Each non-blank line as (line number, record), oldest first;
+        the record is ``None`` for a line that is not a JSON object (a
+        cut-short append, say)."""
         if not self.path.exists():
             return []
-        records = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        lines = []
+        text = self.path.read_text(encoding="utf-8")
+        for number, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    record = None
+                lines.append((number, record if isinstance(record, dict) else None))
+        return lines
 
-    def latest(self) -> dict | None:
-        records = self.records()
-        return records[-1] if records else None
+    def records(self) -> list[dict]:
+        """All parseable records, oldest first."""
+        return [record for _, record in self.lines() if record is not None]
 
     def find(self, run_id: str) -> dict | None:
         for record in self.records():
             if record.get("run_id") == run_id:
                 return record
         return None
-
-    def __len__(self) -> int:
-        return len(self.records())

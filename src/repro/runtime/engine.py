@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import Future
@@ -243,18 +242,12 @@ def _convert_chunk(
     provenance events and spans key documents by their global position
     regardless of which worker converted them.
 
-    Per-document isolation: under a non-fail-fast policy a document
-    whose conversion raises becomes a :class:`DocumentFailure` in the
-    payload (with the source attached when the policy quarantines) and
-    its siblings convert exactly as they would alone.  Fail-fast lets
-    the exception propagate -- the historical behavior.
-
-    Transport control: with ``collect_xml=False`` survivors' XML stays
-    out of the payload (discovery-only callers never pay to ship it);
-    an :class:`XmlSink` writes each survivor -- named by ``names`` when
-    the caller supplied original stems, by global position otherwise --
-    from inside the worker.  With neither, documents are not even
-    serialized.
+    Under a non-fail-fast policy a document whose conversion raises
+    becomes a :class:`DocumentFailure` in the payload (with its source
+    when the policy quarantines); fail-fast lets the exception
+    propagate.  Survivors' XML ships only with ``collect_xml``, an
+    :class:`XmlSink` writes it from the worker, and with neither the
+    documents are not serialized at all.
     """
     converter = worker.converter
     kill_marker = converter.config.chaos_kill_marker
@@ -411,7 +404,6 @@ class CorpusEngine:
         self.config = config or ConversionConfig()
         self.engine_config = engine_config or EngineConfig()
         self._inline_converter: DocumentConverter | None = None
-        self._recovery = threading.Lock()
 
     # -- conversion ----------------------------------------------------------
 
@@ -430,31 +422,23 @@ class CorpusEngine:
         """Yield converted chunks **in document order**.
 
         Every chunk is one :func:`_convert_chunk` task on a
-        :class:`WorkerPool` (inline at one worker).  The worker count,
-        chunk size and error policy all come from :attr:`engine_config`.
-        Results stream as soon as their chunk (and every earlier chunk)
-        finishes; at most :func:`~repro.runtime.pool.inflight_window`
-        chunks are submitted but unmerged, so memory stays bounded on
-        arbitrarily large corpora.  Pass an :class:`EngineStats` to have
-        counters, timings, and queue-depth instrumentation filled in as
-        the stream drains; the engine writes its own ``workers`` and
-        ``chunk_size`` onto it.
+        :class:`WorkerPool` (inline at one worker); the worker count,
+        chunk size and error policy come from :attr:`engine_config`.  At
+        most :func:`~repro.runtime.pool.inflight_window` chunks are
+        submitted but unmerged, so memory stays bounded, and each is
+        merged through :meth:`settle`, which recovers a chunk a worker
+        crash killed.  A passed :class:`EngineStats` is filled in as the
+        stream drains, including the engine's ``workers`` and
+        ``chunk_size``; ``progress`` is called with it after each merge.
 
-        With a recording ``tracer``/``provenance``, each chunk builds its
-        own tracer and log and ships serialized spans/events back; the
-        merge loop re-parents the spans under this tracer's current span
-        (namespaced by chunk index) and appends the events in document
-        order -- the cross-process half of the span tree.
+        With a recording ``tracer``/``provenance``, each chunk ships its
+        serialized spans/events back; the merge re-parents the spans
+        under this tracer's current span (namespaced by chunk index) and
+        appends the events in document order.
 
-        ``progress`` (e.g. a :class:`repro.obs.progress.ProgressReporter`)
-        is called with the updated stats after every chunk merge --
-        the live progress/ETA hook.
-
-        Transport: ``collect_xml=False`` keeps survivors' XML out of
-        the payloads (``payload.xml`` comes back empty) for callers that
-        only need accumulator + stats; ``xml_sink`` (a directory path)
-        writes each survivor to a file from inside the worker, named by
-        the aligned ``names`` sequence when given, by global document
+        ``collect_xml=False`` keeps survivors' XML out of the payloads;
+        ``xml_sink`` (a directory) has each worker write its survivors,
+        named by the aligned ``names`` when given, by global document
         position otherwise.
         """
         tracer = resolve_tracer(tracer)
@@ -478,7 +462,8 @@ class CorpusEngine:
         interrupted = False
 
         def merge_oldest() -> ChunkPayload:
-            payload = self._next_payload(pending, pool, policy, budget, stats)
+            task, future = pending.popleft()
+            payload = self.settle(pool, task, future, stats, budget)
             stats.absorb(payload.stats)
             # Wall clock advances at every merge, so an abandoned stream
             # still reports the time actually spent (not a close/GC-time
@@ -507,7 +492,7 @@ class CorpusEngine:
                     else list(names[doc_cursor : doc_cursor + len(chunk)]),
                 )
                 doc_cursor += len(chunk)
-                pending.append((task, self._submit(pool, task, budget, stats)))
+                pending.append((task, self._start(pool, task)))
                 stats.max_queue_depth = max(
                     stats.max_queue_depth, len(pending)
                 )
@@ -518,12 +503,9 @@ class CorpusEngine:
             while pending:
                 yield merge_oldest()
         except BaseException:
-            # Any exceptional exit -- the consumer closing the stream
-            # (GeneratorExit), Ctrl-C (KeyboardInterrupt), a progress
-            # callback raising, or a conversion error under fail-fast --
-            # must not block on in-flight chunks (the old `with pool:`
-            # exit did, leaking the caller's time into generator close);
-            # cancel queued ones and let workers die with the pool.
+            # An exceptional exit (the consumer closing the stream, Ctrl-C,
+            # a progress callback or fail-fast raising) must not block on
+            # in-flight chunks: cancel them and let workers die with the pool.
             interrupted = True
             raise
         finally:
@@ -667,52 +649,46 @@ class CorpusEngine:
             state=_ChunkWorker(self._converter(), *options),
         )
 
-    def _submit(
+    @staticmethod
+    def _start(pool: WorkerPool, task: ChunkTask) -> Future[ChunkPayload]:
+        """Submit a chunk; on a pool a crash already broke, its future is
+        dead at once, and :meth:`settle` recovers it like the others."""
+        try:
+            return task.submit(pool)
+        except BrokenProcessPool as exc:
+            dead: Future[ChunkPayload] = Future()
+            dead.set_exception(exc)
+            return dead
+
+    def convert_chunk(
+        self, pool: WorkerPool, task: ChunkTask, stats: EngineStats
+    ) -> ChunkPayload:
+        """Submit one chunk and settle it: the conversion service's step
+        for a micro-batch, run on an executor thread since it blocks."""
+        return self.settle(pool, task, self._start(pool, task), stats)
+
+    def settle(
         self,
         pool: WorkerPool,
         task: ChunkTask,
-        budget: RecoveryBudget,
+        future: Future[ChunkPayload],
         stats: EngineStats,
-    ) -> Future[ChunkPayload]:
-        """Submit a chunk, first replacing the pool if a crash broke it
-        (bounded by the recovery budget)."""
-        try:
-            return task.submit(pool)
-        except BrokenProcessPool:
-            budget.spend()
-            stats.record_pool_rebuild()
-            pool.rebuild()
-            return task.submit(pool)
-
-    def _next_payload(
-        self,
-        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]],
-        pool: WorkerPool,
-        policy: ErrorPolicy,
-        budget: RecoveryBudget,
-        stats: EngineStats,
+        budget: RecoveryBudget | None = None,
     ) -> ChunkPayload:
-        """The oldest pending chunk's payload, recovering worker crashes.
+        """A submitted chunk's payload: the one step that settles every
+        chunk, for :meth:`stream` and the conversion service alike.
 
-        A dead worker surfaces as ``BrokenProcessPool`` on whichever
-        future is awaited -- not necessarily the chunk that killed it.
-        Under fail-fast the error propagates (historical behavior);
-        otherwise the awaited chunk goes through :meth:`recover_chunk`
-        and every other in-flight chunk is resubmitted in order, so the
-        in-order merge semantics survive the crash.
+        A dead worker fails every chunk in flight with it, not only its
+        killer.  Under fail-fast ``BrokenProcessPool`` propagates;
+        otherwise each dead chunk goes through :meth:`recover_chunk`
+        when its turn comes.
         """
-        task, future = pending.popleft()
         try:
             return future.result()
         except BrokenProcessPool:
-            if policy.is_fail_fast:
+            if pool.state.policy.is_fail_fast:  # type: ignore[attr-defined]
                 raise
-            payload = self.recover_chunk(pool, task, stats, budget)
-            # Every other in-flight future died with the pool; resubmit
-            # the chunks in their original order on the rebuilt pool.
-            for position, (other, _dead) in enumerate(pending):
-                pending[position] = (other, self._submit(pool, other, budget, stats))
-            return payload
+            return self.recover_chunk(pool, task, stats, budget)
 
     def recover_chunk(
         self,
@@ -722,8 +698,8 @@ class CorpusEngine:
         budget: RecoveryBudget | None = None,
     ) -> ChunkPayload:
         """Re-run a chunk whose pool broke, bisecting around worker-killing
-        documents.  The one crash-recovery entry point: :meth:`stream`
-        and the conversion service both call it.
+        documents.  The one crash-recovery path: :meth:`settle` calls it
+        for :meth:`stream` and the conversion service alike.
 
         The chunk's sources are processed as a worklist of contiguous
         segments: a segment that converts cleanly is kept whole; one
@@ -735,50 +711,50 @@ class CorpusEngine:
         replacements, so a re-run segment's survivors simply overwrite
         the files any pre-crash attempt already produced.
 
-        Recoveries on one engine run one at a time, so a bisection
-        never shares the pool with another chunk's re-run segments.
-        Pool rebuilds are recorded on ``stats`` and bounded by
-        ``budget`` (a fresh ``max_pool_rebuilds`` budget by default).
+        The bisection holds :meth:`WorkerPool.exclusive`: it starts once
+        every other task in flight has finished or died, and no other
+        submit reaches the pool until it ends, so only this chunk's own
+        documents can break the pool while it runs.  Pool rebuilds are
+        recorded on ``stats`` and bounded by ``budget`` (a fresh
+        ``max_pool_rebuilds`` budget by default).
         """
         if budget is None:
             budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
         worker: _ChunkWorker = pool.state  # type: ignore[assignment]
-        segments: deque[tuple[int, list[str]]] = deque(
-            [(task.base, task.sources)]
-        )
+        segments = deque([(task.base, task.sources)])
         pieces: list[tuple[int, ChunkPayload | DocumentFailure]] = []
-        with self._recovery:
+        with pool.exclusive():
             while segments:
                 base, sources = segments.popleft()
                 offset = base - task.base
-                names = (
-                    None
-                    if task.names is None
-                    else task.names[offset : offset + len(sources)]
-                )
+                names = task.names and task.names[offset : offset + len(sources)]
                 segment = ChunkTask(task.index, base, sources, names)
                 try:
-                    pieces.append(
-                        (base, self._submit(pool, segment, budget, stats).result())
-                    )
+                    pieces.append((base, self._rerun(pool, segment, budget, stats)))
                 except BrokenProcessPool:
-                    if len(sources) == 1:
-                        pieces.append(
-                            (
-                                base,
-                                worker_crash_failure(
-                                    f"doc{base:04d}",
-                                    base,
-                                    source=sources[0]
-                                    if worker.policy.captures_source
-                                    else None,
-                                ),
-                            )
-                        )
-                    else:
-                        for part in reversed(split_segment(base, sources)):
-                            segments.appendleft(part)
+                    if len(sources) > 1:
+                        segments.extendleft(reversed(split_segment(base, sources)))
+                        continue
+                    source = sources[0] if worker.policy.captures_source else None
+                    failure = worker_crash_failure(f"doc{base:04d}", base, source=source)
+                    pieces.append((base, failure))
         return self._stitch_chunk(task.index, pieces, worker.provenance)
+
+    @staticmethod
+    def _rerun(
+        pool: WorkerPool, segment: ChunkTask, budget: RecoveryBudget, stats: EngineStats
+    ) -> ChunkPayload:
+        """Run one bisection segment, first replacing the pool if a crash
+        broke it.  ``BrokenProcessPool`` here means the segment killed a
+        worker itself."""
+        try:
+            future = segment.submit(pool)
+        except BrokenProcessPool:
+            budget.spend()
+            stats.record_pool_rebuild()
+            pool.rebuild()
+            future = segment.submit(pool)
+        return future.result()
 
     @staticmethod
     def _stitch_chunk(

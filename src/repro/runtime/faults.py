@@ -1,23 +1,8 @@
-"""Engine-side fault tolerance: worker-crash accounting and recovery.
-
-The conversion-layer vocabulary (:class:`DocumentFailure`,
-:class:`ErrorPolicy`, :class:`PipelineStageError`, quarantine writing)
-lives in :mod:`repro.convert.errors`, and every caller imports it from
-there.  This module holds only what the process-pool engine adds:
-
-* :func:`worker_crash_failure` -- the :class:`DocumentFailure` recorded
-  for a document that *killed its worker* (OOM, segfault, ``os._exit``):
-  there is no Python exception to capture, so the stage is
-  ``WORKER_STAGE`` and the type ``WorkerCrash``.
-* :class:`RecoveryBudget` -- the bounded-retry counter for pool
-  rebuilds.  A corpus where every chunk keeps breaking the pool must
-  abort rather than rebuild forever; the budget raises
-  :class:`PoolRebuildExhausted` when spent.
-* :func:`split_segment` -- one bisection step over a chunk's sources.
-  When a chunk breaks the pool the engine cannot know *which* document
-  killed the worker, so it re-runs the chunk in halves, recursing into
-  whichever half breaks the pool again, until the killer is isolated as
-  a single document and its siblings are salvaged.
+"""What the process-pool engine adds to the conversion layer's failure
+vocabulary (:mod:`repro.convert.errors`): the failure record of a
+document that killed its worker, the bounded budget of pool rebuilds,
+and one bisection step.  :meth:`repro.runtime.engine.CorpusEngine.recover_chunk`
+is the one place that uses them.
 """
 
 from __future__ import annotations

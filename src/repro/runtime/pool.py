@@ -23,6 +23,9 @@ module is the only place that builds a ``ProcessPoolExecutor``:
 * :meth:`WorkerPool.map` -- ordered results over a bounded window of
   :func:`inflight_window` chunks (the window the engine's merge and the
   service's dispatch share);
+* :meth:`WorkerPool.exclusive` -- the gate of crash recovery: it waits
+  until every task in flight has finished or died, then keeps every
+  other thread's submit off the pool until the block ends;
 * :meth:`WorkerPool.rebuild`, :meth:`WorkerPool.pids` and
   :meth:`WorkerPool.shutdown` -- the lifecycle crash recovery and the
   service's drain need.
@@ -39,7 +42,8 @@ import multiprocessing
 import os
 import threading
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, TypeVar
 
 Item = TypeVar("Item")
@@ -147,10 +151,10 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._context: _RecordingContext | None = None
         self._closed = False
-        # An inline pool is one worker: tasks submitted from several
-        # threads (the service converts on executor threads) run one at
-        # a time, since the state is not thread-safe.
-        self._inline_lock = threading.Lock()
+        # The pool's one lock: inline tasks run under it (the state is
+        # not thread-safe), every submit takes it, and exclusive() holds it.
+        self._lock = threading.RLock()
+        self._inflight: set[Future] = set()
         if self.workers > 1:
             _PREFORK[id(state_args)] = (state_args, self.state)
             self._spawn()
@@ -169,18 +173,31 @@ class WorkerPool:
 
         A broken process pool raises ``BrokenProcessPool`` here or from
         the returned future; :meth:`rebuild` makes the pool usable again.
+        While another thread holds :meth:`exclusive`, this waits.
         """
         if self._closed:
             raise PoolClosed("worker pool is shut down")
-        if self._executor is None:
-            future: Future = Future()
-            with self._inline_lock:
+        with self._lock:
+            if self._executor is None:
+                future: Future = Future()
                 try:
                     future.set_result(fn(self.state, *args))
                 except Exception as exc:
                     future.set_exception(exc)
-            return future
-        return self._executor.submit(_call, fn, args)
+                return future
+            future = self._executor.submit(_call, fn, args)
+            self._inflight.add(future)
+        future.add_done_callback(self._inflight.discard)
+        return future
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        """Have the pool alone: wait until every task in flight has
+        finished or died, then hold every other thread's :meth:`submit`
+        until the block ends (the holder's own submits go through)."""
+        with self._lock:
+            wait(list(self._inflight))
+            yield
 
     def map(
         self,

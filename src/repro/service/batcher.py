@@ -160,9 +160,5 @@ class MicroBatcher:
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches), return_exceptions=True)
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     def queued(self) -> int:
         return sum(queue.qsize() for queue in self._queues.values())

@@ -9,20 +9,21 @@ everything else in the reproduction): request line + headers +
     GET  /schemas/<topic>     evolving-schema status, current DTD
     GET  /schemas/<topic>/<v> one archived DTD version
     GET  /metrics             Prometheus 0.0.4 exposition
-    GET  /healthz             liveness + worker pids + latency summary
+    GET  /healthz             liveness + worker pids + /convert latency
     GET  /                    route listing
 
 Shutdown is a graceful drain: stop accepting connections, let every
 in-flight and queued request finish (the batcher flushes its lanes),
-then shut the pool down with ``wait=True`` so no worker process is
-orphaned.  ``run()`` wires SIGTERM/SIGINT to exactly that.
+close the connections left idle, then shut the pool down with
+``wait=True`` so no worker process is orphaned.  ``run()`` wires
+SIGTERM/SIGINT to exactly that.
 
 The service serves one topic, its knowledge base's.  Each micro-batch
 is one engine chunk on the service's
 :class:`~repro.runtime.pool.WorkerPool`, converted under the engine's
-``skip`` policy.  A worker crash goes through
-:meth:`CorpusEngine.recover_chunk`, the same bisection the offline
-engine uses, so a worker-killing document fails alone.
+``skip`` policy by :meth:`CorpusEngine.convert_chunk`, the step that
+settles every chunk of the offline engine too: a worker crash goes
+through the same bisection, so a worker-killing document fails alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +42,6 @@ from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
 from repro.convert.errors import DocumentFailure
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.quantiles import QuantileDigest
 from repro.runtime.engine import ChunkPayload, ChunkTask, CorpusEngine, EngineConfig
 from repro.runtime.pool import CHUNK_SIZE, PoolClosed, WorkerPool, inflight_window
 from repro.runtime.stats import ChunkStats, EngineStats
@@ -58,13 +57,18 @@ from repro.service.state import TopicState, UnknownSchemaVersion
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADERS = 100
+# Read deadlines, in seconds: for a keep-alive connection's next request
+# to start (then a close), and for its head and its body (then a 408).
+IDLE_SECONDS = 60.0
+HEADER_SECONDS = 10.0
+BODY_SECONDS = 60.0
 # Seconds a drain waits for in-flight HTTP requests before flushing the
 # batcher regardless.
 DRAIN_SECONDS = 30.0
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout", 413: "Payload Too Large",
     422: "Unprocessable Entity", 431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
@@ -128,7 +132,6 @@ class ConversionService:
             chunk_size=CHUNK_SIZE,
             registry=self.registry,
         )
-        self.latency = QuantileDigest()
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -147,7 +150,7 @@ class ConversionService:
         describe = self.registry.describe
         describe(REQUESTS, "HTTP requests served, by route and status code.")
         describe(DOCUMENTS, "Documents accepted for conversion over HTTP.")
-        describe(REQUEST_SECONDS, "End-to-end request latency in seconds.")
+        describe(REQUEST_SECONDS, "End-to-end /convert request latency in seconds.")
         describe(BATCH_DOCUMENTS, "Documents per dispatched engine chunk.")
         describe(
             QUEUE_WAIT_SECONDS,
@@ -207,18 +210,19 @@ class ConversionService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Every accepted request runs to completion: first the ones in
         # HTTP handlers (they may be waiting on batcher futures)...
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(self._idle.wait(), timeout=DRAIN_SECONDS)
         # ...then the batcher's queues and in-flight chunks.
         await self.batcher.drain()
-        # Idle keep-alive connections are blocked in readline(); closing
-        # the transports lets their handler loops exit cleanly.
+        # Close idle and half-sent connections before wait_closed(),
+        # which from Python 3.12.1 also waits for every open connection.
         for writer in list(self._connections):
             with contextlib.suppress(Exception):
                 writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._conn_tasks:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True
@@ -246,7 +250,11 @@ class ConversionService:
         )
         self._doc_cursor += len(batch)
         try:
-            payload = await self._convert(task)
+            # The engine's step blocks on the chunk, and on the pool's
+            # gate while a crash bisection runs, so it runs on a thread.
+            payload = await asyncio.get_running_loop().run_in_executor(
+                None, self.engine.convert_chunk, self.pool, task, self.stats
+            )
         except Exception as exc:
             payload = _engine_failure(task, exc)
             fold = False  # nothing converted, nothing to fold
@@ -267,24 +275,6 @@ class ConversionService:
         for pending, outcome in zip(batch, outcomes):
             if not pending.future.done():
                 pending.future.set_result(outcome)
-
-    async def _convert(self, task: ChunkTask) -> ChunkPayload:
-        """One micro-batch on the warm pool.  A broken pool goes to the
-        engine's crash recovery on a thread (it blocks while it bisects),
-        so a worker-killing document fails alone."""
-        pool = self.pool
-        loop = asyncio.get_running_loop()
-        try:
-            if pool.workers == 1:
-                # Inline pool: convert on a thread, keeping the loop live.
-                return await loop.run_in_executor(
-                    None, lambda: task.submit(pool).result()
-                )
-            return await asyncio.wrap_future(task.submit(pool))
-        except BrokenProcessPool:
-            return await loop.run_in_executor(
-                None, self.engine.recover_chunk, pool, task, self.stats
-            )
 
     def _split_payload(
         self, payload, base: int, batch: list[PendingDocument]
@@ -409,14 +399,13 @@ class ConversionService:
                     if self._active_requests == 0:
                         self._idle.set()
                     self.registry.gauge(INFLIGHT).set(self._active_requests)
-                elapsed = time.monotonic() - started
-                route = _route_label(method, path)
                 self.registry.counter(
-                    REQUESTS, route=route, code=str(status)
+                    REQUESTS, route=_route_label(method, path), code=str(status)
                 ).inc()
-                self.registry.histogram(REQUEST_SECONDS).observe(elapsed)
                 if path.startswith("/convert"):
-                    self.latency.observe(elapsed)
+                    self.registry.histogram(REQUEST_SECONDS).observe(
+                        time.monotonic() - started
+                    )
                 keep = (
                     not self._draining
                     and headers.get("connection", "").lower() != "close"
@@ -546,6 +535,7 @@ class ConversionService:
 
     def _health_report(self) -> dict:
         worker_pids = sorted(self.pool.pids()) if self.pool is not None else []
+        latency = self.registry.histogram(REQUEST_SECONDS).digest
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -555,7 +545,7 @@ class ConversionService:
             "documents_failed": self.stats.documents_failed,
             "queued": self.batcher.queued(),
             "topics": [self.state.topic],
-            "latency": self.latency.summary() if self.latency.count else None,
+            "latency": latency.summary() if latency.count else None,
         }
 
     def _describe_service(self) -> dict:
@@ -579,17 +569,11 @@ def _engine_failure(task: ChunkTask, exc: Exception) -> ChunkPayload:
     payload = ChunkPayload(
         xml=[], accumulator=PathAccumulator(), stats=ChunkStats(task.index)
     )
-    for offset in range(len(task.sources)):
-        payload.drop(
-            DocumentFailure(
-                doc_id=f"doc{task.base + offset:04d}",
-                index=task.base + offset,
-                stage="engine",
-                error_type=type(exc).__name__,
-                message=str(exc),
-            ),
-            None,
+    for index in range(task.base, task.base + len(task.sources)):
+        failure = DocumentFailure(
+            f"doc{index:04d}", index, "engine", type(exc).__name__, str(exc)
         )
+        payload.drop(failure, None)
     return payload
 
 
@@ -599,38 +583,59 @@ def _engine_failure(task: ChunkTask, exc: Exception) -> ChunkPayload:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-        raise HttpError(400, "malformed request line")
-    method, target = parts[0].upper(), parts[1]
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise HttpError(400, "truncated headers")
-        if len(headers) >= MAX_HEADERS:
-            raise HttpError(431, "too many headers")
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise HttpError(400, f"malformed header {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-    if headers.get("transfer-encoding"):
-        raise HttpError(400, "chunked bodies are not supported")
-    length_text = headers.get("content-length", "0")
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket
+    or one left idle for :data:`IDLE_SECONDS`.  A head or body that
+    misses its deadline raises ``HttpError(408)``.
+
+    A deadline is a timer that ends the reader's wait (an end of file
+    when idle, the error otherwise), not a task per read."""
+    loop = asyncio.get_running_loop()
+    timer = loop.call_later(IDLE_SECONDS, reader.feed_eof)
     try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"bad content-length {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
+        line = await reader.read(1)
+        if not line:
+            return None
+        timer.cancel()
+        timer = loop.call_later(
+            HEADER_SECONDS, reader.set_exception,
+            HttpError(408, f"request head not received in {HEADER_SECONDS:g} s"),
+        )
+        line += await reader.readline()
+        parts = line.decode("latin-1").strip().split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
+            raise HttpError(400, "malformed request line")
+        method, target = parts[0].upper(), parts[1]
+        headers: dict[str, str] = {}
+        while True:
+            raw = await reader.readline()
+            if raw in (b"\r\n", b"\n"):
+                break
+            if not raw:
+                raise HttpError(400, "truncated headers")
+            if len(headers) >= MAX_HEADERS:
+                raise HttpError(431, "too many headers")
+            name, sep, value = raw.decode("latin-1").partition(":")
+            if not sep:
+                raise HttpError(400, f"malformed header {raw!r}")
+            headers[name.strip().lower()] = value.strip()
+        if headers.get("transfer-encoding"):
+            raise HttpError(400, "chunked bodies are not supported")
+        length_text = headers.get("content-length", "0")
+        try:
+            length = int(length_text)
+        except ValueError:
+            raise HttpError(400, f"bad content-length {length_text!r}")
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        timer.cancel()
+        timer = loop.call_later(
+            BODY_SECONDS, reader.set_exception,
+            HttpError(408, f"request body not received in {BODY_SECONDS:g} s"),
+        )
+        body = await reader.readexactly(length)
+        return method, target, headers, body
+    finally:
+        timer.cancel()
 
 
 def _response(

@@ -569,6 +569,34 @@ class TestCommands:
         }
         assert kinds == {run_id: "run", fold_id: "evolution"}
 
+    def test_cut_short_ledger_names_its_skipped_lines(self, tmp_path, capsys):
+        """A ledger whose last append was cut short: report does not pass
+        the run before it off as the latest (exit 1), --run still reads
+        an intact record, and both commands name the skipped line."""
+        ledger = tmp_path / "runs.jsonl"
+        assert main(["convert-corpus", "--generate", "2", "--quiet",
+                     "--max-workers", "1", "--runlog", str(ledger)]) == 0
+        run_id = json.loads(ledger.read_text())["run_id"]
+        with ledger.open("a") as handle:
+            handle.write('{"kind": "run", "run_id": "run-cut", "metr')
+        capsys.readouterr()
+        assert main(["report", str(ledger)]) == 1
+        err = capsys.readouterr().err
+        assert "skipped unparseable line(s) 2" in err and "--run" in err
+        assert main(["report", str(ledger), "--run", run_id]) == 0
+        assert "skipped unparseable line(s) 2" in capsys.readouterr().err
+        assert main(["runs", str(ledger)]) == 0
+        assert "skipped unparseable line(s) 2" in capsys.readouterr().err
+
+    def test_report_snapshot_refuses_run(self, tmp_path, capsys):
+        snapshot = tmp_path / "m.json"
+        assert main(["convert-corpus", "--generate", "2", "--quiet",
+                     "--max-workers", "1", "--metrics-out", str(snapshot)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(snapshot), "--run", "run-x"]) == 1
+        err = capsys.readouterr().err
+        assert "--run" in err and err.count("\n") == 1
+
     def test_report_missing_run_fails(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
         ledger.write_text("")

@@ -92,8 +92,7 @@ class TestRunRecord:
         ledger = RunLedger(path)
         first = ledger.append(build_run_record(stats, corpus_size=4, run_id="run-a"))
         ledger.append(build_run_record(stats, corpus_size=4, run_id="run-b"))
-        assert len(ledger) == 2
-        assert ledger.latest()["run_id"] == "run-b"
+        assert [r["run_id"] for r in ledger.records()] == ["run-a", "run-b"]
         assert ledger.find("run-a") == first
         assert ledger.find("missing") is None
         assert validate_runlog_file(path) == []
@@ -116,11 +115,11 @@ class TestRunRecord:
         path = tmp_path / "runs.jsonl"
         path.write_text('\n{"run_id": "ok"}\nnot json\n\n')
         assert [r["run_id"] for r in RunLedger(path).records()] == ["ok"]
+        assert RunLedger(path).lines() == [(2, {"run_id": "ok"}), (3, None)]
 
     def test_missing_ledger_is_empty(self, tmp_path):
         ledger = RunLedger(tmp_path / "absent.jsonl")
         assert ledger.records() == []
-        assert ledger.latest() is None
 
     def test_empty_ledger_fails_validation(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -2,7 +2,10 @@
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,17 @@ class BuiltIn:
 
 def built_pid(state, item):
     return state.pid
+
+
+def wait_for_file(state, path):
+    while not os.path.exists(path):
+        time.sleep(0.01)
+    return path
+
+
+def touch(state, path):
+    Path(path).touch()
+    return path
 
 
 class TestInline:
@@ -142,3 +156,43 @@ def test_resolved_workers_defaults_to_cpus():
     assert resolve_workers(None) == (os.cpu_count() or 1)
     assert resolve_workers(0) == 1
     assert WorkerPool(no_state, workers=0).workers == 1
+
+
+class TestExclusive:
+    def test_bisection_has_the_pool_to_itself(self, tmp_path):
+        """exclusive() starts only once the task in flight has finished;
+        while a thread holds it, that thread's own submits run and
+        another thread's submit does not reach the workers."""
+        release, ran = tmp_path / "release", tmp_path / "ran"
+        entered, leave = threading.Event(), threading.Event()
+        own, outside = [], []
+
+        with WorkerPool(no_state, workers=2) as pool:
+            in_flight = pool.submit(wait_for_file, str(release))
+
+            def bisect():
+                with pool.exclusive():
+                    entered.set()
+                    own.append(pool.submit(square_offset, 3).result(timeout=10))
+                    leave.wait(timeout=10)
+
+            holder = threading.Thread(target=bisect)
+            submitter = threading.Thread(
+                target=lambda: outside.append(pool.submit(touch, str(ran)))
+            )
+            try:
+                holder.start()
+                assert not entered.wait(timeout=0.3)
+                release.touch()
+                assert entered.wait(timeout=10)
+                assert in_flight.result(timeout=10) == str(release)
+                submitter.start()
+                submitter.join(timeout=0.3)
+                assert submitter.is_alive() and not outside and not ran.exists()
+            finally:
+                release.touch()
+                leave.set()
+                holder.join(timeout=10)
+            submitter.join(timeout=10)
+            assert own == [9]
+            assert outside[0].result(timeout=10) == str(ran)

@@ -24,6 +24,7 @@ import asyncio
 import importlib.util
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from tests.loadtest import (
     ServerThread,
     _get,
     _post,
+    _read_response,
     request,
     run_load,
 )
@@ -154,6 +156,7 @@ class TestLifecycleRoutes:
         assert health["documents"] == 0
         assert health["topics"] == ["resume"]
         assert health["worker_pids"] == []  # inline mode: no pool
+        assert health["latency"] is None
 
     def test_metrics_validate_and_count_requests(self, live, corpus_html):
         _, host, port = live
@@ -171,6 +174,11 @@ class TestLifecycleRoutes:
             'repro_service_requests_total{code="200",route="POST /convert"}'
             in text
         )
+        # The latency histogram and /healthz time /convert requests only.
+        _, _, body = fetch(host, port, _get("/healthz"))
+        assert json.loads(body)["latency"]["count"] == 1
+        _, _, body = fetch(host, port, _get("/metrics"))
+        assert "repro_service_request_seconds_count 1\n" in body.decode("utf-8")
 
     def test_metrics_export_the_micro_batch_size(self, kb, tmp_path):
         """Each micro-batch is one engine chunk of up to ``CHUNK_SIZE``
@@ -551,6 +559,52 @@ class TestDocumentFailures:
         finally:
             server.stop()
 
+    @pytest.mark.slow
+    def test_concurrent_killers_blame_only_killers(self, kb, tmp_path):
+        """Three worker-killers among 60 documents, each sent alone after
+        a random delay: micro-batches share the 2-worker pool with the
+        bisections their crashes start, and in every trial the failed
+        documents are exactly the killers."""
+        from repro.convert.config import ConversionConfig
+        from repro.corpus.generator import ResumeCorpusGenerator
+
+        sources = ResumeCorpusGenerator(seed=3).generate_html(60)
+        conversion = ConversionConfig(chaos_kill_marker="CHAOS-KILL")
+        misblamed = {}
+        for seed in range(24):
+            rng = random.Random(seed)
+            killers = set(rng.sample(range(len(sources)), 3))
+            documents = [
+                source + "<!-- CHAOS-KILL -->" if position in killers else source
+                for position, source in enumerate(sources)
+            ]
+            delays = [rng.uniform(0, 0.3) for _ in documents]
+            service = make_service(
+                kb, tmp_path / f"trial{seed}", workers=2, conversion=conversion
+            )
+
+            async def send(source, delay):
+                await asyncio.sleep(delay)
+                return await service.batcher.submit(ConvertRequest(source=source))
+
+            async def drive():
+                await service.start()
+                try:
+                    return await asyncio.gather(*map(send, documents, delays))
+                finally:
+                    await service.shutdown()
+
+            outcomes = asyncio.run(drive())
+            failed = {
+                position for position, outcome in enumerate(outcomes)
+                if not outcome.ok
+            }
+            if failed != killers:
+                misblamed[seed] = (sorted(killers), sorted(failed))
+        assert not misblamed, (
+            f"{len(misblamed)} of 24 trials blamed an innocent: {misblamed}"
+        )
+
     def test_dispatch_failure_is_counted(
         self, kb, tmp_path, corpus_html, monkeypatch
     ):
@@ -696,6 +750,33 @@ class TestDrain:
         assert service.draining
         # The pool refuses post-shutdown work.
         assert service.pool._closed
+
+    def test_drain_closes_idle_and_half_sent_connections(self, kb, tmp_path):
+        """Drain closes an idle keep-alive connection and one that sent
+        half a header rather than waiting for them: from Python 3.12.1,
+        ``Server.wait_closed()`` waits for every open connection."""
+        service = make_service(kb, tmp_path)
+
+        async def drive():
+            host, port = await service.start()
+            idle_reader, idle = await asyncio.open_connection(host, port)
+            idle.write(_get("/healthz"))
+            await idle.drain()
+            status, _, _ = await _read_response(idle_reader)
+            _, half = await asyncio.open_connection(host, port)
+            half.write(b"POST /convert HTTP/1.1\r\nContent-Le")
+            await half.drain()
+            await asyncio.sleep(0.1)
+            started = time.monotonic()
+            await service.shutdown()
+            elapsed = time.monotonic() - started
+            idle.close()
+            half.close()
+            return status, elapsed
+
+        status, elapsed = asyncio.run(drive())
+        assert status == 200
+        assert elapsed < 2.0
 
     def test_sigterm_drains_with_no_orphans(self, tmp_path, corpus_html):
         """End-to-end: `repro-web serve` under SIGTERM exits 0, prints
